@@ -24,7 +24,7 @@ import math
 import sys
 
 from . import __version__
-from .config import load_config
+from .config import checked_tol, load_config
 from .error_budget import assemble_error_budget
 from .errors import (
     BoundViolation,
@@ -248,7 +248,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        tol = getattr(args, "tol", None) or config.tol
+        flag_tol = getattr(args, "tol", None)
+        tol = checked_tol(config.tol if flag_tol is None else flag_tol)
         if args.command == "ball":
             return _cmd_ball(args)
         if args.command == "nk":

@@ -10,12 +10,13 @@ integrals; reductions stay deterministic regardless of the cap.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Tuple
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 CONFIG_VERSION = 1
 
@@ -86,6 +87,13 @@ class _PartialConfig:
     tol: Optional[float]
     max_pairs: Optional[int]
     shell_grid: Optional[Tuple[int, ...]]
+
+
+def checked_tol(tol: float) -> float:
+    """The quadrature tolerance, from a flag or a config file; finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def worker_count() -> int:

@@ -13,10 +13,12 @@ the Hartree-Fock functional evaluate in closed form:
 
 The functional carries prefactor 1/N (no 1/2) on both interaction terms;
 the ``half_prefactor`` switch multiplies both by 1/2 for comparison with
-the pair-summed convention.  The exchange double sum is reduced to
-O(N * |support|) by counting, per transfer momentum, the modes that stay
-inside the ball; the count is an exact integer, so the final reduction
-is a deterministic compensated sum of exact products.
+the pair-summed convention.  The exchange double sum reduces to one
+count per transfer momentum, the modes that stay inside the ball,
+N - n_k^2 from the column-interval lune count (O(N^(2/3)) per momentum);
+the kinetic sum is closed form per column.  Both counts are exact
+integers, so the final reduction is a deterministic compensated sum of
+exact products.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShapeMismatch
-from .lattice import FermiBall, ModelParams
+from .lattice import FermiBall, ModelParams, lune_count
 from .potential import Potential, l1_norm
 
 
@@ -48,11 +48,10 @@ def hf_energy(
     """Evaluate the plane-wave Hartree-Fock energy, total = kin + dir - exch."""
     if ball.n != params.n:
         raise ShapeMismatch(f"ball has {ball.n} modes but params.n = {params.n}")
-    arr = ball.mode_array
-    kinetic = params.hbar ** 2 * float(int(np.einsum("ij,ij->", arr, arr)))
+    kinetic = params.hbar ** 2 * float(ball.norm_sq_sum())
     direct = ball.n * v.value((0, 0, 0))
     exchange = math.fsum(
-        v.coeffs[k] * _stay_count(ball, k) for k in v.support()
+        v.coeffs[k] * (ball.n - lune_count(ball, k).count) for k in v.support()
     ) / ball.n
     if half_prefactor:
         direct *= 0.5
@@ -63,13 +62,6 @@ def hf_energy(
         exchange=exchange,
         total=kinetic + direct - exchange,
     )
-
-
-def _stay_count(ball: FermiBall, k) -> int:
-    """#{h in B_F : h + k in B_F}, exact."""
-    shifted = ball.mode_array + np.asarray(k, dtype=np.int64)
-    inside = np.einsum("ij,ij->i", shifted, shifted) <= ball.shell_radius_sq
-    return int(np.count_nonzero(inside))
 
 
 def exchange_norm_bound(v: Potential, n: int) -> float:

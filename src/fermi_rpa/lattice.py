@@ -15,6 +15,16 @@ volumes (overlap of two balls of Fermi radius displaced by k):
     n_k^2 ~ pi*k_F^2*|k| - (pi/12)*|k|^3,      k_F = (3N/4pi)^(1/3),
     k.f(k) ~ |k| * N^(1/3) * (4/(3*sqrt(pi)))^(2/3).
 
+A closed shell |h|^2 <= R^2 is exactly one z-interval [-Z, Z] per (x, y)
+column, Z(x, y) = isqrt(R^2 - x^2 - y^2).  The ball therefore stores its
+column table (about pi*R^2 ~ 2.1*N^(2/3) columns) instead of N points, and
+a shift by k is one interval intersection per column: the stay count
+#{h : h+k in B_F} is the summed overlap length, n_k^2 = N - stay, and the
+lune sum of h is minus the stay sum (the ball is symmetric), whose z part
+is an arithmetic series.  Each count costs O(N^(2/3)) per momentum; the
+N x 3 mode array is built only on demand (tiny N: tests, the oracle,
+explicit pair lists).
+
 All lattice sums are integer-exact; floats appear only on output.
 """
 
@@ -22,8 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -111,28 +122,66 @@ def closed_shell_sizes(max_radius_sq: int) -> List[Tuple[int, int]]:
     ]
 
 
+def _column_tops(radius_sq: int) -> np.ndarray:
+    """Z(x, y) = isqrt(radius_sq - x^2 - y^2) on the grid [-r, r]^2, -1 off the ball.
+
+    Entry [x + r, y + r] is the top of the z-interval [-Z, Z] of column
+    (x, y), r = isqrt(radius_sq); -1 marks a column outside the ball, whose
+    interval [1, -1] is empty.
+    """
+    r = math.isqrt(radius_sq)
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    rest = radius_sq - (ax[:, None] ** 2 + ax[None, :] ** 2)
+    top = np.sqrt(np.maximum(rest, 0)).astype(np.int64)
+    # exact integer square root: undo a float rounding either way; rest < 0 gives -1
+    top -= top * top > rest
+    top += (top + 1) * (top + 1) <= rest
+    return top
+
+
+def _ball_size(radius_sq: int) -> int:
+    """#{h : |h|^2 <= radius_sq}, summed over columns."""
+    return int(np.maximum(2 * _column_tops(radius_sq) + 1, 0).sum())
+
+
 @dataclass(frozen=True)
 class FermiBall:
     """The closed-shell set B_F of the n lowest lattice modes.
 
-    modes is exactly {h : |h|^2 <= shell_radius_sq}, sorted by the global
-    mode order; kf_continuum = (3n/4pi)^(1/3) is the continuum Fermi
-    momentum used by the asymptotic formulas.
+    B_F is exactly {h : |h|^2 <= shell_radius_sq}, held as its column table
+    (see ``_column_tops``); kf_continuum = (3n/4pi)^(1/3) is the continuum
+    Fermi momentum used by the asymptotic formulas.  ``modes`` and
+    ``mode_array`` list the n points in the global mode order; both are
+    built lazily on first access and cost O(n) memory, so large-N callers
+    never touch them.
     """
 
     n: int
     shell_radius_sq: int
-    modes: Tuple[Momentum, ...]
     kf_continuum: float
-    _array: np.ndarray = field(repr=False, compare=False)
+    column_tops: np.ndarray = field(repr=False, compare=False)
 
     def contains(self, k: Momentum) -> bool:
         # closed shell: membership is exactly the norm test
         return norm_sq(k) <= self.shell_radius_sq
 
-    @property
+    @cached_property
     def mode_array(self) -> np.ndarray:
-        return self._array
+        return _sorted_ball_array(self.shell_radius_sq)
+
+    @cached_property
+    def modes(self) -> Tuple[Momentum, ...]:
+        return tuple((int(a), int(b), int(c)) for a, b, c in self.mode_array)
+
+    def norm_sq_sum(self) -> int:
+        """Exact sum of |h|^2 over B_F: (x^2+y^2)(2Z+1) + Z(Z+1)(2Z+1)/3 per column."""
+        top = self.column_tops
+        r = top.shape[0] // 2
+        ax = np.arange(-r, r + 1, dtype=np.int64)
+        inside = top >= 0
+        z = top[inside]
+        rho_sq = (ax[:, None] ** 2 + ax[None, :] ** 2)[inside]
+        return int((rho_sq * (2 * z + 1) + z * (z + 1) * (2 * z + 1) // 3).sum())
 
 
 def build_fermi_ball(n: int) -> FermiBall:
@@ -144,34 +193,50 @@ def build_fermi_ball(n: int) -> FermiBall:
     """
     if n < 1:
         raise DomainError(f"particle count must be positive, got {n}")
-    # initial radius guess from the continuum volume, grown if needed
+    # upper radius from the continuum volume, grown if needed; then bisect
+    # for the smallest radius_sq whose ball holds at least n points
     guess = int(math.ceil((3.0 * n / (4.0 * math.pi)) ** (1.0 / 3.0))) + 2
-    while True:
-        levels = closed_shell_sizes(guess * guess)
-        if levels[-1][1] >= n:
-            break
-        guess *= 2
-    for radius_sq, count in levels:
-        if count == n:
-            arr = _sorted_ball_array(radius_sq)
-            modes = tuple((int(a), int(b), int(c)) for a, b, c in arr)
-            kf = (3.0 * n / (4.0 * math.pi)) ** (1.0 / 3.0)
-            return FermiBall(n, radius_sq, modes, kf, arr)
-        if count > n:
-            raise NotClosedShell(
-                f"no closed shell with exactly {n} modes; "
-                f"nearest shells have {_previous_count(levels, n)} and {count}"
-            )
-    raise AssertionError("unreachable")
+    hi = guess * guess
+    while _ball_size(hi) < n:
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _ball_size(mid) >= n:
+            hi = mid
+        else:
+            lo = mid + 1
+    count = _ball_size(lo)
+    if count != n:
+        raise NotClosedShell(
+            f"no closed shell with exactly {n} modes; "
+            f"nearest shells have {_ball_size(lo - 1)} and {count}"
+        )
+    kf = (3.0 * n / (4.0 * math.pi)) ** (1.0 / 3.0)
+    return FermiBall(n, lo, kf, _column_tops(lo))
 
 
-def _previous_count(levels: Sequence[Tuple[int, int]], n: int) -> int:
-    prev = 0
-    for _, count in levels:
-        if count > n:
-            return prev
-        prev = count
-    return prev
+def _stay_columns(ball: FermiBall, k: Momentum):
+    """Per-column overlap of B_F with B_F - k: {h in B_F : h+k in B_F}.
+
+    Returns (x, y, lo, hi, length) over the columns whose shifted column
+    still lies on the grid; length = max(hi - lo + 1, 0) counts the stay
+    points z in [lo, hi] of column (x, y).
+    """
+    kx, ky, kz = (int(c) for c in k)
+    top = ball.column_tops
+    m = top.shape[0]
+    r = m // 2
+    nx, ny = max(m - abs(kx), 0), max(m - abs(ky), 0)
+    sx, sy = max(0, -kx), max(0, -ky)
+    source = top[sx : sx + nx, sy : sy + ny]
+    target = top[sx + kx : sx + kx + nx, sy + ky : sy + ky + ny]
+    lo = np.maximum(-source, -target - kz)
+    hi = np.minimum(source, target - kz)
+    length = np.maximum(hi - lo + 1, 0)
+    x = np.arange(sx - r, sx - r + nx, dtype=np.int64)
+    y = np.arange(sy - r, sy - r + ny, dtype=np.int64)
+    return x, y, lo, hi, length
 
 
 @dataclass(frozen=True)
@@ -188,19 +253,19 @@ def lune_count(ball: FermiBall, k: Momentum, with_pairs: bool = False) -> LuneCo
 
     The count equals the squared vacuum norm of the delocalized pair
     creation operator with transfer momentum k; it is even in k and
-    vanishes only at k = 0.
+    vanishes only at k = 0.  It is N minus the column-overlap stay count;
+    the pair list (holes in mode order) reads the lazily built mode array.
     """
-    arr = ball.mode_array
-    shifted = arr + np.asarray(k, dtype=np.int64)
-    out = np.einsum("ij,ij->i", shifted, shifted) > ball.shell_radius_sq
-    count = int(np.count_nonzero(out))
+    *_, length = _stay_columns(ball, k)
+    count = ball.n - int(length.sum())
     pairs = None
     if with_pairs:
-        hs = arr[out]
-        ps = shifted[out]
+        arr = ball.mode_array
+        shifted = arr + np.asarray(k, dtype=np.int64)
+        out = np.einsum("ij,ij->i", shifted, shifted) > ball.shell_radius_sq
         pairs = tuple(
             ((int(p[0]), int(p[1]), int(p[2])), (int(h[0]), int(h[1]), int(h[2])))
-            for p, h in zip(ps, hs)
+            for p, h in zip(shifted[out], arr[out])
         )
     return LuneCount(k=tuple(int(c) for c in k), count=count, pairs=pairs)
 
@@ -250,24 +315,26 @@ def kinetic_coefficient(ball: FermiBall, k: Momentum) -> KineticCoefficient:
     """Exact k.f(k) = (1/n_k^2) sum over pairs of k.(2h+k).
 
     Integer arithmetic throughout; raises EmptyLune when no pair carries
-    the transfer momentum k (in particular for k = 0).
+    the transfer momentum k (in particular for k = 0).  B_F is symmetric,
+    so the lune sum of h is minus the stay sum, taken column by column
+    (the z part of a column is the arithmetic series (lo+hi)*length/2).
     """
-    arr = ball.mode_array
-    kvec = np.asarray(k, dtype=np.int64)
-    shifted = arr + kvec
-    out = np.einsum("ij,ij->i", shifted, shifted) > ball.shell_radius_sq
-    count = int(np.count_nonzero(out))
+    x, y, lo, hi, length = _stay_columns(ball, k)
+    count = ball.n - int(length.sum())
     if count == 0:
         raise EmptyLune(f"no particle-hole pair with transfer momentum {tuple(k)}")
-    hs = arr[out]
-    # p + h = 2h + k summed componentwise; exact in int64, well below overflow
-    psum = 2 * hs.sum(axis=0) + count * kvec
-    numerator = int(kvec @ psum)
+    hole_sum = (
+        -int(length.sum(axis=1) @ x),
+        -int(length.sum(axis=0) @ y),
+        -(int(((lo + hi) * length).sum()) // 2),
+    )
+    # p + h = 2h + k summed componentwise
+    psum = tuple(2 * s + count * int(c) for s, c in zip(hole_sum, k))
     return KineticCoefficient(
         k=tuple(int(c) for c in k),
         count=count,
-        numerator=numerator,
-        f_numerator=(int(psum[0]), int(psum[1]), int(psum[2])),
+        numerator=sum(int(c) * p for c, p in zip(k, psum)),
+        f_numerator=psum,
     )
 
 

@@ -241,3 +241,37 @@ def test_config_override(capsys, tmp_path, potential_file):
     )
     assert code == 0
     assert float(out.strip()) < 0.0
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_invalid_tolerance_flag_exits_one(capsys, potential_file, tol):
+    for argv in (
+        ["corr", "--n", "33", "--potential", potential_file, "--method", "optimal"],
+        ["compare", "--potential", potential_file, "--n-list", "33"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "tolerance must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "NaN", "Infinity"])
+def test_invalid_tolerance_config_exits_one(capsys, tmp_path, potential_file, tol):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"tol": %s}' % tol)
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg), "corr", "--n", "33",
+        "--potential", potential_file, "--method", "optimal",
+    )
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be finite and > 0" in err
+
+
+def test_tolerance_flag_overrides_config(capsys, tmp_path, potential_file):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"tol": 1e-30}')
+    argv = ["corr", "--n", "33", "--potential", potential_file, "--method", "optimal"]
+    code, out, _ = run_cli(capsys, "--config", str(cfg), *argv, "--tol", "1e-10")
+    assert code == 0
+    assert out == run_cli(capsys, *argv)[1]

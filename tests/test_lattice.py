@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fermi_rpa import (
     DomainError,
@@ -12,9 +12,12 @@ from fermi_rpa import (
     NotClosedShell,
     build_fermi_ball,
     closed_shell_sizes,
+    correlation_delocalized,
+    hf_energy,
     kinetic_coefficient,
     kinetic_coefficient_asymptotic,
     lune_count,
+    make_potential,
     nk_asymptotic,
 )
 from fermi_rpa.lattice import mode_sort_key, norm_sq
@@ -70,7 +73,7 @@ def test_build_fermi_ball_seven(ball7):
 
 
 def test_build_fermi_ball_rejects_open_shell():
-    with pytest.raises(NotClosedShell):
+    with pytest.raises(NotClosedShell, match="nearest shells have 1 and 7"):
         build_fermi_ball(2)
     with pytest.raises(NotClosedShell):
         build_fermi_ball(100)
@@ -237,3 +240,75 @@ def test_nk_squared_gauss_law_slope():
         logs_kf.append(math.log(ball.kf_continuum))
     slope = np.polyfit(logs_kf, logs_err, 1)[0]
     assert slope <= 2.5
+
+
+@pytest.mark.parametrize("radius_sq", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 30])
+def test_lazy_modes_match_brute_force(radius_sq):
+    pts = brute_force_ball(radius_sq)
+    ball = build_fermi_ball(len(pts))
+    assert "modes" not in vars(ball) and "mode_array" not in vars(ball)
+    expected = sorted(pts, key=mode_sort_key)
+    assert ball.modes == tuple(expected)
+    assert ball.mode_array.tolist() == [list(p) for p in expected]
+    assert ball.norm_sq_sum() == sum(norm_sq(h) for h in pts)
+
+
+@given(
+    st.integers(0, 60),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
+)
+@example(0, (0, 0, 0))
+@example(0, (1, 0, 0))
+@example(60, (0, 0, 0))
+@example(60, (16, 0, 0))
+@example(60, (-20, 20, -20))
+@settings(max_examples=200, deadline=None)
+def test_column_kernel_matches_brute_force(radius_sq, k):
+    # radius_sq need not be an attained level; the ball is the same set
+    pts = brute_force_ball(radius_sq)
+    members = set(pts)
+    ball = build_fermi_ball(len(pts))
+    lune = [h for h in pts if (h[0] + k[0], h[1] + k[1], h[2] + k[2]) not in members]
+    stay = len(pts) - len(lune)
+    assert lune_count(ball, k).count == len(lune)
+    # HF reads the stay count N - n_k^2 for every support momentum
+    exchange = hf_energy(ball, make_potential({k: 1.0}), ModelParams(ball.n)).exchange
+    assert exchange == (2 * stay if any(k) else stay) / ball.n
+    if not lune:
+        assert k == (0, 0, 0)
+        with pytest.raises(EmptyLune):
+            kinetic_coefficient(ball, k)
+        return
+    f_numerator = tuple(sum(2 * h[i] + k[i] for h in lune) for i in range(3))
+    kc = kinetic_coefficient(ball, k)
+    assert kc.count == len(lune)
+    assert kc.f_numerator == f_numerator
+    assert kc.numerator == sum(k[i] * f_numerator[i] for i in range(3))
+    # closed-shell identity n_k^2 * k.f(k) = N |k|^2, for every k
+    assert kc.numerator == ball.n * norm_sq(k)
+
+
+def test_column_kernel_large_n_against_numpy_scan():
+    ball = build_fermi_ball(57777)
+    radius_sq = ball.shell_radius_sq
+    r = math.isqrt(radius_sq)
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = pts[(pts * pts).sum(axis=1) <= radius_sq]
+    assert len(pts) == ball.n
+    assert ball.norm_sq_sum() == int((pts * pts).sum())
+    ks = [(1, 0, 0), (2, -3, 1), (5, 5, 5), (-7, 0, 24), (0, 2 * r + 1, 0), (30, -30, 30)]
+    for k in ks:
+        shifted = pts + np.asarray(k)
+        out = (shifted * shifted).sum(axis=1) > radius_sq
+        count = int(out.sum())
+        assert lune_count(ball, k).count == count
+        kc = kinetic_coefficient(ball, k)
+        psum = 2 * pts[out].sum(axis=0) + count * np.asarray(k)
+        assert kc.f_numerator == tuple(int(c) for c in psum)
+        assert kc.numerator == int(np.dot(k, psum))
+    # the counts, HF and the exact bound never build the N x 3 mode array
+    v = make_potential({k: 0.01 for k in ks[:4]})
+    hf_energy(ball, v, ModelParams(ball.n))
+    correlation_delocalized(ball, v, backend="exact")
+    assert "mode_array" not in vars(ball) and "modes" not in vars(ball)
