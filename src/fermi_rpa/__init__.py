@@ -58,6 +58,7 @@ from .rpa_delocalized import (
 )
 from .rpa_optimal import (
     GMBResult,
+    frequency_brackets,
     gmb_correlation,
     gmb_integral,
     gmb_integrand,

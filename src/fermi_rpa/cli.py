@@ -48,7 +48,12 @@ from .lattice import (
 from .potential import Potential, load_potential, make_potential
 from .report import energy_report, format_float, report_csv
 from .rpa_delocalized import correlation_delocalized, second_order_delocalized
-from .rpa_optimal import gmb_correlation, second_order_optimal, second_order_ratio
+from .rpa_optimal import (
+    frequency_brackets,
+    gmb_correlation,
+    second_order_optimal,
+    second_order_ratio,
+)
 
 DEMO_POTENTIAL = {
     (1, 0, 0): 0.5,
@@ -208,7 +213,9 @@ def _cmd_compare(args, tol: float) -> int:
         ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError as exc:
         raise FermiRpaError(f"invalid --n-list: {exc}") from exc
-    reports = [energy_report(n, v, tol=tol) for n in ns]
+    # the brackets depend on V(k) alone: one table serves every N
+    brackets = frequency_brackets(v, tol) if ns else {}
+    reports = [energy_report(n, v, tol=tol, brackets=brackets) for n in ns]
     if args.format == "csv":
         sys.stdout.write(report_csv(reports))
     else:

@@ -1,17 +1,15 @@
-"""Run configuration: versioned defaults, JSON overrides, worker cap.
+"""Run configuration: versioned defaults and JSON overrides.
 
 The physical defaults (quadrature tolerance, oracle pair cap, shell
 grid) live in the packaged ``data/default_config.json`` and can be
 overridden by a user-supplied JSON file of the same dialect or by CLI
-flags.  ``FERMI_RPA_THREADS`` caps the worker count used for per-k
-integrals; reductions stay deterministic regardless of the cap.
+flags.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Tuple
@@ -95,14 +93,3 @@ def checked_tol(tol: float) -> float:
         raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
     return tol
 
-
-def worker_count() -> int:
-    """Worker cap from FERMI_RPA_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("FERMI_RPA_THREADS")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -169,7 +169,8 @@ def epsilon_bounds(
     N-independent certified constant).
     """
     support = v.correlation_support()
-    missing = [k for k in xi.support() if k not in set(support)]
+    support_set = set(support)
+    missing = [k for k in xi.support() if k not in support_set]
     if missing:
         raise DomainError(f"kernel momentum {missing[0]} outside potential support")
     params, n_of, kf_of = _backend_tables(source, v, backend)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Optional
 
 from .error_budget import assemble_error_budget
 from .hf import HFEnergy, hf_energy
-from .lattice import ModelParams, build_fermi_ball
+from .lattice import ModelParams, Momentum, build_fermi_ball
 from .potential import Potential, serialize_potential
+from .quadrature import IntegralResult
 from .rpa_delocalized import correlation_delocalized, second_order_delocalized
 from .rpa_optimal import gmb_correlation, second_order_optimal, second_order_ratio
 
@@ -73,8 +74,18 @@ CSV_COLUMNS = [
 ]
 
 
-def energy_report(n: int, v: Potential, tol: float = 1e-10) -> EnergyReport:
-    """Full comparison record at one particle count."""
+def energy_report(
+    n: int,
+    v: Potential,
+    tol: float = 1e-10,
+    *,
+    brackets: Optional[Dict[Momentum, IntegralResult]] = None,
+) -> EnergyReport:
+    """Full comparison record at one particle count.
+
+    ``brackets`` is an optional ``frequency_brackets(v, tol)`` table shared
+    across particle counts; it is computed here when omitted.
+    """
     ball = build_fermi_ball(n)
     params = ModelParams(n)
     so_deloc = second_order_delocalized(params, v, backend="asymptotic")
@@ -89,7 +100,7 @@ def energy_report(n: int, v: Potential, tol: float = 1e-10) -> EnergyReport:
         corr_delocalized_asymptotic=correlation_delocalized(
             params, v, backend="asymptotic"
         ),
-        corr_optimal=gmb_correlation(v, params, tol=tol).total,
+        corr_optimal=gmb_correlation(v, params, tol=tol, brackets=brackets).total,
         so_delocalized=so_deloc,
         so_optimal=so_opt,
         so_ratio=(so_deloc / so_opt) if so_opt != 0.0 else second_order_ratio(),

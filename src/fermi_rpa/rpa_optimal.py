@@ -13,16 +13,28 @@ summed over k.  The semi-infinite integral is evaluated by adaptive
 Gauss-Kronrod quadrature on [0, L] with the analytic tail bound
 a/(3 pi L) controlling the truncation: the integrand's tail is bounded
 by a/(3 lambda^2) because 0 <= 1 - lambda arctan(1/lambda) <= 1/(3 lambda^2).
+
+Each bracket depends only on the value V(k), neither on the direction of
+k nor on N.  ``frequency_brackets`` therefore runs one integral per
+distinct value of V on the support and shares it with every momentum
+carrying that value; ``compare`` builds that table once per invocation
+and hands it to ``gmb_correlation`` for every N.  The table is never
+kept beyond the call that asked for it.
+
+Every integral is checked against the rigorous enclosure
+log1p(a (1 - pi/4)) <= I(a) <= a pi/4 (lower bound for a > 0) before
+it is returned; a quadrature that fell outside it exits 2 instead of
+printing a wrong number.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
-from .config import worker_count
-from .errors import DomainError
+from .errors import ConvergenceFailure, DomainError
 from .lattice import ModelParams, Momentum, norm_sq
 from .potential import Potential
 from .quadrature import IntegralResult, integrate_adaptive
@@ -96,7 +108,35 @@ def gmb_integral(a: float, tol: float = DEFAULT_TOL) -> IntegralResult:
     body = integrate_adaptive(
         lambda lam: gmb_integrand(a, lam), 0.0, cutoff, tol=tol - tail
     )
-    return IntegralResult(body.value / math.pi, body.error / math.pi + tail)
+    result = IntegralResult(body.value / math.pi, body.error / math.pi + tail)
+    _check_enclosure(a, result)
+    return result
+
+
+def _check_enclosure(a: float, result: IntegralResult) -> None:
+    """Reject a value outside log1p(a(1 - pi/4)) <= I(a) <= a pi/4, up to its error.
+
+    The upper bound holds for every a > -1 because log1p(x) <= x and the
+    inner factor integrates to pi/4; the lower one for a > 0 because the
+    inner factor decreases and equals 1 - pi/4 at lambda = 1.  Both are in
+    units of (1/pi) I(a), like ``result``.  The slack is the returned error
+    plus the smallest normal double, below which rounding is absolute.
+    """
+    slack = result.error + sys.float_info.min
+    upper = a / 4.0
+    if result.value > upper + slack:
+        raise ConvergenceFailure(
+            f"quadrature value {result.value:.17g} for a = {a!r} violates "
+            f"(1/pi) I(a) <= a/4 = {upper:.17g} beyond its error {result.error:.3e}"
+        )
+    if a > 0.0:
+        lower = math.log1p(a * (1.0 - math.pi / 4.0)) / math.pi
+        if result.value < lower - slack:
+            raise ConvergenceFailure(
+                f"quadrature value {result.value:.17g} for a = {a!r} violates "
+                f"(1/pi) I(a) >= log1p(a(1 - pi/4))/pi = {lower:.17g} "
+                f"beyond its error {result.error:.3e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,32 +149,50 @@ class GMBResult:
     error: float
 
 
+def frequency_brackets(
+    v: Potential, tol: float = DEFAULT_TOL
+) -> Dict[Momentum, IntegralResult]:
+    """Bracket (1/pi) I(2 pi kappa V(k)) - (pi/2) kappa V(k) and its error per momentum.
+
+    One integral per distinct V(k) on the support minus {0}, taken in
+    support order; momenta sharing a value share its result.
+    """
+    by_value: Dict[float, IntegralResult] = {}
+    brackets: Dict[Momentum, IntegralResult] = {}
+    for k in v.correlation_support():
+        value = v.value(k)
+        bracket = by_value.get(value)
+        if bracket is None:
+            integral = gmb_integral(2.0 * math.pi * KAPPA * value, tol)
+            bracket = IntegralResult(
+                integral.value - (math.pi / 2.0) * KAPPA * value, integral.error
+            )
+            by_value[value] = bracket
+        brackets[k] = bracket
+    return brackets
+
+
 def gmb_correlation(
-    v: Potential, params: ModelParams, tol: float = DEFAULT_TOL
+    v: Potential,
+    params: ModelParams,
+    tol: float = DEFAULT_TOL,
+    *,
+    brackets: Optional[Dict[Momentum, IntegralResult]] = None,
 ) -> GMBResult:
-    """Optimal correlation energy over the potential support minus {0}."""
+    """Optimal correlation energy over the potential support minus {0}.
+
+    ``brackets`` is ``frequency_brackets(v, tol)``, computed here when
+    omitted; pass it to share one table across particle counts.
+    """
     support = v.correlation_support()
-
-    def bracket(k: Momentum):
-        a = 2.0 * math.pi * KAPPA * v.value(k)
-        integral = gmb_integral(a, tol)
-        return integral.value - (math.pi / 2.0) * KAPPA * v.value(k), integral.error
-
-    workers = worker_count()
-    if workers > 1 and len(support) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(bracket, support))
-    else:
-        results = [bracket(k) for k in support]
-
-    per_k = {k: value for k, (value, _) in zip(support, results)}
+    if brackets is None:
+        brackets = frequency_brackets(v, tol)
+    per_k = {k: brackets[k].value for k in support}
     total = params.hbar * KAPPA * math.fsum(
         math.sqrt(norm_sq(k)) * per_k[k] for k in support
     )
     error = params.hbar * KAPPA * math.fsum(
-        math.sqrt(norm_sq(k)) * err for k, (_, err) in zip(support, results)
+        math.sqrt(norm_sq(k)) * brackets[k].error for k in support
     )
     return GMBResult(per_k=per_k, total=total, kappa=KAPPA, error=error)
 

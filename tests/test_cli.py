@@ -224,6 +224,18 @@ def test_unreachable_tolerance_exits_two(capsys, tmp_path, potential_file):
     assert "error estimate" in err
 
 
+def test_underflowed_quadrature_exits_two(capsys, potential_file):
+    # at tol 1e-200 the first panel spans [0, ~1e200] and samples only
+    # underflowed integrand values; the enclosure check turns 0 into exit 2
+    code, out, err = run_cli(
+        capsys, "corr", "--n", "33", "--potential", potential_file,
+        "--method", "optimal", "--tol", "1e-200",
+    )
+    assert code == 2
+    assert out == ""
+    assert "violates" in err and "log1p" in err
+
+
 def test_config_override(capsys, tmp_path, potential_file):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"tol": 1e-6, "max_pairs": 1, "shell_grid": [4]}')

@@ -1,6 +1,6 @@
 import pytest
 
-from fermi_rpa.config import RunConfig, default_config, load_config, worker_count
+from fermi_rpa.config import RunConfig, default_config, load_config
 from fermi_rpa.errors import ParseError
 
 
@@ -27,24 +27,3 @@ def test_malformed_config(tmp_path):
     with pytest.raises(ParseError):
         load_config(str(path))
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("FERMI_RPA_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("FERMI_RPA_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("FERMI_RPA_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.setenv("FERMI_RPA_THREADS", "-2")
-    assert worker_count() == 1
-
-
-def test_threads_do_not_change_results(monkeypatch, demo_potential):
-    from fermi_rpa import ModelParams, gmb_correlation
-
-    monkeypatch.delenv("FERMI_RPA_THREADS", raising=False)
-    sequential = gmb_correlation(demo_potential, ModelParams(33), tol=1e-10)
-    monkeypatch.setenv("FERMI_RPA_THREADS", "4")
-    threaded = gmb_correlation(demo_potential, ModelParams(33), tol=1e-10)
-    assert sequential.total == threaded.total
-    assert sequential.per_k == threaded.per_k

@@ -1,12 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fermi_rpa.rpa_optimal as rpa_optimal
 from fermi_rpa import (
     ConvergenceFailure,
     DomainError,
+    GMBResult,
     ModelParams,
+    energy_report,
+    frequency_brackets,
     gmb_correlation,
     gmb_integral,
     gmb_integrand,
@@ -14,8 +20,11 @@ from fermi_rpa import (
     scale_coupling,
     second_order_optimal,
     second_order_ratio,
+    serialize_potential,
 )
-from fermi_rpa.quadrature import integrate_adaptive
+from fermi_rpa.cli import main
+from fermi_rpa.lattice import norm_sq
+from fermi_rpa.quadrature import IntegralResult, integrate_adaptive
 from fermi_rpa.rpa_optimal import KAPPA, _inner_factor, tail_bound
 
 
@@ -193,3 +202,154 @@ def test_ratio_equals_second_order_quotient(demo_potential):
 
 def test_kappa_value():
     assert KAPPA == pytest.approx((3.0 / (4.0 * math.pi)) ** (1.0 / 3.0), rel=1e-16)
+
+
+def mpmath_reference(a, dps=30):
+    """(1/pi) I(a) and its quadrature error, by mpmath on lambda = t/(1 - t).
+
+    1 - lambda arctan(1/lambda) ~ 1/(3 lambda^2) cancels about 2 log10(lambda)
+    digits, so it is evaluated with that many extra; the breakpoints keep
+    tanh-sinh from misjudging the slow decay (a plain [0, 1, 10, 100, inf]
+    split reports 1e-8 while off by 1e-3 on the lambda integral of the
+    inner factor).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(dps):
+        a_mp = mp.mpf(a)
+
+        def f(t):
+            if t == 1:
+                return a_mp / 3  # limit of log(1 + a g(lambda)) dlambda/dt
+            lam = t / (1 - t)
+            extra = int(2 * mp.log10(lam)) if lam > 1 else 0
+            with mp.workdps(dps + extra + 10):
+                g = 1 - lam * mp.atan(1 / lam) if lam > 0 else mp.mpf(1)
+                value = mp.log1p(a_mp * g) / (1 - t) ** 2
+            return +value
+
+        value, error = mp.quad(f, [0, 0.5, 0.9, 0.99, 1], error=True)
+        return float(value / mp.pi), float(error / mp.pi)
+
+
+@pytest.mark.parametrize("a", [-0.999, -0.5, 1e-6, 0.3, 1.0, 100.0])
+def test_integral_matches_mpmath_reference(a):
+    reference, reference_error = mpmath_reference(a)
+    assert reference_error < 1e-20
+    res = gmb_integral(a, tol=1e-12)
+    assert res.error <= 1e-12
+    assert abs(res.value - reference) <= res.error
+
+
+@given(st.floats(min_value=-1.0, max_value=100.0, exclude_min=True))
+@settings(max_examples=200, deadline=None)
+def test_integral_inside_enclosure(a):
+    # log1p(a(1 - pi/4)) <= I(a) <= a pi/4; the lower bound needs a > 0
+    res = gmb_integral(a, tol=1e-10)
+    slack = res.error + sys.float_info.min
+    assert res.value <= a / 4.0 + slack
+    if a > 0.0:
+        assert res.value >= math.log1p(a * (1.0 - math.pi / 4.0)) / math.pi - slack
+
+
+@pytest.mark.parametrize("a,violated", [(1.0, "log1p"), (-0.5, "a/4")])
+def test_enclosure_rejects_a_vanished_body(monkeypatch, a, violated):
+    # an underflowed first panel reads 0 with error 0, as at tol ~ 1e-200
+    monkeypatch.setattr(
+        rpa_optimal, "integrate_adaptive", lambda f, lo, hi, tol: IntegralResult(0.0, 0.0)
+    )
+    with pytest.raises(ConvergenceFailure, match=violated):
+        gmb_integral(a, tol=1e-10)
+
+
+def radial_potential(radius_sq=30):
+    """V depends on |k|^2 only, with mixed signs: 26 distinct values at radius^2 30."""
+    coeffs = {}
+    r = math.isqrt(radius_sq)
+    for x in range(-r, r + 1):
+        for y in range(-r, r + 1):
+            for z in range(-r, r + 1):
+                k2 = x * x + y * y + z * z
+                if 0 < k2 <= radius_sq:
+                    coeffs[(x, y, z)] = (-1) ** k2 * 0.1 / (1.0 + 0.1 * k2)
+    return make_potential(coeffs, support_radius_sq=radius_sq)
+
+
+def per_k_loop(v, params, tol):
+    """The optimal correlation energy with one integral per momentum."""
+    support = v.correlation_support()
+    per_k, errors = {}, {}
+    for k in support:
+        integral = gmb_integral(2.0 * math.pi * KAPPA * v.value(k), tol)
+        per_k[k] = integral.value - (math.pi / 2.0) * KAPPA * v.value(k)
+        errors[k] = integral.error
+    total = params.hbar * KAPPA * math.fsum(
+        math.sqrt(norm_sq(k)) * per_k[k] for k in support
+    )
+    error = params.hbar * KAPPA * math.fsum(
+        math.sqrt(norm_sq(k)) * errors[k] for k in support
+    )
+    return GMBResult(per_k=per_k, total=total, kappa=KAPPA, error=error)
+
+
+@pytest.fixture()
+def counted_integrals(monkeypatch):
+    calls = []
+
+    def counting(a, tol=rpa_optimal.DEFAULT_TOL):
+        calls.append(a)
+        return original(a, tol)
+
+    original = rpa_optimal.gmb_integral
+    monkeypatch.setattr(rpa_optimal, "gmb_integral", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [33, 2109])
+def test_correlation_equals_per_k_loop(demo_potential, n):
+    for v in (demo_potential, radial_potential()):
+        params = ModelParams(n)
+        result = gmb_correlation(v, params, tol=1e-10)
+        expected = per_k_loop(v, params, 1e-10)
+        assert result == expected
+        assert list(result.per_k) == list(expected.per_k)
+        assert result.total.hex() == expected.total.hex()
+        assert result.error.hex() == expected.error.hex()
+
+
+def test_brackets_one_integral_per_distinct_value(counted_integrals):
+    v = radial_potential()
+    distinct = {v.value(k) for k in v.correlation_support()}
+    assert len(distinct) == 26
+    table = frequency_brackets(v, 1e-10)
+    assert len(counted_integrals) == 26
+    assert list(table) == v.correlation_support()
+    for n in (33, 257):
+        params = ModelParams(n)
+        shared = gmb_correlation(v, params, tol=1e-10, brackets=table)
+        assert shared == gmb_correlation(v, params, tol=1e-10)
+
+
+def test_energy_report_with_shared_brackets(demo_potential):
+    table = frequency_brackets(demo_potential, 1e-10)
+    for n in (33, 257):
+        assert energy_report(n, demo_potential, 1e-10, brackets=table) == energy_report(
+            n, demo_potential, 1e-10
+        )
+
+
+def test_compare_runs_one_integral_per_distinct_value(
+    tmp_path, capsys, counted_integrals
+):
+    v = radial_potential()
+    path = tmp_path / "radial.json"
+    path.write_text(serialize_potential(v))
+    distinct = len({v.value(k) for k in v.correlation_support()})
+    argv = ["compare", "--potential", str(path), "--n-list", "33,257,2109"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(counted_integrals) == distinct
+    # nothing is cached across invocations: a second call integrates again
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(counted_integrals) == 2 * distinct
