@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +288,35 @@ def test_tolerance_flag_overrides_config(capsys, tmp_path, potential_file):
     code, out, _ = run_cli(capsys, "--config", str(cfg), *argv, "--tol", "1e-10")
     assert code == 0
     assert out == run_cli(capsys, *argv)[1]
+
+
+# stdout of each command recorded once, byte for byte; every listed command
+# must print it both on the built-in demo potential and on the same potential
+# read from a file
+GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
+GOLDEN_NS = ("33", "257", "2109")
+CORR_METHODS = ("delocalized-exact", "delocalized-asym", "optimal", "so-deloc", "so-opt")
+GOLDEN_COMMANDS = [
+    f"compare --n-list {','.join(GOLDEN_NS)} --format {fmt}" for fmt in ("csv", "json")
+] + [
+    cmd
+    for n in GOLDEN_NS
+    for cmd in (
+        *(f"corr --n {n} --method {method}" for method in CORR_METHODS),
+        *(f"errors --n {n} --backend {backend}" for backend in ("exact", "asymptotic")),
+    )
+]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("command", GOLDEN_COMMANDS)
+def test_golden_stdout(capsys, potential_file, golden, command):
+    argv = command.split()
+    for extra in ([], ["--potential", potential_file]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        assert out == golden[command]
