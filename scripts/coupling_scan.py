@@ -49,8 +49,8 @@ def main(argv=None) -> int:
     for j in range(lo, hi):
         s = 2.0 ** (-j)
         scaled = scale_coupling(v, s)
-        deloc = correlation_delocalized(ball, scaled, backend="exact")
-        so_deloc = second_order_delocalized(ball, scaled, backend="exact")
+        deloc = correlation_delocalized(ball, scaled)
+        so_deloc = second_order_delocalized(ball, scaled)
         gmb = gmb_correlation(scaled, params, tol=args.tol).total
         so_opt = second_order_optimal(scaled, params)
         lines.append(

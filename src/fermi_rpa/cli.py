@@ -24,7 +24,7 @@ import math
 import sys
 
 from . import __version__
-from .config import checked_tol, load_config
+from .config import checked_count, checked_tol, load_config
 from .error_budget import assemble_error_budget
 from .errors import (
     BoundViolation,
@@ -190,9 +190,9 @@ def _cmd_corr(args, tol: float) -> int:
     params = ModelParams(args.n)
     method = args.method
     if method == "delocalized-exact":
-        value = correlation_delocalized(build_fermi_ball(args.n), v, backend="exact")
+        value = correlation_delocalized(build_fermi_ball(args.n), v)
     elif method == "delocalized-asym":
-        value = correlation_delocalized(params, v, backend="asymptotic")
+        value = correlation_delocalized(params, v)
     elif method == "optimal":
         if v.value((0, 0, 0)) != 0.0:
             sys.stderr.write(
@@ -200,7 +200,7 @@ def _cmd_corr(args, tol: float) -> int:
             )
         value = gmb_correlation(v, params, tol=tol).total
     elif method == "so-deloc":
-        value = second_order_delocalized(params, v, backend="asymptotic")
+        value = second_order_delocalized(params, v)
     else:
         value = second_order_optimal(v, params)
     sys.stdout.write(format_float(value) + "\n")
@@ -229,7 +229,7 @@ def _cmd_errors(args) -> int:
         source = build_fermi_ball(args.n)
     else:
         source = ModelParams(args.n)
-    _emit(assemble_error_budget(source, v, backend=args.backend).as_dict())
+    _emit(assemble_error_budget(source, v).as_dict())
     return 0
 
 
@@ -270,8 +270,9 @@ def main(argv=None) -> int:
         if args.command == "errors":
             return _cmd_errors(args)
         if args.command == "oracle":
+            checked_count("trials", args.trials)
             pairs = args.pairs if args.pairs is not None else config.max_pairs
-            return _cmd_oracle(args, pairs)
+            return _cmd_oracle(args, checked_count("max_pairs", pairs))
         if args.command == "ratio":
             sys.stdout.write(format_float(second_order_ratio()) + "\n")
             return 0

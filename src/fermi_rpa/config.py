@@ -1,9 +1,9 @@
 """Run configuration: versioned defaults and JSON overrides.
 
-The physical defaults (quadrature tolerance, oracle pair cap, shell
-grid) live in the packaged ``data/default_config.json`` and can be
-overridden by a user-supplied JSON file of the same dialect or by CLI
-flags.
+The physical defaults (quadrature tolerance, oracle pair cap) live in
+the packaged ``data/default_config.json`` and can be overridden by a
+user-supplied JSON file of the same dialect or by CLI flags.  Unknown
+keys in an override file are ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import DomainError, ParseError
 
@@ -24,7 +24,6 @@ class RunConfig:
     version: int = CONFIG_VERSION
     tol: float = 1e-10
     max_pairs: int = 2
-    shell_grid: Tuple[int, ...] = (4, 16, 64, 256, 1024)
 
 
 def default_config() -> RunConfig:
@@ -48,7 +47,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         base,
         **{
             field: getattr(override, field)
-            for field in ("tol", "max_pairs", "shell_grid")
+            for field in ("tol", "max_pairs")
             if getattr(override, field) is not None
         },
     )
@@ -65,16 +64,12 @@ def _parse_config(raw: bytes, partial: bool = False):
         return _PartialConfig(
             tol=float(doc["tol"]) if "tol" in doc else None,
             max_pairs=int(doc["max_pairs"]) if "max_pairs" in doc else None,
-            shell_grid=tuple(int(s) for s in doc["shell_grid"])
-            if "shell_grid" in doc
-            else None,
         )
     try:
         return RunConfig(
             version=int(doc["version"]),
             tol=float(doc["tol"]),
             max_pairs=int(doc["max_pairs"]),
-            shell_grid=tuple(int(s) for s in doc["shell_grid"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid config document: {exc}") from exc
@@ -84,7 +79,6 @@ def _parse_config(raw: bytes, partial: bool = False):
 class _PartialConfig:
     tol: Optional[float]
     max_pairs: Optional[int]
-    shell_grid: Optional[Tuple[int, ...]]
 
 
 def checked_tol(tol: float) -> float:
@@ -93,3 +87,9 @@ def checked_tol(tol: float) -> float:
         raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
     return tol
 
+
+def checked_count(name: str, value: int) -> int:
+    """An oracle count (trials, max_pairs), from a flag or a config file; >= 1."""
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+    return value

@@ -17,42 +17,34 @@ log space; only the inner sums (which stay O(1)) are evaluated linearly.
 Coefficients enter the bound sums through their absolute values, which
 upper-bounds the displayed expressions term by term and keeps every
 bound monotone in |V(k)|.  All momentum sums run over the potential
-support with the zero mode removed; the denominators n_m n_k use either
-exact lune counts or the leading continuum form n_k^2 = |k| N hbar
-(3 sqrt(pi)/4)^(2/3), selected by the backend.
+support with the zero mode removed.  The denominators n_m n_k and the
+k.f(k) weights come from the coefficient table of ``rpa_delocalized``, so
+the type of the source is the backend: a FermiBall gives exact lattice
+counts, a ModelParams the leading continuum forms (n_k^2 = |k| N hbar
+(3 sqrt(pi)/4)^(2/3)).  The kernel and the signal are the continuum
+closed forms for either source.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .lattice import (
-    FermiBall,
-    KINETIC_SHAPE_CONSTANT,
-    LUNE_SHAPE_CONSTANT,
-    ModelParams,
-    Momentum,
-    kinetic_coefficient,
-    lune_count,
-    norm_sq,
-)
+from .lattice import ModelParams, Momentum, norm_sq
 from .potential import Potential, l1_norm
 from .rpa_delocalized import (
     BogoliubovKernel,
+    Source,
+    coefficient_table,
     correlation_delocalized,
-    optimal_kernel,
-    quadratic_coefficients,
 )
 
 C_SMALL = 4.0 * (9.0 * math.pi / 16.0) ** (2.0 / 3.0)
 PARTICLE_ESCAPE_CONSTANT = (6.0 / math.pi) ** (1.0 / 3.0)
-
-BallOrParams = Union[FermiBall, ModelParams]
 
 
 def a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
@@ -81,26 +73,22 @@ def a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
     )
 
 
-def optimal_kernel_magnitudes(
-    v: Potential, source: BallOrParams, backend: str = "asymptotic"
-) -> BogoliubovKernel:
-    """Minimizing kernel on the support minus {0}.
+def optimal_kernel_magnitudes(v: Potential) -> BogoliubovKernel:
+    """Kernel X(k) = -(1/4) log(1 + c V(k)) on the support minus {0}.
 
-    Asymptotic backend: X0(k) = -(1/4) log(1 + c V(k)) with
-    c = 4 (9 pi/16)^(2/3).  Exact backend: -(1/2) artanh(beta/alpha) from
-    exact lattice coefficients (shared code path with the minimizer).
+    c = 4 (9 pi/16)^(2/3) is the constant of A1..A5, so exp(2|X(k)|) =
+    sqrt(1 + c V(k)).  This is the paper's closed form, not the minimizer of
+    the continuum quadratic form: -(1/2) artanh(beta/alpha) with the
+    continuum coefficients equals -(1/4) log1p((c/2) V(k)), half the
+    constant (at V = 0.05 the two read -0.0641 and -0.0341).  The lattice
+    minimizer is ``optimal_kernel_table(coefficient_table(ball, v))``.
     """
     values: Dict[Momentum, float] = {}
     for k in v.correlation_support():
-        if backend == "asymptotic":
-            arg = C_SMALL * v.value(k)
-            if arg <= -1.0:
-                raise DomainError(f"1 + c*V(k) <= 0 at k = {k}")
-            values[k] = -0.25 * math.log1p(arg)
-        elif backend == "exact":
-            values[k] = optimal_kernel(quadratic_coefficients(source, v, k, "exact"))
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        arg = C_SMALL * v.value(k)
+        if arg <= -1.0:
+            raise DomainError(f"1 + c*V(k) <= 0 at k = {k}")
+        values[k] = -0.25 * math.log1p(arg)
     return BogoliubovKernel(values=values)
 
 
@@ -131,38 +119,7 @@ def _logaddexp(*vals: float) -> float:
     return float(np.logaddexp.reduce(np.array(vals, dtype=float)))
 
 
-def _backend_tables(source: BallOrParams, v: Potential, backend: str):
-    """n_k and k.f(k) per support momentum, by backend."""
-    support = v.correlation_support()
-    if backend == "asymptotic":
-        params = source if isinstance(source, ModelParams) else ModelParams(source.n)
-        n_of = {
-            k: math.sqrt(
-                math.sqrt(norm_sq(k)) * params.n * params.hbar * LUNE_SHAPE_CONSTANT
-            )
-            for k in support
-        }
-        kf_of = {
-            k: math.sqrt(norm_sq(k)) * params.n ** (1.0 / 3.0) * KINETIC_SHAPE_CONSTANT
-            for k in support
-        }
-        return params, n_of, kf_of
-    if backend == "exact":
-        if not isinstance(source, FermiBall):
-            raise TypeError("exact backend requires a FermiBall")
-        params = ModelParams(source.n)
-        n_of = {k: math.sqrt(lune_count(source, k).count) for k in support}
-        kf_of = {k: kinetic_coefficient(source, k).kdotf for k in support}
-        return params, n_of, kf_of
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def epsilon_bounds(
-    source: BallOrParams,
-    v: Potential,
-    xi: BogoliubovKernel,
-    backend: str = "asymptotic",
-) -> EpsilonBounds:
+def epsilon_bounds(source: Source, v: Potential, xi: BogoliubovKernel) -> EpsilonBounds:
     """Evaluate the four displayed remainder lines plus the quartic bound.
 
     total = eps1 + 2*eps2 + quartic, reported together with total*N (the
@@ -173,7 +130,10 @@ def epsilon_bounds(
     missing = [k for k in xi.support() if k not in support_set]
     if missing:
         raise DomainError(f"kernel momentum {missing[0]} outside potential support")
-    params, n_of, kf_of = _backend_tables(source, v, backend)
+    rows = coefficient_table(source, v)
+    n_of = {c.k: math.sqrt(c.nk2) for c in rows}
+    kf_of = {c.k: c.kdotf for c in rows}
+    params = ModelParams(source.n)
     n = params.n
 
     c2 = particle_number_constant(xi, 2)
@@ -259,9 +219,7 @@ class ErrorBudget:
         }
 
 
-def assemble_error_budget(
-    source: BallOrParams, v: Potential, backend: str = "asymptotic"
-) -> ErrorBudget:
+def assemble_error_budget(source: Source, v: Potential) -> ErrorBudget:
     """Constants, exponents, bounds, and the certification crossover.
 
     log_crossover_n estimates (in log space) the particle count beyond
@@ -269,11 +227,11 @@ def assemble_error_budget(
     |E_corr|; the worst-case constants make this astronomically large.
     """
     a1, a2, a3, a4, a5 = a_constants(v)
-    params = source if isinstance(source, ModelParams) else ModelParams(source.n)
-    xi = optimal_kernel_magnitudes(v, source, backend="asymptotic")
-    bounds = epsilon_bounds(source, v, xi, backend=backend)
+    params = ModelParams(source.n)
+    xi = optimal_kernel_magnitudes(v)
+    bounds = epsilon_bounds(source, v, xi)
     c_n = {m: particle_number_constant(xi, m) for m in (1, 2, 3)}
-    signal = abs(correlation_delocalized(params, v, backend="asymptotic"))
+    signal = abs(correlation_delocalized(params, v))
     log_signal = _log(signal)
     # total*N < signal*N^(1/3)*N^(2/3) 3/2-power law crossover
     log_w = log_signal + math.log(params.n) / 3.0  # N-independent signal weight

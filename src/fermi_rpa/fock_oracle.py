@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +61,16 @@ class ModeSet:
                 f"> {MODE_CAP}"
             )
 
+    @cached_property
+    def particle_index(self) -> Dict[Momentum, int]:
+        """Position of each particle mode in ``particles``."""
+        return {m: i for i, m in enumerate(self.particles)}
+
+    @cached_property
+    def hole_index(self) -> Dict[Momentum, int]:
+        """Position of each hole mode in ``holes``."""
+        return {m: i for i, m in enumerate(self.holes)}
+
     @property
     def n_modes(self) -> int:
         return len(self.holes) + len(self.particles)
@@ -78,7 +89,7 @@ class ModeSet:
         Ordered by the hole's position in the global mode order; this is
         the fixed pair order used by every operator below.
         """
-        pmap = _index_map(self.particles)
+        pmap = self.particle_index
         out = []
         for h_idx, h in enumerate(self.holes):
             p = add(h, k)
@@ -103,17 +114,6 @@ class ModeSet:
             f"holes={len(self.holes)}(r2<={self.hole_radius_sq}),"
             f"particles={len(self.particles)}(r2<={self.lambda_sq})"
         )
-
-
-_INDEX_CACHE: Dict[Tuple[Momentum, ...], Dict[Momentum, int]] = {}
-
-
-def _index_map(modes: Tuple[Momentum, ...]) -> Dict[Momentum, int]:
-    got = _INDEX_CACHE.get(modes)
-    if got is None:
-        got = {m: i for i, m in enumerate(modes)}
-        _INDEX_CACHE[modes] = got
-    return got
 
 
 def build_mode_set(n: int, lambda_sq: int) -> ModeSet:
@@ -546,8 +546,8 @@ def honest_c_bound_constant(modes: ModeSet, k: Momentum, l: Momentum) -> float:
     species only, so on equal-pair states the bound constant is the mean
     of the two largest entry norms.
     """
-    pmap = _index_map(modes.particles)
-    hset = _index_map(modes.holes)
+    pmap = modes.particle_index
+    hset = modes.hole_index
     best_particle = 0.0
     best_hole = 0.0
     for h in modes.holes:

@@ -88,18 +88,16 @@ def energy_report(
     """
     ball = build_fermi_ball(n)
     params = ModelParams(n)
-    so_deloc = second_order_delocalized(params, v, backend="asymptotic")
+    so_deloc = second_order_delocalized(params, v)
     so_opt = second_order_optimal(v, params)
-    budget = assemble_error_budget(params, v, backend="asymptotic")
+    budget = assemble_error_budget(params, v)
     return EnergyReport(
         n=n,
         hbar=params.hbar,
         potential=potential_digest(v),
         hf=hf_energy(ball, v, params),
-        corr_delocalized_exact=correlation_delocalized(ball, v, backend="exact"),
-        corr_delocalized_asymptotic=correlation_delocalized(
-            params, v, backend="asymptotic"
-        ),
+        corr_delocalized_exact=correlation_delocalized(ball, v),
+        corr_delocalized_asymptotic=correlation_delocalized(params, v),
         corr_optimal=gmb_correlation(v, params, tol=tol, brackets=brackets).total,
         so_delocalized=so_deloc,
         so_optimal=so_opt,

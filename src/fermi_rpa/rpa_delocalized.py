@@ -2,15 +2,22 @@
 
 Treating the delocalized particle-hole pair operators as exact bosons
 turns the Hamiltonian into a sum of independent quadratic forms, one per
-transfer momentum k, with coefficients
+transfer momentum k, with coefficients built from n_k^2 and k.f(k).  The
+type of the source is the backend, and this module is the only place that
+looks at it.  A ``FermiBall`` gives the exact lattice counts, one column
+pass per k:
 
     beta_k  = V(k) n_k^2 / N,
-    alpha_k = hbar^2 k.f(k) + beta_k            (exact backend),
+    alpha_k = hbar^2 k.f(k) + beta_k.
 
-or their continuum limits
+A ``ModelParams`` gives their continuum limits:
 
     beta_k  = hbar (3 sqrt(pi)/4)^(2/3) V(k) |k|,
-    alpha_k = hbar |k| (4/(3 sqrt(pi)))^(2/3) + beta_k   (asymptotic).
+    alpha_k = hbar |k| (4/(3 sqrt(pi)))^(2/3) + beta_k,
+
+with n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3) and k.f(k) the continuum
+kinetic coefficient.  Each coefficient row carries k, alpha_k, beta_k,
+n_k^2 and k.f(k), so the minimizer and the error budget read one table.
 
 For a real even kernel X the quadratic energy is
 
@@ -20,8 +27,8 @@ minimized in closed form at X0(k) = -(1/2) artanh(beta_k/alpha_k) with
 minimum sum_k (1/2)(sqrt(alpha_k^2 - beta_k^2) - alpha_k) < 0.  Expanding
 the minimum to second order in the potential gives
 
-    -(1/(2 hbar^2 N^2)) sum_k V(k)^2 n_k^4 / (2 k.f(k))     (exact)
-    -hbar (pi/2)(9/32) sum_k V(k)^2 |k|                     (asymptotic).
+    -(1/(2 hbar^2 N^2)) sum_k V(k)^2 n_k^4 / (2 k.f(k))     (FermiBall)
+    -hbar (pi/2)(9/32) sum_k V(k)^2 |k|                     (ModelParams).
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .lattice import (
     ModelParams,
     Momentum,
     kinetic_coefficient,
-    lune_count,
+    kinetic_coefficient_asymptotic,
     mode_sort_key,
     norm_sq,
 )
@@ -50,16 +57,24 @@ from .potential import Potential
 
 SECOND_ORDER_PREFACTOR = (math.pi / 2.0) * (9.0 / 32.0)
 
-BallOrParams = Union[FermiBall, ModelParams]
+# the backend: exact lattice counts on a FermiBall, closed forms on a ModelParams
+Source = Union[FermiBall, ModelParams]
 
 
 @dataclass(frozen=True)
 class QuadraticCoefficients:
-    """Per-momentum quadratic-form coefficients, 0 <= |beta| and beta <= alpha."""
+    """Per-momentum quadratic-form coefficients, 0 <= |beta| and beta <= alpha.
+
+    ``nk2`` and ``kdotf`` are the n_k^2 and k.f(k) the coefficients were
+    built from (an exact integer count and a rounded ratio on a FermiBall,
+    the closed forms on a ModelParams); NaN on a hand-built form.
+    """
 
     k: Momentum
     alpha: float
     beta: float
+    nk2: float = math.nan
+    kdotf: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -84,46 +99,30 @@ class BogoliubovKernel:
         return math.fsum(abs(self.values[k]) for k in self.support())
 
 
-def _params_of(source: BallOrParams) -> ModelParams:
-    if isinstance(source, ModelParams):
-        return source
-    return ModelParams(source.n)
-
-
 def quadratic_coefficients(
-    source: BallOrParams,
-    v: Potential,
-    k: Momentum,
-    backend: str = "exact",
+    source: Source, v: Potential, k: Momentum
 ) -> QuadraticCoefficients:
-    """Coefficients (alpha_k, beta_k) from exact lattice sums or continuum forms."""
+    """Coefficients (alpha_k, beta_k) and the n_k^2, k.f(k) behind them."""
     if norm_sq(k) == 0:
         raise DomainError("quadratic coefficients undefined at k = 0")
-    params = _params_of(source)
-    if backend == "exact":
-        if not isinstance(source, FermiBall):
-            raise TypeError("exact backend requires a FermiBall")
-        nk2 = lune_count(source, k).count
-        kdotf = kinetic_coefficient(source, k).kdotf  # raises EmptyLune at nk2 = 0
-        beta = v.value(k) * nk2 / params.n
-        alpha = params.hbar ** 2 * kdotf + beta
-    elif backend == "asymptotic":
-        kn = math.sqrt(norm_sq(k))
-        beta = params.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
-        alpha = params.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
+    k = tuple(int(c) for c in k)
+    if isinstance(source, FermiBall):
+        kinetic = kinetic_coefficient(source, k)  # raises EmptyLune at n_k^2 = 0
+        nk2, kdotf = kinetic.count, kinetic.kdotf
+        beta = v.value(k) * nk2 / source.n
+        alpha = ModelParams(source.n).hbar ** 2 * kdotf + beta
     else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return QuadraticCoefficients(k=tuple(int(c) for c in k), alpha=alpha, beta=beta)
+        kn = math.sqrt(norm_sq(k))
+        nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
+        kdotf = kinetic_coefficient_asymptotic(source, k)
+        beta = source.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
+        alpha = source.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
+    return QuadraticCoefficients(k=k, alpha=alpha, beta=beta, nk2=nk2, kdotf=kdotf)
 
 
-def coefficient_table(
-    source: BallOrParams, v: Potential, backend: str = "exact"
-) -> List[QuadraticCoefficients]:
+def coefficient_table(source: Source, v: Potential) -> List[QuadraticCoefficients]:
     """Coefficients for every nonzero support momentum, in mode order."""
-    return [
-        quadratic_coefficients(source, v, k, backend)
-        for k in v.correlation_support()
-    ]
+    return [quadratic_coefficients(source, v, k) for k in v.correlation_support()]
 
 
 def optimal_kernel(c: QuadraticCoefficients) -> float:
@@ -176,30 +175,20 @@ def minimum_energy(coeffs: Sequence[QuadraticCoefficients]) -> float:
     return math.fsum(_minimum_term(c) for c in coeffs)
 
 
-def correlation_delocalized(
-    source: BallOrParams, v: Potential, backend: str = "exact"
-) -> float:
+def correlation_delocalized(source: Source, v: Potential) -> float:
     """Optimal delocalized-pair correlation energy for a whole potential."""
-    return minimum_energy(coefficient_table(source, v, backend))
+    return minimum_energy(coefficient_table(source, v))
 
 
-def second_order_delocalized(
-    source: BallOrParams, v: Potential, backend: str = "exact"
-) -> float:
+def second_order_delocalized(source: Source, v: Potential) -> float:
     """Second-order expansion of the minimum in the potential strength."""
-    params = _params_of(source)
-    if backend == "exact":
-        if not isinstance(source, FermiBall):
-            raise TypeError("exact backend requires a FermiBall")
-        terms = []
-        for k in v.correlation_support():
-            nk2 = lune_count(source, k).count
-            kdotf = kinetic_coefficient(source, k).kdotf
-            terms.append(v.value(k) ** 2 * nk2 * nk2 / (2.0 * kdotf))
-        return -math.fsum(terms) / (2.0 * params.hbar ** 2 * params.n ** 2)
-    if backend == "asymptotic":
+    if isinstance(source, ModelParams):
         acc = math.fsum(
             v.value(k) ** 2 * math.sqrt(norm_sq(k)) for k in v.correlation_support()
         )
-        return -params.hbar * SECOND_ORDER_PREFACTOR * acc
-    raise ValueError(f"unknown backend {backend!r}")
+        return -source.hbar * SECOND_ORDER_PREFACTOR * acc
+    terms = [
+        v.value(c.k) ** 2 * c.nk2 * c.nk2 / (2.0 * c.kdotf)
+        for c in coefficient_table(source, v)
+    ]
+    return -math.fsum(terms) / (2.0 * ModelParams(source.n).hbar ** 2 * source.n ** 2)

@@ -77,7 +77,7 @@ def test_criterion_2_second_order_prefactors(demo_potential):
     with criterion(2, "second-order prefactors (pi/2)(9/32) and (pi/2)(1-log2)"):
         params = ModelParams(2109)
         weight = support_weight(demo_potential)
-        deloc = second_order_delocalized(params, demo_potential, backend="asymptotic")
+        deloc = second_order_delocalized(params, demo_potential)
         opt = second_order_optimal(demo_potential, params)
         assert abs(
             deloc / (-params.hbar * weight) - (math.pi / 2.0) * (9.0 / 32.0)
@@ -119,8 +119,8 @@ def test_criterion_4_small_coupling_consistency(demo_potential, ball2109):
             )
             deloc_dev.append(
                 abs(
-                    correlation_delocalized(ball2109, scaled, backend="exact")
-                    / second_order_delocalized(ball2109, scaled, backend="exact")
+                    correlation_delocalized(ball2109, scaled)
+                    / second_order_delocalized(ball2109, scaled)
                     - 1.0
                 )
             )
@@ -233,7 +233,7 @@ def test_criterion_8_error_budget_scaling(weak_potential):
         for radius_sq in (4, 16, 64, 256, 1024):
             n = dict(closed_shell_sizes(radius_sq))[radius_sq]
             params = ModelParams(n)
-            xi = optimal_kernel_magnitudes(weak_potential, params)
+            xi = optimal_kernel_magnitudes(weak_potential)
             logs.append(
                 epsilon_bounds(params, weak_potential, xi).log_total_times_n
             )

@@ -281,6 +281,28 @@ def test_invalid_tolerance_config_exits_one(capsys, tmp_path, potential_file, to
     assert "tolerance must be finite and > 0" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--trials", "0", "trials"), ("--trials", "-3", "trials"),
+     ("--pairs", "0", "max_pairs"), ("--pairs", "-1", "max_pairs")],
+)
+def test_invalid_oracle_count_flag_exits_one(capsys, flag, value, name):
+    code, out, err = run_cli(capsys, "oracle", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"{name} must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_invalid_oracle_count_config_exits_one(capsys, tmp_path, pairs):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"max_pairs": %s}' % pairs)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "oracle", "--trials", "1")
+    assert code == 1
+    assert out == ""
+    assert f"max_pairs must be >= 1, got {pairs}" in err
+
+
 def test_tolerance_flag_overrides_config(capsys, tmp_path, potential_file):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"tol": 1e-30}')
@@ -292,7 +314,8 @@ def test_tolerance_flag_overrides_config(capsys, tmp_path, potential_file):
 
 # stdout of each command recorded once, byte for byte; every listed command
 # must print it both on the built-in demo potential and on the same potential
-# read from a file
+# read from a file.  Re-record the file only for a deliberate change of
+# printed bits, from each command's stdout on the demo potential.
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 GOLDEN_NS = ("33", "257", "2109")
 CORR_METHODS = ("delocalized-exact", "delocalized-asym", "optimal", "so-deloc", "so-opt")

@@ -9,7 +9,6 @@ def test_default_config_packaged():
     assert cfg == RunConfig()
     assert cfg.tol == 1e-10
     assert cfg.max_pairs == 2
-    assert cfg.shell_grid == (4, 16, 64, 256, 1024)
     assert cfg.version == 1
 
 

@@ -15,7 +15,13 @@ from fermi_rpa import (
     scale_coupling,
 )
 from fermi_rpa.error_budget import C_SMALL
-from fermi_rpa.rpa_delocalized import BogoliubovKernel, optimal_kernel, quadratic_coefficients
+from fermi_rpa.rpa_delocalized import (
+    BogoliubovKernel,
+    coefficient_table,
+    optimal_kernel,
+    optimal_kernel_table,
+    quadratic_coefficients,
+)
 
 
 def test_c_small_value():
@@ -53,12 +59,12 @@ def test_a_constants_domain_error():
 
 def test_kernel_zero_potential():
     v = make_potential({(1, 0, 0): 0.0})
-    xi = optimal_kernel_magnitudes(v, ModelParams(33))
+    xi = optimal_kernel_magnitudes(v)
     assert all(x == 0.0 for x in xi.values.values())
 
 
 def test_kernel_exponent_identity(demo_potential):
-    xi = optimal_kernel_magnitudes(demo_potential, ModelParams(33))
+    xi = optimal_kernel_magnitudes(demo_potential)
     for k in demo_potential.correlation_support():
         lhs = math.exp(2.0 * abs(xi.value(k)))
         rhs = math.sqrt(1.0 + C_SMALL * demo_potential.value(k))
@@ -66,10 +72,22 @@ def test_kernel_exponent_identity(demo_potential):
 
 
 def test_kernel_exact_backend_shares_minimizer_path(ball7):
+    # the lattice kernel is the minimizer's table, not a budget code path
     v = make_potential({(1, 0, 0): 1.0})
-    xi = optimal_kernel_magnitudes(v, ball7, backend="exact")
-    c = quadratic_coefficients(ball7, v, (1, 0, 0), backend="exact")
+    xi = optimal_kernel_table(coefficient_table(ball7, v))
+    c = quadratic_coefficients(ball7, v, (1, 0, 0))
     assert xi.value((1, 0, 0)) == optimal_kernel(c)
+
+
+def test_budget_kernel_is_not_the_continuum_minimizer():
+    # the closed-form budget kernel uses c; the continuum minimizer has c/2
+    v = make_potential({(1, 0, 0): 0.05})
+    params = ModelParams(33)
+    budget_kernel = optimal_kernel_magnitudes(v).value((1, 0, 0))
+    minimizer = optimal_kernel_table(coefficient_table(params, v)).value((1, 0, 0))
+    assert budget_kernel == pytest.approx(-0.25 * math.log1p(C_SMALL * 0.05), rel=1e-15)
+    assert minimizer == pytest.approx(-0.25 * math.log1p(0.5 * C_SMALL * 0.05), rel=1e-13)
+    assert round(budget_kernel, 4) == -0.0641 and round(minimizer, 4) == -0.0341
 
 
 def test_particle_number_constant_values():
@@ -81,13 +99,13 @@ def test_particle_number_constant_values():
 
 def test_particle_number_constant_750_a1(demo_potential):
     a1, *_ = a_constants(demo_potential)
-    xi = optimal_kernel_magnitudes(demo_potential, ModelParams(33))
+    xi = optimal_kernel_magnitudes(demo_potential)
     assert particle_number_constant(xi, 3) == pytest.approx(750.0 * a1, rel=1e-13)
 
 
 def test_bounds_zero_potential():
     v = make_potential({(1, 0, 0): 0.0})
-    xi = optimal_kernel_magnitudes(v, ModelParams(33))
+    xi = optimal_kernel_magnitudes(v)
     bounds = epsilon_bounds(ModelParams(33), v, xi)
     assert bounds.log_eps1 == -math.inf
     assert bounds.log_eps2 == -math.inf
@@ -97,7 +115,7 @@ def test_bounds_zero_potential():
 
 def test_total_is_sum_of_parts(weak_potential):
     params = ModelParams(257)
-    xi = optimal_kernel_magnitudes(weak_potential, params)
+    xi = optimal_kernel_magnitudes(weak_potential)
     bounds = epsilon_bounds(params, weak_potential, xi)
     recombined = np.logaddexp.reduce(
         [bounds.log_eps1, math.log(2.0) + bounds.log_eps2, bounds.log_quartic]
@@ -112,7 +130,7 @@ def test_total_times_n_stable_across_shells(weak_potential):
 
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
         params = ModelParams(n)
-        xi = optimal_kernel_magnitudes(weak_potential, params)
+        xi = optimal_kernel_magnitudes(weak_potential)
         logs.append(epsilon_bounds(params, weak_potential, xi).log_total_times_n)
     assert max(logs) - min(logs) < math.log(1.1)
 
@@ -122,7 +140,7 @@ def test_bounds_monotone_in_coupling(weak_potential):
     prev = None
     for s in np.linspace(0.5, 3.0, 6):
         v = scale_coupling(weak_potential, float(s))
-        xi = optimal_kernel_magnitudes(v, params)
+        xi = optimal_kernel_magnitudes(v)
         b = epsilon_bounds(params, v, xi)
         current = (b.log_eps1, b.log_eps2, b.log_quartic)
         if prev is not None:
@@ -138,8 +156,8 @@ def test_kernel_outside_support_rejected(weak_potential):
 
 
 def test_exact_backend_runs(ball33, weak_potential):
-    xi = optimal_kernel_magnitudes(weak_potential, ball33)
-    bounds = epsilon_bounds(ball33, weak_potential, xi, backend="exact")
+    xi = optimal_kernel_magnitudes(weak_potential)
+    bounds = epsilon_bounds(ball33, weak_potential, xi)
     assert math.isfinite(bounds.log_total)
 
 

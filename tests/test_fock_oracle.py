@@ -63,6 +63,16 @@ def test_mode_set_seven_two(modes_7_2):
     assert all(norm_sq(p) == 2 for p in modes_7_2.particles)
 
 
+def test_mode_index_maps_live_on_the_mode_set():
+    modes = build_mode_set(7, 2)
+    assert modes.particle_index is modes.particle_index  # built once per instance
+    assert [modes.particle_index[p] for p in modes.particles] == list(range(12))
+    assert [modes.hole_index[h] for h in modes.holes] == list(range(7))
+    # a fresh, equal mode set builds its own maps; no module-level cache
+    other = build_mode_set(7, 2)
+    assert other == modes and other.particle_index is not modes.particle_index
+
+
 def test_mode_cap_enforced():
     with pytest.raises(DomainError):
         build_mode_set(33, 9)

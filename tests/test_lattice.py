@@ -310,5 +310,5 @@ def test_column_kernel_large_n_against_numpy_scan():
     # the counts, HF and the exact bound never build the N x 3 mode array
     v = make_potential({k: 0.01 for k in ks[:4]})
     hf_energy(ball, v, ModelParams(ball.n))
-    correlation_delocalized(ball, v, backend="exact")
+    correlation_delocalized(ball, v)
     assert "mode_array" not in vars(ball) and "modes" not in vars(ball)

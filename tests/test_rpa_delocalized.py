@@ -33,14 +33,14 @@ def g_of(alpha, beta):
 
 def test_exact_coefficients_seven(ball7):
     v = make_potential({(1, 0, 0): 1.0})
-    c = quadratic_coefficients(ball7, v, (1, 0, 0), backend="exact")
+    c = quadratic_coefficients(ball7, v, (1, 0, 0))
     assert c.beta == pytest.approx(5.0 / 7.0, rel=1e-15)
     assert c.alpha == pytest.approx(7.0 ** (-2.0 / 3.0) * (7.0 / 5.0) + 5.0 / 7.0, rel=1e-15)
 
 
 def test_free_coefficients_have_zero_beta(ball7):
     v = make_potential({(1, 0, 0): 0.0})
-    c = quadratic_coefficients(ball7, v, (1, 0, 0), backend="exact")
+    c = quadratic_coefficients(ball7, v, (1, 0, 0))
     assert c.beta == 0.0
     assert c.alpha > 0.0
 
@@ -49,8 +49,8 @@ def test_asymptotic_gap_independent_of_potential():
     params = ModelParams(2109)
     strong = make_potential({(1, 0, 0): 3.0})
     weak = make_potential({(1, 0, 0): 0.01})
-    c1 = quadratic_coefficients(params, strong, (1, 0, 0), backend="asymptotic")
-    c2 = quadratic_coefficients(params, weak, (1, 0, 0), backend="asymptotic")
+    c1 = quadratic_coefficients(params, strong, (1, 0, 0))
+    c2 = quadratic_coefficients(params, weak, (1, 0, 0))
     gap = params.hbar * (4 / (3 * math.sqrt(math.pi))) ** (2 / 3)
     assert c1.alpha - c1.beta == pytest.approx(gap, rel=1e-14)
     assert c2.alpha - c2.beta == pytest.approx(gap, rel=1e-14)
@@ -59,7 +59,7 @@ def test_asymptotic_gap_independent_of_potential():
 def test_coefficients_reject_zero_momentum(ball7):
     v = make_potential({(1, 0, 0): 1.0})
     with pytest.raises(DomainError):
-        quadratic_coefficients(ball7, v, (0, 0, 0), backend="exact")
+        quadratic_coefficients(ball7, v, (0, 0, 0))
 
 
 def test_optimal_kernel_zero_beta():
@@ -94,7 +94,7 @@ def test_minimum_energy_zero_beta():
 
 def test_functional_vanishes_at_zero_kernel(ball7):
     v = make_potential({(1, 0, 0): 1.0})
-    coeffs = coefficient_table(ball7, v, backend="exact")
+    coeffs = coefficient_table(ball7, v)
     xi = BogoliubovKernel({c.k: 0.0 for c in coeffs})
     assert bosonized_functional(coeffs, xi) == 0.0
 
@@ -119,7 +119,7 @@ def test_functional_missing_coefficient():
 
 
 def test_functional_at_optimum_matches_minimum(ball33, demo_potential):
-    coeffs = coefficient_table(ball33, demo_potential, backend="exact")
+    coeffs = coefficient_table(ball33, demo_potential)
     xi = optimal_kernel_table(coeffs)
     assert bosonized_functional(coeffs, xi) == pytest.approx(
         minimum_energy(coeffs), abs=1e-12
@@ -128,7 +128,7 @@ def test_functional_at_optimum_matches_minimum(ball33, demo_potential):
 
 def test_minimum_below_random_perturbations(ball33, demo_potential):
     rng = np.random.default_rng(7)
-    coeffs = coefficient_table(ball33, demo_potential, backend="exact")
+    coeffs = coefficient_table(ball33, demo_potential)
     xi0 = optimal_kernel_table(coeffs)
     best = minimum_energy(coeffs)
     for _ in range(64):
@@ -151,7 +151,7 @@ def test_closed_form_against_golden_section():
 
 
 def test_minimizer_stationarity(ball33, demo_potential):
-    coeffs = coefficient_table(ball33, demo_potential, backend="exact")
+    coeffs = coefficient_table(ball33, demo_potential)
     for c in coeffs:
         x_star = abs(optimal_kernel(c))
         resid = abs(
@@ -161,16 +161,13 @@ def test_minimizer_stationarity(ball33, demo_potential):
 
 
 def test_negativity(ball33, demo_potential):
-    assert correlation_delocalized(ball33, demo_potential, backend="exact") < 0.0
-    assert (
-        correlation_delocalized(ModelParams(33), demo_potential, backend="asymptotic")
-        < 0.0
-    )
+    assert correlation_delocalized(ball33, demo_potential) < 0.0
+    assert correlation_delocalized(ModelParams(33), demo_potential) < 0.0
 
 
 def test_monotone_in_coupling(ball33, demo_potential):
     values = [
-        correlation_delocalized(ball33, scale_coupling(demo_potential, s), "exact")
+        correlation_delocalized(ball33, scale_coupling(demo_potential, s))
         for s in np.linspace(0.0, 3.0, 16)
     ]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
@@ -178,7 +175,7 @@ def test_monotone_in_coupling(ball33, demo_potential):
 
 def test_second_order_zero_potential(ball7):
     v = make_potential({(1, 0, 0): 0.0})
-    assert second_order_delocalized(ball7, v, backend="exact") == 0.0
+    assert second_order_delocalized(ball7, v) == 0.0
 
 
 def test_second_order_asymptotic_prefactor(demo_potential):
@@ -187,7 +184,7 @@ def test_second_order_asymptotic_prefactor(demo_potential):
         demo_potential.value(k) ** 2 * math.sqrt(sum(c * c for c in k))
         for k in demo_potential.correlation_support()
     )
-    value = second_order_delocalized(params, demo_potential, backend="asymptotic")
+    value = second_order_delocalized(params, demo_potential)
     assert value / (-params.hbar * weight) == pytest.approx(
         (math.pi / 2.0) * (9.0 / 32.0), rel=1e-14
     )
@@ -196,12 +193,12 @@ def test_second_order_asymptotic_prefactor(demo_potential):
 
 def test_richardson_coupling_scaling(ball2109, demo_potential):
     # minimum_energy(sV)/s^2 approaches the second-order value at order >= 1 in s
-    so = second_order_delocalized(ball2109, demo_potential, backend="exact")
+    so = second_order_delocalized(ball2109, demo_potential)
     scales = [2.0 ** (-j) for j in range(3, 9)]
     deviations = []
     for s in scales:
         scaled = scale_coupling(demo_potential, s)
-        ratio = correlation_delocalized(ball2109, scaled, "exact") / s ** 2
+        ratio = correlation_delocalized(ball2109, scaled) / s ** 2
         deviations.append(abs(ratio / so - 1.0))
     slope = np.polyfit([math.log(s) for s in scales], [math.log(d) for d in deviations], 1)[0]
     assert slope >= 1.0 - 0.1
@@ -217,3 +214,21 @@ def test_minimum_term_matches_naive_formula(alpha, ratio):
     stable = minimum_energy([QuadraticCoefficients((1, 0, 0), alpha, beta)])
     naive = 0.5 * (math.sqrt(alpha * alpha - beta * beta) - alpha)
     assert stable == pytest.approx(naive, abs=1e-13 * alpha)
+
+
+def test_one_column_pass_per_momentum(monkeypatch, ball33, demo_potential):
+    from fermi_rpa import assemble_error_budget, lattice
+
+    passes = []
+    stay_columns = lattice._stay_columns
+
+    def counted(ball, k):
+        passes.append(k)
+        return stay_columns(ball, k)
+
+    monkeypatch.setattr(lattice, "_stay_columns", counted)
+    support = demo_potential.correlation_support()
+    for run in (correlation_delocalized, second_order_delocalized, assemble_error_budget):
+        passes.clear()
+        run(ball33, demo_potential)
+        assert passes == support

@@ -194,9 +194,9 @@ def test_ratio_equals_second_order_quotient(demo_potential):
     from fermi_rpa import second_order_delocalized
 
     params = ModelParams(2109)
-    quotient = second_order_delocalized(
-        params, demo_potential, backend="asymptotic"
-    ) / second_order_optimal(demo_potential, params)
+    quotient = second_order_delocalized(params, demo_potential) / second_order_optimal(
+        demo_potential, params
+    )
     assert quotient == pytest.approx(second_order_ratio(), abs=1e-12)
 
 
