@@ -328,6 +328,9 @@ GOLDEN_COMMANDS = [
         *(f"corr --n {n} --method {method}" for method in CORR_METHODS),
         *(f"errors --n {n} --backend {backend}" for backend in ("exact", "asymptotic")),
     )
+] + [
+    "oracle --trials 3 --seed 7",
+    "oracle --holes-n 1 --lambda-sq 1 --pairs 1 --trials 25 --seed 9",
 ]
 
 
