@@ -76,7 +76,6 @@ from .error_budget import (
 )
 from .fock_oracle import (
     ModeSet,
-    SectorState,
     apply_c_create,
     apply_h0,
     apply_number,

@@ -63,16 +63,24 @@ def _parse_config(raw: bytes, partial: bool = False):
     if partial:
         return _PartialConfig(
             tol=float(doc["tol"]) if "tol" in doc else None,
-            max_pairs=int(doc["max_pairs"]) if "max_pairs" in doc else None,
+            max_pairs=_integer(doc, "max_pairs") if "max_pairs" in doc else None,
         )
     try:
         return RunConfig(
-            version=int(doc["version"]),
+            version=_integer(doc, "version"),
             tol=float(doc["tol"]),
-            max_pairs=int(doc["max_pairs"]),
+            max_pairs=_integer(doc, "max_pairs"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid config document: {exc}") from exc
+
+
+def _integer(doc: dict, key: str) -> int:
+    """A count from a config document: a JSON integer, not a float or a bool."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)

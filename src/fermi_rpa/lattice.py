@@ -22,8 +22,7 @@ a shift by k is one interval intersection per column: the stay count
 #{h : h+k in B_F} is the summed overlap length, n_k^2 = N - stay, and the
 lune sum of h is minus the stay sum (the ball is symmetric), whose z part
 is an arithmetic series.  Each count costs O(N^(2/3)) per momentum; the
-N x 3 mode array is built only on demand (tiny N: tests, the oracle,
-explicit pair lists).
+N x 3 mode array is built only on demand (tiny N).
 
 All lattice sums are integer-exact; floats appear only on output.
 """
@@ -34,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -245,29 +244,17 @@ class LuneCount:
 
     k: Momentum
     count: int
-    pairs: Optional[Tuple[Tuple[Momentum, Momentum], ...]] = None
 
 
-def lune_count(ball: FermiBall, k: Momentum, with_pairs: bool = False) -> LuneCount:
-    """Count holes h in B_F with h+k outside B_F; optionally list (p, h).
+def lune_count(ball: FermiBall, k: Momentum) -> LuneCount:
+    """Count holes h in B_F with h+k outside B_F.
 
     The count equals the squared vacuum norm of the delocalized pair
     creation operator with transfer momentum k; it is even in k and
-    vanishes only at k = 0.  It is N minus the column-overlap stay count;
-    the pair list (holes in mode order) reads the lazily built mode array.
+    vanishes only at k = 0.  It is N minus the column-overlap stay count.
     """
     *_, length = _stay_columns(ball, k)
-    count = ball.n - int(length.sum())
-    pairs = None
-    if with_pairs:
-        arr = ball.mode_array
-        shifted = arr + np.asarray(k, dtype=np.int64)
-        out = np.einsum("ij,ij->i", shifted, shifted) > ball.shell_radius_sq
-        pairs = tuple(
-            ((int(p[0]), int(p[1]), int(p[2])), (int(h[0]), int(h[1]), int(h[2])))
-            for p, h in zip(shifted[out], arr[out])
-        )
-    return LuneCount(k=tuple(int(c) for c in k), count=count, pairs=pairs)
+    return LuneCount(k=tuple(int(c) for c in k), count=ball.n - int(length.sum()))
 
 
 def nk_asymptotic(params: ModelParams, k: Momentum) -> float:

@@ -1,11 +1,14 @@
 """Independent numerical oracles shared by module and acceptance tests.
 
 These deliberately avoid the package's closed-form code paths: the
-minimizer below works on the raw one-variable energy profile, and the
-quadrature helpers integrate the raw integrand.
+minimizer below works on the raw one-variable energy profile, the
+quadrature helpers integrate the raw integrand, and the particle-hole
+pair list is a brute-force scan of the ball.
 """
 
 import math
+
+from conftest import brute_force_ball
 
 
 def golden_section_minimum(fn, lo, hi, tol=1e-12, iters=300):
@@ -61,3 +64,19 @@ def minimize_pair_energy(alpha, beta):
             hi = mid
     x_min = 0.5 * (lo + hi)
     return x_min, profile(x_min)
+
+
+def brute_force_pairs(radius_sq, k):
+    """(p, h) for every h in the ball |h|^2 <= radius_sq with p = h + k outside it."""
+    pairs = []
+    for h in brute_force_ball(radius_sq):
+        p = (h[0] + k[0], h[1] + k[1], h[2] + k[2])
+        if p[0] ** 2 + p[1] ** 2 + p[2] ** 2 > radius_sq:
+            pairs.append((p, h))
+    return pairs
+
+
+def amplitudes(state):
+    """A Fock-oracle (keys, amplitudes) state as {configuration: amplitude}."""
+    keys, amps = state
+    return dict(zip(keys.tolist(), amps.tolist()))

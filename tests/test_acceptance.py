@@ -37,11 +37,12 @@ from fermi_rpa import (
     verify_almost_ccr,
 )
 from fermi_rpa.error_budget import epsilon_bounds, optimal_kernel_magnitudes
+from fermi_rpa.fock_oracle import state_norm_sq
 from fermi_rpa.lattice import norm_sq
 from fermi_rpa.quadrature import integrate_adaptive
 from fermi_rpa.rpa_optimal import _inner_factor
 
-from oracles import minimize_pair_energy
+from oracles import amplitudes, minimize_pair_energy
 
 # extended-precision reference for (9/32)/(1 - log 2), frozen from a
 # 40-digit evaluation
@@ -189,8 +190,8 @@ def test_criterion_7_fock_oracle_exactness():
 
         # (a) squared vacuum norm equals the truncated lune count exactly
         for probe in [k, (0, 1, 0), (1, 1, 0)]:
-            state = apply_pair_create(vacuum(2), probe, modes)
-            assert state.norm_sq() == float(modes.lune_size(probe))
+            state = apply_pair_create(vacuum(), probe, modes, cap=2)
+            assert state_norm_sq(state) == float(modes.lune_size(probe))
 
         # (b) commutator-error ratio within the rigorous bound
         report = verify_almost_ccr(modes, k, k, trials=100, seed=42, max_pairs=2)
@@ -198,29 +199,29 @@ def test_criterion_7_fock_oracle_exactness():
         assert report.max_ratio <= 1.0 + 1e-12
 
         # (c) kinetic commutator on the vacuum, amplitude by amplitude
-        created = apply_pair_create(vacuum(2), k, modes, normalized=True)
-        lhs = apply_h0(created, modes, params)
-        comps = apply_c_create(vacuum(2), k, modes, normalized=True)
+        created = apply_pair_create(vacuum(), k, modes, cap=2, normalized=True)
+        lhs = amplitudes(apply_h0(created, modes, params))
+        comps = apply_c_create(vacuum(), k, modes, cap=2, normalized=True)
         rhs = {}
         for i in range(3):
             if k[i] == 0:
                 continue
-            for cfg, amp in comps[i].amplitudes.items():
+            for cfg, amp in amplitudes(comps[i]).items():
                 rhs[cfg] = rhs.get(cfg, 0j) + params.hbar ** 2 * k[i] * amp
-        assert set(lhs.amplitudes) == set(rhs)
-        for cfg, amp in lhs.amplitudes.items():
+        assert set(lhs) == set(rhs)
+        for cfg, amp in lhs.items():
             assert abs(amp - rhs[cfg]) <= 1e-13
 
         # (d) [c*_k, b_k] vacuum = -f_trunc(k) vacuum
         mk = modes.lune_size(k)
         fvec = modes.pair_vector_sum(k)
-        cstar = apply_c_create(vacuum(2), k, modes, normalized=True, cap=3)
+        cstar = apply_c_create(vacuum(), k, modes, cap=3, normalized=True)
         for i in range(3):
-            second = apply_pair_annihilate(cstar[i], k, modes, normalized=True, cap=3)
+            second = amplitudes(apply_pair_annihilate(cstar[i], k, modes, normalized=True))
             expected = -fvec[i] / mk
-            got = -second.amplitudes.get(0, 0j)
+            got = -second.get(0, 0j)
             assert abs(got - expected) <= 1e-13
-            for cfg, amp in second.amplitudes.items():
+            for cfg, amp in second.items():
                 if cfg != 0:
                     assert abs(amp) <= 1e-13
 

@@ -293,14 +293,17 @@ def test_invalid_oracle_count_flag_exits_one(capsys, flag, value, name):
     assert f"{name} must be >= 1, got {value}" in err
 
 
-@pytest.mark.parametrize("pairs", ["0", "-2"])
+@pytest.mark.parametrize("pairs", ["0", "-2", "2.9", "0.5", "true", '"2"'])
 def test_invalid_oracle_count_config_exits_one(capsys, tmp_path, pairs):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"max_pairs": %s}' % pairs)
     code, out, err = run_cli(capsys, "--config", str(cfg), "oracle", "--trials", "1")
     assert code == 1
     assert out == ""
-    assert f"max_pairs must be >= 1, got {pairs}" in err
+    if type(json.loads(pairs)) is int:
+        assert f"max_pairs must be >= 1, got {pairs}" in err
+    else:
+        assert f"max_pairs must be an integer, got {pairs}" in err
 
 
 def test_tolerance_flag_overrides_config(capsys, tmp_path, potential_file):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import amplitudes, brute_force_pairs
 
 from fermi_rpa import (
     DomainError,
@@ -11,7 +12,6 @@ from fermi_rpa import (
     apply_pair_annihilate,
     apply_pair_create,
     build_mode_set,
-    lune_count,
     make_potential,
     sector_basis,
     vacuum,
@@ -20,15 +20,50 @@ from fermi_rpa import (
     verify_quadratic_interaction,
 )
 from fermi_rpa.fock_oracle import (
-    SectorState,
-    _sign_create,
+    assemble_quadratic_interaction,
     dgamma_diagonal,
+    fermion_sign,
     random_sector_state,
+    state_norm_sq,
 )
-from fermi_rpa.lattice import build_fermi_ball, norm_sq
+from fermi_rpa.lattice import norm_sq
 
 E1 = (1, 0, 0)
 E2 = (0, 1, 0)
+
+
+def inner(u, w):
+    """<u, w> over the configurations both states hold."""
+    _, iu, iw = np.intersect1d(u[0], w[0], return_indices=True)
+    return np.vdot(u[1][iu], w[1][iw])
+
+
+def loop_pair_operator(state, terms, create):
+    """Configuration-by-configuration reference for the pair-term kernel.
+
+    Applies sum_j a*_p a*_h (a*_h first) or its adjoint a_h a_p (a_p
+    first) with signs (-1)^(occupied modes below the index), one mode and
+    one configuration at a time.
+    """
+
+    def move(cfg, idx):
+        occupied = (cfg >> idx) & 1
+        if occupied == create:
+            return None, 0
+        sign = -1 if (cfg & ((1 << idx) - 1)).bit_count() & 1 else 1
+        return cfg ^ (1 << idx), sign
+
+    out = {}
+    for cfg, amp in amplitudes(state).items():
+        for p, h in terms:
+            mid, s1 = move(cfg, h if create else p)
+            if mid is None:
+                continue
+            new, s2 = move(mid, p if create else h)
+            if new is None:
+                continue
+            out[new] = out.get(new, 0j) + s1 * s2 * amp
+    return {c: a for c, a in out.items() if a != 0}
 
 
 def wick_vacuum_expectation(ann_pairs, cre_pairs):
@@ -41,7 +76,6 @@ def wick_vacuum_expectation(ann_pairs, cre_pairs):
     xs = []  # annihilator labels, innermost (rightmost) first
     for q, g in reversed(ann_pairs):
         xs.extend([q, g])  # a_g a_q: a_q is rightmost within the factor
-    xs = xs[::-1] if False else xs
     ys = []
     for p, h in cre_pairs:
         ys.extend([p, h])
@@ -76,37 +110,38 @@ def test_mode_index_maps_live_on_the_mode_set():
 def test_mode_cap_enforced():
     with pytest.raises(DomainError):
         build_mode_set(33, 9)
+    with pytest.raises(DomainError, match="more than 40 modes"):
+        build_mode_set(1, 10**12)  # refused before the cutoff ball is enumerated
 
 
 def test_truncated_lune_matches_lattice_intersection(modes_7_2):
-    ball = build_fermi_ball(7)
     for k in [E1, E2, (1, 1, 0), (0, 0, 2)]:
-        full = lune_count(ball, k, with_pairs=True)
-        cutoff = sum(1 for p, _ in full.pairs if norm_sq(p) <= modes_7_2.lambda_sq)
+        full = brute_force_pairs(modes_7_2.hole_radius_sq, k)
+        cutoff = sum(1 for p, _ in full if norm_sq(p) <= modes_7_2.lambda_sq)
         assert modes_7_2.lune_size(k) == cutoff
 
 
 def test_pair_create_norm_squared_is_lune_count(modes_7_2):
     for k in [E1, E2, (1, 1, 0)]:
-        state = apply_pair_create(vacuum(2), k, modes_7_2)
-        assert state.norm_sq() == float(modes_7_2.lune_size(k))
+        state = apply_pair_create(vacuum(), k, modes_7_2, cap=2)
+        assert state_norm_sq(state) == float(modes_7_2.lune_size(k))
 
 
 def test_pair_create_zero_momentum(modes_7_2):
-    state = apply_pair_create(vacuum(2), (0, 0, 0), modes_7_2)
-    assert state.amplitudes == {}
+    state = apply_pair_create(vacuum(), (0, 0, 0), modes_7_2, cap=2)
+    assert amplitudes(state) == {}
 
 
 def test_annihilate_vacuum(modes_7_2):
-    state = apply_pair_annihilate(vacuum(2), E1, modes_7_2)
-    assert state.amplitudes == {}
+    state = apply_pair_annihilate(vacuum(), E1, modes_7_2)
+    assert amplitudes(state) == {}
 
 
 def test_annihilate_inverts_create_on_vacuum(modes_7_2):
-    created = apply_pair_create(vacuum(2), E1, modes_7_2, normalized=True)
-    back = apply_pair_annihilate(created, E1, modes_7_2, normalized=True)
-    assert set(back.amplitudes) == {0}
-    assert back.amplitudes[0] == pytest.approx(1.0, rel=1e-15)
+    created = apply_pair_create(vacuum(), E1, modes_7_2, cap=2, normalized=True)
+    back = amplitudes(apply_pair_annihilate(created, E1, modes_7_2, normalized=True))
+    assert set(back) == {0}
+    assert back[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_adjoint_property(modes_7_2):
@@ -114,9 +149,23 @@ def test_adjoint_property(modes_7_2):
     for k in (E1, (1, 1, 0)):
         u = random_sector_state(modes_7_2, 2, rng)
         w = random_sector_state(modes_7_2, 2, rng)
-        lhs = apply_pair_annihilate(u, k, modes_7_2, cap=3).dot(w)
-        rhs = u.dot(apply_pair_create(w, k, modes_7_2, cap=3))
+        lhs = inner(apply_pair_annihilate(u, k, modes_7_2), w)
+        rhs = inner(u, apply_pair_create(w, k, modes_7_2, cap=3))
         assert lhs == pytest.approx(rhs, abs=1e-13)
+
+
+def test_kernel_matches_loop_reference(modes_7_2):
+    # the vectorized kernel against a one-configuration-at-a-time loop,
+    # exactly, on an integer-amplitude state
+    rng = np.random.default_rng(17)
+    state = random_sector_state(modes_7_2, 2, rng, integer_amplitudes=True)
+    for k in (E1, (1, 1, 0), (0, -1, 1)):
+        terms = [(p_idx, h_idx) for p_idx, h_idx, _, _ in modes_7_2.pairs_for(k)]
+        assert terms
+        created = apply_pair_create(state, k, modes_7_2, cap=3)
+        assert amplitudes(created) == loop_pair_operator(state, terms, create=True)
+        removed = apply_pair_annihilate(state, k, modes_7_2)
+        assert amplitudes(removed) == loop_pair_operator(state, terms, create=False)
 
 
 def test_double_pair_vacuum_expectation_wick(modes_7_2):
@@ -133,16 +182,16 @@ def test_double_pair_vacuum_expectation_wick(modes_7_2):
                     expected += wick_vacuum_expectation(
                         [(q2, g2), (q1, g1)], [(p1, h1), (p2, h2)]
                     )
-    state = apply_pair_create(vacuum(2), neg_k, modes_7_2)
-    state = apply_pair_create(state, k, modes_7_2)
+    state = apply_pair_create(vacuum(), neg_k, modes_7_2, cap=2)
+    state = apply_pair_create(state, k, modes_7_2, cap=2)
     state = apply_pair_annihilate(state, k, modes_7_2)
     state = apply_pair_annihilate(state, neg_k, modes_7_2)
-    got = state.amplitudes.get(0, 0.0)
+    got = amplitudes(state).get(0, 0.0)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_number_on_vacuum(modes_7_2):
-    assert apply_number(vacuum(2)).amplitudes == {}
+    assert amplitudes(apply_number(vacuum())) == {}
 
 
 def test_h0_eigenvalues_on_pairs(modes_7_2):
@@ -150,10 +199,10 @@ def test_h0_eigenvalues_on_pairs(modes_7_2):
     for k in (E1, (1, 1, 0)):
         for p_idx, h_idx, p, h in modes_7_2.pairs_for(k):
             cfg = (1 << p_idx) | (1 << h_idx)
-            state = SectorState({cfg: 1.0 + 0j}, 2)
-            out = apply_h0(state, modes_7_2, params)
+            state = (np.array([cfg]), np.array([1.0 + 0j]))
+            out = amplitudes(apply_h0(state, modes_7_2, params))
             expected = params.hbar ** 2 * (norm_sq(p) - norm_sq(h))
-            assert out.amplitudes[cfg] == pytest.approx(expected, rel=1e-15)
+            assert out[cfg] == pytest.approx(expected, rel=1e-15)
             assert expected > 0.0
 
 
@@ -161,17 +210,17 @@ def test_kinetic_commutator_identity(modes_7_2):
     # [H0, b*_k] O = hbar^2 k . c*_k O, amplitude by amplitude
     params = ModelParams(7)
     for k in (E1, E2, (1, 1, 0)):
-        created = apply_pair_create(vacuum(2), k, modes_7_2, normalized=True)
-        lhs = apply_h0(created, modes_7_2, params)  # H0 b*_k O (H0 O = 0)
-        comps = apply_c_create(vacuum(2), k, modes_7_2, normalized=True)
+        created = apply_pair_create(vacuum(), k, modes_7_2, cap=2, normalized=True)
+        lhs = amplitudes(apply_h0(created, modes_7_2, params))  # H0 b*_k O (H0 O = 0)
+        comps = apply_c_create(vacuum(), k, modes_7_2, cap=2, normalized=True)
         rhs_amps = {}
         for i in range(3):
             if k[i] == 0:
                 continue
-            for cfg, amp in comps[i].amplitudes.items():
+            for cfg, amp in amplitudes(comps[i]).items():
                 rhs_amps[cfg] = rhs_amps.get(cfg, 0j) + params.hbar ** 2 * k[i] * amp
-        assert set(lhs.amplitudes) == set(rhs_amps)
-        for cfg, amp in lhs.amplitudes.items():
+        assert set(lhs) == set(rhs_amps)
+        for cfg, amp in lhs.items():
             assert abs(amp - rhs_amps[cfg]) <= 1e-13
 
 
@@ -186,16 +235,16 @@ def test_ccr_orthogonal_transfers(modes_7_2):
     report = verify_almost_ccr(modes_7_2, E1, E2, trials=50, seed=1, max_pairs=2)
     assert report.violations == []
     # vacuum matrix element of [b_k, b*_l] vanishes for k != l
-    created = apply_pair_create(vacuum(2), E2, modes_7_2, normalized=True, cap=3)
-    annihilated = apply_pair_annihilate(created, E1, modes_7_2, normalized=True, cap=3)
-    assert annihilated.amplitudes.get(0, 0j) == 0j
+    created = apply_pair_create(vacuum(), E2, modes_7_2, cap=3, normalized=True)
+    annihilated = apply_pair_annihilate(created, E1, modes_7_2, normalized=True)
+    assert amplitudes(annihilated).get(0, 0j) == 0j
 
 
 def test_ccr_vacuum_identity(modes_7_2):
     # [b_k, b*_k] O = O exactly with the truncated normalization
-    created = apply_pair_create(vacuum(2), E1, modes_7_2, cap=3)
-    back = apply_pair_annihilate(created, E1, modes_7_2, cap=3)
-    assert back.amplitudes == {0: pytest.approx(float(modes_7_2.lune_size(E1)))}
+    created = apply_pair_create(vacuum(), E1, modes_7_2, cap=3)
+    back = apply_pair_annihilate(created, E1, modes_7_2)
+    assert amplitudes(back) == {0: pytest.approx(float(modes_7_2.lune_size(E1)))}
 
 
 def test_c_commutator_report_clean(modes_7_2):
@@ -210,15 +259,15 @@ def test_c_commutator_vacuum_is_truncated_f(modes_7_2):
     k = E1
     mk = modes_7_2.lune_size(k)
     fvec = modes_7_2.pair_vector_sum(k)
-    assert (b := apply_pair_annihilate(vacuum(2), k, modes_7_2)).amplitudes == {}
-    cstar = apply_c_create(vacuum(2), k, modes_7_2, normalized=True, cap=3)
+    assert amplitudes(apply_pair_annihilate(vacuum(), k, modes_7_2)) == {}
+    cstar = apply_c_create(vacuum(), k, modes_7_2, cap=3, normalized=True)
     for i in range(3):
-        second = apply_pair_annihilate(cstar[i], k, modes_7_2, normalized=True, cap=3)
-        comm = SectorState({}, 2).minus(second)
+        second = apply_pair_annihilate(cstar[i], k, modes_7_2, normalized=True)
+        comm = {cfg: -amp for cfg, amp in amplitudes(second).items()}  # 0 - b_k c*_k O
         expected = -fvec[i] / mk
-        got = comm.amplitudes.get(0, 0j)
+        got = comm.get(0, 0j)
         assert abs(got - expected) <= 1e-13
-        for cfg, amp in comm.amplitudes.items():
+        for cfg, amp in comm.items():
             if cfg != 0:
                 assert abs(amp) <= 1e-13
 
@@ -232,12 +281,19 @@ def test_quadratic_interaction_report(modes_7_2, demo_potential):
     assert report.details["dimension"] == float(len(sector_basis(modes_7_2, 2)))
 
 
+def test_quadratic_interaction_three_pairs(modes_7_2, demo_potential):
+    # 9171 sector configurations: held as triplets, never as a dense matrix
+    report = verify_quadratic_interaction(
+        modes_7_2, demo_potential, ModelParams(7), max_pairs=3
+    )
+    assert report.violations == []
+    assert report.details["dimension"] == 9171.0
+
+
 def test_quadratic_interaction_zero_potential(modes_7_2):
     v = make_potential({(1, 0, 0): 0.0})
-    from fermi_rpa.fock_oracle import assemble_quadratic_interaction
-
-    _, matrix = assemble_quadratic_interaction(modes_7_2, v, ModelParams(7), 2)
-    assert np.all(matrix == 0)
+    _, (_, _, values) = assemble_quadratic_interaction(modes_7_2, v, ModelParams(7), 2)
+    assert not np.any(values)
 
 
 def test_quadratic_single_momentum_diagonal(modes_7_2):
@@ -252,16 +308,17 @@ def test_quadratic_expectation_hand_value(modes_7_2):
     # k = (1,1,0) at this cutoff has exactly one pair (h = 0), so
     # <b*_k O, Q b*_k O> = V(k) n_k^2 / N = 0.7 * 1 / 7 = 0.1; the mirror
     # transfer cannot annihilate anything in that one-pair state
-    from fermi_rpa.fock_oracle import assemble_quadratic_interaction
-
     k = (1, 1, 0)
     assert modes_7_2.lune_size(k) == 1
     v = make_potential({k: 0.7}, support_radius_sq=2)
-    basis, matrix = assemble_quadratic_interaction(modes_7_2, v, ModelParams(7), 2)
-    pos = {cfg: i for i, cfg in enumerate(basis)}
-    phi = apply_pair_create(vacuum(2), k, modes_7_2, normalized=True)
-    (cfg, amp), = phi.amplitudes.items()
-    expect = (amp.conjugate() * matrix[pos[cfg], pos[cfg]] * amp).real
+    basis, (rows, cols, values) = assemble_quadratic_interaction(
+        modes_7_2, v, ModelParams(7), 2
+    )
+    phi = apply_pair_create(vacuum(), k, modes_7_2, cap=2, normalized=True)
+    (cfg, amp), = amplitudes(phi).items()
+    pos = basis.tolist().index(cfg)
+    (entry,) = values[(rows == pos) & (cols == pos)]
+    expect = (amp.conjugate() * entry * amp).real
     assert expect == pytest.approx(0.1, abs=1e-15)
 
 
@@ -278,10 +335,10 @@ def test_ccr_on_single_hole_mode_set():
 
 def test_truncation_overflow(modes_7_2):
     two_pairs = apply_pair_create(
-        apply_pair_create(vacuum(2), E1, modes_7_2, cap=2), E2, modes_7_2, cap=2
+        apply_pair_create(vacuum(), E1, modes_7_2, cap=2), E2, modes_7_2, cap=2
     )
     with pytest.raises(TruncationOverflow):
-        apply_pair_create(two_pairs, E1, modes_7_2)  # cap defaults to max_pairs = 2
+        apply_pair_create(two_pairs, E1, modes_7_2, cap=2)
 
 
 def test_sector_basis_structure(modes_7_2):
@@ -289,7 +346,8 @@ def test_sector_basis_structure(modes_7_2):
     # 1 vacuum + 7*12 one-pair + C(7,2)*C(12,2) two-pair configurations
     assert len(basis) == 1 + 84 + 21 * 66
     holes_mask = (1 << 7) - 1
-    for cfg in basis:
+    assert len(set(basis.tolist())) == len(basis)
+    for cfg in basis.tolist():
         holes = (cfg & holes_mask).bit_count()
         parts = (cfg >> 7).bit_count()
         assert holes == parts <= 2
@@ -301,33 +359,29 @@ def test_pair_structure_preserved(modes_7_2):
     holes_mask = (1 << 7) - 1
     for op in (
         lambda s: apply_pair_create(s, E1, modes_7_2, cap=3),
-        lambda s: apply_pair_annihilate(s, E1, modes_7_2, cap=3),
+        lambda s: apply_pair_annihilate(s, E1, modes_7_2),
         lambda s: apply_c_create(s, (1, 1, 0), modes_7_2, cap=3)[0],
     ):
-        out = op(state)
-        for cfg in out.amplitudes:
+        keys, _ = op(state)
+        assert np.all(np.diff(keys) > 0)  # sorted, unique keys
+        for cfg in keys.tolist():
             assert (cfg & holes_mask).bit_count() == (cfg >> 7).bit_count()
 
 
 def test_fermionic_sign_anticommutation(modes_7_2):
+    # a*_j a*_i = -a*_i a*_j on every configuration where i and j are free
     rng = np.random.default_rng(99)
     n_modes = modes_7_2.n_modes
+    cfgs = rng.integers(0, 1 << n_modes, size=400)
     checked = 0
-    while checked < 50:
-        i, j = rng.integers(0, n_modes, size=2)
-        if i == j:
-            continue
-        cfg = int(rng.integers(0, 1 << n_modes))
-        si1 = _sign_create(cfg, int(i))
-        if si1 == 0:
-            continue
-        sj1 = _sign_create(cfg | (1 << int(i)), int(j))
-        sj2 = _sign_create(cfg, int(j))
-        si2 = _sign_create(cfg | (1 << int(j)), int(i)) if sj2 else 0
-        if sj1 == 0 or sj2 == 0:
-            continue
-        assert si1 * sj1 == -sj2 * si2
-        checked += 1
+    for i in range(n_modes):
+        for j in range(i + 1, n_modes):
+            free = cfgs[(cfgs & ((1 << i) | (1 << j))) == 0]
+            i_first = fermion_sign(free, i) * fermion_sign(free | (1 << i), j)
+            j_first = fermion_sign(free, j) * fermion_sign(free | (1 << j), i)
+            assert np.all(i_first == -j_first)
+            checked += len(free)
+    assert checked > 1000
 
 
 def test_dgamma_diagonal_norm_bound(modes_7_2):
@@ -335,6 +389,6 @@ def test_dgamma_diagonal_norm_bound(modes_7_2):
     for _ in range(10):
         weights = rng.uniform(-2.0, 2.0, size=modes_7_2.n_modes)
         psi = random_sector_state(modes_7_2, 2, rng)
-        lhs = dgamma_diagonal(psi, list(weights)).norm()
-        rhs = float(np.max(np.abs(weights))) * apply_number(psi).norm()
+        lhs = np.sqrt(state_norm_sq(dgamma_diagonal(psi, list(weights))))
+        rhs = float(np.max(np.abs(weights))) * np.sqrt(state_norm_sq(apply_number(psi)))
         assert lhs <= rhs + 1e-12

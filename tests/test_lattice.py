@@ -23,6 +23,7 @@ from fermi_rpa import (
 from fermi_rpa.lattice import mode_sort_key, norm_sq
 
 from conftest import brute_force_ball
+from oracles import brute_force_pairs
 
 SHELL_GRID = (4, 16, 64, 256, 1024)
 
@@ -106,10 +107,9 @@ def test_lune_count_zero_transfer(ball7):
 
 
 def test_lune_count_seven(ball7):
-    lune = lune_count(ball7, (1, 0, 0), with_pairs=True)
-    assert lune.count == 5
-    assert len(lune.pairs) == 5
-    for p, h in lune.pairs:
+    pairs = brute_force_pairs(ball7.shell_radius_sq, (1, 0, 0))
+    assert lune_count(ball7, (1, 0, 0)).count == len(pairs) == 5
+    for p, h in pairs:
         assert tuple(np.subtract(p, h)) == (1, 0, 0)
         assert norm_sq(h) <= ball7.shell_radius_sq
         assert norm_sq(p) > ball7.shell_radius_sq
@@ -133,8 +133,8 @@ def test_lune_evenness(ball33):
 
 
 def test_pair_consistency(ball33):
-    lune = lune_count(ball33, (1, 1, 0), with_pairs=True)
-    assert len(lune.pairs) == lune.count
+    pairs = brute_force_pairs(ball33.shell_radius_sq, (1, 1, 0))
+    assert len(pairs) == lune_count(ball33, (1, 1, 0)).count
 
 
 def test_nk_asymptotic_zero():
