@@ -1,92 +1,48 @@
-"""Run configuration: versioned defaults and JSON overrides.
+"""Run configuration: defaults and JSON overrides.
 
-The physical defaults (quadrature tolerance, oracle pair cap) live in
-the packaged ``data/default_config.json`` and can be overridden by a
-user-supplied JSON file of the same dialect or by CLI flags.  Unknown
-keys in an override file are ignored.
+The defaults (quadrature tolerance 1e-10, oracle pair cap 2) are the
+field values of ``RunConfig``.  A JSON file given with ``--config``
+overrides any of them; CLI flags override the file.  In the file,
+``tol`` must be a JSON number, ``max_pairs`` a JSON integer and
+``version``, if present, the integer 1.  Unknown keys are ignored.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
-from importlib import resources
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, ParseError
+from .jsondoc import json_integer, json_number, json_object
 
 CONFIG_VERSION = 1
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    version: int = CONFIG_VERSION
     tol: float = 1e-10
     max_pairs: int = 2
 
 
-def default_config() -> RunConfig:
-    with resources.files("fermi_rpa").joinpath("data/default_config.json").open(
-        "rb"
-    ) as fh:
-        return _parse_config(fh.read())
+# override key -> checker of its JSON value
+_OVERRIDES = {"tol": json_number, "max_pairs": json_integer}
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:
     if path is None:
-        return default_config()
+        return RunConfig()
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"unreadable config file {path}: {exc}") from exc
-    base = default_config()
-    override = _parse_config(raw, partial=True)
-    return replace(
-        base,
-        **{
-            field: getattr(override, field)
-            for field in ("tol", "max_pairs")
-            if getattr(override, field) is not None
-        },
+    doc = json_object(raw, "config")
+    if "version" in doc and json_integer(doc["version"], "version") != CONFIG_VERSION:
+        raise ParseError(f"version must be {CONFIG_VERSION}, got {doc['version']}")
+    return RunConfig(
+        **{key: check(doc[key], key) for key, check in _OVERRIDES.items() if key in doc}
     )
-
-
-def _parse_config(raw: bytes, partial: bool = False):
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"malformed config document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("config document must be a JSON object")
-    if partial:
-        return _PartialConfig(
-            tol=float(doc["tol"]) if "tol" in doc else None,
-            max_pairs=_integer(doc, "max_pairs") if "max_pairs" in doc else None,
-        )
-    try:
-        return RunConfig(
-            version=_integer(doc, "version"),
-            tol=float(doc["tol"]),
-            max_pairs=_integer(doc, "max_pairs"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid config document: {exc}") from exc
-
-
-def _integer(doc: dict, key: str) -> int:
-    """A count from a config document: a JSON integer, not a float or a bool."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{key} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-@dataclass(frozen=True)
-class _PartialConfig:
-    tol: Optional[float]
-    max_pairs: Optional[int]
 
 
 def checked_tol(tol: float) -> float:

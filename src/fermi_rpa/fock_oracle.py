@@ -326,12 +326,12 @@ def _positions(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def random_sector_state(
-    modes: ModeSet,
-    max_pairs: int,
+    basis: np.ndarray,
+    order: np.ndarray,
     rng: np.random.Generator,
     integer_amplitudes: bool = False,
 ) -> State:
-    """Random state in the <= max_pairs sector.
+    """Random state over ``basis = sector_basis(...)``, ``order = np.argsort(basis)``.
 
     With integer_amplitudes the real and imaginary parts are nonzero
     integers in [-999, 999]; every subsequent cancellation is then exact
@@ -339,7 +339,6 @@ def random_sector_state(
     square and the state is normalized.  Amplitudes are drawn in
     ``sector_basis`` order.
     """
-    basis = sector_basis(modes, max_pairs)
     n = len(basis)
     if integer_amplitudes:
         re = rng.integers(1, 1000, size=n) * rng.choice([-1, 1], n)
@@ -350,17 +349,15 @@ def random_sector_state(
         im = rng.uniform(-1.0, 1.0, size=n)
         amps = re + 1j * im
         amps = amps * (1.0 / math.sqrt(state_norm_sq((basis, amps))))
-    order = np.argsort(basis)
     return basis[order], amps[order]
 
 
 def _trial_block(
-    modes: ModeSet, max_pairs: int, rng: np.random.Generator, trials: int, integer: bool
+    basis: np.ndarray, rng: np.random.Generator, trials: int, integer: bool
 ) -> State:
-    """``trials`` random sector states, drawn one after another, as columns."""
-    states = [
-        random_sector_state(modes, max_pairs, rng, integer) for _ in range(trials)
-    ]
+    """``trials`` random states over ``basis``, drawn one after another, as columns."""
+    order = np.argsort(basis)
+    states = [random_sector_state(basis, order, rng, integer) for _ in range(trials)]
     return states[0][0], np.stack([amps for _, amps in states], axis=1)
 
 
@@ -409,7 +406,7 @@ def verify_almost_ccr(
     """
     rng = np.random.default_rng(seed)
     mk = modes.lune_size(k)
-    xi = _trial_block(modes, max_pairs, rng, trials, integer=True)
+    xi = _trial_block(sector_basis(modes, max_pairs), rng, trials, integer=True)
     b_k, b_l = (partial(apply_pair_annihilate, k=q, modes=modes) for q in (k, l))
     bs_k, bs_l = (
         partial(apply_pair_create, k=q, modes=modes, cap=max_pairs + 2) for q in (k, l)
@@ -504,7 +501,7 @@ def verify_c_commutator(
     mk = modes.lune_size(k)
     const = honest_c_bound_constant(modes, k, l)
     mnorm = math.sqrt(norm_sq(k))
-    xi = _trial_block(modes, max_pairs, rng, trials, integer=True)
+    xi = _trial_block(sector_basis(modes, max_pairs), rng, trials, integer=True)
     lifted = max_pairs + 1
     resid = _c_residual(xi, k, l, modes, lifted, f)
     # m . residual with m = k (integer contraction keeps exactness)
@@ -643,7 +640,7 @@ def verify_quadratic_interaction(
         violations.append(f"vacuum expectation {vac:.3e} != 0")
 
     rng = np.random.default_rng(seed)
-    psi = _trial_block(modes, max_pairs, rng, 5, integer=False)
+    psi = _trial_block(basis, rng, 5, integer=False)
     direct = _apply_quadratic(psi, modes, v, params, max_pairs)
     devs = np.abs(
         _matvec(triplets, _basis_vector(basis, psi)) - _basis_vector(basis, direct)

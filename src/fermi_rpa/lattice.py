@@ -274,7 +274,7 @@ def nk_asymptotic(params: ModelParams, k: Momentum) -> float:
 
 @dataclass(frozen=True)
 class KineticCoefficient:
-    """Exact k.f(k) together with the pair-averaged vector f(k).
+    """Exact k.f(k) together with count * f(k), the pair sum of 2h + k.
 
     kdotf carries the exact integer numerator/denominator; the float
     field is numerator/count rounded once on output.
@@ -292,10 +292,6 @@ class KineticCoefficient:
     @property
     def kdotf_exact(self) -> Fraction:
         return Fraction(self.numerator, self.count)
-
-    @property
-    def f_vec(self) -> Tuple[float, float, float]:
-        return tuple(c / self.count for c in self.f_numerator)
 
 
 def kinetic_coefficient(ball: FermiBall, k: Momentum) -> KineticCoefficient:

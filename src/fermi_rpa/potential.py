@@ -6,10 +6,15 @@ The on-disk document is JSON:
     {"support_radius_sq": 2,
      "coeffs": [{"k": [1, 0, 0], "v": 0.5}, ...]}
 
-Missing -k entries are completed by evenness; explicit entries that
-disagree with their mirror raise SymmetryError.  The zero mode V(0) is
-allowed (it feeds the Hartree-Fock direct term) but every correlation
-sum runs over the support with k = 0 removed.
+``support_radius_sq`` and the three components of each ``k`` must be
+JSON integers and each ``v`` a JSON number; an entry may not repeat.
+``load_potential`` only reads the document.  ``make_potential`` then
+completes missing -k entries by evenness, and ``Potential`` itself
+checks that every coefficient lies inside the support radius, is finite
+and equals its mirror, so explicit mirrors that disagree raise
+SymmetryError.  The zero mode V(0) is allowed (it feeds the
+Hartree-Fock direct term) but every correlation sum runs over the
+support with k = 0 removed.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, IO, List, Union
 
 from .errors import ParseError, SymmetryError
+from .jsondoc import json_integer, json_number, json_object
 from .lattice import Momentum, mode_sort_key, negate, norm_sq
 
 
@@ -39,7 +45,9 @@ class Potential:
                 raise ValueError(f"non-finite coefficient at {k}: {v}")
             mirror = self.coeffs.get(negate(k))
             if mirror is None or mirror != v:
-                raise SymmetryError(f"evenness violated at {k}: {v} vs {mirror}")
+                raise SymmetryError(
+                    f"evenness violated: V{k} = {v} and V{negate(k)} = {mirror} disagree"
+                )
 
     def value(self, k: Momentum) -> float:
         return self.coeffs.get(tuple(k), 0.0)
@@ -69,21 +77,15 @@ def make_potential(
     coeffs: Dict[Momentum, float] = {}
     for k, v in entries.items():
         k = tuple(int(c) for c in k)
-        v = float(v)
-        for key in (k, negate(k)):
-            if key in coeffs and coeffs[key] != v:
-                raise SymmetryError(
-                    f"entries at {key} and {negate(key)} disagree: "
-                    f"{coeffs[key]} vs {v}"
-                )
-            coeffs[key] = v
+        coeffs[k] = float(v)
+        coeffs.setdefault(negate(k), coeffs[k])
     if support_radius_sq is None:
         support_radius_sq = max((norm_sq(k) for k in coeffs), default=0)
     return Potential(coeffs=coeffs, support_radius_sq=int(support_radius_sq))
 
 
 def load_potential(source: Union[str, bytes, IO]) -> Potential:
-    """Parse and validate a potential document (path, bytes, or stream)."""
+    """Read a potential document (path, bytes, or stream) into make_potential."""
     try:
         if hasattr(source, "read"):
             raw = source.read()
@@ -92,42 +94,31 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
         else:
             with open(source, "rb") as fh:
                 raw = fh.read()
-        doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise ParseError(f"unreadable potential document: {exc}") from exc
-
-    if not isinstance(doc, dict) or "coeffs" not in doc:
+    doc = json_object(raw, "potential")
+    if not isinstance(doc.get("coeffs"), list):
         raise ParseError("potential document must be an object with a 'coeffs' array")
-    try:
-        radius_sq = int(doc["support_radius_sq"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("missing or invalid 'support_radius_sq'") from exc
+    if "support_radius_sq" not in doc:
+        raise ParseError("potential document has no 'support_radius_sq'")
+    radius_sq = json_integer(doc["support_radius_sq"], "support_radius_sq")
 
     explicit: Dict[Momentum, float] = {}
-    for item in doc["coeffs"]:
-        try:
-            k = tuple(int(c) for c in item["k"])
-            v = float(item["v"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed coefficient entry {item!r}") from exc
-        if len(k) != 3:
-            raise ParseError(f"momentum must have three components, got {item['k']}")
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite coefficient at {k}: {v}")
+    for i, item in enumerate(doc["coeffs"]):
+        entry = f"coeffs[{i}]"
+        if not (isinstance(item, dict) and "k" in item and "v" in item):
+            raise ParseError(
+                f"{entry} must be an object with 'k' and 'v', got {json.dumps(item)}"
+            )
+        if not (isinstance(item["k"], list) and len(item["k"]) == 3):
+            raise ParseError(
+                f"{entry}.k must have three components, got {json.dumps(item['k'])}"
+            )
+        k = tuple(json_integer(c, f"{entry}.k[{j}]") for j, c in enumerate(item["k"]))
         if k in explicit:
             raise ParseError(f"duplicate coefficient entry for {k}")
-        explicit[k] = v
-
-    coeffs: Dict[Momentum, float] = {}
-    for k, v in explicit.items():
-        mk = negate(k)
-        if mk in explicit and explicit[mk] != v:
-            raise SymmetryError(
-                f"explicit entries at {k} and {mk} disagree: {v} vs {explicit[mk]}"
-            )
-        coeffs[k] = v
-        coeffs.setdefault(mk, v)
-    return Potential(coeffs=coeffs, support_radius_sq=radius_sq)
+        explicit[k] = json_number(item["v"], f"{entry}.v")
+    return make_potential(explicit, radius_sq)
 
 
 def serialize_potential(v: Potential) -> str:

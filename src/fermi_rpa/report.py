@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional
 
 from .error_budget import assemble_error_budget
-from .hf import HFEnergy, hf_energy
+from .hf import hf_energy
 from .lattice import ModelParams, Momentum, build_fermi_ball
 from .potential import Potential, serialize_potential
 from .quadrature import IntegralResult
@@ -22,10 +22,15 @@ def potential_digest(v: Potential) -> str:
 
 @dataclass(frozen=True)
 class EnergyReport:
+    """One row of the comparison table; the field order is the CSV column order."""
+
     n: int
     hbar: float
     potential: str
-    hf: HFEnergy
+    hf_kinetic: float
+    hf_direct: float
+    hf_exchange: float
+    hf_total: float
     corr_delocalized_exact: float
     corr_delocalized_asymptotic: float
     corr_optimal: float
@@ -36,42 +41,10 @@ class EnergyReport:
     log_error_total_times_n: float
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "hbar": self.hbar,
-            "potential": self.potential,
-            "hf_kinetic": self.hf.kinetic,
-            "hf_direct": self.hf.direct,
-            "hf_exchange": self.hf.exchange,
-            "hf_total": self.hf.total,
-            "corr_delocalized_exact": self.corr_delocalized_exact,
-            "corr_delocalized_asymptotic": self.corr_delocalized_asymptotic,
-            "corr_optimal": self.corr_optimal,
-            "so_delocalized": self.so_delocalized,
-            "so_optimal": self.so_optimal,
-            "so_ratio": self.so_ratio,
-            "log_error_total": self.log_error_total,
-            "log_error_total_times_n": self.log_error_total_times_n,
-        }
+        return asdict(self)
 
 
-CSV_COLUMNS = [
-    "n",
-    "hbar",
-    "potential",
-    "hf_kinetic",
-    "hf_direct",
-    "hf_exchange",
-    "hf_total",
-    "corr_delocalized_exact",
-    "corr_delocalized_asymptotic",
-    "corr_optimal",
-    "so_delocalized",
-    "so_optimal",
-    "so_ratio",
-    "log_error_total",
-    "log_error_total_times_n",
-]
+CSV_COLUMNS = [f.name for f in fields(EnergyReport)]
 
 
 def energy_report(
@@ -91,11 +64,15 @@ def energy_report(
     so_deloc = second_order_delocalized(params, v)
     so_opt = second_order_optimal(v, params)
     budget = assemble_error_budget(params, v)
+    hf = hf_energy(ball, v, params)
     return EnergyReport(
         n=n,
         hbar=params.hbar,
         potential=potential_digest(v),
-        hf=hf_energy(ball, v, params),
+        hf_kinetic=hf.kinetic,
+        hf_direct=hf.direct,
+        hf_exchange=hf.exchange,
+        hf_total=hf.total,
         corr_delocalized_exact=correlation_delocalized(ball, v),
         corr_delocalized_asymptotic=correlation_delocalized(params, v),
         corr_optimal=gmb_correlation(v, params, tol=tol, brackets=brackets).total,
@@ -115,12 +92,9 @@ def format_float(x: float) -> str:
 def report_csv(reports: List[EnergyReport]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for rep in reports:
-        row = rep.as_dict()
-        cells = []
-        for col in CSV_COLUMNS:
-            val = row[col]
-            cells.append(
-                format_float(val) if isinstance(val, float) else str(val)
-            )
+        cells = (
+            format_float(val) if isinstance(val, float) else str(val)
+            for val in rep.as_dict().values()
+        )
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

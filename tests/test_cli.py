@@ -206,6 +206,26 @@ def test_invalid_potential_exits_one(capsys, tmp_path):
     assert "disagree" in err
 
 
+@pytest.mark.parametrize(
+    "coeffs, radius_sq, message",
+    [
+        ('{"k": [1, 0, 0], "v": 0.5}', "2.9", "support_radius_sq must be an integer, got 2.9"),
+        ('{"k": [1.7, 0, 0], "v": 0.5}', "2", "coeffs[0].k[0] must be an integer, got 1.7"),
+        ('{"k": [0, 1, 0], "v": true}', "2", "coeffs[0].v must be a number, got true"),
+    ],
+    ids=["radius_sq-2.9", "k-1.7", "v-true"],
+)
+def test_mistyped_potential_exits_one(capsys, tmp_path, coeffs, radius_sq, message):
+    # never truncated or coerced: 2.9 is not radius^2 2, 1.7 not 1, true not 1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"support_radius_sq": %s, "coeffs": [%s]}' % (radius_sq, coeffs))
+    argv = ["corr", "--n", "33", "--method", "so-opt", "--potential", str(bad)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_unreachable_tolerance_exits_two(capsys, tmp_path, potential_file):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"tol": 1e-30}')  # below the double-precision floor
@@ -279,6 +299,30 @@ def test_invalid_tolerance_config_exits_one(capsys, tmp_path, potential_file, to
     assert code == 1
     assert out == ""
     assert "tolerance must be finite and > 0" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"version": 2.9}', "version must be an integer, got 2.9"),
+        ('{"version": 2}', "version must be 1, got 2"),
+        ('{"tol": true}', "tol must be a number, got true"),
+        ('{"tol": "abc"}', 'tol must be a number, got "abc"'),
+        ('{"tol": "1e-8"}', 'tol must be a number, got "1e-8"'),
+        ('{"tol": 1%s}' % ("0" * 400), "tol is out of range"),
+    ],
+    ids=["version-2.9", "version-2", "tol-true", "tol-abc", "tol-string", "tol-huge-int"],
+)
+def test_mistyped_config_exits_one(capsys, tmp_path, potential_file, doc, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(doc)
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg), "corr", "--n", "33",
+        "--potential", potential_file, "--method", "optimal",
+    )
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize(

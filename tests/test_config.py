@@ -1,15 +1,14 @@
 import pytest
 
-from fermi_rpa.config import RunConfig, _parse_config, default_config, load_config
+from fermi_rpa.config import RunConfig, load_config
 from fermi_rpa.errors import ParseError
 
 
-def test_default_config_packaged():
-    cfg = default_config()
+def test_defaults_without_config_file():
+    cfg = load_config(None)
     assert cfg == RunConfig()
     assert cfg.tol == 1e-10
     assert cfg.max_pairs == 2
-    assert cfg.version == 1
 
 
 def test_partial_override(tmp_path):
@@ -30,13 +29,8 @@ def test_malformed_config(tmp_path):
 @pytest.mark.parametrize("value", ["2.9", "0.5", "true", '"2"'])
 @pytest.mark.parametrize("key", ["version", "max_pairs"])
 def test_non_integer_counts_rejected(tmp_path, key, value):
-    # a full document and, for max_pairs, an override file; never truncated to int
-    doc = {"version": "1", "tol": "1e-10", "max_pairs": "2", key: value}
-    raw = "{%s}" % ", ".join(f'"{k}": {v}' for k, v in doc.items())
+    # never truncated to int
+    path = tmp_path / "cfg.json"
+    path.write_text('{"%s": %s}' % (key, value))
     with pytest.raises(ParseError, match=f"{key} must be an integer, got {value}"):
-        _parse_config(raw.encode())
-    if key == "max_pairs":
-        path = tmp_path / "cfg.json"
-        path.write_text('{"max_pairs": %s}' % value)
-        with pytest.raises(ParseError, match=f"max_pairs must be an integer, got {value}"):
-            load_config(str(path))
+        load_config(str(path))

@@ -81,6 +81,10 @@ def test_load_rejects_nonfinite():
         load_potential(
             doc_bytes({"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": float("nan")}]})
         )
+    # a non-finite mirror pair is reported as non-finite, not as disagreeing
+    pair = [{"k": [1, 0, 0], "v": float("nan")}, {"k": [-1, 0, 0], "v": float("nan")}]
+    with pytest.raises(ValueError, match="non-finite"):
+        load_potential(doc_bytes({"support_radius_sq": 1, "coeffs": pair}))
 
 
 def test_round_trip(demo_potential):

@@ -13,9 +13,7 @@ def test_report_invariants(demo_potential):
     assert rep.corr_delocalized_asymptotic <= 0.0
     assert rep.corr_optimal <= 0.0
     assert rep.so_ratio == pytest.approx(second_order_ratio(), abs=1e-12)
-    assert rep.hf.total == pytest.approx(
-        rep.hf.kinetic + rep.hf.direct - rep.hf.exchange
-    )
+    assert rep.hf_total == pytest.approx(rep.hf_kinetic + rep.hf_direct - rep.hf_exchange)
     # the delocalized bound cannot undercut the optimal correlation energy
     assert rep.so_delocalized >= rep.so_optimal
 

@@ -1,0 +1,42 @@
+"""Smoke tests of the scripts in scripts/, which use only the public API."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, argv, header, rows",
+    [
+        (
+            "shell_convergence",
+            ["--shells", "4,16"],
+            "shell_radius_sq,n,nk_exact,nk_asym,nk_rel_err,"
+            "kdotf_exact,kdotf_asym,kdotf_rel_err,kinetic_density_rel_err",
+            2,
+        ),
+        (
+            "coupling_scan",
+            ["--n", "33", "--scales", "3:5", "--tol", "1e-10"],
+            "s,min_energy_over_s2,so_delocalized,deloc_dev,gmb_over_s2,so_optimal,gmb_dev",
+            2,
+        ),
+    ],
+)
+def test_script_csv(capsys, name, argv, header, rows):
+    code = load_script(name).main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
