@@ -15,6 +15,7 @@ import sys
 from fermi_rpa import (
     ModelParams,
     build_fermi_ball,
+    coefficient_table,
     correlation_delocalized,
     gmb_correlation,
     make_potential,
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     for j in range(lo, hi):
         s = 2.0 ** (-j)
         scaled = scale_coupling(v, s)
-        deloc = correlation_delocalized(ball, scaled)
+        deloc = correlation_delocalized(coefficient_table(ball, scaled))
         so_deloc = second_order_delocalized(ball, scaled)
         gmb = gmb_correlation(scaled, params, tol=args.tol).total
         so_opt = second_order_optimal(scaled, params)

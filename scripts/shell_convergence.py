@@ -16,6 +16,7 @@ from fermi_rpa import (
     ModelParams,
     build_fermi_ball,
     closed_shell_sizes,
+    coefficient_table,
     hf_energy,
     kinetic_coefficient,
     kinetic_coefficient_asymptotic,
@@ -55,7 +56,8 @@ def main(argv=None) -> int:
         nk_asym = nk_asymptotic(params, k)
         kf_exact = kinetic_coefficient(ball, k).kdotf
         kf_asym = kinetic_coefficient_asymptotic(params, k)
-        kin = hf_energy(ball, zero_potential, params).kinetic / n
+        rows = coefficient_table(ball, zero_potential)
+        kin = hf_energy(ball, zero_potential, rows).kinetic / n
         lines.append(
             ",".join(
                 [

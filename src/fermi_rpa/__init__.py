@@ -50,7 +50,6 @@ from .rpa_delocalized import (
     bosonized_functional,
     coefficient_table,
     correlation_delocalized,
-    minimum_energy,
     optimal_kernel,
     optimal_kernel_table,
     quadratic_coefficients,

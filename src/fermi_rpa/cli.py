@@ -47,7 +47,11 @@ from .lattice import (
 )
 from .potential import Potential, load_potential, make_potential
 from .report import energy_report, format_float, report_csv
-from .rpa_delocalized import correlation_delocalized, second_order_delocalized
+from .rpa_delocalized import (
+    coefficient_table,
+    correlation_delocalized,
+    second_order_delocalized,
+)
 from .rpa_optimal import (
     frequency_brackets,
     gmb_correlation,
@@ -173,7 +177,8 @@ def _cmd_nk(args) -> int:
 def _cmd_hf(args) -> int:
     ball = build_fermi_ball(args.n)
     v = _potential_arg(args.potential)
-    energy = hf_energy(ball, v, ModelParams(args.n), half_prefactor=args.hf_half_prefactor)
+    rows = coefficient_table(ball, v)
+    energy = hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor)
     _emit(
         {
             "kinetic": energy.kinetic,
@@ -190,9 +195,9 @@ def _cmd_corr(args, tol: float) -> int:
     params = ModelParams(args.n)
     method = args.method
     if method == "delocalized-exact":
-        value = correlation_delocalized(build_fermi_ball(args.n), v)
+        value = correlation_delocalized(coefficient_table(build_fermi_ball(args.n), v))
     elif method == "delocalized-asym":
-        value = correlation_delocalized(params, v)
+        value = correlation_delocalized(coefficient_table(params, v))
     elif method == "optimal":
         if v.value((0, 0, 0)) != 0.0:
             sys.stderr.write(
@@ -225,11 +230,10 @@ def _cmd_compare(args, tol: float) -> int:
 
 def _cmd_errors(args) -> int:
     v = _potential_arg(args.potential)
-    if args.backend == "exact":
-        source = build_fermi_ball(args.n)
-    else:
-        source = ModelParams(args.n)
-    _emit(assemble_error_budget(source, v).as_dict())
+    continuum = coefficient_table(ModelParams(args.n), v)
+    exact = args.backend == "exact"
+    rows = coefficient_table(build_fermi_ball(args.n), v) if exact else continuum
+    _emit(assemble_error_budget(rows, continuum, v, args.n).as_dict())
     return 0
 
 

@@ -18,18 +18,19 @@ Coefficients enter the bound sums through their absolute values, which
 upper-bounds the displayed expressions term by term and keeps every
 bound monotone in |V(k)|.  All momentum sums run over the potential
 support with the zero mode removed.  The denominators n_m n_k and the
-k.f(k) weights come from the coefficient table of ``rpa_delocalized``, so
-the type of the source is the backend: a FermiBall gives exact lattice
-counts, a ModelParams the leading continuum forms (n_k^2 = |k| N hbar
-(3 sqrt(pi)/4)^(2/3)).  The kernel and the signal are the continuum
-closed forms for either source.
+k.f(k) weights are read from the rows of a ``coefficient_table``: the
+table of a FermiBall gives exact lattice counts, that of a ModelParams the
+leading continuum forms (n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3)).  The
+kernel is the continuum closed form and the signal the minimum of the
+continuum table, whichever table the bounds read; on the continuum
+backend the two are one table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -38,10 +39,11 @@ from .lattice import ModelParams, Momentum, norm_sq
 from .potential import Potential, l1_norm
 from .rpa_delocalized import (
     BogoliubovKernel,
-    Source,
-    coefficient_table,
+    QuadraticCoefficients,
     correlation_delocalized,
 )
+
+Rows = Sequence[QuadraticCoefficients]
 
 C_SMALL = 4.0 * (9.0 * math.pi / 16.0) ** (2.0 / 3.0)
 PARTICLE_ESCAPE_CONSTANT = (6.0 / math.pi) ** (1.0 / 3.0)
@@ -119,22 +121,21 @@ def _logaddexp(*vals: float) -> float:
     return float(np.logaddexp.reduce(np.array(vals, dtype=float)))
 
 
-def epsilon_bounds(source: Source, v: Potential, xi: BogoliubovKernel) -> EpsilonBounds:
+def epsilon_bounds(rows: Rows, v: Potential, xi: BogoliubovKernel, n: int) -> EpsilonBounds:
     """Evaluate the four displayed remainder lines plus the quartic bound.
 
-    total = eps1 + 2*eps2 + quartic, reported together with total*N (the
-    N-independent certified constant).
+    ``rows`` is ``coefficient_table(source, v)`` of a source with n
+    particles.  total = eps1 + 2*eps2 + quartic, reported together with
+    total*N (the N-independent certified constant).
     """
     support = v.correlation_support()
     support_set = set(support)
     missing = [k for k in xi.support() if k not in support_set]
     if missing:
         raise DomainError(f"kernel momentum {missing[0]} outside potential support")
-    rows = coefficient_table(source, v)
     n_of = {c.k: math.sqrt(c.nk2) for c in rows}
     kf_of = {c.k: c.kdotf for c in rows}
-    params = ModelParams(source.n)
-    n = params.n
+    params = ModelParams(n)
 
     c2 = particle_number_constant(xi, 2)
     c3 = particle_number_constant(xi, 3)
@@ -219,22 +220,23 @@ class ErrorBudget:
         }
 
 
-def assemble_error_budget(source: Source, v: Potential) -> ErrorBudget:
+def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> ErrorBudget:
     """Constants, exponents, bounds, and the certification crossover.
 
-    log_crossover_n estimates (in log space) the particle count beyond
-    which the certified O(1/N) bound drops below the order-hbar signal
-    |E_corr|; the worst-case constants make this astronomically large.
+    The bounds read ``rows`` (exact or continuum); the order-hbar signal
+    |E_corr| is the minimum of ``continuum = coefficient_table(ModelParams(n),
+    v)``.  log_crossover_n estimates (in log space) the particle count beyond
+    which the certified O(1/N) bound drops below the signal; the worst-case
+    constants make this astronomically large.
     """
     a1, a2, a3, a4, a5 = a_constants(v)
-    params = ModelParams(source.n)
     xi = optimal_kernel_magnitudes(v)
-    bounds = epsilon_bounds(source, v, xi)
+    bounds = epsilon_bounds(rows, v, xi, n)
     c_n = {m: particle_number_constant(xi, m) for m in (1, 2, 3)}
-    signal = abs(correlation_delocalized(params, v))
+    signal = abs(correlation_delocalized(continuum))
     log_signal = _log(signal)
     # total*N < signal*N^(1/3)*N^(2/3) 3/2-power law crossover
-    log_w = log_signal + math.log(params.n) / 3.0  # N-independent signal weight
+    log_w = log_signal + math.log(n) / 3.0  # N-independent signal weight
     log_crossover = (
         1.5 * (bounds.log_total_times_n - log_w)
         if math.isfinite(log_w)

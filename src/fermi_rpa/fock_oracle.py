@@ -39,7 +39,8 @@ from .errors import BoundViolation, DomainError, EmptyLune, TruncationOverflow
 from .lattice import (
     ModelParams,
     Momentum,
-    _sorted_ball_array,
+    _column_tops,
+    _expand_columns,
     add,
     build_fermi_ball,
     negate,
@@ -131,7 +132,7 @@ def build_mode_set(n: int, lambda_sq: int) -> ModeSet:
     # exceed the cap: refuse before enumerating the cutoff ball
     if 1 + 6 * math.isqrt(lambda_sq) > MODE_CAP:
         raise DomainError(f"cutoff {lambda_sq} gives more than {MODE_CAP} modes")
-    modes = tuple(tuple(int(c) for c in m) for m in _sorted_ball_array(lambda_sq))
+    modes = tuple(map(tuple, _expand_columns(_column_tops(lambda_sq)).tolist()))
     return ModeSet(
         holes=modes[:n],
         particles=modes[n:],

@@ -15,20 +15,22 @@ The functional carries prefactor 1/N (no 1/2) on both interaction terms;
 the ``half_prefactor`` switch multiplies both by 1/2 for comparison with
 the pair-summed convention.  The exchange double sum reduces to one
 count per transfer momentum, the modes that stay inside the ball,
-N - n_k^2 from the column-interval lune count (O(N^(2/3)) per momentum);
-the kinetic sum is closed form per column.  Both counts are exact
-integers, so the final reduction is a deterministic compensated sum of
-exact products.
+N - n_k^2, read from the rows of the exact coefficient table (N at
+k = 0), so Hartree-Fock adds no lattice pass of its own; the kinetic sum
+is closed form per column.  Both counts are exact integers, so the final
+reduction is a deterministic compensated sum of exact products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ShapeMismatch
-from .lattice import FermiBall, ModelParams, lune_count
+from .lattice import FermiBall, ModelParams, norm_sq
 from .potential import Potential, l1_norm
+from .rpa_delocalized import QuadraticCoefficients
 
 
 @dataclass(frozen=True)
@@ -42,17 +44,22 @@ class HFEnergy:
 def hf_energy(
     ball: FermiBall,
     v: Potential,
-    params: ModelParams,
+    rows: Sequence[QuadraticCoefficients],
     half_prefactor: bool = False,
 ) -> HFEnergy:
-    """Evaluate the plane-wave Hartree-Fock energy, total = kin + dir - exch."""
-    if ball.n != params.n:
-        raise ShapeMismatch(f"ball has {ball.n} modes but params.n = {params.n}")
-    kinetic = params.hbar ** 2 * float(ball.norm_sq_sum())
+    """Evaluate the plane-wave Hartree-Fock energy, total = kin + dir - exch.
+
+    ``rows`` is ``coefficient_table(ball, v)``.  Rows of any other table
+    break this ball's identity k.f(k) = N|k|^2 / n_k^2 and raise ShapeMismatch.
+    """
+    stay = {(0, 0, 0): ball.n}
+    for c in rows:
+        if c.kdotf != ball.n * norm_sq(c.k) / c.nk2:
+            raise ShapeMismatch(f"row {c.k} is not from the exact table of a {ball.n}-mode ball")
+        stay[c.k] = ball.n - c.nk2
+    kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())
     direct = ball.n * v.value((0, 0, 0))
-    exchange = math.fsum(
-        v.coeffs[k] * (ball.n - lune_count(ball, k).count) for k in v.support()
-    ) / ball.n
+    exchange = math.fsum(v.coeffs[k] * stay[k] for k in v.support()) / ball.n
     if half_prefactor:
         direct *= 0.5
         exchange *= 0.5

@@ -7,7 +7,7 @@ lattice quantities drive everything downstream:
 * the lune count n_k^2 = #{h in B_F : h+k not in B_F}, the squared norm
   of the delocalized pair-creation operator applied to the vacuum, and
 * the kinetic coefficient k.f(k) = (1/n_k^2) * sum over pairs of k.(p+h),
-  a positive rational number.
+  which is the positive rational number N|k|^2 / n_k^2.
 
 Both have continuum asymptotics obtained by replacing the counts with
 volumes (overlap of two balls of Fermi radius displaced by k):
@@ -19,10 +19,11 @@ A closed shell |h|^2 <= R^2 is exactly one z-interval [-Z, Z] per (x, y)
 column, Z(x, y) = isqrt(R^2 - x^2 - y^2).  The ball therefore stores its
 column table (about pi*R^2 ~ 2.1*N^(2/3) columns) instead of N points, and
 a shift by k is one interval intersection per column: the stay count
-#{h : h+k in B_F} is the summed overlap length, n_k^2 = N - stay, and the
-lune sum of h is minus the stay sum (the ball is symmetric), whose z part
-is an arithmetic series.  Each count costs O(N^(2/3)) per momentum; the
-N x 3 mode array is built only on demand (tiny N).
+#{h : h+k in B_F} is the summed overlap length and n_k^2 = N - stay.  That
+one pass is the only per-momentum lattice count, because the ball is
+centrally symmetric and so n_k^2 * k.f(k) = N|k|^2 exactly (see
+``kinetic_coefficient``).  Each count costs O(N^(2/3)); the N x 3 mode
+array is expanded from the column table only on demand (tiny N).
 
 All lattice sums are integer-exact; floats appear only on output.
 """
@@ -81,46 +82,6 @@ class ModelParams:
         object.__setattr__(self, "hbar", float(self.n) ** (-1.0 / 3.0))
 
 
-def _enumerate_cube(radius: int) -> np.ndarray:
-    """All integer vectors in [-radius, radius]^3 as an (m, 3) array."""
-    ax = np.arange(-radius, radius + 1, dtype=np.int64)
-    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-    return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-
-
-def _sorted_ball_array(radius_sq: int) -> np.ndarray:
-    """Lattice points with |h|^2 <= radius_sq in the global mode order."""
-    r = math.isqrt(radius_sq) if radius_sq > 0 else 0
-    pts = _enumerate_cube(r)
-    nsq = np.einsum("ij,ij->i", pts, pts)
-    pts = pts[nsq <= radius_sq]
-    nsq = nsq[nsq <= radius_sq]
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], nsq))
-    return pts[order]
-
-
-def closed_shell_sizes(max_radius_sq: int) -> List[Tuple[int, int]]:
-    """Cumulative lattice-ball sizes for every attained radius level.
-
-    Returns (radius_sq, count) pairs for each integer s <= max_radius_sq
-    that is actually realized as |h|^2 of a lattice point; counts are the
-    sizes of the closed shells and are strictly increasing.
-    """
-    if max_radius_sq < 0:
-        raise DomainError("max_radius_sq must be >= 0")
-    r = math.isqrt(max_radius_sq)
-    pts = _enumerate_cube(r)
-    nsq = np.einsum("ij,ij->i", pts, pts)
-    nsq = nsq[nsq <= max_radius_sq]
-    per_level = np.bincount(nsq, minlength=max_radius_sq + 1)
-    cumulative = np.cumsum(per_level)
-    return [
-        (s, int(cumulative[s]))
-        for s in range(max_radius_sq + 1)
-        if per_level[s] > 0
-    ]
-
-
 def _column_tops(radius_sq: int) -> np.ndarray:
     """Z(x, y) = isqrt(radius_sq - x^2 - y^2) on the grid [-r, r]^2, -1 off the ball.
 
@@ -138,6 +99,38 @@ def _column_tops(radius_sq: int) -> np.ndarray:
     return top
 
 
+def _expand_columns(top: np.ndarray) -> np.ndarray:
+    """The points of a column table as an (m, 3) array in the global mode order.
+
+    Column (x, y) contributes z = -Z..Z; the columns come out in
+    lexicographic order, so a stable sort by |h|^2 gives the mode order.
+    """
+    r = top.shape[0] // 2
+    length = np.maximum(2 * top + 1, 0).ravel()
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    x, y = (np.repeat(c.ravel(), length) for c in np.meshgrid(ax, ax, indexing="ij"))
+    # z runs from -Z at the first point of its column
+    first = np.repeat(np.cumsum(length) - length, length)
+    z = np.arange(length.sum(), dtype=np.int64) - first - np.repeat(top.ravel(), length)
+    pts = np.stack([x, y, z], axis=1)
+    return pts[np.argsort(np.einsum("ij,ij->i", pts, pts), kind="stable")]
+
+
+def closed_shell_sizes(max_radius_sq: int) -> List[Tuple[int, int]]:
+    """Cumulative lattice-ball sizes for every attained radius level.
+
+    Returns (radius_sq, count) pairs for each integer s <= max_radius_sq
+    that is actually realized as |h|^2 of a lattice point; counts are the
+    sizes of the closed shells and are strictly increasing.
+    """
+    if max_radius_sq < 0:
+        raise DomainError("max_radius_sq must be >= 0")
+    pts = _expand_columns(_column_tops(max_radius_sq))
+    per_level = np.bincount(np.einsum("ij,ij->i", pts, pts))
+    cumulative = np.cumsum(per_level)
+    return [(int(s), int(cumulative[s])) for s in np.flatnonzero(per_level)]
+
+
 def _ball_size(radius_sq: int) -> int:
     """#{h : |h|^2 <= radius_sq}, summed over columns."""
     return int(np.maximum(2 * _column_tops(radius_sq) + 1, 0).sum())
@@ -149,10 +142,10 @@ class FermiBall:
 
     B_F is exactly {h : |h|^2 <= shell_radius_sq}, held as its column table
     (see ``_column_tops``); kf_continuum = (3n/4pi)^(1/3) is the continuum
-    Fermi momentum used by the asymptotic formulas.  ``modes`` and
-    ``mode_array`` list the n points in the global mode order; both are
-    built lazily on first access and cost O(n) memory, so large-N callers
-    never touch them.
+    Fermi momentum used by the asymptotic formulas.  ``mode_array`` lists
+    the n points in the global mode order; it is expanded from the column
+    table on first access and costs O(n) memory, so large-N callers never
+    touch it.
     """
 
     n: int
@@ -166,11 +159,7 @@ class FermiBall:
 
     @cached_property
     def mode_array(self) -> np.ndarray:
-        return _sorted_ball_array(self.shell_radius_sq)
-
-    @cached_property
-    def modes(self) -> Tuple[Momentum, ...]:
-        return tuple((int(a), int(b), int(c)) for a, b, c in self.mode_array)
+        return _expand_columns(self.column_tops)
 
     def norm_sq_sum(self) -> int:
         """Exact sum of |h|^2 over B_F: (x^2+y^2)(2Z+1) + Z(Z+1)(2Z+1)/3 per column."""
@@ -215,27 +204,22 @@ def build_fermi_ball(n: int) -> FermiBall:
     return FermiBall(n, lo, kf, _column_tops(lo))
 
 
-def _stay_columns(ball: FermiBall, k: Momentum):
-    """Per-column overlap of B_F with B_F - k: {h in B_F : h+k in B_F}.
+def _stay_columns(ball: FermiBall, k: Momentum) -> np.ndarray:
+    """Per-column overlap lengths of B_F with B_F - k: {h in B_F : h+k in B_F}.
 
-    Returns (x, y, lo, hi, length) over the columns whose shifted column
-    still lies on the grid; length = max(hi - lo + 1, 0) counts the stay
-    points z in [lo, hi] of column (x, y).
+    One entry per column whose shifted column still lies on the grid: the
+    number of z with both z and z + k_z inside their columns' intervals.
     """
     kx, ky, kz = (int(c) for c in k)
     top = ball.column_tops
     m = top.shape[0]
-    r = m // 2
     nx, ny = max(m - abs(kx), 0), max(m - abs(ky), 0)
     sx, sy = max(0, -kx), max(0, -ky)
     source = top[sx : sx + nx, sy : sy + ny]
     target = top[sx + kx : sx + kx + nx, sy + ky : sy + ky + ny]
     lo = np.maximum(-source, -target - kz)
     hi = np.minimum(source, target - kz)
-    length = np.maximum(hi - lo + 1, 0)
-    x = np.arange(sx - r, sx - r + nx, dtype=np.int64)
-    y = np.arange(sy - r, sy - r + ny, dtype=np.int64)
-    return x, y, lo, hi, length
+    return np.maximum(hi - lo + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -253,8 +237,8 @@ def lune_count(ball: FermiBall, k: Momentum) -> LuneCount:
     creation operator with transfer momentum k; it is even in k and
     vanishes only at k = 0.  It is N minus the column-overlap stay count.
     """
-    *_, length = _stay_columns(ball, k)
-    return LuneCount(k=tuple(int(c) for c in k), count=ball.n - int(length.sum()))
+    stay = int(_stay_columns(ball, k).sum())
+    return LuneCount(k=tuple(int(c) for c in k), count=ball.n - stay)
 
 
 def nk_asymptotic(params: ModelParams, k: Momentum) -> float:
@@ -274,16 +258,14 @@ def nk_asymptotic(params: ModelParams, k: Momentum) -> float:
 
 @dataclass(frozen=True)
 class KineticCoefficient:
-    """Exact k.f(k) together with count * f(k), the pair sum of 2h + k.
+    """Exact k.f(k) as the integer ratio numerator/count = N|k|^2 / n_k^2.
 
-    kdotf carries the exact integer numerator/denominator; the float
-    field is numerator/count rounded once on output.
+    kdotf is that ratio rounded once on output; kdotf_exact keeps it exact.
     """
 
     k: Momentum
     count: int
     numerator: int
-    f_numerator: Tuple[int, int, int]
 
     @property
     def kdotf(self) -> float:
@@ -295,30 +277,19 @@ class KineticCoefficient:
 
 
 def kinetic_coefficient(ball: FermiBall, k: Momentum) -> KineticCoefficient:
-    """Exact k.f(k) = (1/n_k^2) sum over pairs of k.(2h+k).
+    """Exact k.f(k) = (1/n_k^2) sum over pairs of k.(2h+k) = N|k|^2 / n_k^2.
 
-    Integer arithmetic throughout; raises EmptyLune when no pair carries
-    the transfer momentum k (in particular for k = 0).  B_F is symmetric,
-    so the lune sum of h is minus the stay sum, taken column by column
-    (the z part of a column is the arithmetic series (lo+hi)*length/2).
+    B_F = -B_F makes the stay set S = {h in B_F : h+k in B_F} satisfy
+    S + k = -S, so the sum of k.(2h+k) = |h+k|^2 - |h|^2 over S vanishes
+    and the lune sum equals the ball sum N|k|^2 (the ball sums h to 0).
+    Only the lune count is counted; raises EmptyLune when no pair carries
+    the transfer momentum k (in particular for k = 0).
     """
-    x, y, lo, hi, length = _stay_columns(ball, k)
-    count = ball.n - int(length.sum())
+    count = lune_count(ball, k).count
     if count == 0:
         raise EmptyLune(f"no particle-hole pair with transfer momentum {tuple(k)}")
-    hole_sum = (
-        -int(length.sum(axis=1) @ x),
-        -int(length.sum(axis=0) @ y),
-        -(int(((lo + hi) * length).sum()) // 2),
-    )
-    # p + h = 2h + k summed componentwise
-    psum = tuple(2 * s + count * int(c) for s, c in zip(hole_sum, k))
-    return KineticCoefficient(
-        k=tuple(int(c) for c in k),
-        count=count,
-        numerator=sum(int(c) * p for c, p in zip(k, psum)),
-        f_numerator=psum,
-    )
+    k = tuple(int(c) for c in k)
+    return KineticCoefficient(k=k, count=count, numerator=ball.n * norm_sq(k))
 
 
 def kinetic_coefficient_asymptotic(params: ModelParams, k: Momentum) -> float:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, IO, List, Union
+from functools import cached_property
+from typing import Dict, IO, List, Tuple, Union
 
 from .errors import ParseError, SymmetryError
 from .jsondoc import json_integer, json_number, json_object
@@ -52,13 +53,17 @@ class Potential:
     def value(self, k: Momentum) -> float:
         return self.coeffs.get(tuple(k), 0.0)
 
+    @cached_property
+    def _ordered(self) -> Tuple[Momentum, ...]:
+        return tuple(sorted(self.coeffs, key=mode_sort_key))
+
     def support(self) -> List[Momentum]:
         """Stored momenta in the global mode order (zeros retained)."""
-        return sorted(self.coeffs, key=mode_sort_key)
+        return list(self._ordered)
 
     def correlation_support(self) -> List[Momentum]:
         """Support minus the zero mode, in the global mode order."""
-        return [k for k in self.support() if norm_sq(k) > 0]
+        return [k for k in self._ordered if norm_sq(k) > 0]
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0.0 for v in self.coeffs.values())

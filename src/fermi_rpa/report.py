@@ -11,7 +11,11 @@ from .hf import hf_energy
 from .lattice import ModelParams, Momentum, build_fermi_ball
 from .potential import Potential, serialize_potential
 from .quadrature import IntegralResult
-from .rpa_delocalized import correlation_delocalized, second_order_delocalized
+from .rpa_delocalized import (
+    coefficient_table,
+    correlation_delocalized,
+    second_order_delocalized,
+)
 from .rpa_optimal import gmb_correlation, second_order_optimal, second_order_ratio
 
 
@@ -57,14 +61,17 @@ def energy_report(
     """Full comparison record at one particle count.
 
     ``brackets`` is an optional ``frequency_brackets(v, tol)`` table shared
-    across particle counts; it is computed here when omitted.
+    across particle counts; it is computed here when omitted.  One exact
+    and one continuum coefficient table serve every column.
     """
     ball = build_fermi_ball(n)
     params = ModelParams(n)
+    exact = coefficient_table(ball, v)
+    continuum = coefficient_table(params, v)
     so_deloc = second_order_delocalized(params, v)
     so_opt = second_order_optimal(v, params)
-    budget = assemble_error_budget(params, v)
-    hf = hf_energy(ball, v, params)
+    budget = assemble_error_budget(continuum, continuum, v, n)
+    hf = hf_energy(ball, v, exact)
     return EnergyReport(
         n=n,
         hbar=params.hbar,
@@ -73,8 +80,8 @@ def energy_report(
         hf_direct=hf.direct,
         hf_exchange=hf.exchange,
         hf_total=hf.total,
-        corr_delocalized_exact=correlation_delocalized(ball, v),
-        corr_delocalized_asymptotic=correlation_delocalized(params, v),
+        corr_delocalized_exact=correlation_delocalized(exact),
+        corr_delocalized_asymptotic=correlation_delocalized(continuum),
         corr_optimal=gmb_correlation(v, params, tol=tol, brackets=brackets).total,
         so_delocalized=so_deloc,
         so_optimal=so_opt,

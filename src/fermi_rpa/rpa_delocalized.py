@@ -5,7 +5,7 @@ turns the Hamiltonian into a sum of independent quadratic forms, one per
 transfer momentum k, with coefficients built from n_k^2 and k.f(k).  The
 type of the source is the backend, and this module is the only place that
 looks at it.  A ``FermiBall`` gives the exact lattice counts, one column
-pass per k:
+pass per k (k.f(k) = N|k|^2 / n_k^2 needs no count of its own):
 
     beta_k  = V(k) n_k^2 / N,
     alpha_k = hbar^2 k.f(k) + beta_k.
@@ -17,7 +17,9 @@ A ``ModelParams`` gives their continuum limits:
 
 with n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3) and k.f(k) the continuum
 kinetic coefficient.  Each coefficient row carries k, alpha_k, beta_k,
-n_k^2 and k.f(k), so the minimizer and the error budget read one table.
+n_k^2 and k.f(k).  A function takes either a source or the rows of
+``coefficient_table``, never both, so one table per source serves the
+minimum, the Hartree-Fock exchange and the error budget.
 
 For a real even kernel X the quadratic energy is
 
@@ -170,14 +172,12 @@ def _minimum_term(c: QuadraticCoefficients) -> float:
     return -c.beta * c.beta / (2.0 * (root + c.alpha))
 
 
-def minimum_energy(coeffs: Sequence[QuadraticCoefficients]) -> float:
-    """Minimum of the quadratic energy, sum_k (1/2)(sqrt(a^2-b^2) - a)."""
+def correlation_delocalized(coeffs: Sequence[QuadraticCoefficients]) -> float:
+    """Optimal delocalized-pair correlation energy of a coefficient table.
+
+    The minimum of the quadratic energy, sum_k (1/2)(sqrt(a^2-b^2) - a).
+    """
     return math.fsum(_minimum_term(c) for c in coeffs)
-
-
-def correlation_delocalized(source: Source, v: Potential) -> float:
-    """Optimal delocalized-pair correlation energy for a whole potential."""
-    return minimum_energy(coefficient_table(source, v))
 
 
 def second_order_delocalized(source: Source, v: Potential) -> float:

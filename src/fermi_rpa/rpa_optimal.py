@@ -145,7 +145,6 @@ class GMBResult:
 
     per_k: Dict[Momentum, float]
     total: float
-    kappa: float
     error: float
 
 
@@ -194,7 +193,7 @@ def gmb_correlation(
     error = params.hbar * KAPPA * math.fsum(
         math.sqrt(norm_sq(k)) * brackets[k].error for k in support
     )
-    return GMBResult(per_k=per_k, total=total, kappa=KAPPA, error=error)
+    return GMBResult(per_k=per_k, total=total, error=error)
 
 
 def second_order_optimal(v: Potential, params: ModelParams) -> float:

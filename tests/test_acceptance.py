@@ -20,6 +20,7 @@ from fermi_rpa import (
     build_fermi_ball,
     build_mode_set,
     closed_shell_sizes,
+    coefficient_table,
     correlation_delocalized,
     gmb_correlation,
     hf_energy,
@@ -27,7 +28,6 @@ from fermi_rpa import (
     kinetic_coefficient_asymptotic,
     lune_count,
     make_potential,
-    minimum_energy,
     nk_asymptotic,
     scale_coupling,
     second_order_delocalized,
@@ -120,7 +120,7 @@ def test_criterion_4_small_coupling_consistency(demo_potential, ball2109):
             )
             deloc_dev.append(
                 abs(
-                    correlation_delocalized(ball2109, scaled)
+                    correlation_delocalized(coefficient_table(ball2109, scaled))
                     / second_order_delocalized(ball2109, scaled)
                     - 1.0
                 )
@@ -144,7 +144,7 @@ def test_criterion_5_closed_form_minimizer():
             beta = rng.uniform(1e-3, 0.999) * alpha
             x_numeric, value_numeric = minimize_pair_energy(alpha, beta)
             assert abs(x_numeric - 0.5 * math.atanh(beta / alpha)) < 1e-8
-            closed = minimum_energy([QuadraticCoefficients((1, 0, 0), alpha, beta)])
+            closed = correlation_delocalized([QuadraticCoefficients((1, 0, 0), alpha, beta)])
             assert abs(value_numeric - closed) < 1e-12
 
 
@@ -236,7 +236,9 @@ def test_criterion_8_error_budget_scaling(weak_potential):
             params = ModelParams(n)
             xi = optimal_kernel_magnitudes(weak_potential)
             logs.append(
-                epsilon_bounds(params, weak_potential, xi).log_total_times_n
+                epsilon_bounds(
+                    coefficient_table(params, weak_potential), weak_potential, xi, n
+                ).log_total_times_n
             )
         assert max(logs) - min(logs) < 0.2, f"log spread {max(logs) - min(logs)}"
 
@@ -247,5 +249,5 @@ def test_criterion_9_hf_density_limit():
         v = make_potential({(0, 0, 0): 0.0})
         n = dict(closed_shell_sizes(256))[256]
         ball = build_fermi_ball(n)
-        energy = hf_energy(ball, v, ModelParams(n))
+        energy = hf_energy(ball, v, coefficient_table(ball, v))
         assert abs(energy.kinetic / n / limit - 1.0) < 0.02

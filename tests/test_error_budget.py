@@ -106,7 +106,7 @@ def test_particle_number_constant_750_a1(demo_potential):
 def test_bounds_zero_potential():
     v = make_potential({(1, 0, 0): 0.0})
     xi = optimal_kernel_magnitudes(v)
-    bounds = epsilon_bounds(ModelParams(33), v, xi)
+    bounds = epsilon_bounds(coefficient_table(ModelParams(33), v), v, xi, 33)
     assert bounds.log_eps1 == -math.inf
     assert bounds.log_eps2 == -math.inf
     assert bounds.log_quartic == -math.inf
@@ -116,7 +116,7 @@ def test_bounds_zero_potential():
 def test_total_is_sum_of_parts(weak_potential):
     params = ModelParams(257)
     xi = optimal_kernel_magnitudes(weak_potential)
-    bounds = epsilon_bounds(params, weak_potential, xi)
+    bounds = epsilon_bounds(coefficient_table(params, weak_potential), weak_potential, xi, 257)
     recombined = np.logaddexp.reduce(
         [bounds.log_eps1, math.log(2.0) + bounds.log_eps2, bounds.log_quartic]
     )
@@ -131,7 +131,8 @@ def test_total_times_n_stable_across_shells(weak_potential):
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
         params = ModelParams(n)
         xi = optimal_kernel_magnitudes(weak_potential)
-        logs.append(epsilon_bounds(params, weak_potential, xi).log_total_times_n)
+        rows = coefficient_table(params, weak_potential)
+        logs.append(epsilon_bounds(rows, weak_potential, xi, n).log_total_times_n)
     assert max(logs) - min(logs) < math.log(1.1)
 
 
@@ -141,7 +142,7 @@ def test_bounds_monotone_in_coupling(weak_potential):
     for s in np.linspace(0.5, 3.0, 6):
         v = scale_coupling(weak_potential, float(s))
         xi = optimal_kernel_magnitudes(v)
-        b = epsilon_bounds(params, v, xi)
+        b = epsilon_bounds(coefficient_table(params, v), v, xi, 257)
         current = (b.log_eps1, b.log_eps2, b.log_quartic)
         if prev is not None:
             assert all(y >= x - 1e-12 for x, y in zip(prev, current))
@@ -152,17 +153,18 @@ def test_kernel_outside_support_rejected(weak_potential):
     params = ModelParams(33)
     foreign = BogoliubovKernel({(2, 0, 0): 0.1, (-2, 0, 0): 0.1})
     with pytest.raises(DomainError):
-        epsilon_bounds(params, weak_potential, foreign)
+        epsilon_bounds(coefficient_table(params, weak_potential), weak_potential, foreign, 33)
 
 
 def test_exact_backend_runs(ball33, weak_potential):
     xi = optimal_kernel_magnitudes(weak_potential)
-    bounds = epsilon_bounds(ball33, weak_potential, xi)
+    bounds = epsilon_bounds(coefficient_table(ball33, weak_potential), weak_potential, xi, 33)
     assert math.isfinite(bounds.log_total)
 
 
 def test_budget_reports_crossover(demo_potential):
-    budget = assemble_error_budget(ModelParams(257), demo_potential)
+    continuum = coefficient_table(ModelParams(257), demo_potential)
+    budget = assemble_error_budget(continuum, continuum, demo_potential, 257)
     # worst-case constants: certification crossover far beyond desk scale
     assert budget.log_crossover_n > math.log(1e12)
     # at desk scale the bound exceeds the signal

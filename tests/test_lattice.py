@@ -12,6 +12,7 @@ from fermi_rpa import (
     NotClosedShell,
     build_fermi_ball,
     closed_shell_sizes,
+    coefficient_table,
     correlation_delocalized,
     hf_energy,
     kinetic_coefficient,
@@ -26,6 +27,10 @@ from conftest import brute_force_ball
 from oracles import brute_force_pairs
 
 SHELL_GRID = (4, 16, 64, 256, 1024)
+
+
+def modes(ball):
+    return [tuple(m) for m in ball.mode_array.tolist()]
 
 
 def test_closed_shell_sizes_origin():
@@ -57,12 +62,12 @@ def test_closed_shell_counts_strictly_increasing():
 def test_build_fermi_ball_single_mode():
     ball = build_fermi_ball(1)
     assert ball.shell_radius_sq == 0
-    assert ball.modes == ((0, 0, 0),)
+    assert modes(ball) == [(0, 0, 0)]
 
 
 def test_build_fermi_ball_seven(ball7):
     assert ball7.shell_radius_sq == 1
-    assert set(ball7.modes) == {
+    assert set(modes(ball7)) == {
         (0, 0, 0),
         (1, 0, 0),
         (-1, 0, 0),
@@ -81,7 +86,7 @@ def test_build_fermi_ball_rejects_open_shell():
 
 
 def test_mode_order_is_deterministic(ball33):
-    keys = [mode_sort_key(m) for m in ball33.modes]
+    keys = [mode_sort_key(m) for m in modes(ball33)]
     assert keys == sorted(keys)
 
 
@@ -91,12 +96,12 @@ def test_membership_is_norm_test(probe_x, probe_y, probe_z):
     ball = build_fermi_ball(33)
     probe = (probe_x, probe_y, probe_z)
     assert ball.contains(probe) == (norm_sq(probe) <= ball.shell_radius_sq)
-    assert (probe in set(ball.modes)) == ball.contains(probe)
+    assert (probe in set(modes(ball))) == ball.contains(probe)
 
 
 def test_membership_thousand_probes(ball33):
     rng = np.random.default_rng(123)
-    members = set(ball33.modes)
+    members = set(modes(ball33))
     for _ in range(1000):
         probe = tuple(int(c) for c in rng.integers(-5, 6, size=3))
         assert (probe in members) == (norm_sq(probe) <= ball33.shell_radius_sq)
@@ -246,10 +251,8 @@ def test_nk_squared_gauss_law_slope():
 def test_lazy_modes_match_brute_force(radius_sq):
     pts = brute_force_ball(radius_sq)
     ball = build_fermi_ball(len(pts))
-    assert "modes" not in vars(ball) and "mode_array" not in vars(ball)
-    expected = sorted(pts, key=mode_sort_key)
-    assert ball.modes == tuple(expected)
-    assert ball.mode_array.tolist() == [list(p) for p in expected]
+    assert "mode_array" not in vars(ball)
+    assert modes(ball) == sorted(pts, key=mode_sort_key)
     assert ball.norm_sq_sum() == sum(norm_sq(h) for h in pts)
 
 
@@ -272,20 +275,19 @@ def test_column_kernel_matches_brute_force(radius_sq, k):
     stay = len(pts) - len(lune)
     assert lune_count(ball, k).count == len(lune)
     # HF reads the stay count N - n_k^2 for every support momentum
-    exchange = hf_energy(ball, make_potential({k: 1.0}), ModelParams(ball.n)).exchange
+    v = make_potential({k: 1.0})
+    exchange = hf_energy(ball, v, coefficient_table(ball, v)).exchange
     assert exchange == (2 * stay if any(k) else stay) / ball.n
     if not lune:
         assert k == (0, 0, 0)
         with pytest.raises(EmptyLune):
             kinetic_coefficient(ball, k)
         return
-    f_numerator = tuple(sum(2 * h[i] + k[i] for h in lune) for i in range(3))
     kc = kinetic_coefficient(ball, k)
     assert kc.count == len(lune)
-    assert kc.f_numerator == f_numerator
-    assert kc.numerator == sum(k[i] * f_numerator[i] for i in range(3))
-    # closed-shell identity n_k^2 * k.f(k) = N |k|^2, for every k
-    assert kc.numerator == ball.n * norm_sq(k)
+    # the pair sum k.(2h+k) over the lune, counted point by point, equals
+    # the closed-shell numerator N |k|^2 for every k
+    assert kc.numerator == sum(k[i] * (2 * h[i] + k[i]) for h in lune for i in range(3))
 
 
 def test_column_kernel_large_n_against_numpy_scan():
@@ -305,10 +307,10 @@ def test_column_kernel_large_n_against_numpy_scan():
         assert lune_count(ball, k).count == count
         kc = kinetic_coefficient(ball, k)
         psum = 2 * pts[out].sum(axis=0) + count * np.asarray(k)
-        assert kc.f_numerator == tuple(int(c) for c in psum)
         assert kc.numerator == int(np.dot(k, psum))
     # the counts, HF and the exact bound never build the N x 3 mode array
     v = make_potential({k: 0.01 for k in ks[:4]})
-    hf_energy(ball, v, ModelParams(ball.n))
-    correlation_delocalized(ball, v)
-    assert "mode_array" not in vars(ball) and "modes" not in vars(ball)
+    rows = coefficient_table(ball, v)
+    hf_energy(ball, v, rows)
+    correlation_delocalized(rows)
+    assert "mode_array" not in vars(ball)

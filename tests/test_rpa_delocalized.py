@@ -15,7 +15,6 @@ from fermi_rpa import (
     coefficient_table,
     correlation_delocalized,
     make_potential,
-    minimum_energy,
     optimal_kernel,
     optimal_kernel_table,
     quadratic_coefficients,
@@ -81,7 +80,7 @@ def test_optimal_kernel_degenerate_boundary():
 
 def test_minimum_energy_three_four_five():
     c = QuadraticCoefficients((1, 0, 0), alpha=5.0, beta=3.0)
-    assert minimum_energy([c]) == pytest.approx(-0.5, rel=1e-15)
+    assert correlation_delocalized([c]) == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_minimum_energy_zero_beta():
@@ -89,7 +88,7 @@ def test_minimum_energy_zero_beta():
         QuadraticCoefficients((1, 0, 0), alpha=1.0, beta=0.0),
         QuadraticCoefficients((-1, 0, 0), alpha=1.0, beta=0.0),
     ]
-    assert minimum_energy(coeffs) == 0.0
+    assert correlation_delocalized(coeffs) == 0.0
 
 
 def test_functional_vanishes_at_zero_kernel(ball7):
@@ -122,7 +121,7 @@ def test_functional_at_optimum_matches_minimum(ball33, demo_potential):
     coeffs = coefficient_table(ball33, demo_potential)
     xi = optimal_kernel_table(coeffs)
     assert bosonized_functional(coeffs, xi) == pytest.approx(
-        minimum_energy(coeffs), abs=1e-12
+        correlation_delocalized(coeffs), abs=1e-12
     )
 
 
@@ -130,7 +129,7 @@ def test_minimum_below_random_perturbations(ball33, demo_potential):
     rng = np.random.default_rng(7)
     coeffs = coefficient_table(ball33, demo_potential)
     xi0 = optimal_kernel_table(coeffs)
-    best = minimum_energy(coeffs)
+    best = correlation_delocalized(coeffs)
     for _ in range(64):
         noise = rng.normal(scale=0.2)
         perturbed = BogoliubovKernel(
@@ -146,7 +145,7 @@ def test_closed_form_against_golden_section():
         beta = rng.uniform(1e-3, 0.999) * alpha
         x_star, g_min = minimize_pair_energy(alpha, beta)
         assert x_star == pytest.approx(0.5 * math.atanh(beta / alpha), abs=1e-8)
-        closed = minimum_energy([QuadraticCoefficients((1, 0, 0), alpha, beta)])
+        closed = correlation_delocalized([QuadraticCoefficients((1, 0, 0), alpha, beta)])
         assert g_min == pytest.approx(closed, abs=1e-12)
 
 
@@ -161,13 +160,13 @@ def test_minimizer_stationarity(ball33, demo_potential):
 
 
 def test_negativity(ball33, demo_potential):
-    assert correlation_delocalized(ball33, demo_potential) < 0.0
-    assert correlation_delocalized(ModelParams(33), demo_potential) < 0.0
+    assert correlation_delocalized(coefficient_table(ball33, demo_potential)) < 0.0
+    assert correlation_delocalized(coefficient_table(ModelParams(33), demo_potential)) < 0.0
 
 
 def test_monotone_in_coupling(ball33, demo_potential):
     values = [
-        correlation_delocalized(ball33, scale_coupling(demo_potential, s))
+        correlation_delocalized(coefficient_table(ball33, scale_coupling(demo_potential, s)))
         for s in np.linspace(0.0, 3.0, 16)
     ]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
@@ -192,13 +191,13 @@ def test_second_order_asymptotic_prefactor(demo_potential):
 
 
 def test_richardson_coupling_scaling(ball2109, demo_potential):
-    # minimum_energy(sV)/s^2 approaches the second-order value at order >= 1 in s
+    # correlation_delocalized(sV)/s^2 approaches the second-order value at order >= 1 in s
     so = second_order_delocalized(ball2109, demo_potential)
     scales = [2.0 ** (-j) for j in range(3, 9)]
     deviations = []
     for s in scales:
         scaled = scale_coupling(demo_potential, s)
-        ratio = correlation_delocalized(ball2109, scaled) / s ** 2
+        ratio = correlation_delocalized(coefficient_table(ball2109, scaled)) / s ** 2
         deviations.append(abs(ratio / so - 1.0))
     slope = np.polyfit([math.log(s) for s in scales], [math.log(d) for d in deviations], 1)[0]
     assert slope >= 1.0 - 0.1
@@ -211,24 +210,49 @@ def test_richardson_coupling_scaling(ball2109, demo_potential):
 @settings(max_examples=100, deadline=None)
 def test_minimum_term_matches_naive_formula(alpha, ratio):
     beta = alpha * ratio
-    stable = minimum_energy([QuadraticCoefficients((1, 0, 0), alpha, beta)])
+    stable = correlation_delocalized([QuadraticCoefficients((1, 0, 0), alpha, beta)])
     naive = 0.5 * (math.sqrt(alpha * alpha - beta * beta) - alpha)
     assert stable == pytest.approx(naive, abs=1e-13 * alpha)
 
 
-def test_one_column_pass_per_momentum(monkeypatch, ball33, demo_potential):
-    from fermi_rpa import assemble_error_budget, lattice
+def test_one_column_pass_per_momentum(monkeypatch, tmp_path, ball33, demo_potential):
+    from fermi_rpa import lattice, rpa_delocalized, serialize_potential
+    from fermi_rpa.cli import main
+    from fermi_rpa.report import energy_report
 
-    passes = []
+    passes, rows_built = [], []
     stay_columns = lattice._stay_columns
+    quadratic = rpa_delocalized.quadratic_coefficients
 
-    def counted(ball, k):
+    def counted_pass(ball, k):
         passes.append(k)
         return stay_columns(ball, k)
 
-    monkeypatch.setattr(lattice, "_stay_columns", counted)
-    support = demo_potential.correlation_support()
-    for run in (correlation_delocalized, second_order_delocalized, assemble_error_budget):
+    def counted_row(source, v, k):
+        rows_built.append(k)
+        return quadratic(source, v, k)
+
+    monkeypatch.setattr(lattice, "_stay_columns", counted_pass)
+    monkeypatch.setattr(rpa_delocalized, "quadratic_coefficients", counted_row)
+    # V(0) feeds the Hartree-Fock direct and exchange terms but needs no pass
+    v = make_potential({**demo_potential.coeffs, (0, 0, 0): 0.3})
+    path = tmp_path / "v.json"
+    path.write_text(serialize_potential(v))
+    support = v.correlation_support()
+    common = ["--n", "33", "--potential", str(path)]
+    runs = {
+        "table": lambda: coefficient_table(ball33, v),
+        "second order": lambda: second_order_delocalized(ball33, v),
+        "report": lambda: energy_report(33, v),
+        "hf": lambda: main(["hf", *common]),
+        "corr": lambda: main(["corr", *common, "--method", "delocalized-exact"]),
+        "errors": lambda: main(["errors", *common, "--backend", "exact"]),
+    }
+    for name, run in runs.items():
         passes.clear()
-        run(ball33, demo_potential)
-        assert passes == support
+        rows_built.clear()
+        run()
+        assert passes == support, name
+        if name == "report":
+            # one exact and one continuum row per momentum
+            assert rows_built == support + support

@@ -289,7 +289,7 @@ def per_k_loop(v, params, tol):
     error = params.hbar * KAPPA * math.fsum(
         math.sqrt(norm_sq(k)) * errors[k] for k in support
     )
-    return GMBResult(per_k=per_k, total=total, kappa=KAPPA, error=error)
+    return GMBResult(per_k=per_k, total=total, error=error)
 
 
 @pytest.fixture()
