@@ -25,6 +25,7 @@ from fermi_rpa import (
 )
 from fermi_rpa.cli import DEMO_POTENTIAL
 from fermi_rpa.potential import load_potential
+from fermi_rpa.rpa_optimal import DEFAULT_TOL
 from fermi_rpa.report import format_float
 
 
@@ -33,7 +34,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=2109)
     parser.add_argument("--potential", default=None)
     parser.add_argument("--scales", default="3:9", help="dyadic exponent range lo:hi")
-    parser.add_argument("--tol", type=float, default=1e-15)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("-o", "--output", default=None)
     args = parser.parse_args(argv)
 

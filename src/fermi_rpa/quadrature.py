@@ -1,17 +1,34 @@
-"""Globally adaptive Gauss-Kronrod quadrature on a finite interval.
+"""Globally adaptive Gauss-Kronrod quadrature of a batch of integrals.
 
-A fixed 7/15-point Gauss-Kronrod pair supplies the local rule and its
-embedded error estimate; the panel with the worst estimate is bisected
-until the summed estimates reach the requested absolute tolerance.  The
-refinement queue is ordered deterministically (error, insertion index),
-so results are bit-reproducible.
+Each row of a batch is one integral on its own finite interval, to its
+own absolute tolerance.  A fixed 7/15-point Gauss-Kronrod pair supplies
+the local rule and its embedded error estimate; in every row the panel
+with the worst estimate is bisected until the row's summed estimates
+reach its tolerance.  One refinement round evaluates the two halves of
+the worst panel of every unfinished row in a single integrand call, so
+the number of calls follows the largest panel count of the batch, not
+the number of rows, while the work follows the total panel count.
+
+Rows never interact.  Each keeps its own panels, its own refinement
+queue, ordered deterministically by (error, insertion index), and its
+own stopping rule; the integrand acts elementwise and the Gauss-Kronrod
+sums run in a fixed order per row, never through a BLAS product.  So a
+row's result is bit-for-bit what integrating it alone gives.
+
+A row whose tolerance lies below what its panels can resolve (``FLOOR_ULPS``
+units of roundoff of the summed panel magnitudes) raises
+``ConvergenceFailure`` naming that floor instead of refining toward
+``max_panels``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple
+import sys
+from typing import Callable, List, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConvergenceFailure
 
@@ -42,6 +59,11 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# node columns of a panel: the center, then c - x_j, c + x_j for j = 0..6
+_COLUMNS = np.array([0.0] + [s * x for x in _XGK[:7] for s in (-1.0, 1.0)])
+
+# a panel resolves its value to a few roundoff units of its magnitude
+FLOOR_ULPS = 4
 
 
 class IntegralResult(NamedTuple):
@@ -49,66 +71,111 @@ class IntegralResult(NamedTuple):
     error: float
 
 
-def _gk15_panel(f, a, b):
-    """Kronrod-15 panel value plus the scaled |K15 - G7| error estimate."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(center)
+class Nodes(NamedTuple):
+    """One integrand call: ``lam[i]`` are the 15 abscissae of a panel of row ``rows[i]``."""
+
+    rows: np.ndarray
+    lam: np.ndarray
+
+
+def _gk15_panel(f, rows, lo, hi):
+    """Kronrod-15 values plus the scaled |K15 - G7| estimates, as lists, of panels [lo, hi]."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fx = f(Nodes(np.array(rows, dtype=np.intp), center[:, None] + half[:, None] * _COLUMNS))
+    fc = fx[:, 0]
     gauss = _WG[3] * fc
     kronrod = _WGK[7] * fc
     for j in range(7):
-        x = half * _XGK[j]
-        pair = f(center - x) + f(center + x)
-        kronrod += _WGK[j] * pair
+        pair = fx[:, 1 + 2 * j] + fx[:, 2 + 2 * j]
+        kronrod = kronrod + _WGK[j] * pair
         if j % 2 == 1:
-            gauss += _WG[(j - 1) // 2] * pair
-    value = kronrod * half
+            gauss = gauss + _WG[(j - 1) // 2] * pair
     # conservative estimate: |K15 - G7| over-estimates the K15 error by
     # orders of magnitude on smooth panels, keeping "estimate <= tol" honest
-    return value, abs(kronrod - gauss) * abs(half)
+    return (kronrod * half).tolist(), (np.abs(kronrod - gauss) * np.abs(half)).tolist()
+
+
+class _Row:
+    """Panels of one integral: a heap of (-error, index, lo, hi, value, error)."""
+
+    def __init__(self, lo: float, hi: float, value: float, error: float):
+        self.heap = [(-error, 0, lo, hi, value, error)]
+        self.count = 1
+        self.error = error  # running sums; they drift by rounding
+        self.magnitude = abs(value)
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
+    f: Callable[[Nodes], np.ndarray],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    tol: Sequence[float],
     max_panels: int = 20000,
-) -> IntegralResult:
-    """Integrate f on [a, b] to absolute accuracy tol.
+) -> List[IntegralResult]:
+    """Integrate row i of f on [lo[i], hi[i]] to absolute accuracy tol[i].
 
-    Raises ConvergenceFailure when the panel budget is exhausted before
-    the summed error estimates fall below tol.
+    ``f`` maps ``Nodes`` to the integrand values, an array shaped like
+    ``Nodes.lam``.  Raises ConvergenceFailure when a row's tolerance is
+    below its rounding floor, or when its panel budget is exhausted
+    before the summed error estimates fall below the tolerance.
     """
-    if tol <= 0.0:
+    if any(not t > 0.0 for t in tol):
         raise ValueError("tolerance must be positive")
-    if a == b:
-        return IntegralResult(0.0, 0.0)
-    value, err = _gk15_panel(f, a, b)
-    heap = [(-err, 0, a, b, value, err)]
-    counter = 1
-    total_err = err
-    while True:
-        if total_err <= tol:
-            # the running total drifts by rounding; confirm exactly
-            total_err = math.fsum(p[5] for p in heap)
-            if total_err <= tol:
-                break
-        if len(heap) >= max_panels:
-            raise ConvergenceFailure(
-                f"error estimate {total_err:.3e} > tol {tol:.3e} "
-                f"after {len(heap)} panels on [{a:.3g}, {b:.3g}]"
-            )
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        lval, lerr = _gk15_panel(f, pa, mid)
-        rval, rerr = _gk15_panel(f, mid, pb)
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, counter, pa, mid, lval, lerr))
-        heapq.heappush(heap, (-rerr, counter + 1, mid, pb, rval, rerr))
-        counter += 2
-    # deterministic final reduction: sum panels in interval order
-    panels = sorted(heap, key=lambda p: p[2])
-    value = math.fsum(p[4] for p in panels)
-    error = math.fsum(p[5] for p in panels)
-    return IntegralResult(value, error)
+    results = [IntegralResult(0.0, 0.0)] * len(lo)
+    active = [i for i in range(len(lo)) if lo[i] != hi[i]]
+    if not active:
+        return results
+    values, errors = _gk15_panel(f, active, [lo[i] for i in active], [hi[i] for i in active])
+    rows = {
+        i: _Row(lo[i], hi[i], value, error)
+        for i, value, error in zip(active, values, errors)
+    }
+    while active:
+        split = []
+        for i in active:
+            row = rows[i]
+            if row.error <= tol[i]:
+                row.error = math.fsum(p[5] for p in row.heap)  # confirm exactly
+                if row.error <= tol[i]:
+                    panels = sorted(row.heap, key=lambda p: p[2])  # interval order
+                    results[i] = IntegralResult(
+                        math.fsum(p[4] for p in panels), math.fsum(p[5] for p in panels)
+                    )
+                    continue
+            floor = FLOOR_ULPS * sys.float_info.epsilon * row.magnitude
+            if not tol[i] >= floor:  # also when the panel values overflowed
+                raise ConvergenceFailure(
+                    f"error estimate {row.error:.3e} > tol {tol[i]:.3e}, which is below "
+                    f"the rounding floor {floor:.3e} ({FLOOR_ULPS} ulp of the summed "
+                    f"|panel values|) on [{lo[i]:.3g}, {hi[i]:.3g}]"
+                )
+            if len(row.heap) >= max_panels:
+                raise ConvergenceFailure(
+                    f"error estimate {row.error:.3e} > tol {tol[i]:.3e} "
+                    f"after {len(row.heap)} panels on [{lo[i]:.3g}, {hi[i]:.3g}]"
+                )
+            split.append((i, heapq.heappop(row.heap)))
+        if not split:
+            break
+        panel_rows, panel_lo, panel_hi = [], [], []
+        for i, (_, _, pa, pb, _, _) in split:
+            mid = 0.5 * (pa + pb)
+            panel_rows += (i, i)
+            panel_lo += (pa, mid)
+            panel_hi += (mid, pb)
+        values, errors = _gk15_panel(f, panel_rows, panel_lo, panel_hi)
+        for n, (i, (_, _, pa, pb, pval, perr)) in enumerate(split):
+            row = rows[i]
+            mid = panel_hi[2 * n]
+            lval, rval = values[2 * n], values[2 * n + 1]
+            lerr, rerr = errors[2 * n], errors[2 * n + 1]
+            row.error += lerr + rerr - perr
+            row.magnitude += abs(lval) + abs(rval) - abs(pval)
+            heapq.heappush(row.heap, (-lerr, row.count, pa, mid, lval, lerr))
+            heapq.heappush(row.heap, (-rerr, row.count + 1, mid, pb, rval, rerr))
+            row.count += 2
+        active = [i for i, _ in split]
+    return results

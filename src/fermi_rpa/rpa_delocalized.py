@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import (
     DegenerateCoefficients,
@@ -94,11 +95,15 @@ class BogoliubovKernel:
     def value(self, k: Momentum) -> float:
         return self.values.get(tuple(k), 0.0)
 
+    @cached_property
+    def _ordered(self) -> Tuple[Momentum, ...]:
+        return tuple(sorted(self.values, key=mode_sort_key))
+
     def support(self) -> List[Momentum]:
-        return sorted(self.values, key=mode_sort_key)
+        return list(self._ordered)
 
     def abs_sum(self) -> float:
-        return math.fsum(abs(self.values[k]) for k in self.support())
+        return math.fsum(abs(self.values[k]) for k in self._ordered)
 
 
 def quadratic_coefficients(

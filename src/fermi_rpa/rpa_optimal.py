@@ -4,27 +4,45 @@ The proven leading-order correlation energy is, with kappa = (3/4pi)^(1/3),
 
     E_corr = hbar kappa sum_{k != 0} |k| [ (1/pi) * I(2 pi kappa V(k))
                                            - (pi/2) kappa V(k) ],
-    I(a)   = int_0^infty log(1 + a (1 - lambda arctan(1/lambda))) dlambda.
+    I(a)   = int_0^infty log(1 + a g(lambda)) dlambda,
+    g(lambda) = 1 - lambda arctan(1/lambda).
 
-The linear part of the integral cancels the subtracted counterterm
-exactly (int_0^infty (1 - lambda arctan(1/lambda)) dlambda = pi/4), so
-each bracket is O(V(k)^2); its second order is -(pi/2)(1 - log 2) |k| V^2
-summed over k.  The semi-infinite integral is evaluated by adaptive
-Gauss-Kronrod quadrature on [0, L] with the analytic tail bound
-a/(3 pi L) controlling the truncation: the integrand's tail is bounded
-by a/(3 lambda^2) because 0 <= 1 - lambda arctan(1/lambda) <= 1/(3 lambda^2).
+Since int_0^infty g = pi/4 exactly, the bracket of a = 2 pi kappa V(k) is
+
+    (1/pi) I(a) - a/4 = (1/pi) int_0^infty h(a g(lambda)) dlambda,
+    h(x) = log1p(x) - x,
+
+and that integral is what is computed: the linear part never enters, so
+nothing cancels against the counterterm.  Each bracket is O(V(k)^2); its
+second order is -(pi/2)(1 - log 2) |k| V^2 summed over k.
+
+h <= 0, |h(x)| <= x^2/2 for x >= 0 and <= x^2/(2(1 - |x|)) for x in
+(-1, 0), and 0 <= g <= 1/(3 lambda^2), so the tail beyond a cutoff L is
+at most a^2/(54 pi L^3) (divided by 1 - |a|/(3 L^2) for a < 0).  L is
+chosen so that this bound is tol/2.  The leading tail -a^2/(54 pi L^3)
+is added to the value; as both it and the true tail lie in [-bound, 0],
+the bound still covers their difference and goes into the error.  The
+body on [0, L] is adaptive Gauss-Kronrod quadrature.
 
 Each bracket depends only on the value V(k), neither on the direction of
-k nor on N.  ``frequency_brackets`` therefore runs one integral per
-distinct value of V on the support and shares it with every momentum
-carrying that value; ``compare`` builds that table once per invocation
-and hands it to ``gmb_correlation`` for every N.  The table is never
-kept beyond the call that asked for it.
+k nor on N.  ``frequency_brackets`` therefore collects the distinct
+values of V on the support and hands them to one ``gmb_integral`` call,
+which integrates all of them in one batched quadrature
+(``quadrature.integrate_adaptive``); each value keeps its own panels and
+stopping rule, so its bracket is bit-for-bit what integrating it alone
+gives.  ``compare`` builds that table once per invocation and hands it to
+``gmb_correlation`` for every N.  The table is never kept beyond the call
+that asked for it.
 
-Every integral is checked against the rigorous enclosure
-log1p(a (1 - pi/4)) <= I(a) <= a pi/4 (lower bound for a > 0) before
-it is returned; a quadrature that fell outside it exits 2 instead of
-printing a wrong number.
+Every bracket is checked against the rigorous enclosure
+
+    h(a)/4 <= bracket <= h(a (1 - pi/4))/pi
+
+before it is returned.  The lower bound holds because log1p is concave
+(log1p(a g) >= g log1p(a) for g in [0, 1]) and g integrates to pi/4; the
+upper one because h <= 0, g >= 1 - pi/4 on [0, 1] and |h(x)| grows with
+|x| on either side of 0.  A quadrature that fell outside it, beyond its
+error, exits 2 instead of printing a wrong number.
 """
 
 from __future__ import annotations
@@ -32,7 +50,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .lattice import ModelParams, Momentum, norm_sq
@@ -43,98 +63,124 @@ KAPPA = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
 SECOND_ORDER_PREFACTOR_OPTIMAL = (math.pi / 2.0) * (1.0 - math.log(2.0))
 DEFAULT_TOL = 1e-10
 
+# g(lambda) = u^2 sum_j (-u^2)^j / (2j + 3) with u = 1/lambda <= 1/2: 30
+# terms leave a truncation below 1e-19 relative
+_INNER_SERIES = tuple(1.0 / (2 * j + 3) for j in range(30))
+# h(x) = -x^2 sum_n (-x)^n / (n + 2) for |x| < 1/8: 20 terms, same accuracy
+_LOG1P_SERIES = tuple(1.0 / (n + 2) for n in range(20))
 
-def _inner_factor(lam: float) -> float:
-    """1 - lambda*arctan(1/lambda), accurate over the whole half line.
+
+def _horner(coeffs, y):
+    """sum_j coeffs[j] y^j, elementwise, in a fixed order."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * y + c
+    return acc
+
+
+def _inner_factor(lam):
+    """g(lambda) = 1 - lambda*arctan(1/lambda), elementwise over the whole half line.
 
     For lambda < 2 the direct expression with arctan(1/x) = pi/2 - arctan(x)
     is stable; beyond that the subtraction from 1 cancels catastrophically
     (the true value decays like 1/(3 lambda^2)), so the alternating series
-    sum_{j>=1} (-1)^(j+1) u^(2j)/(2j+1) in u = 1/lambda is used instead.
+    in u = 1/lambda is used instead.
     """
-    if lam == 0.0:
-        return 1.0
-    if lam < 2.0:
-        # arctan(1/x) = pi/2 - arctan(x) for x > 0
-        return 1.0 - lam * (math.pi / 2.0 - math.atan(lam))
-    u_sq = 1.0 / (lam * lam)
-    total = 0.0
-    power = u_sq
-    sign = 1.0
-    j = 1
-    while True:
-        term = power / (2 * j + 1)
-        total += sign * term
-        if term <= 1e-18 * total:
-            return total
-        power *= u_sq
-        sign = -sign
-        j += 1
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty_like(lam)
+    near = lam < 2.0
+    x = lam[near]
+    out[near] = 1.0 - x * (math.pi / 2.0 - np.arctan(x))
+    u_sq = 1.0 / np.square(lam[~near])
+    out[~near] = u_sq * _horner(_INNER_SERIES, -u_sq)
+    return out[()]
 
 
-def gmb_integrand(a: float, lam: float) -> float:
-    """log(1 + a(1 - lambda arctan(1/lambda))) at a single frequency."""
-    if lam < 0.0:
+def _log1p_minus_identity(x):
+    """h(x) = log1p(x) - x, elementwise, by its series where it cancels."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.125
+    xs = x[small]
+    out[small] = -(xs * xs) * _horner(_LOG1P_SERIES, -xs)
+    xl = x[~small]
+    out[~small] = np.log1p(xl) - xl
+    return out[()]
+
+
+def gmb_integrand(a, lam):
+    """h(a g(lambda)) = log1p(a g) - a g, elementwise; it integrates to pi times the bracket."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0.0):
         raise DomainError("integration variable must be nonnegative")
-    arg = a * _inner_factor(lam)
-    if arg <= -1.0:
-        raise DomainError(f"log argument 1 + {arg:.6g} <= 0 (need a > -1)")
-    return math.log1p(arg)
+    if np.any(np.asarray(a) <= -1.0):
+        raise DomainError("log argument 1 + a g(lambda) reaches 1 + a <= 0 (need a > -1)")
+    return _log1p_minus_identity(np.multiply(a, _inner_factor(lam)))
 
 
 def tail_bound(a: float, cutoff: float) -> float:
-    """Rigorous bound on (1/pi) * integral of the integrand over [cutoff, inf)."""
-    base = abs(a) / (3.0 * math.pi * cutoff)
+    """Rigorous bound on |(1/pi) * integral of the integrand over [cutoff, inf)|."""
+    base = (a / cutoff) ** 2 / (54.0 * math.pi * cutoff)
     if a >= 0.0:
         return base
-    # |log(1+x)| <= |x|/(1-|x|) for x in (-1, 0]; here |x| <= |a|/(3 cutoff^2)
+    # |h(x)| <= x^2/(2(1-|x|)) for x in (-1, 0); here |x| <= |a|/(3 cutoff^2)
     shrink = 1.0 - abs(a) / (3.0 * cutoff * cutoff)
     if shrink <= 0.0:
         raise DomainError(f"tail bound invalid: cutoff {cutoff} too small for a = {a}")
     return base / shrink
 
 
-def gmb_integral(a: float, tol: float = DEFAULT_TOL) -> IntegralResult:
-    """(1/pi) * I(a) to absolute accuracy tol, with its error estimate."""
+def gmb_integral(values: Sequence[float], tol: float = DEFAULT_TOL) -> List[IntegralResult]:
+    """The bracket (1/pi) I(a) - a/4 of each a in ``values`` and its error, to absolute tol.
+
+    One batched quadrature serves every value; each result is bit-for-bit
+    what ``gmb_integral((a,), tol)`` gives.
+    """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if a <= -1.0:
-        raise DomainError(f"integral undefined for a = {a} <= -1")
-    if a == 0.0:
-        return IntegralResult(0.0, 0.0)
-    # cutoff chosen so the analytic tail bound stays below tol/2
-    cutoff = max(10.0, 2.0 * abs(a) / (3.0 * math.pi * tol))
-    tail = tail_bound(a, cutoff)
-    body = integrate_adaptive(
-        lambda lam: gmb_integrand(a, lam), 0.0, cutoff, tol=tol - tail
+    for a in values:
+        if a <= -1.0:
+            raise DomainError(f"integral undefined for a = {a} <= -1")
+    # cutoff chosen so the analytic tail bound is tol/2, from cube roots so
+    # that neither a^2 nor 1/tol can overflow
+    cutoffs = [
+        max(10.0, math.cbrt(abs(a)) ** 2 / math.cbrt(27.0 * math.pi * tol)) for a in values
+    ]
+    tails = [tail_bound(a, cutoff) for a, cutoff in zip(values, cutoffs)]
+    a_of_row = np.array(values, dtype=float)
+    bodies = integrate_adaptive(
+        lambda nodes: gmb_integrand(a_of_row[nodes.rows, None], nodes.lam),
+        [0.0] * len(values),
+        cutoffs,
+        [math.pi * (tol - tail) for tail in tails],
     )
-    result = IntegralResult(body.value / math.pi, body.error / math.pi + tail)
-    _check_enclosure(a, result)
-    return result
-
-
-def _check_enclosure(a: float, result: IntegralResult) -> None:
-    """Reject a value outside log1p(a(1 - pi/4)) <= I(a) <= a pi/4, up to its error.
-
-    The upper bound holds for every a > -1 because log1p(x) <= x and the
-    inner factor integrates to pi/4; the lower one for a > 0 because the
-    inner factor decreases and equals 1 - pi/4 at lambda = 1.  Both are in
-    units of (1/pi) I(a), like ``result``.  The slack is the returned error
-    plus the smallest normal double, below which rounding is absolute.
-    """
-    slack = result.error + sys.float_info.min
-    upper = a / 4.0
-    if result.value > upper + slack:
-        raise ConvergenceFailure(
-            f"quadrature value {result.value:.17g} for a = {a!r} violates "
-            f"(1/pi) I(a) <= a/4 = {upper:.17g} beyond its error {result.error:.3e}"
+    # each value carries its leading tail -a^2/(54 pi L^3); the bound goes into the error
+    results = [
+        IntegralResult(
+            body.value / math.pi - (a / cutoff) ** 2 / (54.0 * math.pi * cutoff),
+            body.error / math.pi + tail,
         )
-    if a > 0.0:
-        lower = math.log1p(a * (1.0 - math.pi / 4.0)) / math.pi
-        if result.value < lower - slack:
+        for a, cutoff, tail, body in zip(values, cutoffs, tails, bodies)
+    ]
+    _check_enclosure(a_of_row, results)
+    return results
+
+
+def _check_enclosure(a_of_row: np.ndarray, results: List[IntegralResult]) -> None:
+    """Reject a bracket outside h(a)/4 <= bracket <= h(a(1 - pi/4))/pi, up to its error.
+
+    The slack is the returned error plus the smallest normal double, below
+    which rounding is absolute.
+    """
+    lowers = (_log1p_minus_identity(a_of_row) / 4.0).tolist()
+    uppers = (_log1p_minus_identity(a_of_row * (1.0 - math.pi / 4.0)) / math.pi).tolist()
+    for a, result, lower, upper in zip(a_of_row.tolist(), results, lowers, uppers):
+        slack = result.error + sys.float_info.min
+        if not lower - slack <= result.value <= upper + slack:
             raise ConvergenceFailure(
-                f"quadrature value {result.value:.17g} for a = {a!r} violates "
-                f"(1/pi) I(a) >= log1p(a(1 - pi/4))/pi = {lower:.17g} "
+                f"quadrature value {result.value:.17g} for a = {a!r} violates the "
+                f"enclosure (log1p(a) - a)/4 = {lower:.17g} <= bracket <= "
+                f"(log1p(c a) - c a)/pi = {upper:.17g}, c = 1 - pi/4, "
                 f"beyond its error {result.error:.3e}"
             )
 
@@ -153,22 +199,15 @@ def frequency_brackets(
 ) -> Dict[Momentum, IntegralResult]:
     """Bracket (1/pi) I(2 pi kappa V(k)) - (pi/2) kappa V(k) and its error per momentum.
 
-    One integral per distinct V(k) on the support minus {0}, taken in
-    support order; momenta sharing a value share its result.
+    One ``gmb_integral`` call integrates every distinct V(k) on the support
+    minus {0}, taken in support order; momenta sharing a value share its
+    result.
     """
-    by_value: Dict[float, IntegralResult] = {}
-    brackets: Dict[Momentum, IntegralResult] = {}
-    for k in v.correlation_support():
-        value = v.value(k)
-        bracket = by_value.get(value)
-        if bracket is None:
-            integral = gmb_integral(2.0 * math.pi * KAPPA * value, tol)
-            bracket = IntegralResult(
-                integral.value - (math.pi / 2.0) * KAPPA * value, integral.error
-            )
-            by_value[value] = bracket
-        brackets[k] = bracket
-    return brackets
+    support = v.correlation_support()
+    distinct = tuple(dict.fromkeys(v.value(k) for k in support))
+    results = gmb_integral(tuple(2.0 * math.pi * KAPPA * value for value in distinct), tol)
+    by_value = dict(zip(distinct, results))
+    return {k: by_value[v.value(k)] for k in support}
 
 
 def gmb_correlation(

@@ -92,11 +92,13 @@ def test_criterion_3_quadrature_identities():
     with criterion(3, "frequency-integral identities pi/4 and pi(1-log2)/3"):
         start = time.perf_counter()
         cutoff = 4e8  # tail of the linear integrand below 1/(3 cutoff) < 1e-9
-        linear = integrate_adaptive(_inner_factor, 0.0, cutoff, tol=1e-9)
+        (linear,) = integrate_adaptive(
+            lambda nodes: _inner_factor(nodes.lam), [0.0], [cutoff], [1e-9]
+        )
         assert abs(linear.value / math.pi - 0.25) < 1e-8
         cutoff_sq = 500.0  # tail of the squared integrand below 1/(27 cutoff^3)
-        squared = integrate_adaptive(
-            lambda lam: _inner_factor(lam) ** 2, 0.0, cutoff_sq, tol=1e-9
+        (squared,) = integrate_adaptive(
+            lambda nodes: _inner_factor(nodes.lam) ** 2, [0.0], [cutoff_sq], [1e-9]
         )
         assert abs(squared.value - math.pi * (1.0 - math.log(2.0)) / 3.0) < 1e-8
         assert time.perf_counter() - start < 1.0

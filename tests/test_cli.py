@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -242,19 +243,33 @@ def test_unreachable_tolerance_exits_two(capsys, tmp_path, potential_file):
         "optimal",
     )
     assert code == 2
-    assert "error estimate" in err
+    assert "error estimate" in err and "rounding floor" in err
 
 
 def test_underflowed_quadrature_exits_two(capsys, potential_file):
-    # at tol 1e-200 the first panel spans [0, ~1e200] and samples only
-    # underflowed integrand values; the enclosure check turns 0 into exit 2
+    # at tol 1e-300 the first panel spans [0, ~1e100] and samples only
+    # integrand values (~ lambda^-4) that underflow to 0; the enclosure
+    # check turns the vanished body into exit 2
     code, out, err = run_cli(
         capsys, "corr", "--n", "33", "--potential", potential_file,
-        "--method", "optimal", "--tol", "1e-200",
+        "--method", "optimal", "--tol", "1e-300",
     )
     assert code == 2
     assert out == ""
     assert "violates" in err and "log1p" in err
+
+
+@pytest.mark.parametrize("tol", ["1e-200", "1e-310"])
+def test_tolerance_below_the_floor_exits_two_fast(capsys, potential_file, tol):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "corr", "--n", "33", "--potential", potential_file,
+        "--method", "optimal", "--tol", tol,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert err
 
 
 def test_config_override(capsys, tmp_path, potential_file):

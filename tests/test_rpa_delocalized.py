@@ -21,8 +21,7 @@ from fermi_rpa import (
     scale_coupling,
     second_order_delocalized,
 )
-
-
+import fermi_rpa.rpa_delocalized as rpa_delocalized
 from oracles import minimize_pair_energy
 
 
@@ -115,6 +114,23 @@ def test_functional_missing_coefficient():
     xi = BogoliubovKernel({(1, 0, 0): 0.1, (-1, 0, 0): 0.1})
     with pytest.raises(MissingCoefficient):
         bosonized_functional([QuadraticCoefficients((1, 0, 0), 1.0, 0.5)], xi)
+
+
+def test_kernel_sorts_its_support_once(monkeypatch):
+    keys = []
+    original = rpa_delocalized.mode_sort_key
+
+    def counting(k):
+        keys.append(k)
+        return original(k)
+
+    monkeypatch.setattr(rpa_delocalized, "mode_sort_key", counting)
+    values = {(1, 0, 0): 0.1, (-1, 0, 0): 0.1, (0, 2, 0): -0.3, (0, -2, 0): -0.3}
+    xi = BogoliubovKernel(values)
+    for _ in range(3):
+        assert xi.support() == sorted(values, key=original)
+        assert xi.abs_sum() == pytest.approx(0.8, rel=1e-15)
+    assert len(keys) == len(values)
 
 
 def test_functional_at_optimum_matches_minimum(ball33, demo_potential):

@@ -24,8 +24,15 @@ from fermi_rpa import (
 )
 from fermi_rpa.cli import main
 from fermi_rpa.lattice import norm_sq
+import fermi_rpa.quadrature as quadrature
 from fermi_rpa.quadrature import IntegralResult, integrate_adaptive
-from fermi_rpa.rpa_optimal import KAPPA, _inner_factor, tail_bound
+from fermi_rpa.rpa_optimal import (
+    DEFAULT_TOL,
+    KAPPA,
+    _inner_factor,
+    _log1p_minus_identity,
+    tail_bound,
+)
 
 
 def test_integrand_zero_coupling():
@@ -34,18 +41,29 @@ def test_integrand_zero_coupling():
 
 
 def test_integrand_at_zero_frequency():
-    assert gmb_integrand(1.0, 0.0) == pytest.approx(math.log(2.0), rel=1e-15)
+    # g(0) = 1, so the integrand is log1p(a) - a there
+    assert gmb_integrand(1.0, 0.0) == pytest.approx(math.log(2.0) - 1.0, rel=1e-15)
 
 
 def test_integrand_large_frequency_decay():
-    # ~ a/(3 lambda^2) for large lambda
+    # ~ -a^2/(18 lambda^4) for large lambda
     for lam in (1e3, 1e5, 1e7):
-        assert gmb_integrand(2.0, lam) == pytest.approx(2.0 / (3 * lam * lam), rel=1e-4)
+        assert gmb_integrand(2.0, lam) == pytest.approx(-4.0 / (18 * lam**4), rel=1e-4)
 
 
 def test_integrand_domain_error():
     with pytest.raises(DomainError):
         gmb_integrand(-1.5, 0.0)
+
+
+def test_integrand_is_elementwise():
+    a = np.array([[-0.5], [1e-6], [3.0]])
+    lam = np.array([0.0, 0.7, 1.999, 2.0, 40.0, 1e6])
+    grid = gmb_integrand(a, lam)
+    assert grid.shape == (3, 6)
+    for i in range(3):
+        for j in range(6):
+            assert grid[i, j] == gmb_integrand(a[i, 0], lam[j])
 
 
 def test_inner_factor_series_matches_direct_at_crossover():
@@ -64,46 +82,58 @@ def test_inner_factor_bounds():
             assert g <= 1.0 / (3.0 * lam * lam)
 
 
+def test_log1p_series_matches_direct_at_crossover():
+    for x in (-0.125, -0.12499999, 0.12499999, 0.125):
+        assert _log1p_minus_identity(x) == pytest.approx(math.log1p(x) - x, rel=1e-13)
+    # the series keeps full relative accuracy where log1p(x) - x cancels
+    assert _log1p_minus_identity(1e-9) == pytest.approx(-5e-19 + 1e-27 / 3, rel=1e-15)
+
+
 def test_integral_zero():
-    assert gmb_integral(0.0).value == 0.0
+    assert gmb_integral((0.0,)) == [IntegralResult(0.0, 0.0)]
 
 
 def test_integral_error_estimate_respected():
     for a in (0.5, 2.0, 7.0):
-        res = gmb_integral(a, tol=1e-10)
+        (res,) = gmb_integral((a,), tol=1e-10)
         assert res.error <= 1e-10
-        finer = gmb_integral(a, tol=5e-11)
+        (finer,) = gmb_integral((a,), tol=5e-11)
         assert abs(res.value - finer.value) <= res.error
 
 
 def test_integral_linear_coefficient():
-    # I(a)/a -> 1/4 as a -> 0 (the lambda integral of the inner factor is pi/4)
-    values = [gmb_integral(a, tol=1e-14).value / a for a in (1e-3, 1e-4, 1e-5)]
-    deviations = [abs(v - 0.25) for v in values]
+    # (1/pi) I(a)/a -> 1/4 as a -> 0 (the lambda integral of the inner
+    # factor is pi/4): the bracket over a, (1/pi) I(a)/a - 1/4, vanishes
+    couplings = (1e-3, 1e-4, 1e-5)
+    deviations = [abs(r.value / a) for a, r in zip(couplings, gmb_integral(couplings, tol=1e-14))]
     assert deviations[0] > deviations[1] > deviations[2]
     assert deviations[-1] < 1e-6
 
 
 def test_integral_quadratic_coefficient():
-    # (I(a) - a/4)/a^2 -> -(1 - log 2)/6
+    # bracket/a^2 = ((1/pi) I(a) - a/4)/a^2 -> -(1 - log 2)/6
     target = -(1.0 - math.log(2.0)) / 6.0
-    values = [
-        (gmb_integral(a, tol=1e-15).value - a / 4.0) / (a * a)
-        for a in (1e-3, 1e-4)
-    ]
+    couplings = (1e-3, 1e-4)
+    values = [r.value / (a * a) for a, r in zip(couplings, gmb_integral(couplings, tol=1e-15))]
     assert values[-1] == pytest.approx(target, rel=1e-3)
 
 
 def test_tail_bound_dominates_directly_computed_tail():
     for cutoff in (10.0, 100.0, 1000.0):
-        for a in (0.5, 3.0):
-            direct = integrate_adaptive(
-                lambda lam: gmb_integrand(a, lam), cutoff, 2 * cutoff, tol=1e-14
+        for a in (0.5, 3.0, -0.5):
+            (direct,) = integrate_adaptive(
+                lambda nodes: gmb_integrand(a, nodes.lam),
+                [cutoff], [1e3 * cutoff], [1e-6 * a * a / cutoff**3],
             )
-            assert direct.value / math.pi <= tail_bound(a, cutoff)
+            tail = -direct.value / math.pi  # the integrand is <= 0
+            bound = tail_bound(a, cutoff)
+            assert 0.0 < tail <= bound
+            # the leading tail a^2/(54 pi L^3) folded into the value is close
+            leading = a * a / (54.0 * math.pi * cutoff**3)
+            assert abs(tail - leading) <= 0.05 * bound
 
 
-# 50-digit quadrature references with analytic tails (error < 1e-19)
+# 50-digit quadrature references of (1/pi) I(a) with analytic tails (error < 1e-19)
 FROZEN_INTEGRALS = [
     (1.0, 0.2133639048250704062480335),
     (0.9744442724301884897408677, 0.2085867614123441319878434),  # 2 pi kappa / 4
@@ -113,19 +143,74 @@ FROZEN_INTEGRALS = [
 
 @pytest.mark.parametrize("a,reference", FROZEN_INTEGRALS)
 def test_integral_frozen_references(a, reference):
-    res = gmb_integral(a, tol=1e-12)
+    (res,) = gmb_integral((a,), tol=1e-12)
     assert res.error <= 1e-12
-    assert abs(res.value - reference) <= res.error
+    assert abs(res.value - (reference - a / 4.0)) <= res.error
 
 
 def test_integral_rejects_bad_coupling():
     with pytest.raises(DomainError):
-        gmb_integral(-1.0)
+        gmb_integral((0.5, -1.0))
 
 
 def test_convergence_failure_budget():
-    with pytest.raises(ConvergenceFailure):
-        integrate_adaptive(lambda x: math.sin(1e6 * x), 0.0, 1000.0, 1e-14, max_panels=8)
+    with pytest.raises(ConvergenceFailure, match="after 8 panels"):
+        integrate_adaptive(
+            lambda nodes: np.sin(1e6 * nodes.lam), [0.0], [1000.0], [1e-6], max_panels=8
+        )
+
+
+def test_tolerance_below_the_rounding_floor_fails_fast(monkeypatch):
+    # tol 1e-13 is below a few ulp of the body integral I(1e5) ~ 7.8e4: the
+    # integral stops within a few rounds and names the floor, instead of
+    # refining to the panel budget
+    panel_calls = []
+    original = quadrature._gk15_panel
+
+    def counting(*args):
+        panel_calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "_gk15_panel", counting)
+    with pytest.raises(ConvergenceFailure, match="rounding floor"):
+        gmb_integral((1e5,), 1e-13)
+    assert len(panel_calls) < 50
+
+
+BATCH = (-0.999, -0.5, 0.0, 1e-6, 2.5e-3, 0.3, 1.0, 7.0, 100.0, 1e5)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+def test_batch_results_match_single_value_integrals(tol):
+    batch = gmb_integral(BATCH, tol)
+    backwards = gmb_integral(BATCH[::-1], tol)[::-1]
+    for a, together, reversed_together in zip(BATCH, batch, backwards):
+        (alone,) = gmb_integral((a,), tol)
+        for result in (together, reversed_together):
+            assert result.value.hex() == alone.value.hex()
+            assert result.error.hex() == alone.error.hex()
+
+
+def test_batch_integrand_calls_follow_the_largest_panel_count(monkeypatch):
+    calls = []
+    original = quadrature._gk15_panel
+
+    def counting(f, rows, lo, hi):
+        calls.append(len(rows))
+        return original(f, rows, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_gk15_panel", counting)
+    singles = []
+    for a in BATCH:
+        calls.clear()
+        gmb_integral((a,), 1e-10)
+        singles.append(list(calls))
+    calls.clear()
+    gmb_integral(BATCH, 1e-10)
+    # one call per refinement round, however many values are unfinished
+    assert len(calls) == max(len(single) for single in singles)
+    # and the work is the total panel count
+    assert sum(calls) == sum(sum(single) for single in singles)
 
 
 def test_correlation_zero_potential():
@@ -204,14 +289,14 @@ def test_kappa_value():
     assert KAPPA == pytest.approx((3.0 / (4.0 * math.pi)) ** (1.0 / 3.0), rel=1e-16)
 
 
-def mpmath_reference(a, dps=30):
-    """(1/pi) I(a) and its quadrature error, by mpmath on lambda = t/(1 - t).
+def mpmath_bracket(a, dps=30):
+    """(1/pi) I(a) - a/4 and its quadrature error, by mpmath on lambda = t/(1 - t).
 
     1 - lambda arctan(1/lambda) ~ 1/(3 lambda^2) cancels about 2 log10(lambda)
     digits, so it is evaluated with that many extra; the breakpoints keep
     tanh-sinh from misjudging the slow decay (a plain [0, 1, 10, 100, inf]
     split reports 1e-8 while off by 1e-3 on the lambda integral of the
-    inner factor).
+    inner factor).  The counterterm a/4 is subtracted at mp precision.
     """
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
@@ -229,37 +314,79 @@ def mpmath_reference(a, dps=30):
             return +value
 
         value, error = mp.quad(f, [0, 0.5, 0.9, 0.99, 1], error=True)
-        return float(value / mp.pi), float(error / mp.pi)
+        return float(value / mp.pi - a_mp / 4), float(error / mp.pi)
 
 
 @pytest.mark.parametrize("a", [-0.999, -0.5, 1e-6, 0.3, 1.0, 100.0])
 def test_integral_matches_mpmath_reference(a):
-    reference, reference_error = mpmath_reference(a)
+    reference, reference_error = mpmath_bracket(a)
     assert reference_error < 1e-20
-    res = gmb_integral(a, tol=1e-12)
+    (res,) = gmb_integral((a,), tol=1e-12)
     assert res.error <= 1e-12
     assert abs(res.value - reference) <= res.error
+
+
+@pytest.mark.parametrize("a", [-0.999, -0.5, 1e-6, 0.3, 1.0, 100.0, 1e5])
+def test_integral_matches_mpmath_reference_at_default_tol(a):
+    reference, reference_error = mpmath_bracket(a)
+    assert reference_error < 1e-20
+    (res,) = gmb_integral((a,))
+    assert res.error <= DEFAULT_TOL
+    assert abs(res.value - reference) <= res.error
+
+
+def test_weak_coupling_bracket_is_not_swamped_by_the_tail():
+    # the bracket at a = 1e-6 is -5.1e-14, far below the default tol; the
+    # integral carries no tail bias of order tol, so it keeps its digits
+    reference, _ = mpmath_bracket(1e-6)
+    (res,) = gmb_integral((1e-6,))
+    assert abs(res.value - reference) <= 1e-3 * abs(reference)
+
+
+def log1p_minus_identity(x):
+    """log1p(x) - x, by four series terms where the difference cancels."""
+    if abs(x) > 1e-3:
+        return math.log1p(x) - x
+    return -x * x * (1.0 / 2.0 - x / 3.0 + x * x / 4.0 - x**3 / 5.0)
 
 
 @given(st.floats(min_value=-1.0, max_value=100.0, exclude_min=True))
 @settings(max_examples=200, deadline=None)
 def test_integral_inside_enclosure(a):
-    # log1p(a(1 - pi/4)) <= I(a) <= a pi/4; the lower bound needs a > 0
-    res = gmb_integral(a, tol=1e-10)
+    # h(a)/4 <= bracket <= h(c a)/pi with h(x) = log1p(x) - x and c = 1 - pi/4,
+    # which lies inside log1p(c a)/pi - a/4 <= bracket <= 0 for a > 0
+    (res,) = gmb_integral((a,), tol=1e-10)
     slack = res.error + sys.float_info.min
-    assert res.value <= a / 4.0 + slack
+    c = 1.0 - math.pi / 4.0
+    assert res.value <= log1p_minus_identity(c * a) / math.pi + slack
+    assert res.value >= log1p_minus_identity(a) / 4.0 - slack
+    assert res.value <= slack
     if a > 0.0:
-        assert res.value >= math.log1p(a * (1.0 - math.pi / 4.0)) / math.pi - slack
+        assert res.value >= math.log1p(c * a) / math.pi - a / 4.0 - slack
 
 
-@pytest.mark.parametrize("a,violated", [(1.0, "log1p"), (-0.5, "a/4")])
-def test_enclosure_rejects_a_vanished_body(monkeypatch, a, violated):
-    # an underflowed first panel reads 0 with error 0, as at tol ~ 1e-200
+@pytest.mark.parametrize("a", [1.0, -0.5])
+def test_enclosure_rejects_a_vanished_body(monkeypatch, a):
+    # a body that underflowed to 0 with error 0, as at tol ~ 1e-300, leaves
+    # only the tiny folded tail, above the strictly negative upper bound
     monkeypatch.setattr(
-        rpa_optimal, "integrate_adaptive", lambda f, lo, hi, tol: IntegralResult(0.0, 0.0)
+        rpa_optimal,
+        "integrate_adaptive",
+        lambda f, lo, hi, tol: [IntegralResult(0.0, 0.0)] * len(lo),
     )
-    with pytest.raises(ConvergenceFailure, match=violated):
-        gmb_integral(a, tol=1e-10)
+    with pytest.raises(ConvergenceFailure, match=r"violates the enclosure"):
+        gmb_integral((a,), tol=1e-10)
+
+
+def test_enclosure_rejects_an_overshooting_body(monkeypatch):
+    # a body of -pi reads bracket -1, below (log1p(a) - a)/4 = -0.0094 at a = 0.3
+    monkeypatch.setattr(
+        rpa_optimal,
+        "integrate_adaptive",
+        lambda f, lo, hi, tol: [IntegralResult(-math.pi, 0.0)] * len(lo),
+    )
+    with pytest.raises(ConvergenceFailure, match=r"violates the enclosure"):
+        gmb_integral((0.3,), tol=1e-10)
 
 
 def radial_potential(radius_sq=30):
@@ -280,9 +407,9 @@ def per_k_loop(v, params, tol):
     support = v.correlation_support()
     per_k, errors = {}, {}
     for k in support:
-        integral = gmb_integral(2.0 * math.pi * KAPPA * v.value(k), tol)
-        per_k[k] = integral.value - (math.pi / 2.0) * KAPPA * v.value(k)
-        errors[k] = integral.error
+        (bracket,) = gmb_integral((2.0 * math.pi * KAPPA * v.value(k),), tol)
+        per_k[k] = bracket.value
+        errors[k] = bracket.error
     total = params.hbar * KAPPA * math.fsum(
         math.sqrt(norm_sq(k)) * per_k[k] for k in support
     )
@@ -296,9 +423,9 @@ def per_k_loop(v, params, tol):
 def counted_integrals(monkeypatch):
     calls = []
 
-    def counting(a, tol=rpa_optimal.DEFAULT_TOL):
-        calls.append(a)
-        return original(a, tol)
+    def counting(values, tol=rpa_optimal.DEFAULT_TOL):
+        calls.append(values)
+        return original(values, tol)
 
     original = rpa_optimal.gmb_integral
     monkeypatch.setattr(rpa_optimal, "gmb_integral", counting)
@@ -322,7 +449,9 @@ def test_brackets_one_integral_per_distinct_value(counted_integrals):
     distinct = {v.value(k) for k in v.correlation_support()}
     assert len(distinct) == 26
     table = frequency_brackets(v, 1e-10)
-    assert len(counted_integrals) == 26
+    # one batched call, holding each distinct coupling once
+    assert len(counted_integrals) == 1
+    assert len(set(counted_integrals[0])) == len(counted_integrals[0]) == 26
     assert list(table) == v.correlation_support()
     for n in (33, 257):
         params = ModelParams(n)
@@ -348,8 +477,9 @@ def test_compare_runs_one_integral_per_distinct_value(
     argv = ["compare", "--potential", str(path), "--n-list", "33,257,2109"]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert len(counted_integrals) == distinct
+    assert len(counted_integrals) == 1
+    assert len(set(counted_integrals[0])) == len(counted_integrals[0]) == distinct
     # nothing is cached across invocations: a second call integrates again
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    assert len(counted_integrals) == 2 * distinct
+    assert counted_integrals == [counted_integrals[0]] * 2

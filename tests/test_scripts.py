@@ -40,3 +40,15 @@ def test_script_csv(capsys, name, argv, header, rows):
     assert lines[0] == header
     assert len(lines) == 1 + rows
     assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
+
+
+def test_coupling_scan_deviation_falls_at_the_default_tol(capsys):
+    # the optimal energy meets its second order linearly in the coupling
+    # scale, down to s = 2^-11, at the package's default tolerance
+    code = load_script("coupling_scan").main(["--n", "33", "--scales", "3:12"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    column = lines[0].split(",").index("gmb_dev")
+    deviations = [float(line.split(",")[column]) for line in lines[1:]]
+    assert len(deviations) == 9
+    assert all(later < earlier for earlier, later in zip(deviations, deviations[1:]))
