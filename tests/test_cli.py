@@ -391,8 +391,13 @@ GOLDEN_COMMANDS = [
         *(f"errors --n {n} --backend {backend}" for backend in ("exact", "asymptotic")),
     )
 ] + [
+    "nk --n 33",
+    "nk --n 2109",
+    "hf --n 2109",
+    "hf --n 2109 --hf-half-prefactor",
     "oracle --trials 3 --seed 7",
     "oracle --holes-n 1 --lambda-sq 1 --pairs 1 --trials 25 --seed 9",
+    "oracle --pairs 3 --trials 2 --seed 3",
 ]
 
 
