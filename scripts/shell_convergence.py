@@ -52,7 +52,7 @@ def main(argv=None) -> int:
         n = levels[radius_sq]
         ball = build_fermi_ball(n)
         params = ModelParams(n)
-        nk_exact = math.sqrt(lune_count(ball, k).count)
+        nk_exact = math.sqrt(lune_count(ball, k))
         nk_asym = nk_asymptotic(params, k)
         kf_exact = kinetic_coefficient(ball, k).kdotf
         kf_asym = kinetic_coefficient_asymptotic(params, k)

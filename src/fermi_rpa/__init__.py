@@ -26,7 +26,6 @@ from .errors import (
 from .lattice import (
     FermiBall,
     KineticCoefficient,
-    LuneCount,
     ModelParams,
     build_fermi_ball,
     closed_shell_sizes,
@@ -43,7 +42,7 @@ from .potential import (
     scale_coupling,
     serialize_potential,
 )
-from .hf import HFEnergy, exchange_norm_bound, hf_energy
+from .hf import HFEnergy, hf_energy
 from .rpa_delocalized import (
     BogoliubovKernel,
     QuadraticCoefficients,

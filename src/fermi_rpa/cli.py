@@ -11,9 +11,9 @@ errors   log-space rigorous error budget as JSON
 oracle   brute-force operator-identity verification reports
 ratio    the delocalized/optimal second-order weight ratio
 
-Exit codes: 0 success, 1 validation error (message names the violated
-invariant), 2 numerical failure (quadrature convergence or pair-sector
-overflow).  Identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 usage or validation error (message names the
+violated invariant), 2 numerical failure (quadrature convergence or
+pair-sector overflow).  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 
 from . import __version__
-from .config import checked_count, checked_tol, load_config
+from .config import RunConfig, checked_count, checked_tol, load_config
 from .error_budget import assemble_error_budget
 from .errors import (
     BoundViolation,
@@ -90,10 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="closed-shell information")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=_cmd_ball)
 
     p = sub.add_parser("nk", help="exact vs continuum lune norms (CSV)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--potential", default=None)
+    p.set_defaults(run=_cmd_nk)
 
     p = sub.add_parser("hf", help="Hartree-Fock energy parts")
     p.add_argument("--n", type=int, required=True)
@@ -103,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="multiply direct/exchange by 1/2 (pair-sum convention)",
     )
+    p.set_defaults(run=_cmd_hf)
 
     p = sub.add_parser("corr", help="correlation energy by method")
     p.add_argument("--n", type=int, required=True)
@@ -119,17 +123,20 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(run=_cmd_corr)
 
     p = sub.add_parser("compare", help="full energy report per N")
     p.add_argument("--potential", default=None)
     p.add_argument("--n-list", required=True, help="comma-separated particle counts")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(run=_cmd_compare)
 
     p = sub.add_parser("errors", help="log-space rigorous error budget")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--potential", default=None)
     p.add_argument("--backend", choices=["asymptotic", "exact"], default="asymptotic")
+    p.set_defaults(run=_cmd_errors)
 
     p = sub.add_parser("oracle", help="operator-identity verification suite")
     p.add_argument("--holes-n", type=int, default=7)
@@ -138,12 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--potential", default=None)
+    p.set_defaults(run=_cmd_oracle)
 
-    sub.add_parser("ratio", help="second-order delocalized/optimal ratio")
+    p = sub.add_parser("ratio", help="second-order delocalized/optimal ratio")
+    p.set_defaults(run=_cmd_ratio)
     return parser
 
 
-def _cmd_ball(args) -> int:
+def _cmd_ball(args, config: RunConfig) -> int:
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
     _emit(
@@ -157,13 +166,13 @@ def _cmd_ball(args) -> int:
     return 0
 
 
-def _cmd_nk(args) -> int:
+def _cmd_nk(args, config: RunConfig) -> int:
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
     v = _potential_arg(args.potential)
     lines = ["k,n_exact,n_asym,rel_err"]
     for k in v.correlation_support():
-        exact = math.sqrt(lune_count(ball, k).count)
+        exact = math.sqrt(lune_count(ball, k))
         asym = nk_asymptotic(params, k)
         rel = abs(exact / asym - 1.0) if asym > 0 else math.inf
         lines.append(
@@ -174,23 +183,15 @@ def _cmd_nk(args) -> int:
     return 0
 
 
-def _cmd_hf(args) -> int:
+def _cmd_hf(args, config: RunConfig) -> int:
     ball = build_fermi_ball(args.n)
     v = _potential_arg(args.potential)
     rows = coefficient_table(ball, v)
-    energy = hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor)
-    _emit(
-        {
-            "kinetic": energy.kinetic,
-            "direct": energy.direct,
-            "exchange": energy.exchange,
-            "total": energy.total,
-        }
-    )
+    _emit(asdict(hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor)))
     return 0
 
 
-def _cmd_corr(args, tol: float) -> int:
+def _cmd_corr(args, config: RunConfig) -> int:
     v = _potential_arg(args.potential)
     params = ModelParams(args.n)
     method = args.method
@@ -203,7 +204,7 @@ def _cmd_corr(args, tol: float) -> int:
             sys.stderr.write(
                 "warning: V(0) != 0 is excluded from the correlation sum\n"
             )
-        value = gmb_correlation(v, params, tol=tol).total
+        value = gmb_correlation(v, params, tol=config.tol).total
     elif method == "so-deloc":
         value = second_order_delocalized(params, v)
     else:
@@ -212,15 +213,15 @@ def _cmd_corr(args, tol: float) -> int:
     return 0
 
 
-def _cmd_compare(args, tol: float) -> int:
+def _cmd_compare(args, config: RunConfig) -> int:
     v = _potential_arg(args.potential)
     try:
         ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError as exc:
         raise FermiRpaError(f"invalid --n-list: {exc}") from exc
     # the brackets depend on V(k) alone: one table serves every N
-    brackets = frequency_brackets(v, tol) if ns else {}
-    reports = [energy_report(n, v, tol=tol, brackets=brackets) for n in ns]
+    brackets = frequency_brackets(v, config.tol) if ns else {}
+    reports = [energy_report(n, v, tol=config.tol, brackets=brackets) for n in ns]
     if args.format == "csv":
         sys.stdout.write(report_csv(reports))
     else:
@@ -228,7 +229,7 @@ def _cmd_compare(args, tol: float) -> int:
     return 0
 
 
-def _cmd_errors(args) -> int:
+def _cmd_errors(args, config: RunConfig) -> int:
     v = _potential_arg(args.potential)
     continuum = coefficient_table(ModelParams(args.n), v)
     exact = args.backend == "exact"
@@ -237,7 +238,10 @@ def _cmd_errors(args) -> int:
     return 0
 
 
-def _cmd_oracle(args, max_pairs: int) -> int:
+def _cmd_oracle(args, config: RunConfig) -> int:
+    checked_count("trials", args.trials)
+    pairs = args.pairs if args.pairs is not None else config.max_pairs
+    max_pairs = checked_count("max_pairs", pairs)
     modes = build_mode_set(args.holes_n, args.lambda_sq)
     v = _potential_arg(args.potential)
     params = ModelParams(args.holes_n)
@@ -254,33 +258,23 @@ def _cmd_oracle(args, max_pairs: int) -> int:
     return 0
 
 
+def _cmd_ratio(args, config: RunConfig) -> int:
+    sys.stdout.write(format_float(second_order_ratio()) + "\n")
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 is kept for numerical failures
+        return 1 if exc.code == 2 else exc.code
     try:
         config = load_config(args.config)
         flag_tol = getattr(args, "tol", None)
         tol = checked_tol(config.tol if flag_tol is None else flag_tol)
-        if args.command == "ball":
-            return _cmd_ball(args)
-        if args.command == "nk":
-            return _cmd_nk(args)
-        if args.command == "hf":
-            return _cmd_hf(args)
-        if args.command == "corr":
-            return _cmd_corr(args, tol)
-        if args.command == "compare":
-            return _cmd_compare(args, tol)
-        if args.command == "errors":
-            return _cmd_errors(args)
-        if args.command == "oracle":
-            checked_count("trials", args.trials)
-            pairs = args.pairs if args.pairs is not None else config.max_pairs
-            return _cmd_oracle(args, checked_count("max_pairs", pairs))
-        if args.command == "ratio":
-            sys.stdout.write(format_float(second_order_ratio()) + "\n")
-            return 0
-        parser.error(f"unknown command {args.command}")
+        # the handler reads the effective tol (flag over file over default)
+        return args.run(args, replace(config, tol=tol))
     except (ConvergenceFailure, TruncationOverflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -292,7 +286,6 @@ def main(argv=None) -> int:
     except (FermiRpaError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

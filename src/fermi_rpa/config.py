@@ -1,10 +1,11 @@
 """Run configuration: defaults and JSON overrides.
 
-The defaults (quadrature tolerance 1e-10, oracle pair cap 2) are the
-field values of ``RunConfig``.  A JSON file given with ``--config``
-overrides any of them; CLI flags override the file.  In the file,
-``tol`` must be a JSON number, ``max_pairs`` a JSON integer and
-``version``, if present, the integer 1.  Unknown keys are ignored.
+The defaults (quadrature tolerance ``rpa_optimal.DEFAULT_TOL`` = 1e-10,
+oracle pair cap 2) are the field values of ``RunConfig``.  A JSON file
+given with ``--config`` overrides any of them; CLI flags override the
+file.  In the file, ``tol`` must be a JSON number, ``max_pairs`` a JSON
+integer and ``version``, if present, the integer 1.  Unknown keys are
+ignored.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from typing import Optional
 
 from .errors import DomainError, ParseError
 from .jsondoc import json_integer, json_number, json_object
+from .rpa_optimal import DEFAULT_TOL
 
 CONFIG_VERSION = 1
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     max_pairs: int = 2
 
 

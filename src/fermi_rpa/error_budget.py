@@ -29,7 +29,7 @@ backend the two are one table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -105,7 +105,6 @@ def particle_number_constant(xi: BogoliubovKernel, n_power: int) -> float:
 class EpsilonBounds:
     """Assembled remainder bounds, all in natural log space."""
 
-    n: int
     log_eps1: float
     log_eps2: float
     log_quartic: float
@@ -121,18 +120,16 @@ def _logaddexp(*vals: float) -> float:
     return float(np.logaddexp.reduce(np.array(vals, dtype=float)))
 
 
-def epsilon_bounds(rows: Rows, v: Potential, xi: BogoliubovKernel, n: int) -> EpsilonBounds:
+def epsilon_bounds(rows: Rows, v: Potential, n: int) -> EpsilonBounds:
     """Evaluate the four displayed remainder lines plus the quartic bound.
 
     ``rows`` is ``coefficient_table(source, v)`` of a source with n
-    particles.  total = eps1 + 2*eps2 + quartic, reported together with
-    total*N (the N-independent certified constant).
+    particles; the kernel is ``optimal_kernel_magnitudes(v)``.  total =
+    eps1 + 2*eps2 + quartic, reported together with total*N (the
+    N-independent certified constant).
     """
     support = v.correlation_support()
-    support_set = set(support)
-    missing = [k for k in xi.support() if k not in support_set]
-    if missing:
-        raise DomainError(f"kernel momentum {missing[0]} outside potential support")
+    xi = optimal_kernel_magnitudes(v)
     n_of = {c.k: math.sqrt(c.nk2) for c in rows}
     kf_of = {c.k: c.kdotf for c in rows}
     params = ModelParams(n)
@@ -180,7 +177,6 @@ def epsilon_bounds(rows: Rows, v: Potential, xi: BogoliubovKernel, n: int) -> Ep
     log_quartic = c2 + _log(2.0 * l1_norm(v) / n)
     log_total = _logaddexp(log_eps1, math.log(2.0) + log_eps2, log_quartic)
     return EpsilonBounds(
-        n=n,
         log_eps1=log_eps1,
         log_eps2=log_eps2,
         log_quartic=log_quartic,
@@ -191,33 +187,22 @@ def epsilon_bounds(rows: Rows, v: Potential, xi: BogoliubovKernel, n: int) -> Ep
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Full audit record: constants, exponents, and log-space bounds."""
+    """Full audit record; the fields are the keys of the ``errors`` document."""
 
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    a5: float
+    a_constants: Tuple[float, float, float, float, float]
     c_small: float
-    c_n: Dict[int, float]
-    bounds: EpsilonBounds
+    c_n: Dict[str, float]  # Gronwall exponent C_n(X) keyed by the order n
+    log_eps1_bound: float
+    log_eps2_bound: float
+    log_quartic_bound: float
+    log_total: float
+    log_total_times_n: float
     log_signal: float
     log_crossover_n: float
+    n: int
 
     def as_dict(self) -> dict:
-        return {
-            "a_constants": [self.a1, self.a2, self.a3, self.a4, self.a5],
-            "c_small": self.c_small,
-            "c_n": {str(k): val for k, val in sorted(self.c_n.items())},
-            "log_eps1_bound": self.bounds.log_eps1,
-            "log_eps2_bound": self.bounds.log_eps2,
-            "log_quartic_bound": self.bounds.log_quartic,
-            "log_total": self.bounds.log_total,
-            "log_total_times_n": self.bounds.log_total_times_n,
-            "log_signal": self.log_signal,
-            "log_crossover_n": self.log_crossover_n,
-            "n": self.bounds.n,
-        }
+        return asdict(self)
 
 
 def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> ErrorBudget:
@@ -229,10 +214,9 @@ def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> 
     which the certified O(1/N) bound drops below the signal; the worst-case
     constants make this astronomically large.
     """
-    a1, a2, a3, a4, a5 = a_constants(v)
+    constants = a_constants(v)
     xi = optimal_kernel_magnitudes(v)
-    bounds = epsilon_bounds(rows, v, xi, n)
-    c_n = {m: particle_number_constant(xi, m) for m in (1, 2, 3)}
+    bounds = epsilon_bounds(rows, v, n)
     signal = abs(correlation_delocalized(continuum))
     log_signal = _log(signal)
     # total*N < signal*N^(1/3)*N^(2/3) 3/2-power law crossover
@@ -243,14 +227,15 @@ def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> 
         else math.inf
     )
     return ErrorBudget(
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        a4=a4,
-        a5=a5,
+        a_constants=constants,
         c_small=C_SMALL,
-        c_n=c_n,
-        bounds=bounds,
+        c_n={str(m): particle_number_constant(xi, m) for m in (1, 2, 3)},
+        log_eps1_bound=bounds.log_eps1,
+        log_eps2_bound=bounds.log_eps2,
+        log_quartic_bound=bounds.log_quartic,
+        log_total=bounds.log_total,
+        log_total_times_n=bounds.log_total_times_n,
         log_signal=log_signal,
         log_crossover_n=log_crossover,
+        n=n,
     )

@@ -77,11 +77,6 @@ class ModeSet:
         """Position of each particle mode in ``particles``."""
         return {m: i for i, m in enumerate(self.particles)}
 
-    @cached_property
-    def hole_index(self) -> Dict[Momentum, int]:
-        """Position of each hole mode in ``holes``."""
-        return {m: i for i, m in enumerate(self.holes)}
-
     @property
     def n_modes(self) -> int:
         return len(self.holes) + len(self.particles)
@@ -468,14 +463,14 @@ def honest_c_bound_constant(modes: ModeSet, k: Momentum, l: Momentum) -> float:
     of the two largest entry norms.
     """
     pmap = modes.particle_index
-    hset = modes.hole_index
     best_particle = 0.0
     best_hole = 0.0
     for h in modes.holes:
         w = math.sqrt(norm_sq((2 * h[0] + k[0], 2 * h[1] + k[1], 2 * h[2] + k[2])))
         if add(h, k) in pmap and add(h, l) in pmap:
             best_particle = max(best_particle, w)
-        if add(h, k) in pmap and add(add(h, k), negate(l)) in hset:
+        # the holes are a closed shell: membership is the norm test
+        if add(h, k) in pmap and norm_sq(add(add(h, k), negate(l))) <= modes.hole_radius_sq:
             best_hole = max(best_hole, w)
     return 0.5 * (best_particle + best_hole)
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .errors import ShapeMismatch
 from .lattice import FermiBall, ModelParams, norm_sq
-from .potential import Potential, l1_norm
+from .potential import Potential
 from .rpa_delocalized import QuadraticCoefficients
 
 
@@ -69,10 +69,3 @@ def hf_energy(
         exchange=exchange,
         total=kinetic + direct - exchange,
     )
-
-
-def exchange_norm_bound(v: Potential, n: int) -> float:
-    """Operator-norm bound (2pi)^(-3/2) |V|_l1 / n for the exchange term."""
-    if n < 1:
-        raise ShapeMismatch(f"particle count must be positive, got {n}")
-    return (2.0 * math.pi) ** (-1.5) * l1_norm(v) / n

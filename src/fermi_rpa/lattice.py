@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -142,24 +141,15 @@ class FermiBall:
 
     B_F is exactly {h : |h|^2 <= shell_radius_sq}, held as its column table
     (see ``_column_tops``); kf_continuum = (3n/4pi)^(1/3) is the continuum
-    Fermi momentum used by the asymptotic formulas.  ``mode_array`` lists
-    the n points in the global mode order; it is expanded from the column
-    table on first access and costs O(n) memory, so large-N callers never
-    touch it.
+    Fermi momentum used by the asymptotic formulas.  Being a closed shell,
+    membership is the norm test; ``_expand_columns(column_tops)`` lists the
+    n points in the global mode order at O(n) memory, for tiny n only.
     """
 
     n: int
     shell_radius_sq: int
     kf_continuum: float
     column_tops: np.ndarray = field(repr=False, compare=False)
-
-    def contains(self, k: Momentum) -> bool:
-        # closed shell: membership is exactly the norm test
-        return norm_sq(k) <= self.shell_radius_sq
-
-    @cached_property
-    def mode_array(self) -> np.ndarray:
-        return _expand_columns(self.column_tops)
 
     def norm_sq_sum(self) -> int:
         """Exact sum of |h|^2 over B_F: (x^2+y^2)(2Z+1) + Z(Z+1)(2Z+1)/3 per column."""
@@ -222,36 +212,31 @@ def _stay_columns(ball: FermiBall, k: Momentum) -> np.ndarray:
     return np.maximum(hi - lo + 1, 0)
 
 
-@dataclass(frozen=True)
-class LuneCount:
-    """Exact count of B_F modes pushed out of the ball by a shift k."""
-
-    k: Momentum
-    count: int
-
-
-def lune_count(ball: FermiBall, k: Momentum) -> LuneCount:
+def lune_count(ball: FermiBall, k: Momentum) -> int:
     """Count holes h in B_F with h+k outside B_F.
 
     The count equals the squared vacuum norm of the delocalized pair
     creation operator with transfer momentum k; it is even in k and
     vanishes only at k = 0.  It is N minus the column-overlap stay count.
     """
-    stay = int(_stay_columns(ball, k).sum())
-    return LuneCount(k=tuple(int(c) for c in k), count=ball.n - stay)
+    return ball.n - int(_stay_columns(ball, k).sum())
 
 
-def nk_asymptotic(params: ModelParams, k: Momentum) -> float:
-    """Continuum lune norm sqrt(pi k_F^2 |k| - (pi/12)|k|^3).
-
-    Valid while the displaced balls overlap, |k| <= 2 k_F.
-    """
+def lens_norm(params: ModelParams, k: Momentum) -> float:
+    """|k| on the domain |k| <= 2 k_F of the continuum forms (the lens of two balls)."""
     kf = (3.0 * params.n / (4.0 * math.pi)) ** (1.0 / 3.0)
     kn = math.sqrt(norm_sq(k))
     if kn > 2.0 * kf:
         raise DomainError(
             f"|k| = {kn:.6g} exceeds the lens-formula domain 2*k_F = {2 * kf:.6g}"
         )
+    return kn
+
+
+def nk_asymptotic(params: ModelParams, k: Momentum) -> float:
+    """Continuum lune norm sqrt(pi k_F^2 |k| - (pi/12)|k|^3), for |k| <= 2 k_F."""
+    kf = (3.0 * params.n / (4.0 * math.pi)) ** (1.0 / 3.0)
+    kn = lens_norm(params, k)
     value = math.pi * kf * kf * kn - (math.pi / 12.0) * kn ** 3
     return math.sqrt(max(0.0, value))
 
@@ -285,7 +270,7 @@ def kinetic_coefficient(ball: FermiBall, k: Momentum) -> KineticCoefficient:
     Only the lune count is counted; raises EmptyLune when no pair carries
     the transfer momentum k (in particular for k = 0).
     """
-    count = lune_count(ball, k).count
+    count = lune_count(ball, k)
     if count == 0:
         raise EmptyLune(f"no particle-hole pair with transfer momentum {tuple(k)}")
     k = tuple(int(c) for c in k)

@@ -65,15 +65,6 @@ class Potential:
         """Support minus the zero mode, in the global mode order."""
         return [k for k in self._ordered if norm_sq(k) > 0]
 
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0.0 for v in self.coeffs.values())
-
-    def require_positive(self) -> None:
-        """Validation flag for results that assume V(k) > 0 on the support."""
-        bad = [k for k in self.correlation_support() if self.value(k) <= 0.0]
-        if bad:
-            raise ValueError(f"potential not strictly positive at {bad[0]}")
-
 
 def make_potential(
     entries: Dict[Momentum, float], support_radius_sq: int = None

@@ -16,7 +16,12 @@ from .rpa_delocalized import (
     correlation_delocalized,
     second_order_delocalized,
 )
-from .rpa_optimal import gmb_correlation, second_order_optimal, second_order_ratio
+from .rpa_optimal import (
+    DEFAULT_TOL,
+    gmb_correlation,
+    second_order_optimal,
+    second_order_ratio,
+)
 
 
 def potential_digest(v: Potential) -> str:
@@ -54,7 +59,7 @@ CSV_COLUMNS = [f.name for f in fields(EnergyReport)]
 def energy_report(
     n: int,
     v: Potential,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     *,
     brackets: Optional[Dict[Momentum, IntegralResult]] = None,
 ) -> EnergyReport:
@@ -86,8 +91,8 @@ def energy_report(
         so_delocalized=so_deloc,
         so_optimal=so_opt,
         so_ratio=(so_deloc / so_opt) if so_opt != 0.0 else second_order_ratio(),
-        log_error_total=budget.bounds.log_total,
-        log_error_total_times_n=budget.bounds.log_total_times_n,
+        log_error_total=budget.log_total,
+        log_error_total_times_n=budget.log_total_times_n,
     )
 
 

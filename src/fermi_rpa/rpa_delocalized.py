@@ -16,7 +16,9 @@ A ``ModelParams`` gives their continuum limits:
     alpha_k = hbar |k| (4/(3 sqrt(pi)))^(2/3) + beta_k,
 
 with n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3) and k.f(k) the continuum
-kinetic coefficient.  Each coefficient row carries k, alpha_k, beta_k,
+kinetic coefficient; like the second-order closed form below, they hold
+only on the lens domain |k| <= 2 k_F (``lens_norm``), and a momentum
+beyond it raises DomainError.  Each coefficient row carries k, alpha_k, beta_k,
 n_k^2 and k.f(k).  A function takes either a source or the rows of
 ``coefficient_table``, never both, so one table per source serves the
 minimum, the Hartree-Fock exchange and the error budget.
@@ -53,6 +55,7 @@ from .lattice import (
     Momentum,
     kinetic_coefficient,
     kinetic_coefficient_asymptotic,
+    lens_norm,
     mode_sort_key,
     norm_sq,
 )
@@ -119,7 +122,7 @@ def quadratic_coefficients(
         beta = v.value(k) * nk2 / source.n
         alpha = ModelParams(source.n).hbar ** 2 * kdotf + beta
     else:
-        kn = math.sqrt(norm_sq(k))
+        kn = lens_norm(source, k)
         nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
         kdotf = kinetic_coefficient_asymptotic(source, k)
         beta = source.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
@@ -189,7 +192,7 @@ def second_order_delocalized(source: Source, v: Potential) -> float:
     """Second-order expansion of the minimum in the potential strength."""
     if isinstance(source, ModelParams):
         acc = math.fsum(
-            v.value(k) ** 2 * math.sqrt(norm_sq(k)) for k in v.correlation_support()
+            v.value(k) ** 2 * lens_norm(source, k) for k in v.correlation_support()
         )
         return -source.hbar * SECOND_ORDER_PREFACTOR * acc
     terms = [

@@ -187,9 +187,8 @@ def _check_enclosure(a_of_row: np.ndarray, results: List[IntegralResult]) -> Non
 
 @dataclass(frozen=True)
 class GMBResult:
-    """Per-momentum brackets and the assembled correlation energy."""
+    """The assembled correlation energy and its certified error."""
 
-    per_k: Dict[Momentum, float]
     total: float
     error: float
 
@@ -225,14 +224,13 @@ def gmb_correlation(
     support = v.correlation_support()
     if brackets is None:
         brackets = frequency_brackets(v, tol)
-    per_k = {k: brackets[k].value for k in support}
     total = params.hbar * KAPPA * math.fsum(
-        math.sqrt(norm_sq(k)) * per_k[k] for k in support
+        math.sqrt(norm_sq(k)) * brackets[k].value for k in support
     )
     error = params.hbar * KAPPA * math.fsum(
         math.sqrt(norm_sq(k)) * brackets[k].error for k in support
     )
-    return GMBResult(per_k=per_k, total=total, error=error)
+    return GMBResult(total=total, error=error)
 
 
 def second_order_optimal(v: Potential, params: ModelParams) -> float:

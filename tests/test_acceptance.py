@@ -36,7 +36,7 @@ from fermi_rpa import (
     vacuum,
     verify_almost_ccr,
 )
-from fermi_rpa.error_budget import epsilon_bounds, optimal_kernel_magnitudes
+from fermi_rpa.error_budget import epsilon_bounds
 from fermi_rpa.fock_oracle import state_norm_sq
 from fermi_rpa.lattice import norm_sq
 from fermi_rpa.quadrature import integrate_adaptive
@@ -161,7 +161,7 @@ def test_criterion_6_lattice_asymptotics():
             params = ModelParams(n)
             nk_err.append(
                 abs(
-                    math.sqrt(lune_count(ball, k).count) / nk_asymptotic(params, k)
+                    math.sqrt(lune_count(ball, k)) / nk_asymptotic(params, k)
                     - 1.0
                 )
             )
@@ -235,13 +235,8 @@ def test_criterion_8_error_budget_scaling(weak_potential):
         logs = []
         for radius_sq in (4, 16, 64, 256, 1024):
             n = dict(closed_shell_sizes(radius_sq))[radius_sq]
-            params = ModelParams(n)
-            xi = optimal_kernel_magnitudes(weak_potential)
-            logs.append(
-                epsilon_bounds(
-                    coefficient_table(params, weak_potential), weak_potential, xi, n
-                ).log_total_times_n
-            )
+            rows = coefficient_table(ModelParams(n), weak_potential)
+            logs.append(epsilon_bounds(rows, weak_potential, n).log_total_times_n)
         assert max(logs) - min(logs) < 0.2, f"log spread {max(logs) - min(logs)}"
 
 

@@ -227,6 +227,51 @@ def test_mistyped_potential_exits_one(capsys, tmp_path, coeffs, radius_sq, messa
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corr", "--n", "abc", "--method", "optimal"],
+        ["ball"],
+        ["corr", "--n", "33", "--method", "bogus"],
+    ],
+    ids=["n-abc", "ball-no-n", "method-bogus"],
+)
+def test_usage_error_exits_one(capsys, argv):
+    # argparse's own code 2 would read as a numerical failure
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: fermi-rpa") and "error:" in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    code, out, err = run_cli(capsys, flag)
+    assert code == 0
+    assert out and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corr", "--n", "33", "--method", "delocalized-asym"],
+        ["corr", "--n", "33", "--method", "so-deloc"],
+        ["errors", "--n", "33"],
+        ["compare", "--n-list", "33"],
+        ["nk", "--n", "33"],
+    ],
+    ids=["delocalized-asym", "so-deloc", "errors", "compare", "nk"],
+)
+def test_continuum_forms_beyond_the_lens_domain_exit_one(capsys, tmp_path, argv):
+    # |k| = sqrt(30) > 2 k_F = 3.98 at N = 33: the continuum counts do not exist
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_potential(make_potential({(5, 2, 1): 0.01}, 30)))
+    code, out, err = run_cli(capsys, *argv, "--potential", str(path))
+    assert code == 1
+    assert out == ""
+    assert "exceeds the lens-formula domain" in err
+
+
 def test_unreachable_tolerance_exits_two(capsys, tmp_path, potential_file):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"tol": 1e-30}')  # below the double-precision floor

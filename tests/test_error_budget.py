@@ -105,8 +105,7 @@ def test_particle_number_constant_750_a1(demo_potential):
 
 def test_bounds_zero_potential():
     v = make_potential({(1, 0, 0): 0.0})
-    xi = optimal_kernel_magnitudes(v)
-    bounds = epsilon_bounds(coefficient_table(ModelParams(33), v), v, xi, 33)
+    bounds = epsilon_bounds(coefficient_table(ModelParams(33), v), v, 33)
     assert bounds.log_eps1 == -math.inf
     assert bounds.log_eps2 == -math.inf
     assert bounds.log_quartic == -math.inf
@@ -115,8 +114,7 @@ def test_bounds_zero_potential():
 
 def test_total_is_sum_of_parts(weak_potential):
     params = ModelParams(257)
-    xi = optimal_kernel_magnitudes(weak_potential)
-    bounds = epsilon_bounds(coefficient_table(params, weak_potential), weak_potential, xi, 257)
+    bounds = epsilon_bounds(coefficient_table(params, weak_potential), weak_potential, 257)
     recombined = np.logaddexp.reduce(
         [bounds.log_eps1, math.log(2.0) + bounds.log_eps2, bounds.log_quartic]
     )
@@ -129,10 +127,8 @@ def test_total_times_n_stable_across_shells(weak_potential):
         from fermi_rpa import closed_shell_sizes
 
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
-        params = ModelParams(n)
-        xi = optimal_kernel_magnitudes(weak_potential)
-        rows = coefficient_table(params, weak_potential)
-        logs.append(epsilon_bounds(rows, weak_potential, xi, n).log_total_times_n)
+        rows = coefficient_table(ModelParams(n), weak_potential)
+        logs.append(epsilon_bounds(rows, weak_potential, n).log_total_times_n)
     assert max(logs) - min(logs) < math.log(1.1)
 
 
@@ -141,24 +137,15 @@ def test_bounds_monotone_in_coupling(weak_potential):
     prev = None
     for s in np.linspace(0.5, 3.0, 6):
         v = scale_coupling(weak_potential, float(s))
-        xi = optimal_kernel_magnitudes(v)
-        b = epsilon_bounds(coefficient_table(params, v), v, xi, 257)
+        b = epsilon_bounds(coefficient_table(params, v), v, 257)
         current = (b.log_eps1, b.log_eps2, b.log_quartic)
         if prev is not None:
             assert all(y >= x - 1e-12 for x, y in zip(prev, current))
         prev = current
 
 
-def test_kernel_outside_support_rejected(weak_potential):
-    params = ModelParams(33)
-    foreign = BogoliubovKernel({(2, 0, 0): 0.1, (-2, 0, 0): 0.1})
-    with pytest.raises(DomainError):
-        epsilon_bounds(coefficient_table(params, weak_potential), weak_potential, foreign, 33)
-
-
 def test_exact_backend_runs(ball33, weak_potential):
-    xi = optimal_kernel_magnitudes(weak_potential)
-    bounds = epsilon_bounds(coefficient_table(ball33, weak_potential), weak_potential, xi, 33)
+    bounds = epsilon_bounds(coefficient_table(ball33, weak_potential), weak_potential, 33)
     assert math.isfinite(bounds.log_total)
 
 
@@ -168,14 +155,20 @@ def test_budget_reports_crossover(demo_potential):
     # worst-case constants: certification crossover far beyond desk scale
     assert budget.log_crossover_n > math.log(1e12)
     # at desk scale the bound exceeds the signal
-    assert budget.bounds.log_total > budget.log_signal
+    assert budget.log_total > budget.log_signal
     payload = budget.as_dict()
-    assert set(payload) >= {
+    assert set(payload) == {
         "a_constants",
         "c_small",
         "c_n",
         "log_eps1_bound",
+        "log_eps2_bound",
+        "log_quartic_bound",
         "log_total",
         "log_total_times_n",
+        "log_signal",
         "log_crossover_n",
+        "n",
     }
+    assert payload["a_constants"] == a_constants(demo_potential)
+    assert set(payload["c_n"]) == {"1", "2", "3"}

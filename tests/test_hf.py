@@ -8,12 +8,10 @@ from fermi_rpa import (
     build_fermi_ball,
     closed_shell_sizes,
     coefficient_table,
-    exchange_norm_bound,
     hf_energy,
     make_potential,
-    scale_coupling,
 )
-from fermi_rpa.lattice import norm_sq
+from fermi_rpa.lattice import _expand_columns, norm_sq
 
 from conftest import brute_force_ball
 
@@ -110,21 +108,10 @@ def test_exchange_is_lower_order(demo_potential):
     assert ratios[-1] < 0.01
 
 
-def test_exchange_norm_bound_examples(demo_potential):
-    assert exchange_norm_bound(scale_coupling(demo_potential, 0.0), 10) == 0.0
-    v = make_potential({(1, 0, 0): 0.5})  # l1 norm 1
-    assert exchange_norm_bound(v, 1000) == pytest.approx(
-        (2 * math.pi) ** (-1.5) / 1000, rel=1e-15
-    )
-    assert exchange_norm_bound(v, 2000) == pytest.approx(
-        0.5 * exchange_norm_bound(v, 1000), rel=1e-15
-    )
-
-
 def test_kinetic_is_hbar2_times_shell_sum(ball33):
     v = make_potential({(0, 0, 0): 0.0})
     params = ModelParams(33)
-    shell_sum = sum(norm_sq(h) for h in ball33.mode_array.tolist())
+    shell_sum = sum(norm_sq(h) for h in _expand_columns(ball33.column_tops).tolist())
     energy = hf_energy(ball33, v, coefficient_table(ball33, v))
     assert energy.kinetic == pytest.approx(params.hbar ** 2 * shell_sum, rel=1e-15)
     assert energy.kinetic >= 0.0

@@ -13,7 +13,6 @@ from fermi_rpa import (
     build_fermi_ball,
     closed_shell_sizes,
     coefficient_table,
-    correlation_delocalized,
     hf_energy,
     kinetic_coefficient,
     kinetic_coefficient_asymptotic,
@@ -21,7 +20,7 @@ from fermi_rpa import (
     make_potential,
     nk_asymptotic,
 )
-from fermi_rpa.lattice import mode_sort_key, norm_sq
+from fermi_rpa.lattice import _expand_columns, mode_sort_key, norm_sq
 
 from conftest import brute_force_ball
 from oracles import brute_force_pairs
@@ -30,7 +29,7 @@ SHELL_GRID = (4, 16, 64, 256, 1024)
 
 
 def modes(ball):
-    return [tuple(m) for m in ball.mode_array.tolist()]
+    return [tuple(m) for m in _expand_columns(ball.column_tops).tolist()]
 
 
 def test_closed_shell_sizes_origin():
@@ -95,8 +94,7 @@ def test_mode_order_is_deterministic(ball33):
 def test_membership_is_norm_test(probe_x, probe_y, probe_z):
     ball = build_fermi_ball(33)
     probe = (probe_x, probe_y, probe_z)
-    assert ball.contains(probe) == (norm_sq(probe) <= ball.shell_radius_sq)
-    assert (probe in set(modes(ball))) == ball.contains(probe)
+    assert (probe in set(modes(ball))) == (norm_sq(probe) <= ball.shell_radius_sq)
 
 
 def test_membership_thousand_probes(ball33):
@@ -108,12 +106,12 @@ def test_membership_thousand_probes(ball33):
 
 
 def test_lune_count_zero_transfer(ball7):
-    assert lune_count(ball7, (0, 0, 0)).count == 0
+    assert lune_count(ball7, (0, 0, 0)) == 0
 
 
 def test_lune_count_seven(ball7):
     pairs = brute_force_pairs(ball7.shell_radius_sq, (1, 0, 0))
-    assert lune_count(ball7, (1, 0, 0)).count == len(pairs) == 5
+    assert lune_count(ball7, (1, 0, 0)) == len(pairs) == 5
     for p, h in pairs:
         assert tuple(np.subtract(p, h)) == (1, 0, 0)
         assert norm_sq(h) <= ball7.shell_radius_sq
@@ -129,17 +127,17 @@ def test_lune_count_brute_force(ball33):
             if (h[0] + k[0]) ** 2 + (h[1] + k[1]) ** 2 + (h[2] + k[2]) ** 2
             > ball33.shell_radius_sq
         )
-        assert lune_count(ball33, k).count == expected
+        assert lune_count(ball33, k) == expected
 
 
 def test_lune_evenness(ball33):
     for k in brute_force_ball(9):
-        assert lune_count(ball33, k).count == lune_count(ball33, tuple(-c for c in k)).count
+        assert lune_count(ball33, k) == lune_count(ball33, tuple(-c for c in k))
 
 
 def test_pair_consistency(ball33):
     pairs = brute_force_pairs(ball33.shell_radius_sq, (1, 1, 0))
-    assert len(pairs) == lune_count(ball33, (1, 1, 0)).count
+    assert len(pairs) == lune_count(ball33, (1, 1, 0))
 
 
 def test_nk_asymptotic_zero():
@@ -225,7 +223,7 @@ def test_nk_relative_error_decreases_along_shells():
     for radius_sq in SHELL_GRID:
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
         ball = build_fermi_ball(n)
-        exact = math.sqrt(lune_count(ball, k).count)
+        exact = math.sqrt(lune_count(ball, k))
         asym = nk_asymptotic(ModelParams(n), k)
         errors.append(abs(exact / asym - 1.0))
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -239,7 +237,7 @@ def test_nk_squared_gauss_law_slope():
     for radius_sq in SHELL_GRID:
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
         ball = build_fermi_ball(n)
-        exact = lune_count(ball, k).count
+        exact = lune_count(ball, k)
         asym = nk_asymptotic(ModelParams(n), k) ** 2
         logs_err.append(math.log(abs(exact - asym)))
         logs_kf.append(math.log(ball.kf_continuum))
@@ -251,7 +249,6 @@ def test_nk_squared_gauss_law_slope():
 def test_lazy_modes_match_brute_force(radius_sq):
     pts = brute_force_ball(radius_sq)
     ball = build_fermi_ball(len(pts))
-    assert "mode_array" not in vars(ball)
     assert modes(ball) == sorted(pts, key=mode_sort_key)
     assert ball.norm_sq_sum() == sum(norm_sq(h) for h in pts)
 
@@ -273,7 +270,7 @@ def test_column_kernel_matches_brute_force(radius_sq, k):
     ball = build_fermi_ball(len(pts))
     lune = [h for h in pts if (h[0] + k[0], h[1] + k[1], h[2] + k[2]) not in members]
     stay = len(pts) - len(lune)
-    assert lune_count(ball, k).count == len(lune)
+    assert lune_count(ball, k) == len(lune)
     # HF reads the stay count N - n_k^2 for every support momentum
     v = make_potential({k: 1.0})
     exchange = hf_energy(ball, v, coefficient_table(ball, v)).exchange
@@ -304,13 +301,7 @@ def test_column_kernel_large_n_against_numpy_scan():
         shifted = pts + np.asarray(k)
         out = (shifted * shifted).sum(axis=1) > radius_sq
         count = int(out.sum())
-        assert lune_count(ball, k).count == count
+        assert lune_count(ball, k) == count
         kc = kinetic_coefficient(ball, k)
         psum = 2 * pts[out].sum(axis=0) + count * np.asarray(k)
         assert kc.numerator == int(np.dot(k, psum))
-    # the counts, HF and the exact bound never build the N x 3 mode array
-    v = make_potential({k: 0.01 for k in ks[:4]})
-    rows = coefficient_table(ball, v)
-    hf_energy(ball, v, rows)
-    correlation_delocalized(rows)
-    assert "mode_array" not in vars(ball)

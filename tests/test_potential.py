@@ -116,14 +116,6 @@ def test_l1_norm_examples(demo_potential):
     )
 
 
-def test_positivity_flag(demo_potential):
-    demo_potential.require_positive()  # all support coefficients > 0
-    mixed = make_potential({(1, 0, 0): 0.5, (0, 1, 0): -0.1})
-    assert not mixed.is_nonnegative()
-    with pytest.raises(ValueError):
-        mixed.require_positive()
-
-
 @st.composite
 def random_potentials(draw):
     n_entries = draw(st.integers(1, 6))

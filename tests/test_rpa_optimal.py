@@ -220,20 +220,18 @@ def test_correlation_zero_potential():
 
 
 def test_correlation_brackets_nonpositive(demo_potential):
-    result = gmb_correlation(demo_potential, ModelParams(33), tol=1e-12)
-    for k, bracket in result.per_k.items():
-        assert bracket <= 1e-14
-    assert result.total < 0.0
+    for bracket in frequency_brackets(demo_potential, 1e-12).values():
+        assert bracket.value <= 1e-14
+    assert gmb_correlation(demo_potential, ModelParams(33), tol=1e-12).total < 0.0
 
 
 def test_linear_order_cancellation(demo_potential):
     # per-momentum brackets are quadratic in the coupling: slope >= 1.9
-    params = ModelParams(33)
     scales = [2.0 ** (-j) for j in range(3, 9)]
     mags = []
     for s in scales:
-        res = gmb_correlation(scale_coupling(demo_potential, s), params, tol=1e-15)
-        mags.append(abs(res.per_k[(1, 0, 0)]))
+        brackets = frequency_brackets(scale_coupling(demo_potential, s), 1e-15)
+        mags.append(abs(brackets[(1, 0, 0)].value))
     slope = np.polyfit(np.log(scales), np.log(mags), 1)[0]
     assert slope >= 1.9
 
@@ -405,18 +403,18 @@ def radial_potential(radius_sq=30):
 def per_k_loop(v, params, tol):
     """The optimal correlation energy with one integral per momentum."""
     support = v.correlation_support()
-    per_k, errors = {}, {}
+    values, errors = {}, {}
     for k in support:
         (bracket,) = gmb_integral((2.0 * math.pi * KAPPA * v.value(k),), tol)
-        per_k[k] = bracket.value
+        values[k] = bracket.value
         errors[k] = bracket.error
     total = params.hbar * KAPPA * math.fsum(
-        math.sqrt(norm_sq(k)) * per_k[k] for k in support
+        math.sqrt(norm_sq(k)) * values[k] for k in support
     )
     error = params.hbar * KAPPA * math.fsum(
         math.sqrt(norm_sq(k)) * errors[k] for k in support
     )
-    return GMBResult(per_k=per_k, total=total, error=error)
+    return GMBResult(total=total, error=error)
 
 
 @pytest.fixture()
@@ -439,7 +437,6 @@ def test_correlation_equals_per_k_loop(demo_potential, n):
         result = gmb_correlation(v, params, tol=1e-10)
         expected = per_k_loop(v, params, 1e-10)
         assert result == expected
-        assert list(result.per_k) == list(expected.per_k)
         assert result.total.hex() == expected.total.hex()
         assert result.error.hex() == expected.error.hex()
 
@@ -474,7 +471,8 @@ def test_compare_runs_one_integral_per_distinct_value(
     path = tmp_path / "radial.json"
     path.write_text(serialize_potential(v))
     distinct = len({v.value(k) for k in v.correlation_support()})
-    argv = ["compare", "--potential", str(path), "--n-list", "33,257,2109"]
+    # |k| <= sqrt(30) lies inside the lens domain 2 k_F from N = 257 on
+    argv = ["compare", "--potential", str(path), "--n-list", "257,2109"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert len(counted_integrals) == 1
