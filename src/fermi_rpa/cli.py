@@ -43,7 +43,6 @@ from .hf import hf_energy
 from .lattice import (
     ModelParams,
     build_fermi_ball,
-    lune_count,
     nk_asymptotic,
 )
 from .potential import Potential, load_potential, make_potential
@@ -76,8 +75,21 @@ def _potential_arg(path) -> Potential:
     return load_potential(path) if path else _demo_potential()
 
 
+def _json_safe(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return obj
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # strict JSON: the log of an exactly zero bound or signal prints as null
+    text = json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,8 +183,9 @@ def _cmd_nk(args, config: RunConfig) -> int:
     params = ModelParams(args.n)
     v = _potential_arg(args.potential)
     lines = ["k,n_exact,n_asym,rel_err"]
-    for k in v.correlation_support():
-        exact = math.sqrt(lune_count(ball, k))
+    for row in coefficient_table(ball, v):
+        k = row.k
+        exact = math.sqrt(row.nk2)
         asym = nk_asymptotic(params, k)
         rel = abs(exact / asym - 1.0) if asym > 0 else math.inf
         lines.append(

@@ -20,10 +20,14 @@ column, Z(x, y) = isqrt(R^2 - x^2 - y^2).  The ball therefore stores its
 column table (about pi*R^2 ~ 2.1*N^(2/3) columns) instead of N points, and
 a shift by k is one interval intersection per column: the stay count
 #{h : h+k in B_F} is the summed overlap length and n_k^2 = N - stay.  That
-one pass is the only per-momentum lattice count, because the ball is
-centrally symmetric and so n_k^2 * k.f(k) = N|k|^2 exactly (see
-``kinetic_coefficient``).  Each count costs O(N^(2/3)); the N x 3 mode
-array is expanded from the column table only on demand (tiny N).
+one pass is the only lattice count, because the ball is centrally
+symmetric and so n_k^2 * k.f(k) = N|k|^2 exactly (see
+``kinetic_coefficient``).  A closed shell is also invariant under the 48
+signed permutations of the axes, so n_k^2 depends on k only through its
+cubic orbit (``orbit_representative``): a table needs one column pass per
+orbit, not per momentum (33 passes for the 738 momenta with |k|^2 <= 30).
+Each pass costs O(N^(2/3)); the N x 3 mode array is expanded from the
+column table only on demand (tiny N).
 
 All lattice sums are integer-exact; floats appear only on output.
 """
@@ -57,6 +61,16 @@ def negate(k: Momentum) -> Momentum:
 
 def add(a: Momentum, b: Momentum) -> Momentum:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def orbit_representative(k: Momentum) -> Momentum:
+    """Canonical member (sorted absolute components) of the cubic orbit of k.
+
+    The orbit is {g k} over the 48 signed permutations g of the axes.  A
+    closed shell is invariant under every g, so n_{gk}^2 = n_k^2 and k.f(k)
+    depend on k only through this representative.
+    """
+    return tuple(sorted(abs(c) for c in k))
 
 
 def mode_sort_key(k: Momentum) -> Tuple[int, int, int, int]:

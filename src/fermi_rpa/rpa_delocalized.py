@@ -5,7 +5,9 @@ turns the Hamiltonian into a sum of independent quadratic forms, one per
 transfer momentum k, with coefficients built from n_k^2 and k.f(k).  The
 type of the source is the backend, and this module is the only place that
 looks at it.  A ``FermiBall`` gives the exact lattice counts, one column
-pass per k (k.f(k) = N|k|^2 / n_k^2 needs no count of its own):
+pass per cubic orbit of the support (n_k^2 is invariant under the 48
+signed axis permutations, and k.f(k) = N|k|^2 / n_k^2 needs no count of
+its own):
 
     beta_k  = V(k) n_k^2 / N,
     alpha_k = hbar^2 k.f(k) + beta_k.
@@ -50,6 +52,7 @@ from .errors import (
 from .lattice import (
     FermiBall,
     KINETIC_SHAPE_CONSTANT,
+    KineticCoefficient,
     LUNE_SHAPE_CONSTANT,
     ModelParams,
     Momentum,
@@ -58,6 +61,7 @@ from .lattice import (
     lens_norm,
     mode_sort_key,
     norm_sq,
+    orbit_representative,
 )
 from .potential import Potential
 
@@ -109,6 +113,16 @@ class BogoliubovKernel:
         return math.fsum(abs(self.values[k]) for k in self._ordered)
 
 
+def _lattice_row(
+    ball: FermiBall, v: Potential, k: Momentum, kinetic: KineticCoefficient
+) -> QuadraticCoefficients:
+    """The exact row at k from the lattice counts of k's cubic orbit."""
+    nk2, kdotf = kinetic.count, kinetic.kdotf
+    beta = v.value(k) * nk2 / ball.n
+    alpha = ModelParams(ball.n).hbar ** 2 * kdotf + beta
+    return QuadraticCoefficients(k=k, alpha=alpha, beta=beta, nk2=nk2, kdotf=kdotf)
+
+
 def quadratic_coefficients(
     source: Source, v: Potential, k: Momentum
 ) -> QuadraticCoefficients:
@@ -117,22 +131,28 @@ def quadratic_coefficients(
         raise DomainError("quadratic coefficients undefined at k = 0")
     k = tuple(int(c) for c in k)
     if isinstance(source, FermiBall):
-        kinetic = kinetic_coefficient(source, k)  # raises EmptyLune at n_k^2 = 0
-        nk2, kdotf = kinetic.count, kinetic.kdotf
-        beta = v.value(k) * nk2 / source.n
-        alpha = ModelParams(source.n).hbar ** 2 * kdotf + beta
-    else:
-        kn = lens_norm(source, k)
-        nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
-        kdotf = kinetic_coefficient_asymptotic(source, k)
-        beta = source.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
-        alpha = source.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
+        # raises EmptyLune at n_k^2 = 0
+        return _lattice_row(source, v, k, kinetic_coefficient(source, k))
+    kn = lens_norm(source, k)
+    nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
+    kdotf = kinetic_coefficient_asymptotic(source, k)
+    beta = source.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
+    alpha = source.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
     return QuadraticCoefficients(k=k, alpha=alpha, beta=beta, nk2=nk2, kdotf=kdotf)
 
 
 def coefficient_table(source: Source, v: Potential) -> List[QuadraticCoefficients]:
-    """Coefficients for every nonzero support momentum, in mode order."""
-    return [quadratic_coefficients(source, v, k) for k in v.correlation_support()]
+    """Coefficients for every nonzero support momentum, in mode order.
+
+    On a FermiBall the lattice counts are made once per cubic orbit, at its
+    representative, in the order the support first meets each orbit.
+    """
+    support = v.correlation_support()
+    if isinstance(source, ModelParams):
+        return [quadratic_coefficients(source, v, k) for k in support]
+    reps = [orbit_representative(k) for k in support]
+    kinetic = {rep: kinetic_coefficient(source, rep) for rep in dict.fromkeys(reps)}
+    return [_lattice_row(source, v, k, kinetic[rep]) for k, rep in zip(support, reps)]
 
 
 def optimal_kernel(c: QuadraticCoefficients) -> float:

@@ -162,6 +162,37 @@ def test_errors_budget_exact_backend(capsys, potential_file):
     assert math.isfinite(payload["log_total"])
 
 
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_logs_print_as_strict_json_null(capsys, tmp_path):
+    # V vanishes on the support minus {0}: every bound and the signal are 0
+    path = tmp_path / "zero.json"
+    path.write_text('{"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": 0.0}]}')
+    code, out, _ = run_cli(capsys, "errors", "--n", "33", "--potential", str(path))
+    assert code == 0
+    budget = strict_json(out)
+    logs = [key for key in budget if key.startswith("log_")]
+    assert len(logs) == 7 and all(budget[key] is None for key in logs)
+    code, out, _ = run_cli(
+        capsys, "compare", "--n-list", "33", "--format", "json", "--potential", str(path)
+    )
+    assert code == 0
+    (row,) = strict_json(out)
+    assert row["log_error_total"] is None and row["log_error_total_times_n"] is None
+    assert row["corr_delocalized_exact"] == 0.0
+    # the CSV keeps the infinities
+    code, out, _ = run_cli(capsys, "compare", "--n-list", "33", "--potential", str(path))
+    assert code == 0
+    assert out.splitlines()[1].endswith(",-inf,-inf")
+
+
 def test_oracle_reports(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from fermi_rpa import (
     make_potential,
     nk_asymptotic,
 )
-from fermi_rpa.lattice import _expand_columns, mode_sort_key, norm_sq
+from fermi_rpa.lattice import _expand_columns, mode_sort_key, norm_sq, orbit_representative
 
 from conftest import brute_force_ball
 from oracles import brute_force_pairs
@@ -305,3 +306,75 @@ def test_column_kernel_large_n_against_numpy_scan():
         kc = kinetic_coefficient(ball, k)
         psum = 2 * pts[out].sum(axis=0) + count * np.asarray(k)
         assert kc.numerator == int(np.dot(k, psum))
+
+
+# the 48 signed permutations of the axes, as (permutation, signs)
+CUBIC_GROUP = [
+    (perm, signs)
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3)
+]
+
+
+def act(g, k):
+    perm, signs = g
+    return tuple(signs[i] * k[perm[i]] for i in range(3))
+
+
+@given(
+    st.sampled_from(closed_shell_sizes(400)),
+    st.tuples(st.integers(-25, 25), st.integers(-25, 25), st.integers(-25, 25)),
+)
+@example((0, 1), (1, 0, 0))
+@example((400, 33401), (3, -1, 2))
+@settings(max_examples=60, deadline=None)
+def test_lune_count_is_invariant_under_the_cubic_group(shell, k):
+    assert len({act(g, (1, 2, 3)) for g in CUBIC_GROUP}) == 48
+    radius_sq, n = shell
+    ball = build_fermi_ball(n)
+    assert ball.shell_radius_sq == radius_sq
+    count = lune_count(ball, k)
+    rep = orbit_representative(k)
+    assert rep in {act(g, k) for g in CUBIC_GROUP}
+    for g in CUBIC_GROUP:
+        assert lune_count(ball, act(g, k)) == count
+        assert orbit_representative(act(g, k)) == rep
+
+
+def test_integer_arithmetic_exact_near_a_billion():
+    ball = build_fermi_ball(1000003353)
+    top = ball.column_tops
+    r = top.shape[0] // 2
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    rest = ball.shell_radius_sq - (ax[:, None] ** 2 + ax[None, :] ** 2)
+    inside = rest >= 0
+    # every column top is the exact integer square root, -1 off the ball
+    assert np.all(top[~inside] == -1)
+    assert np.all((top * top <= rest)[inside]) and np.all(((top + 1) ** 2 > rest)[inside])
+    z = top[inside]
+    rho_sq = (ax[:, None] ** 2 + ax[None, :] ** 2)[inside]
+    # each column term is below 2^31; the totals are summed as Python ints
+    per_column = rho_sq * (2 * z + 1) + z * (z + 1) * (2 * z + 1) // 3
+    assert int(per_column.max()) < 2**31
+    assert sum((2 * z + 1).tolist()) == ball.n
+    total = sum(per_column.tolist())
+    assert 2 * 10**14 < total < 3 * 10**14
+    assert ball.norm_sq_sum() == total
+    # one row: the stay count as a Python-int sum of column overlaps
+    k = (2, -1, 5)
+    v = make_potential({k: 0.01})
+    row = next(c for c in coefficient_table(ball, v) if c.k == k)
+    stay = 0
+    m = top.shape[0]
+    for i in range(max(0, -k[0]), min(m, m - k[0])):
+        source, target = top[i], np.full(m, -1, dtype=np.int64)
+        lo_y, hi_y = max(0, -k[1]), min(m, m - k[1])
+        target[lo_y:hi_y] = top[i + k[0], lo_y + k[1] : hi_y + k[1]]
+        lo = np.maximum(-source, -target - k[2])
+        hi = np.minimum(source, target - k[2])
+        stay += sum(np.maximum(hi - lo + 1, 0).tolist())
+    assert type(row.nk2) is int and row.nk2 == ball.n - stay
+    numerator = ball.n * norm_sq(k)
+    assert numerator == 30_000_100_590
+    assert kinetic_coefficient(ball, k).numerator == numerator
+    assert row.kdotf == numerator / (ball.n - stay)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fermi_rpa import (
     DomainError,
     MissingCoefficient,
     ModelParams,
+    build_fermi_ball,
     QuadraticCoefficients,
     bosonized_functional,
     coefficient_table,
@@ -22,6 +24,7 @@ from fermi_rpa import (
     second_order_delocalized,
 )
 import fermi_rpa.rpa_delocalized as rpa_delocalized
+from conftest import brute_force_ball
 from oracles import minimize_pair_energy
 
 
@@ -231,44 +234,101 @@ def test_minimum_term_matches_naive_formula(alpha, ratio):
     assert stable == pytest.approx(naive, abs=1e-13 * alpha)
 
 
-def test_one_column_pass_per_momentum(monkeypatch, tmp_path, ball33, demo_potential):
+def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential):
     from fermi_rpa import lattice, rpa_delocalized, serialize_potential
     from fermi_rpa.cli import main
     from fermi_rpa.report import energy_report
 
-    passes, rows_built = [], []
+    passes, exact_rows, continuum_rows = [], [], []
     stay_columns = lattice._stay_columns
+    lattice_row = rpa_delocalized._lattice_row
     quadratic = rpa_delocalized.quadratic_coefficients
 
     def counted_pass(ball, k):
         passes.append(k)
         return stay_columns(ball, k)
 
-    def counted_row(source, v, k):
-        rows_built.append(k)
+    def counted_exact_row(ball, v, k, kinetic):
+        exact_rows.append(k)
+        return lattice_row(ball, v, k, kinetic)
+
+    def counted_continuum_row(source, v, k):
+        continuum_rows.append(k)
         return quadratic(source, v, k)
 
     monkeypatch.setattr(lattice, "_stay_columns", counted_pass)
-    monkeypatch.setattr(rpa_delocalized, "quadratic_coefficients", counted_row)
+    monkeypatch.setattr(rpa_delocalized, "_lattice_row", counted_exact_row)
+    monkeypatch.setattr(rpa_delocalized, "quadratic_coefficients", counted_continuum_row)
     # V(0) feeds the Hartree-Fock direct and exchange terms but needs no pass
     v = make_potential({**demo_potential.coeffs, (0, 0, 0): 0.3})
     path = tmp_path / "v.json"
     path.write_text(serialize_potential(v))
     support = v.correlation_support()
+    # the distinct cubic orbits in the order the support first meets them
+    orbits = list(dict.fromkeys(tuple(sorted(map(abs, k))) for k in support))
+    assert orbits == [(0, 0, 1), (0, 1, 1)]
     common = ["--n", "33", "--potential", str(path)]
     runs = {
         "table": lambda: coefficient_table(ball33, v),
         "second order": lambda: second_order_delocalized(ball33, v),
         "report": lambda: energy_report(33, v),
+        "nk": lambda: main(["nk", *common]),
         "hf": lambda: main(["hf", *common]),
         "corr": lambda: main(["corr", *common, "--method", "delocalized-exact"]),
         "errors": lambda: main(["errors", *common, "--backend", "exact"]),
     }
     for name, run in runs.items():
         passes.clear()
-        rows_built.clear()
+        exact_rows.clear()
+        continuum_rows.clear()
         run()
-        assert passes == support, name
-        if name == "report":
-            # one exact and one continuum row per momentum
-            assert rows_built == support + support
+        assert passes == orbits, name
+        # still one exact row per momentum, in support order
+        assert exact_rows == support, name
+        if name in ("report", "errors"):
+            # and one continuum row per momentum
+            assert continuum_rows == support, name
+
+
+def nonradial_potential(radius_sq, seed):
+    """One random V per +-k pair on |k|^2 <= radius_sq, so no two orbit members agree."""
+    rng = random.Random(seed)
+    r = math.isqrt(radius_sq)
+    span = range(-r, r + 1)
+    entries = {
+        (x, y, z): rng.uniform(0.005, 0.05)
+        for x in span
+        for y in span
+        for z in span
+        if 0 < x * x + y * y + z * z <= radius_sq and (x, y, z) > (0, 0, 0)
+    }
+    return make_potential(entries, support_radius_sq=radius_sq)
+
+
+@pytest.mark.parametrize("n", [33, 2109, 57777])
+def test_orbit_table_equals_per_momentum_rows(n):
+    ball = build_fermi_ball(n)
+    v = nonradial_potential(30, seed=n)
+    support = v.correlation_support()
+    assert len(support) == 738
+    table = coefficient_table(ball, v)
+    assert [c.k for c in table] == support
+    # every field bit for bit, and the count an exact int
+    assert table == [quadratic_coefficients(ball, v, k) for k in support]
+    assert all(type(c.nk2) is int for c in table)
+
+
+@pytest.mark.parametrize("radius_sq", [1, 2, 3, 5])
+def test_orbit_table_against_brute_force(radius_sq):
+    pts = brute_force_ball(radius_sq)
+    members = set(pts)
+    ball = build_fermi_ball(len(pts))
+    v = nonradial_potential(8, seed=radius_sq)
+    hbar_sq = ModelParams(ball.n).hbar ** 2
+    for c in coefficient_table(ball, v):
+        k = c.k
+        count = sum((h[0] + k[0], h[1] + k[1], h[2] + k[2]) not in members for h in pts)
+        assert c.nk2 == count
+        assert c.kdotf == ball.n * (k[0] ** 2 + k[1] ** 2 + k[2] ** 2) / count
+        assert c.beta == v.value(k) * count / ball.n
+        assert c.alpha == hbar_sq * c.kdotf + c.beta
