@@ -451,8 +451,8 @@ def test_tolerance_flag_overrides_config(capsys, tmp_path, potential_file):
 
 
 # stdout of each command recorded once, byte for byte; every listed command
-# must print it both on the built-in demo potential and on the same potential
-# read from a file.  Re-record the file only for a deliberate change of
+# that reads a potential must print it both on the built-in demo potential and
+# on the same potential read from a file.  Re-record the file only for a deliberate change of
 # printed bits, from each command's stdout on the demo potential.
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 GOLDEN_NS = ("33", "257", "2109")
@@ -474,7 +474,13 @@ GOLDEN_COMMANDS = [
     "oracle --trials 3 --seed 7",
     "oracle --holes-n 1 --lambda-sq 1 --pairs 1 --trials 25 --seed 9",
     "oracle --pairs 3 --trials 2 --seed 3",
+    "corr --n 257 --method optimal --tol 1e-12",
+    "compare --n-list 33,257 --tol 1e-12 --format csv",
+    "ball --n 2109",
+    "ratio",
 ]
+# subcommands that read no potential run once, without --potential
+NO_POTENTIAL = ("ball", "ratio")
 
 
 @pytest.fixture(scope="module")
@@ -485,7 +491,8 @@ def golden():
 @pytest.mark.parametrize("command", GOLDEN_COMMANDS)
 def test_golden_stdout(capsys, potential_file, golden, command):
     argv = command.split()
-    for extra in ([], ["--potential", potential_file]):
+    extras = [[]] if argv[0] in NO_POTENTIAL else [[], ["--potential", potential_file]]
+    for extra in extras:
         code, out, err = run_cli(capsys, *argv, *extra)
         assert (code, err) == (0, "")
         assert out == golden[command]
