@@ -17,6 +17,7 @@ from fermi_rpa import (
     build_fermi_ball,
     coefficient_table,
     correlation_delocalized,
+    frequency_brackets,
     gmb_correlation,
     make_potential,
     scale_coupling,
@@ -51,9 +52,10 @@ def main(argv=None) -> int:
     for j in range(lo, hi):
         s = 2.0 ** (-j)
         scaled = scale_coupling(v, s)
-        deloc = correlation_delocalized(coefficient_table(ball, scaled))
-        so_deloc = second_order_delocalized(ball, scaled)
-        gmb = gmb_correlation(scaled, params, tol=args.tol).total
+        table = coefficient_table(ball, scaled)
+        deloc = correlation_delocalized(table)
+        so_deloc = second_order_delocalized(table)
+        gmb = gmb_correlation(frequency_brackets(scaled, args.tol), params).total
         so_opt = second_order_optimal(scaled, params)
         lines.append(
             ",".join(

@@ -51,7 +51,6 @@ from .rpa_delocalized import (
     correlation_delocalized,
     optimal_kernel,
     optimal_kernel_table,
-    quadratic_coefficients,
     second_order_delocalized,
 )
 from .rpa_optimal import (
@@ -64,11 +63,9 @@ from .rpa_optimal import (
     second_order_ratio,
 )
 from .error_budget import (
-    EpsilonBounds,
     ErrorBudget,
     a_constants,
     assemble_error_budget,
-    epsilon_bounds,
     optimal_kernel_magnitudes,
     particle_number_constant,
 )

@@ -217,7 +217,7 @@ def _cmd_corr(args, config: RunConfig) -> int:
             sys.stderr.write(
                 "warning: V(0) != 0 is excluded from the correlation sum\n"
             )
-        value = gmb_correlation(v, params, tol=config.tol).total
+        value = gmb_correlation(frequency_brackets(v, config.tol), params).total
     elif method == "so-deloc":
         value = second_order_delocalized(params, v)
     else:
@@ -234,7 +234,7 @@ def _cmd_compare(args, config: RunConfig) -> int:
         raise FermiRpaError(f"invalid --n-list: {exc}") from exc
     # the brackets depend on V(k) alone: one table serves every N
     brackets = frequency_brackets(v, config.tol) if ns else {}
-    reports = [energy_report(n, v, tol=config.tol, brackets=brackets) for n in ns]
+    reports = [energy_report(n, v, brackets) for n in ns]
     if args.format == "csv":
         sys.stdout.write(report_csv(reports))
     else:

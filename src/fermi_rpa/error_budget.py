@@ -101,17 +101,6 @@ def particle_number_constant(xi: BogoliubovKernel, n_power: int) -> float:
     return 8.0 * n_power * 5.0 ** n_power * xi.abs_sum()
 
 
-@dataclass(frozen=True)
-class EpsilonBounds:
-    """Assembled remainder bounds, all in natural log space."""
-
-    log_eps1: float
-    log_eps2: float
-    log_quartic: float
-    log_total: float
-    log_total_times_n: float
-
-
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
@@ -120,22 +109,47 @@ def _logaddexp(*vals: float) -> float:
     return float(np.logaddexp.reduce(np.array(vals, dtype=float)))
 
 
-def epsilon_bounds(rows: Rows, v: Potential, n: int) -> EpsilonBounds:
-    """Evaluate the four displayed remainder lines plus the quartic bound.
+@dataclass(frozen=True)
+class ErrorBudget:
+    """Full audit record; the fields are the keys of the ``errors`` document."""
 
-    ``rows`` is ``coefficient_table(source, v)`` of a source with n
-    particles; the kernel is ``optimal_kernel_magnitudes(v)``.  total =
-    eps1 + 2*eps2 + quartic, reported together with total*N (the
-    N-independent certified constant).
+    a_constants: Tuple[float, float, float, float, float]
+    c_small: float
+    c_n: Dict[str, float]  # Gronwall exponent C_n(X) keyed by the order n
+    log_eps1_bound: float
+    log_eps2_bound: float
+    log_quartic_bound: float
+    log_total: float
+    log_total_times_n: float
+    log_signal: float
+    log_crossover_n: float
+    n: int
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> ErrorBudget:
+    """Constants, exponents, the remainder bounds, and the certification crossover.
+
+    The bounds read ``rows``, the ``coefficient_table(source, v)`` of a
+    source with n particles (exact or continuum), and the kernel
+    ``optimal_kernel_magnitudes(v)``.  total = eps1 + 2*eps2 + quartic is
+    reported together with total*N (the N-independent certified constant).
+    The order-hbar signal |E_corr| is the minimum of ``continuum =
+    coefficient_table(ModelParams(n), v)``.  log_crossover_n estimates (in
+    log space) the particle count beyond which the certified O(1/N) bound
+    drops below the signal; the worst-case constants make this
+    astronomically large.
     """
+    constants = a_constants(v)
     support = v.correlation_support()
     xi = optimal_kernel_magnitudes(v)
+    c_n = {str(m): particle_number_constant(xi, m) for m in (1, 2, 3)}
+    c2, c3 = c_n["2"], c_n["3"]
     n_of = {c.k: math.sqrt(c.nk2) for c in rows}
     kf_of = {c.k: c.kdotf for c in rows}
-    params = ModelParams(n)
-
-    c2 = particle_number_constant(xi, 2)
-    c3 = particle_number_constant(xi, 3)
+    hbar_sq = ModelParams(n).hbar ** 2
 
     # weighted kernel sums S_k = sum_m |X(m)| / (n_m n_k)
     s_base = math.fsum(abs(xi.value(m)) / n_of[m] for m in support)
@@ -170,71 +184,27 @@ def epsilon_bounds(rows: Rows, v: Potential, n: int) -> EpsilonBounds:
     )
     log_eps2 = 0.5 * c3 + _log(
         2.0
-        * params.hbar ** 2
+        * hbar_sq
         * math.sqrt(8.0)
         * (math.fsum(inner_kin_diag) + math.fsum(inner_kin_off))
     )
     log_quartic = c2 + _log(2.0 * l1_norm(v) / n)
     log_total = _logaddexp(log_eps1, math.log(2.0) + log_eps2, log_quartic)
-    return EpsilonBounds(
-        log_eps1=log_eps1,
-        log_eps2=log_eps2,
-        log_quartic=log_quartic,
-        log_total=log_total,
-        log_total_times_n=log_total + math.log(n),
-    )
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Full audit record; the fields are the keys of the ``errors`` document."""
-
-    a_constants: Tuple[float, float, float, float, float]
-    c_small: float
-    c_n: Dict[str, float]  # Gronwall exponent C_n(X) keyed by the order n
-    log_eps1_bound: float
-    log_eps2_bound: float
-    log_quartic_bound: float
-    log_total: float
-    log_total_times_n: float
-    log_signal: float
-    log_crossover_n: float
-    n: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> ErrorBudget:
-    """Constants, exponents, bounds, and the certification crossover.
-
-    The bounds read ``rows`` (exact or continuum); the order-hbar signal
-    |E_corr| is the minimum of ``continuum = coefficient_table(ModelParams(n),
-    v)``.  log_crossover_n estimates (in log space) the particle count beyond
-    which the certified O(1/N) bound drops below the signal; the worst-case
-    constants make this astronomically large.
-    """
-    constants = a_constants(v)
-    xi = optimal_kernel_magnitudes(v)
-    bounds = epsilon_bounds(rows, v, n)
     signal = abs(correlation_delocalized(continuum))
     log_signal = _log(signal)
     # total*N < signal*N^(1/3)*N^(2/3) 3/2-power law crossover
     log_w = log_signal + math.log(n) / 3.0  # N-independent signal weight
-    log_crossover = (
-        1.5 * (bounds.log_total_times_n - log_w)
-        if math.isfinite(log_w)
-        else math.inf
-    )
+    log_total_times_n = log_total + math.log(n)
+    log_crossover = 1.5 * (log_total_times_n - log_w) if math.isfinite(log_w) else math.inf
     return ErrorBudget(
         a_constants=constants,
         c_small=C_SMALL,
-        c_n={str(m): particle_number_constant(xi, m) for m in (1, 2, 3)},
-        log_eps1_bound=bounds.log_eps1,
-        log_eps2_bound=bounds.log_eps2,
-        log_quartic_bound=bounds.log_quartic,
-        log_total=bounds.log_total,
-        log_total_times_n=bounds.log_total_times_n,
+        c_n=c_n,
+        log_eps1_bound=log_eps1,
+        log_eps2_bound=log_eps2,
+        log_quartic_bound=log_quartic,
+        log_total=log_total,
+        log_total_times_n=log_total_times_n,
         log_signal=log_signal,
         log_crossover_n=log_crossover,
         n=n,

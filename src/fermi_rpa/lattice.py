@@ -84,15 +84,17 @@ def mode_sort_key(k: Momentum) -> Tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Particle count and the semiclassical parameter hbar = n^(-1/3)."""
+    """Particle count, hbar = n^(-1/3) and the continuum Fermi momentum kf = (3n/4pi)^(1/3)."""
 
     n: int
     hbar: float = field(init=False)
+    kf: float = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"particle count must be positive, got {self.n}")
         object.__setattr__(self, "hbar", float(self.n) ** (-1.0 / 3.0))
+        object.__setattr__(self, "kf", (3.0 * self.n / (4.0 * math.pi)) ** (1.0 / 3.0))
 
 
 def _column_tops(radius_sq: int) -> np.ndarray:
@@ -154,8 +156,8 @@ class FermiBall:
     """The closed-shell set B_F of the n lowest lattice modes.
 
     B_F is exactly {h : |h|^2 <= shell_radius_sq}, held as its column table
-    (see ``_column_tops``); kf_continuum = (3n/4pi)^(1/3) is the continuum
-    Fermi momentum used by the asymptotic formulas.  Being a closed shell,
+    (see ``_column_tops``); kf_continuum is ``ModelParams(n).kf``, the
+    continuum Fermi momentum of the asymptotic formulas.  Being a closed shell,
     membership is the norm test; ``_expand_columns(column_tops)`` lists the
     n points in the global mode order at O(n) memory, for tiny n only.
     """
@@ -183,15 +185,13 @@ def build_fermi_ball(n: int) -> FermiBall:
     (e.g. n = 2); every formula downstream assumes a completely filled
     shell.
     """
-    if n < 1:
-        raise DomainError(f"particle count must be positive, got {n}")
-    # upper radius from the continuum volume, grown if needed; then bisect
-    # for the smallest radius_sq whose ball holds at least n points
-    guess = int(math.ceil((3.0 * n / (4.0 * math.pi)) ** (1.0 / 3.0))) + 2
-    hi = guess * guess
-    while _ball_size(hi) < n:
-        hi *= 2
-    lo = 0
+    kf = ModelParams(n).kf
+    # The unit cubes around the points of {|h|^2 <= R^2} lie inside radius
+    # R + sqrt(3)/2 and cover radius R - sqrt(3)/2, so comparing volumes puts
+    # the smallest R^2 whose ball holds at least n points in
+    # [(kf - 1)^2, (kf + 1)^2]; bisect there.
+    lo = math.floor(max(kf - 1.0, 0.0) ** 2)
+    hi = math.ceil((kf + 1.0) ** 2)
     while lo < hi:
         mid = (lo + hi) // 2
         if _ball_size(mid) >= n:
@@ -204,7 +204,6 @@ def build_fermi_ball(n: int) -> FermiBall:
             f"no closed shell with exactly {n} modes; "
             f"nearest shells have {_ball_size(lo - 1)} and {count}"
         )
-    kf = (3.0 * n / (4.0 * math.pi)) ** (1.0 / 3.0)
     return FermiBall(n, lo, kf, _column_tops(lo))
 
 
@@ -238,20 +237,18 @@ def lune_count(ball: FermiBall, k: Momentum) -> int:
 
 def lens_norm(params: ModelParams, k: Momentum) -> float:
     """|k| on the domain |k| <= 2 k_F of the continuum forms (the lens of two balls)."""
-    kf = (3.0 * params.n / (4.0 * math.pi)) ** (1.0 / 3.0)
     kn = math.sqrt(norm_sq(k))
-    if kn > 2.0 * kf:
+    if kn > 2.0 * params.kf:
         raise DomainError(
-            f"|k| = {kn:.6g} exceeds the lens-formula domain 2*k_F = {2 * kf:.6g}"
+            f"|k| = {kn:.6g} exceeds the lens-formula domain 2*k_F = {2 * params.kf:.6g}"
         )
     return kn
 
 
 def nk_asymptotic(params: ModelParams, k: Momentum) -> float:
     """Continuum lune norm sqrt(pi k_F^2 |k| - (pi/12)|k|^3), for |k| <= 2 k_F."""
-    kf = (3.0 * params.n / (4.0 * math.pi)) ** (1.0 / 3.0)
     kn = lens_norm(params, k)
-    value = math.pi * kf * kf * kn - (math.pi / 12.0) * kn ** 3
+    value = math.pi * params.kf * params.kf * kn - (math.pi / 12.0) * kn ** 3
     return math.sqrt(max(0.0, value))
 
 

@@ -1,9 +1,14 @@
-"""Assembled per-N energy reports for tables and convergence studies."""
+"""Assembled per-N energy reports for tables and convergence studies.
+
+A report reads the frequency-bracket table its caller built, once for every
+N, and builds the exact and continuum coefficient tables of its own N.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .error_budget import assemble_error_budget
 from .hf import hf_energy
@@ -15,12 +20,7 @@ from .rpa_delocalized import (
     correlation_delocalized,
     second_order_delocalized,
 )
-from .rpa_optimal import (
-    DEFAULT_TOL,
-    gmb_correlation,
-    second_order_optimal,
-    second_order_ratio,
-)
+from .rpa_optimal import gmb_correlation, second_order_optimal, second_order_ratio
 
 
 def potential_digest(v: Potential) -> str:
@@ -60,17 +60,13 @@ CSV_COLUMNS = [f.name for f in fields(EnergyReport)]
 
 
 def energy_report(
-    n: int,
-    v: Potential,
-    tol: float = DEFAULT_TOL,
-    *,
-    brackets: Optional[Dict[Momentum, IntegralResult]] = None,
+    n: int, v: Potential, brackets: Dict[Momentum, IntegralResult]
 ) -> EnergyReport:
     """Full comparison record at one particle count.
 
-    ``brackets`` is an optional ``frequency_brackets(v, tol)`` table shared
-    across particle counts; it is computed here when omitted.  One exact
-    and one continuum coefficient table serve every column.
+    ``brackets`` is the ``frequency_brackets(v, tol)`` table, which depends
+    on V alone and so serves every particle count.  One exact and one
+    continuum coefficient table serve every other column.
     """
     ball = build_fermi_ball(n)
     params = ModelParams(n)
@@ -90,7 +86,7 @@ def energy_report(
         hf_total=hf.total,
         corr_delocalized_exact=correlation_delocalized(exact),
         corr_delocalized_asymptotic=correlation_delocalized(continuum),
-        corr_optimal=gmb_correlation(v, params, tol=tol, brackets=brackets).total,
+        corr_optimal=gmb_correlation(brackets, params).total,
         so_delocalized=so_deloc,
         so_optimal=so_opt,
         so_ratio=(so_deloc / so_opt) if so_opt != 0.0 else second_order_ratio(),
@@ -104,12 +100,16 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_cell(val) -> str:
+    # a non-finite float (the log of an exactly zero bound) is an empty cell,
+    # as it is null in JSON
+    if isinstance(val, float):
+        return format_float(val) if math.isfinite(val) else ""
+    return str(val)
+
+
 def report_csv(reports: List[EnergyReport]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for rep in reports:
-        cells = (
-            format_float(val) if isinstance(val, float) else str(val)
-            for val in rep.as_dict().values()
-        )
-        lines.append(",".join(cells))
+        lines.append(",".join(_csv_cell(val) for val in rep.as_dict().values()))
     return "\n".join(lines) + "\n"

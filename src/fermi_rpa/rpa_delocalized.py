@@ -33,8 +33,10 @@ minimized in closed form at X0(k) = -(1/2) artanh(beta_k/alpha_k) with
 minimum sum_k (1/2)(sqrt(alpha_k^2 - beta_k^2) - alpha_k) < 0.  Expanding
 the minimum to second order in the potential gives
 
-    -(1/(2 hbar^2 N^2)) sum_k V(k)^2 n_k^4 / (2 k.f(k))     (FermiBall)
-    -hbar (pi/2)(9/32) sum_k V(k)^2 |k|                     (ModelParams).
+    -sum_k beta_k^2 / (4 (alpha_k - beta_k))                (rows of a table)
+    -hbar (pi/2)(9/32) sum_k V(k)^2 |k|                     (ModelParams);
+
+on the exact rows the first is -(1/(2 hbar^2 N^2)) sum_k V(k)^2 n_k^4 / (2 k.f(k)).
 """
 
 from __future__ import annotations
@@ -42,13 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    DegenerateCoefficients,
-    DomainError,
-    MissingCoefficient,
-)
+from .errors import DegenerateCoefficients, DomainError, MissingCoefficient
 from .lattice import (
     FermiBall,
     KINETIC_SHAPE_CONSTANT,
@@ -60,7 +58,6 @@ from .lattice import (
     kinetic_coefficient_asymptotic,
     lens_norm,
     mode_sort_key,
-    norm_sq,
     orbit_representative,
 )
 from .potential import Potential
@@ -114,45 +111,41 @@ class BogoliubovKernel:
 
 
 def _lattice_row(
-    ball: FermiBall, v: Potential, k: Momentum, kinetic: KineticCoefficient
+    v: Potential, k: Momentum, kinetic: KineticCoefficient, n: int, hbar_sq: float
 ) -> QuadraticCoefficients:
     """The exact row at k from the lattice counts of k's cubic orbit."""
     nk2, kdotf = kinetic.count, kinetic.kdotf
-    beta = v.value(k) * nk2 / ball.n
-    alpha = ModelParams(ball.n).hbar ** 2 * kdotf + beta
+    beta = v.value(k) * nk2 / n
+    alpha = hbar_sq * kdotf + beta
     return QuadraticCoefficients(k=k, alpha=alpha, beta=beta, nk2=nk2, kdotf=kdotf)
 
 
-def quadratic_coefficients(
-    source: Source, v: Potential, k: Momentum
-) -> QuadraticCoefficients:
-    """Coefficients (alpha_k, beta_k) and the n_k^2, k.f(k) behind them."""
-    if norm_sq(k) == 0:
-        raise DomainError("quadratic coefficients undefined at k = 0")
-    k = tuple(int(c) for c in k)
-    if isinstance(source, FermiBall):
-        # raises EmptyLune at n_k^2 = 0
-        return _lattice_row(source, v, k, kinetic_coefficient(source, k))
-    kn = lens_norm(source, k)
-    nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
-    kdotf = kinetic_coefficient_asymptotic(source, k)
-    beta = source.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
-    alpha = source.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
+def _continuum_row(params: ModelParams, v: Potential, k: Momentum) -> QuadraticCoefficients:
+    """The continuum row at k; DomainError beyond the lens domain."""
+    kn = lens_norm(params, k)
+    nk2 = kn * params.n * params.hbar * LUNE_SHAPE_CONSTANT
+    kdotf = kinetic_coefficient_asymptotic(params, k)
+    beta = params.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
+    alpha = params.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
     return QuadraticCoefficients(k=k, alpha=alpha, beta=beta, nk2=nk2, kdotf=kdotf)
 
 
 def coefficient_table(source: Source, v: Potential) -> List[QuadraticCoefficients]:
     """Coefficients for every nonzero support momentum, in mode order.
 
-    On a FermiBall the lattice counts are made once per cubic orbit, at its
-    representative, in the order the support first meets each orbit.
+    This is the only row builder.  On a FermiBall the lattice counts are
+    made once per cubic orbit, at its representative, in the order the
+    support first meets each orbit; a count of zero raises EmptyLune.
     """
     support = v.correlation_support()
     if isinstance(source, ModelParams):
-        return [quadratic_coefficients(source, v, k) for k in support]
+        return [_continuum_row(source, v, k) for k in support]
     reps = [orbit_representative(k) for k in support]
     kinetic = {rep: kinetic_coefficient(source, rep) for rep in dict.fromkeys(reps)}
-    return [_lattice_row(source, v, k, kinetic[rep]) for k, rep in zip(support, reps)]
+    hbar_sq = ModelParams(source.n).hbar ** 2
+    return [
+        _lattice_row(v, k, kinetic[rep], source.n, hbar_sq) for k, rep in zip(support, reps)
+    ]
 
 
 def optimal_kernel(c: QuadraticCoefficients) -> float:
@@ -208,15 +201,18 @@ def correlation_delocalized(coeffs: Sequence[QuadraticCoefficients]) -> float:
     return math.fsum(_minimum_term(c) for c in coeffs)
 
 
-def second_order_delocalized(source: Source, v: Potential) -> float:
-    """Second-order expansion of the minimum in the potential strength."""
+def second_order_delocalized(
+    source: Union[ModelParams, Sequence[QuadraticCoefficients]], v: Optional[Potential] = None
+) -> float:
+    """Second-order expansion of the minimum in the potential strength.
+
+    On the rows of a coefficient table it is -sum_k beta^2 / (4 (alpha - beta)),
+    since alpha - beta = hbar^2 k.f(k) carries no potential.  On a
+    ModelParams it is the closed form over the support of ``v``.
+    """
     if isinstance(source, ModelParams):
         acc = math.fsum(
             v.value(k) ** 2 * lens_norm(source, k) for k in v.correlation_support()
         )
         return -source.hbar * SECOND_ORDER_PREFACTOR * acc
-    terms = [
-        v.value(c.k) ** 2 * c.nk2 * c.nk2 / (2.0 * c.kdotf)
-        for c in coefficient_table(source, v)
-    ]
-    return -math.fsum(terms) / (2.0 * ModelParams(source.n).hbar ** 2 * source.n ** 2)
+    return -math.fsum(c.beta * c.beta / (4.0 * (c.alpha - c.beta)) for c in source)

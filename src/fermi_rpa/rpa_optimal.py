@@ -30,9 +30,9 @@ values of V on the support and hands them to one ``gmb_integral`` call,
 which integrates all of them in one batched quadrature
 (``quadrature.integrate_adaptive``); each value keeps its own panels and
 stopping rule, so its bracket is bit-for-bit what integrating it alone
-gives.  ``compare`` builds that table once per invocation and hands it to
-``gmb_correlation`` for every N.  The table is never kept beyond the call
-that asked for it.
+gives.  ``gmb_correlation`` takes that table and never builds one: ``corr``
+builds it once per run and ``compare`` once per invocation, for every N.
+The table is never kept beyond the call that asked for it.
 
 Every bracket is checked against the rigorous enclosure
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -210,25 +210,17 @@ def frequency_brackets(
 
 
 def gmb_correlation(
-    v: Potential,
-    params: ModelParams,
-    tol: float = DEFAULT_TOL,
-    *,
-    brackets: Optional[Dict[Momentum, IntegralResult]] = None,
+    brackets: Dict[Momentum, IntegralResult], params: ModelParams
 ) -> GMBResult:
-    """Optimal correlation energy over the potential support minus {0}.
+    """Optimal correlation energy from the brackets of ``frequency_brackets(v, tol)``.
 
-    ``brackets`` is ``frequency_brackets(v, tol)``, computed here when
-    omitted; pass it to share one table across particle counts.
+    The table depends on V alone, so one serves every particle count.
     """
-    support = v.correlation_support()
-    if brackets is None:
-        brackets = frequency_brackets(v, tol)
     total = params.hbar * KAPPA * math.fsum(
-        math.sqrt(norm_sq(k)) * brackets[k].value for k in support
+        math.sqrt(norm_sq(k)) * bracket.value for k, bracket in brackets.items()
     )
     error = params.hbar * KAPPA * math.fsum(
-        math.sqrt(norm_sq(k)) * brackets[k].error for k in support
+        math.sqrt(norm_sq(k)) * bracket.error for k, bracket in brackets.items()
     )
     return GMBResult(total=total, error=error)
 

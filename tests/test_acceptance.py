@@ -17,11 +17,13 @@ from fermi_rpa import (
     apply_h0,
     apply_pair_annihilate,
     apply_pair_create,
+    assemble_error_budget,
     build_fermi_ball,
     build_mode_set,
     closed_shell_sizes,
     coefficient_table,
     correlation_delocalized,
+    frequency_brackets,
     gmb_correlation,
     hf_energy,
     kinetic_coefficient,
@@ -36,7 +38,6 @@ from fermi_rpa import (
     vacuum,
     verify_almost_ccr,
 )
-from fermi_rpa.error_budget import epsilon_bounds
 from fermi_rpa.fock_oracle import state_norm_sq
 from fermi_rpa.lattice import norm_sq
 from fermi_rpa.quadrature import integrate_adaptive
@@ -115,17 +116,14 @@ def test_criterion_4_small_coupling_consistency(demo_potential, ball2109):
             scaled = scale_coupling(demo_potential, s)
             gmb_dev.append(
                 abs(
-                    gmb_correlation(scaled, params, tol=1e-15).total
+                    gmb_correlation(frequency_brackets(scaled, 1e-15), params).total
                     / second_order_optimal(scaled, params)
                     - 1.0
                 )
             )
+            table = coefficient_table(ball2109, scaled)
             deloc_dev.append(
-                abs(
-                    correlation_delocalized(coefficient_table(ball2109, scaled))
-                    / second_order_delocalized(ball2109, scaled)
-                    - 1.0
-                )
+                abs(correlation_delocalized(table) / second_order_delocalized(table) - 1.0)
             )
         logs = [math.log(s) for s in scales]
         gmb_order = np.polyfit(logs, [math.log(d) for d in gmb_dev], 1)[0]
@@ -236,7 +234,8 @@ def test_criterion_8_error_budget_scaling(weak_potential):
         for radius_sq in (4, 16, 64, 256, 1024):
             n = dict(closed_shell_sizes(radius_sq))[radius_sq]
             rows = coefficient_table(ModelParams(n), weak_potential)
-            logs.append(epsilon_bounds(rows, weak_potential, n).log_total_times_n)
+            budget = assemble_error_budget(rows, rows, weak_potential, n)
+            logs.append(budget.log_total_times_n)
         assert max(logs) - min(logs) < 0.2, f"log spread {max(logs) - min(logs)}"
 
 

@@ -187,10 +187,10 @@ def test_non_finite_logs_print_as_strict_json_null(capsys, tmp_path):
     (row,) = strict_json(out)
     assert row["log_error_total"] is None and row["log_error_total_times_n"] is None
     assert row["corr_delocalized_exact"] == 0.0
-    # the CSV keeps the infinities
+    # the CSV leaves those cells empty
     code, out, _ = run_cli(capsys, "compare", "--n-list", "33", "--potential", str(path))
     assert code == 0
-    assert out.splitlines()[1].endswith(",-inf,-inf")
+    assert out.splitlines()[1].endswith(",0.91656319310744883,,")
 
 
 def test_oracle_reports(capsys):

@@ -8,7 +8,6 @@ from fermi_rpa import (
     ModelParams,
     a_constants,
     assemble_error_budget,
-    epsilon_bounds,
     make_potential,
     optimal_kernel_magnitudes,
     particle_number_constant,
@@ -20,7 +19,6 @@ from fermi_rpa.rpa_delocalized import (
     coefficient_table,
     optimal_kernel,
     optimal_kernel_table,
-    quadratic_coefficients,
 )
 
 
@@ -74,9 +72,10 @@ def test_kernel_exponent_identity(demo_potential):
 def test_kernel_exact_backend_shares_minimizer_path(ball7):
     # the lattice kernel is the minimizer's table, not a budget code path
     v = make_potential({(1, 0, 0): 1.0})
-    xi = optimal_kernel_table(coefficient_table(ball7, v))
-    c = quadratic_coefficients(ball7, v, (1, 0, 0))
-    assert xi.value((1, 0, 0)) == optimal_kernel(c)
+    table = coefficient_table(ball7, v)
+    xi = optimal_kernel_table(table)
+    for c in table:
+        assert xi.value(c.k) == optimal_kernel(c)
 
 
 def test_budget_kernel_is_not_the_continuum_minimizer():
@@ -103,20 +102,23 @@ def test_particle_number_constant_750_a1(demo_potential):
     assert particle_number_constant(xi, 3) == pytest.approx(750.0 * a1, rel=1e-13)
 
 
+def continuum_budget(v, n):
+    rows = coefficient_table(ModelParams(n), v)
+    return assemble_error_budget(rows, rows, v, n)
+
+
 def test_bounds_zero_potential():
-    v = make_potential({(1, 0, 0): 0.0})
-    bounds = epsilon_bounds(coefficient_table(ModelParams(33), v), v, 33)
-    assert bounds.log_eps1 == -math.inf
-    assert bounds.log_eps2 == -math.inf
-    assert bounds.log_quartic == -math.inf
+    bounds = continuum_budget(make_potential({(1, 0, 0): 0.0}), 33)
+    assert bounds.log_eps1_bound == -math.inf
+    assert bounds.log_eps2_bound == -math.inf
+    assert bounds.log_quartic_bound == -math.inf
     assert bounds.log_total == -math.inf
 
 
 def test_total_is_sum_of_parts(weak_potential):
-    params = ModelParams(257)
-    bounds = epsilon_bounds(coefficient_table(params, weak_potential), weak_potential, 257)
+    bounds = continuum_budget(weak_potential, 257)
     recombined = np.logaddexp.reduce(
-        [bounds.log_eps1, math.log(2.0) + bounds.log_eps2, bounds.log_quartic]
+        [bounds.log_eps1_bound, math.log(2.0) + bounds.log_eps2_bound, bounds.log_quartic_bound]
     )
     assert bounds.log_total == pytest.approx(recombined, abs=1e-13)
 
@@ -127,25 +129,24 @@ def test_total_times_n_stable_across_shells(weak_potential):
         from fermi_rpa import closed_shell_sizes
 
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
-        rows = coefficient_table(ModelParams(n), weak_potential)
-        logs.append(epsilon_bounds(rows, weak_potential, n).log_total_times_n)
+        logs.append(continuum_budget(weak_potential, n).log_total_times_n)
     assert max(logs) - min(logs) < math.log(1.1)
 
 
 def test_bounds_monotone_in_coupling(weak_potential):
-    params = ModelParams(257)
     prev = None
     for s in np.linspace(0.5, 3.0, 6):
-        v = scale_coupling(weak_potential, float(s))
-        b = epsilon_bounds(coefficient_table(params, v), v, 257)
-        current = (b.log_eps1, b.log_eps2, b.log_quartic)
+        b = continuum_budget(scale_coupling(weak_potential, float(s)), 257)
+        current = (b.log_eps1_bound, b.log_eps2_bound, b.log_quartic_bound)
         if prev is not None:
             assert all(y >= x - 1e-12 for x, y in zip(prev, current))
         prev = current
 
 
 def test_exact_backend_runs(ball33, weak_potential):
-    bounds = epsilon_bounds(coefficient_table(ball33, weak_potential), weak_potential, 33)
+    exact = coefficient_table(ball33, weak_potential)
+    continuum = coefficient_table(ModelParams(33), weak_potential)
+    bounds = assemble_error_budget(exact, continuum, weak_potential, 33)
     assert math.isfinite(bounds.log_total)
 
 

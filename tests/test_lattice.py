@@ -85,6 +85,37 @@ def test_build_fermi_ball_rejects_open_shell():
         build_fermi_ball(100)
 
 
+def test_ball_radius_for_every_shell_up_to_radius_sq_1000():
+    # the extremes of the radius bracket: the largest n of each shell builds
+    # it, and the smallest, one past the shell below, names both neighbours
+    previous = 0
+    for s, count in closed_shell_sizes(1000):
+        ball = build_fermi_ball(count)
+        assert (ball.n, ball.shell_radius_sq) == (count, s)
+        assert ball.kf_continuum == ModelParams(count).kf
+        if previous + 1 < count:
+            with pytest.raises(NotClosedShell, match=f"have {previous} and {count}$"):
+                build_fermi_ball(previous + 1)
+        previous = count
+
+
+def test_ball_bisects_inside_the_bracket(monkeypatch):
+    from fermi_rpa import lattice
+
+    calls = []
+    ball_size = lattice._ball_size
+
+    def counted(radius_sq):
+        calls.append(radius_sq)
+        return ball_size(radius_sq)
+
+    monkeypatch.setattr(lattice, "_ball_size", counted)
+    ball = build_fermi_ball(9947927)
+    assert ball.shell_radius_sq == 17800
+    # nine bisection steps over a bracket of width 535, then the count at the answer
+    assert len(calls) == 10 and calls[-1] == 17800
+
+
 def test_mode_order_is_deterministic(ball33):
     keys = [mode_sort_key(m) for m in modes(ball33)]
     assert keys == sorted(keys)

@@ -2,12 +2,16 @@ import json
 
 import pytest
 
-from fermi_rpa import energy_report, second_order_ratio
+from fermi_rpa import energy_report, frequency_brackets, second_order_ratio
 from fermi_rpa.report import CSV_COLUMNS, report_csv
 
 
+def report_at(n, v):
+    return energy_report(n, v, frequency_brackets(v))
+
+
 def test_report_invariants(demo_potential):
-    rep = energy_report(33, demo_potential)
+    rep = report_at(33, demo_potential)
     assert rep.hbar == pytest.approx(33 ** (-1.0 / 3.0))
     assert rep.corr_delocalized_exact <= 0.0
     assert rep.corr_delocalized_asymptotic <= 0.0
@@ -19,7 +23,7 @@ def test_report_invariants(demo_potential):
 
 
 def test_report_serialization(demo_potential):
-    rep = energy_report(33, demo_potential)
+    rep = report_at(33, demo_potential)
     payload = rep.as_dict()
     assert set(payload) == set(CSV_COLUMNS)
     json.dumps(payload)  # JSON-safe
@@ -30,7 +34,7 @@ def test_report_serialization(demo_potential):
 
 
 def test_digest_tracks_potential(demo_potential, weak_potential):
-    a = energy_report(33, demo_potential).potential
-    b = energy_report(33, weak_potential).potential
+    a = report_at(33, demo_potential).potential
+    b = report_at(33, weak_potential).potential
     assert a != b
     assert len(a) == 16

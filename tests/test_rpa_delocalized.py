@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from fermi_rpa import (
     BogoliubovKernel,
     DegenerateCoefficients,
-    DomainError,
     MissingCoefficient,
     ModelParams,
     build_fermi_ball,
@@ -16,10 +15,10 @@ from fermi_rpa import (
     bosonized_functional,
     coefficient_table,
     correlation_delocalized,
+    kinetic_coefficient,
     make_potential,
     optimal_kernel,
     optimal_kernel_table,
-    quadratic_coefficients,
     scale_coupling,
     second_order_delocalized,
 )
@@ -32,16 +31,21 @@ def g_of(alpha, beta):
     return lambda x: alpha * math.sinh(x) ** 2 - beta * math.sinh(x) * math.cosh(x)
 
 
+def row_at(table, k):
+    (row,) = [c for c in table if c.k == k]
+    return row
+
+
 def test_exact_coefficients_seven(ball7):
     v = make_potential({(1, 0, 0): 1.0})
-    c = quadratic_coefficients(ball7, v, (1, 0, 0))
+    c = row_at(coefficient_table(ball7, v), (1, 0, 0))
     assert c.beta == pytest.approx(5.0 / 7.0, rel=1e-15)
     assert c.alpha == pytest.approx(7.0 ** (-2.0 / 3.0) * (7.0 / 5.0) + 5.0 / 7.0, rel=1e-15)
 
 
 def test_free_coefficients_have_zero_beta(ball7):
     v = make_potential({(1, 0, 0): 0.0})
-    c = quadratic_coefficients(ball7, v, (1, 0, 0))
+    c = row_at(coefficient_table(ball7, v), (1, 0, 0))
     assert c.beta == 0.0
     assert c.alpha > 0.0
 
@@ -50,17 +54,18 @@ def test_asymptotic_gap_independent_of_potential():
     params = ModelParams(2109)
     strong = make_potential({(1, 0, 0): 3.0})
     weak = make_potential({(1, 0, 0): 0.01})
-    c1 = quadratic_coefficients(params, strong, (1, 0, 0))
-    c2 = quadratic_coefficients(params, weak, (1, 0, 0))
+    c1 = row_at(coefficient_table(params, strong), (1, 0, 0))
+    c2 = row_at(coefficient_table(params, weak), (1, 0, 0))
     gap = params.hbar * (4 / (3 * math.sqrt(math.pi))) ** (2 / 3)
     assert c1.alpha - c1.beta == pytest.approx(gap, rel=1e-14)
     assert c2.alpha - c2.beta == pytest.approx(gap, rel=1e-14)
 
 
-def test_coefficients_reject_zero_momentum(ball7):
-    v = make_potential({(1, 0, 0): 1.0})
-    with pytest.raises(DomainError):
-        quadratic_coefficients(ball7, v, (0, 0, 0))
+def test_table_leaves_out_zero_momentum(ball7):
+    # V(0) feeds Hartree-Fock only; no table has a row at k = 0
+    v = make_potential({(0, 0, 0): 1.0, (1, 0, 0): 1.0})
+    for source in (ball7, ModelParams(7)):
+        assert [c.k for c in coefficient_table(source, v)] == [(-1, 0, 0), (1, 0, 0)]
 
 
 def test_optimal_kernel_zero_beta():
@@ -193,7 +198,7 @@ def test_monotone_in_coupling(ball33, demo_potential):
 
 def test_second_order_zero_potential(ball7):
     v = make_potential({(1, 0, 0): 0.0})
-    assert second_order_delocalized(ball7, v) == 0.0
+    assert second_order_delocalized(coefficient_table(ball7, v)) == 0.0
 
 
 def test_second_order_asymptotic_prefactor(demo_potential):
@@ -211,7 +216,7 @@ def test_second_order_asymptotic_prefactor(demo_potential):
 
 def test_richardson_coupling_scaling(ball2109, demo_potential):
     # correlation_delocalized(sV)/s^2 approaches the second-order value at order >= 1 in s
-    so = second_order_delocalized(ball2109, demo_potential)
+    so = second_order_delocalized(coefficient_table(ball2109, demo_potential))
     scales = [2.0 ** (-j) for j in range(3, 9)]
     deviations = []
     for s in scales:
@@ -220,6 +225,25 @@ def test_richardson_coupling_scaling(ball2109, demo_potential):
         deviations.append(abs(ratio / so - 1.0))
     slope = np.polyfit([math.log(s) for s in scales], [math.log(d) for d in deviations], 1)[0]
     assert slope >= 1.0 - 0.1
+
+
+@pytest.mark.parametrize("n", [7, 33, 2109, 57777])
+def test_second_order_on_exact_rows_is_the_lattice_formula(n):
+    # beta = V n_k^2 / N and alpha - beta = hbar^2 k.f(k)
+    ball = build_fermi_ball(n)
+    v = nonradial_potential(8, seed=n)
+    table = coefficient_table(ball, v)
+    terms = [v.value(c.k) ** 2 * c.nk2 * c.nk2 / (2.0 * c.kdotf) for c in table]
+    lattice = -math.fsum(terms) / (2.0 * ModelParams(n).hbar ** 2 * n**2)
+    assert second_order_delocalized(table) == pytest.approx(lattice, rel=4e-15)
+
+
+def test_second_order_on_continuum_rows_is_the_closed_form(demo_potential):
+    params = ModelParams(2109)
+    rows = coefficient_table(params, demo_potential)
+    assert second_order_delocalized(rows) == pytest.approx(
+        second_order_delocalized(params, demo_potential), rel=1e-14
+    )
 
 
 @given(
@@ -235,30 +259,43 @@ def test_minimum_term_matches_naive_formula(alpha, ratio):
 
 
 def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential):
-    from fermi_rpa import lattice, rpa_delocalized, serialize_potential
+    from fermi_rpa import error_budget, lattice, rpa_delocalized, rpa_optimal
+    from fermi_rpa import frequency_brackets, serialize_potential
     from fermi_rpa.cli import main
     from fermi_rpa.report import energy_report
 
-    passes, exact_rows, continuum_rows = [], [], []
+    passes, exact_rows, continuum_rows, integrals, kernels = [], [], [], [], []
     stay_columns = lattice._stay_columns
     lattice_row = rpa_delocalized._lattice_row
-    quadratic = rpa_delocalized.quadratic_coefficients
+    continuum_row = rpa_delocalized._continuum_row
+    gmb_integral = rpa_optimal.gmb_integral
+    kernel = error_budget.optimal_kernel_magnitudes
 
     def counted_pass(ball, k):
         passes.append(k)
         return stay_columns(ball, k)
 
-    def counted_exact_row(ball, v, k, kinetic):
+    def counted_exact_row(v, k, kinetic, n, hbar_sq):
         exact_rows.append(k)
-        return lattice_row(ball, v, k, kinetic)
+        return lattice_row(v, k, kinetic, n, hbar_sq)
 
-    def counted_continuum_row(source, v, k):
+    def counted_continuum_row(params, v, k):
         continuum_rows.append(k)
-        return quadratic(source, v, k)
+        return continuum_row(params, v, k)
+
+    def counted_integral(values, tol):
+        integrals.append(values)
+        return gmb_integral(values, tol)
+
+    def counted_kernel(v):
+        kernels.append(v)
+        return kernel(v)
 
     monkeypatch.setattr(lattice, "_stay_columns", counted_pass)
     monkeypatch.setattr(rpa_delocalized, "_lattice_row", counted_exact_row)
-    monkeypatch.setattr(rpa_delocalized, "quadratic_coefficients", counted_continuum_row)
+    monkeypatch.setattr(rpa_delocalized, "_continuum_row", counted_continuum_row)
+    monkeypatch.setattr(rpa_optimal, "gmb_integral", counted_integral)
+    monkeypatch.setattr(error_budget, "optimal_kernel_magnitudes", counted_kernel)
     # V(0) feeds the Hartree-Fock direct and exchange terms but needs no pass
     v = make_potential({**demo_potential.coeffs, (0, 0, 0): 0.3})
     path = tmp_path / "v.json"
@@ -270,8 +307,8 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     common = ["--n", "33", "--potential", str(path)]
     runs = {
         "table": lambda: coefficient_table(ball33, v),
-        "second order": lambda: second_order_delocalized(ball33, v),
-        "report": lambda: energy_report(33, v),
+        "second order": lambda: second_order_delocalized(coefficient_table(ball33, v)),
+        "report": lambda: energy_report(33, v, frequency_brackets(v)),
         "nk": lambda: main(["nk", *common]),
         "hf": lambda: main(["hf", *common]),
         "corr": lambda: main(["corr", *common, "--method", "delocalized-exact"]),
@@ -288,6 +325,21 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
         if name in ("report", "errors"):
             # and one continuum row per momentum
             assert continuum_rows == support, name
+
+    # one bracket table per invocation, one budget kernel per budget
+    compare = ["compare", "--potential", str(path), "--n-list"]
+    table_runs = [
+        (["corr", *common, "--method", "optimal"], 1, 0),
+        ([*compare, "33"], 1, 1),
+        ([*compare, "33,257,2109", "--format", "json"], 1, 3),
+        (["errors", *common, "--backend", "exact"], 0, 1),
+        (["errors", *common], 0, 1),
+    ]
+    for argv, n_integrals, n_kernels in table_runs:
+        integrals.clear()
+        kernels.clear()
+        assert main(argv) == 0, argv
+        assert (len(integrals), len(kernels)) == (n_integrals, n_kernels), argv
 
 
 def nonradial_potential(radius_sq, seed):
@@ -313,8 +365,16 @@ def test_orbit_table_equals_per_momentum_rows(n):
     assert len(support) == 738
     table = coefficient_table(ball, v)
     assert [c.k for c in table] == support
-    # every field bit for bit, and the count an exact int
-    assert table == [quadratic_coefficients(ball, v, k) for k in support]
+    # the reference makes one lattice count per momentum
+    hbar_sq = ModelParams(n).hbar ** 2
+    reference = []
+    for k in support:
+        kinetic = kinetic_coefficient(ball, k)
+        beta = v.value(k) * kinetic.count / n
+        alpha = hbar_sq * kinetic.kdotf + beta
+        reference.append(QuadraticCoefficients(k, alpha, beta, kinetic.count, kinetic.kdotf))
+    # every field bit for bit (repr round-trips floats), and the count an exact int
+    assert [repr(c) for c in table] == [repr(c) for c in reference]
     assert all(type(c.nk2) is int for c in table)
 
 

@@ -215,14 +215,15 @@ def test_batch_integrand_calls_follow_the_largest_panel_count(monkeypatch):
 
 def test_correlation_zero_potential():
     v = make_potential({(1, 0, 0): 0.0})
-    result = gmb_correlation(v, ModelParams(33))
+    result = gmb_correlation(frequency_brackets(v), ModelParams(33))
     assert result.total == 0.0
 
 
 def test_correlation_brackets_nonpositive(demo_potential):
-    for bracket in frequency_brackets(demo_potential, 1e-12).values():
+    table = frequency_brackets(demo_potential, 1e-12)
+    for bracket in table.values():
         assert bracket.value <= 1e-14
-    assert gmb_correlation(demo_potential, ModelParams(33), tol=1e-12).total < 0.0
+    assert gmb_correlation(table, ModelParams(33)).total < 0.0
 
 
 def test_linear_order_cancellation(demo_potential):
@@ -242,7 +243,7 @@ def test_small_coupling_matches_second_order(demo_potential):
     deviations = []
     for s in scales:
         scaled = scale_coupling(demo_potential, s)
-        total = gmb_correlation(scaled, params, tol=1e-15).total
+        total = gmb_correlation(frequency_brackets(scaled, 1e-15), params).total
         so = second_order_optimal(scaled, params)
         deviations.append(abs(total / so - 1.0))
     slope = np.polyfit(np.log(scales), np.log(deviations), 1)[0]
@@ -434,7 +435,7 @@ def counted_integrals(monkeypatch):
 def test_correlation_equals_per_k_loop(demo_potential, n):
     for v in (demo_potential, radial_potential()):
         params = ModelParams(n)
-        result = gmb_correlation(v, params, tol=1e-10)
+        result = gmb_correlation(frequency_brackets(v, 1e-10), params)
         expected = per_k_loop(v, params, 1e-10)
         assert result == expected
         assert result.total.hex() == expected.total.hex()
@@ -452,15 +453,15 @@ def test_brackets_one_integral_per_distinct_value(counted_integrals):
     assert list(table) == v.correlation_support()
     for n in (33, 257):
         params = ModelParams(n)
-        shared = gmb_correlation(v, params, tol=1e-10, brackets=table)
-        assert shared == gmb_correlation(v, params, tol=1e-10)
+        shared = gmb_correlation(table, params)
+        assert shared == gmb_correlation(frequency_brackets(v, 1e-10), params)
 
 
 def test_energy_report_with_shared_brackets(demo_potential):
     table = frequency_brackets(demo_potential, 1e-10)
     for n in (33, 257):
-        assert energy_report(n, demo_potential, 1e-10, brackets=table) == energy_report(
-            n, demo_potential, 1e-10
+        assert energy_report(n, demo_potential, table) == energy_report(
+            n, demo_potential, frequency_brackets(demo_potential, 1e-10)
         )
 
 
