@@ -1,10 +1,10 @@
 """Domain-guard sweep: random closed shells, potentials and tolerances through the CLI.
 
 Every run exits 0, 1 or 2 and lets no exception escape.  A success prints
-only finite numbers, and its JSON passes a parser that rejects NaN and
-Infinity; a CSV cell is empty or a finite number.  A failure prints exactly one ``error: ...`` line on stderr
-(after any ``warning: ...`` lines).  The same argv prints the same bytes
-twice.
+only finite numbers: its JSON passes a parser that rejects NaN and
+Infinity, and a CSV cell is empty or a finite number.  A failure prints
+exactly one ``error: ...`` line on stderr, after any ``warning: ...``
+lines.  The same argv prints the same bytes twice.
 """
 
 import io
