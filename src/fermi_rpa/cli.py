@@ -253,8 +253,7 @@ def _cmd_errors(args, config: RunConfig) -> int:
 
 def _cmd_oracle(args, config: RunConfig) -> int:
     checked_count("trials", args.trials)
-    pairs = args.pairs if args.pairs is not None else config.max_pairs
-    max_pairs = checked_count("max_pairs", pairs)
+    max_pairs = config.max_pairs if args.pairs is None else checked_count("max_pairs", args.pairs)
     modes = build_mode_set(args.holes_n, args.lambda_sq)
     v = _potential_arg(args.potential)
     params = ModelParams(args.holes_n)
@@ -285,9 +284,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         flag_tol = getattr(args, "tol", None)
-        tol = checked_tol(config.tol if flag_tol is None else flag_tol)
-        # the handler reads the effective tol (flag over file over default)
-        return args.run(args, replace(config, tol=tol))
+        if flag_tol is not None:
+            # the handler reads the effective tol (flag over file over default)
+            config = replace(config, tol=checked_tol(flag_tol))
+        return args.run(args, config)
     except (ConvergenceFailure, TruncationOverflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

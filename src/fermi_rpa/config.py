@@ -3,9 +3,9 @@
 The defaults (quadrature tolerance ``rpa_optimal.DEFAULT_TOL`` = 1e-10,
 oracle pair cap 2) are the field values of ``RunConfig``.  A JSON file
 given with ``--config`` overrides any of them; CLI flags override the
-file.  In the file, ``tol`` must be a JSON number, ``max_pairs`` a JSON
-integer and ``version``, if present, the integer 1.  Unknown keys are
-ignored.
+file.  In the file, ``tol`` must be a finite JSON number > 0,
+``max_pairs`` a JSON integer >= 1 and ``version``, if present, the integer
+1, even where a flag overrides the value.  Unknown keys are ignored.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ class RunConfig:
 
 
 # override key -> checker of its JSON value
-_OVERRIDES = {"tol": json_number, "max_pairs": json_integer}
+_OVERRIDES = {
+    "tol": lambda value, key: checked_tol(json_number(value, key)),
+    "max_pairs": lambda value, key: checked_count(key, json_integer(value, key)),
+}
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:

@@ -146,9 +146,9 @@ def closed_shell_sizes(max_radius_sq: int) -> List[Tuple[int, int]]:
     return [(int(s), int(cumulative[s])) for s in np.flatnonzero(per_level)]
 
 
-def _ball_size(radius_sq: int) -> int:
-    """#{h : |h|^2 <= radius_sq}, summed over columns."""
-    return int(np.maximum(2 * _column_tops(radius_sq) + 1, 0).sum())
+def _ball_size(top: np.ndarray) -> int:
+    """The number of points of a column table: its summed interval lengths 2Z + 1."""
+    return int(np.maximum(2 * top + 1, 0).sum())
 
 
 @dataclass(frozen=True)
@@ -194,17 +194,18 @@ def build_fermi_ball(n: int) -> FermiBall:
     hi = math.ceil((kf + 1.0) ** 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _ball_size(mid) >= n:
+        if _ball_size(_column_tops(mid)) >= n:
             hi = mid
         else:
             lo = mid + 1
-    count = _ball_size(lo)
+    top = _column_tops(lo)
+    count = _ball_size(top)
     if count != n:
         raise NotClosedShell(
             f"no closed shell with exactly {n} modes; "
-            f"nearest shells have {_ball_size(lo - 1)} and {count}"
+            f"nearest shells have {_ball_size(_column_tops(lo - 1))} and {count}"
         )
-    return FermiBall(n, lo, kf, _column_tops(lo))
+    return FermiBall(n, lo, kf, top)
 
 
 def _stay_columns(ball: FermiBall, k: Momentum) -> np.ndarray:

@@ -72,10 +72,10 @@ class IntegralResult(NamedTuple):
 
 
 class Nodes(NamedTuple):
-    """One integrand call: ``lam[i]`` are the 15 abscissae of a panel of row ``rows[i]``."""
+    """One integrand call: ``x[i]`` are the 15 abscissae of a panel of row ``rows[i]``."""
 
     rows: np.ndarray
-    lam: np.ndarray
+    x: np.ndarray
 
 
 def _gk15_panel(f, rows, lo, hi):
@@ -118,7 +118,7 @@ def integrate_adaptive(
     """Integrate row i of f on [lo[i], hi[i]] to absolute accuracy tol[i].
 
     ``f`` maps ``Nodes`` to the integrand values, an array shaped like
-    ``Nodes.lam``.  Raises ConvergenceFailure when a row's tolerance is
+    ``Nodes.x``.  Raises ConvergenceFailure when a row's tolerance is
     below its rounding floor, or when its panel budget is exhausted
     before the summed error estimates fall below the tolerance.
     """

@@ -16,13 +16,12 @@ and that integral is what is computed: the linear part never enters, so
 nothing cancels against the counterterm.  Each bracket is O(V(k)^2); its
 second order is -(pi/2)(1 - log 2) |k| V^2 summed over k.
 
-h <= 0, |h(x)| <= x^2/2 for x >= 0 and <= x^2/(2(1 - |x|)) for x in
-(-1, 0), and 0 <= g <= 1/(3 lambda^2), so the tail beyond a cutoff L is
-at most a^2/(54 pi L^3) (divided by 1 - |a|/(3 L^2) for a < 0).  L is
-chosen so that this bound is tol/2.  The leading tail -a^2/(54 pi L^3)
-is added to the value; as both it and the true tail lie in [-bound, 0],
-the bound still covers their difference and goes into the error.  The
-body on [0, L] is adaptive Gauss-Kronrod quadrature.
+The substitution lambda = t/(1 - t), dlambda = dt/(1 - t)^2, maps the
+half line onto [0, 1).  As g(lambda) ~ 1/(3 lambda^2) and h(x) ~ -x^2/2,
+the mapped integrand h(a g)/(1 - t)^2 ~ -a^2 (1 - t)^2/18 is analytic up
+to t = 1 and vanishes there, so each bracket is one adaptive Gauss-Kronrod
+row on [0, 1]: nothing is cut off and no tail is bounded or added.  The
+error is the quadrature's estimate.
 
 Each bracket depends only on the value V(k), neither on the direction of
 k nor on N.  ``frequency_brackets`` therefore collects the distinct
@@ -118,18 +117,6 @@ def gmb_integrand(a, lam):
     return _log1p_minus_identity(np.multiply(a, _inner_factor(lam)))
 
 
-def tail_bound(a: float, cutoff: float) -> float:
-    """Rigorous bound on |(1/pi) * integral of the integrand over [cutoff, inf)|."""
-    base = (a / cutoff) ** 2 / (54.0 * math.pi * cutoff)
-    if a >= 0.0:
-        return base
-    # |h(x)| <= x^2/(2(1-|x|)) for x in (-1, 0); here |x| <= |a|/(3 cutoff^2)
-    shrink = 1.0 - abs(a) / (3.0 * cutoff * cutoff)
-    if shrink <= 0.0:
-        raise DomainError(f"tail bound invalid: cutoff {cutoff} too small for a = {a}")
-    return base / shrink
-
-
 def gmb_integral(values: Sequence[float], tol: float = DEFAULT_TOL) -> List[IntegralResult]:
     """The bracket (1/pi) I(a) - a/4 of each a in ``values`` and its error, to absolute tol.
 
@@ -141,27 +128,16 @@ def gmb_integral(values: Sequence[float], tol: float = DEFAULT_TOL) -> List[Inte
     for a in values:
         if a <= -1.0:
             raise DomainError(f"integral undefined for a = {a} <= -1")
-    # cutoff chosen so the analytic tail bound is tol/2, from cube roots so
-    # that neither a^2 nor 1/tol can overflow
-    cutoffs = [
-        max(10.0, math.cbrt(abs(a)) ** 2 / math.cbrt(27.0 * math.pi * tol)) for a in values
-    ]
-    tails = [tail_bound(a, cutoff) for a, cutoff in zip(values, cutoffs)]
     a_of_row = np.array(values, dtype=float)
-    bodies = integrate_adaptive(
-        lambda nodes: gmb_integrand(a_of_row[nodes.rows, None], nodes.lam),
-        [0.0] * len(values),
-        cutoffs,
-        [math.pi * (tol - tail) for tail in tails],
-    )
-    # each value carries its leading tail -a^2/(54 pi L^3); the bound goes into the error
-    results = [
-        IntegralResult(
-            body.value / math.pi - (a / cutoff) ** 2 / (54.0 * math.pi * cutoff),
-            body.error / math.pi + tail,
-        )
-        for a, cutoff, tail, body in zip(values, cutoffs, tails, bodies)
-    ]
+
+    def mapped(nodes):
+        # lambda = t/(1 - t); Gauss-Kronrod nodes are interior, so t < 1
+        rest = 1.0 - nodes.x
+        return gmb_integrand(a_of_row[nodes.rows, None], nodes.x / rest) / (rest * rest)
+
+    rows = len(values)
+    bodies = integrate_adaptive(mapped, [0.0] * rows, [1.0] * rows, [math.pi * tol] * rows)
+    results = [IntegralResult(body.value / math.pi, body.error / math.pi) for body in bodies]
     _check_enclosure(a_of_row, results)
     return results
 
@@ -187,7 +163,7 @@ def _check_enclosure(a_of_row: np.ndarray, results: List[IntegralResult]) -> Non
 
 @dataclass(frozen=True)
 class GMBResult:
-    """The assembled correlation energy and its certified error."""
+    """The assembled correlation energy and its Gauss-Kronrod error estimate."""
 
     total: float
     error: float

@@ -322,20 +322,7 @@ def test_unreachable_tolerance_exits_two(capsys, tmp_path, potential_file):
     assert "error estimate" in err and "rounding floor" in err
 
 
-def test_underflowed_quadrature_exits_two(capsys, potential_file):
-    # at tol 1e-300 the first panel spans [0, ~1e100] and samples only
-    # integrand values (~ lambda^-4) that underflow to 0; the enclosure
-    # check turns the vanished body into exit 2
-    code, out, err = run_cli(
-        capsys, "corr", "--n", "33", "--potential", potential_file,
-        "--method", "optimal", "--tol", "1e-300",
-    )
-    assert code == 2
-    assert out == ""
-    assert "violates" in err and "log1p" in err
-
-
-@pytest.mark.parametrize("tol", ["1e-200", "1e-310"])
+@pytest.mark.parametrize("tol", ["1e-200", "1e-300", "1e-310"])
 def test_tolerance_below_the_floor_exits_two_fast(capsys, potential_file, tol):
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -448,6 +435,18 @@ def test_tolerance_flag_overrides_config(capsys, tmp_path, potential_file):
     code, out, _ = run_cli(capsys, "--config", str(cfg), *argv, "--tol", "1e-10")
     assert code == 0
     assert out == run_cli(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "NaN"])
+def test_invalid_config_tolerance_exits_one_under_a_flag(capsys, tmp_path, potential_file, tol):
+    # the flag overrides the file's value, but the file is still checked
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"tol": %s}' % tol)
+    argv = ["corr", "--n", "33", "--potential", potential_file, "--method", "optimal"]
+    code, out, err = run_cli(capsys, "--config", str(cfg), *argv, "--tol", "1e-10")
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be finite and > 0" in err
 
 
 # stdout of each command recorded once, byte for byte; every listed command

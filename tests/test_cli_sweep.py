@@ -4,7 +4,9 @@ Every run exits 0, 1 or 2 and lets no exception escape.  A success prints
 only finite numbers: its JSON passes a parser that rejects NaN and
 Infinity, and a CSV cell is empty or a finite number.  A failure prints
 exactly one ``error: ...`` line on stderr, after any ``warning: ...``
-lines.  The same argv prints the same bytes twice.
+lines.  The same argv prints the same bytes twice.  ``corr`` and
+``compare`` may also read a ``--config`` file; one with an invalid ``tol``
+or ``version`` exits 1, whatever flag overrides it.
 """
 
 import io
@@ -27,6 +29,14 @@ MOMENTA = [(0, 0, 0)] + [
 ]
 COUPLINGS = st.one_of(st.just(0.0), st.floats(-0.3, 5.0), st.floats(-0.3, 0.3))
 TOLS = st.sampled_from([None, "1e-17", "1e-300", "1e-13", "1e-10", "1e-6", "0.01"])
+# config tol values: JSON numbers (0, negatives, 1e-300, NaN, Infinity, an
+# integer beyond double range) and values that are not numbers at all
+CONFIG_TOLS = st.one_of(
+    st.floats(),
+    st.integers(-3, 3),
+    st.sampled_from([1e-300, -1e-10, 10**300, 10**400, True, False, "1e-8", None]),
+)
+CONFIG_VERSIONS = st.sampled_from([1, 2, 2.9])
 JSON_COMMANDS = ("hf", "errors")
 # CSV columns that hold no number
 TEXT_COLUMNS = ("k", "potential")
@@ -53,7 +63,18 @@ def invocations(draw):
         if tol is not None:
             argv += ["--tol", tol]
     coeffs = draw(st.dictionaries(st.sampled_from(MOMENTA), COUPLINGS, min_size=1, max_size=8))
-    return argv, make_potential(coeffs, support_radius_sq=6)
+    config = None
+    if command in ("corr", "compare") and draw(st.booleans()):
+        optional = {"tol": CONFIG_TOLS, "version": CONFIG_VERSIONS}
+        config = draw(st.fixed_dictionaries({}, optional=optional))
+    return argv, make_potential(coeffs, support_radius_sq=6), config
+
+
+def valid_config(config):
+    tol = config.get("tol", 1.0)
+    number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    in_range = number and abs(tol) < 10**308 and math.isfinite(tol) and tol > 0
+    return in_range and config.get("version", 1) == 1
 
 
 def run(argv):
@@ -93,12 +114,19 @@ def assert_finite_csv(text):
 @given(invocations())
 @settings(max_examples=150, deadline=None)
 def test_cli_domain_guards(tmp_path_factory, invocation):
-    argv, v = invocation
-    path = tmp_path_factory.mktemp("sweep") / "v.json"
+    argv, v, config = invocation
+    directory = tmp_path_factory.mktemp("sweep")
+    path = directory / "v.json"
     path.write_text(serialize_potential(v))
     argv = [*argv, "--potential", str(path)]
+    if config is not None:
+        config_path = directory / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["--config", str(config_path), *argv]
     code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
+    if config is not None and not valid_config(config):
+        assert code == 1, (config, argv, code, err)
     if code == 0:
         if argv[0] in JSON_COMMANDS or "json" in argv:
             assert_finite(json.loads(out, parse_constant=reject_constant))

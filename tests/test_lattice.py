@@ -103,16 +103,17 @@ def test_ball_bisects_inside_the_bracket(monkeypatch):
     from fermi_rpa import lattice
 
     calls = []
-    ball_size = lattice._ball_size
+    column_tops = lattice._column_tops
 
     def counted(radius_sq):
         calls.append(radius_sq)
-        return ball_size(radius_sq)
+        return column_tops(radius_sq)
 
-    monkeypatch.setattr(lattice, "_ball_size", counted)
+    monkeypatch.setattr(lattice, "_column_tops", counted)
     ball = build_fermi_ball(9947927)
     assert ball.shell_radius_sq == 17800
-    # nine bisection steps over a bracket of width 535, then the count at the answer
+    # nine bisection steps over a bracket of width 535, then one grid at the
+    # answer, which both counts the ball and becomes its table
     assert len(calls) == 10 and calls[-1] == 17800
 
 

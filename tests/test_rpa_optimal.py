@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import sys
 
 import numpy as np
@@ -23,7 +25,7 @@ from fermi_rpa import (
     serialize_potential,
 )
 from fermi_rpa.cli import main
-from fermi_rpa.lattice import norm_sq
+from fermi_rpa.lattice import KINETIC_SHAPE_CONSTANT, LUNE_SHAPE_CONSTANT, norm_sq
 import fermi_rpa.quadrature as quadrature
 from fermi_rpa.quadrature import IntegralResult, integrate_adaptive
 from fermi_rpa.rpa_optimal import (
@@ -31,7 +33,6 @@ from fermi_rpa.rpa_optimal import (
     KAPPA,
     _inner_factor,
     _log1p_minus_identity,
-    tail_bound,
 )
 
 
@@ -118,21 +119,6 @@ def test_integral_quadratic_coefficient():
     assert values[-1] == pytest.approx(target, rel=1e-3)
 
 
-def test_tail_bound_dominates_directly_computed_tail():
-    for cutoff in (10.0, 100.0, 1000.0):
-        for a in (0.5, 3.0, -0.5):
-            (direct,) = integrate_adaptive(
-                lambda nodes: gmb_integrand(a, nodes.lam),
-                [cutoff], [1e3 * cutoff], [1e-6 * a * a / cutoff**3],
-            )
-            tail = -direct.value / math.pi  # the integrand is <= 0
-            bound = tail_bound(a, cutoff)
-            assert 0.0 < tail <= bound
-            # the leading tail a^2/(54 pi L^3) folded into the value is close
-            leading = a * a / (54.0 * math.pi * cutoff**3)
-            assert abs(tail - leading) <= 0.05 * bound
-
-
 # 50-digit quadrature references of (1/pi) I(a) with analytic tails (error < 1e-19)
 FROZEN_INTEGRALS = [
     (1.0, 0.2133639048250704062480335),
@@ -156,14 +142,14 @@ def test_integral_rejects_bad_coupling():
 def test_convergence_failure_budget():
     with pytest.raises(ConvergenceFailure, match="after 8 panels"):
         integrate_adaptive(
-            lambda nodes: np.sin(1e6 * nodes.lam), [0.0], [1000.0], [1e-6], max_panels=8
+            lambda nodes: np.sin(1e6 * nodes.x), [0.0], [1000.0], [1e-6], max_panels=8
         )
 
 
 def test_tolerance_below_the_rounding_floor_fails_fast(monkeypatch):
-    # tol 1e-13 is below a few ulp of the body integral I(1e5) ~ 7.8e4: the
-    # integral stops within a few rounds and names the floor, instead of
-    # refining to the panel budget
+    # tol 1e-13 is below a few ulp of the integral, |pi bracket| ~ 7.8e4 at
+    # a = 1e5: the integral stops within a few rounds and names the floor,
+    # instead of refining to the panel budget
     panel_calls = []
     original = quadrature._gk15_panel
 
@@ -288,6 +274,15 @@ def test_kappa_value():
     assert KAPPA == pytest.approx((3.0 / (4.0 * math.pi)) ** (1.0 / 3.0), rel=1e-16)
 
 
+def test_shape_constants_meet_kappa():
+    # L = pi kappa^2 and K L = 1, so the strong-coupling terms of the
+    # delocalized and optimal energies agree: -L V/2 with -pi kappa^2 V/2,
+    # and the sqrt(V) terms
+    eps = sys.float_info.epsilon
+    assert abs(LUNE_SHAPE_CONSTANT - math.pi * KAPPA**2) <= 2 * eps * LUNE_SHAPE_CONSTANT
+    assert abs(KINETIC_SHAPE_CONSTANT * LUNE_SHAPE_CONSTANT - 1.0) <= 2 * eps
+
+
 def mpmath_bracket(a, dps=30):
     """(1/pi) I(a) - a/4 and its quadrature error, by mpmath on lambda = t/(1 - t).
 
@@ -334,6 +329,17 @@ def test_integral_matches_mpmath_reference_at_default_tol(a):
     assert abs(res.value - reference) <= res.error
 
 
+@pytest.mark.parametrize("a,tol", [(1e4, 3e-12), (1e5, 3e-11)])
+def test_integral_matches_mpmath_reference_near_the_rounding_floor(a, tol):
+    # tol is a few ulp of |I(a)|; the whole tolerance goes to the one [0, 1]
+    # row, none to a truncated tail, so the integral still resolves
+    reference, reference_error = mpmath_bracket(a)
+    assert reference_error < 1e-20
+    (res,) = gmb_integral((a,), tol)
+    assert res.error <= tol
+    assert abs(res.value - reference) <= res.error
+
+
 def test_weak_coupling_bracket_is_not_swamped_by_the_tail():
     # the bracket at a = 1e-6 is -5.1e-14, far below the default tol; the
     # integral carries no tail bias of order tol, so it keeps its digits
@@ -366,8 +372,8 @@ def test_integral_inside_enclosure(a):
 
 @pytest.mark.parametrize("a", [1.0, -0.5])
 def test_enclosure_rejects_a_vanished_body(monkeypatch, a):
-    # a body that underflowed to 0 with error 0, as at tol ~ 1e-300, leaves
-    # only the tiny folded tail, above the strictly negative upper bound
+    # a body that vanished with error 0 reads bracket 0, above the strictly
+    # negative upper bound (log1p(c a) - c a)/pi
     monkeypatch.setattr(
         rpa_optimal,
         "integrate_adaptive",
@@ -399,6 +405,37 @@ def radial_potential(radius_sq=30):
                 if 0 < k2 <= radius_sq:
                     coeffs[(x, y, z)] = (-1) ** k2 * 0.1 / (1.0 + 0.1 * k2)
     return make_potential(coeffs, support_radius_sq=radius_sq)
+
+
+def nonradial_potential(seed, radius_sq=30):
+    """One value on [0.005, 0.05] per +-k pair: 369 distinct values at radius^2 30."""
+    rng = random.Random(seed)
+    coeffs = {}
+    r = math.isqrt(radius_sq)
+    for k in itertools.product(range(-r, r + 1), repeat=3):
+        if 0 < norm_sq(k) <= radius_sq:
+            mirror = (-k[0], -k[1], -k[2])
+            coeffs[k] = coeffs[mirror] if mirror in coeffs else rng.uniform(0.005, 0.05)
+    return make_potential(coeffs, support_radius_sq=radius_sq)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_nonradial_brackets_take_few_rounds(monkeypatch, seed):
+    # the mapped integrand is smooth on all of [0, 1], so at the default tol
+    # every value is done after at most two rounds of bisection
+    v = nonradial_potential(seed)
+    assert len({v.value(k) for k in v.correlation_support()}) == 369
+    calls = []
+    original = quadrature._gk15_panel
+
+    def counting(f, rows, lo, hi):
+        calls.append(len(rows))
+        return original(f, rows, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_gk15_panel", counting)
+    frequency_brackets(v)
+    assert calls[0] == 369
+    assert len(calls) <= 3
 
 
 def per_k_loop(v, params, tol):
