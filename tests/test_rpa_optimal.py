@@ -199,6 +199,41 @@ def test_batch_integrand_calls_follow_the_largest_panel_count(monkeypatch):
     assert sum(calls) == sum(sum(single) for single in singles)
 
 
+NEAR_POLE = -1.0 + 2.0**-52
+# Panel evaluations of each value of BATCH + (NEAR_POLE,), integrated alone.
+# They follow from the refinement rule (bisect the panel with the largest
+# error, the earliest made among equals) and the stopping rule (summed
+# error <= tol, or the rounding floor); a = 1e5 at 1e-13 stops at the
+# floor after its first panel.
+PANEL_EVALUATIONS = {
+    1e-6: (15, 1, 1, 1, 1, 1, 1, 3, 5, 15, 25),
+    1e-10: (19, 3, 1, 1, 1, 3, 3, 5, 9, 31, 51),
+    1e-13: (27, 7, 1, 1, 3, 7, 7, 7, 15, 1, 83),
+}
+
+
+@pytest.mark.parametrize("tol", sorted(PANEL_EVALUATIONS))
+def test_panel_evaluations_per_value_are_pinned(monkeypatch, tol):
+    evaluations = []
+    original = quadrature._gk15_panel
+
+    def counting(f, rows, lo, hi):
+        evaluations.append(len(rows))
+        return original(f, rows, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_gk15_panel", counting)
+    counts = []
+    for a in BATCH + (NEAR_POLE,):
+        evaluations.clear()
+        if a == 1e5 and tol == 1e-13:
+            with pytest.raises(ConvergenceFailure, match="rounding floor"):
+                gmb_integral((a,), tol)
+        else:
+            gmb_integral((a,), tol)
+        counts.append(sum(evaluations))
+    assert tuple(counts) == PANEL_EVALUATIONS[tol]
+
+
 def test_correlation_zero_potential():
     v = make_potential({(1, 0, 0): 0.0})
     result = gmb_correlation(frequency_brackets(v), ModelParams(33))
