@@ -1,17 +1,18 @@
 """Globally adaptive Gauss-Kronrod quadrature of a batch of integrals.
 
-Each row of a batch is one integral on its own finite interval, to its
-own absolute tolerance.  A fixed 7/15-point Gauss-Kronrod pair supplies
-the local rule and its embedded error estimate; in every row the panel
-with the worst estimate is bisected until the row's summed estimates
-reach its tolerance.  One refinement round evaluates the two halves of
-the worst panel of every unfinished row in a single integrand call, so
-the number of calls follows the largest panel count of the batch, not
-the number of rows, while the work follows the total panel count.
+Every row of a batch integrates on the same finite interval to the same
+absolute tolerance.  A fixed 7/15-point Gauss-Kronrod pair supplies the
+local rule and its embedded error estimate; in every row the panel with
+the worst estimate is bisected until the row's summed estimates reach
+the tolerance.  One refinement round evaluates the two halves of the
+worst panel of every unfinished row in a single integrand call, so the
+number of calls follows the largest panel count of the batch, not the
+number of rows, while the work follows the total panel count.
 
-Rows never interact.  Each keeps its own panels, its own refinement
-queue, ordered deterministically by (error, insertion index), and its
-own stopping rule; the integrand acts elementwise and the Gauss-Kronrod
+Rows never interact.  Each keeps a list of its panels in the order they
+were made; every round sums its errors and |values| exactly with
+``math.fsum`` and bisects the panel with the largest error, the earliest
+made among equals.  The integrand acts elementwise and the Gauss-Kronrod
 sums run in a fixed order per row, never through a BLAS product.  So a
 row's result is bit-for-bit what integrating it alone gives.
 
@@ -23,10 +24,9 @@ units of roundoff of the summed panel magnitudes) raises
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
-from typing import Callable, List, NamedTuple, Sequence
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
@@ -98,84 +98,53 @@ def _gk15_panel(f, rows, lo, hi):
     return (kronrod * half).tolist(), (np.abs(kronrod - gauss) * np.abs(half)).tolist()
 
 
-class _Row:
-    """Panels of one integral: a heap of (-error, index, lo, hi, value, error)."""
-
-    def __init__(self, lo: float, hi: float, value: float, error: float):
-        self.heap = [(-error, 0, lo, hi, value, error)]
-        self.count = 1
-        self.error = error  # running sums; they drift by rounding
-        self.magnitude = abs(value)
-
-
 def integrate_adaptive(
     f: Callable[[Nodes], np.ndarray],
-    lo: Sequence[float],
-    hi: Sequence[float],
-    tol: Sequence[float],
+    rows: int,
+    lo: float,
+    hi: float,
+    tol: float,
     max_panels: int = 20000,
 ) -> List[IntegralResult]:
-    """Integrate row i of f on [lo[i], hi[i]] to absolute accuracy tol[i].
+    """Integrate rows 0 .. rows - 1 of f on [lo, hi], each to absolute accuracy tol.
 
     ``f`` maps ``Nodes`` to the integrand values, an array shaped like
     ``Nodes.x``.  Raises ConvergenceFailure when a row's tolerance is
     below its rounding floor, or when its panel budget is exhausted
     before the summed error estimates fall below the tolerance.
     """
-    if any(not t > 0.0 for t in tol):
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    results = [IntegralResult(0.0, 0.0)] * len(lo)
-    active = [i for i in range(len(lo)) if lo[i] != hi[i]]
-    if not active:
-        return results
-    values, errors = _gk15_panel(f, active, [lo[i] for i in active], [hi[i] for i in active])
-    rows = {
-        i: _Row(lo[i], hi[i], value, error)
-        for i, value, error in zip(active, values, errors)
-    }
+    panels: List[List[tuple]] = [[] for _ in range(rows)]  # (lo, hi, value, error)
+    done = {}
+    active = list(range(rows))
+    new = [(i, lo, hi) for i in active]
     while active:
-        split = []
+        values, errors = _gk15_panel(f, *zip(*new))
+        for (i, a, b), value, error in zip(new, values, errors):
+            panels[i].append((a, b, value, error))
+        new = []
         for i in active:
-            row = rows[i]
-            if row.error <= tol[i]:
-                row.error = math.fsum(p[5] for p in row.heap)  # confirm exactly
-                if row.error <= tol[i]:
-                    panels = sorted(row.heap, key=lambda p: p[2])  # interval order
-                    results[i] = IntegralResult(
-                        math.fsum(p[4] for p in panels), math.fsum(p[5] for p in panels)
-                    )
-                    continue
-            floor = FLOOR_ULPS * sys.float_info.epsilon * row.magnitude
-            if not tol[i] >= floor:  # also when the panel values overflowed
+            row = panels[i]
+            errors = [p[3] for p in row]
+            error = math.fsum(errors)
+            if error <= tol:
+                done[i] = IntegralResult(math.fsum(p[2] for p in row), error)
+                continue
+            floor = FLOOR_ULPS * sys.float_info.epsilon * math.fsum(abs(p[2]) for p in row)
+            if not tol >= floor:  # also when the panel values overflowed
                 raise ConvergenceFailure(
-                    f"error estimate {row.error:.3e} > tol {tol[i]:.3e}, which is below "
+                    f"error estimate {error:.3e} > tol {tol:.3e}, which is below "
                     f"the rounding floor {floor:.3e} ({FLOOR_ULPS} ulp of the summed "
-                    f"|panel values|) on [{lo[i]:.3g}, {hi[i]:.3g}]"
+                    f"|panel values|)"
                 )
-            if len(row.heap) >= max_panels:
+            if len(row) >= max_panels:
                 raise ConvergenceFailure(
-                    f"error estimate {row.error:.3e} > tol {tol[i]:.3e} "
-                    f"after {len(row.heap)} panels on [{lo[i]:.3g}, {hi[i]:.3g}]"
+                    f"error estimate {error:.3e} > tol {tol:.3e} after {len(row)} panels"
                 )
-            split.append((i, heapq.heappop(row.heap)))
-        if not split:
-            break
-        panel_rows, panel_lo, panel_hi = [], [], []
-        for i, (_, _, pa, pb, _, _) in split:
-            mid = 0.5 * (pa + pb)
-            panel_rows += (i, i)
-            panel_lo += (pa, mid)
-            panel_hi += (mid, pb)
-        values, errors = _gk15_panel(f, panel_rows, panel_lo, panel_hi)
-        for n, (i, (_, _, pa, pb, pval, perr)) in enumerate(split):
-            row = rows[i]
-            mid = panel_hi[2 * n]
-            lval, rval = values[2 * n], values[2 * n + 1]
-            lerr, rerr = errors[2 * n], errors[2 * n + 1]
-            row.error += lerr + rerr - perr
-            row.magnitude += abs(lval) + abs(rval) - abs(pval)
-            heapq.heappush(row.heap, (-lerr, row.count, pa, mid, lval, lerr))
-            heapq.heappush(row.heap, (-rerr, row.count + 1, mid, pb, rval, rerr))
-            row.count += 2
-        active = [i for i, _ in split]
-    return results
+            # the largest error, the earliest made among equals
+            a, b, _, _ = row.pop(max(range(len(row)), key=errors.__getitem__))
+            mid = 0.5 * (a + b)
+            new += [(i, a, mid), (i, mid, b)]
+        active = [i for i, _, _ in new[::2]]
+    return [done[i] for i in range(rows)]

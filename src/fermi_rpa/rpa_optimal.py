@@ -123,8 +123,6 @@ def gmb_integral(values: Sequence[float], tol: float = DEFAULT_TOL) -> List[Inte
     One batched quadrature serves every value; each result is bit-for-bit
     what ``gmb_integral((a,), tol)`` gives.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     for a in values:
         if a <= -1.0:
             raise DomainError(f"integral undefined for a = {a} <= -1")
@@ -135,8 +133,7 @@ def gmb_integral(values: Sequence[float], tol: float = DEFAULT_TOL) -> List[Inte
         rest = 1.0 - nodes.x
         return gmb_integrand(a_of_row[nodes.rows, None], nodes.x / rest) / (rest * rest)
 
-    rows = len(values)
-    bodies = integrate_adaptive(mapped, [0.0] * rows, [1.0] * rows, [math.pi * tol] * rows)
+    bodies = integrate_adaptive(mapped, len(values), 0.0, 1.0, math.pi * tol)
     results = [IntegralResult(body.value / math.pi, body.error / math.pi) for body in bodies]
     _check_enclosure(a_of_row, results)
     return results

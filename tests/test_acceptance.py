@@ -94,12 +94,12 @@ def test_criterion_3_quadrature_identities():
         start = time.perf_counter()
         cutoff = 4e8  # tail of the linear integrand below 1/(3 cutoff) < 1e-9
         (linear,) = integrate_adaptive(
-            lambda nodes: _inner_factor(nodes.x), [0.0], [cutoff], [1e-9]
+            lambda nodes: _inner_factor(nodes.x), 1, 0.0, cutoff, 1e-9
         )
         assert abs(linear.value / math.pi - 0.25) < 1e-8
         cutoff_sq = 500.0  # tail of the squared integrand below 1/(27 cutoff^3)
         (squared,) = integrate_adaptive(
-            lambda nodes: _inner_factor(nodes.x) ** 2, [0.0], [cutoff_sq], [1e-9]
+            lambda nodes: _inner_factor(nodes.x) ** 2, 1, 0.0, cutoff_sq, 1e-9
         )
         assert abs(squared.value - math.pi * (1.0 - math.log(2.0)) / 3.0) < 1e-8
         assert time.perf_counter() - start < 1.0

@@ -142,7 +142,7 @@ def test_integral_rejects_bad_coupling():
 def test_convergence_failure_budget():
     with pytest.raises(ConvergenceFailure, match="after 8 panels"):
         integrate_adaptive(
-            lambda nodes: np.sin(1e6 * nodes.x), [0.0], [1000.0], [1e-6], max_panels=8
+            lambda nodes: np.sin(1e6 * nodes.x), 1, 0.0, 1000.0, 1e-6, max_panels=8
         )
 
 
@@ -412,7 +412,7 @@ def test_enclosure_rejects_a_vanished_body(monkeypatch, a):
     monkeypatch.setattr(
         rpa_optimal,
         "integrate_adaptive",
-        lambda f, lo, hi, tol: [IntegralResult(0.0, 0.0)] * len(lo),
+        lambda f, rows, lo, hi, tol: [IntegralResult(0.0, 0.0)] * rows,
     )
     with pytest.raises(ConvergenceFailure, match=r"violates the enclosure"):
         gmb_integral((a,), tol=1e-10)
@@ -423,7 +423,7 @@ def test_enclosure_rejects_an_overshooting_body(monkeypatch):
     monkeypatch.setattr(
         rpa_optimal,
         "integrate_adaptive",
-        lambda f, lo, hi, tol: [IntegralResult(-math.pi, 0.0)] * len(lo),
+        lambda f, rows, lo, hi, tol: [IntegralResult(-math.pi, 0.0)] * rows,
     )
     with pytest.raises(ConvergenceFailure, match=r"violates the enclosure"):
         gmb_integral((0.3,), tol=1e-10)
