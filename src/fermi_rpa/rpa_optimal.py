@@ -131,10 +131,9 @@ def gmb_integral(values: Sequence[float], tol: float = DEFAULT_TOL) -> List[Inte
     def mapped(nodes):
         # lambda = t/(1 - t); Gauss-Kronrod nodes are interior, so t < 1
         rest = 1.0 - nodes.x
-        return gmb_integrand(a_of_row[nodes.rows, None], nodes.x / rest) / (rest * rest)
+        return gmb_integrand(a_of_row[nodes.rows, None], nodes.x / rest) / (rest * rest) / math.pi
 
-    bodies = integrate_adaptive(mapped, len(values), 0.0, 1.0, math.pi * tol)
-    results = [IntegralResult(body.value / math.pi, body.error / math.pi) for body in bodies]
+    results = integrate_adaptive(mapped, len(values), 0.0, 1.0, tol)
     _check_enclosure(a_of_row, results)
     return results
 

@@ -332,7 +332,8 @@ def test_tolerance_below_the_floor_exits_two_fast(capsys, potential_file, tol):
     assert time.perf_counter() - start < 5.0
     assert code == 2
     assert out == ""
-    assert err
+    # the message states the tolerance in --tol units
+    assert f"tol {float(tol):.3e}, which is below the rounding floor" in err
 
 
 def test_config_override(capsys, tmp_path, potential_file):

@@ -407,7 +407,7 @@ def test_integral_inside_enclosure(a):
 
 @pytest.mark.parametrize("a", [1.0, -0.5])
 def test_enclosure_rejects_a_vanished_body(monkeypatch, a):
-    # a body that vanished with error 0 reads bracket 0, above the strictly
+    # a quadrature that vanished with error 0 gives bracket 0, above the strictly
     # negative upper bound (log1p(c a) - c a)/pi
     monkeypatch.setattr(
         rpa_optimal,
@@ -419,11 +419,11 @@ def test_enclosure_rejects_a_vanished_body(monkeypatch, a):
 
 
 def test_enclosure_rejects_an_overshooting_body(monkeypatch):
-    # a body of -pi reads bracket -1, below (log1p(a) - a)/4 = -0.0094 at a = 0.3
+    # a bracket of -1 lies below (log1p(a) - a)/4 = -0.0094 at a = 0.3
     monkeypatch.setattr(
         rpa_optimal,
         "integrate_adaptive",
-        lambda f, rows, lo, hi, tol: [IntegralResult(-math.pi, 0.0)] * rows,
+        lambda f, rows, lo, hi, tol: [IntegralResult(-1.0, 0.0)] * rows,
     )
     with pytest.raises(ConvergenceFailure, match=r"violates the enclosure"):
         gmb_integral((0.3,), tol=1e-10)
