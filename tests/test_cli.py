@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import fermi_rpa.fock_oracle as fock_oracle
 from fermi_rpa import make_potential, serialize_potential
 from fermi_rpa.cli import main
 
@@ -230,6 +231,23 @@ def test_oracle_deterministic(capsys):
     assert first == second
 
 
+def test_oracle_bound_violation_exits_one_with_its_report(capsys, monkeypatch):
+    # a bound constant far below the true one makes the first c-commutator
+    # check fail: main prints that report alone and names the violation
+    monkeypatch.setattr(fock_oracle, "honest_c_bound_constant", lambda *args: 1e-9)
+    code, out, err = run_cli(capsys, "oracle", "--trials", "2")
+    assert code == 1
+    report = strict_json(out)
+    assert report["check"] == "c_commutator"
+    assert report["trials"] == 2
+    assert report["details"]["bound_constant"] == 1e-9
+    assert report["violations"] and all(
+        "residual ratio" in violation for violation in report["violations"]
+    )
+    assert err.count("\n") == 1
+    assert err.startswith("error: c_commutator: trial 0: residual ratio ")
+
+
 def test_invalid_potential_exits_one(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"support_radius_sq": 1, "coeffs": [{"k": [1,0,0], "v": 0.5}, {"k": [-1,0,0], "v": 0.4}]}')
@@ -239,18 +257,43 @@ def test_invalid_potential_exits_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "coeffs, radius_sq, message",
+    "doc, message",
     [
-        ('{"k": [1, 0, 0], "v": 0.5}', "2.9", "support_radius_sq must be an integer, got 2.9"),
-        ('{"k": [1.7, 0, 0], "v": 0.5}', "2", "coeffs[0].k[0] must be an integer, got 1.7"),
-        ('{"k": [0, 1, 0], "v": true}', "2", "coeffs[0].v must be a number, got true"),
+        (
+            '{"support_radius_sq": 2.9, "coeffs": [{"k": [1, 0, 0], "v": 0.5}]}',
+            "support_radius_sq must be an integer, got 2.9",
+        ),
+        (
+            '{"support_radius_sq": 2, "coeffs": [{"k": [1.7, 0, 0], "v": 0.5}]}',
+            "coeffs[0].k[0] must be an integer, got 1.7",
+        ),
+        (
+            '{"support_radius_sq": 2, "coeffs": [{"k": [0, 1, 0], "v": true}]}',
+            "coeffs[0].v must be a number, got true",
+        ),
+        ('{"coeffs": [{"k": [1, 0, 0], "v": 0.5}]}', "no 'support_radius_sq'"),
+        (
+            '{"support_radius_sq": 2, "coeffs": [3]}',
+            "coeffs[0] must be an object with 'k' and 'v', got 3",
+        ),
+        (
+            '{"support_radius_sq": 2, "coeffs": [{"k": [1, 0], "v": 0.5}]}',
+            "coeffs[0].k must have three components, got [1, 0]",
+        ),
+        (None, "unreadable potential document"),
     ],
-    ids=["radius_sq-2.9", "k-1.7", "v-true"],
+    ids=[
+        "radius_sq-2.9", "k-1.7", "v-true", "no-radius_sq", "item-3", "k-two-components",
+        "unreadable",
+    ],
 )
-def test_mistyped_potential_exits_one(capsys, tmp_path, coeffs, radius_sq, message):
+def test_mistyped_potential_exits_one(capsys, tmp_path, doc, message):
     # never truncated or coerced: 2.9 is not radius^2 2, 1.7 not 1, true not 1.0
     bad = tmp_path / "bad.json"
-    bad.write_text('{"support_radius_sq": %s, "coeffs": [%s]}' % (radius_sq, coeffs))
+    if doc is None:
+        bad.mkdir()  # a path that cannot be read as a file
+    else:
+        bad.write_text(doc)
     argv = ["corr", "--n", "33", "--method", "so-opt", "--potential", str(bad)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -259,20 +302,22 @@ def test_mistyped_potential_exits_one(capsys, tmp_path, coeffs, radius_sq, messa
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, prefix, message",
     [
-        ["corr", "--n", "abc", "--method", "optimal"],
-        ["ball"],
-        ["corr", "--n", "33", "--method", "bogus"],
+        (["corr", "--n", "abc", "--method", "optimal"], "usage: fermi-rpa", "error:"),
+        (["ball"], "usage: fermi-rpa", "error:"),
+        (["corr", "--n", "33", "--method", "bogus"], "usage: fermi-rpa", "error:"),
+        # the list is split after parsing, so no usage line precedes the error
+        (["compare", "--n-list", "33,x"], "error: invalid --n-list: ", "'x'"),
     ],
-    ids=["n-abc", "ball-no-n", "method-bogus"],
+    ids=["n-abc", "ball-no-n", "method-bogus", "n-list-x"],
 )
-def test_usage_error_exits_one(capsys, argv):
+def test_usage_error_exits_one(capsys, argv, prefix, message):
     # argparse's own code 2 would read as a numerical failure
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("usage: fermi-rpa") and "error:" in err
+    assert err.startswith(prefix) and message in err
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -389,12 +434,19 @@ def test_invalid_tolerance_config_exits_one(capsys, tmp_path, potential_file, to
         ('{"tol": "abc"}', 'tol must be a number, got "abc"'),
         ('{"tol": "1e-8"}', 'tol must be a number, got "1e-8"'),
         ('{"tol": 1%s}' % ("0" * 400), "tol is out of range"),
+        (None, "unreadable config file"),
     ],
-    ids=["version-2.9", "version-2", "tol-true", "tol-abc", "tol-string", "tol-huge-int"],
+    ids=[
+        "version-2.9", "version-2", "tol-true", "tol-abc", "tol-string", "tol-huge-int",
+        "unreadable",
+    ],
 )
 def test_mistyped_config_exits_one(capsys, tmp_path, potential_file, doc, message):
     cfg = tmp_path / "config.json"
-    cfg.write_text(doc)
+    if doc is None:
+        cfg.mkdir()  # a path that cannot be read as a file
+    else:
+        cfg.write_text(doc)
     code, out, err = run_cli(
         capsys, "--config", str(cfg), "corr", "--n", "33",
         "--potential", potential_file, "--method", "optimal",

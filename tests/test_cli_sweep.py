@@ -4,9 +4,13 @@ Every run exits 0, 1 or 2 and lets no exception escape.  A success prints
 only finite numbers: its JSON passes a parser that rejects NaN and
 Infinity, and a CSV cell is empty or a finite number.  A failure prints
 exactly one ``error: ...`` line on stderr, after any ``warning: ...``
-lines.  The same argv prints the same bytes twice.  ``corr`` and
-``compare`` may also read a ``--config`` file; one with an invalid ``tol``
-or ``version`` exits 1, whatever flag overrides it.
+lines.  The same argv prints the same bytes twice.  ``corr``, ``compare``
+and ``oracle`` may also read a ``--config`` file; one with an invalid
+``tol``, ``version`` or ``max_pairs`` exits 1, whatever flag overrides it.
+
+``oracle`` is swept on its own, with fewer examples.  On 7 holes at
+cutoff 3 it always gets a ``--pairs`` flag of at most 2: the 3-pair sector
+there has dimension 44031 and one run takes over a second.
 """
 
 import io
@@ -37,6 +41,12 @@ CONFIG_TOLS = st.one_of(
     st.sampled_from([1e-300, -1e-10, 10**300, 10**400, True, False, "1e-8", None]),
 )
 CONFIG_VERSIONS = st.sampled_from([1, 2, 2.9])
+# config pair caps of every JSON kind; a valid one stays at most 3
+CONFIG_PAIRS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2.9, 1.0, math.nan, math.inf, True, "2", None, [2], {"n": 2}]),
+)
+CONFIG_KEYS = {"tol": CONFIG_TOLS, "version": CONFIG_VERSIONS, "max_pairs": CONFIG_PAIRS}
 JSON_COMMANDS = ("hf", "errors")
 # CSV columns that hold no number
 TEXT_COLUMNS = ("k", "potential")
@@ -62,19 +72,42 @@ def invocations(draw):
         tol = draw(TOLS)
         if tol is not None:
             argv += ["--tol", tol]
+    return argv, draw(potentials()), draw(configs(command in ("corr", "compare")))
+
+
+@st.composite
+def oracle_invocations(draw):
+    holes_n = draw(st.sampled_from([1, 2, 7]))
+    lambda_sq = draw(st.integers(1, 3))
+    argv = ["oracle", "--holes-n", str(holes_n), "--lambda-sq", str(lambda_sq)]
+    argv += ["--trials", str(draw(st.integers(1, 3)))]
+    if (holes_n, lambda_sq) == (7, 3):
+        argv += ["--pairs", str(draw(st.integers(1, 2)))]
+    elif draw(st.booleans()):
+        argv += ["--pairs", str(draw(st.integers(1, 3)))]
+    return argv, draw(potentials()), draw(configs(True))
+
+
+@st.composite
+def potentials(draw):
     coeffs = draw(st.dictionaries(st.sampled_from(MOMENTA), COUPLINGS, min_size=1, max_size=8))
-    config = None
-    if command in ("corr", "compare") and draw(st.booleans()):
-        optional = {"tol": CONFIG_TOLS, "version": CONFIG_VERSIONS}
-        config = draw(st.fixed_dictionaries({}, optional=optional))
-    return argv, make_potential(coeffs, support_radius_sq=6), config
+    return make_potential(coeffs, support_radius_sq=6)
+
+
+@st.composite
+def configs(draw, allowed):
+    if allowed and draw(st.booleans()):
+        return draw(st.fixed_dictionaries({}, optional=CONFIG_KEYS))
+    return None
 
 
 def valid_config(config):
     tol = config.get("tol", 1.0)
     number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
     in_range = number and abs(tol) < 10**308 and math.isfinite(tol) and tol > 0
-    return in_range and config.get("version", 1) == 1
+    pairs = config.get("max_pairs", 1)
+    count = isinstance(pairs, int) and not isinstance(pairs, bool) and pairs >= 1
+    return in_range and count and config.get("version", 1) == 1
 
 
 def run(argv):
@@ -111,10 +144,32 @@ def assert_finite_csv(text):
                 assert math.isfinite(float(cell)), (column, cell)
 
 
+def json_stream(text):
+    """The JSON values printed one after another, each ending its line, parsed strictly."""
+    decoder = json.JSONDecoder(parse_constant=reject_constant)
+    values, end = [], 0
+    while end < len(text):
+        value, end = decoder.raw_decode(text, end)
+        assert text[end] == "\n", text
+        values.append(value)
+        end += 1
+    return values
+
+
 @given(invocations())
 @settings(max_examples=150, deadline=None)
 def test_cli_domain_guards(tmp_path_factory, invocation):
-    argv, v, config = invocation
+    check_invocation(tmp_path_factory, *invocation)
+
+
+@given(oracle_invocations())
+@settings(max_examples=25, deadline=None)
+def test_oracle_domain_guards(tmp_path_factory, invocation):
+    check_invocation(tmp_path_factory, *invocation)
+
+
+def check_invocation(tmp_path_factory, argv, v, config):
+    command = argv[0]
     directory = tmp_path_factory.mktemp("sweep")
     path = directory / "v.json"
     path.write_text(serialize_potential(v))
@@ -128,9 +183,13 @@ def test_cli_domain_guards(tmp_path_factory, invocation):
     if config is not None and not valid_config(config):
         assert code == 1, (config, argv, code, err)
     if code == 0:
-        if argv[0] in JSON_COMMANDS or "json" in argv:
+        if command == "oracle":
+            reports = json_stream(out)
+            assert len(reports) == 5
+            assert_finite(reports)
+        elif command in JSON_COMMANDS or "json" in argv:
             assert_finite(json.loads(out, parse_constant=reject_constant))
-        elif argv[0] == "corr":
+        elif command == "corr":
             assert math.isfinite(float(out))
         else:
             assert_finite_csv(out)
