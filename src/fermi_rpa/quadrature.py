@@ -120,8 +120,7 @@ def integrate_adaptive(
     active = list(range(rows))
     new = [(i, lo, hi) for i in active]
     while active:
-        values, errors = _gk15_panel(f, *zip(*new))
-        for (i, a, b), value, error in zip(new, values, errors):
+        for (i, a, b), value, error in zip(new, *_gk15_panel(f, *zip(*new))):
             panels[i].append((a, b, value, error))
         new = []
         for i in active:
@@ -146,5 +145,5 @@ def integrate_adaptive(
             a, b, _, _ = row.pop(max(range(len(row)), key=errors.__getitem__))
             mid = 0.5 * (a + b)
             new += [(i, a, mid), (i, mid, b)]
-        active = [i for i, _, _ in new[::2]]
+        active = [i for i, _, _ in new[::2]]  # two halves per unfinished row
     return [done[i] for i in range(rows)]

@@ -21,7 +21,8 @@ half line onto [0, 1).  As g(lambda) ~ 1/(3 lambda^2) and h(x) ~ -x^2/2,
 the mapped integrand h(a g)/(1 - t)^2 ~ -a^2 (1 - t)^2/18 is analytic up
 to t = 1 and vanishes there, so each bracket is one adaptive Gauss-Kronrod
 row on [0, 1]: nothing is cut off and no tail is bounded or added.  The
-error is the quadrature's estimate.
+row integrates that integrand divided by pi, the bracket itself, to the
+requested tol, and its error is the quadrature's estimate.
 
 Each bracket depends only on the value V(k), neither on the direction of
 k nor on N.  ``frequency_brackets`` therefore collects the distinct
