@@ -1,14 +1,15 @@
 """Exact second quantization on a tiny truncated mode set.
 
 Brute-force verification engine for the operator identities behind the
-delocalized-pair bosonization: configurations are bitmasks over a finite
-mode list (hole modes = the Fermi ball, particle modes = the shell
-between the Fermi radius and a cutoff), fermionic signs come from the
-global mode order, and a state is two numpy arrays: the configurations
-as sorted, unique int64 keys and their complex amplitudes, of shape
-(n,) for one state or (n, trials) for a block of trial states that every
-operator acts on at once.  Only configurations an operator actually
-reaches are ever stored.
+delocalized-pair bosonization.  The modes are one (n_modes, 3) array in
+the global mode order: the holes (the Fermi ball) first, then the
+particles (the shell between the Fermi radius and a cutoff); one grid
+lookup maps a momentum to its position.  Configurations are bitmasks
+over those positions, fermionic signs come from their order, and a
+state is two numpy arrays: sorted, unique int64 keys and their complex
+amplitudes, of shape (n,) for one state or (n, trials) for a block of
+trial states that every operator acts on at once.  Only configurations
+an operator actually reaches are ever stored.
 
 Truncated-model semantics: with a finite particle cutoff the pair
 operators differ from their infinite-lattice counterparts, so every
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +42,6 @@ from .lattice import (
     Momentum,
     _column_tops,
     _expand_columns,
-    add,
     build_fermi_ball,
     negate,
     norm_sq,
@@ -56,58 +56,63 @@ State = Tuple[np.ndarray, np.ndarray]
 Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSet:
-    """Hole and particle modes in the global order, holes first."""
+    """The truncated mode set as one (n_modes, 3) int64 array, holes first.
 
-    holes: Tuple[Momentum, ...]
-    particles: Tuple[Momentum, ...]
+    Rows are in the global mode order: the first n_holes are the closed
+    shell |h|^2 <= hole_radius_sq, the rest the particles up to
+    lambda_sq.  ``mode_index`` answers every membership question (is
+    h + k a particle, is h + k - l a hole) with one grid lookup.
+    """
+
+    modes: np.ndarray
+    n_holes: int
     hole_radius_sq: int
     lambda_sq: int
+    _grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.holes) + len(self.particles) > MODE_CAP:
-            raise DomainError(
-                f"mode set too large: {len(self.holes)}+{len(self.particles)} "
-                f"> {MODE_CAP}"
-            )
-
-    @cached_property
-    def particle_index(self) -> Dict[Momentum, int]:
-        """Position of each particle mode in ``particles``."""
-        return {m: i for i, m in enumerate(self.particles)}
+        n, m = self.n_holes, self.n_modes
+        if m > MODE_CAP:
+            raise DomainError(f"mode set too large: {n}+{m - n} > {MODE_CAP}")
+        # the cutoff ball plus a -1 border for clipped queries: side 2r + 1 <= 15
+        r = math.isqrt(self.lambda_sq) + 1
+        grid = np.full((2 * r + 1,) * 3, -1, dtype=np.int64)
+        grid[tuple((self.modes + r).T)] = np.arange(self.n_modes)
+        object.__setattr__(self, "_grid", grid)
 
     @property
     def n_modes(self) -> int:
-        return len(self.holes) + len(self.particles)
+        return len(self.modes)
 
-    def pairs_for(self, k: Momentum) -> List[Tuple[int, int, Momentum, Momentum]]:
-        """(p_idx, h_idx, p, h) for every hole h with h+k a particle mode.
+    def mode_index(self, q: np.ndarray) -> np.ndarray:
+        """Row of each momentum q[..., :] in ``modes`` (holes first), -1 off the set."""
+        edge = self._grid.shape[0] - 1
+        cells = np.clip(np.asarray(q) + edge // 2, 0, edge)
+        return self._grid[cells[..., 0], cells[..., 1], cells[..., 2]]
 
-        Ordered by the hole's position in the global mode order; this is
-        the fixed pair order used by every operator below.
+    def pairs(self, k: Momentum) -> Tuple[np.ndarray, np.ndarray]:
+        """(p_idx, h_idx) for every hole h with h + k a particle, in hole order.
+
+        That order is the fixed pair order of every operator below.
         """
-        pmap = self.particle_index
-        out = []
-        for h_idx, h in enumerate(self.holes):
-            p = add(h, k)
-            pi = pmap.get(p)
-            if pi is not None:
-                out.append((len(self.holes) + pi, h_idx, p, h))
-        return out
+        p_idx = self.mode_index(self.modes[: self.n_holes] + k)
+        h_idx = np.flatnonzero(p_idx >= self.n_holes)
+        return p_idx[h_idx], h_idx
 
     def lune_size(self, k: Momentum) -> int:
-        return len(self.pairs_for(k))
+        return len(self.pairs(k)[1])
 
     def pair_vector_sum(self, k: Momentum) -> Tuple[int, int, int]:
-        """Integer vector sum of (p + h) over the truncated pair list."""
-        sums = [add(p, h) for _, _, p, h in self.pairs_for(k)]
-        return tuple(sum(s[i] for s in sums) for i in range(3))
+        """Integer vector sum of (p + h) = (2h + k) over the truncated pair list."""
+        h = self.modes[self.pairs(k)[1]]
+        return tuple((2 * h + k).sum(axis=0).tolist())
 
     def describe(self) -> str:
         return (
-            f"holes={len(self.holes)}(r2<={self.hole_radius_sq}),"
-            f"particles={len(self.particles)}(r2<={self.lambda_sq})"
+            f"holes={self.n_holes}(r2<={self.hole_radius_sq}),"
+            f"particles={self.n_modes - self.n_holes}(r2<={self.lambda_sq})"
         )
 
 
@@ -117,21 +122,19 @@ def build_mode_set(n: int, lambda_sq: int) -> ModeSet:
     The ball is a closed shell and the mode order sorts by |k|^2 first, so
     the holes are exactly the first n modes of the cutoff ball.
     """
-    ball = build_fermi_ball(n)
-    if lambda_sq <= ball.shell_radius_sq:
-        raise DomainError(
-            f"cutoff {lambda_sq} must exceed the hole shell "
-            f"{ball.shell_radius_sq}"
-        )
+    if n > MODE_CAP:  # refuse before building the Fermi ball
+        raise DomainError(f"{n} holes exceed the {MODE_CAP}-mode cap")
+    shell = build_fermi_ball(n).shell_radius_sq
+    if lambda_sq <= shell:
+        raise DomainError(f"cutoff {lambda_sq} must exceed the hole shell {shell}")
     # the six axis modes of every radius up to isqrt(lambda_sq) alone
     # exceed the cap: refuse before enumerating the cutoff ball
     if 1 + 6 * math.isqrt(lambda_sq) > MODE_CAP:
         raise DomainError(f"cutoff {lambda_sq} gives more than {MODE_CAP} modes")
-    modes = tuple(map(tuple, _expand_columns(_column_tops(lambda_sq)).tolist()))
     return ModeSet(
-        holes=modes[:n],
-        particles=modes[n:],
-        hole_radius_sq=ball.shell_radius_sq,
+        modes=_expand_columns(_column_tops(lambda_sq)),
+        n_holes=n,
+        hole_radius_sq=shell,
         lambda_sq=lambda_sq,
     )
 
@@ -228,17 +231,18 @@ def _apply_pair_terms(
 
 def _pair_operator(state, k, modes, create, cap, normalized, component=None) -> State:
     """Sum over the truncated lune of k, weight 1 or (p+h)_component per pair."""
-    pairs = modes.pairs_for(k)
-    if normalized and not pairs and norm_sq(k) > 0:
+    p_idx, h_idx = modes.pairs(k)
+    if normalized and not len(h_idx) and norm_sq(k) > 0:
         raise EmptyLune(f"normalization undefined: empty truncated lune at {k}")
-    terms = [
-        (p_idx, h_idx, 1 if component is None else p[component] + h[component])
-        for p_idx, h_idx, p, h in pairs
-    ]
-    terms = [t for t in terms if t[2]]
+    if component is None:
+        weights = np.ones_like(h_idx)
+    else:  # (p + h)_i = 2 h_i + k_i
+        weights = 2 * modes.modes[h_idx, component] + k[component]
+    keep = weights != 0
+    terms = list(zip(*(a[keep].tolist() for a in (p_idx, h_idx, weights))))
     keys, amps = _apply_pair_terms(state, terms, modes, create, cap)
-    if normalized and pairs:
-        amps = amps * (1.0 / math.sqrt(len(pairs)))
+    if normalized and len(h_idx):
+        amps = amps * (1.0 / math.sqrt(len(h_idx)))
     return keys, amps
 
 
@@ -288,10 +292,9 @@ def apply_number(state: State) -> State:
 
 def apply_h0(state: State, modes: ModeSet, params: ModelParams) -> State:
     """Excitation kinetic energy hbar^2(sum_p |p|^2 - sum_h |h|^2), diagonal."""
-    h2 = params.hbar ** 2
-    weights = [-h2 * norm_sq(h) for h in modes.holes]
-    weights += [h2 * norm_sq(p) for p in modes.particles]
-    return dgamma_diagonal(state, weights)
+    sign = np.where(np.arange(modes.n_modes) < modes.n_holes, -1, 1)
+    sq = np.einsum("ij,ij->i", modes.modes, modes.modes)
+    return dgamma_diagonal(state, params.hbar ** 2 * (sign * sq))
 
 
 # --- sector enumeration and random states ----------------------------------
@@ -306,8 +309,8 @@ def sector_basis(modes: ModeSet, max_pairs: int) -> np.ndarray:
         combos = itertools.combinations(indices, j)
         return np.array([sum(1 << i for i in c) for c in combos], dtype=np.int64)
 
-    holes = range(len(modes.holes))
-    particles = range(len(modes.holes), modes.n_modes)
+    holes = range(modes.n_holes)
+    particles = range(modes.n_holes, modes.n_modes)
     chunks = [
         np.sort((masks(holes, j)[:, None] | masks(particles, j)).ravel())
         for j in range(min(max_pairs, len(holes), len(particles)) + 1)
@@ -462,17 +465,13 @@ def honest_c_bound_constant(modes: ModeSet, k: Momentum, l: Momentum) -> float:
     species only, so on equal-pair states the bound constant is the mean
     of the two largest entry norms.
     """
-    pmap = modes.particle_index
-    best_particle = 0.0
-    best_hole = 0.0
-    for h in modes.holes:
-        w = math.sqrt(norm_sq((2 * h[0] + k[0], 2 * h[1] + k[1], 2 * h[2] + k[2])))
-        if add(h, k) in pmap and add(h, l) in pmap:
-            best_particle = max(best_particle, w)
-        # the holes are a closed shell: membership is the norm test
-        if add(h, k) in pmap and norm_sq(add(add(h, k), negate(l))) <= modes.hole_radius_sq:
-            best_hole = max(best_hole, w)
-    return 0.5 * (best_particle + best_hole)
+    n, h = modes.n_holes, modes.modes[: modes.n_holes]
+    p = modes.mode_index(h + k) >= n
+    particle = p & (modes.mode_index(h + l) >= n)
+    hole = modes.mode_index(h + k - l)
+    hole = p & (hole >= 0) & (hole < n)
+    w = np.sqrt(np.einsum("ij,ij->i", 2 * h + k, 2 * h + k))
+    return 0.5 * float(w.max(initial=0.0, where=particle) + w.max(initial=0.0, where=hole))
 
 
 def verify_c_commutator(
@@ -502,11 +501,11 @@ def verify_c_commutator(
     resid = _c_residual(xi, k, l, modes, lifted, f)
     # m . residual with m = k (integer contraction keeps exactness)
     mdot = _linear_combination([(float(k[i]), resid[i]) for i in range(3)])
-    denom = mnorm * const * _norms(apply_number(xi))
+    nxi = apply_number(xi)
+    denom = mnorm * const * _norms(nxi)
     ratios = np.where(_nonzero_trials(mdot), math.inf, 0.0)
     np.divide(_norms(mdot), denom, out=ratios, where=denom > 0)
     # [residual, N] = 0, both orders, exact integers
-    nxi = apply_number(xi)
     resid_n = _c_residual(nxi, k, l, modes, lifted, f)
     noncommuting = [
         _nonzero_trials(

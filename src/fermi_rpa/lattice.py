@@ -59,10 +59,6 @@ def negate(k: Momentum) -> Momentum:
     return (-k[0], -k[1], -k[2])
 
 
-def add(a: Momentum, b: Momentum) -> Momentum:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def orbit_representative(k: Momentum) -> Momentum:
     """Canonical member (sorted absolute components) of the cubic orbit of k.
 

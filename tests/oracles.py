@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's closed-form code paths: the
 minimizer below works on the raw one-variable energy profile, the
-quadrature helpers integrate the raw integrand, and the particle-hole
-pair list is a brute-force scan of the ball.
+quadrature helpers integrate the raw integrand, the particle-hole
+pair list is a brute-force scan of the ball, and the c-commutator bound
+constant is a per-hole loop over plain tuples.
 """
 
 import math
@@ -74,6 +75,27 @@ def brute_force_pairs(radius_sq, k):
         if p[0] ** 2 + p[1] ** 2 + p[2] ** 2 > radius_sq:
             pairs.append((p, h))
     return pairs
+
+
+def honest_c_bound_reference(modes, k, l):
+    """The Fock oracle's c-commutator bound constant, one hole at a time.
+
+    Particles are looked up in a set of tuples and holes by the norm test
+    of the closed shell, independent of the mode set's index lookup.
+    """
+    holes = [tuple(h) for h in modes.modes[: modes.n_holes].tolist()]
+    particles = {tuple(p) for p in modes.modes[modes.n_holes :].tolist()}
+    best_particle = 0.0
+    best_hole = 0.0
+    for h in holes:
+        hk = tuple(a + b for a, b in zip(h, k))
+        w = math.sqrt(sum((a + b) ** 2 for a, b in zip(h, hk)))  # |p + h|, p = h + k
+        if hk in particles and tuple(a + b for a, b in zip(h, l)) in particles:
+            best_particle = max(best_particle, w)
+        hk_l = sum((a - b) ** 2 for a, b in zip(hk, l))
+        if hk in particles and hk_l <= modes.hole_radius_sq:
+            best_hole = max(best_hole, w)
+    return 0.5 * (best_particle + best_hole)
 
 
 def amplitudes(state):

@@ -1,0 +1,43 @@
+"""The package imports only the standard library, numpy and itself.
+
+pyproject.toml declares numpy as the one runtime dependency.  Other
+packages (scipy, mpmath, hypothesis) may be installed for the tests, so
+an accidental import of one of them would still run here; this walk of
+the source catches it, function-local imports included.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermi_rpa"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "fermi_rpa"}
+
+
+def imported_modules(source):
+    """Top-level module names of every import statement, at any depth."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import (level > 0) stays inside the package
+            names.append(node.module.split(".")[0] if node.level == 0 else "fermi_rpa")
+    return names
+
+
+def test_walker_sees_local_and_relative_imports():
+    source = "from . import cli\n\ndef f():\n    import scipy.linalg\n    from mpmath import mp\n"
+    assert imported_modules(source) == ["fermi_rpa", "scipy", "mpmath"]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    found = {}
+    for path in files:
+        for name in imported_modules(path.read_text()):
+            found.setdefault(name, []).append(path.name)
+    assert "numpy" in found
+    undeclared = {name: where for name, where in found.items() if name not in ALLOWED}
+    assert undeclared == {}

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from oracles import amplitudes, brute_force_pairs
+from oracles import amplitudes, brute_force_pairs, honest_c_bound_reference
 
 from fermi_rpa import (
     DomainError,
@@ -19,17 +21,21 @@ from fermi_rpa import (
     verify_c_commutator,
     verify_quadratic_interaction,
 )
+from fermi_rpa import fock_oracle
 from fermi_rpa.fock_oracle import (
     assemble_quadratic_interaction,
     dgamma_diagonal,
     fermion_sign,
+    honest_c_bound_constant,
     random_sector_state,
     state_norm_sq,
 )
-from fermi_rpa.lattice import norm_sq
+from fermi_rpa.lattice import mode_sort_key, norm_sq
 
 E1 = (1, 0, 0)
 E2 = (0, 1, 0)
+# (holes, cutoff) of the mode sets the lookup tests run on
+MODE_SETS = [(7, 2), (7, 3), (1, 1), (19, 4)]
 
 
 def random_state(modes, rng, integer_amplitudes=False):
@@ -98,28 +104,67 @@ def wick_vacuum_expectation(ann_pairs, cre_pairs):
 
 
 def test_mode_set_seven_two(modes_7_2):
-    assert len(modes_7_2.holes) == 7
-    assert len(modes_7_2.particles) == 12  # permutations of (+-1, +-1, 0)
-    assert all(norm_sq(p) == 2 for p in modes_7_2.particles)
+    assert modes_7_2.n_holes == 7 and modes_7_2.n_modes == 19
+    particles = modes_7_2.modes[7:].tolist()
+    assert all(norm_sq(p) == 2 for p in particles)  # permutations of (+-1, +-1, 0)
+    assert len(set(map(tuple, particles))) == 12
 
 
-def test_mode_index_maps_live_on_the_mode_set():
-    modes = build_mode_set(7, 2)
-    assert modes.particle_index is modes.particle_index  # built once per instance
-    assert [modes.particle_index[p] for p in modes.particles] == list(range(12))
-    # the holes are a closed shell, so hole membership is the norm test
-    assert all(norm_sq(h) <= modes.hole_radius_sq for h in modes.holes)
-    assert all(norm_sq(p) > modes.hole_radius_sq for p in modes.particles)
-    # a fresh, equal mode set builds its own maps; no module-level cache
-    other = build_mode_set(7, 2)
-    assert other == modes and other.particle_index is not modes.particle_index
+def test_mode_index_inverts_the_mode_array():
+    for n, lambda_sq in MODE_SETS:
+        modes = build_mode_set(n, lambda_sq)
+        rows = modes.modes.tolist()
+        assert rows == sorted(rows, key=mode_sort_key)  # the global mode order
+        assert modes.mode_index(modes.modes).tolist() == list(range(modes.n_modes))
+        r = 7  # every query outside the cutoff ball misses, near or far
+        box = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * 3, indexing="ij"), -1)
+        box = box.reshape(-1, 3)
+        outside = box[np.einsum("ij,ij->i", box, box) > lambda_sq]
+        assert np.all(modes.mode_index(outside) == -1)
+        assert np.all(modes.mode_index(np.array([[10**9, 0, 0], [0, 0, -10**9]])) == -1)
 
 
-def test_mode_cap_enforced():
+def test_pairs_match_brute_force_scan():
+    for n, lambda_sq in MODE_SETS:
+        modes = build_mode_set(n, lambda_sq)
+        r2 = modes.hole_radius_sq
+        for k in itertools.product(range(-2, 3), repeat=3):
+            if not 0 < norm_sq(k) <= 5:
+                continue
+            scan = [
+                (p, h) for p, h in brute_force_pairs(r2, k) if norm_sq(p) <= lambda_sq
+            ]
+            scan.sort(key=lambda pair: mode_sort_key(pair[1]))  # hole order
+            p_idx, h_idx = modes.pairs(k)
+            assert [tuple(h) for h in modes.modes[h_idx].tolist()] == [h for _, h in scan]
+            assert np.array_equal(modes.modes[p_idx], modes.modes[h_idx] + k)
+            assert modes.lune_size(k) == len(scan)
+            expected = tuple(sum(p[i] + h[i] for p, h in scan) for i in range(3))
+            assert modes.pair_vector_sum(k) == expected
+
+
+def test_honest_c_bound_matches_per_hole_loop():
+    transfers = [E1, E2, (1, 1, 0), (0, -1, 1)]
+    for n, lambda_sq in MODE_SETS:
+        modes = build_mode_set(n, lambda_sq)
+        for k in transfers:
+            for l in transfers:
+                got = honest_c_bound_constant(modes, k, l)
+                assert got == honest_c_bound_reference(modes, k, l)
+
+
+def test_mode_cap_enforced(monkeypatch):
     with pytest.raises(DomainError):
         build_mode_set(33, 9)
     with pytest.raises(DomainError, match="more than 40 modes"):
         build_mode_set(1, 10**12)  # refused before the cutoff ball is enumerated
+
+    def no_ball(n):
+        raise AssertionError(f"built the Fermi ball of {n} holes")
+
+    monkeypatch.setattr(fock_oracle, "build_fermi_ball", no_ball)
+    with pytest.raises(DomainError, match="exceed the 40-mode cap"):
+        build_mode_set(1000003353, 2)  # refused before the Fermi ball is built
 
 
 def test_truncated_lune_matches_lattice_intersection(modes_7_2):
@@ -168,7 +213,7 @@ def test_kernel_matches_loop_reference(modes_7_2):
     rng = np.random.default_rng(17)
     state = random_state(modes_7_2, rng, integer_amplitudes=True)
     for k in (E1, (1, 1, 0), (0, -1, 1)):
-        terms = [(p_idx, h_idx) for p_idx, h_idx, _, _ in modes_7_2.pairs_for(k)]
+        terms = list(zip(*(idx.tolist() for idx in modes_7_2.pairs(k))))
         assert terms
         created = apply_pair_create(state, k, modes_7_2, cap=3)
         assert amplitudes(created) == loop_pair_operator(state, terms, create=True)
@@ -180,8 +225,8 @@ def test_double_pair_vacuum_expectation_wick(modes_7_2):
     # independent CAR oracle for <O| b_{-k} b_k b*_k b*_{-k} |O>
     k = E1
     neg_k = (-1, 0, 0)
-    pairs_k = [(p, h) for _, _, p, h in modes_7_2.pairs_for(k)]
-    pairs_neg = [(p, h) for _, _, p, h in modes_7_2.pairs_for(neg_k)]
+    pairs_k = list(zip(*(idx.tolist() for idx in modes_7_2.pairs(k))))
+    pairs_neg = list(zip(*(idx.tolist() for idx in modes_7_2.pairs(neg_k))))
     expected = 0.0
     for (p1, h1) in pairs_k:
         for (p2, h2) in pairs_neg:
@@ -205,7 +250,8 @@ def test_number_on_vacuum(modes_7_2):
 def test_h0_eigenvalues_on_pairs(modes_7_2):
     params = ModelParams(7)
     for k in (E1, (1, 1, 0)):
-        for p_idx, h_idx, p, h in modes_7_2.pairs_for(k):
+        for p_idx, h_idx in zip(*(idx.tolist() for idx in modes_7_2.pairs(k))):
+            p, h = modes_7_2.modes[[p_idx, h_idx]].tolist()
             cfg = (1 << p_idx) | (1 << h_idx)
             state = (np.array([cfg]), np.array([1.0 + 0j]))
             out = amplitudes(apply_h0(state, modes_7_2, params))
@@ -333,7 +379,7 @@ def test_quadratic_expectation_hand_value(modes_7_2):
 def test_ccr_on_single_hole_mode_set():
     # different geometry guards against index offsets tied to N = 7
     modes = build_mode_set(1, 1)
-    assert len(modes.holes) == 1 and len(modes.particles) == 6
+    assert modes.n_holes == 1 and modes.n_modes == 7
     assert modes.lune_size(E1) == 1
     report = verify_almost_ccr(modes, E1, E2, trials=25, seed=9, max_pairs=1)
     assert report.violations == []
