@@ -5,11 +5,13 @@ delocalized-pair bosonization.  The modes are one (n_modes, 3) array in
 the global mode order: the holes (the Fermi ball) first, then the
 particles (the shell between the Fermi radius and a cutoff); one grid
 lookup maps a momentum to its position.  Configurations are bitmasks
-over those positions, fermionic signs come from their order, and a
-state is two numpy arrays: sorted, unique int64 keys and their complex
-amplitudes, of shape (n,) for one state or (n, trials) for a block of
-trial states that every operator acts on at once.  Only configurations
-an operator actually reaches are ever stored.
+over those positions, and a state is two numpy arrays: sorted, unique
+int64 keys and their complex amplitudes, of shape (n,) for one state or
+(n, trials) for a block of trial states that every operator acts on at
+once.  Each pair operator is one array pass over a (terms x keys) mask,
+so only configurations an operator actually reaches are ever stored;
+a pair's fermionic sign is the parity of the occupied modes between its
+hole and its particle.
 
 Truncated-model semantics: with a finite particle cutoff the pair
 operators differ from their infinite-lattice counterparts, so every
@@ -109,10 +111,11 @@ class ModeSet:
         h = self.modes[self.pairs(k)[1]]
         return tuple((2 * h + k).sum(axis=0).tolist())
 
-    def describe(self) -> str:
+    def describe(self, max_pairs: int) -> str:
         return (
             f"holes={self.n_holes}(r2<={self.hole_radius_sq}),"
-            f"particles={self.n_modes - self.n_holes}(r2<={self.lambda_sq})"
+            f"particles={self.n_modes - self.n_holes}(r2<={self.lambda_sq}),"
+            f"max_pairs={max_pairs}"
         )
 
 
@@ -191,42 +194,34 @@ def fermion_sign(keys: np.ndarray, idx: int) -> np.ndarray:
 
 
 def _apply_pair_terms(
-    state: State, terms: Sequence[tuple], modes: ModeSet, create: bool, cap: int
+    state: State, p_idx: np.ndarray, h_idx: np.ndarray, weights: np.ndarray,
+    modes: ModeSet, create: bool, cap: int,
 ) -> State:
-    """Apply sum of w * a*_p a*_h (or its adjoint w * a_h a_p) to a state.
+    """Apply sum_j w_j a*_p a*_h (or its adjoint w_j a_h a_p) in one array pass.
 
-    terms is a list of (p_idx, h_idx, integer weight); the creation
-    string applies a*_h first, then a*_p; the annihilation string is the
-    exact adjoint (a_p first, then a_h).  A creation term acts on the keys
-    where both modes are empty, an annihilation term where both are
-    occupied; creation raises TruncationOverflow when a new key holds
-    more than cap pairs.  Key bits above the mode set ride along
-    untouched.
+    Term j is (p_idx[j], h_idx[j], integer weights[j]).  One (terms x keys)
+    mask holds where each term acts (both modes empty for creation, both
+    occupied for annihilation); its hits come term by term, each term's
+    in key order.  Holes come first, so h < p, and a*_p a*_h (a*_h
+    applied first) and its adjoint carry the same sign, -(-1)^(occupied
+    modes strictly between h and p).  Creation raises TruncationOverflow
+    when a new key holds more than cap pairs.  Key bits above the mode set
+    ride along untouched.
     """
     keys, amps = state
-    rows, new, coeff = [np.zeros(0, dtype=np.int64)], [keys[:0]], [keys[:0]]
-    for p_idx, h_idx, w in terms:
-        both = (1 << p_idx) | (1 << h_idx)
-        if create:
-            hit = np.flatnonzero((keys & both) == 0)
-            first, second = h_idx, p_idx
-        else:
-            hit = np.flatnonzero((keys & both) == both)
-            first, second = p_idx, h_idx
-        cfg = keys[hit]
-        sign = fermion_sign(cfg, first) * fermion_sign(cfg ^ (1 << first), second)
-        rows.append(hit)
-        new.append(cfg ^ both)
-        coeff.append(w * sign)
-    new = np.concatenate(new)
+    both = (1 << p_idx) | (1 << h_idx)
+    term, row = np.nonzero((keys & both[:, None]) == (0 if create else both[:, None]))
+    cfg = keys[row]
+    new = cfg ^ both[term]
     if create and len(new):
         pairs = int(np.bitwise_count(new & ((1 << modes.n_modes) - 1)).max()) // 2
         if pairs > cap:
             raise TruncationOverflow(
                 f"configuration with {pairs} pairs exceeds max_pairs = {cap}"
             )
-    rows = np.concatenate(rows)
-    return _coalesce(new, amps[rows] * _column(np.concatenate(coeff), amps))
+    between = (1 << p_idx) - (2 << h_idx)  # the modes strictly between h and p
+    sign = -fermion_sign(cfg & between[term], modes.n_modes)
+    return _coalesce(new, amps[row] * _column(weights[term] * sign, amps))
 
 
 def _pair_operator(state, k, modes, create, cap, normalized, component=None) -> State:
@@ -239,8 +234,9 @@ def _pair_operator(state, k, modes, create, cap, normalized, component=None) -> 
     else:  # (p + h)_i = 2 h_i + k_i
         weights = 2 * modes.modes[h_idx, component] + k[component]
     keep = weights != 0
-    terms = list(zip(*(a[keep].tolist() for a in (p_idx, h_idx, weights))))
-    keys, amps = _apply_pair_terms(state, terms, modes, create, cap)
+    keys, amps = _apply_pair_terms(
+        state, p_idx[keep], h_idx[keep], weights[keep], modes, create, cap
+    )
     if normalized and len(h_idx):
         amps = amps * (1.0 / math.sqrt(len(h_idx)))
     return keys, amps
@@ -326,38 +322,33 @@ def _positions(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def random_sector_state(
     basis: np.ndarray,
-    order: np.ndarray,
     rng: np.random.Generator,
+    trials: int,
     integer_amplitudes: bool = False,
 ) -> State:
-    """Random state over ``basis = sector_basis(...)``, ``order = np.argsort(basis)``.
+    """``trials`` random states over ``basis = sector_basis(...)``, as columns.
 
     With integer_amplitudes the real and imaginary parts are nonzero
     integers in [-999, 999]; every subsequent cancellation is then exact
     in double precision.  Otherwise amplitudes are uniform in the complex
-    square and the state is normalized.  Amplitudes are drawn in
-    ``sector_basis`` order.
+    square and each column is normalized.  The trials are drawn one after
+    another, each in ``sector_basis`` order.
     """
     n = len(basis)
-    if integer_amplitudes:
-        re = rng.integers(1, 1000, size=n) * rng.choice([-1, 1], n)
-        im = rng.integers(1, 1000, size=n) * rng.choice([-1, 1], n)
-        amps = re + 1j * im
-    else:
-        re = rng.uniform(-1.0, 1.0, size=n)
-        im = rng.uniform(-1.0, 1.0, size=n)
-        amps = re + 1j * im
-        amps = amps * (1.0 / math.sqrt(state_norm_sq((basis, amps))))
-    return basis[order], amps[order]
-
-
-def _trial_block(
-    basis: np.ndarray, rng: np.random.Generator, trials: int, integer: bool
-) -> State:
-    """``trials`` random states over ``basis``, drawn one after another, as columns."""
+    columns = []
+    for _ in range(trials):
+        if integer_amplitudes:
+            re = rng.integers(1, 1000, size=n) * rng.choice([-1, 1], n)
+            im = rng.integers(1, 1000, size=n) * rng.choice([-1, 1], n)
+            amps = re + 1j * im
+        else:
+            re = rng.uniform(-1.0, 1.0, size=n)
+            im = rng.uniform(-1.0, 1.0, size=n)
+            amps = re + 1j * im
+            amps = amps * (1.0 / math.sqrt(state_norm_sq((basis, amps))))
+        columns.append(amps)
     order = np.argsort(basis)
-    states = [random_sector_state(basis, order, rng, integer) for _ in range(trials)]
-    return states[0][0], np.stack([amps for _, amps in states], axis=1)
+    return basis[order], np.stack(columns, axis=1)[order]
 
 
 # --- verification reports ---------------------------------------------------
@@ -405,7 +396,7 @@ def verify_almost_ccr(
     """
     rng = np.random.default_rng(seed)
     mk = modes.lune_size(k)
-    xi = _trial_block(sector_basis(modes, max_pairs), rng, trials, integer=True)
+    xi = random_sector_state(sector_basis(modes, max_pairs), rng, trials, True)
     b_k, b_l = (partial(apply_pair_annihilate, k=q, modes=modes) for q in (k, l))
     bs_k, bs_l = (
         partial(apply_pair_create, k=q, modes=modes, cap=max_pairs + 2) for q in (k, l)
@@ -434,7 +425,7 @@ def verify_almost_ccr(
             violations.append(f"trial {trial}: [b*_k, b*_l] xi != 0")
     return VerificationReport(
         check="almost_ccr",
-        modeset=modes.describe() + f",max_pairs={max_pairs}",
+        modeset=modes.describe(max_pairs),
         seed=seed,
         trials=trials,
         max_ratio=max([0.0, *ratios.tolist()]),
@@ -496,7 +487,7 @@ def verify_c_commutator(
     mk = modes.lune_size(k)
     const = honest_c_bound_constant(modes, k, l)
     mnorm = math.sqrt(norm_sq(k))
-    xi = _trial_block(sector_basis(modes, max_pairs), rng, trials, integer=True)
+    xi = random_sector_state(sector_basis(modes, max_pairs), rng, trials, True)
     lifted = max_pairs + 1
     resid = _c_residual(xi, k, l, modes, lifted, f)
     # m . residual with m = k (integer contraction keeps exactness)
@@ -527,7 +518,7 @@ def verify_c_commutator(
                 )
     return VerificationReport(
         check="c_commutator",
-        modeset=modes.describe() + f",max_pairs={max_pairs}",
+        modeset=modes.describe(max_pairs),
         seed=seed,
         trials=trials,
         max_ratio=max([0.0, *ratios.tolist()]),
@@ -635,7 +626,7 @@ def verify_quadratic_interaction(
         violations.append(f"vacuum expectation {vac:.3e} != 0")
 
     rng = np.random.default_rng(seed)
-    psi = _trial_block(basis, rng, 5, integer=False)
+    psi = random_sector_state(basis, rng, 5)
     direct = _apply_quadratic(psi, modes, v, params, max_pairs)
     devs = np.abs(
         _matvec(triplets, _basis_vector(basis, psi)) - _basis_vector(basis, direct)
@@ -668,7 +659,7 @@ def verify_quadratic_interaction(
             )
     return VerificationReport(
         check="quadratic_interaction",
-        modeset=modes.describe() + f",max_pairs={max_pairs}",
+        modeset=modes.describe(max_pairs),
         seed=seed,
         trials=5,
         max_ratio=herm,

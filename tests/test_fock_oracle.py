@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,8 +41,8 @@ MODE_SETS = [(7, 2), (7, 3), (1, 1), (19, 4)]
 
 def random_state(modes, rng, integer_amplitudes=False):
     """One random state in the <= 2 pair sector."""
-    basis = sector_basis(modes, 2)
-    return random_sector_state(basis, np.argsort(basis), rng, integer_amplitudes)
+    keys, amps = random_sector_state(sector_basis(modes, 2), rng, 1, integer_amplitudes)
+    return keys, amps[:, 0]
 
 
 def inner(u, w):
@@ -53,9 +54,9 @@ def inner(u, w):
 def loop_pair_operator(state, terms, create):
     """Configuration-by-configuration reference for the pair-term kernel.
 
-    Applies sum_j a*_p a*_h (a*_h first) or its adjoint a_h a_p (a_p
-    first) with signs (-1)^(occupied modes below the index), one mode and
-    one configuration at a time.
+    Applies sum_j w_j a*_p a*_h (a*_h first) or its adjoint w_j a_h a_p
+    (a_p first) over terms (p, h, w_j) with signs (-1)^(occupied modes
+    below the index), one mode and one configuration at a time.
     """
 
     def move(cfg, idx):
@@ -67,14 +68,14 @@ def loop_pair_operator(state, terms, create):
 
     out = {}
     for cfg, amp in amplitudes(state).items():
-        for p, h in terms:
+        for p, h, w in terms:
             mid, s1 = move(cfg, h if create else p)
             if mid is None:
                 continue
             new, s2 = move(mid, p if create else h)
             if new is None:
                 continue
-            out[new] = out.get(new, 0j) + s1 * s2 * amp
+            out[new] = out.get(new, 0j) + w * s1 * s2 * amp
     return {c: a for c, a in out.items() if a != 0}
 
 
@@ -207,18 +208,64 @@ def test_adjoint_property(modes_7_2):
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
-def test_kernel_matches_loop_reference(modes_7_2):
+def test_kernel_matches_loop_reference():
     # the vectorized kernel against a one-configuration-at-a-time loop,
-    # exactly, on an integer-amplitude state
+    # exactly, on integer amplitudes: unit weights (b*_k, b_k) and the
+    # (p+h)_i weights of c*_k, on one state and on a two-column block
+    # whose every column must equal the single-state result
     rng = np.random.default_rng(17)
-    state = random_state(modes_7_2, rng, integer_amplitudes=True)
-    for k in (E1, (1, 1, 0), (0, -1, 1)):
-        terms = list(zip(*(idx.tolist() for idx in modes_7_2.pairs(k))))
-        assert terms
-        created = apply_pair_create(state, k, modes_7_2, cap=3)
-        assert amplitudes(created) == loop_pair_operator(state, terms, create=True)
-        removed = apply_pair_annihilate(state, k, modes_7_2)
-        assert amplitudes(removed) == loop_pair_operator(state, terms, create=False)
+    for n, lambda_sq in MODE_SETS:
+        modes = build_mode_set(n, lambda_sq)
+        basis = sector_basis(modes, 2)
+        if len(basis) > 1500:  # keeps the Python loop short on the larger sets
+            basis = rng.choice(basis, 1500, replace=False)
+        keys, block = random_sector_state(basis, rng, 2, integer_amplitudes=True)
+        hole_vecs = modes.modes.tolist()
+        n_terms = 0
+        for k in (E1, (1, 1, 0), (0, -1, 1)):
+            pairs = list(zip(*(idx.tolist() for idx in modes.pairs(k))))
+            n_terms += len(pairs)
+            unit = [(p, h, 1) for p, h in pairs]
+            cases = [
+                (partial(apply_pair_create, k=k, modes=modes, cap=3), unit, True),
+                (partial(apply_pair_annihilate, k=k, modes=modes), unit, False),
+            ]
+            c_star = partial(apply_c_create, k=k, modes=modes, cap=3)
+            for i in range(3):
+                weighted = [(p, h, 2 * hole_vecs[h][i] + k[i]) for p, h in pairs]
+                cases.append((lambda s, c=c_star, i=i: c(s)[i], weighted, True))
+            for op, terms, create in cases:
+                out_keys, out_block = op((keys, block))
+                for j in range(2):
+                    state = (keys, block[:, j])
+                    single = amplitudes(op(state))
+                    assert single == loop_pair_operator(state, terms, create)
+                    column = zip(out_keys.tolist(), out_block[:, j].tolist())
+                    assert {c: a for c, a in column if a != 0} == single
+        assert n_terms
+
+
+def test_random_sector_state_draws_trials_in_sequence():
+    # a block of trials is the same RNG stream as one-column calls, one
+    # after another: every golden max_ratio depends on it
+    basis = sector_basis(build_mode_set(7, 2), 2)
+    for integer in (True, False):
+        keys, block = random_sector_state(basis, np.random.default_rng(8), 4, integer)
+        assert block.shape == (len(basis), 4)
+        assert np.all(np.diff(keys) > 0)
+        assert len({column.tobytes() for column in block.T}) == 4  # distinct draws
+        rng = np.random.default_rng(8)
+        for j in range(4):
+            one_keys, one = random_sector_state(basis, rng, 1, integer)
+            assert np.array_equal(one_keys, keys)
+            assert np.array_equal(one[:, 0], block[:, j])
+        if integer:
+            parts = np.concatenate([block.real, block.imag])
+            assert np.all(parts == np.round(parts))
+            assert np.all((np.abs(parts) >= 1) & (np.abs(parts) <= 999))
+        else:
+            norms = np.sqrt(state_norm_sq((keys, block)))
+            assert np.all(np.abs(norms - 1.0) <= 1e-15)
 
 
 def test_double_pair_vacuum_expectation_wick(modes_7_2):
