@@ -18,6 +18,7 @@ from .errors import (
     FermiRpaError,
     MissingCoefficient,
     NotClosedShell,
+    NotInBasis,
     ParseError,
     ShapeMismatch,
     SymmetryError,

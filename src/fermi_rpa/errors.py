@@ -42,6 +42,10 @@ class MissingCoefficient(FermiRpaError):
     """A kernel momentum has no matching quadratic coefficient."""
 
 
+class NotInBasis(FermiRpaError):
+    """A configuration key is missing from the sector basis it is looked up in."""
+
+
 class ConvergenceFailure(FermiRpaError):
     """Adaptive quadrature could not reach the requested tolerance."""
 

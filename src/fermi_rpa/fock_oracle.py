@@ -11,7 +11,8 @@ int64 keys and their complex amplitudes, of shape (n,) for one state or
 once.  Each pair operator is one array pass over a (terms x keys) mask,
 so only configurations an operator actually reaches are ever stored;
 a pair's fermionic sign is the parity of the occupied modes between its
-hole and its particle.
+hole and its particle.  Equal keys are then summed left to right in
+input order after one stable sort, so every sum has fixed bits.
 
 Truncated-model semantics: with a finite particle cutoff the pair
 operators differ from their infinite-lattice counterparts, so every
@@ -38,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundViolation, DomainError, EmptyLune, TruncationOverflow
+from .errors import BoundViolation, DomainError, EmptyLune, NotInBasis, TruncationOverflow
 from .lattice import (
     ModelParams,
     Momentum,
@@ -51,6 +52,7 @@ from .lattice import (
 from .potential import Potential
 
 MODE_CAP = 40
+GATHER_CHUNK = 1 << 14  # amplitudes gathered at once by one repeat pass
 
 # (sorted unique int64 configuration keys, complex amplitudes (n,) or (n, trials))
 State = Tuple[np.ndarray, np.ndarray]
@@ -73,6 +75,9 @@ class ModeSet:
     hole_radius_sq: int
     lambda_sq: int
     _grid: np.ndarray = field(init=False, repr=False)
+    _pairs: Dict[Momentum, Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, default_factory=dict
+    )
 
     def __post_init__(self):
         n, m = self.n_holes, self.n_modes
@@ -97,11 +102,18 @@ class ModeSet:
     def pairs(self, k: Momentum) -> Tuple[np.ndarray, np.ndarray]:
         """(p_idx, h_idx) for every hole h with h + k a particle, in hole order.
 
-        That order is the fixed pair order of every operator below.
+        That order is the fixed pair order of every operator below.  The
+        read-only arrays are built once per k.
         """
-        p_idx = self.mode_index(self.modes[: self.n_holes] + k)
-        h_idx = np.flatnonzero(p_idx >= self.n_holes)
-        return p_idx[h_idx], h_idx
+        key = tuple(k)
+        if key not in self._pairs:
+            p_idx = self.mode_index(self.modes[: self.n_holes] + k)
+            h_idx = np.flatnonzero(p_idx >= self.n_holes)
+            pair = (p_idx[h_idx], h_idx)
+            for a in pair:
+                a.flags.writeable = False
+            self._pairs[key] = pair
+        return self._pairs[key]
 
     def lune_size(self, k: Momentum) -> int:
         return len(self.pairs(k)[1])
@@ -156,21 +168,49 @@ def _column(values: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 def _drop_zeros(keys: np.ndarray, amps: np.ndarray) -> State:
     keep = (amps != 0).any(axis=tuple(range(1, amps.ndim)))
+    if keep.all():
+        return keys, amps
     return keys[keep], amps[keep]
 
 
 def _coalesce(keys: np.ndarray, amps: np.ndarray) -> State:
-    """Sum the amplitudes of equal keys, in input order; drop exact zeros."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    summed = np.zeros((len(uniq),) + amps.shape[1:], dtype=complex)
-    np.add.at(summed, inverse, amps)
-    return _drop_zeros(uniq, summed)
+    """Sum the amplitudes of equal keys, in input order; drop exact zeros.
+
+    Every sum is 0.0 + a_0 + a_1 + ... added left to right in input
+    order, as a sequential add into zeros would (so -0.0 becomes 0.0).  A
+    stable argsort groups equal keys in input order; it merges the sorted
+    run that each pair term's hits already form, since cfg ^ both is
+    monotone in cfg.  The sums start as each key's first amplitude, and
+    pass j adds the j-th repeat of every key that has one, gathering at
+    most GATHER_CHUNK amplitudes at a time.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    fresh = np.ones(len(keys) + 1, dtype=bool)  # a key starts here (and at the end)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:-1])
+    first = np.flatnonzero(fresh[:-1])
+    sums = amps[order[first]]
+    sums += 0.0
+    rows, pos = np.arange(len(first)), first
+    step = max(1, GATHER_CHUNK // math.prod(amps.shape[1:]))
+    while len(rows):
+        pos = pos + 1
+        repeat = ~fresh[pos]
+        rows, pos = rows[repeat], pos[repeat]
+        for lo in range(0, len(rows), step):
+            sums[rows[lo : lo + step]] += amps[order[pos[lo : lo + step]]]
+    return _drop_zeros(keys[first], sums)
 
 
 def _linear_combination(terms: Sequence[Tuple[float, State]]) -> State:
     """sum_i c_i state_i over (c_i, state_i), all with the same trial axis."""
     keys = np.concatenate([state[0] for _, state in terms])
-    amps = np.concatenate([c * state[1] for c, state in terms])
+    amps = np.concatenate([state[1] for _, state in terms])
+    lo = 0
+    for c, (part, _) in terms:  # c * amplitudes, scaled in place
+        hi = lo + len(part)
+        np.multiply(c, amps[lo:hi], out=amps[lo:hi])
+        lo = hi
     return _coalesce(keys, amps)
 
 
@@ -221,7 +261,9 @@ def _apply_pair_terms(
             )
     between = (1 << p_idx) - (2 << h_idx)  # the modes strictly between h and p
     sign = -fermion_sign(cfg & between[term], modes.n_modes)
-    return _coalesce(new, amps[row] * _column(weights[term] * sign, amps))
+    terms = amps[row]
+    terms *= _column(weights[term] * sign, amps)
+    return _coalesce(new, terms)
 
 
 def _pair_operator(state, k, modes, create, cap, normalized, component=None) -> State:
@@ -315,9 +357,14 @@ def sector_basis(modes: ModeSet, max_pairs: int) -> np.ndarray:
 
 
 def _positions(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position in ``basis`` of each key (every key must be in the basis)."""
+    """Position in ``basis`` of each key; NotInBasis names the first missing key."""
     order = np.argsort(basis)
-    return order[np.searchsorted(basis[order], keys)]
+    pos = order.take(np.searchsorted(basis[order], keys), mode="clip")
+    missing = basis[pos] != keys
+    if missing.any():
+        key = int(keys[missing.argmax()])
+        raise NotInBasis(f"configuration {key} (0b{key:b}) is not in the sector basis")
+    return pos
 
 
 def random_sector_state(
@@ -584,9 +631,17 @@ def _apply_quadratic(
 
 
 def _matvec(triplets: Triplets, vec: np.ndarray) -> np.ndarray:
+    """Q vec; each row is 0.0 + its terms left to right in triplet order.
+
+    np.bincount adds its weights into zeros in input order, one call for
+    the real and one for the imaginary part of each column of vec.
+    """
     rows, cols, values = triplets
-    out = np.zeros(vec.shape, dtype=complex)
-    np.add.at(out, rows, vec[cols] * _column(values, vec))
+    out = np.empty(vec.shape, dtype=complex)
+    for column, target in zip(vec.reshape(len(vec), -1).T, out.reshape(len(vec), -1).T):
+        terms = column[cols] * values
+        target.real = np.bincount(rows, terms.real, minlength=len(vec))
+        target.imag = np.bincount(rows, terms.imag, minlength=len(vec))
     return out
 
 

@@ -3,12 +3,14 @@
 These deliberately avoid the package's closed-form code paths: the
 minimizer below works on the raw one-variable energy profile, the
 quadrature helpers integrate the raw integrand, the particle-hole
-pair list is a brute-force scan of the ball, and the c-commutator bound
-constant is a per-hole loop over plain tuples.
+pair list is a brute-force scan of the ball, the c-commutator bound
+constant is a per-hole loop over plain tuples, and the Fock oracle's sums
+go through np.unique and np.add.at.
 """
 
 import math
 
+import numpy as np
 from conftest import brute_force_ball
 
 
@@ -102,3 +104,25 @@ def amplitudes(state):
     """A Fock-oracle (keys, amplitudes) state as {configuration: amplitude}."""
     keys, amps = state
     return dict(zip(keys.tolist(), amps.tolist()))
+
+
+def coalesce_reference(keys, amps):
+    """The Fock oracle's key coalescing through np.unique and np.add.at.
+
+    Adds the amplitudes of equal keys into zeros in input order, so every
+    sum is 0.0 + a_0 + a_1 + ... left to right, and drops the rows that
+    are exactly zero.  Returns (sorted unique keys, sums).
+    """
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    summed = np.zeros((len(uniq),) + amps.shape[1:], dtype=complex)
+    np.add.at(summed, inverse, amps)
+    keep = (summed != 0).any(axis=tuple(range(1, summed.ndim)))
+    return uniq[keep], summed[keep]
+
+
+def matvec_reference(triplets, vec):
+    """(rows, cols, values) triplets times vec, summed with np.add.at into zeros."""
+    rows, cols, values = triplets
+    out = np.zeros(vec.shape, dtype=complex)
+    np.add.at(out, rows, vec[cols] * values.reshape((-1,) + (1,) * (vec.ndim - 1)))
+    return out

@@ -526,6 +526,7 @@ GOLDEN_COMMANDS = [
     "oracle --trials 3 --seed 7",
     "oracle --holes-n 1 --lambda-sq 1 --pairs 1 --trials 25 --seed 9",
     "oracle --pairs 3 --trials 2 --seed 3",
+    "oracle --trials 10 --seed 5",
     "corr --n 257 --method optimal --tol 1e-12",
     "compare --n-list 33,257 --tol 1e-12 --format csv",
     "ball --n 2109",

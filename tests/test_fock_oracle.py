@@ -1,13 +1,21 @@
 import itertools
+import math
 from functools import partial
 
 import numpy as np
 import pytest
-from oracles import amplitudes, brute_force_pairs, honest_c_bound_reference
+from oracles import (
+    amplitudes,
+    brute_force_pairs,
+    coalesce_reference,
+    honest_c_bound_reference,
+    matvec_reference,
+)
 
 from fermi_rpa import (
     DomainError,
     ModelParams,
+    NotInBasis,
     TruncationOverflow,
     apply_c_create,
     apply_h0,
@@ -23,6 +31,7 @@ from fermi_rpa import (
     verify_quadratic_interaction,
 )
 from fermi_rpa import fock_oracle
+from fermi_rpa.cli import main
 from fermi_rpa.fock_oracle import (
     assemble_quadratic_interaction,
     dgamma_diagonal,
@@ -243,6 +252,101 @@ def test_kernel_matches_loop_reference():
                     column = zip(out_keys.tolist(), out_block[:, j].tolist())
                     assert {c: a for c, a in column if a != 0} == single
         assert n_terms
+
+
+def assert_same_bits(state, reference):
+    """Equal keys, and amplitudes equal to the last bit (signed zeros too)."""
+    (keys, amps), (ref_keys, ref_amps) = state, reference
+    assert keys.dtype == ref_keys.dtype and keys.tolist() == ref_keys.tolist()
+    assert amps.dtype == ref_amps.dtype and amps.shape == ref_amps.shape
+    assert amps.tobytes() == ref_amps.tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["oracle --pairs 3 --trials 2", "oracle --holes-n 1 --lambda-sq 3 --pairs 3 --trials 2"],
+)
+def test_sums_match_add_at_reference_bit_for_bit(monkeypatch, capsys, argv):
+    # every key sum and every row of Q vec the oracle forms in a run,
+    # against np.unique + np.add.at on the same inputs
+    coalesce, matvec = fock_oracle._coalesce, fock_oracle._matvec
+    calls = {"coalesce": 0, "matvec": 0}
+
+    def checked_coalesce(keys, amps):
+        expected = coalesce_reference(keys, amps)
+        result = coalesce(keys, amps)
+        assert_same_bits(result, expected)
+        calls["coalesce"] += 1
+        return result
+
+    def checked_matvec(triplets, vec):
+        expected = matvec_reference(triplets, vec)
+        result = matvec(triplets, vec)
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+        calls["matvec"] += 1
+        return result
+
+    monkeypatch.setattr(fock_oracle, "_coalesce", checked_coalesce)
+    monkeypatch.setattr(fock_oracle, "_matvec", checked_matvec)
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().err == ""
+    assert calls["coalesce"] > 100 and calls["matvec"] > 1
+
+
+def test_coalesce_hand_cases():
+    coalesce = fock_oracle._coalesce
+    for shape in ((0,), (0, 3)):
+        keys, amps = coalesce(np.zeros(0, dtype=np.int64), np.zeros(shape, dtype=complex))
+        assert keys.shape == (0,) and amps.shape == shape
+    # one key is (1e16 + 1) - 1e16 = 0, the other (1e16 - 1e16) + 1 = 1:
+    # input order decides the bits; 2 holds a lone -0.0 real part, 3 cancels
+    keys = np.array([7, 9, 7, 9, 7, 9, 2, 3, 3], dtype=np.int64)
+    amps = np.array(
+        [1e16 + 1j, 1e16 + 1j, 1, -1e16, -1e16, 1, complex(-0.0, 2), 3 + 4j, -3 - 4j]
+    )
+    expected = (np.array([2, 7, 9]), np.array([2j, 1j, 1 + 1j]))
+    for state in (coalesce(keys, amps), coalesce_reference(keys, amps)):
+        assert_same_bits(state, expected)
+        assert math.copysign(1.0, state[1][0].real) == 1.0  # 0.0 + -0.0 is 0.0
+    # as the first column of a block whose second column cancels on 7 and 9
+    # and not on 3: 3 is kept, with its first column exactly zero
+    block = np.stack([amps, np.array([1, -1, -1, 1, 0, 0, 0, 5, 0])], axis=1)
+    result = coalesce(keys, block)
+    assert_same_bits(result, coalesce_reference(keys, block))
+    assert result[0].tolist() == [2, 3, 7, 9]
+    assert result[1].tolist() == [[2j, 0j], [0j, 5 + 0j], [1j, 0j], [1 + 1j, 0j]]
+    # a full cancellation is dropped, and -0.0 alone is a zero
+    keys, amps = coalesce(np.array([4, 4, 6]), np.array([1 - 1j, -1 + 1j, complex(-0.0, -0.0)]))
+    assert keys.shape == (0,) and amps.shape == (0,)
+
+
+def test_coalesce_gathers_repeats_in_chunks(monkeypatch):
+    # a chunk smaller than one pass must not change a bit
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 50, 400)
+    amps = rng.normal(size=(400, 3)) + 1j * rng.normal(size=(400, 3))
+    whole = fock_oracle._coalesce(keys, amps)
+    monkeypatch.setattr(fock_oracle, "GATHER_CHUNK", 7)
+    assert_same_bits(fock_oracle._coalesce(keys, amps), whole)
+    assert_same_bits(whole, coalesce_reference(keys, amps))
+
+
+def test_positions_names_a_key_missing_from_the_basis():
+    basis = np.array([0, 9, 3, 10, 5, 6])  # sector_basis order need not be sorted
+    assert fock_oracle._positions(basis, np.array([10, 0, 5])).tolist() == [3, 0, 4]
+    # 4 and 7 fall between basis keys, 11 above the largest
+    for keys, missing in (([4, 7], 4), ([3, 11], 11)):
+        with pytest.raises(NotInBasis, match=f"configuration {missing} "):
+            fock_oracle._positions(basis, np.array(keys))
+
+
+def test_pairs_built_once_per_momentum(modes_7_2):
+    p_idx, h_idx = modes_7_2.pairs((0, 1, 1))
+    for k in (np.array([0, 1, 1]), [0, 1, 1]):
+        again = modes_7_2.pairs(k)
+        assert again[0] is p_idx and again[1] is h_idx
+    assert not p_idx.flags.writeable and not h_idx.flags.writeable
 
 
 def test_random_sector_state_draws_trials_in_sequence():
