@@ -11,6 +11,11 @@ errors   log-space rigorous error budget as JSON
 oracle   brute-force operator-identity verification reports
 ratio    the delocalized/optimal second-order weight ratio
 
+Flags are the only run settings; no file or environment variable is read.
+``--tol`` (``corr``, ``compare``) defaults to ``rpa_optimal.DEFAULT_TOL``
+= 1e-10 and must be finite and > 0 for every method; ``oracle --pairs``
+defaults to 2, and it and ``--trials`` must be >= 1.
+
 Exit codes: 0 success, 1 usage or validation error (message names the
 violated invariant), 2 numerical failure (quadrature convergence or
 pair-sector overflow).  Identical invocations produce byte-identical output.
@@ -22,14 +27,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import __version__
-from .config import RunConfig, checked_count, checked_tol, load_config
 from .error_budget import assemble_error_budget
 from .errors import (
     BoundViolation,
     ConvergenceFailure,
+    DomainError,
     FermiRpaError,
     TruncationOverflow,
 )
@@ -53,6 +58,7 @@ from .rpa_delocalized import (
     second_order_delocalized,
 )
 from .rpa_optimal import (
+    DEFAULT_TOL,
     frequency_brackets,
     gmb_correlation,
     second_order_optimal,
@@ -92,13 +98,26 @@ def _emit(obj) -> None:
     sys.stdout.write(text + "\n")
 
 
+def checked_tol(tol: float) -> float:
+    """The --tol quadrature tolerance: finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
+    return tol
+
+
+def checked_count(name: str, value: int) -> int:
+    """An oracle count (--trials, --pairs as max_pairs): >= 1."""
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermi-rpa",
         description="Correlation energy of the mean-field Fermi gas",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", default=None, help="JSON config overriding defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ball", help="closed-shell information")
@@ -134,14 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
             "so-opt",
         ],
     )
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_corr)
 
     p = sub.add_parser("compare", help="full energy report per N")
     p.add_argument("--potential", default=None)
     p.add_argument("--n-list", required=True, help="comma-separated particle counts")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(run=_cmd_compare)
 
     p = sub.add_parser("errors", help="log-space rigorous error budget")
@@ -153,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="operator-identity verification suite")
     p.add_argument("--holes-n", type=int, default=7)
     p.add_argument("--lambda-sq", type=int, default=2)
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--pairs", type=int, default=2)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--potential", default=None)
@@ -164,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_ball(args, config: RunConfig) -> int:
+def _cmd_ball(args) -> int:
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
     _emit(
@@ -178,7 +197,7 @@ def _cmd_ball(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_nk(args, config: RunConfig) -> int:
+def _cmd_nk(args) -> int:
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
     v = _potential_arg(args.potential)
@@ -196,7 +215,7 @@ def _cmd_nk(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_hf(args, config: RunConfig) -> int:
+def _cmd_hf(args) -> int:
     ball = build_fermi_ball(args.n)
     v = _potential_arg(args.potential)
     rows = coefficient_table(ball, v)
@@ -204,7 +223,7 @@ def _cmd_hf(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_corr(args, config: RunConfig) -> int:
+def _cmd_corr(args) -> int:
     v = _potential_arg(args.potential)
     params = ModelParams(args.n)
     method = args.method
@@ -217,7 +236,7 @@ def _cmd_corr(args, config: RunConfig) -> int:
             sys.stderr.write(
                 "warning: V(0) != 0 is excluded from the correlation sum\n"
             )
-        value = gmb_correlation(frequency_brackets(v, config.tol), params).total
+        value = gmb_correlation(frequency_brackets(v, args.tol), params).total
     elif method == "so-deloc":
         value = second_order_delocalized(params, v)
     else:
@@ -226,14 +245,14 @@ def _cmd_corr(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_compare(args, config: RunConfig) -> int:
+def _cmd_compare(args) -> int:
     v = _potential_arg(args.potential)
     try:
         ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError as exc:
         raise FermiRpaError(f"invalid --n-list: {exc}") from exc
     # the brackets depend on V(k) alone: one table serves every N
-    brackets = frequency_brackets(v, config.tol) if ns else {}
+    brackets = frequency_brackets(v, args.tol) if ns else {}
     reports = [energy_report(n, v, brackets) for n in ns]
     if args.format == "csv":
         sys.stdout.write(report_csv(reports))
@@ -242,7 +261,7 @@ def _cmd_compare(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_errors(args, config: RunConfig) -> int:
+def _cmd_errors(args) -> int:
     v = _potential_arg(args.potential)
     continuum = coefficient_table(ModelParams(args.n), v)
     exact = args.backend == "exact"
@@ -251,9 +270,9 @@ def _cmd_errors(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_oracle(args, config: RunConfig) -> int:
+def _cmd_oracle(args) -> int:
     checked_count("trials", args.trials)
-    max_pairs = config.max_pairs if args.pairs is None else checked_count("max_pairs", args.pairs)
+    max_pairs = checked_count("max_pairs", args.pairs)
     modes = build_mode_set(args.holes_n, args.lambda_sq)
     v = _potential_arg(args.potential)
     params = ModelParams(args.holes_n)
@@ -270,7 +289,7 @@ def _cmd_oracle(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_ratio(args, config: RunConfig) -> int:
+def _cmd_ratio(args) -> int:
     sys.stdout.write(format_float(second_order_ratio()) + "\n")
     return 0
 
@@ -282,12 +301,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, and 2 is kept for numerical failures
         return 1 if exc.code == 2 else exc.code
     try:
-        config = load_config(args.config)
-        flag_tol = getattr(args, "tol", None)
-        if flag_tol is not None:
-            # the handler reads the effective tol (flag over file over default)
-            config = replace(config, tol=checked_tol(flag_tol))
-        return args.run(args, config)
+        if hasattr(args, "tol"):  # corr (every method) and compare
+            checked_tol(args.tol)
+        return args.run(args)
     except (ConvergenceFailure, TruncationOverflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -27,7 +27,7 @@ class ShapeMismatch(FermiRpaError):
 
 
 class ParseError(FermiRpaError):
-    """Malformed potential or configuration document."""
+    """Malformed potential document."""
 
 
 class SymmetryError(FermiRpaError):

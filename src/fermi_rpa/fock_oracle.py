@@ -103,13 +103,18 @@ class ModeSet:
         """(p_idx, h_idx) for every hole h with h + k a particle, in hole order.
 
         That order is the fixed pair order of every operator below.  The
-        read-only arrays are built once per k.
+        read-only arrays are built once per k.  No pair spans a component
+        longer than twice the cutoff radius, so such a k, however large,
+        has none.
         """
         key = tuple(k)
         if key not in self._pairs:
-            p_idx = self.mode_index(self.modes[: self.n_holes] + k)
-            h_idx = np.flatnonzero(p_idx >= self.n_holes)
-            pair = (p_idx[h_idx], h_idx)
+            if max(abs(c) for c in key) > 2 * math.isqrt(self.lambda_sq):
+                pair = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+            else:
+                p_idx = self.mode_index(self.modes[: self.n_holes] + k)
+                h_idx = np.flatnonzero(p_idx >= self.n_holes)
+                pair = (p_idx[h_idx], h_idx)
             for a in pair:
                 a.flags.writeable = False
             self._pairs[key] = pair

@@ -209,10 +209,14 @@ def _stay_columns(ball: FermiBall, k: Momentum) -> np.ndarray:
 
     One entry per column whose shifted column still lies on the grid: the
     number of z with both z and z + k_z inside their columns' intervals.
+    A shift as long as the grid side leaves no column; it is caught before
+    any int64 arithmetic with k, which could overflow.
     """
     kx, ky, kz = (int(c) for c in k)
     top = ball.column_tops
     m = top.shape[0]
+    if max(abs(kx), abs(ky), abs(kz)) >= m:
+        return np.zeros(0, dtype=np.int64)
     nx, ny = max(m - abs(kx), 0), max(m - abs(ky), 0)
     sx, sy = max(0, -kx), max(0, -ky)
     source = top[sx : sx + nx, sy : sy + ny]

@@ -8,6 +8,10 @@ The on-disk document is JSON:
 
 ``support_radius_sq`` and the three components of each ``k`` must be
 JSON integers and each ``v`` a JSON number; an entry may not repeat.
+JSON tells integers (``2``) from other numbers (``2.9``) and from
+``true``, while Python's bool is a subclass of int, so the reader checks
+each value's JSON kind itself: nothing is silently truncated or coerced,
+and each rejection is a ParseError naming the key and the offending value.
 ``load_potential`` only reads the document.  ``make_potential`` then
 completes missing -k entries by evenness, and ``Potential`` itself
 checks that every coefficient lies inside the support radius, is finite
@@ -26,7 +30,6 @@ from functools import cached_property
 from typing import Dict, IO, List, Tuple, Union
 
 from .errors import ParseError, SymmetryError
-from .jsondoc import json_integer, json_number, json_object
 from .lattice import Momentum, mode_sort_key, negate, norm_sq
 
 
@@ -80,6 +83,34 @@ def make_potential(
     return Potential(coeffs=coeffs, support_radius_sq=int(support_radius_sq))
 
 
+def _json_object(raw: Union[bytes, str]) -> dict:
+    """The top-level object of a UTF-8 JSON potential document."""
+    try:
+        doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"malformed potential document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("potential document must be a JSON object")
+    return doc
+
+
+def _json_integer(value, key: str) -> int:
+    """A JSON integer: not a float (even 2.0), a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_number(value, key: str) -> float:
+    """A JSON number, integer or not: not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{key} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond double range
+        raise ParseError(f"{key} is out of range, got {json.dumps(value)}") from exc
+
+
 def load_potential(source: Union[str, bytes, IO]) -> Potential:
     """Read a potential document (path, bytes, or stream) into make_potential."""
     try:
@@ -92,12 +123,12 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
                 raw = fh.read()
     except OSError as exc:
         raise ParseError(f"unreadable potential document: {exc}") from exc
-    doc = json_object(raw, "potential")
+    doc = _json_object(raw)
     if not isinstance(doc.get("coeffs"), list):
         raise ParseError("potential document must be an object with a 'coeffs' array")
     if "support_radius_sq" not in doc:
         raise ParseError("potential document has no 'support_radius_sq'")
-    radius_sq = json_integer(doc["support_radius_sq"], "support_radius_sq")
+    radius_sq = _json_integer(doc["support_radius_sq"], "support_radius_sq")
 
     explicit: Dict[Momentum, float] = {}
     for i, item in enumerate(doc["coeffs"]):
@@ -110,10 +141,10 @@ def load_potential(source: Union[str, bytes, IO]) -> Potential:
             raise ParseError(
                 f"{entry}.k must have three components, got {json.dumps(item['k'])}"
             )
-        k = tuple(json_integer(c, f"{entry}.k[{j}]") for j, c in enumerate(item["k"]))
+        k = tuple(_json_integer(c, f"{entry}.k[{j}]") for j, c in enumerate(item["k"]))
         if k in explicit:
             raise ParseError(f"duplicate coefficient entry for {k}")
-        explicit[k] = json_number(item["v"], f"{entry}.v")
+        explicit[k] = _json_number(item["v"], f"{entry}.v")
     return make_potential(explicit, radius_sq)
 
 

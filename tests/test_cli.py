@@ -348,26 +348,30 @@ def test_continuum_forms_beyond_the_lens_domain_exit_one(capsys, tmp_path, argv)
     assert "exceeds the lens-formula domain" in err
 
 
-def test_unreachable_tolerance_exits_two(capsys, tmp_path, potential_file):
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"tol": 1e-30}')  # below the double-precision floor
-    code, _, err = run_cli(
-        capsys,
-        "--config",
-        str(cfg),
-        "corr",
-        "--n",
-        "33",
-        "--potential",
-        potential_file,
-        "--method",
-        "optimal",
+@pytest.mark.parametrize("k", [(0, 0, 2**63 - 1), (10**19, 0, 0)], ids=["int64-max", "beyond-int64"])
+def test_support_momentum_beyond_the_ball_has_no_exchange(capsys, tmp_path, k):
+    path = tmp_path / "far.json"
+    path.write_text(serialize_potential(make_potential({k: 0.01})))
+    code, out, err = run_cli(capsys, "hf", "--n", "257", "--potential", str(path))
+    assert (code, err) == (0, "")
+    assert '"exchange": 0.0,' in out
+    code, out, err = run_cli(
+        capsys, "corr", "--n", "257", "--method", "delocalized-exact", "--potential", str(path)
     )
-    assert code == 2
-    assert "error estimate" in err and "rounding floor" in err
+    assert (code, err) == (0, "")
+    assert math.isfinite(float(out))
 
 
-@pytest.mark.parametrize("tol", ["1e-200", "1e-300", "1e-310"])
+def test_oracle_ignores_a_support_momentum_beyond_the_cutoff(capsys, tmp_path, demo_potential):
+    path = tmp_path / "far.json"
+    far = make_potential({**demo_potential.coeffs, (10**19, 0, 0): 0.1})
+    path.write_text(serialize_potential(far))
+    demo = run_cli(capsys, "oracle", "--trials", "2")
+    assert run_cli(capsys, "oracle", "--trials", "2", "--potential", str(path)) == demo
+    assert demo[0] == 0
+
+
+@pytest.mark.parametrize("tol", ["1e-30", "1e-200", "1e-300", "1e-310"])
 def test_tolerance_below_the_floor_exits_two_fast(capsys, potential_file, tol):
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -381,79 +385,18 @@ def test_tolerance_below_the_floor_exits_two_fast(capsys, potential_file, tol):
     assert f"tol {float(tol):.3e}, which is below the rounding floor" in err
 
 
-def test_config_override(capsys, tmp_path, potential_file):
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"tol": 1e-6, "max_pairs": 1, "shell_grid": [4]}')
-    code, out, _ = run_cli(
-        capsys,
-        "--config",
-        str(cfg),
-        "corr",
-        "--n",
-        "33",
-        "--potential",
-        potential_file,
-        "--method",
-        "optimal",
-    )
-    assert code == 0
-    assert float(out.strip()) < 0.0
-
-
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_invalid_tolerance_flag_exits_one(capsys, potential_file, tol):
+    # checked for every corr method, not only the one that integrates
     for argv in (
-        ["corr", "--n", "33", "--potential", potential_file, "--method", "optimal"],
+        *(["corr", "--n", "33", "--potential", potential_file, "--method", method]
+          for method in CORR_METHODS),
         ["compare", "--potential", potential_file, "--n-list", "33"],
     ):
         code, out, err = run_cli(capsys, *argv, "--tol", tol)
         assert code == 1
         assert out == ""
         assert "tolerance must be finite and > 0" in err
-
-
-@pytest.mark.parametrize("tol", ["0", "-1", "NaN", "Infinity"])
-def test_invalid_tolerance_config_exits_one(capsys, tmp_path, potential_file, tol):
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"tol": %s}' % tol)
-    code, out, err = run_cli(
-        capsys, "--config", str(cfg), "corr", "--n", "33",
-        "--potential", potential_file, "--method", "optimal",
-    )
-    assert code == 1
-    assert out == ""
-    assert "tolerance must be finite and > 0" in err
-
-
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        ('{"version": 2.9}', "version must be an integer, got 2.9"),
-        ('{"version": 2}', "version must be 1, got 2"),
-        ('{"tol": true}', "tol must be a number, got true"),
-        ('{"tol": "abc"}', 'tol must be a number, got "abc"'),
-        ('{"tol": "1e-8"}', 'tol must be a number, got "1e-8"'),
-        ('{"tol": 1%s}' % ("0" * 400), "tol is out of range"),
-        (None, "unreadable config file"),
-    ],
-    ids=[
-        "version-2.9", "version-2", "tol-true", "tol-abc", "tol-string", "tol-huge-int",
-        "unreadable",
-    ],
-)
-def test_mistyped_config_exits_one(capsys, tmp_path, potential_file, doc, message):
-    cfg = tmp_path / "config.json"
-    if doc is None:
-        cfg.mkdir()  # a path that cannot be read as a file
-    else:
-        cfg.write_text(doc)
-    code, out, err = run_cli(
-        capsys, "--config", str(cfg), "corr", "--n", "33",
-        "--potential", potential_file, "--method", "optimal",
-    )
-    assert code == 1
-    assert out == ""
-    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -466,40 +409,6 @@ def test_invalid_oracle_count_flag_exits_one(capsys, flag, value, name):
     assert code == 1
     assert out == ""
     assert f"{name} must be >= 1, got {value}" in err
-
-
-@pytest.mark.parametrize("pairs", ["0", "-2", "2.9", "0.5", "true", '"2"'])
-def test_invalid_oracle_count_config_exits_one(capsys, tmp_path, pairs):
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"max_pairs": %s}' % pairs)
-    code, out, err = run_cli(capsys, "--config", str(cfg), "oracle", "--trials", "1")
-    assert code == 1
-    assert out == ""
-    if type(json.loads(pairs)) is int:
-        assert f"max_pairs must be >= 1, got {pairs}" in err
-    else:
-        assert f"max_pairs must be an integer, got {pairs}" in err
-
-
-def test_tolerance_flag_overrides_config(capsys, tmp_path, potential_file):
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"tol": 1e-30}')
-    argv = ["corr", "--n", "33", "--potential", potential_file, "--method", "optimal"]
-    code, out, _ = run_cli(capsys, "--config", str(cfg), *argv, "--tol", "1e-10")
-    assert code == 0
-    assert out == run_cli(capsys, *argv)[1]
-
-
-@pytest.mark.parametrize("tol", ["0", "-1e-10", "NaN"])
-def test_invalid_config_tolerance_exits_one_under_a_flag(capsys, tmp_path, potential_file, tol):
-    # the flag overrides the file's value, but the file is still checked
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"tol": %s}' % tol)
-    argv = ["corr", "--n", "33", "--potential", potential_file, "--method", "optimal"]
-    code, out, err = run_cli(capsys, "--config", str(cfg), *argv, "--tol", "1e-10")
-    assert code == 1
-    assert out == ""
-    assert "tolerance must be finite and > 0" in err
 
 
 # stdout of each command recorded once, byte for byte; every listed command

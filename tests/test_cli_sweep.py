@@ -4,9 +4,9 @@ Every run exits 0, 1 or 2 and lets no exception escape.  A success prints
 only finite numbers: its JSON passes a parser that rejects NaN and
 Infinity, and a CSV cell is empty or a finite number.  A failure prints
 exactly one ``error: ...`` line on stderr, after any ``warning: ...``
-lines.  The same argv prints the same bytes twice.  ``corr``, ``compare``
-and ``oracle`` may also read a ``--config`` file; one with an invalid
-``tol``, ``version`` or ``max_pairs`` exits 1, whatever flag overrides it.
+lines.  The same argv prints the same bytes twice.  Some draws give
+``corr`` or ``compare`` a ``--tol`` that is not finite and > 0, or
+``oracle`` a ``--trials`` or ``--pairs`` below 1; each of those exits 1.
 
 ``oracle`` is swept on its own, with fewer examples.  On 7 holes at
 cutoff 3 it always gets a ``--pairs`` flag of at most 2: the 3-pair sector
@@ -33,20 +33,7 @@ MOMENTA = [(0, 0, 0)] + [
 ]
 COUPLINGS = st.one_of(st.just(0.0), st.floats(-0.3, 5.0), st.floats(-0.3, 0.3))
 TOLS = st.sampled_from([None, "1e-17", "1e-300", "1e-13", "1e-10", "1e-6", "0.01"])
-# config tol values: JSON numbers (0, negatives, 1e-300, NaN, Infinity, an
-# integer beyond double range) and values that are not numbers at all
-CONFIG_TOLS = st.one_of(
-    st.floats(),
-    st.integers(-3, 3),
-    st.sampled_from([1e-300, -1e-10, 10**300, 10**400, True, False, "1e-8", None]),
-)
-CONFIG_VERSIONS = st.sampled_from([1, 2, 2.9])
-# config pair caps of every JSON kind; a valid one stays at most 3
-CONFIG_PAIRS = st.one_of(
-    st.integers(-3, 3),
-    st.sampled_from([2.9, 1.0, math.nan, math.inf, True, "2", None, [2], {"n": 2}]),
-)
-CONFIG_KEYS = {"tol": CONFIG_TOLS, "version": CONFIG_VERSIONS, "max_pairs": CONFIG_PAIRS}
+INVALID_TOLS = ("0", "-1e-10", "nan", "inf")
 JSON_COMMANDS = ("hf", "errors")
 # CSV columns that hold no number
 TEXT_COLUMNS = ("k", "potential")
@@ -68,11 +55,14 @@ def invocations(draw):
         argv += ["--method", draw(st.sampled_from(methods))]
     if command == "errors":
         argv += ["--backend", draw(st.sampled_from(["exact", "asymptotic"]))]
+    invalid = False
     if command in ("corr", "compare"):
-        tol = draw(TOLS)
+        invalid = draw(st.integers(0, 3)) == 0  # one run in four
+        tol = draw(st.sampled_from(INVALID_TOLS) if invalid else TOLS)
         if tol is not None:
-            argv += ["--tol", tol]
-    return argv, draw(potentials()), draw(configs(command in ("corr", "compare")))
+            # one token: argparse would read a separate "-1e-10" as an option
+            argv.append(f"--tol={tol}")
+    return argv, draw(potentials()), invalid
 
 
 @st.composite
@@ -80,34 +70,23 @@ def oracle_invocations(draw):
     holes_n = draw(st.sampled_from([1, 2, 7]))
     lambda_sq = draw(st.integers(1, 3))
     argv = ["oracle", "--holes-n", str(holes_n), "--lambda-sq", str(lambda_sq)]
-    argv += ["--trials", str(draw(st.integers(1, 3)))]
+    counts = {"--trials": draw(st.integers(1, 3))}
     if (holes_n, lambda_sq) == (7, 3):
-        argv += ["--pairs", str(draw(st.integers(1, 2)))]
+        counts["--pairs"] = draw(st.integers(1, 2))
     elif draw(st.booleans()):
-        argv += ["--pairs", str(draw(st.integers(1, 3)))]
-    return argv, draw(potentials()), draw(configs(True))
+        counts["--pairs"] = draw(st.integers(1, 3))
+    invalid = draw(st.integers(0, 3)) == 0  # one run in four
+    if invalid:
+        counts[draw(st.sampled_from(["--trials", "--pairs"]))] = draw(st.integers(-3, 0))
+    for flag, count in counts.items():
+        argv += [flag, str(count)]
+    return argv, draw(potentials()), invalid
 
 
 @st.composite
 def potentials(draw):
     coeffs = draw(st.dictionaries(st.sampled_from(MOMENTA), COUPLINGS, min_size=1, max_size=8))
     return make_potential(coeffs, support_radius_sq=6)
-
-
-@st.composite
-def configs(draw, allowed):
-    if allowed and draw(st.booleans()):
-        return draw(st.fixed_dictionaries({}, optional=CONFIG_KEYS))
-    return None
-
-
-def valid_config(config):
-    tol = config.get("tol", 1.0)
-    number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
-    in_range = number and abs(tol) < 10**308 and math.isfinite(tol) and tol > 0
-    pairs = config.get("max_pairs", 1)
-    count = isinstance(pairs, int) and not isinstance(pairs, bool) and pairs >= 1
-    return in_range and count and config.get("version", 1) == 1
 
 
 def run(argv):
@@ -168,20 +147,15 @@ def test_oracle_domain_guards(tmp_path_factory, invocation):
     check_invocation(tmp_path_factory, *invocation)
 
 
-def check_invocation(tmp_path_factory, argv, v, config):
+def check_invocation(tmp_path_factory, argv, v, invalid):
     command = argv[0]
-    directory = tmp_path_factory.mktemp("sweep")
-    path = directory / "v.json"
+    path = tmp_path_factory.mktemp("sweep") / "v.json"
     path.write_text(serialize_potential(v))
     argv = [*argv, "--potential", str(path)]
-    if config is not None:
-        config_path = directory / "config.json"
-        config_path.write_text(json.dumps(config))
-        argv = ["--config", str(config_path), *argv]
     code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
-    if config is not None and not valid_config(config):
-        assert code == 1, (config, argv, code, err)
+    if invalid:
+        assert code == 1, (argv, code, err)
     if code == 0:
         if command == "oracle":
             reports = json_stream(out)

@@ -349,6 +349,13 @@ def test_pairs_built_once_per_momentum(modes_7_2):
     assert not p_idx.flags.writeable and not h_idx.flags.writeable
 
 
+def test_pairs_of_a_momentum_beyond_the_cutoff_are_empty(modes_7_2):
+    for k in ((5, 0, 0), (10**19, 0, 0)):
+        p_idx, h_idx = modes_7_2.pairs(k)
+        assert len(p_idx) == len(h_idx) == 0
+        assert modes_7_2.lune_size(k) == 0
+
+
 def test_random_sector_state_draws_trials_in_sequence():
     # a block of trials is the same RNG stream as one-column calls, one
     # after another: every golden max_ratio depends on it

@@ -163,6 +163,15 @@ def test_lune_count_brute_force(ball33):
         assert lune_count(ball33, k) == expected
 
 
+@pytest.mark.parametrize(
+    "k", [(0, 0, 2**63 - 1), (10**19, 0, 0), (0, 0, 10**19)],
+    ids=["int64-max", "beyond-int64", "beyond-int64-along-z"],
+)
+def test_lune_count_of_a_shift_beyond_the_ball(k):
+    # every hole leaves the ball, and no int64 arithmetic with k overflows
+    assert lune_count(build_fermi_ball(257), k) == 257
+
+
 def test_lune_evenness(ball33):
     for k in brute_force_ball(9):
         assert lune_count(ball33, k) == lune_count(ball33, tuple(-c for c in k))
