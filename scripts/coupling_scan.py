@@ -12,22 +12,21 @@ in the coupling scale.
 import argparse
 import sys
 
-from fermi_rpa import (
-    ModelParams,
-    build_fermi_ball,
+from fermi_rpa.cli import DEMO_POTENTIAL
+from fermi_rpa.lattice import ModelParams, build_fermi_ball
+from fermi_rpa.potential import load_potential, make_potential, scale_coupling
+from fermi_rpa.report import format_float
+from fermi_rpa.rpa_delocalized import (
     coefficient_table,
     correlation_delocalized,
+    second_order_delocalized,
+)
+from fermi_rpa.rpa_optimal import (
+    DEFAULT_TOL,
     frequency_brackets,
     gmb_correlation,
-    make_potential,
-    scale_coupling,
-    second_order_delocalized,
     second_order_optimal,
 )
-from fermi_rpa.cli import DEMO_POTENTIAL
-from fermi_rpa.potential import load_potential
-from fermi_rpa.rpa_optimal import DEFAULT_TOL
-from fermi_rpa.report import format_float
 
 
 def main(argv=None) -> int:

@@ -12,19 +12,19 @@ import argparse
 import math
 import sys
 
-from fermi_rpa import (
+from fermi_rpa.hf import hf_energy
+from fermi_rpa.lattice import (
     ModelParams,
     build_fermi_ball,
     closed_shell_sizes,
-    coefficient_table,
-    hf_energy,
     kinetic_coefficient,
     kinetic_coefficient_asymptotic,
     lune_count,
-    make_potential,
     nk_asymptotic,
 )
+from fermi_rpa.potential import make_potential
 from fermi_rpa.report import format_float
+from fermi_rpa.rpa_delocalized import coefficient_table
 
 KIN_DENSITY_LIMIT = (4.0 * math.pi / 5.0) * (3.0 / (4.0 * math.pi)) ** (5.0 / 3.0)
 

@@ -12,9 +12,10 @@ oracle   brute-force operator-identity verification reports
 ratio    the delocalized/optimal second-order weight ratio
 
 Flags are the only run settings; no file or environment variable is read.
-``--tol`` (``corr``, ``compare``) defaults to ``rpa_optimal.DEFAULT_TOL``
-= 1e-10 and must be finite and > 0 for every method; ``oracle --pairs``
-defaults to 2, and it and ``--trials`` must be >= 1.
+``--tol`` (``corr``, ``compare``; ``--tol X`` or ``--tol=X``) defaults to
+``rpa_optimal.DEFAULT_TOL`` = 1e-10 and must be finite and > 0 for every
+method; ``oracle --pairs`` defaults to 2, and it and ``--trials`` must be
+>= 1.
 
 Exit codes: 0 success, 1 usage or validation error (message names the
 violated invariant), 2 numerical failure (quadrature convergence or
@@ -45,11 +46,7 @@ from .fock_oracle import (
     verify_quadratic_interaction,
 )
 from .hf import hf_energy
-from .lattice import (
-    ModelParams,
-    build_fermi_ball,
-    nk_asymptotic,
-)
+from .lattice import ModelParams, build_fermi_ball, nk_asymptotic
 from .potential import Potential, load_potential, make_potential
 from .report import energy_report, format_float, report_csv
 from .rpa_delocalized import (
@@ -73,12 +70,8 @@ DEMO_POTENTIAL = {
 }
 
 
-def _demo_potential() -> Potential:
-    return make_potential(DEMO_POTENTIAL, support_radius_sq=2)
-
-
 def _potential_arg(path) -> Potential:
-    return load_potential(path) if path else _demo_potential()
+    return load_potential(path) if path else make_potential(DEMO_POTENTIAL, support_radius_sq=2)
 
 
 def _json_safe(obj):
@@ -110,6 +103,14 @@ def checked_count(name: str, value: int) -> int:
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +191,7 @@ def _cmd_ball(args) -> int:
         {
             "n": ball.n,
             "shell_radius_sq": ball.shell_radius_sq,
-            "kf_continuum": ball.kf_continuum,
+            "kf_continuum": params.kf,
             "hbar": params.hbar,
         }
     )
@@ -295,6 +296,12 @@ def _cmd_ratio(args) -> int:
 
 
 def main(argv=None) -> int:
+    # argparse reads a separate -1e-10 or -inf as an option (its negative-number
+    # pattern has no exponent and no inf), so join each such value to its --tol
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--tol" and _is_float(argv[i + 1]):
+            argv[i : i + 2] = [f"--tol={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

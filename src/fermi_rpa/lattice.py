@@ -152,15 +152,13 @@ class FermiBall:
     """The closed-shell set B_F of the n lowest lattice modes.
 
     B_F is exactly {h : |h|^2 <= shell_radius_sq}, held as its column table
-    (see ``_column_tops``); kf_continuum is ``ModelParams(n).kf``, the
-    continuum Fermi momentum of the asymptotic formulas.  Being a closed shell,
-    membership is the norm test; ``_expand_columns(column_tops)`` lists the
-    n points in the global mode order at O(n) memory, for tiny n only.
+    (see ``_column_tops``).  Being a closed shell, membership is the norm
+    test; ``_expand_columns(column_tops)`` lists the n points in the global
+    mode order at O(n) memory, for tiny n only.
     """
 
     n: int
     shell_radius_sq: int
-    kf_continuum: float
     column_tops: np.ndarray = field(repr=False, compare=False)
 
     def norm_sq_sum(self) -> int:
@@ -201,7 +199,7 @@ def build_fermi_ball(n: int) -> FermiBall:
             f"no closed shell with exactly {n} modes; "
             f"nearest shells have {_ball_size(_column_tops(lo - 1))} and {count}"
         )
-    return FermiBall(n, lo, kf, top)
+    return FermiBall(n, lo, top)
 
 
 def _stay_columns(ball: FermiBall, k: Momentum) -> np.ndarray:

@@ -14,11 +14,11 @@ each value's JSON kind itself: nothing is silently truncated or coerced,
 and each rejection is a ParseError naming the key and the offending value.
 ``load_potential`` only reads the document.  ``make_potential`` then
 completes missing -k entries by evenness, and ``Potential`` itself
-checks that every coefficient lies inside the support radius, is finite
-and equals its mirror, so explicit mirrors that disagree raise
-SymmetryError.  The zero mode V(0) is allowed (it feeds the
-Hartree-Fock direct term) but every correlation sum runs over the
-support with k = 0 removed.
+checks that every coefficient lies inside the support radius at a |k|^2
+that fits in a double, is finite and equals its mirror, so explicit
+mirrors that disagree raise SymmetryError.  The zero mode V(0) is
+allowed (it feeds the Hartree-Fock direct term) but every correlation
+sum runs over the support with k = 0 removed.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ class Potential:
                     f"coefficient at {k} lies outside support radius^2 "
                     f"{self.support_radius_sq}"
                 )
+            try:
+                float(norm_sq(k))
+            except OverflowError:
+                raise ParseError(
+                    f"|k|^2 of the coefficient at {k} does not fit in a double"
+                ) from None
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coefficient at {k}: {v}")
             mirror = self.coeffs.get(negate(k))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fermi_rpa import build_fermi_ball, make_potential
 from fermi_rpa.fock_oracle import build_mode_set
+from fermi_rpa.lattice import build_fermi_ball
+from fermi_rpa.potential import make_potential
 
 
 @pytest.fixture(scope="session")

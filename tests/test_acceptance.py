@@ -10,38 +10,43 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from fermi_rpa import (
-    ModelParams,
-    QuadraticCoefficients,
+from fermi_rpa.error_budget import assemble_error_budget
+from fermi_rpa.fock_oracle import (
     apply_c_create,
     apply_h0,
     apply_pair_annihilate,
     apply_pair_create,
-    assemble_error_budget,
-    build_fermi_ball,
     build_mode_set,
-    closed_shell_sizes,
-    coefficient_table,
-    correlation_delocalized,
-    frequency_brackets,
-    gmb_correlation,
-    hf_energy,
-    kinetic_coefficient,
-    kinetic_coefficient_asymptotic,
-    lune_count,
-    make_potential,
-    nk_asymptotic,
-    scale_coupling,
-    second_order_delocalized,
-    second_order_optimal,
-    second_order_ratio,
+    state_norm_sq,
     vacuum,
     verify_almost_ccr,
 )
-from fermi_rpa.fock_oracle import state_norm_sq
-from fermi_rpa.lattice import norm_sq
+from fermi_rpa.hf import hf_energy
+from fermi_rpa.lattice import (
+    ModelParams,
+    build_fermi_ball,
+    closed_shell_sizes,
+    kinetic_coefficient,
+    kinetic_coefficient_asymptotic,
+    lune_count,
+    nk_asymptotic,
+    norm_sq,
+)
+from fermi_rpa.potential import make_potential, scale_coupling
 from fermi_rpa.quadrature import integrate_adaptive
-from fermi_rpa.rpa_optimal import _inner_factor
+from fermi_rpa.rpa_delocalized import (
+    QuadraticCoefficients,
+    coefficient_table,
+    correlation_delocalized,
+    second_order_delocalized,
+)
+from fermi_rpa.rpa_optimal import (
+    _inner_factor,
+    frequency_brackets,
+    gmb_correlation,
+    second_order_optimal,
+    second_order_ratio,
+)
 
 from oracles import amplitudes, minimize_pair_energy
 

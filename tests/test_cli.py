@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import fermi_rpa.fock_oracle as fock_oracle
-from fermi_rpa import make_potential, serialize_potential
 from fermi_rpa.cli import main
+from fermi_rpa.potential import make_potential, serialize_potential
 
 
 @pytest.fixture()
@@ -385,18 +385,46 @@ def test_tolerance_below_the_floor_exits_two_fast(capsys, potential_file, tol):
     assert f"tol {float(tol):.3e}, which is below the rounding floor" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-1e-10", "-inf", "-1E+3"])
 def test_invalid_tolerance_flag_exits_one(capsys, potential_file, tol):
-    # checked for every corr method, not only the one that integrates
+    # checked for every corr method, not only the one that integrates; argparse
+    # alone reads a separate -1e-10 as an option ("expected one argument")
     for argv in (
         *(["corr", "--n", "33", "--potential", potential_file, "--method", method]
           for method in CORR_METHODS),
         ["compare", "--potential", potential_file, "--n-list", "33"],
     ):
-        code, out, err = run_cli(capsys, *argv, "--tol", tol)
-        assert code == 1
-        assert out == ""
-        assert "tolerance must be finite and > 0" in err
+        for flag in (["--tol", tol], [f"--tol={tol}"]):
+            code, out, err = run_cli(capsys, *argv, *flag)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: tolerance must be finite and > 0, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hf", "--n", "33"],
+        ["nk", "--n", "33"],
+        ["corr", "--n", "33", "--method", "delocalized-exact"],
+        ["compare", "--n-list", "33"],
+        ["corr", "--n", "33", "--method", "optimal"],
+        ["corr", "--n", "33", "--method", "so-opt"],
+        ["errors", "--n", "33", "--backend", "exact"],
+    ],
+    ids=["hf", "nk", "delocalized-exact", "compare", "optimal", "so-opt", "errors-exact"],
+)
+def test_momentum_whose_norm_overflows_a_double_exits_one(capsys, tmp_path, argv):
+    # |k|^2 = 10^400 is inside the support radius, but no float holds it
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps({"support_radius_sq": 10**401, "coeffs": [{"k": [10**200, 0, 0], "v": 0.1}]})
+    )
+    code, out, err = run_cli(capsys, *argv, "--potential", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ exactly one ``error: ...`` line on stderr, after any ``warning: ...``
 lines.  The same argv prints the same bytes twice.  Some draws give
 ``corr`` or ``compare`` a ``--tol`` that is not finite and > 0, or
 ``oracle`` a ``--trials`` or ``--pairs`` below 1; each of those exits 1.
+A ``--tol`` value comes as its own token or as ``--tol=VALUE``.
 
 ``oracle`` is swept on its own, with fewer examples.  On 7 holes at
 cutoff 3 it always gets a ``--pairs`` flag of at most 2: the 3-pair sector
@@ -21,8 +22,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
-from fermi_rpa import closed_shell_sizes, make_potential, serialize_potential
 from fermi_rpa.cli import main
+from fermi_rpa.lattice import closed_shell_sizes
+from fermi_rpa.potential import make_potential, serialize_potential
 
 SHELLS = [n for _, n in closed_shell_sizes(16) if n <= 257]
 # one momentum per +-k pair on |k|^2 <= 6, and the zero mode
@@ -33,7 +35,7 @@ MOMENTA = [(0, 0, 0)] + [
 ]
 COUPLINGS = st.one_of(st.just(0.0), st.floats(-0.3, 5.0), st.floats(-0.3, 0.3))
 TOLS = st.sampled_from([None, "1e-17", "1e-300", "1e-13", "1e-10", "1e-6", "0.01"])
-INVALID_TOLS = ("0", "-1e-10", "nan", "inf")
+INVALID_TOLS = ("0", "-1e-10", "-inf", "nan", "inf")
 JSON_COMMANDS = ("hf", "errors")
 # CSV columns that hold no number
 TEXT_COLUMNS = ("k", "potential")
@@ -60,8 +62,7 @@ def invocations(draw):
         invalid = draw(st.integers(0, 3)) == 0  # one run in four
         tol = draw(st.sampled_from(INVALID_TOLS) if invalid else TOLS)
         if tol is not None:
-            # one token: argparse would read a separate "-1e-10" as an option
-            argv.append(f"--tol={tol}")
+            argv += draw(st.sampled_from([["--tol", tol], [f"--tol={tol}"]]))
     return argv, draw(potentials()), invalid
 
 

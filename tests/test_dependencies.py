@@ -3,10 +3,13 @@
 pyproject.toml declares numpy as the one runtime dependency.  Other
 packages (scipy, mpmath, hypothesis) may be installed for the tests, so
 an accidental import of one of them would still run here; this walk of
-the source catches it, function-local imports included.
+the source catches it, function-local imports included.  Within the
+package, a module loads only the modules it imports: ``__init__.py``
+re-exports nothing.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +44,14 @@ def test_package_imports_only_stdlib_and_numpy():
     assert "numpy" in found
     undeclared = {name: where for name, where in found.items() if name not in ALLOWED}
     assert undeclared == {}
+
+
+def test_importing_a_module_loads_only_its_own_imports():
+    # a fresh interpreter: this one has loaded the whole package already
+    probe = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import fermi_rpa.lattice; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'fermi_rpa'))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["fermi_rpa", "fermi_rpa.errors", "fermi_rpa.lattice"]

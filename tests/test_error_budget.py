@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fermi_rpa import (
-    DomainError,
-    ModelParams,
+from fermi_rpa.error_budget import (
+    C_SMALL,
     a_constants,
     assemble_error_budget,
-    make_potential,
     optimal_kernel_magnitudes,
     particle_number_constant,
-    scale_coupling,
 )
-from fermi_rpa.error_budget import C_SMALL
+from fermi_rpa.errors import DomainError
+from fermi_rpa.lattice import ModelParams
+from fermi_rpa.potential import make_potential, scale_coupling
 from fermi_rpa.rpa_delocalized import (
     BogoliubovKernel,
     coefficient_table,
@@ -126,7 +125,7 @@ def test_total_is_sum_of_parts(weak_potential):
 def test_total_times_n_stable_across_shells(weak_potential):
     logs = []
     for radius_sq in (4, 16, 64, 256, 1024):
-        from fermi_rpa import closed_shell_sizes
+        from fermi_rpa.lattice import closed_shell_sizes
 
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
         logs.append(continuum_budget(weak_potential, n).log_total_times_n)

@@ -12,35 +12,30 @@ from oracles import (
     matvec_reference,
 )
 
-from fermi_rpa import (
-    DomainError,
-    ModelParams,
-    NotInBasis,
-    TruncationOverflow,
+from fermi_rpa import fock_oracle
+from fermi_rpa.cli import main
+from fermi_rpa.errors import DomainError, NotInBasis, TruncationOverflow
+from fermi_rpa.fock_oracle import (
     apply_c_create,
     apply_h0,
     apply_number,
     apply_pair_annihilate,
     apply_pair_create,
+    assemble_quadratic_interaction,
     build_mode_set,
-    make_potential,
+    dgamma_diagonal,
+    fermion_sign,
+    honest_c_bound_constant,
+    random_sector_state,
     sector_basis,
+    state_norm_sq,
     vacuum,
     verify_almost_ccr,
     verify_c_commutator,
     verify_quadratic_interaction,
 )
-from fermi_rpa import fock_oracle
-from fermi_rpa.cli import main
-from fermi_rpa.fock_oracle import (
-    assemble_quadratic_interaction,
-    dgamma_diagonal,
-    fermion_sign,
-    honest_c_bound_constant,
-    random_sector_state,
-    state_norm_sq,
-)
-from fermi_rpa.lattice import mode_sort_key, norm_sq
+from fermi_rpa.lattice import ModelParams, mode_sort_key, norm_sq
+from fermi_rpa.potential import make_potential
 
 E1 = (1, 0, 0)
 E2 = (0, 1, 0)

@@ -2,16 +2,17 @@ import math
 
 import pytest
 
-from fermi_rpa import (
+from fermi_rpa.errors import ShapeMismatch
+from fermi_rpa.hf import hf_energy
+from fermi_rpa.lattice import (
     ModelParams,
-    ShapeMismatch,
+    _expand_columns,
     build_fermi_ball,
     closed_shell_sizes,
-    coefficient_table,
-    hf_energy,
-    make_potential,
+    norm_sq,
 )
-from fermi_rpa.lattice import _expand_columns, norm_sq
+from fermi_rpa.potential import make_potential
+from fermi_rpa.rpa_delocalized import coefficient_table
 
 from conftest import brute_force_ball
 

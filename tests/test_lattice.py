@@ -6,22 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fermi_rpa import (
-    DomainError,
-    EmptyLune,
+from fermi_rpa.errors import DomainError, EmptyLune, NotClosedShell
+from fermi_rpa.hf import hf_energy
+from fermi_rpa.lattice import (
     ModelParams,
-    NotClosedShell,
+    _expand_columns,
     build_fermi_ball,
     closed_shell_sizes,
-    coefficient_table,
-    hf_energy,
     kinetic_coefficient,
     kinetic_coefficient_asymptotic,
     lune_count,
-    make_potential,
+    mode_sort_key,
     nk_asymptotic,
+    norm_sq,
+    orbit_representative,
 )
-from fermi_rpa.lattice import _expand_columns, mode_sort_key, norm_sq, orbit_representative
+from fermi_rpa.potential import make_potential
+from fermi_rpa.rpa_delocalized import coefficient_table
 
 from conftest import brute_force_ball
 from oracles import brute_force_pairs
@@ -92,7 +93,6 @@ def test_ball_radius_for_every_shell_up_to_radius_sq_1000():
     for s, count in closed_shell_sizes(1000):
         ball = build_fermi_ball(count)
         assert (ball.n, ball.shell_radius_sq) == (count, s)
-        assert ball.kf_continuum == ModelParams(count).kf
         if previous + 1 < count:
             with pytest.raises(NotClosedShell, match=f"have {previous} and {count}$"):
                 build_fermi_ball(previous + 1)
@@ -282,7 +282,7 @@ def test_nk_squared_gauss_law_slope():
         exact = lune_count(ball, k)
         asym = nk_asymptotic(ModelParams(n), k) ** 2
         logs_err.append(math.log(abs(exact - asym)))
-        logs_kf.append(math.log(ball.kf_continuum))
+        logs_kf.append(math.log(ModelParams(n).kf))
     slope = np.polyfit(logs_kf, logs_err, 1)[0]
     assert slope <= 2.5
 

@@ -4,9 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermi_rpa import (
-    ParseError,
-    SymmetryError,
+from fermi_rpa.errors import ParseError, SymmetryError
+from fermi_rpa.potential import (
     l1_norm,
     load_potential,
     make_potential,
@@ -74,6 +73,17 @@ def test_load_rejects_garbage():
         load_potential(
             doc_bytes({"support_radius_sq": 0, "coeffs": [{"k": [1, 0, 0], "v": 1.0}]})
         )
+
+
+def test_momentum_whose_norm_overflows_a_double_is_rejected():
+    huge = {"support_radius_sq": 10**401, "coeffs": [{"k": [10**200, 0, 0], "v": 0.1}]}
+    with pytest.raises(ParseError, match=r"\|k\|\^2 of the coefficient at \(10{200}, 0, 0\)"):
+        load_potential(doc_bytes(huge))
+    # 10^300 still fits in a double
+    v = load_potential(
+        doc_bytes({"support_radius_sq": 10**300, "coeffs": [{"k": [10**150, 0, 0], "v": 0.1}]})
+    )
+    assert v.value((-(10**150), 0, 0)) == 0.1
 
 
 def test_load_rejects_nonfinite():

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from fermi_rpa import energy_report, frequency_brackets, second_order_ratio
-from fermi_rpa.report import CSV_COLUMNS, report_csv
+from fermi_rpa.report import CSV_COLUMNS, energy_report, report_csv
+from fermi_rpa.rpa_optimal import frequency_brackets, second_order_ratio
 
 
 def report_at(n, v):

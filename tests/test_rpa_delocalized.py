@@ -5,21 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermi_rpa import (
+from fermi_rpa.errors import DegenerateCoefficients, MissingCoefficient
+from fermi_rpa.lattice import ModelParams, build_fermi_ball, kinetic_coefficient
+from fermi_rpa.potential import make_potential, scale_coupling
+from fermi_rpa.rpa_delocalized import (
     BogoliubovKernel,
-    DegenerateCoefficients,
-    MissingCoefficient,
-    ModelParams,
-    build_fermi_ball,
     QuadraticCoefficients,
     bosonized_functional,
     coefficient_table,
     correlation_delocalized,
-    kinetic_coefficient,
-    make_potential,
     optimal_kernel,
     optimal_kernel_table,
-    scale_coupling,
     second_order_delocalized,
 )
 import fermi_rpa.rpa_delocalized as rpa_delocalized
@@ -260,9 +256,10 @@ def test_minimum_term_matches_naive_formula(alpha, ratio):
 
 def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential):
     from fermi_rpa import error_budget, lattice, rpa_delocalized, rpa_optimal
-    from fermi_rpa import frequency_brackets, serialize_potential
     from fermi_rpa.cli import main
+    from fermi_rpa.potential import serialize_potential
     from fermi_rpa.report import energy_report
+    from fermi_rpa.rpa_optimal import frequency_brackets
 
     passes, exact_rows, continuum_rows, integrals, kernels = [], [], [], [], []
     stay_columns = lattice._stay_columns

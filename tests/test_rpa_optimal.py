@@ -7,32 +7,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fermi_rpa.quadrature as quadrature
 import fermi_rpa.rpa_optimal as rpa_optimal
-from fermi_rpa import (
-    ConvergenceFailure,
-    DomainError,
-    GMBResult,
+from fermi_rpa.cli import main
+from fermi_rpa.errors import ConvergenceFailure, DomainError
+from fermi_rpa.lattice import (
+    KINETIC_SHAPE_CONSTANT,
+    LUNE_SHAPE_CONSTANT,
     ModelParams,
-    energy_report,
+    norm_sq,
+)
+from fermi_rpa.potential import make_potential, scale_coupling, serialize_potential
+from fermi_rpa.quadrature import IntegralResult, integrate_adaptive
+from fermi_rpa.report import energy_report
+from fermi_rpa.rpa_optimal import (
+    DEFAULT_TOL,
+    KAPPA,
+    GMBResult,
+    _inner_factor,
+    _log1p_minus_identity,
     frequency_brackets,
     gmb_correlation,
     gmb_integral,
     gmb_integrand,
-    make_potential,
-    scale_coupling,
     second_order_optimal,
     second_order_ratio,
-    serialize_potential,
-)
-from fermi_rpa.cli import main
-from fermi_rpa.lattice import KINETIC_SHAPE_CONSTANT, LUNE_SHAPE_CONSTANT, norm_sq
-import fermi_rpa.quadrature as quadrature
-from fermi_rpa.quadrature import IntegralResult, integrate_adaptive
-from fermi_rpa.rpa_optimal import (
-    DEFAULT_TOL,
-    KAPPA,
-    _inner_factor,
-    _log1p_minus_identity,
 )
 
 
@@ -296,7 +295,7 @@ def test_ratio_window():
 
 
 def test_ratio_equals_second_order_quotient(demo_potential):
-    from fermi_rpa import second_order_delocalized
+    from fermi_rpa.rpa_delocalized import second_order_delocalized
 
     params = ModelParams(2109)
     quotient = second_order_delocalized(params, demo_potential) / second_order_optimal(

@@ -1,4 +1,4 @@
-"""Smoke tests of the scripts in scripts/, which use only the public API."""
+"""Smoke tests of the scripts in scripts/, which import the package modules."""
 
 import importlib.util
 from pathlib import Path
