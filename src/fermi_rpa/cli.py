@@ -15,11 +15,13 @@ Flags are the only run settings; no file or environment variable is read.
 ``--tol`` (``corr``, ``compare``; ``--tol X`` or ``--tol=X``) defaults to
 ``rpa_optimal.DEFAULT_TOL`` = 1e-10 and must be finite and > 0 for every
 method; ``oracle --pairs`` defaults to 2, and it and ``--trials`` must be
->= 1.
+>= 1; ``--seed`` must be >= 0.
 
 Exit codes: 0 success, 1 usage or validation error (message names the
 violated invariant), 2 numerical failure (quadrature convergence or
-pair-sector overflow).  Identical invocations produce byte-identical output.
+pair-sector overflow): the ``exit_code`` of the package error raised.  Any
+other exception is a bug and escapes with its traceback.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .error_budget import assemble_error_budget
-from .errors import (
-    BoundViolation,
-    ConvergenceFailure,
-    DomainError,
-    FermiRpaError,
-    TruncationOverflow,
-)
+from .errors import DomainError, FermiRpaError
 from .fock_oracle import (
     build_mode_set,
     verify_almost_ccr,
@@ -272,6 +268,8 @@ def _cmd_errors(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
     checked_count("trials", args.trials)
     max_pairs = checked_count("max_pairs", args.pairs)
     modes = build_mode_set(args.holes_n, args.lambda_sq)
@@ -311,17 +309,11 @@ def main(argv=None) -> int:
         if hasattr(args, "tol"):  # corr (every method) and compare
             checked_tol(args.tol)
         return args.run(args)
-    except (ConvergenceFailure, TruncationOverflow) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except BoundViolation as exc:
+    except FermiRpaError as exc:  # any other exception is a bug: let it escape
         if exc.report is not None:
             _emit(exc.report.as_dict())
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (FermiRpaError, ValueError, TypeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,57 +1,34 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per exit outcome.
 
-Every error names the violated invariant in its message so the CLI can
-surface it verbatim (exit code 1 for validation errors, 2 for numerical
-failures such as ConvergenceFailure/TruncationOverflow).
+Every error names the violated invariant in its message, and its class
+alone decides the CLI outcome: ``main`` prints ``error: <message>`` and
+returns ``exit_code`` (1 for invalid input, 2 for a numerical failure),
+after the report of a ``BoundViolation``.  Any other exception is a bug.
 """
 
 
 class FermiRpaError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: invalid input, exit code 1."""
 
-
-class NotClosedShell(FermiRpaError):
-    """The requested particle count does not fill a lattice ball exactly."""
-
-
-class EmptyLune(FermiRpaError):
-    """No particle-hole pair exists for the requested transfer momentum."""
+    exit_code = 1
+    report = None
 
 
 class DomainError(FermiRpaError):
-    """Input lies outside the mathematical domain of the formula."""
-
-
-class ShapeMismatch(FermiRpaError):
-    """Inconsistent sizes between a Fermi ball and the model parameters."""
+    """A value outside the domain of a formula: an open shell, an empty lune,
+    a row of another table, degenerate or missing coefficients, a key not in
+    a sector basis."""
 
 
 class ParseError(FermiRpaError):
-    """Malformed potential document."""
+    """A malformed potential document, or a potential that is not finite and even."""
 
 
-class SymmetryError(FermiRpaError):
-    """Explicit Fourier coefficients at k and -k disagree."""
+class NumericalFailure(FermiRpaError):
+    """Quadrature that cannot reach its tolerance, or an operator application
+    that leaves the allowed pair sector: exit code 2."""
 
-
-class DegenerateCoefficients(FermiRpaError):
-    """Quadratic coefficients with beta >= alpha; minimizer undefined."""
-
-
-class MissingCoefficient(FermiRpaError):
-    """A kernel momentum has no matching quadratic coefficient."""
-
-
-class NotInBasis(FermiRpaError):
-    """A configuration key is missing from the sector basis it is looked up in."""
-
-
-class ConvergenceFailure(FermiRpaError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
-class TruncationOverflow(FermiRpaError):
-    """An operator application left the allowed pair sector."""
+    exit_code = 2
 
 
 class BoundViolation(FermiRpaError):

@@ -39,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundViolation, DomainError, EmptyLune, NotInBasis, TruncationOverflow
+from .errors import BoundViolation, DomainError, NumericalFailure
 from .lattice import (
     ModelParams,
     Momentum,
@@ -249,7 +249,7 @@ def _apply_pair_terms(
     occupied for annihilation); its hits come term by term, each term's
     in key order.  Holes come first, so h < p, and a*_p a*_h (a*_h
     applied first) and its adjoint carry the same sign, -(-1)^(occupied
-    modes strictly between h and p).  Creation raises TruncationOverflow
+    modes strictly between h and p).  Creation raises NumericalFailure
     when a new key holds more than cap pairs.  Key bits above the mode set
     ride along untouched.
     """
@@ -261,9 +261,7 @@ def _apply_pair_terms(
     if create and len(new):
         pairs = int(np.bitwise_count(new & ((1 << modes.n_modes) - 1)).max()) // 2
         if pairs > cap:
-            raise TruncationOverflow(
-                f"configuration with {pairs} pairs exceeds max_pairs = {cap}"
-            )
+            raise NumericalFailure(f"configuration with {pairs} pairs exceeds max_pairs = {cap}")
     between = (1 << p_idx) - (2 << h_idx)  # the modes strictly between h and p
     sign = -fermion_sign(cfg & between[term], modes.n_modes)
     terms = amps[row]
@@ -275,7 +273,7 @@ def _pair_operator(state, k, modes, create, cap, normalized, component=None) -> 
     """Sum over the truncated lune of k, weight 1 or (p+h)_component per pair."""
     p_idx, h_idx = modes.pairs(k)
     if normalized and not len(h_idx) and norm_sq(k) > 0:
-        raise EmptyLune(f"normalization undefined: empty truncated lune at {k}")
+        raise DomainError(f"normalization undefined: empty truncated lune at {k}")
     if component is None:
         weights = np.ones_like(h_idx)
     else:  # (p + h)_i = 2 h_i + k_i
@@ -296,7 +294,7 @@ def apply_pair_create(
 
     Unnormalized by default; ``normalized`` divides by the truncated lune
     norm sqrt(n_k^2).  k = 0 gives the zero state (no pair changes the
-    total momentum by zero).  Raises TruncationOverflow when a resulting
+    total momentum by zero).  Raises NumericalFailure when a resulting
     configuration would exceed cap pairs.
     """
     return _pair_operator(state, k, modes, True, cap, normalized)
@@ -362,13 +360,13 @@ def sector_basis(modes: ModeSet, max_pairs: int) -> np.ndarray:
 
 
 def _positions(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position in ``basis`` of each key; NotInBasis names the first missing key."""
+    """Position in ``basis`` of each key; a DomainError names the first missing key."""
     order = np.argsort(basis)
     pos = order.take(np.searchsorted(basis[order], keys), mode="clip")
     missing = basis[pos] != keys
     if missing.any():
         key = int(keys[missing.argmax()])
-        raise NotInBasis(f"configuration {key} (0b{key:b}) is not in the sector basis")
+        raise DomainError(f"configuration {key} (0b{key:b}) is not in the sector basis")
     return pos
 
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ShapeMismatch
+from .errors import DomainError
 from .lattice import FermiBall, ModelParams, norm_sq
 from .potential import Potential
 from .rpa_delocalized import QuadraticCoefficients
@@ -50,12 +50,12 @@ def hf_energy(
     """Evaluate the plane-wave Hartree-Fock energy, total = kin + dir - exch.
 
     ``rows`` is ``coefficient_table(ball, v)``.  Rows of any other table
-    break this ball's identity k.f(k) = N|k|^2 / n_k^2 and raise ShapeMismatch.
+    break this ball's identity k.f(k) = N|k|^2 / n_k^2 and raise DomainError.
     """
     stay = {(0, 0, 0): ball.n}
     for c in rows:
         if c.kdotf != ball.n * norm_sq(c.k) / c.nk2:
-            raise ShapeMismatch(f"row {c.k} is not from the exact table of a {ball.n}-mode ball")
+            raise DomainError(f"row {c.k} is not from the exact table of a {ball.n}-mode ball")
         stay[c.k] = ball.n - c.nk2
     kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())
     direct = ball.n * v.value((0, 0, 0))

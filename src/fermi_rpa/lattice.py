@@ -35,13 +35,14 @@ All lattice sums are integer-exact; floats appear only on output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EmptyLune, NotClosedShell
+from .errors import DomainError
 
 Momentum = Tuple[int, int, int]
 
@@ -89,8 +90,12 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"particle count must be positive, got {self.n}")
+        # an n beyond double range reads as the largest double, whose k_F is inf too
+        kf = (3.0 * min(self.n, sys.float_info.max) / (4.0 * math.pi)) ** (1.0 / 3.0)
+        if not math.isfinite(kf):
+            raise DomainError("particle count n is too large: k_F = (3n/4pi)^(1/3) is not finite")
         object.__setattr__(self, "hbar", float(self.n) ** (-1.0 / 3.0))
-        object.__setattr__(self, "kf", (3.0 * self.n / (4.0 * math.pi)) ** (1.0 / 3.0))
+        object.__setattr__(self, "kf", kf)
 
 
 def _column_tops(radius_sq: int) -> np.ndarray:
@@ -175,7 +180,7 @@ class FermiBall:
 def build_fermi_ball(n: int) -> FermiBall:
     """Construct the Fermi ball with exactly n modes.
 
-    Raises NotClosedShell when no radius yields exactly n lattice points
+    Raises DomainError when no radius yields exactly n lattice points
     (e.g. n = 2); every formula downstream assumes a completely filled
     shell.
     """
@@ -195,7 +200,7 @@ def build_fermi_ball(n: int) -> FermiBall:
     top = _column_tops(lo)
     count = _ball_size(top)
     if count != n:
-        raise NotClosedShell(
+        raise DomainError(
             f"no closed shell with exactly {n} modes; "
             f"nearest shells have {_ball_size(_column_tops(lo - 1))} and {count}"
         )
@@ -277,12 +282,12 @@ def kinetic_coefficient(ball: FermiBall, k: Momentum) -> KineticCoefficient:
     B_F = -B_F makes the stay set S = {h in B_F : h+k in B_F} satisfy
     S + k = -S, so the sum of k.(2h+k) = |h+k|^2 - |h|^2 over S vanishes
     and the lune sum equals the ball sum N|k|^2 (the ball sums h to 0).
-    Only the lune count is counted; raises EmptyLune when no pair carries
+    Only the lune count is counted; raises DomainError when no pair carries
     the transfer momentum k (in particular for k = 0).
     """
     count = lune_count(ball, k)
     if count == 0:
-        raise EmptyLune(f"no particle-hole pair with transfer momentum {tuple(k)}")
+        raise DomainError(f"no particle-hole pair with transfer momentum {tuple(k)}")
     k = tuple(int(c) for c in k)
     return KineticCoefficient(k=k, count=count, numerator=ball.n * norm_sq(k))
 

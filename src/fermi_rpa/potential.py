@@ -16,7 +16,7 @@ and each rejection is a ParseError naming the key and the offending value.
 completes missing -k entries by evenness, and ``Potential`` itself
 checks that every coefficient lies inside the support radius at a |k|^2
 that fits in a double, is finite and equals its mirror, so explicit
-mirrors that disagree raise SymmetryError.  The zero mode V(0) is
+mirrors that disagree raise ParseError.  The zero mode V(0) is
 allowed (it feeds the Hartree-Fock direct term) but every correlation
 sum runs over the support with k = 0 removed.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, IO, List, Tuple, Union
 
-from .errors import ParseError, SymmetryError
+from .errors import DomainError, ParseError
 from .lattice import Momentum, mode_sort_key, negate, norm_sq
 
 
@@ -52,10 +52,10 @@ class Potential:
                     f"|k|^2 of the coefficient at {k} does not fit in a double"
                 ) from None
             if not math.isfinite(v):
-                raise ValueError(f"non-finite coefficient at {k}: {v}")
+                raise ParseError(f"non-finite coefficient at {k}: {v}")
             mirror = self.coeffs.get(negate(k))
             if mirror is None or mirror != v:
-                raise SymmetryError(
+                raise ParseError(
                     f"evenness violated: V{k} = {v} and V{negate(k)} = {mirror} disagree"
                 )
 
@@ -108,13 +108,16 @@ def _json_integer(value, key: str) -> int:
 
 
 def _json_number(value, key: str) -> float:
-    """A JSON number, integer or not: not a bool or a string."""
+    """A finite JSON number, integer or not: not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{key} must be a number, got {json.dumps(value)}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:  # an integer literal beyond double range
         raise ParseError(f"{key} is out of range, got {json.dumps(value)}") from exc
+    if not math.isfinite(number):  # json reads NaN, Infinity and 1e999 as floats
+        raise ParseError(f"{key} is non-finite, got {json.dumps(value)}")
+    return number
 
 
 def load_potential(source: Union[str, bytes, IO]) -> Potential:
@@ -168,7 +171,7 @@ def serialize_potential(v: Potential) -> str:
 def scale_coupling(v: Potential, s: float) -> Potential:
     """Multiply every coefficient by s; the support set is unchanged."""
     if not math.isfinite(s):
-        raise ValueError(f"coupling scale must be finite, got {s}")
+        raise DomainError(f"coupling scale must be finite, got {s}")
     return Potential(
         coeffs={k: s * val for k, val in v.coeffs.items()},
         support_radius_sq=v.support_radius_sq,

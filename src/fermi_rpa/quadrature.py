@@ -18,7 +18,7 @@ row's result is bit-for-bit what integrating it alone gives.
 
 A row whose tolerance lies below what its panels can resolve (``FLOOR_ULPS``
 units of roundoff of the summed panel magnitudes) raises
-``ConvergenceFailure`` naming that floor instead of refining toward
+``NumericalFailure`` naming that floor instead of refining toward
 ``max_panels``.
 """
 
@@ -30,7 +30,7 @@ from typing import Callable, List, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import DomainError, NumericalFailure
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (QUADPACK dqk15)
 _XGK = (
@@ -109,12 +109,12 @@ def integrate_adaptive(
     """Integrate rows 0 .. rows - 1 of f on [lo, hi], each to absolute accuracy tol.
 
     ``f`` maps ``Nodes`` to the integrand values, an array shaped like
-    ``Nodes.x``.  Raises ConvergenceFailure when a row's tolerance is
+    ``Nodes.x``.  Raises NumericalFailure when a row's tolerance is
     below its rounding floor, or when its panel budget is exhausted
     before the summed error estimates fall below the tolerance.
     """
     if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+        raise DomainError("tolerance must be positive")
     panels: List[List[tuple]] = [[] for _ in range(rows)]  # (lo, hi, value, error)
     done = {}
     active = list(range(rows))
@@ -132,13 +132,13 @@ def integrate_adaptive(
                 continue
             floor = FLOOR_ULPS * sys.float_info.epsilon * math.fsum(abs(p[2]) for p in row)
             if not tol >= floor:  # also when the panel values overflowed
-                raise ConvergenceFailure(
+                raise NumericalFailure(
                     f"error estimate {error:.3e} > tol {tol:.3e}, which is below "
                     f"the rounding floor {floor:.3e} ({FLOOR_ULPS} ulp of the summed "
                     f"|panel values|)"
                 )
             if len(row) >= max_panels:
-                raise ConvergenceFailure(
+                raise NumericalFailure(
                     f"error estimate {error:.3e} > tol {tol:.3e} after {len(row)} panels"
                 )
             # the largest error, the earliest made among equals

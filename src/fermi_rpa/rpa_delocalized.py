@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import DegenerateCoefficients, DomainError, MissingCoefficient
+from .errors import DomainError
 from .lattice import (
     FermiBall,
     KINETIC_SHAPE_CONSTANT,
@@ -135,7 +135,7 @@ def coefficient_table(source: Source, v: Potential) -> List[QuadraticCoefficient
 
     This is the only row builder.  On a FermiBall the lattice counts are
     made once per cubic orbit, at its representative, in the order the
-    support first meets each orbit; a count of zero raises EmptyLune.
+    support first meets each orbit; a count of zero raises DomainError.
     """
     support = v.correlation_support()
     if isinstance(source, ModelParams):
@@ -155,9 +155,7 @@ def optimal_kernel(c: QuadraticCoefficients) -> float:
     accuracy at small coupling.
     """
     if abs(c.beta) >= c.alpha:
-        raise DegenerateCoefficients(
-            f"|beta| = {abs(c.beta)} >= alpha = {c.alpha} at k = {c.k}"
-        )
+        raise DomainError(f"|beta| = {abs(c.beta)} >= alpha = {c.alpha} at k = {c.k}")
     t = c.beta / c.alpha
     return -0.25 * (math.log1p(t) - math.log1p(-t))
 
@@ -173,7 +171,7 @@ def bosonized_functional(
     known = {c.k for c in coeffs}
     missing = [k for k in xi.support() if k not in known]
     if missing:
-        raise MissingCoefficient(f"no quadratic coefficients for {missing[0]}")
+        raise DomainError(f"no quadratic coefficients for {missing[0]}")
     terms = []
     for c in coeffs:
         x = xi.value(c.k)
@@ -186,9 +184,7 @@ def _minimum_term(c: QuadraticCoefficients) -> float:
     # (1/2)(sqrt(a^2-b^2) - a) rewritten as -b^2 / (2(sqrt(a^2-b^2) + a)),
     # stable for |b| << a
     if abs(c.beta) >= c.alpha:
-        raise DegenerateCoefficients(
-            f"|beta| = {abs(c.beta)} >= alpha = {c.alpha} at k = {c.k}"
-        )
+        raise DomainError(f"|beta| = {abs(c.beta)} >= alpha = {c.alpha} at k = {c.k}")
     root = math.sqrt((c.alpha - c.beta) * (c.alpha + c.beta))
     return -c.beta * c.beta / (2.0 * (root + c.alpha))
 

@@ -54,7 +54,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams, Momentum, norm_sq
 from .potential import Potential
 from .quadrature import IntegralResult, integrate_adaptive
@@ -150,7 +150,7 @@ def _check_enclosure(a_of_row: np.ndarray, results: List[IntegralResult]) -> Non
     for a, result, lower, upper in zip(a_of_row.tolist(), results, lowers, uppers):
         slack = result.error + sys.float_info.min
         if not lower - slack <= result.value <= upper + slack:
-            raise ConvergenceFailure(
+            raise NumericalFailure(
                 f"quadrature value {result.value:.17g} for a = {a!r} violates the "
                 f"enclosure (log1p(a) - a)/4 = {lower:.17g} <= bracket <= "
                 f"(log1p(c a) - c a)/pi = {upper:.17g}, c = 1 - pi/4, "

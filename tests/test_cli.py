@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
+import fermi_rpa.cli as cli
 import fermi_rpa.fock_oracle as fock_oracle
 from fermi_rpa.cli import main
+from fermi_rpa.errors import BoundViolation, DomainError, FermiRpaError, NumericalFailure, ParseError
 from fermi_rpa.potential import make_potential, serialize_potential
+
+CORR_METHODS = ("delocalized-exact", "delocalized-asym", "optimal", "so-deloc", "so-opt")
 
 
 @pytest.fixture()
@@ -439,13 +443,86 @@ def test_invalid_oracle_count_flag_exits_one(capsys, flag, value, name):
     assert f"{name} must be >= 1, got {value}" in err
 
 
+def test_negative_seed_exits_one(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+def test_non_finite_coefficient_names_its_key(capsys, tmp_path, literal):
+    # Python's json reads all three as floats; 1e999 is inf
+    path = tmp_path / "nan.json"
+    path.write_text('{"support_radius_sq": 2, "coeffs": [{"k": [1, 0, 0], "v": %s}]}' % literal)
+    shown = "NaN" if literal == "NaN" else "Infinity"
+    code, out, err = run_cli(capsys, "hf", "--n", "33", "--potential", str(path))
+    assert (code, out, err) == (1, "", f"error: coeffs[0].v is non-finite, got {shown}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "--n", str(10**400)] for command in ("ball", "hf", "nk", "errors")),
+        ["compare", "--n-list", str(10**400)],
+        *(["corr", "--n", str(10**400), "--method", method] for method in CORR_METHODS),
+        ["ball", "--n", str(10**308)],
+        *(["corr", "--n", str(10**308), "--method", method]
+          for method in ("optimal", "so-opt", "delocalized-asym")),
+    ],
+    ids=lambda argv: "-".join(a if len(a) < 20 else f"1e{len(a) - 1}" for a in argv),
+)
+def test_particle_count_beyond_double_range_exits_one(capsys, argv):
+    # 10^400 does not convert to a float; at 10^308 the float k_F is inf
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: particle count n is too large")
+    assert "Traceback" not in err
+
+
+class StubReport:
+    def as_dict(self):
+        return {"check": "stub"}
+
+
+@pytest.mark.parametrize(
+    "error, exit_code",
+    [
+        (FermiRpaError("boom"), 1),
+        (DomainError("boom"), 1),
+        (ParseError("boom"), 1),
+        (NumericalFailure("boom"), 2),
+        (BoundViolation("boom", StubReport()), 1),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_the_error_type_decides_the_exit_code(capsys, monkeypatch, error, exit_code):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_ratio", failing)
+    code, out, err = run_cli(capsys, "ratio")
+    assert (code, err) == (exit_code, "error: boom\n")
+    # only a bound violation carries a report, printed before the error line
+    assert out == ('{\n  "check": "stub"\n}\n' if isinstance(error, BoundViolation) else "")
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError, TypeError])
+def test_any_other_exception_escapes_main(monkeypatch, error):
+    # not a package error: a bug, shown with its traceback
+    def failing(args):
+        raise error("bug")
+
+    monkeypatch.setattr(cli, "_cmd_ratio", failing)
+    with pytest.raises(error, match="^bug$"):
+        main(["ratio"])
+
+
 # stdout of each command recorded once, byte for byte; every listed command
 # that reads a potential must print it both on the built-in demo potential and
 # on the same potential read from a file.  Re-record the file only for a deliberate change of
 # printed bits, from each command's stdout on the demo potential.
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 GOLDEN_NS = ("33", "257", "2109")
-CORR_METHODS = ("delocalized-exact", "delocalized-asym", "optimal", "so-deloc", "so-opt")
 GOLDEN_COMMANDS = [
     f"compare --n-list {','.join(GOLDEN_NS)} --format {fmt}" for fmt in ("csv", "json")
 ] + [

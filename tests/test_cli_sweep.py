@@ -6,7 +6,8 @@ Infinity, and a CSV cell is empty or a finite number.  A failure prints
 exactly one ``error: ...`` line on stderr, after any ``warning: ...``
 lines.  The same argv prints the same bytes twice.  Some draws give
 ``corr`` or ``compare`` a ``--tol`` that is not finite and > 0, or
-``oracle`` a ``--trials`` or ``--pairs`` below 1; each of those exits 1.
+``oracle`` a ``--trials`` or ``--pairs`` below 1 or a negative ``--seed``;
+each of those exits 1.
 A ``--tol`` value comes as its own token or as ``--tol=VALUE``.
 
 ``oracle`` is swept on its own, with fewer examples.  On 7 holes at
@@ -78,7 +79,8 @@ def oracle_invocations(draw):
         counts["--pairs"] = draw(st.integers(1, 3))
     invalid = draw(st.integers(0, 3)) == 0  # one run in four
     if invalid:
-        counts[draw(st.sampled_from(["--trials", "--pairs"]))] = draw(st.integers(-3, 0))
+        flag = draw(st.sampled_from(["--trials", "--pairs", "--seed"]))
+        counts[flag] = draw(st.integers(-3, -1 if flag == "--seed" else 0))
     for flag, count in counts.items():
         argv += [flag, str(count)]
     return argv, draw(potentials()), invalid

@@ -5,7 +5,9 @@ packages (scipy, mpmath, hypothesis) may be installed for the tests, so
 an accidental import of one of them would still run here; this walk of
 the source catches it, function-local imports included.  Within the
 package, a module loads only the modules it imports: ``__init__.py``
-re-exports nothing.
+re-exports nothing.  Every ``raise`` in the package raises one of the five
+classes of ``errors.py``, so the exception type alone decides the CLI exit
+code, and any other exception is a bug.
 """
 
 import ast
@@ -55,3 +57,30 @@ def test_importing_a_module_loads_only_its_own_imports():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["fermi_rpa", "fermi_rpa.errors", "fermi_rpa.lattice"]
+
+
+def raised_names(source):
+    """The class name of every ``raise``: None for a bare re-raise, "?" for another expression."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(None if exc is None else exc.id if isinstance(exc, ast.Name) else "?")
+    return names
+
+
+def test_raise_walker_sees_calls_names_and_re_raises():
+    source = "def f(e):\n    raise A('x') from e\n    raise B\n    raise\n    raise e.inner\n"
+    assert raised_names(source) == ["A", "B", None, "?"]
+
+
+def test_package_raises_only_its_own_error_types():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert defined == {"FermiRpaError", "DomainError", "ParseError", "NumericalFailure", "BoundViolation"}
+    foreign = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in raised_names(path.read_text()):
+            if name is not None and name not in defined:
+                foreign.setdefault(path.name, []).append(name)
+    assert foreign == {}

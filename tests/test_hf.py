@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fermi_rpa.errors import ShapeMismatch
+from fermi_rpa.errors import DomainError
 from fermi_rpa.hf import hf_energy
 from fermi_rpa.lattice import (
     ModelParams,
@@ -45,7 +45,7 @@ def test_shape_mismatch():
     ball = build_fermi_ball(7)
     v = make_potential({(0, 0, 0): 1.0, (1, 0, 0): 0.5})
     for rows in (coefficient_table(build_fermi_ball(33), v), coefficient_table(ModelParams(7), v)):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DomainError, match=r"^row \(.*\) is not from the exact table of a 7-mode ball$"):
             hf_energy(ball, v, rows)
 
 

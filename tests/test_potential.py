@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermi_rpa.errors import ParseError, SymmetryError
+from fermi_rpa.errors import DomainError, ParseError
 from fermi_rpa.potential import (
     l1_norm,
     load_potential,
@@ -35,7 +35,7 @@ def test_load_completes_evenness():
 
 
 def test_load_rejects_symmetry_violation():
-    with pytest.raises(SymmetryError):
+    with pytest.raises(ParseError, match="^evenness violated: .* disagree$"):
         load_potential(
             doc_bytes(
                 {
@@ -87,14 +87,19 @@ def test_momentum_whose_norm_overflows_a_double_is_rejected():
 
 
 def test_load_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        load_potential(
-            doc_bytes({"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": float("nan")}]})
-        )
+    # the reader names the key: Python's json reads NaN, Infinity and 1e999
+    for literal, shown in (("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
+                           ("1e999", "Infinity")):
+        doc = '{"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": %s}]}' % literal
+        with pytest.raises(ParseError, match=rf"^coeffs\[0\]\.v is non-finite, got {shown}$"):
+            load_potential(doc.encode("utf-8"))
     # a non-finite mirror pair is reported as non-finite, not as disagreeing
     pair = [{"k": [1, 0, 0], "v": float("nan")}, {"k": [-1, 0, 0], "v": float("nan")}]
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ParseError, match=r"^coeffs\[0\]\.v is non-finite, got NaN$"):
         load_potential(doc_bytes({"support_radius_sq": 1, "coeffs": pair}))
+    # and so is a coefficient built in code
+    with pytest.raises(ParseError, match=r"^non-finite coefficient at \(-?1, 0, 0\): nan$"):
+        make_potential({(1, 0, 0): float("nan")})
 
 
 def test_round_trip(demo_potential):
@@ -113,7 +118,7 @@ def test_scale_zero_keeps_support(demo_potential):
 
 
 def test_scale_rejects_nonfinite(demo_potential):
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^coupling scale must be finite, got inf$"):
         scale_coupling(demo_potential, float("inf"))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermi_rpa.errors import DegenerateCoefficients, MissingCoefficient
+from fermi_rpa.errors import DomainError
 from fermi_rpa.lattice import ModelParams, build_fermi_ball, kinetic_coefficient
 from fermi_rpa.potential import make_potential, scale_coupling
 from fermi_rpa.rpa_delocalized import (
@@ -75,9 +75,9 @@ def test_optimal_kernel_tanh_inverse():
 
 
 def test_optimal_kernel_degenerate_boundary():
-    with pytest.raises(DegenerateCoefficients):
+    with pytest.raises(DomainError, match=r"^\|beta\| = 1.0 >= alpha = 1.0 at k = \(1, 0, 0\)$"):
         optimal_kernel(QuadraticCoefficients((1, 0, 0), alpha=1.0, beta=1.0))
-    with pytest.raises(DegenerateCoefficients):
+    with pytest.raises(DomainError, match=r"^\|beta\| = 1.5 >= alpha = 1.0 at k = \(1, 0, 0\)$"):
         optimal_kernel(QuadraticCoefficients((1, 0, 0), alpha=1.0, beta=1.5))
 
 
@@ -116,7 +116,7 @@ def test_functional_single_momentum_form():
 
 def test_functional_missing_coefficient():
     xi = BogoliubovKernel({(1, 0, 0): 0.1, (-1, 0, 0): 0.1})
-    with pytest.raises(MissingCoefficient):
+    with pytest.raises(DomainError, match=r"^no quadratic coefficients for \(-1, 0, 0\)$"):
         bosonized_functional([QuadraticCoefficients((1, 0, 0), 1.0, 0.5)], xi)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fermi_rpa.quadrature as quadrature
 import fermi_rpa.rpa_optimal as rpa_optimal
 from fermi_rpa.cli import main
-from fermi_rpa.errors import ConvergenceFailure, DomainError
+from fermi_rpa.errors import DomainError, NumericalFailure
 from fermi_rpa.lattice import (
     KINETIC_SHAPE_CONSTANT,
     LUNE_SHAPE_CONSTANT,
@@ -139,10 +139,16 @@ def test_integral_rejects_bad_coupling():
 
 
 def test_convergence_failure_budget():
-    with pytest.raises(ConvergenceFailure, match="after 8 panels"):
+    with pytest.raises(NumericalFailure, match="after 8 panels"):
         integrate_adaptive(
             lambda nodes: np.sin(1e6 * nodes.x), 1, 0.0, 1000.0, 1e-6, max_panels=8
         )
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+def test_integral_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(DomainError, match="^tolerance must be positive$"):
+        integrate_adaptive(lambda nodes: nodes.x, 1, 0.0, 1.0, tol)
 
 
 def test_tolerance_below_the_rounding_floor_fails_fast(monkeypatch):
@@ -157,7 +163,7 @@ def test_tolerance_below_the_rounding_floor_fails_fast(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(quadrature, "_gk15_panel", counting)
-    with pytest.raises(ConvergenceFailure, match="rounding floor"):
+    with pytest.raises(NumericalFailure, match="rounding floor"):
         gmb_integral((1e5,), 1e-13)
     assert len(panel_calls) < 50
 
@@ -225,7 +231,7 @@ def test_panel_evaluations_per_value_are_pinned(monkeypatch, tol):
     for a in BATCH + (NEAR_POLE,):
         evaluations.clear()
         if a == 1e5 and tol == 1e-13:
-            with pytest.raises(ConvergenceFailure, match="rounding floor"):
+            with pytest.raises(NumericalFailure, match="rounding floor"):
                 gmb_integral((a,), tol)
         else:
             gmb_integral((a,), tol)
@@ -413,7 +419,7 @@ def test_enclosure_rejects_a_vanished_body(monkeypatch, a):
         "integrate_adaptive",
         lambda f, rows, lo, hi, tol: [IntegralResult(0.0, 0.0)] * rows,
     )
-    with pytest.raises(ConvergenceFailure, match=r"violates the enclosure"):
+    with pytest.raises(NumericalFailure, match=r"violates the enclosure"):
         gmb_integral((a,), tol=1e-10)
 
 
@@ -424,7 +430,7 @@ def test_enclosure_rejects_an_overshooting_body(monkeypatch):
         "integrate_adaptive",
         lambda f, rows, lo, hi, tol: [IntegralResult(-1.0, 0.0)] * rows,
     )
-    with pytest.raises(ConvergenceFailure, match=r"violates the enclosure"):
+    with pytest.raises(NumericalFailure, match=r"violates the enclosure"):
         gmb_integral((0.3,), tol=1e-10)
 
 
