@@ -1,11 +1,16 @@
 """Smoke tests of the scripts in scripts/, which import the package modules."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# stdout of each command recorded once, byte for byte; re-record only for a
+# deliberate change of printed bits
+GOLDEN_PATH = Path(__file__).parent / "data" / "scripts_golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
 def load_script(name):
@@ -52,3 +57,12 @@ def test_coupling_scan_deviation_falls_at_the_default_tol(capsys):
     deviations = [float(line.split(",")[column]) for line in lines[1:]]
     assert len(deviations) == 9
     assert all(later < earlier for earlier, later in zip(deviations, deviations[1:]))
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_script_golden_stdout(capsys, command):
+    name, *argv = command.split()
+    code = load_script(name).main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == GOLDEN[command]
