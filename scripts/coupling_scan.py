@@ -12,10 +12,9 @@ in the coupling scale.
 import argparse
 import sys
 
-from fermi_rpa.cli import DEMO_POTENTIAL
+from fermi_rpa.cli import DEMO_POTENTIAL, csv_text
 from fermi_rpa.lattice import ModelParams, build_fermi_ball
 from fermi_rpa.potential import load_potential, make_potential, scale_coupling
-from fermi_rpa.report import format_float
 from fermi_rpa.rpa_delocalized import (
     coefficient_table,
     correlation_delocalized,
@@ -28,6 +27,8 @@ from fermi_rpa.rpa_optimal import (
     second_order_optimal,
 )
 
+HEADER = ["s", "min_energy_over_s2", "so_delocalized", "deloc_dev", "gmb_over_s2", "so_optimal", "gmb_dev"]
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -35,7 +36,6 @@ def main(argv=None) -> int:
     parser.add_argument("--potential", default=None)
     parser.add_argument("--scales", default="3:9", help="dyadic exponent range lo:hi")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    parser.add_argument("-o", "--output", default=None)
     args = parser.parse_args(argv)
 
     v = (
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
 
-    lines = ["s,min_energy_over_s2,so_delocalized,deloc_dev,gmb_over_s2,so_optimal,gmb_dev"]
+    rows = []
     for j in range(lo, hi):
         s = 2.0 ** (-j)
         scaled = scale_coupling(v, s)
@@ -56,25 +56,10 @@ def main(argv=None) -> int:
         so_deloc = second_order_delocalized(table)
         gmb = gmb_correlation(frequency_brackets(scaled, args.tol), params).total
         so_opt = second_order_optimal(scaled, params)
-        lines.append(
-            ",".join(
-                [
-                    format_float(s),
-                    format_float(deloc / s ** 2),
-                    format_float(so_deloc / s ** 2),
-                    format_float(abs(deloc / so_deloc - 1.0)),
-                    format_float(gmb / s ** 2),
-                    format_float(so_opt / s ** 2),
-                    format_float(abs(gmb / so_opt - 1.0)),
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        deloc_dev, gmb_dev = abs(deloc / so_deloc - 1.0), abs(gmb / so_opt - 1.0)
+        s2 = s ** 2
+        rows.append((s, deloc / s2, so_deloc / s2, deloc_dev, gmb / s2, so_opt / s2, gmb_dev))
+    sys.stdout.write(csv_text(HEADER, rows))
     return 0
 
 

@@ -5,13 +5,14 @@ Walks the closed-shell grid, evaluating the exact lune norm, the exact
 kinetic coefficient, and the kinetic energy density against their
 continuum limits, and writes one CSV row per shell.
 
-    python3 scripts/shell_convergence.py --shells 4,16,64,256,1024 -o table.csv
+    python3 scripts/shell_convergence.py --shells 4,16,64,256,1024 > table.csv
 """
 
 import argparse
 import math
 import sys
 
+from fermi_rpa.cli import csv_text
 from fermi_rpa.hf import hf_energy
 from fermi_rpa.lattice import (
     ModelParams,
@@ -23,9 +24,12 @@ from fermi_rpa.lattice import (
     nk_asymptotic,
 )
 from fermi_rpa.potential import make_potential
-from fermi_rpa.report import format_float
 from fermi_rpa.rpa_delocalized import coefficient_table
 
+HEADER = [
+    "shell_radius_sq", "n", "nk_exact", "nk_asym", "nk_rel_err",
+    "kdotf_exact", "kdotf_asym", "kdotf_rel_err", "kinetic_density_rel_err",
+]
 KIN_DENSITY_LIMIT = (4.0 * math.pi / 5.0) * (3.0 / (4.0 * math.pi)) ** (5.0 / 3.0)
 
 
@@ -33,17 +37,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shells", default="4,16,64,256,1024")
     parser.add_argument("--k", default="1,0,0", help="transfer momentum kx,ky,kz")
-    parser.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
 
     k = tuple(int(c) for c in args.k.split(","))
     shells = [int(s) for s in args.shells.split(",")]
     zero_potential = make_potential({(0, 0, 0): 0.0})
 
-    lines = [
-        "shell_radius_sq,n,nk_exact,nk_asym,nk_rel_err,"
-        "kdotf_exact,kdotf_asym,kdotf_rel_err,kinetic_density_rel_err"
-    ]
+    rows = []
     for radius_sq in shells:
         levels = dict(closed_shell_sizes(radius_sq))
         if radius_sq not in levels:
@@ -56,29 +56,12 @@ def main(argv=None) -> int:
         nk_asym = nk_asymptotic(params, k)
         kf_exact = kinetic_coefficient(ball, k).kdotf
         kf_asym = kinetic_coefficient_asymptotic(params, k)
-        rows = coefficient_table(ball, zero_potential)
-        kin = hf_energy(ball, zero_potential, rows).kinetic / n
-        lines.append(
-            ",".join(
-                [
-                    str(radius_sq),
-                    str(n),
-                    format_float(nk_exact),
-                    format_float(nk_asym),
-                    format_float(abs(nk_exact / nk_asym - 1.0)),
-                    format_float(kf_exact),
-                    format_float(kf_asym),
-                    format_float(abs(kf_exact / kf_asym - 1.0)),
-                    format_float(abs(kin / KIN_DENSITY_LIMIT - 1.0)),
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        table = coefficient_table(ball, zero_potential)
+        kin = hf_energy(ball, zero_potential, table).kinetic / n
+        nk_err, kf_err = abs(nk_exact / nk_asym - 1.0), abs(kf_exact / kf_asym - 1.0)
+        kin_err = abs(kin / KIN_DENSITY_LIMIT - 1.0)
+        rows.append((radius_sq, n, nk_exact, nk_asym, nk_err, kf_exact, kf_asym, kf_err, kin_err))
+    sys.stdout.write(csv_text(HEADER, rows))
     return 0
 
 

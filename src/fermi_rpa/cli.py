@@ -18,10 +18,15 @@ method; ``oracle --pairs`` defaults to 2, and it and ``--trials`` must be
 >= 1; ``--seed`` must be >= 0.
 
 Exit codes: 0 success, 1 usage or validation error (message names the
-violated invariant), 2 numerical failure (quadrature convergence or
-pair-sector overflow): the ``exit_code`` of the package error raised.  Any
-other exception is a bug and escapes with its traceback.  Identical
-invocations produce byte-identical output.
+violated invariant), 2 numerical failure (quadrature convergence,
+pair-sector overflow, or a quantity beyond the double range): the
+``exit_code`` of the package error raised.  Any other exception is a bug
+and escapes with its traceback.  Identical invocations produce
+byte-identical output.
+
+Every subcommand returns its stdout text and ``main`` writes it, so this
+module alone decides how a number becomes text: ``format_float``,
+``csv_text`` and ``json_text``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields, is_dataclass
 
 from . import __version__
 from .error_budget import assemble_error_budget
@@ -44,7 +49,7 @@ from .fock_oracle import (
 from .hf import hf_energy
 from .lattice import ModelParams, build_fermi_ball, nk_asymptotic
 from .potential import Potential, load_potential, make_potential
-from .report import energy_report, format_float, report_csv
+from .report import EnergyReport, energy_report
 from .rpa_delocalized import (
     coefficient_table,
     correlation_delocalized,
@@ -70,8 +75,29 @@ def _potential_arg(path) -> Potential:
     return load_potential(path) if path else make_potential(DEMO_POTENTIAL, support_radius_sq=2)
 
 
+def format_float(x: float) -> str:
+    """17-significant-digit decimal, round-trip stable."""
+    return f"{x:.17g}"
+
+
+def _csv_cell(value) -> str:
+    # a non-finite float (the log of an exactly zero bound) is an empty cell,
+    # as it is null in JSON
+    if isinstance(value, float):
+        return format_float(value) if math.isfinite(value) else ""
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """The header line, then one line per row of cells."""
+    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _json_safe(obj):
-    """obj with every non-finite float replaced by None (JSON null)."""
+    """obj with dataclasses as dicts and every non-finite float as None (JSON null)."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
@@ -81,10 +107,9 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(obj) -> None:
+def json_text(obj) -> str:
     # strict JSON: the log of an exactly zero bound or signal prints as null
-    text = json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False)
-    sys.stdout.write(text + "\n")
+    return json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def checked_tol(tol: float) -> float:
@@ -180,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_ball(args) -> int:
+def _cmd_ball(args) -> str:
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
-    _emit(
+    return json_text(
         {
             "n": ball.n,
             "shell_radius_sq": ball.shell_radius_sq,
@@ -191,36 +216,29 @@ def _cmd_ball(args) -> int:
             "hbar": params.hbar,
         }
     )
-    return 0
 
 
-def _cmd_nk(args) -> int:
+def _cmd_nk(args) -> str:
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
     v = _potential_arg(args.potential)
-    lines = ["k,n_exact,n_asym,rel_err"]
+    rows = []
     for row in coefficient_table(ball, v):
         k = row.k
         exact = math.sqrt(row.nk2)
-        asym = nk_asymptotic(params, k)
-        rel = abs(exact / asym - 1.0) if asym > 0 else math.inf
-        lines.append(
-            f"({k[0]} {k[1]} {k[2]}),{format_float(exact)},"
-            f"{format_float(asym)},{format_float(rel)}"
-        )
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+        asym = nk_asymptotic(params, k)  # > 0 on the lens domain
+        rows.append((f"({k[0]} {k[1]} {k[2]})", exact, asym, abs(exact / asym - 1.0)))
+    return csv_text(["k", "n_exact", "n_asym", "rel_err"], rows)
 
 
-def _cmd_hf(args) -> int:
+def _cmd_hf(args) -> str:
     ball = build_fermi_ball(args.n)
     v = _potential_arg(args.potential)
     rows = coefficient_table(ball, v)
-    _emit(asdict(hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor)))
-    return 0
+    return json_text(hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor))
 
 
-def _cmd_corr(args) -> int:
+def _cmd_corr(args) -> str:
     v = _potential_arg(args.potential)
     params = ModelParams(args.n)
     method = args.method
@@ -238,11 +256,10 @@ def _cmd_corr(args) -> int:
         value = second_order_delocalized(params, v)
     else:
         value = second_order_optimal(v, params)
-    sys.stdout.write(format_float(value) + "\n")
-    return 0
+    return format_float(value) + "\n"
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     v = _potential_arg(args.potential)
     try:
         ns = [int(x) for x in args.n_list.split(",") if x.strip()]
@@ -252,22 +269,20 @@ def _cmd_compare(args) -> int:
     brackets = frequency_brackets(v, args.tol) if ns else {}
     reports = [energy_report(n, v, brackets) for n in ns]
     if args.format == "csv":
-        sys.stdout.write(report_csv(reports))
-    else:
-        _emit([rep.as_dict() for rep in reports])
-    return 0
+        # the field order is the column order
+        return csv_text([f.name for f in fields(EnergyReport)], map(astuple, reports))
+    return json_text(reports)
 
 
-def _cmd_errors(args) -> int:
+def _cmd_errors(args) -> str:
     v = _potential_arg(args.potential)
     continuum = coefficient_table(ModelParams(args.n), v)
     exact = args.backend == "exact"
     rows = coefficient_table(build_fermi_ball(args.n), v) if exact else continuum
-    _emit(assemble_error_budget(rows, continuum, v, args.n).as_dict())
-    return 0
+    return json_text(assemble_error_budget(rows, continuum, v, args.n))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> str:
     if args.seed < 0:
         raise DomainError(f"seed must be >= 0, got {args.seed}")
     checked_count("trials", args.trials)
@@ -283,14 +298,11 @@ def _cmd_oracle(args) -> int:
         verify_c_commutator(modes, e1, e2, args.trials, args.seed, max_pairs),
         verify_quadratic_interaction(modes, v, params, max_pairs, args.seed),
     ]
-    for report in reports:
-        _emit(report.as_dict())
-    return 0
+    return "".join(map(json_text, reports))
 
 
-def _cmd_ratio(args) -> int:
-    sys.stdout.write(format_float(second_order_ratio()) + "\n")
-    return 0
+def _cmd_ratio(args) -> str:
+    return format_float(second_order_ratio()) + "\n"
 
 
 def main(argv=None) -> int:
@@ -305,15 +317,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error, and 2 is kept for numerical failures
         return 1 if exc.code == 2 else exc.code
+    error = None
     try:
         if hasattr(args, "tol"):  # corr (every method) and compare
             checked_tol(args.tol)
-        return args.run(args)
+        text = args.run(args)
     except FermiRpaError as exc:  # any other exception is a bug: let it escape
-        if exc.report is not None:
-            _emit(exc.report.as_dict())
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.exit_code
+        # a failed command prints nothing but a bound violation's report
+        error = exc
+        text = "" if exc.report is None else json_text(exc.report)
+    sys.stdout.write(text)
+    if error is None:
+        return 0
+    sys.stderr.write(f"error: {error}\n")
+    return error.exit_code
 
 
 if __name__ == "__main__":

@@ -29,12 +29,12 @@ backend the two are one table.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams, Momentum, norm_sq
 from .potential import Potential, l1_norm
 from .rpa_delocalized import (
@@ -125,9 +125,6 @@ class ErrorBudget:
     log_crossover_n: float
     n: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> ErrorBudget:
     """Constants, exponents, the remainder bounds, and the certification crossover.
@@ -140,7 +137,8 @@ def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> 
     coefficient_table(ModelParams(n), v)``.  log_crossover_n estimates (in
     log space) the particle count beyond which the certified O(1/N) bound
     drops below the signal; the worst-case constants make this
-    astronomically large.
+    astronomically large.  A bound beyond the double range raises
+    NumericalFailure.
     """
     constants = a_constants(v)
     support = v.correlation_support()
@@ -190,6 +188,8 @@ def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> 
     )
     log_quartic = c2 + _log(2.0 * l1_norm(v) / n)
     log_total = _logaddexp(log_eps1, math.log(2.0) + log_eps2, log_quartic)
+    if not log_total < math.inf:  # -inf is the log of a zero bound; +inf or nan an overflow
+        raise NumericalFailure("error bound eps1 + 2*eps2 + quartic overflows a double")
     signal = abs(correlation_delocalized(continuum))
     log_signal = _log(signal)
     # total*N < signal*N^(1/3)*N^(2/3) 3/2-power law crossover

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
@@ -317,14 +317,6 @@ def apply_c_create(
     )
 
 
-def dgamma_diagonal(state: State, weights: Sequence[float]) -> State:
-    """Diagonal one-body operator: multiply by the sum of occupied weights."""
-    keys, amps = state
-    occupied = (keys[:, None] >> np.arange(len(weights))) & 1
-    total = occupied @ np.asarray(weights, dtype=float)
-    return _drop_zeros(keys, amps * _column(total, amps))
-
-
 def apply_number(state: State) -> State:
     """Fermionic number operator: occupied-mode count, particles plus holes."""
     keys, amps = state
@@ -332,10 +324,16 @@ def apply_number(state: State) -> State:
 
 
 def apply_h0(state: State, modes: ModeSet, params: ModelParams) -> State:
-    """Excitation kinetic energy hbar^2(sum_p |p|^2 - sum_h |h|^2), diagonal."""
-    sign = np.where(np.arange(modes.n_modes) < modes.n_holes, -1, 1)
+    """Excitation kinetic energy hbar^2(sum_p |p|^2 - sum_h |h|^2), diagonal.
+
+    Each key's integer excitation is summed exactly in int64, then
+    multiplied by hbar^2 once.
+    """
+    keys, amps = state
     sq = np.einsum("ij,ij->i", modes.modes, modes.modes)
-    return dgamma_diagonal(state, params.hbar ** 2 * (sign * sq))
+    signed = np.where(np.arange(modes.n_modes) < modes.n_holes, -sq, sq)
+    excitation = ((keys[:, None] >> np.arange(modes.n_modes)) & 1) @ signed
+    return _drop_zeros(keys, amps * _column(params.hbar ** 2 * excitation, amps))
 
 
 # --- sector enumeration and random states ----------------------------------
@@ -413,9 +411,6 @@ class VerificationReport:
     max_ratio: float
     violations: List[str] = field(default_factory=list)
     details: Dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     def raise_if_violated(self) -> "VerificationReport":
         if self.violations:

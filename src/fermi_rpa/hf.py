@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .lattice import FermiBall, ModelParams, norm_sq
-from .potential import Potential
+from .potential import Potential, finite_fsum
 from .rpa_delocalized import QuadraticCoefficients
 
 
@@ -51,6 +51,7 @@ def hf_energy(
 
     ``rows`` is ``coefficient_table(ball, v)``.  Rows of any other table
     break this ball's identity k.f(k) = N|k|^2 / n_k^2 and raise DomainError.
+    A part beyond the double range raises NumericalFailure naming it.
     """
     stay = {(0, 0, 0): ball.n}
     for c in rows:
@@ -59,13 +60,14 @@ def hf_energy(
         stay[c.k] = ball.n - c.nk2
     kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())
     direct = ball.n * v.value((0, 0, 0))
-    exchange = math.fsum(v.coeffs[k] * stay[k] for k in v.support()) / ball.n
+    exchange = finite_fsum(
+        (v.coeffs[k] * stay[k] for k in v.support()), "Hartree-Fock exchange sum"
+    ) / ball.n
     if half_prefactor:
         direct *= 0.5
         exchange *= 0.5
-    return HFEnergy(
-        kinetic=kinetic,
-        direct=direct,
-        exchange=exchange,
-        total=kinetic + direct - exchange,
-    )
+    # direct = N V(0) is the k = 0 term of the exchange sum, so it is finite here
+    total = kinetic + direct - exchange
+    if not math.isfinite(total):
+        raise NumericalFailure("Hartree-Fock total energy overflows a double")
+    return HFEnergy(kinetic=kinetic, direct=direct, exchange=exchange, total=total)

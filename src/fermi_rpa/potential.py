@@ -27,9 +27,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, IO, List, Tuple, Union
+from typing import Dict, IO, Iterable, List, Tuple, Union
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, NumericalFailure, ParseError
 from .lattice import Momentum, mode_sort_key, negate, norm_sq
 
 
@@ -178,5 +178,17 @@ def scale_coupling(v: Potential, s: float) -> Potential:
     )
 
 
+def finite_fsum(terms: Iterable[float], quantity: str) -> float:
+    """math.fsum of the terms, or a NumericalFailure naming ``quantity`` when a
+    term or the sum leaves the double range: never an OverflowError or an inf."""
+    try:
+        values = list(terms)
+        if all(map(math.isfinite, values)):
+            return math.fsum(values)
+    except OverflowError:
+        pass
+    raise NumericalFailure(f"{quantity} overflows a double")
+
+
 def l1_norm(v: Potential) -> float:
-    return math.fsum(abs(v.coeffs[k]) for k in v.support())
+    return finite_fsum((abs(v.coeffs[k]) for k in v.support()), "sum_k |V(k)|")

@@ -6,9 +6,8 @@ N, and builds the exact and continuum coefficient tables of its own N.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 from .error_budget import assemble_error_budget
 from .hf import hf_energy
@@ -52,12 +51,6 @@ class EnergyReport:
     log_error_total: float
     log_error_total_times_n: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-CSV_COLUMNS = [f.name for f in fields(EnergyReport)]
-
 
 def energy_report(
     n: int, v: Potential, brackets: Dict[Momentum, IntegralResult]
@@ -93,23 +86,3 @@ def energy_report(
         log_error_total=budget.log_total,
         log_error_total_times_n=budget.log_total_times_n,
     )
-
-
-def format_float(x: float) -> str:
-    """17-significant-digit decimal, round-trip stable."""
-    return f"{x:.17g}"
-
-
-def _csv_cell(val) -> str:
-    # a non-finite float (the log of an exactly zero bound) is an empty cell,
-    # as it is null in JSON
-    if isinstance(val, float):
-        return format_float(val) if math.isfinite(val) else ""
-    return str(val)
-
-
-def report_csv(reports: List[EnergyReport]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for rep in reports:
-        lines.append(",".join(_csv_cell(val) for val in rep.as_dict().values()))
-    return "\n".join(lines) + "\n"

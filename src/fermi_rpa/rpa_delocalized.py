@@ -60,7 +60,7 @@ from .lattice import (
     mode_sort_key,
     orbit_representative,
 )
-from .potential import Potential
+from .potential import Potential, finite_fsum
 
 SECOND_ORDER_PREFACTOR = (math.pi / 2.0) * (9.0 / 32.0)
 
@@ -207,8 +207,9 @@ def second_order_delocalized(
     ModelParams it is the closed form over the support of ``v``.
     """
     if isinstance(source, ModelParams):
-        acc = math.fsum(
-            v.value(k) ** 2 * lens_norm(source, k) for k in v.correlation_support()
+        acc = finite_fsum(
+            (v.value(k) ** 2 * lens_norm(source, k) for k in v.correlation_support()),
+            "sum_k |k| V(k)^2",
         )
         return -source.hbar * SECOND_ORDER_PREFACTOR * acc
     return -math.fsum(c.beta * c.beta / (4.0 * (c.alpha - c.beta)) for c in source)

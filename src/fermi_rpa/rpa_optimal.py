@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams, Momentum, norm_sq
-from .potential import Potential
+from .potential import Potential, finite_fsum
 from .quadrature import IntegralResult, integrate_adaptive
 
 KAPPA = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
@@ -200,8 +200,9 @@ def gmb_correlation(
 
 def second_order_optimal(v: Potential, params: ModelParams) -> float:
     """-hbar (pi/2)(1 - log 2) sum_{k != 0} |k| V(k)^2."""
-    acc = math.fsum(
-        v.value(k) ** 2 * math.sqrt(norm_sq(k)) for k in v.correlation_support()
+    acc = finite_fsum(
+        (v.value(k) ** 2 * math.sqrt(norm_sq(k)) for k in v.correlation_support()),
+        "sum_k |k| V(k)^2",
     )
     return -params.hbar * SECOND_ORDER_PREFACTOR_OPTIMAL * acc
 

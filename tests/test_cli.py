@@ -479,9 +479,39 @@ def test_particle_count_beyond_double_range_exits_one(capsys, argv):
     assert "Traceback" not in err
 
 
-class StubReport:
-    def as_dict(self):
-        return {"check": "stub"}
+V_1E160 = {"support_radius_sq": 2, "coeffs": [{"k": [1, 0, 0], "v": 1e160}]}
+V_1E308 = {"support_radius_sq": 27, "coeffs": [{"k": [1, 0, 0], "v": 1e308}]}
+V0_1E308 = {"support_radius_sq": 1, "coeffs": [{"k": [0, 0, 0], "v": 1e308}]}
+# at N = 7: direct = 7 V(0) is finite, exchange is finite and negative, and
+# their difference is not
+HF_TOTAL = {
+    "support_radius_sq": 1,
+    "coeffs": [{"k": [0, 0, 0], "v": 2.557e307}, {"k": [1, 0, 0], "v": -0.85e308}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, quantity",
+    [
+        (V_1E160, ["corr", "--n", "33", "--method", "so-opt"], "sum_k |k| V(k)^2"),
+        (V_1E160, ["corr", "--n", "33", "--method", "so-deloc"], "sum_k |k| V(k)^2"),
+        (V_1E308, ["errors", "--n", "33", "--backend", "asymptotic"], "sum_k |V(k)|"),
+        (V_1E308, ["errors", "--n", "33", "--backend", "exact"], "sum_k |V(k)|"),
+        (V0_1E308, ["errors", "--n", "33"], "error bound eps1 + 2*eps2 + quartic"),
+        (V_1E308, ["hf", "--n", "33"], "Hartree-Fock exchange sum"),
+        (V0_1E308, ["hf", "--n", "33"], "Hartree-Fock exchange sum"),
+        (HF_TOTAL, ["hf", "--n", "7"], "Hartree-Fock total energy"),
+    ],
+    ids=["so-opt", "so-deloc", "errors", "errors-exact", "errors-v0", "hf", "hf-v0", "hf-total"],
+)
+def test_a_quantity_beyond_the_double_range_exits_two(capsys, tmp_path, doc, argv, quantity):
+    # never an OverflowError traceback, and never an inf printed as null
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, "--potential", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: {quantity} overflows a double"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -491,7 +521,7 @@ class StubReport:
         (DomainError("boom"), 1),
         (ParseError("boom"), 1),
         (NumericalFailure("boom"), 2),
-        (BoundViolation("boom", StubReport()), 1),
+        (BoundViolation("boom", {"check": "stub"}), 1),
     ],
     ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
 )

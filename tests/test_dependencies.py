@@ -7,7 +7,8 @@ the source catches it, function-local imports included.  Within the
 package, a module loads only the modules it imports: ``__init__.py``
 re-exports nothing.  Every ``raise`` in the package raises one of the five
 classes of ``errors.py``, so the exception type alone decides the CLI exit
-code, and any other exception is a bug.
+code, and any other exception is a bug.  Only ``cli.main`` writes to
+stdout, and no module calls ``print``, so one place owns the printed bytes.
 """
 
 import ast
@@ -84,3 +85,48 @@ def test_package_raises_only_its_own_error_types():
             if name is not None and name not in defined:
                 foreign.setdefault(path.name, []).append(name)
     assert foreign == {}
+
+
+def stdout_sites(source):
+    """(enclosing top-level function or None, what) for each ``sys.stdout``
+    reference, ``from sys import stdout`` and ``print`` call."""
+    sites = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "stdout"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "sys"
+                and any(alias.name == "stdout" for alias in node.names)
+            ):
+                sites.append((name, "sys.stdout"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                sites.append((name, "print"))
+    return sites
+
+
+def test_stdout_walker_sees_references_imports_and_print():
+    source = (
+        "import sys\nfrom sys import stdout\n\ndef main():\n    sys.stdout.write('x')\n\n"
+        "def f():\n    print(1)\n    w = sys.stdout\n"
+    )
+    assert sorted(stdout_sites(source), key=str) == [
+        ("f", "print"),
+        ("f", "sys.stdout"),
+        ("main", "sys.stdout"),
+        (None, "sys.stdout"),
+    ]
+
+
+def test_only_cli_main_writes_stdout():
+    found = [
+        (path.name, *site)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in stdout_sites(path.read_text())
+    ]
+    assert found == [("cli.py", "main", "sys.stdout")]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_budget_reports_crossover(demo_potential):
     assert budget.log_crossover_n > math.log(1e12)
     # at desk scale the bound exceeds the signal
     assert budget.log_total > budget.log_signal
-    payload = budget.as_dict()
+    payload = asdict(budget)
     assert set(payload) == {
         "a_constants",
         "c_small",

@@ -182,6 +182,18 @@ def test_pair_consistency(ball33):
     assert len(pairs) == lune_count(ball33, (1, 1, 0))
 
 
+def test_lune_count_along_an_axis_is_the_circle_count():
+    # each x-line through the ball holds exactly one hole whose shift by
+    # (1, 0, 0) leaves it, so n_k^2 = #{(y, z) : y^2 + z^2 <= R^2}, the Gauss
+    # circle count; its remainder is why criterion 6's errors are not monotone
+    shells = closed_shell_sizes(400)
+    assert len(shells) == 336
+    for radius_sq, n in shells:
+        r = math.isqrt(radius_sq)
+        circle = sum(2 * math.isqrt(radius_sq - y * y) + 1 for y in range(-r, r + 1))
+        assert lune_count(build_fermi_ball(n), (1, 0, 0)) == circle
+
+
 def test_nk_asymptotic_zero():
     assert nk_asymptotic(ModelParams(7), (0, 0, 0)) == 0.0
 

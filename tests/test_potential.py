@@ -1,11 +1,13 @@
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermi_rpa.errors import DomainError, ParseError
+from fermi_rpa.errors import DomainError, NumericalFailure, ParseError
 from fermi_rpa.potential import (
+    finite_fsum,
     l1_norm,
     load_potential,
     make_potential,
@@ -120,6 +122,26 @@ def test_scale_zero_keeps_support(demo_potential):
 def test_scale_rejects_nonfinite(demo_potential):
     with pytest.raises(DomainError, match="^coupling scale must be finite, got inf$"):
         scale_coupling(demo_potential, float("inf"))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        lambda: [1e308, 1e308],  # the sum overflows
+        lambda: [1.0, float("inf")],  # a term is inf
+        lambda: [1e308, -float("inf"), float("inf")],  # fsum would raise ValueError
+        lambda: (x ** 2 for x in [1.0, 1e160]),  # a term raises OverflowError
+    ],
+    ids=["sum", "inf-term", "inf-minus-inf", "power"],
+)
+def test_finite_fsum_names_the_quantity_that_overflows(terms):
+    with pytest.raises(NumericalFailure, match=r"^sum_k x_k overflows a double$"):
+        finite_fsum(terms(), "sum_k x_k")
+
+
+def test_finite_fsum_is_fsum_on_finite_terms():
+    terms = [1e308, -1e308, 0.1, 0.2, 1e-300]
+    assert finite_fsum(iter(terms), "unused") == math.fsum(terms)
 
 
 def test_l1_norm_examples(demo_potential):

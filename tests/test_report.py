@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict, astuple, fields
 
 import pytest
 
-from fermi_rpa.report import CSV_COLUMNS, energy_report, report_csv
+from fermi_rpa.cli import csv_text
+from fermi_rpa.report import EnergyReport, energy_report
 from fermi_rpa.rpa_optimal import frequency_brackets, second_order_ratio
 
 
@@ -24,12 +26,12 @@ def test_report_invariants(demo_potential):
 
 def test_report_serialization(demo_potential):
     rep = report_at(33, demo_potential)
-    payload = rep.as_dict()
-    assert set(payload) == set(CSV_COLUMNS)
+    columns = [f.name for f in fields(EnergyReport)]
+    payload = asdict(rep)
+    assert list(payload) == columns
     json.dumps(payload)  # JSON-safe
-    csv_text = report_csv([rep])
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    lines = csv_text(columns, [astuple(rep)]).strip().splitlines()
+    assert lines[0] == ",".join(columns)
     assert len(lines) == 2
 
 
