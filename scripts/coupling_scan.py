@@ -12,9 +12,9 @@ in the coupling scale.
 import argparse
 import sys
 
-from fermi_rpa.cli import DEMO_POTENTIAL, csv_text
+from fermi_rpa.cli import csv_text, read_potential
 from fermi_rpa.lattice import ModelParams, build_fermi_ball
-from fermi_rpa.potential import load_potential, make_potential, scale_coupling
+from fermi_rpa.potential import make_potential
 from fermi_rpa.rpa_delocalized import (
     coefficient_table,
     correlation_delocalized,
@@ -38,11 +38,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     args = parser.parse_args(argv)
 
-    v = (
-        load_potential(args.potential)
-        if args.potential
-        else make_potential(DEMO_POTENTIAL, support_radius_sq=2)
-    )
+    v = read_potential(args.potential)
     lo, hi = (int(c) for c in args.scales.split(":"))
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
@@ -50,7 +46,7 @@ def main(argv=None) -> int:
     rows = []
     for j in range(lo, hi):
         s = 2.0 ** (-j)
-        scaled = scale_coupling(v, s)
+        scaled = make_potential({k: s * x for k, x in v.coeffs.items()}, v.support_radius_sq)
         table = coefficient_table(ball, scaled)
         deloc = correlation_delocalized(table)
         so_deloc = second_order_delocalized(table)

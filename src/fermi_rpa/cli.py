@@ -19,7 +19,8 @@ method; ``oracle --pairs`` defaults to 2, and it and ``--trials`` must be
 
 Exit codes: 0 success, 1 usage or validation error (message names the
 violated invariant), 2 numerical failure (quadrature convergence,
-pair-sector overflow, or a quantity beyond the double range): the
+pair-sector overflow, a quantity beyond the double range, or a kinetic
+term alpha - beta lost to rounding): the
 ``exit_code`` of the package error raised.  Any other exception is a bug
 and escapes with its traceback.  Identical invocations produce
 byte-identical output.
@@ -49,6 +50,7 @@ from .fock_oracle import (
 from .hf import hf_energy
 from .lattice import ModelParams, build_fermi_ball, nk_asymptotic
 from .potential import Potential, load_potential, make_potential
+from .quadrature import checked_tol
 from .report import EnergyReport, energy_report
 from .rpa_delocalized import (
     coefficient_table,
@@ -71,7 +73,8 @@ DEMO_POTENTIAL = {
 }
 
 
-def _potential_arg(path) -> Potential:
+def read_potential(path) -> Potential:
+    """The potential document at ``path``, or the demo potential when no path is given."""
     return load_potential(path) if path else make_potential(DEMO_POTENTIAL, support_radius_sq=2)
 
 
@@ -110,13 +113,6 @@ def _json_safe(obj):
 def json_text(obj) -> str:
     # strict JSON: the log of an exactly zero bound or signal prints as null
     return json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def checked_tol(tol: float) -> float:
-    """The --tol quadrature tolerance: finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
-    return tol
 
 
 def checked_count(name: str, value: int) -> int:
@@ -221,7 +217,7 @@ def _cmd_ball(args) -> str:
 def _cmd_nk(args) -> str:
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
-    v = _potential_arg(args.potential)
+    v = read_potential(args.potential)
     rows = []
     for row in coefficient_table(ball, v):
         k = row.k
@@ -233,13 +229,13 @@ def _cmd_nk(args) -> str:
 
 def _cmd_hf(args) -> str:
     ball = build_fermi_ball(args.n)
-    v = _potential_arg(args.potential)
+    v = read_potential(args.potential)
     rows = coefficient_table(ball, v)
     return json_text(hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor))
 
 
 def _cmd_corr(args) -> str:
-    v = _potential_arg(args.potential)
+    v = read_potential(args.potential)
     params = ModelParams(args.n)
     method = args.method
     if method == "delocalized-exact":
@@ -260,7 +256,7 @@ def _cmd_corr(args) -> str:
 
 
 def _cmd_compare(args) -> str:
-    v = _potential_arg(args.potential)
+    v = read_potential(args.potential)
     try:
         ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError as exc:
@@ -275,7 +271,7 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_errors(args) -> str:
-    v = _potential_arg(args.potential)
+    v = read_potential(args.potential)
     continuum = coefficient_table(ModelParams(args.n), v)
     exact = args.backend == "exact"
     rows = coefficient_table(build_fermi_ball(args.n), v) if exact else continuum
@@ -288,7 +284,7 @@ def _cmd_oracle(args) -> str:
     checked_count("trials", args.trials)
     max_pairs = checked_count("max_pairs", args.pairs)
     modes = build_mode_set(args.holes_n, args.lambda_sq)
-    v = _potential_arg(args.potential)
+    v = read_potential(args.potential)
     params = ModelParams(args.holes_n)
     e1, e2 = (1, 0, 0), (0, 1, 0)
     reports = [

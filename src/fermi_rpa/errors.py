@@ -25,8 +25,9 @@ class ParseError(FermiRpaError):
 
 
 class NumericalFailure(FermiRpaError):
-    """Quadrature that cannot reach its tolerance, or an operator application
-    that leaves the allowed pair sector: exit code 2."""
+    """Quadrature that cannot reach its tolerance, an operator application
+    that leaves the allowed pair sector, a quantity beyond the double range,
+    or a kinetic term lost to rounding: exit code 2."""
 
     exit_code = 2
 

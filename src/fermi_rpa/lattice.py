@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -260,7 +259,7 @@ def nk_asymptotic(params: ModelParams, k: Momentum) -> float:
 class KineticCoefficient:
     """Exact k.f(k) as the integer ratio numerator/count = N|k|^2 / n_k^2.
 
-    kdotf is that ratio rounded once on output; kdotf_exact keeps it exact.
+    kdotf is that ratio rounded once on output.
     """
 
     k: Momentum
@@ -270,10 +269,6 @@ class KineticCoefficient:
     @property
     def kdotf(self) -> float:
         return self.numerator / self.count
-
-    @property
-    def kdotf_exact(self) -> Fraction:
-        return Fraction(self.numerator, self.count)
 
 
 def kinetic_coefficient(ball: FermiBall, k: Momentum) -> KineticCoefficient:

@@ -27,9 +27,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, IO, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
-from .errors import DomainError, NumericalFailure, ParseError
+from .errors import NumericalFailure, ParseError
 from .lattice import Momentum, mode_sort_key, negate, norm_sq
 
 
@@ -89,10 +89,10 @@ def make_potential(
     return Potential(coeffs=coeffs, support_radius_sq=int(support_radius_sq))
 
 
-def _json_object(raw: Union[bytes, str]) -> dict:
+def _json_object(raw: bytes) -> dict:
     """The top-level object of a UTF-8 JSON potential document."""
     try:
-        doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+        doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed potential document: {exc}") from exc
     if not isinstance(doc, dict):
@@ -120,16 +120,11 @@ def _json_number(value, key: str) -> float:
     return number
 
 
-def load_potential(source: Union[str, bytes, IO]) -> Potential:
-    """Read a potential document (path, bytes, or stream) into make_potential."""
+def load_potential(path) -> Potential:
+    """Read the potential document at ``path`` into make_potential."""
     try:
-        if hasattr(source, "read"):
-            raw = source.read()
-        elif isinstance(source, (bytes, bytearray)):
-            raw = bytes(source)
-        else:
-            with open(source, "rb") as fh:
-                raw = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError(f"unreadable potential document: {exc}") from exc
     doc = _json_object(raw)
@@ -165,16 +160,6 @@ def serialize_potential(v: Potential) -> str:
     return json.dumps(
         {"support_radius_sq": v.support_radius_sq, "coeffs": entries},
         separators=(", ", ": "),
-    )
-
-
-def scale_coupling(v: Potential, s: float) -> Potential:
-    """Multiply every coefficient by s; the support set is unchanged."""
-    if not math.isfinite(s):
-        raise DomainError(f"coupling scale must be finite, got {s}")
-    return Potential(
-        coeffs={k: s * val for k, val in v.coeffs.items()},
-        support_radius_sq=v.support_radius_sq,
     )
 
 

@@ -19,7 +19,7 @@ row's result is bit-for-bit what integrating it alone gives.
 A row whose tolerance lies below what its panels can resolve (``FLOOR_ULPS``
 units of roundoff of the summed panel magnitudes) raises
 ``NumericalFailure`` naming that floor instead of refining toward
-``max_panels``.
+``MAX_PANELS``.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ _COLUMNS = np.array([0.0] + [s * x for x in _XGK[:7] for s in (-1.0, 1.0)])
 
 # a panel resolves its value to a few roundoff units of its magnitude
 FLOOR_ULPS = 4
+# panels one row may hold before it fails
+MAX_PANELS = 20000
 
 
 class IntegralResult(NamedTuple):
@@ -76,6 +78,13 @@ class Nodes(NamedTuple):
 
     rows: np.ndarray
     x: np.ndarray
+
+
+def checked_tol(tol: float) -> float:
+    """A quadrature tolerance (the CLI's --tol): finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def _gk15_panel(f, rows, lo, hi):
@@ -104,17 +113,15 @@ def integrate_adaptive(
     lo: float,
     hi: float,
     tol: float,
-    max_panels: int = 20000,
 ) -> List[IntegralResult]:
     """Integrate rows 0 .. rows - 1 of f on [lo, hi], each to absolute accuracy tol.
 
     ``f`` maps ``Nodes`` to the integrand values, an array shaped like
     ``Nodes.x``.  Raises NumericalFailure when a row's tolerance is
-    below its rounding floor, or when its panel budget is exhausted
+    below its rounding floor, or when it holds ``MAX_PANELS`` panels
     before the summed error estimates fall below the tolerance.
     """
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
+    checked_tol(tol)
     panels: List[List[tuple]] = [[] for _ in range(rows)]  # (lo, hi, value, error)
     done = {}
     active = list(range(rows))
@@ -137,7 +144,7 @@ def integrate_adaptive(
                     f"the rounding floor {floor:.3e} ({FLOOR_ULPS} ulp of the summed "
                     f"|panel values|)"
                 )
-            if len(row) >= max_panels:
+            if len(row) >= MAX_PANELS:
                 raise NumericalFailure(
                     f"error estimate {error:.3e} > tol {tol:.3e} after {len(row)} panels"
                 )

@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .lattice import (
     FermiBall,
     KINETIC_SHAPE_CONSTANT,
@@ -57,7 +56,6 @@ from .lattice import (
     kinetic_coefficient,
     kinetic_coefficient_asymptotic,
     lens_norm,
-    mode_sort_key,
     orbit_representative,
 )
 from .potential import Potential, finite_fsum
@@ -99,15 +97,9 @@ class BogoliubovKernel:
     def value(self, k: Momentum) -> float:
         return self.values.get(tuple(k), 0.0)
 
-    @cached_property
-    def _ordered(self) -> Tuple[Momentum, ...]:
-        return tuple(sorted(self.values, key=mode_sort_key))
-
-    def support(self) -> List[Momentum]:
-        return list(self._ordered)
-
     def abs_sum(self) -> float:
-        return math.fsum(abs(self.values[k]) for k in self._ordered)
+        # fsum is exactly rounded, so the order of the terms does not matter
+        return math.fsum(abs(x) for x in self.values.values())
 
 
 def _lattice_row(
@@ -148,14 +140,31 @@ def coefficient_table(source: Source, v: Potential) -> List[QuadraticCoefficient
     ]
 
 
+def _check_row(c: QuadraticCoefficients) -> None:
+    """Require |beta| < alpha, which the minimum and its minimizer need.
+
+    A row built from a source has alpha = hbar^2 k.f(k) + beta with
+    k.f(k) > 0, so for beta > 0 alpha >= beta exactly, and rounding is
+    monotone: alpha == beta there means the kinetic part was lost to
+    rounding, a NumericalFailure.  Any other |beta| >= alpha (beta < 0 on
+    a strongly attractive potential, or a hand-built form) is a DomainError.
+    """
+    if abs(c.beta) >= c.alpha:
+        if c.beta > 0.0 and c.kdotf > 0.0:
+            raise NumericalFailure(
+                f"alpha - beta = hbar^2 k.f(k) > 0 is lost to rounding at k = {c.k}: "
+                f"alpha = beta = {c.beta}"
+            )
+        raise DomainError(f"|beta| = {abs(c.beta)} >= alpha = {c.alpha} at k = {c.k}")
+
+
 def optimal_kernel(c: QuadraticCoefficients) -> float:
     """Closed-form minimizer -(1/2) artanh(beta/alpha) of the quadratic form.
 
     Evaluated as -(1/4)[log1p(t) - log1p(-t)] with t = beta/alpha for
     accuracy at small coupling.
     """
-    if abs(c.beta) >= c.alpha:
-        raise DomainError(f"|beta| = {abs(c.beta)} >= alpha = {c.alpha} at k = {c.k}")
+    _check_row(c)
     t = c.beta / c.alpha
     return -0.25 * (math.log1p(t) - math.log1p(-t))
 
@@ -169,7 +178,7 @@ def bosonized_functional(
 ) -> float:
     """Quadratic trial-state energy sum_k alpha sinh^2 X + beta sinh X cosh X."""
     known = {c.k for c in coeffs}
-    missing = [k for k in xi.support() if k not in known]
+    missing = [k for k in xi.values if k not in known]
     if missing:
         raise DomainError(f"no quadratic coefficients for {missing[0]}")
     terms = []
@@ -183,8 +192,7 @@ def bosonized_functional(
 def _minimum_term(c: QuadraticCoefficients) -> float:
     # (1/2)(sqrt(a^2-b^2) - a) rewritten as -b^2 / (2(sqrt(a^2-b^2) + a)),
     # stable for |b| << a
-    if abs(c.beta) >= c.alpha:
-        raise DomainError(f"|beta| = {abs(c.beta)} >= alpha = {c.alpha} at k = {c.k}")
+    _check_row(c)
     root = math.sqrt((c.alpha - c.beta) * (c.alpha + c.beta))
     return -c.beta * c.beta / (2.0 * (root + c.alpha))
 

@@ -127,6 +127,8 @@ def gmb_integral(values: Sequence[float], tol: float = DEFAULT_TOL) -> List[Inte
     for a in values:
         if a <= -1.0:
             raise DomainError(f"integral undefined for a = {a} <= -1")
+        if not math.isfinite(a):
+            raise NumericalFailure("the coupling a = 2 pi kappa V(k) overflows a double")
     a_of_row = np.array(values, dtype=float)
 
     def mapped(nodes):

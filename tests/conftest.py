@@ -29,6 +29,11 @@ def demo_potential():
     )
 
 
+def scaled_potential(v, s):
+    """v with every coefficient multiplied by s, on the same support."""
+    return make_potential({k: s * x for k, x in v.coeffs.items()}, v.support_radius_sq)
+
+
 @pytest.fixture(scope="session")
 def weak_potential():
     return make_potential(

@@ -32,7 +32,7 @@ from fermi_rpa.lattice import (
     nk_asymptotic,
     norm_sq,
 )
-from fermi_rpa.potential import make_potential, scale_coupling
+from fermi_rpa.potential import make_potential
 from fermi_rpa.quadrature import integrate_adaptive
 from fermi_rpa.rpa_delocalized import (
     QuadraticCoefficients,
@@ -48,6 +48,7 @@ from fermi_rpa.rpa_optimal import (
     second_order_ratio,
 )
 
+from conftest import scaled_potential
 from oracles import amplitudes, minimize_pair_energy
 
 # extended-precision reference for (9/32)/(1 - log 2), frozen from a
@@ -118,7 +119,7 @@ def test_criterion_4_small_coupling_consistency(demo_potential, ball2109):
 
         gmb_dev, deloc_dev = [], []
         for s in scales:
-            scaled = scale_coupling(demo_potential, s)
+            scaled = scaled_potential(demo_potential, s)
             gmb_dev.append(
                 abs(
                     gmb_correlation(frequency_brackets(scaled, 1e-15), params).total

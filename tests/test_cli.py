@@ -501,9 +501,15 @@ HF_TOTAL = {
         (V_1E308, ["hf", "--n", "33"], "Hartree-Fock exchange sum"),
         (V0_1E308, ["hf", "--n", "33"], "Hartree-Fock exchange sum"),
         (HF_TOTAL, ["hf", "--n", "7"], "Hartree-Fock total energy"),
+        (V_1E308, ["corr", "--n", "33", "--method", "optimal"], "the coupling a = 2 pi kappa V(k)"),
+        (V_1E308, ["compare", "--n-list", "33"], "the coupling a = 2 pi kappa V(k)"),
     ],
-    ids=["so-opt", "so-deloc", "errors", "errors-exact", "errors-v0", "hf", "hf-v0", "hf-total"],
+    ids=[
+        "so-opt", "so-deloc", "errors", "errors-exact", "errors-v0", "hf", "hf-v0", "hf-total",
+        "optimal", "compare",
+    ],
 )
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning escapes main as an exception
 def test_a_quantity_beyond_the_double_range_exits_two(capsys, tmp_path, doc, argv, quantity):
     # never an OverflowError traceback, and never an inf printed as null
     path = tmp_path / "huge.json"
@@ -512,6 +518,41 @@ def test_a_quantity_beyond_the_double_range_exits_two(capsys, tmp_path, doc, arg
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == f"error: {quantity} overflows a double"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corr", "--n", "33", "--method", "delocalized-exact"],
+        ["corr", "--n", "33", "--method", "delocalized-asym"],
+        ["errors", "--n", "33"],
+    ],
+    ids=["delocalized-exact", "delocalized-asym", "errors"],
+)
+@pytest.mark.filterwarnings("error")
+def test_a_kinetic_term_lost_to_rounding_exits_two(capsys, tmp_path, argv):
+    # alpha - beta = hbar^2 k.f(k) > 0 exactly, but at V = 1e160 alpha rounds to beta
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(V_1E160))
+    code, out, err = run_cli(capsys, *argv, "--potential", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(
+        "error: alpha - beta = hbar^2 k.f(k) > 0 is lost to rounding at k = "
+    )
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["delocalized-exact", "delocalized-asym"])
+def test_a_strongly_attractive_potential_exits_one(capsys, tmp_path, method):
+    # beta < 0 with |beta| >= alpha is outside the domain of the minimum
+    path = tmp_path / "attractive.json"
+    path.write_text(json.dumps({"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": -50.0}]}))
+    code, out, err = run_cli(
+        capsys, "corr", "--n", "33", "--method", method, "--potential", str(path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: |beta| = ")
+    assert " >= alpha = " in err
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,12 @@ lines.  The same argv prints the same bytes twice.  Some draws give
 each of those exits 1.
 A ``--tol`` value comes as its own token or as ``--tol=VALUE``.
 
+The document fuzz turns this around: fixed flags, drawn documents.  Its
+coefficients are log-uniform in magnitude over [1e-320, 1e308], of both
+signs, at |k|^2 <= 30, and each document goes through every subcommand
+at N = 257 (2 k_F = 7.9, so the whole support lies in the lens domain).
+Besides the checks above, no numpy warning may reach stderr.
+
 ``oracle`` is swept on its own, with fewer examples.  On 7 holes at
 cutoff 3 it always gets a ``--pairs`` flag of at most 2: the 3-pair sector
 there has dimension 44031 and one run takes about 1.3 s (1.0 s in process).
@@ -19,9 +25,10 @@ import io
 import itertools
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fermi_rpa.cli import main
 from fermi_rpa.lattice import closed_shell_sizes
@@ -37,6 +44,7 @@ MOMENTA = [(0, 0, 0)] + [
 COUPLINGS = st.one_of(st.just(0.0), st.floats(-0.3, 5.0), st.floats(-0.3, 0.3))
 TOLS = st.sampled_from([None, "1e-17", "1e-300", "1e-13", "1e-10", "1e-6", "0.01"])
 INVALID_TOLS = ("0", "-1e-10", "-inf", "nan", "inf")
+CORR_METHODS = ("delocalized-exact", "delocalized-asym", "optimal", "so-deloc", "so-opt")
 JSON_COMMANDS = ("hf", "errors")
 # CSV columns that hold no number
 TEXT_COLUMNS = ("k", "potential")
@@ -54,8 +62,7 @@ def invocations(draw):
     if command == "hf" and draw(st.booleans()):
         argv.append("--hf-half-prefactor")
     if command == "corr":
-        methods = ["delocalized-exact", "delocalized-asym", "optimal", "so-deloc", "so-opt"]
-        argv += ["--method", draw(st.sampled_from(methods))]
+        argv += ["--method", draw(st.sampled_from(CORR_METHODS))]
     if command == "errors":
         argv += ["--backend", draw(st.sampled_from(["exact", "asymptotic"]))]
     invalid = False
@@ -156,9 +163,16 @@ def check_invocation(tmp_path_factory, argv, v, invalid):
     path.write_text(serialize_potential(v))
     argv = [*argv, "--potential", str(path)]
     code, out, err = run(argv)
-    assert code in (0, 1, 2), (argv, code, err)
     if invalid:
         assert code == 1, (argv, code, err)
+    check_outcome(argv, code, out, err)
+    assert run(argv) == (code, out, err)
+
+
+def check_outcome(argv, code, out, err):
+    """Exit 0 with finite numbers only, or 1 or 2 with one last ``error: `` line."""
+    command = argv[0]
+    assert code in (0, 1, 2), (argv, code, err)
     if code == 0:
         if command == "oracle":
             reports = json_stream(out)
@@ -171,7 +185,56 @@ def check_invocation(tmp_path_factory, argv, v, invalid):
         else:
             assert_finite_csv(out)
     else:
-        *warnings, last = err.splitlines()
+        *notes, last = err.splitlines()
         assert last.startswith("error: "), err
-        assert all(line.startswith("warning: ") for line in warnings), err
-    assert run(argv) == (code, out, err)
+        assert all(line.startswith("warning: ") for line in notes), err
+
+
+FUZZ_N = "257"
+FUZZ_RADIUS_SQ = 30
+# one momentum per +-k pair on |k|^2 <= 30, and the zero mode
+FUZZ_MOMENTA = [
+    k
+    for k in itertools.product(range(-5, 6), repeat=3)
+    if sum(c * c for c in k) <= FUZZ_RADIUS_SQ and k >= (0, 0, 0)
+]
+FUZZ_COMMANDS = [
+    ["nk", "--n", FUZZ_N],
+    ["hf", "--n", FUZZ_N],
+    *(["corr", "--n", FUZZ_N, "--method", method] for method in CORR_METHODS),
+    *(["compare", "--n-list", FUZZ_N, "--format", fmt] for fmt in ("csv", "json")),
+    *(["errors", "--n", FUZZ_N, "--backend", backend] for backend in ("asymptotic", "exact")),
+    ["oracle", "--trials", "1"],
+]
+# log-uniform magnitude over [1e-320, 1e308], either sign
+MAGNITUDES = st.builds(
+    lambda sign, exponent: sign * 10.0 ** exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-320.0, 308.0),
+)
+
+
+def document(coeffs):
+    return {
+        "support_radius_sq": FUZZ_RADIUS_SQ,
+        "coeffs": [{"k": list(k), "v": v} for k, v in coeffs.items()],
+    }
+
+
+@given(st.dictionaries(st.sampled_from(FUZZ_MOMENTA), MAGNITUDES, min_size=1, max_size=4).map(document))
+@example(document({(1, 0, 0): 5e-324}))
+@example(document({(1, 0, 0): 1e160}))
+@example(document({(1, 0, 0): 3e307}))
+@example(document({(1, 0, 0): 1e308}))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_documents_across_the_double_range(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "v.json"
+    path.write_text(json.dumps(doc))
+    for argv in FUZZ_COMMANDS:
+        argv = [*argv, "--potential", str(path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(argv)
+        assert [str(w.message) for w in caught] == [], argv
+        assert "Traceback" not in err
+        check_outcome(argv, code, out, err)

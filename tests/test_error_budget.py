@@ -13,13 +13,14 @@ from fermi_rpa.error_budget import (
 )
 from fermi_rpa.errors import DomainError
 from fermi_rpa.lattice import ModelParams
-from fermi_rpa.potential import make_potential, scale_coupling
+from fermi_rpa.potential import make_potential
 from fermi_rpa.rpa_delocalized import (
     BogoliubovKernel,
     coefficient_table,
     optimal_kernel,
     optimal_kernel_table,
 )
+from conftest import scaled_potential
 
 
 def test_c_small_value():
@@ -43,7 +44,7 @@ def test_a_constants_monotone_in_coupling(demo_potential):
     grid = np.linspace(0.1, 2.0, 8)
     prev = None
     for s in grid:
-        values = a_constants(scale_coupling(demo_potential, float(s)))
+        values = a_constants(scaled_potential(demo_potential, float(s)))
         if prev is not None:
             assert all(b >= a - 1e-15 for a, b in zip(prev, values))
         prev = values
@@ -136,7 +137,7 @@ def test_total_times_n_stable_across_shells(weak_potential):
 def test_bounds_monotone_in_coupling(weak_potential):
     prev = None
     for s in np.linspace(0.5, 3.0, 6):
-        b = continuum_budget(scale_coupling(weak_potential, float(s)), 257)
+        b = continuum_budget(scaled_potential(weak_potential, float(s)), 257)
         current = (b.log_eps1_bound, b.log_eps2_bound, b.log_quartic_bound)
         if prev is not None:
             assert all(y >= x - 1e-12 for x, y in zip(prev, current))

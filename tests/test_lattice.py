@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,7 +221,7 @@ def test_nk_asymptotic_algebraic_identity():
 
 def test_kinetic_coefficient_seven(ball7):
     kc = kinetic_coefficient(ball7, (1, 0, 0))
-    assert kc.kdotf_exact == Fraction(7, 5)
+    assert kc.kdotf == 7 / 5
     assert kc.count == 5
     assert kc.numerator == 7
 
@@ -235,10 +234,8 @@ def test_kinetic_coefficient_positive(ball33):
 def test_kinetic_coefficient_even(ball33):
     for k in [(1, 0, 0), (1, 1, 0), (2, 1, 0)]:
         neg = tuple(-c for c in k)
-        assert (
-            kinetic_coefficient(ball33, k).kdotf_exact
-            == kinetic_coefficient(ball33, neg).kdotf_exact
-        )
+        plus, minus = kinetic_coefficient(ball33, k), kinetic_coefficient(ball33, neg)
+        assert (plus.count, plus.numerator) == (minus.count, minus.numerator)
 
 
 def test_kinetic_coefficient_empty():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fermi_rpa.errors import DomainError
 from fermi_rpa.lattice import ModelParams, build_fermi_ball, kinetic_coefficient
-from fermi_rpa.potential import make_potential, scale_coupling
+from fermi_rpa.potential import make_potential
 from fermi_rpa.rpa_delocalized import (
     BogoliubovKernel,
     QuadraticCoefficients,
@@ -19,7 +19,7 @@ from fermi_rpa.rpa_delocalized import (
     second_order_delocalized,
 )
 import fermi_rpa.rpa_delocalized as rpa_delocalized
-from conftest import brute_force_ball
+from conftest import brute_force_ball, scaled_potential
 from oracles import minimize_pair_energy
 
 
@@ -120,23 +120,6 @@ def test_functional_missing_coefficient():
         bosonized_functional([QuadraticCoefficients((1, 0, 0), 1.0, 0.5)], xi)
 
 
-def test_kernel_sorts_its_support_once(monkeypatch):
-    keys = []
-    original = rpa_delocalized.mode_sort_key
-
-    def counting(k):
-        keys.append(k)
-        return original(k)
-
-    monkeypatch.setattr(rpa_delocalized, "mode_sort_key", counting)
-    values = {(1, 0, 0): 0.1, (-1, 0, 0): 0.1, (0, 2, 0): -0.3, (0, -2, 0): -0.3}
-    xi = BogoliubovKernel(values)
-    for _ in range(3):
-        assert xi.support() == sorted(values, key=original)
-        assert xi.abs_sum() == pytest.approx(0.8, rel=1e-15)
-    assert len(keys) == len(values)
-
-
 def test_functional_at_optimum_matches_minimum(ball33, demo_potential):
     coeffs = coefficient_table(ball33, demo_potential)
     xi = optimal_kernel_table(coeffs)
@@ -186,7 +169,7 @@ def test_negativity(ball33, demo_potential):
 
 def test_monotone_in_coupling(ball33, demo_potential):
     values = [
-        correlation_delocalized(coefficient_table(ball33, scale_coupling(demo_potential, s)))
+        correlation_delocalized(coefficient_table(ball33, scaled_potential(demo_potential, s)))
         for s in np.linspace(0.0, 3.0, 16)
     ]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
@@ -216,7 +199,7 @@ def test_richardson_coupling_scaling(ball2109, demo_potential):
     scales = [2.0 ** (-j) for j in range(3, 9)]
     deviations = []
     for s in scales:
-        scaled = scale_coupling(demo_potential, s)
+        scaled = scaled_potential(demo_potential, s)
         ratio = correlation_delocalized(coefficient_table(ball2109, scaled)) / s ** 2
         deviations.append(abs(ratio / so - 1.0))
     slope = np.polyfit([math.log(s) for s in scales], [math.log(d) for d in deviations], 1)[0]
