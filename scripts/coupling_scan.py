@@ -12,6 +12,7 @@ in the coupling scale.
 import argparse
 import sys
 
+from fermi_rpa import DEFAULT_TOL
 from fermi_rpa.cli import csv_text, read_potential
 from fermi_rpa.lattice import ModelParams, build_fermi_ball
 from fermi_rpa.potential import make_potential
@@ -21,7 +22,6 @@ from fermi_rpa.rpa_delocalized import (
     second_order_delocalized,
 )
 from fermi_rpa.rpa_optimal import (
-    DEFAULT_TOL,
     frequency_brackets,
     gmb_correlation,
     second_order_optimal,

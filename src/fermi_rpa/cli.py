@@ -13,9 +13,16 @@ ratio    the delocalized/optimal second-order weight ratio
 
 Flags are the only run settings; no file or environment variable is read.
 ``--tol`` (``corr``, ``compare``; ``--tol X`` or ``--tol=X``) defaults to
-``rpa_optimal.DEFAULT_TOL`` = 1e-10 and must be finite and > 0 for every
+``fermi_rpa.DEFAULT_TOL`` = 1e-10 and must be finite and > 0 for every
 method; ``oracle --pairs`` defaults to 2, and it and ``--trials`` must be
 >= 1; ``--seed`` must be >= 0.
+
+Each command runs only the package modules it calls into.  Every module is
+registered lazily at import (in ``sys.modules`` and on the package, run
+when its first attribute is read), and each ``_cmd_*`` calls through the
+module, as in ``lattice.build_fermi_ball``.  The ``--tol`` default and the
+``ratio`` value live beside ``__version__``, so building the parser runs
+none of them and ``ratio`` loads no numpy.
 
 Exit codes: 0 success, 1 usage or validation error (message names the
 violated invariant), 2 numerical failure (quadrature convergence,
@@ -33,37 +40,45 @@ module alone decides how a number becomes text: ``format_float``,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
 from dataclasses import asdict, astuple, fields, is_dataclass
 
-from . import __version__
-from .error_budget import assemble_error_budget
+from . import DEFAULT_TOL, __version__, second_order_ratio
 from .errors import DomainError, FermiRpaError
-from .fock_oracle import (
-    build_mode_set,
-    verify_almost_ccr,
-    verify_c_commutator,
-    verify_quadratic_interaction,
-)
-from .hf import hf_energy
-from .lattice import ModelParams, build_fermi_ball, nk_asymptotic
-from .potential import Potential, load_potential, make_potential
-from .quadrature import checked_tol
-from .report import EnergyReport, energy_report
-from .rpa_delocalized import (
-    coefficient_table,
-    correlation_delocalized,
-    second_order_delocalized,
-)
-from .rpa_optimal import (
-    DEFAULT_TOL,
-    frequency_brackets,
-    gmb_correlation,
-    second_order_optimal,
-    second_order_ratio,
-)
+
+
+def _lazy(name: str):
+    """The package module ``name``, in ``sys.modules`` and bound on the package,
+    that runs when one of its attributes is first read."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:  # already imported: never make a second copy
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Registered, not imported inside each command: a module then sits in
+# sys.modules from the start whether or not a command runs it, as code
+# that looks modules up there needs (perfbench/tracing.py does, for every
+# module it times), and a call through the module reads the attribute
+# that code may patch.
+error_budget = _lazy("error_budget")
+fock_oracle = _lazy("fock_oracle")
+hf = _lazy("hf")
+lattice = _lazy("lattice")
+potential = _lazy("potential")
+quadrature = _lazy("quadrature")
+report = _lazy("report")
+rpa_delocalized = _lazy("rpa_delocalized")
+rpa_optimal = _lazy("rpa_optimal")
 
 DEMO_POTENTIAL = {
     (1, 0, 0): 0.5,
@@ -73,9 +88,11 @@ DEMO_POTENTIAL = {
 }
 
 
-def read_potential(path) -> Potential:
+def read_potential(path) -> potential.Potential:
     """The potential document at ``path``, or the demo potential when no path is given."""
-    return load_potential(path) if path else make_potential(DEMO_POTENTIAL, support_radius_sq=2)
+    if path:
+        return potential.load_potential(path)
+    return potential.make_potential(DEMO_POTENTIAL, support_radius_sq=2)
 
 
 def format_float(x: float) -> str:
@@ -202,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ball(args) -> str:
-    ball = build_fermi_ball(args.n)
-    params = ModelParams(args.n)
+    ball = lattice.build_fermi_ball(args.n)
+    params = lattice.ModelParams(args.n)
     return json_text(
         {
             "n": ball.n,
@@ -215,43 +232,46 @@ def _cmd_ball(args) -> str:
 
 
 def _cmd_nk(args) -> str:
-    ball = build_fermi_ball(args.n)
-    params = ModelParams(args.n)
+    ball = lattice.build_fermi_ball(args.n)
+    params = lattice.ModelParams(args.n)
     v = read_potential(args.potential)
     rows = []
-    for row in coefficient_table(ball, v):
+    for row in rpa_delocalized.coefficient_table(ball, v):
         k = row.k
         exact = math.sqrt(row.nk2)
-        asym = nk_asymptotic(params, k)  # > 0 on the lens domain
+        asym = lattice.nk_asymptotic(params, k)  # > 0 on the lens domain
         rows.append((f"({k[0]} {k[1]} {k[2]})", exact, asym, abs(exact / asym - 1.0)))
     return csv_text(["k", "n_exact", "n_asym", "rel_err"], rows)
 
 
 def _cmd_hf(args) -> str:
-    ball = build_fermi_ball(args.n)
+    ball = lattice.build_fermi_ball(args.n)
     v = read_potential(args.potential)
-    rows = coefficient_table(ball, v)
-    return json_text(hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor))
+    rows = rpa_delocalized.coefficient_table(ball, v)
+    return json_text(hf.hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor))
 
 
 def _cmd_corr(args) -> str:
     v = read_potential(args.potential)
-    params = ModelParams(args.n)
+    params = lattice.ModelParams(args.n)
     method = args.method
     if method == "delocalized-exact":
-        value = correlation_delocalized(coefficient_table(build_fermi_ball(args.n), v))
+        rows = rpa_delocalized.coefficient_table(lattice.build_fermi_ball(args.n), v)
+        value = rpa_delocalized.correlation_delocalized(rows)
     elif method == "delocalized-asym":
-        value = correlation_delocalized(coefficient_table(params, v))
+        rows = rpa_delocalized.coefficient_table(params, v)
+        value = rpa_delocalized.correlation_delocalized(rows)
     elif method == "optimal":
         if v.value((0, 0, 0)) != 0.0:
             sys.stderr.write(
                 "warning: V(0) != 0 is excluded from the correlation sum\n"
             )
-        value = gmb_correlation(frequency_brackets(v, args.tol), params).total
+        brackets = rpa_optimal.frequency_brackets(v, args.tol)
+        value = rpa_optimal.gmb_correlation(brackets, params).total
     elif method == "so-deloc":
-        value = second_order_delocalized(params, v)
+        value = rpa_delocalized.second_order_delocalized(params, v)
     else:
-        value = second_order_optimal(v, params)
+        value = rpa_optimal.second_order_optimal(v, params)
     return format_float(value) + "\n"
 
 
@@ -262,20 +282,22 @@ def _cmd_compare(args) -> str:
     except ValueError as exc:
         raise FermiRpaError(f"invalid --n-list: {exc}") from exc
     # the brackets depend on V(k) alone: one table serves every N
-    brackets = frequency_brackets(v, args.tol) if ns else {}
-    reports = [energy_report(n, v, brackets) for n in ns]
+    brackets = rpa_optimal.frequency_brackets(v, args.tol) if ns else {}
+    reports = [report.energy_report(n, v, brackets) for n in ns]
     if args.format == "csv":
         # the field order is the column order
-        return csv_text([f.name for f in fields(EnergyReport)], map(astuple, reports))
+        return csv_text([f.name for f in fields(report.EnergyReport)], map(astuple, reports))
     return json_text(reports)
 
 
 def _cmd_errors(args) -> str:
     v = read_potential(args.potential)
-    continuum = coefficient_table(ModelParams(args.n), v)
-    exact = args.backend == "exact"
-    rows = coefficient_table(build_fermi_ball(args.n), v) if exact else continuum
-    return json_text(assemble_error_budget(rows, continuum, v, args.n))
+    continuum = rpa_delocalized.coefficient_table(lattice.ModelParams(args.n), v)
+    if args.backend == "exact":
+        rows = rpa_delocalized.coefficient_table(lattice.build_fermi_ball(args.n), v)
+    else:
+        rows = continuum
+    return json_text(error_budget.assemble_error_budget(rows, continuum, v, args.n))
 
 
 def _cmd_oracle(args) -> str:
@@ -283,16 +305,16 @@ def _cmd_oracle(args) -> str:
         raise DomainError(f"seed must be >= 0, got {args.seed}")
     checked_count("trials", args.trials)
     max_pairs = checked_count("max_pairs", args.pairs)
-    modes = build_mode_set(args.holes_n, args.lambda_sq)
+    modes = fock_oracle.build_mode_set(args.holes_n, args.lambda_sq)
     v = read_potential(args.potential)
-    params = ModelParams(args.holes_n)
+    params = lattice.ModelParams(args.holes_n)
     e1, e2 = (1, 0, 0), (0, 1, 0)
     reports = [
-        verify_almost_ccr(modes, e1, e1, args.trials, args.seed, max_pairs),
-        verify_almost_ccr(modes, e1, e2, args.trials, args.seed, max_pairs),
-        verify_c_commutator(modes, e1, e1, args.trials, args.seed, max_pairs),
-        verify_c_commutator(modes, e1, e2, args.trials, args.seed, max_pairs),
-        verify_quadratic_interaction(modes, v, params, max_pairs, args.seed),
+        fock_oracle.verify_almost_ccr(modes, e1, e1, args.trials, args.seed, max_pairs),
+        fock_oracle.verify_almost_ccr(modes, e1, e2, args.trials, args.seed, max_pairs),
+        fock_oracle.verify_c_commutator(modes, e1, e1, args.trials, args.seed, max_pairs),
+        fock_oracle.verify_c_commutator(modes, e1, e2, args.trials, args.seed, max_pairs),
+        fock_oracle.verify_quadratic_interaction(modes, v, params, max_pairs, args.seed),
     ]
     return "".join(map(json_text, reports))
 
@@ -316,7 +338,7 @@ def main(argv=None) -> int:
     error = None
     try:
         if hasattr(args, "tol"):  # corr (every method) and compare
-            checked_tol(args.tol)
+            quadrature.checked_tol(args.tol)
         text = args.run(args)
     except FermiRpaError as exc:  # any other exception is a bug: let it escape
         # a failed command prints nothing but a bound violation's report

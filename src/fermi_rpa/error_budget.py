@@ -83,7 +83,8 @@ def optimal_kernel_magnitudes(v: Potential) -> BogoliubovKernel:
     the continuum quadratic form: -(1/2) artanh(beta/alpha) with the
     continuum coefficients equals -(1/4) log1p((c/2) V(k)), half the
     constant (at V = 0.05 the two read -0.0641 and -0.0341).  The lattice
-    minimizer is ``optimal_kernel_table(coefficient_table(ball, v))``.
+    minimizer is ``rpa_delocalized.optimal_kernel`` of each row of
+    ``coefficient_table(ball, v)``.
     """
     values: Dict[Momentum, float] = {}
     for k in v.correlation_support():

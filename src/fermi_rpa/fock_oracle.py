@@ -651,6 +651,15 @@ def _basis_vector(basis: np.ndarray, state: State) -> np.ndarray:
     return vec
 
 
+def tolerance_scale(values: np.ndarray) -> float:
+    """max(1, max |entry|) of an assembled interaction.
+
+    Its checks compare sums of its entries, whose rounding grows with the
+    entries, so each absolute tolerance is multiplied by this factor.
+    """
+    return max(1.0, float(np.abs(values).max())) if len(values) else 1.0
+
+
 def verify_quadratic_interaction(
     modes: ModeSet, v: Potential, params: ModelParams, max_pairs: int = 2, seed: int = 42
 ) -> VerificationReport:
@@ -659,11 +668,13 @@ def verify_quadratic_interaction(
     Asserts hermiticity of the compression, zero vacuum expectation, the
     normalized one-pair diagonal V(k) n_k^2 / N plus nonnegative cross
     terms, and that Q composed first, then projected, agrees with Q
-    applied term by term, then projected, on random sector states.
+    applied term by term, then projected, on random sector states.  The
+    tolerances are 1e-13, 1e-13 and 1e-12 times ``tolerance_scale``.
     """
     basis, triplets = assemble_quadratic_interaction(modes, v, params, max_pairs)
     rows, cols, values = triplets
     dim = len(basis)
+    scale = tolerance_scale(values)
     support = v.correlation_support()
     violations: List[str] = []
     # Q - Q^dagger, coalesced over row * dim + col
@@ -672,8 +683,8 @@ def verify_quadratic_interaction(
         np.concatenate([values, -values.conj()]),
     )
     herm = float(np.abs(skew).max()) if len(skew) else 0.0
-    if herm > 1e-13:
-        violations.append(f"hermiticity residual {herm:.3e} > 1e-13")
+    if herm > 1e-13 * scale:
+        violations.append(f"hermiticity residual {herm:.3e} > {1e-13 * scale:.3g}")
     vac = abs(values[(rows == 0) & (cols == 0)].sum())
     if vac > 0.0:
         violations.append(f"vacuum expectation {vac:.3e} != 0")
@@ -685,8 +696,8 @@ def verify_quadratic_interaction(
         _matvec(triplets, _basis_vector(basis, psi)) - _basis_vector(basis, direct)
     ).max(axis=0)
     for dev in devs.tolist():
-        if dev > 1e-13:
-            violations.append(f"matrix vs direct deviation {dev:.3e} > 1e-13")
+        if dev > 1e-13 * scale:
+            violations.append(f"matrix vs direct deviation {dev:.3e} > {1e-13 * scale:.3g}")
 
     one_pair_dev = 0.0
     for k in support:
@@ -705,7 +716,7 @@ def verify_quadratic_interaction(
         )
         dev = abs(expect - (diagonal + cross))
         one_pair_dev = max(one_pair_dev, dev)
-        if dev > 1e-12:
+        if dev > 1e-12 * scale:
             violations.append(
                 f"one-pair expectation at {k}: |{expect:.15g} - "
                 f"({diagonal:.15g} + {cross:.15g})| = {dev:.3e}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from . import second_order_ratio
 from .error_budget import assemble_error_budget
 from .hf import hf_energy
 from .lattice import ModelParams, Momentum, build_fermi_ball
@@ -19,7 +20,7 @@ from .rpa_delocalized import (
     correlation_delocalized,
     second_order_delocalized,
 )
-from .rpa_optimal import gmb_correlation, second_order_optimal, second_order_ratio
+from .rpa_optimal import gmb_correlation, second_order_optimal
 
 
 def potential_digest(v: Potential) -> str:

@@ -169,26 +169,6 @@ def optimal_kernel(c: QuadraticCoefficients) -> float:
     return -0.25 * (math.log1p(t) - math.log1p(-t))
 
 
-def optimal_kernel_table(coeffs: Sequence[QuadraticCoefficients]) -> BogoliubovKernel:
-    return BogoliubovKernel(values={c.k: optimal_kernel(c) for c in coeffs})
-
-
-def bosonized_functional(
-    coeffs: Sequence[QuadraticCoefficients], xi: BogoliubovKernel
-) -> float:
-    """Quadratic trial-state energy sum_k alpha sinh^2 X + beta sinh X cosh X."""
-    known = {c.k for c in coeffs}
-    missing = [k for k in xi.values if k not in known]
-    if missing:
-        raise DomainError(f"no quadratic coefficients for {missing[0]}")
-    terms = []
-    for c in coeffs:
-        x = xi.value(c.k)
-        sh, ch = math.sinh(x), math.cosh(x)
-        terms.append(c.alpha * sh * sh + c.beta * sh * ch)
-    return math.fsum(terms)
-
-
 def _minimum_term(c: QuadraticCoefficients) -> float:
     # (1/2)(sqrt(a^2-b^2) - a) rewritten as -b^2 / (2(sqrt(a^2-b^2) + a)),
     # stable for |b| << a

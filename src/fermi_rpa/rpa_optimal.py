@@ -54,6 +54,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams, Momentum, norm_sq
 from .potential import Potential, finite_fsum
@@ -61,7 +62,6 @@ from .quadrature import IntegralResult, integrate_adaptive
 
 KAPPA = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
 SECOND_ORDER_PREFACTOR_OPTIMAL = (math.pi / 2.0) * (1.0 - math.log(2.0))
-DEFAULT_TOL = 1e-10
 
 # g(lambda) = u^2 sum_j (-u^2)^j / (2j + 3) with u = 1/lambda <= 1/2: 30
 # terms leave a truncation below 1e-19 relative
@@ -207,8 +207,3 @@ def second_order_optimal(v: Potential, params: ModelParams) -> float:
         "sum_k |k| V(k)^2",
     )
     return -params.hbar * SECOND_ORDER_PREFACTOR_OPTIMAL * acc
-
-
-def second_order_ratio() -> float:
-    """(9/32) / (1 - log 2): delocalized over optimal second-order weight."""
-    return (9.0 / 32.0) / (1.0 - math.log(2.0))

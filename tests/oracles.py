@@ -5,12 +5,17 @@ minimizer below works on the raw one-variable energy profile, the
 quadrature helpers integrate the raw integrand, the particle-hole
 pair list is a brute-force scan of the ball, the c-commutator bound
 constant is a per-hole loop over plain tuples, and the Fock oracle's sums
-go through np.unique and np.add.at.
+go through np.unique and np.add.at.  The bosonized trial-state functional
+sums its per-momentum terms directly, so the variational tests can check
+the package's closed-form minimum against it.
 """
 
 import math
 
 import numpy as np
+
+from fermi_rpa.errors import DomainError
+from fermi_rpa.rpa_delocalized import BogoliubovKernel, optimal_kernel
 from conftest import brute_force_ball
 
 
@@ -67,6 +72,25 @@ def minimize_pair_energy(alpha, beta):
             hi = mid
     x_min = 0.5 * (lo + hi)
     return x_min, profile(x_min)
+
+
+def optimal_kernel_table(coeffs):
+    """The closed-form minimizer of every row, as a kernel."""
+    return BogoliubovKernel(values={c.k: optimal_kernel(c) for c in coeffs})
+
+
+def bosonized_functional(coeffs, xi):
+    """Quadratic trial-state energy sum_k alpha sinh^2 X + beta sinh X cosh X."""
+    known = {c.k for c in coeffs}
+    missing = [k for k in xi.values if k not in known]
+    if missing:
+        raise DomainError(f"no quadratic coefficients for {missing[0]}")
+    terms = []
+    for c in coeffs:
+        x = xi.value(c.k)
+        sh, ch = math.sinh(x), math.cosh(x)
+        terms.append(c.alpha * sh * sh + c.beta * sh * ch)
+    return math.fsum(terms)
 
 
 def brute_force_pairs(radius_sq, k):

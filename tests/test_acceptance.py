@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from fermi_rpa import second_order_ratio
 from fermi_rpa.error_budget import assemble_error_budget
 from fermi_rpa.fock_oracle import (
     apply_c_create,
@@ -45,7 +46,6 @@ from fermi_rpa.rpa_optimal import (
     frequency_brackets,
     gmb_correlation,
     second_order_optimal,
-    second_order_ratio,
 )
 
 from conftest import scaled_potential

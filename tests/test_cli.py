@@ -9,6 +9,7 @@ import fermi_rpa.cli as cli
 import fermi_rpa.fock_oracle as fock_oracle
 from fermi_rpa.cli import main
 from fermi_rpa.errors import BoundViolation, DomainError, FermiRpaError, NumericalFailure, ParseError
+from fermi_rpa.lattice import ModelParams
 from fermi_rpa.potential import make_potential, serialize_potential
 
 CORR_METHODS = ("delocalized-exact", "delocalized-asym", "optimal", "so-deloc", "so-opt")
@@ -250,6 +251,19 @@ def test_oracle_bound_violation_exits_one_with_its_report(capsys, monkeypatch):
     )
     assert err.count("\n") == 1
     assert err.startswith("error: c_commutator: trial 0: residual ratio ")
+
+
+def test_oracle_tolerances_scale_with_the_interaction(capsys, tmp_path, demo_potential):
+    # with every V(k) = 1e5 the entries of Q reach about 1e4, and the rounding
+    # of its sums exceeds the unscaled 1e-13: that used to exit 1
+    path = tmp_path / "large.json"
+    path.write_text(serialize_potential(make_potential({k: 1e5 for k in demo_potential.coeffs}, 2)))
+    code, out, err = run_cli(capsys, "oracle", "--trials", "2", "--potential", str(path))
+    assert (code, err) == (0, "")
+    quadratic = strict_json(out[out.rindex("}\n{") + 2 :])
+    assert quadratic["check"] == "quadratic_interaction"
+    assert quadratic["details"]["matrix_vs_direct"] > 1e-13
+    assert quadratic["violations"] == []
 
 
 def test_invalid_potential_exits_one(capsys, tmp_path):
@@ -634,3 +648,14 @@ def test_golden_stdout(capsys, potential_file, golden, command):
         code, out, err = run_cli(capsys, *argv, *extra)
         assert (code, err) == (0, "")
         assert out == golden[command]
+
+
+@pytest.mark.parametrize("command", [c for c in GOLDEN_COMMANDS if c.startswith("oracle ")])
+def test_golden_oracle_commands_keep_the_unit_tolerance_scale(command):
+    # a scale of 1 keeps the oracle's tolerances, and so its bytes, unscaled
+    args = cli.build_parser().parse_args(command.split())
+    modes = fock_oracle.build_mode_set(args.holes_n, args.lambda_sq)
+    _, (_, _, values) = fock_oracle.assemble_quadratic_interaction(
+        modes, cli.read_potential(None), ModelParams(args.holes_n), args.pairs
+    )
+    assert fock_oracle.tolerance_scale(values) == 1.0

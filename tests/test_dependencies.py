@@ -9,12 +9,16 @@ re-exports nothing.  Every ``raise`` in the package raises one of the five
 classes of ``errors.py``, so the exception type alone decides the CLI exit
 code, and any other exception is a bug.  Only ``cli.main`` writes to
 stdout, and no module calls ``print``, so one place owns the printed bytes.
+Each command runs only the modules it calls into: ``ratio`` runs none of
+them and loads no numpy, and only ``oracle`` runs the Fock oracle.
 """
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermi_rpa"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "fermi_rpa"}
@@ -58,6 +62,57 @@ def test_importing_a_module_loads_only_its_own_imports():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["fermi_rpa", "fermi_rpa.errors", "fermi_rpa.lattice"]
+
+
+def modules_run_by(argv):
+    """The package modules a fresh interpreter has run, and whether it loaded
+    numpy, after ``cli.main(argv)`` exits 0.
+
+    ``cli`` registers every package module lazily: it is in ``sys.modules``
+    from the start, but runs only when an attribute is first read.  Reading
+    any attribute (``vars()`` too) would run it, so the probe tells a module
+    that ran from one that is only registered by its type alone: a module
+    that ran is a plain ``ModuleType``, a registered one a lazy subclass.
+    """
+    probe = (
+        f"import contextlib, io, sys, types; sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "from fermi_rpa.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    rc = main({argv!r})\n"
+        "ran = [n for n, m in sys.modules.items() if n.split('.')[0] == 'fermi_rpa'"
+        " and type(m) is types.ModuleType]\n"
+        "print(rc, 'numpy' in sys.modules, *sorted(ran))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    rc, numpy_loaded, *ran = result.stdout.split()
+    assert rc == "0", result.stderr
+    return {name.removeprefix("fermi_rpa.") for name in ran}, numpy_loaded == "True"
+
+
+def test_ratio_runs_no_module_and_loads_no_numpy():
+    ran, numpy_loaded = modules_run_by(["ratio"])
+    assert ran == {"fermi_rpa", "cli", "errors"}
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "hf --n 33",
+        "corr --n 33 --method delocalized-exact",
+        "errors --n 33 --backend exact",
+        "compare --n-list 33",
+    ],
+)
+def test_lattice_commands_run_no_fock_oracle(argv):
+    ran, _ = modules_run_by(argv.split())
+    assert "lattice" in ran and "fock_oracle" not in ran
+
+
+def test_oracle_runs_none_of_the_energy_modules():
+    ran, _ = modules_run_by(["oracle", "--trials", "1"])
+    assert "fock_oracle" in ran
+    assert ran.isdisjoint({"quadrature", "rpa_optimal", "report", "error_budget", "hf"})
 
 
 def raised_names(source):

@@ -18,9 +18,9 @@ from fermi_rpa.rpa_delocalized import (
     BogoliubovKernel,
     coefficient_table,
     optimal_kernel,
-    optimal_kernel_table,
 )
 from conftest import scaled_potential
+from oracles import optimal_kernel_table
 
 
 def test_c_small_value():

@@ -5,7 +5,8 @@ import pytest
 
 from fermi_rpa.cli import csv_text
 from fermi_rpa.report import EnergyReport, energy_report
-from fermi_rpa.rpa_optimal import frequency_brackets, second_order_ratio
+from fermi_rpa import second_order_ratio
+from fermi_rpa.rpa_optimal import frequency_brackets
 
 
 def report_at(n, v):

@@ -11,16 +11,14 @@ from fermi_rpa.potential import make_potential
 from fermi_rpa.rpa_delocalized import (
     BogoliubovKernel,
     QuadraticCoefficients,
-    bosonized_functional,
     coefficient_table,
     correlation_delocalized,
     optimal_kernel,
-    optimal_kernel_table,
     second_order_delocalized,
 )
 import fermi_rpa.rpa_delocalized as rpa_delocalized
 from conftest import brute_force_ball, scaled_potential
-from oracles import minimize_pair_energy
+from oracles import bosonized_functional, minimize_pair_energy, optimal_kernel_table
 
 
 def g_of(alpha, beta):

@@ -20,8 +20,8 @@ from fermi_rpa.lattice import (
 from fermi_rpa.potential import make_potential, serialize_potential
 from fermi_rpa.quadrature import IntegralResult, integrate_adaptive
 from fermi_rpa.report import energy_report
+from fermi_rpa import DEFAULT_TOL, second_order_ratio
 from fermi_rpa.rpa_optimal import (
-    DEFAULT_TOL,
     KAPPA,
     GMBResult,
     _inner_factor,
@@ -31,7 +31,6 @@ from fermi_rpa.rpa_optimal import (
     gmb_integral,
     gmb_integrand,
     second_order_optimal,
-    second_order_ratio,
 )
 from conftest import scaled_potential
 
@@ -499,7 +498,7 @@ def per_k_loop(v, params, tol):
 def counted_integrals(monkeypatch):
     calls = []
 
-    def counting(values, tol=rpa_optimal.DEFAULT_TOL):
+    def counting(values, tol=DEFAULT_TOL):
         calls.append(values)
         return original(values, tol)
 
