@@ -35,16 +35,21 @@ byte-identical output.
 Every subcommand returns its stdout text and ``main`` writes it, so this
 module alone decides how a number becomes text: ``format_float``,
 ``csv_text`` and ``json_text``.
+
+``run`` is the process entry, of the ``fermi-rpa`` script and of
+``python -m fermi_rpa.cli``: it runs ``main`` with the cyclic GC off and
+then freezes every object left, so the collections the interpreter makes
+at exit walk none of them.  ``main`` itself leaves the GC as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, fields, is_dataclass
 
 from . import DEFAULT_TOL, __version__, second_order_ratio
 from .errors import DomainError, FermiRpaError
@@ -116,6 +121,9 @@ def csv_text(header, rows) -> str:
 
 def _json_safe(obj):
     """obj with dataclasses as dicts and every non-finite float as None (JSON null)."""
+    # imported where used: dataclasses loads inspect, which `ratio` never needs
+    from dataclasses import asdict, is_dataclass
+
     if is_dataclass(obj):
         obj = asdict(obj)
     if isinstance(obj, float):
@@ -276,6 +284,8 @@ def _cmd_corr(args) -> str:
 
 
 def _cmd_compare(args) -> str:
+    from dataclasses import astuple, fields
+
     v = read_potential(args.potential)
     try:
         ns = [int(x) for x in args.n_list.split(",") if x.strip()]
@@ -283,7 +293,8 @@ def _cmd_compare(args) -> str:
         raise FermiRpaError(f"invalid --n-list: {exc}") from exc
     # the brackets depend on V(k) alone: one table serves every N
     brackets = rpa_optimal.frequency_brackets(v, args.tol) if ns else {}
-    reports = [report.energy_report(n, v, brackets) for n in ns]
+    digest = report.potential_digest(v)
+    reports = [report.energy_report(n, v, brackets, digest) for n in ns]
     if args.format == "csv":
         # the field order is the column order
         return csv_text([f.name for f in fields(report.EnergyReport)], map(astuple, reports))
@@ -351,5 +362,19 @@ def main(argv=None) -> int:
     return error.exit_code
 
 
+def run() -> int:
+    """``main`` as a whole process; returns its exit code.
+
+    The process ends soon after ``main`` returns and frees all its memory
+    then, so collecting cycles only costs time.  A command leaves a few
+    hundred unreachable cyclic objects (argparse's parser, cycles made at
+    import), however much work it does.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,7 +1,8 @@
 """Assembled per-N energy reports for tables and convergence studies.
 
-A report reads the frequency-bracket table its caller built, once for every
-N, and builds the exact and continuum coefficient tables of its own N.
+A report reads the frequency-bracket table and the potential digest its
+caller made, once for every N, and builds the exact and continuum
+coefficient tables of its own N.
 """
 
 from __future__ import annotations
@@ -54,13 +55,14 @@ class EnergyReport:
 
 
 def energy_report(
-    n: int, v: Potential, brackets: Dict[Momentum, IntegralResult]
+    n: int, v: Potential, brackets: Dict[Momentum, IntegralResult], digest: str
 ) -> EnergyReport:
     """Full comparison record at one particle count.
 
-    ``brackets`` is the ``frequency_brackets(v, tol)`` table, which depends
-    on V alone and so serves every particle count.  One exact and one
-    continuum coefficient table serve every other column.
+    ``brackets`` is the ``frequency_brackets(v, tol)`` table and ``digest``
+    is ``potential_digest(v)``; both depend on V alone and so serve every
+    particle count.  One exact and one continuum coefficient table serve
+    every other column.
     """
     ball = build_fermi_ball(n)
     params = ModelParams(n)
@@ -73,7 +75,7 @@ def energy_report(
     return EnergyReport(
         n=n,
         hbar=params.hbar,
-        potential=potential_digest(v),
+        potential=digest,
         hf_kinetic=hf.kinetic,
         hf_direct=hf.direct,
         hf_exchange=hf.exchange,

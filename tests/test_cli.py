@@ -1,5 +1,10 @@
+import ast
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -659,3 +664,76 @@ def test_golden_oracle_commands_keep_the_unit_tolerance_scale(command):
         modes, cli.read_potential(None), ModelParams(args.holes_n), args.pairs
     )
     assert fock_oracle.tolerance_scale(values) == 1.0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "command, exit_code",
+    [
+        ("ratio", 0),
+        ("hf --n 33", 0),
+        ("ball", 1),
+        ("corr --n 33 --method optimal --tol 1e-30", 2),
+        ("oracle --holes-n 1 --lambda-sq 1 --pairs 1 --trials 2", 0),
+    ],
+)
+def test_process_entry_prints_what_main_prints(capsys, command, exit_code):
+    argv = command.split()
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == exit_code
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fermi_rpa.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_gc_as_it_finds_it(capsys, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        for argv in (["ratio"], ["hf", "--n", "33"], ["ball"]):
+            main(argv)
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_run_turns_the_gc_off_and_freezes_what_main_left():
+    # in a fresh interpreter: run() changes the GC of the process it runs in
+    probe = (
+        f"import gc, sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from fermi_rpa.cli import run\n"
+        "sys.argv = ['fermi-rpa', 'ratio']\n"
+        "code = run()\n"
+        "print(code, gc.isenabled(), gc.get_freeze_count() > 0)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False True"
+
+
+def test_the_script_entry_is_the_function_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    blocks = [
+        node
+        for node in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(blocks) == 1
+    (statement,) = blocks[0].body
+    # the block is exactly sys.exit(<entry>())
+    assert ast.unparse(statement.value.func) == "sys.exit"
+    (call,) = statement.value.args
+    assert isinstance(call, ast.Call) and not call.args
+    entry = call.func.id
+    assert callable(getattr(cli, entry))
+    assert scripts == {"fermi-rpa": f"fermi_rpa.cli:{entry}"}

@@ -10,7 +10,8 @@ classes of ``errors.py``, so the exception type alone decides the CLI exit
 code, and any other exception is a bug.  Only ``cli.main`` writes to
 stdout, and no module calls ``print``, so one place owns the printed bytes.
 Each command runs only the modules it calls into: ``ratio`` runs none of
-them and loads no numpy, and only ``oracle`` runs the Fock oracle.
+them and loads neither numpy nor ``dataclasses``, and only ``oracle`` runs
+the Fock oracle.
 """
 
 import ast
@@ -65,34 +66,47 @@ def test_importing_a_module_loads_only_its_own_imports():
 
 
 def modules_run_by(argv):
-    """The package modules a fresh interpreter has run, and whether it loaded
-    numpy, after ``cli.main(argv)`` exits 0.
+    """The package modules a fresh interpreter has run, and the other modules
+    it has loaded, after ``cli.main(argv)`` exits 0.
 
     ``cli`` registers every package module lazily: it is in ``sys.modules``
     from the start, but runs only when an attribute is first read.  Reading
     any attribute (``vars()`` too) would run it, so the probe tells a module
     that ran from one that is only registered by its type alone: a module
     that ran is a plain ``ModuleType``, a registered one a lazy subclass.
+    A module counts as loaded only if it was not in ``sys.modules`` when
+    the interpreter handed over to the probe.
     """
     probe = (
-        f"import contextlib, io, sys, types; sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import sys; before = set(sys.modules)\n"
+        f"import contextlib, io, types; sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
         "from fermi_rpa.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    rc = main({argv!r})\n"
         "ran = [n for n, m in sys.modules.items() if n.split('.')[0] == 'fermi_rpa'"
         " and type(m) is types.ModuleType]\n"
-        "print(rc, 'numpy' in sys.modules, *sorted(ran))"
+        "loaded = [n for n in sys.modules if n not in before and n.split('.')[0] != 'fermi_rpa']\n"
+        "print(rc, *sorted(ran), '|', *sorted(loaded))"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    rc, numpy_loaded, *ran = result.stdout.split()
+    head, tail = result.stdout.split("|")
+    rc, *ran = head.split()
     assert rc == "0", result.stderr
-    return {name.removeprefix("fermi_rpa.") for name in ran}, numpy_loaded == "True"
+    return {name.removeprefix("fermi_rpa.") for name in ran}, set(tail.split())
 
 
 def test_ratio_runs_no_module_and_loads_no_numpy():
-    ran, numpy_loaded = modules_run_by(["ratio"])
+    ran, loaded = modules_run_by(["ratio"])
     assert ran == {"fermi_rpa", "cli", "errors"}
-    assert not numpy_loaded
+    assert "numpy" not in loaded
+
+
+def test_ratio_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect; numpy loads inspect too, so only ratio could skip both
+    _, loaded = modules_run_by(["ratio"])
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
+    _, loaded = modules_run_by(["compare", "--n-list", "33"])
+    assert {"dataclasses", "inspect"} <= loaded
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,15 @@ from dataclasses import asdict, astuple, fields
 
 import pytest
 
-from fermi_rpa.cli import csv_text
-from fermi_rpa.report import EnergyReport, energy_report
+import fermi_rpa.report as report
+from fermi_rpa.cli import csv_text, main
+from fermi_rpa.report import EnergyReport, energy_report, potential_digest
 from fermi_rpa import second_order_ratio
 from fermi_rpa.rpa_optimal import frequency_brackets
 
 
 def report_at(n, v):
-    return energy_report(n, v, frequency_brackets(v))
+    return energy_report(n, v, frequency_brackets(v), potential_digest(v))
 
 
 def test_report_invariants(demo_potential):
@@ -41,3 +42,13 @@ def test_digest_tracks_potential(demo_potential, weak_potential):
     b = report_at(33, weak_potential).potential
     assert a != b
     assert len(a) == 16
+
+
+def test_compare_digests_the_potential_once(monkeypatch, capsys):
+    calls = []
+    original = report.potential_digest
+    monkeypatch.setattr(report, "potential_digest", lambda v: calls.append(v) or original(v))
+    assert main(["compare", "--n-list", "33,257,2109"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3
+    assert len(calls) == 1

@@ -239,7 +239,7 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     from fermi_rpa import error_budget, lattice, rpa_delocalized, rpa_optimal
     from fermi_rpa.cli import main
     from fermi_rpa.potential import serialize_potential
-    from fermi_rpa.report import energy_report
+    from fermi_rpa.report import energy_report, potential_digest
     from fermi_rpa.rpa_optimal import frequency_brackets
 
     passes, exact_rows, continuum_rows, integrals, kernels = [], [], [], [], []
@@ -286,7 +286,7 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     runs = {
         "table": lambda: coefficient_table(ball33, v),
         "second order": lambda: second_order_delocalized(coefficient_table(ball33, v)),
-        "report": lambda: energy_report(33, v, frequency_brackets(v)),
+        "report": lambda: energy_report(33, v, frequency_brackets(v), potential_digest(v)),
         "nk": lambda: main(["nk", *common]),
         "hf": lambda: main(["hf", *common]),
         "corr": lambda: main(["corr", *common, "--method", "delocalized-exact"]),

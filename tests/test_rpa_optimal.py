@@ -19,7 +19,7 @@ from fermi_rpa.lattice import (
 )
 from fermi_rpa.potential import make_potential, serialize_potential
 from fermi_rpa.quadrature import IntegralResult, integrate_adaptive
-from fermi_rpa.report import energy_report
+from fermi_rpa.report import energy_report, potential_digest
 from fermi_rpa import DEFAULT_TOL, second_order_ratio
 from fermi_rpa.rpa_optimal import (
     KAPPA,
@@ -535,9 +535,10 @@ def test_brackets_one_integral_per_distinct_value(counted_integrals):
 
 def test_energy_report_with_shared_brackets(demo_potential):
     table = frequency_brackets(demo_potential, 1e-10)
+    digest = potential_digest(demo_potential)
     for n in (33, 257):
-        assert energy_report(n, demo_potential, table) == energy_report(
-            n, demo_potential, frequency_brackets(demo_potential, 1e-10)
+        assert energy_report(n, demo_potential, table, digest) == energy_report(
+            n, demo_potential, frequency_brackets(demo_potential, 1e-10), digest
         )
 
 
