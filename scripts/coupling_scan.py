@@ -14,6 +14,7 @@ import sys
 
 from fermi_rpa import DEFAULT_TOL
 from fermi_rpa.cli import csv_text, read_potential
+from fermi_rpa.errors import FermiRpaError
 from fermi_rpa.lattice import ModelParams, build_fermi_ball
 from fermi_rpa.potential import make_potential
 from fermi_rpa.rpa_delocalized import (
@@ -30,16 +31,13 @@ from fermi_rpa.rpa_optimal import (
 HEADER = ["s", "min_energy_over_s2", "so_delocalized", "deloc_dev", "gmb_over_s2", "so_optimal", "gmb_dev"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=2109)
-    parser.add_argument("--potential", default=None)
-    parser.add_argument("--scales", default="3:9", help="dyadic exponent range lo:hi")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    args = parser.parse_args(argv)
-
+def scan(args) -> str:
+    """The CSV table of the scan over 2^-lo .. 2^-(hi-1)."""
+    try:
+        lo, hi = (int(c) for c in args.scales.split(":"))
+    except ValueError:
+        raise FermiRpaError(f"--scales must be two integers lo:hi, got {args.scales!r}") from None
     v = read_potential(args.potential)
-    lo, hi = (int(c) for c in args.scales.split(":"))
     ball = build_fermi_ball(args.n)
     params = ModelParams(args.n)
 
@@ -55,7 +53,22 @@ def main(argv=None) -> int:
         deloc_dev, gmb_dev = abs(deloc / so_deloc - 1.0), abs(gmb / so_opt - 1.0)
         s2 = s ** 2
         rows.append((s, deloc / s2, so_deloc / s2, deloc_dev, gmb / s2, so_opt / s2, gmb_dev))
-    sys.stdout.write(csv_text(HEADER, rows))
+    return csv_text(HEADER, rows)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--n", type=int, default=2109)
+    parser.add_argument("--potential", default=None)
+    parser.add_argument("--scales", default="3:9", help="dyadic exponent range lo:hi")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    args = parser.parse_args(argv)
+    try:
+        text = scan(args)
+    except FermiRpaError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return exc.exit_code
+    sys.stdout.write(text)
     return 0
 
 

@@ -243,10 +243,10 @@ def _cmd_nk(args) -> str:
     ball = lattice.build_fermi_ball(args.n)
     params = lattice.ModelParams(args.n)
     v = read_potential(args.potential)
+    table = rpa_delocalized.coefficient_table(ball, v)
     rows = []
-    for row in rpa_delocalized.coefficient_table(ball, v):
-        k = row.k
-        exact = math.sqrt(row.nk2)
+    for k, nk2 in zip(table.ks, table.nk2.tolist()):
+        exact = math.sqrt(nk2)
         asym = lattice.nk_asymptotic(params, k)  # > 0 on the lens domain
         rows.append((f"({k[0]} {k[1]} {k[2]})", exact, asym, abs(exact / asym - 1.0)))
     return csv_text(["k", "n_exact", "n_asym", "rel_err"], rows)
@@ -255,8 +255,8 @@ def _cmd_nk(args) -> str:
 def _cmd_hf(args) -> str:
     ball = lattice.build_fermi_ball(args.n)
     v = read_potential(args.potential)
-    rows = rpa_delocalized.coefficient_table(ball, v)
-    return json_text(hf.hf_energy(ball, v, rows, half_prefactor=args.hf_half_prefactor))
+    table = rpa_delocalized.coefficient_table(ball, v)
+    return json_text(hf.hf_energy(table, v, half_prefactor=args.hf_half_prefactor))
 
 
 def _cmd_corr(args) -> str:
@@ -264,11 +264,11 @@ def _cmd_corr(args) -> str:
     params = lattice.ModelParams(args.n)
     method = args.method
     if method == "delocalized-exact":
-        rows = rpa_delocalized.coefficient_table(lattice.build_fermi_ball(args.n), v)
-        value = rpa_delocalized.correlation_delocalized(rows)
+        table = rpa_delocalized.coefficient_table(lattice.build_fermi_ball(args.n), v)
+        value = rpa_delocalized.correlation_delocalized(table)
     elif method == "delocalized-asym":
-        rows = rpa_delocalized.coefficient_table(params, v)
-        value = rpa_delocalized.correlation_delocalized(rows)
+        table = rpa_delocalized.coefficient_table(params, v)
+        value = rpa_delocalized.correlation_delocalized(table)
     elif method == "optimal":
         if v.value((0, 0, 0)) != 0.0:
             sys.stderr.write(
@@ -305,10 +305,10 @@ def _cmd_errors(args) -> str:
     v = read_potential(args.potential)
     continuum = rpa_delocalized.coefficient_table(lattice.ModelParams(args.n), v)
     if args.backend == "exact":
-        rows = rpa_delocalized.coefficient_table(lattice.build_fermi_ball(args.n), v)
+        table = rpa_delocalized.coefficient_table(lattice.build_fermi_ball(args.n), v)
     else:
-        rows = continuum
-    return json_text(error_budget.assemble_error_budget(rows, continuum, v, args.n))
+        table = continuum
+    return json_text(error_budget.assemble_error_budget(table, continuum, v))
 
 
 def _cmd_oracle(args) -> str:

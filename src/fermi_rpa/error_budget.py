@@ -17,33 +17,28 @@ log space; only the inner sums (which stay O(1)) are evaluated linearly.
 Coefficients enter the bound sums through their absolute values, which
 upper-bounds the displayed expressions term by term and keeps every
 bound monotone in |V(k)|.  All momentum sums run over the potential
-support with the zero mode removed.  The denominators n_m n_k and the
-k.f(k) weights are read from the rows of a ``coefficient_table``: the
-table of a FermiBall gives exact lattice counts, that of a ModelParams the
-leading continuum forms (n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3)).  The
-kernel is the continuum closed form and the signal the minimum of the
-continuum table, whichever table the bounds read; on the continuum
-backend the two are one table.
+support with the zero mode removed, and the kernel is a list of values
+aligned with that support.  The denominators n_m n_k and the k.f(k)
+weights are the columns of a ``coefficient_table``, read by position, and
+N is its source's particle count: the table of a FermiBall gives exact
+lattice counts, that of a ModelParams the leading continuum forms
+(n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3)).  The kernel is the continuum
+closed form and the signal the minimum of the continuum table, whichever
+table the bounds read; on the continuum backend the two are one table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .lattice import ModelParams, Momentum, norm_sq
+from .lattice import ModelParams, norm_sq
 from .potential import Potential, l1_norm
-from .rpa_delocalized import (
-    BogoliubovKernel,
-    QuadraticCoefficients,
-    correlation_delocalized,
-)
-
-Rows = Sequence[QuadraticCoefficients]
+from .rpa_delocalized import CoefficientTable, correlation_delocalized
 
 C_SMALL = 4.0 * (9.0 * math.pi / 16.0) ** (2.0 / 3.0)
 PARTICLE_ESCAPE_CONSTANT = (6.0 / math.pi) ** (1.0 / 3.0)
@@ -75,31 +70,32 @@ def a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
     )
 
 
-def optimal_kernel_magnitudes(v: Potential) -> BogoliubovKernel:
-    """Kernel X(k) = -(1/4) log(1 + c V(k)) on the support minus {0}.
+def optimal_kernel_magnitudes(v: Potential) -> List[float]:
+    """Kernel X(k) = -(1/4) log(1 + c V(k)) on the support minus {0}, in mode order.
 
     c = 4 (9 pi/16)^(2/3) is the constant of A1..A5, so exp(2|X(k)|) =
     sqrt(1 + c V(k)).  This is the paper's closed form, not the minimizer of
     the continuum quadratic form: -(1/2) artanh(beta/alpha) with the
     continuum coefficients equals -(1/4) log1p((c/2) V(k)), half the
     constant (at V = 0.05 the two read -0.0641 and -0.0341).  The lattice
-    minimizer is ``rpa_delocalized.optimal_kernel`` of each row of
-    ``coefficient_table(ball, v)``.
+    minimizer is ``rpa_delocalized.optimal_kernel(coefficient_table(ball, v))``.
+    The kernel is even because V is.
     """
-    values: Dict[Momentum, float] = {}
+    values = []
     for k in v.correlation_support():
         arg = C_SMALL * v.value(k)
         if arg <= -1.0:
             raise DomainError(f"1 + c*V(k) <= 0 at k = {k}")
-        values[k] = -0.25 * math.log1p(arg)
-    return BogoliubovKernel(values=values)
+        values.append(-0.25 * math.log1p(arg))
+    return values
 
 
-def particle_number_constant(xi: BogoliubovKernel, n_power: int) -> float:
-    """Gronwall exponent C_n(X) = 8 n 5^n sum_k |X(k)|."""
+def particle_number_constant(xi: Sequence[float], n_power: int) -> float:
+    """Gronwall exponent C_n(X) = 8 n 5^n sum_k |X(k)| of the kernel values ``xi``."""
     if n_power < 1:
         raise DomainError(f"moment order must be >= 1, got {n_power}")
-    return 8.0 * n_power * 5.0 ** n_power * xi.abs_sum()
+    # fsum is exactly rounded, so the order of the terms does not matter
+    return 8.0 * n_power * 5.0 ** n_power * math.fsum(map(abs, xi))
 
 
 def _log(x: float) -> float:
@@ -127,54 +123,50 @@ class ErrorBudget:
     n: int
 
 
-def assemble_error_budget(rows: Rows, continuum: Rows, v: Potential, n: int) -> ErrorBudget:
+def assemble_error_budget(
+    table: CoefficientTable, continuum: CoefficientTable, v: Potential
+) -> ErrorBudget:
     """Constants, exponents, the remainder bounds, and the certification crossover.
 
-    The bounds read ``rows``, the ``coefficient_table(source, v)`` of a
-    source with n particles (exact or continuum), and the kernel
+    The bounds read ``table = coefficient_table(source, v)`` of an exact or
+    continuum source with N = source.n particles (a table over another
+    support raises DomainError), and the kernel
     ``optimal_kernel_magnitudes(v)``.  total = eps1 + 2*eps2 + quartic is
     reported together with total*N (the N-independent certified constant).
     The order-hbar signal |E_corr| is the minimum of ``continuum =
-    coefficient_table(ModelParams(n), v)``.  log_crossover_n estimates (in
+    coefficient_table(ModelParams(N), v)``.  log_crossover_n estimates (in
     log space) the particle count beyond which the certified O(1/N) bound
     drops below the signal; the worst-case constants make this
     astronomically large.  A bound beyond the double range raises
     NumericalFailure.
     """
+    table.require_support(v)
+    n = table.source.n
     constants = a_constants(v)
-    support = v.correlation_support()
     xi = optimal_kernel_magnitudes(v)
     c_n = {str(m): particle_number_constant(xi, m) for m in (1, 2, 3)}
     c2, c3 = c_n["2"], c_n["3"]
-    n_of = {c.k: math.sqrt(c.nk2) for c in rows}
-    kf_of = {c.k: c.kdotf for c in rows}
+    n_of = np.sqrt(table.nk2).tolist()
     hbar_sq = ModelParams(n).hbar ** 2
+    escape = PARTICLE_ESCAPE_CONSTANT * n ** (1.0 / 3.0)
 
-    # weighted kernel sums S_k = sum_m |X(m)| / (n_m n_k)
-    s_base = math.fsum(abs(xi.value(m)) / n_of[m] for m in support)
-    s_of = {k: s_base / n_of[k] for k in support}
+    # weighted kernel sums S_k = sum_m |X(m)| / (n_m n_k) = s_base / n_k
+    s_base = math.fsum(abs(x) / n_m for x, n_m in zip(xi, n_of))
 
     inner_quad_sq, inner_quad_lin = [], []
     inner_kin_diag, inner_kin_off = [], []
-    for k in support:
-        xk = abs(xi.value(k))
-        vk = abs(v.value(k))
-        nk2 = n_of[k] ** 2
+    for k, x, n_k, kdotf in zip(table.ks, xi, n_of, table.kdotf.tolist()):
+        xk = abs(x)
+        vk = abs(v.coeffs[k])
+        nk2 = n_k ** 2
+        s_k = s_base / n_k
         e_x = math.exp(xk)
-        inner_quad_sq.append(vk * nk2 * e_x * e_x * s_of[k] ** 2)
-        inner_quad_lin.append(
-            vk * nk2 * (4.0 * math.sinh(xk) + 2.0 * math.cosh(xk)) * e_x * s_of[k]
-        )
-        inner_kin_diag.append(
-            2.0 * xk * abs(kf_of[k]) * math.sinh(xk) * e_x * 2.0 * s_of[k]
-        )
+        inner_quad_sq.append(vk * nk2 * e_x * e_x * s_k ** 2)
+        inner_quad_lin.append(vk * nk2 * (4.0 * math.sinh(xk) + 2.0 * math.cosh(xk)) * e_x * s_k)
+        inner_kin_diag.append(2.0 * xk * abs(kdotf) * math.sinh(xk) * e_x * 2.0 * s_k)
         # sum_l |X(l)|/(n_k n_l) collapses to S_k
         inner_kin_off.append(
-            PARTICLE_ESCAPE_CONSTANT
-            * n ** (1.0 / 3.0)
-            * math.sqrt(norm_sq(k))
-            * s_of[k]
-            * (math.sinh(xk) + e_x * s_of[k])
+            escape * math.sqrt(norm_sq(k)) * s_k * (math.sinh(xk) + e_x * s_k)
         )
 
     log_eps1 = _logaddexp(

@@ -15,9 +15,9 @@ The functional carries prefactor 1/N (no 1/2) on both interaction terms;
 the ``half_prefactor`` switch multiplies both by 1/2 for comparison with
 the pair-summed convention.  The exchange double sum reduces to one
 count per transfer momentum, the modes that stay inside the ball,
-N - n_k^2, read from the rows of the exact coefficient table (N at
-k = 0), so Hartree-Fock adds no lattice pass of its own; the kinetic sum
-is closed form per column.  Both counts are exact integers, so the final
+N - n_k^2, read from the n_k^2 column of the exact coefficient table (N
+at k = 0), so Hartree-Fock adds no lattice pass of its own; the kinetic
+sum is closed form per column.  Both counts are exact integers, so the final
 reduction is a deterministic compensated sum of exact products.
 """
 
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DomainError, NumericalFailure
-from .lattice import FermiBall, ModelParams, norm_sq
+from .lattice import FermiBall, ModelParams
 from .potential import Potential, finite_fsum
-from .rpa_delocalized import QuadraticCoefficients
+from .rpa_delocalized import CoefficientTable
 
 
 @dataclass(frozen=True)
@@ -41,28 +40,25 @@ class HFEnergy:
     total: float
 
 
-def hf_energy(
-    ball: FermiBall,
-    v: Potential,
-    rows: Sequence[QuadraticCoefficients],
-    half_prefactor: bool = False,
-) -> HFEnergy:
+def hf_energy(table: CoefficientTable, v: Potential, half_prefactor: bool = False) -> HFEnergy:
     """Evaluate the plane-wave Hartree-Fock energy, total = kin + dir - exch.
 
-    ``rows`` is ``coefficient_table(ball, v)``.  Rows of any other table
-    break this ball's identity k.f(k) = N|k|^2 / n_k^2 and raise DomainError.
-    A part beyond the double range raises NumericalFailure naming it.
+    ``table`` is ``coefficient_table(ball, v)``; a table over another
+    support, or one not from a FermiBall (which holds no lattice counts),
+    raises DomainError.  A part beyond the double range raises
+    NumericalFailure naming it.
     """
-    stay = {(0, 0, 0): ball.n}
-    for c in rows:
-        if c.kdotf != ball.n * norm_sq(c.k) / c.nk2:
-            raise DomainError(f"row {c.k} is not from the exact table of a {ball.n}-mode ball")
-        stay[c.k] = ball.n - c.nk2
+    ball = table.source
+    if not isinstance(ball, FermiBall):
+        raise DomainError("Hartree-Fock reads the exact coefficient table of a FermiBall")
+    table.require_support(v)
+    stay = (ball.n - table.nk2).tolist()
+    if (0, 0, 0) in v.coeffs:  # first in mode order; every mode stays at k = 0
+        stay.insert(0, ball.n)
     kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())
     direct = ball.n * v.value((0, 0, 0))
-    exchange = finite_fsum(
-        (v.coeffs[k] * stay[k] for k in v.support()), "Hartree-Fock exchange sum"
-    ) / ball.n
+    terms = (v.coeffs[k] * count for k, count in zip(v.support(), stay))
+    exchange = finite_fsum(terms, "Hartree-Fock exchange sum") / ball.n
     if half_prefactor:
         direct *= 0.5
         exchange *= 0.5

@@ -136,12 +136,21 @@ def closed_shell_sizes(max_radius_sq: int) -> List[Tuple[int, int]]:
 
     Returns (radius_sq, count) pairs for each integer s <= max_radius_sq
     that is actually realized as |h|^2 of a lattice point; counts are the
-    sizes of the closed shells and are strictly increasing.
+    sizes of the closed shells and are strictly increasing.  The levels
+    are binned one z-slice of the column table at a time, so memory is
+    O(max_radius_sq), not O(count).
     """
     if max_radius_sq < 0:
         raise DomainError("max_radius_sq must be >= 0")
-    pts = _expand_columns(_column_tops(max_radius_sq))
-    per_level = np.bincount(np.einsum("ij,ij->i", pts, pts))
+    top = _column_tops(max_radius_sq)
+    r = top.shape[0] // 2
+    ax = np.arange(-r, r + 1, dtype=np.int64)
+    rho_sq = ax[:, None] ** 2 + ax[None, :] ** 2
+    per_level = np.zeros(max_radius_sq + 1, dtype=np.int64)
+    for z in range(r + 1):
+        # the slices at z and -z hold the same levels
+        weight = 1 if z == 0 else 2
+        per_level += weight * np.bincount(rho_sq[top >= z] + z * z, minlength=max_radius_sq + 1)
     cumulative = np.cumsum(per_level)
     return [(int(s), int(cumulative[s])) for s in np.flatnonzero(per_level)]
 
@@ -255,36 +264,20 @@ def nk_asymptotic(params: ModelParams, k: Momentum) -> float:
     return math.sqrt(max(0.0, value))
 
 
-@dataclass(frozen=True)
-class KineticCoefficient:
-    """Exact k.f(k) as the integer ratio numerator/count = N|k|^2 / n_k^2.
+def kinetic_coefficient(ball: FermiBall, k: Momentum) -> Tuple[int, float]:
+    """The pair (n_k^2, k.f(k)): the lune count and k.f(k) = N|k|^2 / n_k^2.
 
-    kdotf is that ratio rounded once on output.
-    """
-
-    k: Momentum
-    count: int
-    numerator: int
-
-    @property
-    def kdotf(self) -> float:
-        return self.numerator / self.count
-
-
-def kinetic_coefficient(ball: FermiBall, k: Momentum) -> KineticCoefficient:
-    """Exact k.f(k) = (1/n_k^2) sum over pairs of k.(2h+k) = N|k|^2 / n_k^2.
-
-    B_F = -B_F makes the stay set S = {h in B_F : h+k in B_F} satisfy
-    S + k = -S, so the sum of k.(2h+k) = |h+k|^2 - |h|^2 over S vanishes
-    and the lune sum equals the ball sum N|k|^2 (the ball sums h to 0).
-    Only the lune count is counted; raises DomainError when no pair carries
-    the transfer momentum k (in particular for k = 0).
+    k.f(k) = (1/n_k^2) sum over pairs of k.(2h+k).  B_F = -B_F makes the
+    stay set S = {h in B_F : h+k in B_F} satisfy S + k = -S, so the sum of
+    k.(2h+k) = |h+k|^2 - |h|^2 over S vanishes and the lune sum equals the
+    ball sum N|k|^2 (the ball sums h to 0).  Only the lune count is
+    counted, and the integer ratio is rounded once.  Raises DomainError
+    when no pair carries the transfer momentum k (in particular for k = 0).
     """
     count = lune_count(ball, k)
     if count == 0:
         raise DomainError(f"no particle-hole pair with transfer momentum {tuple(k)}")
-    k = tuple(int(c) for c in k)
-    return KineticCoefficient(k=k, count=count, numerator=ball.n * norm_sq(k))
+    return count, ball.n * norm_sq(tuple(int(c) for c in k)) / count
 
 
 def kinetic_coefficient_asymptotic(params: ModelParams, k: Momentum) -> float:

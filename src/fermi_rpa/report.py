@@ -70,8 +70,8 @@ def energy_report(
     continuum = coefficient_table(params, v)
     so_deloc = second_order_delocalized(params, v)
     so_opt = second_order_optimal(v, params)
-    budget = assemble_error_budget(continuum, continuum, v, n)
-    hf = hf_energy(ball, v, exact)
+    budget = assemble_error_budget(continuum, continuum, v)
+    hf = hf_energy(exact, v)
     return EnergyReport(
         n=n,
         hbar=params.hbar,

@@ -20,10 +20,14 @@ A ``ModelParams`` gives their continuum limits:
 with n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3) and k.f(k) the continuum
 kinetic coefficient; like the second-order closed form below, they hold
 only on the lens domain |k| <= 2 k_F (``lens_norm``), and a momentum
-beyond it raises DomainError.  Each coefficient row carries k, alpha_k, beta_k,
-n_k^2 and k.f(k).  A function takes either a source or the rows of
-``coefficient_table``, never both, so one table per source serves the
-minimum, the Hartree-Fock exchange and the error budget.
+beyond it raises DomainError.  ``coefficient_table`` returns one
+``CoefficientTable``: its source, the momenta ``ks`` and the columns
+alpha_k, beta_k, n_k^2 and k.f(k) aligned with them.  Every reader zips
+the columns by position, so one table per source serves the minimum, the
+Hartree-Fock exchange and the error budget.  The row arithmetic is
+IEEE basic operations and sqrt on float64 columns, which give the bits of
+the same expression on Python floats; sums are ``math.fsum`` and the
+logarithms stay on Python floats.
 
 For a real even kernel X the quadratic energy is
 
@@ -33,28 +37,28 @@ minimized in closed form at X0(k) = -(1/2) artanh(beta_k/alpha_k) with
 minimum sum_k (1/2)(sqrt(alpha_k^2 - beta_k^2) - alpha_k) < 0.  Expanding
 the minimum to second order in the potential gives
 
-    -sum_k beta_k^2 / (4 (alpha_k - beta_k))                (rows of a table)
+    -sum_k beta_k^2 / (4 (alpha_k - beta_k))                (a table)
     -hbar (pi/2)(9/32) sum_k V(k)^2 |k|                     (ModelParams);
 
-on the exact rows the first is -(1/(2 hbar^2 N^2)) sum_k V(k)^2 n_k^4 / (2 k.f(k)).
+on the exact table the first is -(1/(2 hbar^2 N^2)) sum_k V(k)^2 n_k^4 / (2 k.f(k)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Union
+
+import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .lattice import (
     FermiBall,
     KINETIC_SHAPE_CONSTANT,
-    KineticCoefficient,
     LUNE_SHAPE_CONSTANT,
     ModelParams,
     Momentum,
     kinetic_coefficient,
-    kinetic_coefficient_asymptotic,
     lens_norm,
     orbit_representative,
 )
@@ -65,134 +69,116 @@ SECOND_ORDER_PREFACTOR = (math.pi / 2.0) * (9.0 / 32.0)
 # the backend: exact lattice counts on a FermiBall, closed forms on a ModelParams
 Source = Union[FermiBall, ModelParams]
 
+# an overflow to inf, or an inf - inf, is silent on Python floats; so it is
+# in the row arithmetic
+_ieee_rows = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Per-momentum quadratic-form coefficients, 0 <= |beta| and beta <= alpha.
+class CoefficientTable:
+    """Quadratic-form coefficients of every nonzero support momentum, by column.
 
-    ``nk2`` and ``kdotf`` are the n_k^2 and k.f(k) the coefficients were
-    built from (an exact integer count and a rounded ratio on a FermiBall,
-    the closed forms on a ModelParams); NaN on a hand-built form.
+    Row i is the momentum ``ks[i]``; ``alpha``, ``beta``, ``nk2`` and
+    ``kdotf`` are float64 columns.  ``nk2`` and ``kdotf`` are the n_k^2 and
+    k.f(k) the coefficients were built from: an exact count and a ratio
+    rounded once on a FermiBall ``source``, the closed forms on a ModelParams.
     """
 
-    k: Momentum
-    alpha: float
-    beta: float
-    nk2: float = math.nan
-    kdotf: float = math.nan
+    source: Source
+    ks: List[Momentum]
+    alpha: np.ndarray
+    beta: np.ndarray
+    nk2: np.ndarray
+    kdotf: np.ndarray
+
+    def require_support(self, v: Potential) -> None:
+        """DomainError unless the rows are the support of ``v`` minus k = 0, in mode order."""
+        if self.ks != v.correlation_support():
+            raise DomainError("the coefficient table is not over the support of this potential")
 
 
-@dataclass(frozen=True)
-class BogoliubovKernel:
-    """Real even kernel k -> X(k) defining the pair-quadratic trial state."""
+@_ieee_rows
+def coefficient_table(source: Source, v: Potential) -> CoefficientTable:
+    """The coefficients of every nonzero support momentum of ``v``, in mode order.
 
-    values: Dict[Momentum, float]
-
-    def __post_init__(self):
-        for k, x in self.values.items():
-            mirror = self.values.get((-k[0], -k[1], -k[2]))
-            if mirror is None or mirror != x:
-                raise DomainError(f"kernel must be even: X{k} = {x}, X(-k) = {mirror}")
-
-    def value(self, k: Momentum) -> float:
-        return self.values.get(tuple(k), 0.0)
-
-    def abs_sum(self) -> float:
-        # fsum is exactly rounded, so the order of the terms does not matter
-        return math.fsum(abs(x) for x in self.values.values())
-
-
-def _lattice_row(
-    v: Potential, k: Momentum, kinetic: KineticCoefficient, n: int, hbar_sq: float
-) -> QuadraticCoefficients:
-    """The exact row at k from the lattice counts of k's cubic orbit."""
-    nk2, kdotf = kinetic.count, kinetic.kdotf
-    beta = v.value(k) * nk2 / n
-    alpha = hbar_sq * kdotf + beta
-    return QuadraticCoefficients(k=k, alpha=alpha, beta=beta, nk2=nk2, kdotf=kdotf)
-
-
-def _continuum_row(params: ModelParams, v: Potential, k: Momentum) -> QuadraticCoefficients:
-    """The continuum row at k; DomainError beyond the lens domain."""
-    kn = lens_norm(params, k)
-    nk2 = kn * params.n * params.hbar * LUNE_SHAPE_CONSTANT
-    kdotf = kinetic_coefficient_asymptotic(params, k)
-    beta = params.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
-    alpha = params.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
-    return QuadraticCoefficients(k=k, alpha=alpha, beta=beta, nk2=nk2, kdotf=kdotf)
-
-
-def coefficient_table(source: Source, v: Potential) -> List[QuadraticCoefficients]:
-    """Coefficients for every nonzero support momentum, in mode order.
-
-    This is the only row builder.  On a FermiBall the lattice counts are
+    This is the only table builder.  On a FermiBall the lattice counts are
     made once per cubic orbit, at its representative, in the order the
     support first meets each orbit; a count of zero raises DomainError.
     """
-    support = v.correlation_support()
+    ks = v.correlation_support()
+    vs = np.array([v.coeffs[k] for k in ks], dtype=float)
     if isinstance(source, ModelParams):
-        return [_continuum_row(source, v, k) for k in support]
-    reps = [orbit_representative(k) for k in support]
-    kinetic = {rep: kinetic_coefficient(source, rep) for rep in dict.fromkeys(reps)}
-    hbar_sq = ModelParams(source.n).hbar ** 2
-    return [
-        _lattice_row(v, k, kinetic[rep], source.n, hbar_sq) for k, rep in zip(support, reps)
-    ]
+        kn = np.array([lens_norm(source, k) for k in ks], dtype=float)
+        nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
+        kdotf = kn * source.n ** (1.0 / 3.0) * KINETIC_SHAPE_CONSTANT
+        beta = source.hbar * LUNE_SHAPE_CONSTANT * vs * kn
+        alpha = source.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
+    else:
+        reps = [orbit_representative(k) for k in ks]
+        kinetic = {rep: kinetic_coefficient(source, rep) for rep in dict.fromkeys(reps)}
+        nk2, kdotf = np.array([kinetic[rep] for rep in reps], dtype=float).reshape(-1, 2).T
+        beta = vs * nk2 / source.n
+        alpha = ModelParams(source.n).hbar ** 2 * kdotf + beta
+    return CoefficientTable(source, ks, alpha, beta, nk2, kdotf)
 
 
-def _check_row(c: QuadraticCoefficients) -> None:
-    """Require |beta| < alpha, which the minimum and its minimizer need.
+def _check_rows(table: CoefficientTable) -> None:
+    """Require |beta| < alpha on every row, which the minimum, its minimizer
+    and the second order need.
 
     A row built from a source has alpha = hbar^2 k.f(k) + beta with
     k.f(k) > 0, so for beta > 0 alpha >= beta exactly, and rounding is
     monotone: alpha == beta there means the kinetic part was lost to
     rounding, a NumericalFailure.  Any other |beta| >= alpha (beta < 0 on
     a strongly attractive potential, or a hand-built form) is a DomainError.
+    The first such row in mode order is reported.
     """
-    if abs(c.beta) >= c.alpha:
-        if c.beta > 0.0 and c.kdotf > 0.0:
-            raise NumericalFailure(
-                f"alpha - beta = hbar^2 k.f(k) > 0 is lost to rounding at k = {c.k}: "
-                f"alpha = beta = {c.beta}"
-            )
-        raise DomainError(f"|beta| = {abs(c.beta)} >= alpha = {c.alpha} at k = {c.k}")
+    bad = np.flatnonzero(np.abs(table.beta) >= table.alpha)
+    if bad.size == 0:
+        return
+    i = int(bad[0])
+    k, alpha, beta = table.ks[i], float(table.alpha[i]), float(table.beta[i])
+    if beta > 0.0 and table.kdotf[i] > 0.0:
+        raise NumericalFailure(
+            f"alpha - beta = hbar^2 k.f(k) > 0 is lost to rounding at k = {k}: "
+            f"alpha = beta = {beta}"
+        )
+    raise DomainError(f"|beta| = {abs(beta)} >= alpha = {alpha} at k = {k}")
 
 
-def optimal_kernel(c: QuadraticCoefficients) -> float:
-    """Closed-form minimizer -(1/2) artanh(beta/alpha) of the quadratic form.
+def optimal_kernel(table: CoefficientTable) -> List[float]:
+    """Closed-form minimizer -(1/2) artanh(beta/alpha) of every row, aligned with ``ks``.
 
     Evaluated as -(1/4)[log1p(t) - log1p(-t)] with t = beta/alpha for
     accuracy at small coupling.
     """
-    _check_row(c)
-    t = c.beta / c.alpha
-    return -0.25 * (math.log1p(t) - math.log1p(-t))
+    _check_rows(table)
+    return [-0.25 * (math.log1p(t) - math.log1p(-t)) for t in (table.beta / table.alpha).tolist()]
 
 
-def _minimum_term(c: QuadraticCoefficients) -> float:
-    # (1/2)(sqrt(a^2-b^2) - a) rewritten as -b^2 / (2(sqrt(a^2-b^2) + a)),
-    # stable for |b| << a
-    _check_row(c)
-    root = math.sqrt((c.alpha - c.beta) * (c.alpha + c.beta))
-    return -c.beta * c.beta / (2.0 * (root + c.alpha))
-
-
-def correlation_delocalized(coeffs: Sequence[QuadraticCoefficients]) -> float:
+@_ieee_rows
+def correlation_delocalized(table: CoefficientTable) -> float:
     """Optimal delocalized-pair correlation energy of a coefficient table.
 
     The minimum of the quadratic energy, sum_k (1/2)(sqrt(a^2-b^2) - a).
     """
-    return math.fsum(_minimum_term(c) for c in coeffs)
+    _check_rows(table)
+    a, b = table.alpha, table.beta
+    # (1/2)(sqrt(a^2-b^2) - a) rewritten as -b^2 / (2(sqrt(a^2-b^2) + a)),
+    # stable for |b| << a
+    return math.fsum((-b * b / (2.0 * (np.sqrt((a - b) * (a + b)) + a))).tolist())
 
 
+@_ieee_rows
 def second_order_delocalized(
-    source: Union[ModelParams, Sequence[QuadraticCoefficients]], v: Optional[Potential] = None
+    source: Union[ModelParams, CoefficientTable], v: Optional[Potential] = None
 ) -> float:
     """Second-order expansion of the minimum in the potential strength.
 
-    On the rows of a coefficient table it is -sum_k beta^2 / (4 (alpha - beta)),
-    since alpha - beta = hbar^2 k.f(k) carries no potential.  On a
-    ModelParams it is the closed form over the support of ``v``.
+    On a coefficient table it is -sum_k beta^2 / (4 (alpha - beta)), since
+    alpha - beta = hbar^2 k.f(k) carries no potential; a row without
+    |beta| < alpha fails as it does for the minimum.  On a ModelParams it
+    is the closed form over the support of ``v``.
     """
     if isinstance(source, ModelParams):
         acc = finite_fsum(
@@ -200,4 +186,6 @@ def second_order_delocalized(
             "sum_k |k| V(k)^2",
         )
         return -source.hbar * SECOND_ORDER_PREFACTOR * acc
-    return -math.fsum(c.beta * c.beta / (4.0 * (c.alpha - c.beta)) for c in source)
+    _check_rows(source)
+    a, b = source.alpha, source.beta
+    return -math.fsum((b * b / (4.0 * (a - b))).tolist())

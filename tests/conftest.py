@@ -1,9 +1,32 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fermi_rpa.fock_oracle import build_mode_set
 from fermi_rpa.lattice import build_fermi_ball
 from fermi_rpa.potential import make_potential
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as the module ``name``, registered in sys.modules
+    (dataclasses look their module up there, and run.py imports workloads by name)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path  # run.py puts perfbench/ first on the path
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,9 @@ pair list is a brute-force scan of the ball, the c-commutator bound
 constant is a per-hole loop over plain tuples, and the Fock oracle's sums
 go through np.unique and np.add.at.  The bosonized trial-state functional
 sums its per-momentum terms directly, so the variational tests can check
-the package's closed-form minimum against it.
+the package's closed-form minimum against it.  The coefficient rows are
+built one momentum at a time on Python floats, with one lattice count per
+momentum, so the columnar table can be checked against them with ``==``.
 """
 
 import math
@@ -15,7 +17,17 @@ import math
 import numpy as np
 
 from fermi_rpa.errors import DomainError
-from fermi_rpa.rpa_delocalized import BogoliubovKernel, optimal_kernel
+from fermi_rpa.lattice import (
+    KINETIC_SHAPE_CONSTANT,
+    LUNE_SHAPE_CONSTANT,
+    FermiBall,
+    ModelParams,
+    kinetic_coefficient_asymptotic,
+    lens_norm,
+    lune_count,
+    norm_sq,
+)
+from fermi_rpa.rpa_delocalized import CoefficientTable
 from conftest import brute_force_ball
 
 
@@ -74,22 +86,59 @@ def minimize_pair_energy(alpha, beta):
     return x_min, profile(x_min)
 
 
-def optimal_kernel_table(coeffs):
-    """The closed-form minimizer of every row, as a kernel."""
-    return BogoliubovKernel(values={c.k: optimal_kernel(c) for c in coeffs})
+def coefficient_rows(source, v):
+    """(k, alpha, beta, n_k^2, k.f(k)) of every nonzero support momentum, row by row.
+
+    The lattice row makes its own count per momentum (no orbit sharing);
+    the continuum row evaluates the closed forms.  Every operation is on
+    Python floats and ints, in the order the formulas are written.
+    """
+    rows = []
+    for k in v.correlation_support():
+        if isinstance(source, FermiBall):
+            count = lune_count(source, k)
+            kdotf = source.n * norm_sq(k) / count
+            beta = v.value(k) * count / source.n
+            alpha = ModelParams(source.n).hbar ** 2 * kdotf + beta
+            rows.append((k, alpha, beta, count, kdotf))
+        else:
+            kn = lens_norm(source, k)
+            nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
+            kdotf = kinetic_coefficient_asymptotic(source, k)
+            beta = source.hbar * LUNE_SHAPE_CONSTANT * v.value(k) * kn
+            alpha = source.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
+            rows.append((k, alpha, beta, nk2, kdotf))
+    return rows
 
 
-def bosonized_functional(coeffs, xi):
-    """Quadratic trial-state energy sum_k alpha sinh^2 X + beta sinh X cosh X."""
-    known = {c.k for c in coeffs}
-    missing = [k for k in xi.values if k not in known]
-    if missing:
-        raise DomainError(f"no quadratic coefficients for {missing[0]}")
+def table_rows(table):
+    """The rows of a coefficient table, in the layout of ``coefficient_rows``."""
+    columns = (table.alpha, table.beta, table.nk2, table.kdotf)
+    return list(zip(table.ks, *(c.tolist() for c in columns)))
+
+
+def hand_table(*rows):
+    """A coefficient table of hand-picked (k, alpha, beta) rows.
+
+    It has no source, and no count behind it: n_k^2 and k.f(k) are NaN.
+    """
+    nan = np.full(len(rows), math.nan)
+    alpha = np.array([a for _, a, _ in rows], dtype=float)
+    beta = np.array([b for _, _, b in rows], dtype=float)
+    return CoefficientTable(None, [k for k, _, _ in rows], alpha, beta, nan, nan)
+
+
+def bosonized_functional(table, xi):
+    """Quadratic trial-state energy sum_k alpha sinh^2 X + beta sinh X cosh X.
+
+    ``xi`` holds X(k) for every row of the table, in its order.
+    """
+    if len(xi) != len(table.ks):
+        raise DomainError(f"{len(xi)} kernel values for {len(table.ks)} coefficient rows")
     terms = []
-    for c in coeffs:
-        x = xi.value(c.k)
+    for alpha, beta, x in zip(table.alpha.tolist(), table.beta.tolist(), xi):
         sh, ch = math.sinh(x), math.cosh(x)
-        terms.append(c.alpha * sh * sh + c.beta * sh * ch)
+        terms.append(alpha * sh * sh + beta * sh * ch)
     return math.fsum(terms)
 
 

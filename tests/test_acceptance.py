@@ -36,7 +36,6 @@ from fermi_rpa.lattice import (
 from fermi_rpa.potential import make_potential
 from fermi_rpa.quadrature import integrate_adaptive
 from fermi_rpa.rpa_delocalized import (
-    QuadraticCoefficients,
     coefficient_table,
     correlation_delocalized,
     second_order_delocalized,
@@ -49,7 +48,7 @@ from fermi_rpa.rpa_optimal import (
 )
 
 from conftest import scaled_potential
-from oracles import amplitudes, minimize_pair_energy
+from oracles import amplitudes, hand_table, minimize_pair_energy
 
 # extended-precision reference for (9/32)/(1 - log 2), frozen from a
 # 40-digit evaluation
@@ -150,7 +149,7 @@ def test_criterion_5_closed_form_minimizer():
             beta = rng.uniform(1e-3, 0.999) * alpha
             x_numeric, value_numeric = minimize_pair_energy(alpha, beta)
             assert abs(x_numeric - 0.5 * math.atanh(beta / alpha)) < 1e-8
-            closed = correlation_delocalized([QuadraticCoefficients((1, 0, 0), alpha, beta)])
+            closed = correlation_delocalized(hand_table(((1, 0, 0), alpha, beta)))
             assert abs(value_numeric - closed) < 1e-12
 
 
@@ -171,7 +170,7 @@ def test_criterion_6_lattice_asymptotics():
             )
             kf_err.append(
                 abs(
-                    kinetic_coefficient(ball, k).kdotf
+                    kinetic_coefficient(ball, k)[1]
                     / kinetic_coefficient_asymptotic(params, k)
                     - 1.0
                 )
@@ -239,8 +238,8 @@ def test_criterion_8_error_budget_scaling(weak_potential):
         logs = []
         for radius_sq in (4, 16, 64, 256, 1024):
             n = dict(closed_shell_sizes(radius_sq))[radius_sq]
-            rows = coefficient_table(ModelParams(n), weak_potential)
-            budget = assemble_error_budget(rows, rows, weak_potential, n)
+            table = coefficient_table(ModelParams(n), weak_potential)
+            budget = assemble_error_budget(table, table, weak_potential)
             logs.append(budget.log_total_times_n)
         assert max(logs) - min(logs) < 0.2, f"log spread {max(logs) - min(logs)}"
 
@@ -251,5 +250,5 @@ def test_criterion_9_hf_density_limit():
         v = make_potential({(0, 0, 0): 0.0})
         n = dict(closed_shell_sizes(256))[256]
         ball = build_fermi_ball(n)
-        energy = hf_energy(ball, v, coefficient_table(ball, v))
+        energy = hf_energy(coefficient_table(ball, v), v)
         assert abs(energy.kinetic / n / limit - 1.0) < 0.02

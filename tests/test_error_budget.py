@@ -14,13 +14,8 @@ from fermi_rpa.error_budget import (
 from fermi_rpa.errors import DomainError
 from fermi_rpa.lattice import ModelParams
 from fermi_rpa.potential import make_potential
-from fermi_rpa.rpa_delocalized import (
-    BogoliubovKernel,
-    coefficient_table,
-    optimal_kernel,
-)
+from fermi_rpa.rpa_delocalized import coefficient_table, optimal_kernel
 from conftest import scaled_potential
-from oracles import optimal_kernel_table
 
 
 def test_c_small_value():
@@ -59,41 +54,42 @@ def test_a_constants_domain_error():
 def test_kernel_zero_potential():
     v = make_potential({(1, 0, 0): 0.0})
     xi = optimal_kernel_magnitudes(v)
-    assert all(x == 0.0 for x in xi.values.values())
+    assert xi == [0.0, 0.0]
 
 
 def test_kernel_exponent_identity(demo_potential):
     xi = optimal_kernel_magnitudes(demo_potential)
-    for k in demo_potential.correlation_support():
-        lhs = math.exp(2.0 * abs(xi.value(k)))
+    for k, x in zip(demo_potential.correlation_support(), xi, strict=True):
+        lhs = math.exp(2.0 * abs(x))
         rhs = math.sqrt(1.0 + C_SMALL * demo_potential.value(k))
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
 def test_kernel_exact_backend_shares_minimizer_path(ball7):
-    # the lattice kernel is the minimizer's table, not a budget code path
+    # the lattice kernel is the minimizer of each row, not a budget code path:
+    # the row's -(1/4)(log1p(t) - log1p(-t)), t = beta/alpha, on Python floats
     v = make_potential({(1, 0, 0): 1.0})
     table = coefficient_table(ball7, v)
-    xi = optimal_kernel_table(table)
-    for c in table:
-        assert xi.value(c.k) == optimal_kernel(c)
+    rows = zip(table.alpha.tolist(), table.beta.tolist())
+    by_row = [-0.25 * (math.log1p(b / a) - math.log1p(-b / a)) for a, b in rows]
+    assert optimal_kernel(table) == by_row
 
 
 def test_budget_kernel_is_not_the_continuum_minimizer():
     # the closed-form budget kernel uses c; the continuum minimizer has c/2
     v = make_potential({(1, 0, 0): 0.05})
     params = ModelParams(33)
-    budget_kernel = optimal_kernel_magnitudes(v).value((1, 0, 0))
-    minimizer = optimal_kernel_table(coefficient_table(params, v)).value((1, 0, 0))
+    # the support is [(-1, 0, 0), (1, 0, 0)]
+    budget_kernel = optimal_kernel_magnitudes(v)[1]
+    minimizer = optimal_kernel(coefficient_table(params, v))[1]
     assert budget_kernel == pytest.approx(-0.25 * math.log1p(C_SMALL * 0.05), rel=1e-15)
     assert minimizer == pytest.approx(-0.25 * math.log1p(0.5 * C_SMALL * 0.05), rel=1e-13)
     assert round(budget_kernel, 4) == -0.0641 and round(minimizer, 4) == -0.0341
 
 
 def test_particle_number_constant_values():
-    zero = BogoliubovKernel({(1, 0, 0): 0.0, (-1, 0, 0): 0.0})
-    assert particle_number_constant(zero, 3) == 0.0
-    unit = BogoliubovKernel({(1, 0, 0): 0.5, (-1, 0, 0): 0.5})  # sum |X| = 1
+    assert particle_number_constant([0.0, 0.0], 3) == 0.0
+    unit = [0.5, -0.5]  # sum |X| = 1
     assert particle_number_constant(unit, 3) == pytest.approx(3000.0, rel=1e-15)
 
 
@@ -104,8 +100,8 @@ def test_particle_number_constant_750_a1(demo_potential):
 
 
 def continuum_budget(v, n):
-    rows = coefficient_table(ModelParams(n), v)
-    return assemble_error_budget(rows, rows, v, n)
+    table = coefficient_table(ModelParams(n), v)
+    return assemble_error_budget(table, table, v)
 
 
 def test_bounds_zero_potential():
@@ -147,13 +143,22 @@ def test_bounds_monotone_in_coupling(weak_potential):
 def test_exact_backend_runs(ball33, weak_potential):
     exact = coefficient_table(ball33, weak_potential)
     continuum = coefficient_table(ModelParams(33), weak_potential)
-    bounds = assemble_error_budget(exact, continuum, weak_potential, 33)
+    bounds = assemble_error_budget(exact, continuum, weak_potential)
     assert math.isfinite(bounds.log_total)
+    assert bounds.n == 33
+
+
+def test_budget_reads_the_table_of_its_own_potential(ball33, weak_potential):
+    # the columns are read by position, so a table over another support is refused
+    other = make_potential({(1, 1, 0): 1e-4})
+    continuum = coefficient_table(ModelParams(33), weak_potential)
+    with pytest.raises(DomainError, match="^the coefficient table is not over the support"):
+        assemble_error_budget(coefficient_table(ball33, other), continuum, weak_potential)
 
 
 def test_budget_reports_crossover(demo_potential):
     continuum = coefficient_table(ModelParams(257), demo_potential)
-    budget = assemble_error_budget(continuum, continuum, demo_potential, 257)
+    budget = assemble_error_budget(continuum, continuum, demo_potential)
     # worst-case constants: certification crossover far beyond desk scale
     assert budget.log_crossover_n > math.log(1e12)
     # at desk scale the bound exceeds the signal

@@ -20,7 +20,7 @@ from conftest import brute_force_ball
 def test_single_mode_free():
     ball = build_fermi_ball(1)
     v = make_potential({(0, 0, 0): 0.0})
-    energy = hf_energy(ball, v, coefficient_table(ball, v))
+    energy = hf_energy(coefficient_table(ball, v), v)
     assert (energy.kinetic, energy.direct, energy.exchange, energy.total) == (
         0.0,
         0.0,
@@ -33,7 +33,7 @@ def test_single_mode_contact():
     # one plane wave: the double sums collapse to V(0), so direct cancels exchange
     ball = build_fermi_ball(1)
     v = make_potential({(0, 0, 0): 1.0})
-    energy = hf_energy(ball, v, coefficient_table(ball, v))
+    energy = hf_energy(coefficient_table(ball, v), v)
     assert energy.kinetic == 0.0
     assert energy.direct == 1.0
     assert energy.exchange == 1.0
@@ -41,12 +41,15 @@ def test_single_mode_contact():
 
 
 def test_shape_mismatch():
-    # the exchange reads stay counts only from the exact table of the same ball
+    # the exchange reads stay counts only from an exact table over v's support
     ball = build_fermi_ball(7)
     v = make_potential({(0, 0, 0): 1.0, (1, 0, 0): 0.5})
-    for rows in (coefficient_table(build_fermi_ball(33), v), coefficient_table(ModelParams(7), v)):
-        with pytest.raises(DomainError, match=r"^row \(.*\) is not from the exact table of a 7-mode ball$"):
-            hf_energy(ball, v, rows)
+    continuum = coefficient_table(ModelParams(7), v)
+    with pytest.raises(DomainError, match=r"^Hartree-Fock reads the exact coefficient table of a "):
+        hf_energy(continuum, v)
+    other = coefficient_table(ball, make_potential({(0, 0, 0): 1.0, (0, 1, 0): 0.5}))
+    with pytest.raises(DomainError, match=r"^the coefficient table is not over the support of "):
+        hf_energy(other, v)
 
 
 def test_exchange_double_sum_brute_force(demo_potential):
@@ -62,24 +65,25 @@ def test_exchange_double_sum_brute_force(demo_potential):
         )
         / ball.n
     )
-    energy = hf_energy(ball, demo_potential, coefficient_table(ball, demo_potential))
+    energy = hf_energy(coefficient_table(ball, demo_potential), demo_potential)
     assert energy.exchange == pytest.approx(expected, rel=1e-13)
 
 
 def test_exchange_symmetric_in_reversal(demo_potential, ball33):
     # reversing the potential-support iteration cannot move the compensated sum
-    energy = hf_energy(ball33, demo_potential, coefficient_table(ball33, demo_potential))
+    energy = hf_energy(coefficient_table(ball33, demo_potential), demo_potential)
     flipped = make_potential(
         dict(reversed(list(demo_potential.coeffs.items()))),
         support_radius_sq=demo_potential.support_radius_sq,
     )
-    again = hf_energy(ball33, flipped, coefficient_table(ball33, flipped))
+    again = hf_energy(coefficient_table(ball33, flipped), flipped)
     assert energy.exchange == again.exchange
 
 
 def test_half_prefactor_switch(demo_potential, ball33):
-    full = hf_energy(ball33, demo_potential, coefficient_table(ball33, demo_potential))
-    half = hf_energy(ball33, demo_potential, coefficient_table(ball33, demo_potential), half_prefactor=True)
+    table = coefficient_table(ball33, demo_potential)
+    full = hf_energy(table, demo_potential)
+    half = hf_energy(table, demo_potential, half_prefactor=True)
     assert half.direct == pytest.approx(0.5 * full.direct, rel=1e-15)
     assert half.exchange == pytest.approx(0.5 * full.exchange, rel=1e-15)
     assert half.kinetic == full.kinetic
@@ -92,7 +96,7 @@ def test_kinetic_density_limit():
     for radius_sq in (4, 16, 64, 256):
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
         ball = build_fermi_ball(n)
-        energy = hf_energy(ball, v, coefficient_table(ball, v))
+        energy = hf_energy(coefficient_table(ball, v), v)
         rel_errors.append(abs(energy.kinetic / n / limit - 1.0))
     assert rel_errors[-1] < 0.02
     assert rel_errors[-1] < rel_errors[0]
@@ -103,7 +107,7 @@ def test_exchange_is_lower_order(demo_potential):
     for radius_sq in (4, 16, 64):
         n = dict(closed_shell_sizes(radius_sq))[radius_sq]
         ball = build_fermi_ball(n)
-        energy = hf_energy(ball, demo_potential, coefficient_table(ball, demo_potential))
+        energy = hf_energy(coefficient_table(ball, demo_potential), demo_potential)
         ratios.append(energy.exchange / n)
     assert ratios[0] > ratios[1] > ratios[2]
     assert ratios[-1] < 0.01
@@ -113,6 +117,6 @@ def test_kinetic_is_hbar2_times_shell_sum(ball33):
     v = make_potential({(0, 0, 0): 0.0})
     params = ModelParams(33)
     shell_sum = sum(norm_sq(h) for h in _expand_columns(ball33.column_tops).tolist())
-    energy = hf_energy(ball33, v, coefficient_table(ball33, v))
+    energy = hf_energy(coefficient_table(ball33, v), v)
     assert energy.kinetic == pytest.approx(params.hbar ** 2 * shell_sum, rel=1e-15)
     assert energy.kinetic >= 0.0

@@ -9,6 +9,8 @@ from fermi_rpa.errors import DomainError
 from fermi_rpa.hf import hf_energy
 from fermi_rpa.lattice import (
     ModelParams,
+    _ball_size,
+    _column_tops,
     _expand_columns,
     build_fermi_ball,
     closed_shell_sizes,
@@ -52,6 +54,13 @@ def test_closed_shell_sizes_against_brute_force():
     levels = dict(closed_shell_sizes(9))
     for s, count in levels.items():
         assert count == len(brute_force_ball(s))
+
+
+def test_closed_shell_sizes_are_the_ball_sizes_of_every_level():
+    # every s up to 4096: a level is attained exactly where the ball grows
+    sizes = [_ball_size(_column_tops(s)) for s in range(4097)]
+    attained = [(s, size) for s, size in enumerate(sizes) if s == 0 or size > sizes[s - 1]]
+    assert closed_shell_sizes(4096) == attained
 
 
 def test_closed_shell_counts_strictly_increasing():
@@ -220,22 +229,18 @@ def test_nk_asymptotic_algebraic_identity():
 
 
 def test_kinetic_coefficient_seven(ball7):
-    kc = kinetic_coefficient(ball7, (1, 0, 0))
-    assert kc.kdotf == 7 / 5
-    assert kc.count == 5
-    assert kc.numerator == 7
+    assert kinetic_coefficient(ball7, (1, 0, 0)) == (5, 7 / 5)
 
 
 def test_kinetic_coefficient_positive(ball33):
     for k in [(1, 0, 0), (1, 1, 0), (2, 0, 1), (0, 0, 2)]:
-        assert kinetic_coefficient(ball33, k).kdotf > 0.0
+        assert kinetic_coefficient(ball33, k)[1] > 0.0
 
 
 def test_kinetic_coefficient_even(ball33):
     for k in [(1, 0, 0), (1, 1, 0), (2, 1, 0)]:
         neg = tuple(-c for c in k)
-        plus, minus = kinetic_coefficient(ball33, k), kinetic_coefficient(ball33, neg)
-        assert (plus.count, plus.numerator) == (minus.count, minus.numerator)
+        assert kinetic_coefficient(ball33, k) == kinetic_coefficient(ball33, neg)
 
 
 def test_kinetic_coefficient_empty():
@@ -245,9 +250,13 @@ def test_kinetic_coefficient_empty():
 
 def test_kinetic_identity_exact(ball33):
     # sum over the lune of k.(2h+k) telescopes to N|k|^2 on symmetric balls
+    lattice = modes(ball33)
     for k in [(1, 0, 0), (1, 1, 0), (2, 1, 0)]:
-        kc = kinetic_coefficient(ball33, k)
-        assert kc.numerator == ball33.n * norm_sq(k)
+        members = set(lattice)
+        lune = [h for h in lattice if (h[0] + k[0], h[1] + k[1], h[2] + k[2]) not in members]
+        pair_sum = sum(k[i] * (2 * h[i] + k[i]) for h in lune for i in range(3))
+        assert pair_sum == ball33.n * norm_sq(k)
+        assert kinetic_coefficient(ball33, k) == (len(lune), pair_sum / len(lune))
 
 
 def test_kinetic_asymptotic_value():
@@ -324,18 +333,18 @@ def test_column_kernel_matches_brute_force(radius_sq, k):
     assert lune_count(ball, k) == len(lune)
     # HF reads the stay count N - n_k^2 for every support momentum
     v = make_potential({k: 1.0})
-    exchange = hf_energy(ball, v, coefficient_table(ball, v)).exchange
+    exchange = hf_energy(coefficient_table(ball, v), v).exchange
     assert exchange == (2 * stay if any(k) else stay) / ball.n
     if not lune:
         assert k == (0, 0, 0)
         with pytest.raises(DomainError, match="^no particle-hole pair with transfer momentum "):
             kinetic_coefficient(ball, k)
         return
-    kc = kinetic_coefficient(ball, k)
-    assert kc.count == len(lune)
     # the pair sum k.(2h+k) over the lune, counted point by point, equals
     # the closed-shell numerator N |k|^2 for every k
-    assert kc.numerator == sum(k[i] * (2 * h[i] + k[i]) for h in lune for i in range(3))
+    pair_sum = sum(k[i] * (2 * h[i] + k[i]) for h in lune for i in range(3))
+    assert pair_sum == ball.n * norm_sq(k)
+    assert kinetic_coefficient(ball, k) == (len(lune), pair_sum / len(lune))
 
 
 def test_column_kernel_large_n_against_numpy_scan():
@@ -353,9 +362,10 @@ def test_column_kernel_large_n_against_numpy_scan():
         out = (shifted * shifted).sum(axis=1) > radius_sq
         count = int(out.sum())
         assert lune_count(ball, k) == count
-        kc = kinetic_coefficient(ball, k)
         psum = 2 * pts[out].sum(axis=0) + count * np.asarray(k)
-        assert kc.numerator == int(np.dot(k, psum))
+        pair_sum = int(np.dot(k, psum))
+        assert pair_sum == ball.n * norm_sq(k)
+        assert kinetic_coefficient(ball, k) == (count, pair_sum / count)
 
 
 # the 48 signed permutations of the axes, as (permutation, signs)
@@ -413,7 +423,8 @@ def test_integer_arithmetic_exact_near_a_billion():
     # one row: the stay count as a Python-int sum of column overlaps
     k = (2, -1, 5)
     v = make_potential({k: 0.01})
-    row = next(c for c in coefficient_table(ball, v) if c.k == k)
+    table = coefficient_table(ball, v)
+    nk2, kdotf = table.nk2[table.ks.index(k)], table.kdotf[table.ks.index(k)]
     stay = 0
     m = top.shape[0]
     for i in range(max(0, -k[0]), min(m, m - k[0])):
@@ -423,8 +434,9 @@ def test_integer_arithmetic_exact_near_a_billion():
         lo = np.maximum(-source, -target - k[2])
         hi = np.minimum(source, target - k[2])
         stay += sum(np.maximum(hi - lo + 1, 0).tolist())
-    assert type(row.nk2) is int and row.nk2 == ball.n - stay
+    # the count is exact in its float64 column: it is below 2^53
+    assert nk2 == ball.n - stay < 2**53
     numerator = ball.n * norm_sq(k)
     assert numerator == 30_000_100_590
-    assert kinetic_coefficient(ball, k).numerator == numerator
-    assert row.kdotf == numerator / (ball.n - stay)
+    assert kinetic_coefficient(ball, k) == (ball.n - stay, numerator / (ball.n - stay))
+    assert kdotf == numerator / (ball.n - stay)

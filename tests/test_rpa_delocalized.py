@@ -5,20 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermi_rpa.errors import DomainError
-from fermi_rpa.lattice import ModelParams, build_fermi_ball, kinetic_coefficient
-from fermi_rpa.potential import make_potential
+from fermi_rpa.errors import DomainError, NumericalFailure
+from fermi_rpa.lattice import ModelParams, build_fermi_ball
+from fermi_rpa.potential import load_potential, make_potential
 from fermi_rpa.rpa_delocalized import (
-    BogoliubovKernel,
-    QuadraticCoefficients,
     coefficient_table,
     correlation_delocalized,
     optimal_kernel,
     second_order_delocalized,
 )
-import fermi_rpa.rpa_delocalized as rpa_delocalized
-from conftest import brute_force_ball, scaled_potential
-from oracles import bosonized_functional, minimize_pair_energy, optimal_kernel_table
+from conftest import brute_force_ball, load_perfbench, scaled_potential
+from oracles import (
+    bosonized_functional,
+    coefficient_rows,
+    hand_table,
+    minimize_pair_energy,
+    table_rows,
+)
 
 
 def g_of(alpha, beta):
@@ -26,86 +29,81 @@ def g_of(alpha, beta):
 
 
 def row_at(table, k):
-    (row,) = [c for c in table if c.k == k]
-    return row
+    """(alpha, beta) of the row at k."""
+    i = table.ks.index(k)
+    return table.alpha[i], table.beta[i]
 
 
 def test_exact_coefficients_seven(ball7):
     v = make_potential({(1, 0, 0): 1.0})
-    c = row_at(coefficient_table(ball7, v), (1, 0, 0))
-    assert c.beta == pytest.approx(5.0 / 7.0, rel=1e-15)
-    assert c.alpha == pytest.approx(7.0 ** (-2.0 / 3.0) * (7.0 / 5.0) + 5.0 / 7.0, rel=1e-15)
+    alpha, beta = row_at(coefficient_table(ball7, v), (1, 0, 0))
+    assert beta == pytest.approx(5.0 / 7.0, rel=1e-15)
+    assert alpha == pytest.approx(7.0 ** (-2.0 / 3.0) * (7.0 / 5.0) + 5.0 / 7.0, rel=1e-15)
 
 
 def test_free_coefficients_have_zero_beta(ball7):
     v = make_potential({(1, 0, 0): 0.0})
-    c = row_at(coefficient_table(ball7, v), (1, 0, 0))
-    assert c.beta == 0.0
-    assert c.alpha > 0.0
+    alpha, beta = row_at(coefficient_table(ball7, v), (1, 0, 0))
+    assert beta == 0.0
+    assert alpha > 0.0
 
 
 def test_asymptotic_gap_independent_of_potential():
     params = ModelParams(2109)
     strong = make_potential({(1, 0, 0): 3.0})
     weak = make_potential({(1, 0, 0): 0.01})
-    c1 = row_at(coefficient_table(params, strong), (1, 0, 0))
-    c2 = row_at(coefficient_table(params, weak), (1, 0, 0))
+    alpha1, beta1 = row_at(coefficient_table(params, strong), (1, 0, 0))
+    alpha2, beta2 = row_at(coefficient_table(params, weak), (1, 0, 0))
     gap = params.hbar * (4 / (3 * math.sqrt(math.pi))) ** (2 / 3)
-    assert c1.alpha - c1.beta == pytest.approx(gap, rel=1e-14)
-    assert c2.alpha - c2.beta == pytest.approx(gap, rel=1e-14)
+    assert alpha1 - beta1 == pytest.approx(gap, rel=1e-14)
+    assert alpha2 - beta2 == pytest.approx(gap, rel=1e-14)
 
 
 def test_table_leaves_out_zero_momentum(ball7):
     # V(0) feeds Hartree-Fock only; no table has a row at k = 0
     v = make_potential({(0, 0, 0): 1.0, (1, 0, 0): 1.0})
     for source in (ball7, ModelParams(7)):
-        assert [c.k for c in coefficient_table(source, v)] == [(-1, 0, 0), (1, 0, 0)]
+        assert coefficient_table(source, v).ks == [(-1, 0, 0), (1, 0, 0)]
 
 
 def test_optimal_kernel_zero_beta():
-    assert optimal_kernel(QuadraticCoefficients((1, 0, 0), alpha=2.0, beta=0.0)) == 0.0
+    assert optimal_kernel(hand_table(((1, 0, 0), 2.0, 0.0))) == [0.0]
 
 
 def test_optimal_kernel_tanh_inverse():
     beta_over_alpha = math.tanh(0.2)
-    c = QuadraticCoefficients((1, 0, 0), alpha=1.0, beta=beta_over_alpha)
-    assert optimal_kernel(c) == pytest.approx(-0.1, abs=1e-15)
+    (x,) = optimal_kernel(hand_table(((1, 0, 0), 1.0, beta_over_alpha)))
+    assert x == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_optimal_kernel_degenerate_boundary():
     with pytest.raises(DomainError, match=r"^\|beta\| = 1.0 >= alpha = 1.0 at k = \(1, 0, 0\)$"):
-        optimal_kernel(QuadraticCoefficients((1, 0, 0), alpha=1.0, beta=1.0))
+        optimal_kernel(hand_table(((1, 0, 0), 1.0, 1.0)))
     with pytest.raises(DomainError, match=r"^\|beta\| = 1.5 >= alpha = 1.0 at k = \(1, 0, 0\)$"):
-        optimal_kernel(QuadraticCoefficients((1, 0, 0), alpha=1.0, beta=1.5))
+        optimal_kernel(hand_table(((1, 0, 0), 1.0, 1.5)))
 
 
 def test_minimum_energy_three_four_five():
-    c = QuadraticCoefficients((1, 0, 0), alpha=5.0, beta=3.0)
-    assert correlation_delocalized([c]) == pytest.approx(-0.5, rel=1e-15)
+    assert correlation_delocalized(hand_table(((1, 0, 0), 5.0, 3.0))) == pytest.approx(
+        -0.5, rel=1e-15
+    )
 
 
 def test_minimum_energy_zero_beta():
-    coeffs = [
-        QuadraticCoefficients((1, 0, 0), alpha=1.0, beta=0.0),
-        QuadraticCoefficients((-1, 0, 0), alpha=1.0, beta=0.0),
-    ]
+    coeffs = hand_table(((1, 0, 0), 1.0, 0.0), ((-1, 0, 0), 1.0, 0.0))
     assert correlation_delocalized(coeffs) == 0.0
 
 
 def test_functional_vanishes_at_zero_kernel(ball7):
     v = make_potential({(1, 0, 0): 1.0})
     coeffs = coefficient_table(ball7, v)
-    xi = BogoliubovKernel({c.k: 0.0 for c in coeffs})
-    assert bosonized_functional(coeffs, xi) == 0.0
+    assert bosonized_functional(coeffs, [0.0] * len(coeffs.ks)) == 0.0
 
 
 def test_functional_single_momentum_form():
-    coeffs = [
-        QuadraticCoefficients((1, 0, 0), alpha=2.0, beta=1.0),
-        QuadraticCoefficients((-1, 0, 0), alpha=2.0, beta=1.0),
-    ]
+    coeffs = hand_table(((1, 0, 0), 2.0, 1.0), ((-1, 0, 0), 2.0, 1.0))
     x = -0.3
-    xi = BogoliubovKernel({(1, 0, 0): x, (-1, 0, 0): x})
+    xi = [x, x]
     per_momentum = 2.0 * math.sinh(x) ** 2 + 1.0 * math.sinh(x) * math.cosh(x)
     assert bosonized_functional(coeffs, xi) == pytest.approx(2 * per_momentum, rel=1e-15)
     # negative kernel values reproduce the one-variable profile at |x|
@@ -113,14 +111,13 @@ def test_functional_single_momentum_form():
 
 
 def test_functional_missing_coefficient():
-    xi = BogoliubovKernel({(1, 0, 0): 0.1, (-1, 0, 0): 0.1})
-    with pytest.raises(DomainError, match=r"^no quadratic coefficients for \(-1, 0, 0\)$"):
-        bosonized_functional([QuadraticCoefficients((1, 0, 0), 1.0, 0.5)], xi)
+    with pytest.raises(DomainError, match=r"^2 kernel values for 1 coefficient rows$"):
+        bosonized_functional(hand_table(((1, 0, 0), 1.0, 0.5)), [0.1, 0.1])
 
 
 def test_functional_at_optimum_matches_minimum(ball33, demo_potential):
     coeffs = coefficient_table(ball33, demo_potential)
-    xi = optimal_kernel_table(coeffs)
+    xi = optimal_kernel(coeffs)
     assert bosonized_functional(coeffs, xi) == pytest.approx(
         correlation_delocalized(coeffs), abs=1e-12
     )
@@ -129,13 +126,11 @@ def test_functional_at_optimum_matches_minimum(ball33, demo_potential):
 def test_minimum_below_random_perturbations(ball33, demo_potential):
     rng = np.random.default_rng(7)
     coeffs = coefficient_table(ball33, demo_potential)
-    xi0 = optimal_kernel_table(coeffs)
+    xi0 = optimal_kernel(coeffs)
     best = correlation_delocalized(coeffs)
     for _ in range(64):
         noise = rng.normal(scale=0.2)
-        perturbed = BogoliubovKernel(
-            {k: x + noise for k, x in xi0.values.items()}
-        )
+        perturbed = [x + noise for x in xi0]
         assert bosonized_functional(coeffs, perturbed) >= best - 1e-12
 
 
@@ -146,18 +141,16 @@ def test_closed_form_against_golden_section():
         beta = rng.uniform(1e-3, 0.999) * alpha
         x_star, g_min = minimize_pair_energy(alpha, beta)
         assert x_star == pytest.approx(0.5 * math.atanh(beta / alpha), abs=1e-8)
-        closed = correlation_delocalized([QuadraticCoefficients((1, 0, 0), alpha, beta)])
+        closed = correlation_delocalized(hand_table(((1, 0, 0), alpha, beta)))
         assert g_min == pytest.approx(closed, abs=1e-12)
 
 
 def test_minimizer_stationarity(ball33, demo_potential):
     coeffs = coefficient_table(ball33, demo_potential)
-    for c in coeffs:
-        x_star = abs(optimal_kernel(c))
-        resid = abs(
-            c.alpha * math.sinh(2 * x_star) - c.beta * math.cosh(2 * x_star)
-        )
-        assert resid < 1e-10 * c.alpha
+    for x, alpha, beta in zip(optimal_kernel(coeffs), coeffs.alpha, coeffs.beta):
+        x_star = abs(x)
+        resid = abs(alpha * math.sinh(2 * x_star) - beta * math.cosh(2 * x_star))
+        assert resid < 1e-10 * alpha
 
 
 def test_negativity(ball33, demo_potential):
@@ -210,7 +203,10 @@ def test_second_order_on_exact_rows_is_the_lattice_formula(n):
     ball = build_fermi_ball(n)
     v = nonradial_potential(8, seed=n)
     table = coefficient_table(ball, v)
-    terms = [v.value(c.k) ** 2 * c.nk2 * c.nk2 / (2.0 * c.kdotf) for c in table]
+    terms = [
+        v.value(k) ** 2 * nk2 * nk2 / (2.0 * kdotf)
+        for k, _, _, nk2, kdotf in table_rows(table)
+    ]
     lattice = -math.fsum(terms) / (2.0 * ModelParams(n).hbar ** 2 * n**2)
     assert second_order_delocalized(table) == pytest.approx(lattice, rel=4e-15)
 
@@ -230,22 +226,21 @@ def test_second_order_on_continuum_rows_is_the_closed_form(demo_potential):
 @settings(max_examples=100, deadline=None)
 def test_minimum_term_matches_naive_formula(alpha, ratio):
     beta = alpha * ratio
-    stable = correlation_delocalized([QuadraticCoefficients((1, 0, 0), alpha, beta)])
+    stable = correlation_delocalized(hand_table(((1, 0, 0), alpha, beta)))
     naive = 0.5 * (math.sqrt(alpha * alpha - beta * beta) - alpha)
     assert stable == pytest.approx(naive, abs=1e-13 * alpha)
 
 
 def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential):
-    from fermi_rpa import error_budget, lattice, rpa_delocalized, rpa_optimal
+    from fermi_rpa import error_budget, lattice, report, rpa_delocalized, rpa_optimal
     from fermi_rpa.cli import main
     from fermi_rpa.potential import serialize_potential
     from fermi_rpa.report import energy_report, potential_digest
     from fermi_rpa.rpa_optimal import frequency_brackets
 
-    passes, exact_rows, continuum_rows, integrals, kernels = [], [], [], [], []
+    passes, tables, integrals, kernels = [], [], [], []
     stay_columns = lattice._stay_columns
-    lattice_row = rpa_delocalized._lattice_row
-    continuum_row = rpa_delocalized._continuum_row
+    table_builder = rpa_delocalized.coefficient_table
     gmb_integral = rpa_optimal.gmb_integral
     kernel = error_budget.optimal_kernel_magnitudes
 
@@ -253,13 +248,10 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
         passes.append(k)
         return stay_columns(ball, k)
 
-    def counted_exact_row(v, k, kinetic, n, hbar_sq):
-        exact_rows.append(k)
-        return lattice_row(v, k, kinetic, n, hbar_sq)
-
-    def counted_continuum_row(params, v, k):
-        continuum_rows.append(k)
-        return continuum_row(params, v, k)
+    def counted_table(source, v):
+        table = table_builder(source, v)
+        tables.append((isinstance(source, ModelParams), table.ks))
+        return table
 
     def counted_integral(values, tol):
         integrals.append(values)
@@ -270,8 +262,9 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
         return kernel(v)
 
     monkeypatch.setattr(lattice, "_stay_columns", counted_pass)
-    monkeypatch.setattr(rpa_delocalized, "_lattice_row", counted_exact_row)
-    monkeypatch.setattr(rpa_delocalized, "_continuum_row", counted_continuum_row)
+    # cli calls the builder through its module; report binds its own name
+    monkeypatch.setattr(rpa_delocalized, "coefficient_table", counted_table)
+    monkeypatch.setattr(report, "coefficient_table", counted_table)
     monkeypatch.setattr(rpa_optimal, "gmb_integral", counted_integral)
     monkeypatch.setattr(error_budget, "optimal_kernel_magnitudes", counted_kernel)
     # V(0) feeds the Hartree-Fock direct and exchange terms but needs no pass
@@ -284,8 +277,10 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     assert orbits == [(0, 0, 1), (0, 1, 1)]
     common = ["--n", "33", "--potential", str(path)]
     runs = {
-        "table": lambda: coefficient_table(ball33, v),
-        "second order": lambda: second_order_delocalized(coefficient_table(ball33, v)),
+        "table": lambda: rpa_delocalized.coefficient_table(ball33, v),
+        "second order": lambda: second_order_delocalized(
+            rpa_delocalized.coefficient_table(ball33, v)
+        ),
         "report": lambda: energy_report(33, v, frequency_brackets(v), potential_digest(v)),
         "nk": lambda: main(["nk", *common]),
         "hf": lambda: main(["hf", *common]),
@@ -294,15 +289,14 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     }
     for name, run in runs.items():
         passes.clear()
-        exact_rows.clear()
-        continuum_rows.clear()
+        tables.clear()
         run()
         assert passes == orbits, name
-        # still one exact row per momentum, in support order
-        assert exact_rows == support, name
-        if name in ("report", "errors"):
-            # and one continuum row per momentum
-            assert continuum_rows == support, name
+        # one exact table over the support, and a continuum table only
+        # where the budget's signal needs one
+        continuum = [support] if name in ("report", "errors") else []
+        assert [ks for is_continuum, ks in tables if not is_continuum] == [support], name
+        assert [ks for is_continuum, ks in tables if is_continuum] == continuum, name
 
     # one bracket table per invocation, one budget kernel per budget
     compare = ["compare", "--potential", str(path), "--n-list"]
@@ -342,18 +336,9 @@ def test_orbit_table_equals_per_momentum_rows(n):
     support = v.correlation_support()
     assert len(support) == 738
     table = coefficient_table(ball, v)
-    assert [c.k for c in table] == support
-    # the reference makes one lattice count per momentum
-    hbar_sq = ModelParams(n).hbar ** 2
-    reference = []
-    for k in support:
-        kinetic = kinetic_coefficient(ball, k)
-        beta = v.value(k) * kinetic.count / n
-        alpha = hbar_sq * kinetic.kdotf + beta
-        reference.append(QuadraticCoefficients(k, alpha, beta, kinetic.count, kinetic.kdotf))
-    # every field bit for bit (repr round-trips floats), and the count an exact int
-    assert [repr(c) for c in table] == [repr(c) for c in reference]
-    assert all(type(c.nk2) is int for c in table)
+    assert table.ks == support
+    # the reference makes one lattice count per momentum; every column bit for bit
+    assert table_rows(table) == coefficient_rows(ball, v)
 
 
 @pytest.mark.parametrize("radius_sq", [1, 2, 3, 5])
@@ -363,10 +348,58 @@ def test_orbit_table_against_brute_force(radius_sq):
     ball = build_fermi_ball(len(pts))
     v = nonradial_potential(8, seed=radius_sq)
     hbar_sq = ModelParams(ball.n).hbar ** 2
-    for c in coefficient_table(ball, v):
-        k = c.k
+    for k, alpha, beta, nk2, kdotf in table_rows(coefficient_table(ball, v)):
         count = sum((h[0] + k[0], h[1] + k[1], h[2] + k[2]) not in members for h in pts)
-        assert c.nk2 == count
-        assert c.kdotf == ball.n * (k[0] ** 2 + k[1] ** 2 + k[2] ** 2) / count
-        assert c.beta == v.value(k) * count / ball.n
-        assert c.alpha == hbar_sq * c.kdotf + c.beta
+        assert nk2 == count
+        assert kdotf == ball.n * (k[0] ** 2 + k[1] ** 2 + k[2] ** 2) / count
+        assert beta == v.value(k) * count / ball.n
+        assert alpha == hbar_sq * kdotf + beta
+
+
+@pytest.fixture(scope="module")
+def benchmark_potentials(tmp_path_factory):
+    """The potential documents of the radial and non-radial benchmark workloads, seed 1."""
+    workloads = load_perfbench("workloads")
+    documents = []
+    for name in ("radial-sweep", "lattice-bulk"):
+        directory = tmp_path_factory.mktemp(name)
+        workloads.make_workload(name, 1, directory)
+        (path,) = directory.glob("*.json")
+        documents.append(load_potential(path))
+    return documents
+
+
+@pytest.mark.parametrize("n", [257, 57777])
+@pytest.mark.parametrize("exact", [True, False], ids=["FermiBall", "ModelParams"])
+def test_columns_equal_the_per_row_python_floats(benchmark_potentials, n, exact):
+    source = build_fermi_ball(n) if exact else ModelParams(n)
+    for v in benchmark_potentials:
+        table = coefficient_table(source, v)
+        assert table.source is source
+        assert table_rows(table) == coefficient_rows(source, v)
+
+
+def test_columns_equal_the_per_row_python_floats_at_a_huge_momentum(tmp_path):
+    # |k|^2 = 10^300 still fits a double; the ball's count at k is all of N
+    path = tmp_path / "v.json"
+    path.write_text(
+        '{"support_radius_sq": %d, "coeffs": [{"k": [%d, 0, 0], "v": 0.1}, '
+        '{"k": [1, 1, 0], "v": 0.2}]}' % (10**300, 10**150)
+    )
+    v = load_potential(path)
+    ball = build_fermi_ball(257)
+    rows = coefficient_rows(ball, v)
+    assert table_rows(coefficient_table(ball, v)) == rows
+    assert [nk2 for k, _, _, nk2, _ in rows if abs(k[0]) == 10**150] == [257, 257]
+    # the continuum forms end at the lens domain, before the huge momentum
+    with pytest.raises(DomainError, match=r"^\|k\| = 1e\+150 exceeds the lens-formula domain"):
+        coefficient_table(ModelParams(257), v)
+
+
+def test_second_order_of_a_kinetic_term_lost_to_rounding_fails_like_the_minimum(ball2109):
+    # V = 1e18 makes alpha == beta after rounding, so alpha - beta is 0
+    table = coefficient_table(ball2109, make_potential({(1, 0, 0): 1e18}))
+    message = r"^alpha - beta = hbar\^2 k.f\(k\) > 0 is lost to rounding at k = \(-1, 0, 0\)"
+    for reader in (correlation_delocalized, second_order_delocalized, optimal_kernel):
+        with pytest.raises(NumericalFailure, match=message):
+            reader(table)

@@ -66,3 +66,23 @@ def test_script_golden_stdout(capsys, command):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == GOLDEN[command]
+
+
+@pytest.mark.parametrize(
+    "name, argv, code, message",
+    [
+        ("coupling_scan", ["--n", "2"], 1, "no closed shell with exactly 2 modes; "),
+        ("coupling_scan", ["--scales", "3"], 1, "--scales must be two integers lo:hi, got '3'"),
+        ("coupling_scan", ["--scales", "3:x"], 1, "--scales must be two integers lo:hi, got '3:x'"),
+        ("shell_convergence", ["--k", "0,0,0"], 1, "no particle-hole pair with transfer momentum (0, 0, 0)"),
+        ("shell_convergence", ["--k", "1,0"], 1, "--k must be 3 comma-separated integers, got '1,0'"),
+        ("shell_convergence", ["--shells", "4,a"], 1, "--shells must be comma-separated integers, got '4,a'"),
+    ],
+)
+def test_script_bad_input_is_one_error_line(capsys, name, argv, code, message):
+    # as the CLI does: the error's exit code, one ``error:`` line, no stdout
+    assert load_script(name).main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

@@ -18,33 +18,14 @@ the oracle into this one.  The benchmark files are loaded from their
 paths and only read.
 """
 
-import importlib.util
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import fermi_rpa.cli as cli
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load_perfbench(name):
-    """perfbench/<name>.py as the module ``name``, registered in sys.modules
-    (dataclasses look their module up there, and run.py imports workloads by name)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    path = list(sys.path)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = path  # run.py puts perfbench/ first on the path
-    return module
+from conftest import PERFBENCH, load_perfbench
 
 
 @pytest.fixture(scope="module")
