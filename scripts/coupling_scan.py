@@ -14,7 +14,7 @@ import sys
 
 from fermi_rpa import DEFAULT_TOL
 from fermi_rpa.cli import csv_text, read_potential
-from fermi_rpa.errors import FermiRpaError
+from fermi_rpa.errors import DomainError, FermiRpaError
 from fermi_rpa.lattice import ModelParams, build_fermi_ball
 from fermi_rpa.potential import make_potential
 from fermi_rpa.rpa_delocalized import (
@@ -50,6 +50,11 @@ def scan(args) -> str:
         so_deloc = second_order_delocalized(table)
         gmb = gmb_correlation(frequency_brackets(scaled, args.tol), params).total
         so_opt = second_order_optimal(scaled, params)
+        orders = (("so_delocalized", so_deloc), ("so_optimal", so_opt))
+        zero = [name for name, x in orders if x == 0.0]
+        if zero:  # the deviation columns divide by it
+            zeros = ", ".join(f"{name} = 0" for name in zero)
+            raise DomainError(f"zero second order at s = {s!r}: {zeros}")
         deloc_dev, gmb_dev = abs(deloc / so_deloc - 1.0), abs(gmb / so_opt - 1.0)
         s2 = s ** 2
         rows.append((s, deloc / s2, so_deloc / s2, deloc_dev, gmb / s2, so_opt / s2, gmb_dev))

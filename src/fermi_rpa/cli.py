@@ -320,13 +320,17 @@ def _cmd_oracle(args) -> str:
     v = read_potential(args.potential)
     params = lattice.ModelParams(args.holes_n)
     e1, e2 = (1, 0, 0), (0, 1, 0)
+    # the four exact checks share one trial block, freed before Q is assembled
+    exact = (args.trials, args.seed, max_pairs)
+    xi = fock_oracle.integer_trials(modes, max_pairs, args.trials, args.seed)
     reports = [
-        fock_oracle.verify_almost_ccr(modes, e1, e1, args.trials, args.seed, max_pairs),
-        fock_oracle.verify_almost_ccr(modes, e1, e2, args.trials, args.seed, max_pairs),
-        fock_oracle.verify_c_commutator(modes, e1, e1, args.trials, args.seed, max_pairs),
-        fock_oracle.verify_c_commutator(modes, e1, e2, args.trials, args.seed, max_pairs),
-        fock_oracle.verify_quadratic_interaction(modes, v, params, max_pairs, args.seed),
+        fock_oracle.verify_almost_ccr(modes, e1, e1, *exact, xi=xi),
+        fock_oracle.verify_almost_ccr(modes, e1, e2, *exact, xi=xi),
+        fock_oracle.verify_c_commutator(modes, e1, e1, *exact, xi=xi),
+        fock_oracle.verify_c_commutator(modes, e1, e2, *exact, xi=xi),
     ]
+    del xi
+    reports.append(fock_oracle.verify_quadratic_interaction(modes, v, params, max_pairs, args.seed))
     return "".join(map(json_text, reports))
 
 

@@ -12,7 +12,10 @@ once.  Each pair operator is one array pass over a (terms x keys) mask,
 so only configurations an operator actually reaches are ever stored;
 a pair's fermionic sign is the parity of the occupied modes between its
 hole and its particle.  Equal keys are then summed left to right in
-input order after one stable sort, so every sum has fixed bits.
+input order after one stable sort, so every sum has fixed bits.  The
+exact checks share one trial block and form each distinct image of it
+once, and the pair-quadratic interaction is applied already projected
+to the sector, so no configuration above the pair cap is ever formed.
 
 Truncated-model semantics: with a finite particle cutoff the pair
 operators differ from their infinite-lattice counterparts, so every
@@ -34,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +55,7 @@ from .potential import Potential
 
 MODE_CAP = 40
 GATHER_CHUNK = 1 << 14  # amplitudes gathered at once by one repeat pass
+_SIGNS = np.array([1, -1])  # (-1)^parity, looked up by parity
 
 # (sorted unique int64 configuration keys, complex amplitudes (n,) or (n, trials))
 State = Tuple[np.ndarray, np.ndarray]
@@ -172,7 +175,11 @@ def _column(values: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _drop_zeros(keys: np.ndarray, amps: np.ndarray) -> State:
-    keep = (amps != 0).any(axis=tuple(range(1, amps.ndim)))
+    # one test per float64 part; each amplitude's two results read as one
+    # uint16, reduced over a trial-major copy (numpy reduces a short
+    # contiguous axis an element at a time)
+    nonzero = (amps.view(np.float64) != 0).view(np.uint16)
+    keep = np.ascontiguousarray(np.atleast_2d(nonzero.T)).any(axis=0)
     if keep.all():
         return keys, amps
     return keys[keep], amps[keep]
@@ -194,7 +201,7 @@ def _coalesce(keys: np.ndarray, amps: np.ndarray) -> State:
     fresh = np.ones(len(keys) + 1, dtype=bool)  # a key starts here (and at the end)
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:-1])
     first = np.flatnonzero(fresh[:-1])
-    sums = amps[order[first]]
+    sums = amps.take(order[first], axis=0)
     sums += 0.0
     rows, pos = np.arange(len(first)), first
     step = max(1, GATHER_CHUNK // math.prod(amps.shape[1:]))
@@ -203,7 +210,7 @@ def _coalesce(keys: np.ndarray, amps: np.ndarray) -> State:
         repeat = ~fresh[pos]
         rows, pos = rows[repeat], pos[repeat]
         for lo in range(0, len(rows), step):
-            sums[rows[lo : lo + step]] += amps[order[pos[lo : lo + step]]]
+            sums[rows[lo : lo + step]] += amps.take(order[pos[lo : lo + step]], axis=0)
     return _drop_zeros(keys[first], sums)
 
 
@@ -233,9 +240,8 @@ def _nonzero_trials(state: State) -> np.ndarray:
 
 
 def fermion_sign(keys: np.ndarray, idx: int) -> np.ndarray:
-    """(-1)^(occupied modes below idx) for each configuration key."""
-    below = np.bitwise_count(keys & ((1 << idx) - 1)).astype(np.int64)
-    return 1 - 2 * (below & 1)
+    """(-1)^(occupied modes below idx) for each configuration key, as int64."""
+    return _SIGNS[np.bitwise_count(keys & ((1 << idx) - 1)) & 1]
 
 
 def _apply_pair_terms(
@@ -263,9 +269,9 @@ def _apply_pair_terms(
         if pairs > cap:
             raise NumericalFailure(f"configuration with {pairs} pairs exceeds max_pairs = {cap}")
     between = (1 << p_idx) - (2 << h_idx)  # the modes strictly between h and p
-    sign = -fermion_sign(cfg & between[term], modes.n_modes)
-    terms = amps[row]
-    terms *= _column(weights[term] * sign, amps)
+    factor = (-weights)[term] * fermion_sign(cfg & between[term], modes.n_modes)
+    terms = amps.take(row, axis=0)
+    terms *= _column(factor, amps)
     return _coalesce(new, terms)
 
 
@@ -399,6 +405,17 @@ def random_sector_state(
     return basis[order], np.stack(columns, axis=1)[order]
 
 
+def integer_trials(modes: ModeSet, max_pairs: int, trials: int, seed: int) -> State:
+    """The integer-amplitude trial block of the exact checks, drawn from ``seed``.
+
+    Each exact check draws it first from ``default_rng(seed)`` over the
+    <= max_pairs sector, so a caller running several checks with one
+    seed can form it once and hand it to each as ``xi``.
+    """
+    basis = sector_basis(modes, max_pairs)
+    return random_sector_state(basis, np.random.default_rng(seed), trials, True)
+
+
 # --- verification reports ---------------------------------------------------
 
 
@@ -431,28 +448,46 @@ def verify_almost_ccr(
     trials: int = 100,
     seed: int = 42,
     max_pairs: int = 2,
+    xi: State | None = None,
 ) -> VerificationReport:
     """Check the approximate canonical commutator relations by brute force.
 
     On every trial state xi the residual E(k,l) = [b_k, b*_l] - delta_kl
     must obey ||E xi|| * n_k n_l <= ||N xi|| (computed here with the
     unnormalized operators, so the k = l subtraction is an exact integer),
-    and [b_k, b_l], [b*_k, b*_l] must vanish identically.
+    and [b_k, b_l], [b*_k, b*_l] must vanish identically.  ``xi`` is
+    ``integer_trials(modes, max_pairs, trials, seed)``, drawn here unless
+    given.  Each distinct image is formed once: 6 pair applications at
+    k = l, 10 otherwise.
     """
-    rng = np.random.default_rng(seed)
+    if xi is None:
+        xi = integer_trials(modes, max_pairs, trials, seed)
     mk = modes.lune_size(k)
-    xi = random_sector_state(sector_basis(modes, max_pairs), rng, trials, True)
-    b_k, b_l = (partial(apply_pair_annihilate, k=q, modes=modes) for q in (k, l))
-    bs_k, bs_l = (
-        partial(apply_pair_create, k=q, modes=modes, cap=max_pairs + 2) for q in (k, l)
-    )
+    # an operator is (creates, transfer), so b_k and b_l are one at k = l
+    b_k, b_l, bs_k, bs_l = ((c, tuple(q)) for c in (False, True) for q in (k, l))
+    images = {}  # each operator's image of xi, kept while a later commutator reads it
 
-    def commutator(a, b, *extra):
+    def apply(op, state):
+        creates, q = op
+        if creates:
+            return apply_pair_create(state, q, modes, cap=max_pairs + 2)
+        return apply_pair_annihilate(state, q, modes)
+
+    def commutator(a, b, *extra, keep=False):
         """[a, b] xi plus c * state for each (c, state) in extra."""
-        return _linear_combination([(1, a(b(xi))), (-1, b(a(xi))), *extra])
+        for op in (a, b):
+            if op not in images:
+                images[op] = apply(op, xi)
+        ab = apply(a, images[b])
+        ba = ab if a == b else apply(b, images[a])
+        if not keep:  # no later commutator reads these images
+            for op in {a, b}:
+                del images[op]
+        return _linear_combination([(1, ab), (-1, ba), *extra])
 
-    delta = -float(mk) if tuple(k) == tuple(l) else 0.0
-    resid = _norms(commutator(b_k, bs_l, (delta, xi)))
+    delta = -float(mk) if b_k == b_l else 0.0
+    # b_k xi is read again by [b_k, b_l], b*_l xi by [b*_k, b*_l]
+    resid = _norms(commutator(b_k, bs_l, (delta, xi), keep=True))
     nn = _norms(apply_number(xi))
     ratios = np.divide(resid, nn, out=np.full(trials, math.inf), where=nn > 0)
     # [b_k, b_l] and [b*_k, b*_l] vanish exactly (integer amplitudes)
@@ -482,15 +517,18 @@ def verify_almost_ccr(
 def _c_residual(
     xi: State, k: Momentum, l: Momentum, modes: ModeSet, cap: int, f: Sequence[int]
 ) -> List[State]:
-    """Componentwise [c*_k, b_l] xi + f_i xi with unnormalized operators."""
-    first = apply_c_create(apply_pair_annihilate(xi, l, modes), k, modes, cap=cap)
-    second = apply_c_create(xi, k, modes, cap=cap)
-    return [
-        _linear_combination(
-            [(1, first[i]), (-1, apply_pair_annihilate(second[i], l, modes)), (f[i], xi)]
-        )
-        for i in range(3)
-    ]
+    """Componentwise [c*_k, b_l] xi + f_i xi with unnormalized operators.
+
+    Each intermediate image is released once it is read, largest first.
+    """
+    second = list(apply_c_create(xi, k, modes, cap=cap))
+    for i in range(3):
+        second[i] = apply_pair_annihilate(second[i], l, modes)
+    first = list(apply_c_create(apply_pair_annihilate(xi, l, modes), k, modes, cap=cap))
+    for i in range(3):
+        first[i] = _linear_combination([(1, first[i]), (-1, second[i]), (f[i], xi)])
+        second[i] = None
+    return first
 
 
 def honest_c_bound_constant(modes: ModeSet, k: Momentum, l: Momentum) -> float:
@@ -517,6 +555,7 @@ def verify_c_commutator(
     trials: int = 100,
     seed: int = 42,
     max_pairs: int = 2,
+    xi: State | None = None,
 ) -> VerificationReport:
     """Check [c*_k, b_l] = -delta_kl f(k) + residual with its norm bound.
 
@@ -524,15 +563,17 @@ def verify_c_commutator(
     the residual, contracted with m = k, must obey the exact truncated
     operator-norm constant (``honest_c_bound_constant``); and the
     residual must commute with the fermion number operator, checked in
-    exact integer arithmetic on every trial state.
+    exact integer arithmetic on every trial state.  ``xi`` is
+    ``integer_trials(modes, max_pairs, trials, seed)``, drawn here unless
+    given.
     """
-    rng = np.random.default_rng(seed)
+    if xi is None:
+        xi = integer_trials(modes, max_pairs, trials, seed)
     fsum_vec = modes.pair_vector_sum(k)
     f = fsum_vec if tuple(k) == tuple(l) else (0, 0, 0)
     mk = modes.lune_size(k)
     const = honest_c_bound_constant(modes, k, l)
     mnorm = math.sqrt(norm_sq(k))
-    xi = random_sector_state(sector_basis(modes, max_pairs), rng, trials, True)
     lifted = max_pairs + 1
     resid = _c_residual(xi, k, l, modes, lifted, f)
     # m . residual with m = k (integer contraction keeps exactness)
@@ -585,11 +626,13 @@ def assemble_quadratic_interaction(
 
     Q = (1/2N) sum_k V(k) n_k^2 (2 b*_k b_k + b*_k b*_{-k} + b_{-k} b_k),
     assembled with unnormalized operators (the n_k^2 cancel), compressed
-    to the sector (intermediate configurations above the cap are
-    projected out, matching the compression of a sector matrix).  Every
-    basis configuration carries its position in the key bits above the
-    mode set, so one application of Q to the labelled basis composes all
-    columns at once; the triplets are coalesced, one per (row, col).
+    to the sector: the pair-creating term acts only on the basis
+    configurations with at most max_pairs - 2 pairs, so every kept entry
+    is the one the compression of a sector matrix gives, and no
+    configuration above the cap is formed.  Every basis configuration
+    carries its position in the key bits above the mode set, so one
+    application of Q to the labelled basis composes all columns at once;
+    the triplets are coalesced, one per (row, col).
     """
     basis = sector_basis(modes, max_pairs)
     dim = len(basis)
@@ -606,9 +649,16 @@ def assemble_quadratic_interaction(
 def _apply_quadratic(
     state: State, modes: ModeSet, v: Potential, params: ModelParams, max_pairs: int
 ) -> State:
-    """Q applied term by term; configurations above the cap are dropped."""
-    lifted = max_pairs + 2
-    mode_mask = (1 << modes.n_modes) - 1
+    """Q applied term by term to a sector state, compressed to the sector.
+
+    b*_k b*_{-k} adds two pairs, so only the configurations with at most
+    max_pairs - 2 pairs go into it; b*_k b_k keeps the pair count and
+    b_{-k} b_k lowers it.  So no configuration above max_pairs is ever
+    formed, and a creation that would form one is a bug that raises.
+    """
+    keys, amps = state
+    room = np.bitwise_count(keys & ((1 << modes.n_modes) - 1)) <= 2 * (max_pairs - 2)
+    low = keys[room], amps[room]  # the input of b*_k b*_{-k}
     pieces = []
     for k in v.correlation_support():
         weight = v.value(k) / (2.0 * params.n)
@@ -616,13 +666,11 @@ def _apply_quadratic(
             continue
         neg_k = negate(k)
         b_k = apply_pair_annihilate(state, k, modes)
-        hop = apply_pair_create(b_k, k, modes, cap=lifted)
-        up = apply_pair_create(state, neg_k, modes, cap=lifted)
-        up = apply_pair_create(up, k, modes, cap=lifted)
+        hop = apply_pair_create(b_k, k, modes, cap=max_pairs)
+        up = apply_pair_create(low, neg_k, modes, cap=max_pairs)
+        up = apply_pair_create(up, k, modes, cap=max_pairs)
         down = apply_pair_annihilate(b_k, neg_k, modes)
-        for factor, (keys, amps) in ((2.0 * weight, hop), (weight, up), (weight, down)):
-            keep = np.bitwise_count(keys & mode_mask) <= 2 * max_pairs
-            pieces.append((factor, (keys[keep], amps[keep])))
+        pieces += [(2.0 * weight, hop), (weight, up), (weight, down)]
     if not pieces:
         return state[0][:0], state[1][:0]
     return _linear_combination(pieces)

@@ -10,6 +10,8 @@ sums its per-momentum terms directly, so the variational tests can check
 the package's closed-form minimum against it.  The coefficient rows are
 built one momentum at a time on Python floats, with one lattice count per
 momentum, so the columnar table can be checked against them with ``==``.
+The Fock oracle's pair-quadratic interaction is also applied the long
+way: composed on every configuration first, then projected to the sector.
 """
 
 import math
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from fermi_rpa.errors import DomainError
+from fermi_rpa.fock_oracle import _linear_combination, apply_pair_annihilate, apply_pair_create
 from fermi_rpa.lattice import (
     KINETIC_SHAPE_CONSTANT,
     LUNE_SHAPE_CONSTANT,
@@ -25,6 +28,7 @@ from fermi_rpa.lattice import (
     kinetic_coefficient_asymptotic,
     lens_norm,
     lune_count,
+    negate,
     norm_sq,
 )
 from fermi_rpa.rpa_delocalized import CoefficientTable
@@ -199,3 +203,32 @@ def matvec_reference(triplets, vec):
     out = np.zeros(vec.shape, dtype=complex)
     np.add.at(out, rows, vec[cols] * values.reshape((-1,) + (1,) * (vec.ndim - 1)))
     return out
+
+
+def quadratic_compose_then_project(state, modes, v, params, max_pairs):
+    """Q applied term by term to a sector state, then projected to the sector.
+
+    b*_k b*_{-k} acts on every input configuration, so its creations reach
+    max_pairs + 2 pairs, and each piece is cut to the <= max_pairs sector
+    afterwards: the Fock oracle's direct application before it projected
+    the input first.
+    """
+    lifted = max_pairs + 2
+    mode_mask = (1 << modes.n_modes) - 1
+    pieces = []
+    for k in v.correlation_support():
+        weight = v.value(k) / (2.0 * params.n)
+        if weight == 0.0 or modes.lune_size(k) == 0:
+            continue
+        neg_k = negate(k)
+        b_k = apply_pair_annihilate(state, k, modes)
+        hop = apply_pair_create(b_k, k, modes, cap=lifted)
+        up = apply_pair_create(state, neg_k, modes, cap=lifted)
+        up = apply_pair_create(up, k, modes, cap=lifted)
+        down = apply_pair_annihilate(b_k, neg_k, modes)
+        for factor, (keys, amps) in ((2.0 * weight, hop), (weight, up), (weight, down)):
+            keep = np.bitwise_count(keys & mode_mask) <= 2 * max_pairs
+            pieces.append((factor, (keys[keep], amps[keep])))
+    if not pieces:
+        return state[0][:0], state[1][:0]
+    return _linear_combination(pieces)

@@ -10,6 +10,7 @@ from oracles import (
     coalesce_reference,
     honest_c_bound_reference,
     matvec_reference,
+    quadratic_compose_then_project,
 )
 
 from fermi_rpa import fock_oracle
@@ -286,6 +287,62 @@ def test_sums_match_add_at_reference_bit_for_bit(monkeypatch, capsys, argv):
     assert main(argv.split()) == 0
     assert capsys.readouterr().err == ""
     assert calls["coalesce"] > 100 and calls["matvec"] > 1
+
+
+def quadratic_inputs(modes, max_pairs, rng):
+    """A plain two-trial sector state and a labelled one, as assembly makes it.
+
+    Sectors above 3000 configurations are sampled down to 3000 of them.
+    """
+    basis = sector_basis(modes, max_pairs)
+    if len(basis) > 3000:
+        basis = np.sort(rng.choice(basis, 3000, replace=False))
+    labelled = (np.arange(len(basis), dtype=np.int64) << modes.n_modes) | basis
+    return random_sector_state(basis, rng, 2), (labelled, np.ones(len(basis), dtype=complex))
+
+
+def random_signed_potential(rng):
+    """One to four momenta with |k|^2 <= 3, each with a value in [-1, 1]."""
+    momenta = [k for k in itertools.product(range(-1, 2), repeat=3) if k > (0, 0, 0)]
+    picks = rng.choice(len(momenta), rng.integers(1, 5), replace=False)
+    values = rng.uniform(-1.0, 1.0, len(picks))
+    return make_potential({momenta[i]: float(x) for i, x in zip(picks, values)}, 3)
+
+
+@pytest.mark.parametrize("holes_n, lambda_sq", [(1, 1), (1, 2), (7, 2), (7, 3)])
+@pytest.mark.parametrize("max_pairs", [1, 2, 3, 4])
+def test_projected_quadratic_matches_compose_then_project(holes_n, lambda_sq, max_pairs):
+    # projecting the input of b*_k b*_{-k} to <= max_pairs - 2 pairs forms
+    # fewer configurations, and every kept key the same sum, bit for bit
+    modes = build_mode_set(holes_n, lambda_sq)
+    params = ModelParams(holes_n)
+    rng = np.random.default_rng(100 * holes_n + 10 * lambda_sq + max_pairs)
+    for _ in range(2):
+        v = random_signed_potential(rng)
+        for state in quadratic_inputs(modes, max_pairs, rng):
+            got = fock_oracle._apply_quadratic(state, modes, v, params, max_pairs)
+            expected = quadratic_compose_then_project(state, modes, v, params, max_pairs)
+            assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("max_pairs", [1, 2, 3])
+def test_quadratic_forms_no_configuration_above_the_sector(monkeypatch, demo_potential, max_pairs):
+    # every configuration a pair term forms goes through _coalesce
+    modes = build_mode_set(7, 3)
+    mode_mask = (1 << modes.n_modes) - 1
+    coalesce = fock_oracle._coalesce
+    formed = []
+
+    def checked_coalesce(keys, amps):
+        formed.append(int(np.bitwise_count(keys & mode_mask).max(initial=0)) // 2)
+        return coalesce(keys, amps)
+
+    params = ModelParams(7)
+    psi = random_sector_state(sector_basis(modes, max_pairs), np.random.default_rng(4), 2)
+    monkeypatch.setattr(fock_oracle, "_coalesce", checked_coalesce)
+    assemble_quadratic_interaction(modes, demo_potential, params, max_pairs)
+    fock_oracle._apply_quadratic(psi, modes, demo_potential, params, max_pairs)
+    assert len(formed) > 10 and max(formed) == max_pairs
 
 
 def test_coalesce_hand_cases():

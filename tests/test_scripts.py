@@ -86,3 +86,17 @@ def test_script_bad_input_is_one_error_line(capsys, name, argv, code, message):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_coupling_scan_zero_second_order_is_one_error_line(capsys, tmp_path):
+    # every deviation divides by the second orders; a potential that is 0
+    # on its whole support makes both 0 at every scale
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": 0.0}]}))
+    argv = ["--n", "33", "--scales", "3:4", "--potential", str(path)]
+    assert load_script("coupling_scan").main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: zero second order at s = 0.125: so_delocalized = 0, so_optimal = 0\n"
+    )
