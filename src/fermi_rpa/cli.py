@@ -292,7 +292,7 @@ def _cmd_compare(args) -> str:
     except ValueError as exc:
         raise FermiRpaError(f"invalid --n-list: {exc}") from exc
     # the brackets depend on V(k) alone: one table serves every N
-    brackets = rpa_optimal.frequency_brackets(v, args.tol) if ns else {}
+    brackets = rpa_optimal.frequency_brackets(v, args.tol) if ns else None
     digest = report.potential_digest(v)
     reports = [report.energy_report(n, v, brackets, digest) for n in ns]
     if args.format == "csv":

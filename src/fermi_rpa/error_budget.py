@@ -25,48 +25,54 @@ lattice counts, that of a ModelParams the leading continuum forms
 (n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3)).  The kernel is the continuum
 closed form and the signal the minimum of the continuum table, whichever
 table the bounds read; on the continuum backend the two are one table.
+A1..A5, the kernel, its exponentials and C_n depend on V alone and are
+formed once per potential; a budget adds only the rows that read N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .lattice import ModelParams, norm_sq
+from .lattice import ModelParams
 from .potential import Potential, l1_norm
-from .rpa_delocalized import CoefficientTable, correlation_delocalized
+from .rpa_delocalized import CoefficientTable, _ieee_rows, correlation_delocalized
 
 C_SMALL = 4.0 * (9.0 * math.pi / 16.0) ** (2.0 / 3.0)
 PARTICLE_ESCAPE_CONSTANT = (6.0 / math.pi) ** (1.0 / 3.0)
 
 
 def a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
-    """The five summed potential constants A1..A5 over the support minus {0}."""
-    support = v.correlation_support()
-    logs, a2t, a3t, a4t, a5t = [], [], [], [], []
-    for k in support:
-        val = v.value(k)
-        arg = 1.0 + C_SMALL * val
-        if arg <= 0.0:
-            raise DomainError(f"1 + c*V(k) = {arg:.6g} <= 0 at k = {k}")
-        lg = abs(math.log(arg))
-        root = math.sqrt(arg)
-        kn = math.sqrt(norm_sq(k))
-        logs.append(lg)
-        a2t.append(abs(val) * root)
-        a3t.append(abs(val) * root * math.sqrt(kn))
-        a4t.append(lg * root * math.sqrt(kn))
-        a5t.append(arg ** 0.25 * math.sqrt(kn))
+    """The five summed potential constants A1..A5 over the support minus {0}.
+
+    They depend on V alone and are formed once per potential.
+    """
+    return v.once(_a_constants)
+
+
+@_ieee_rows
+def _a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
+    arg = 1.0 + C_SMALL * v.vs
+    bad = np.flatnonzero(arg <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"1 + c*V(k) = {float(arg[i]):.6g} <= 0 at k = {v.ks[i]}")
+    args = arg.tolist()
+    logs = np.array([abs(math.log(a)) for a in args])
+    root = np.sqrt(arg)
+    root_kn = np.sqrt(v.kn)
+    val = np.abs(v.vs)
+    quarter = np.array([a ** 0.25 for a in args])
     return (
-        math.fsum(logs),
-        math.fsum(a2t),
-        math.fsum(a3t),
-        math.fsum(a4t),
-        math.fsum(a5t),
+        math.fsum(logs.tolist()),
+        math.fsum((val * root).tolist()),
+        math.fsum((val * root * root_kn).tolist()),
+        math.fsum((logs * root * root_kn).tolist()),
+        math.fsum((quarter * root_kn).tolist()),
     )
 
 
@@ -79,15 +85,42 @@ def optimal_kernel_magnitudes(v: Potential) -> List[float]:
     continuum coefficients equals -(1/4) log1p((c/2) V(k)), half the
     constant (at V = 0.05 the two read -0.0641 and -0.0341).  The lattice
     minimizer is ``rpa_delocalized.optimal_kernel(coefficient_table(ball, v))``.
-    The kernel is even because V is.
+    The kernel is even because V is.  It is formed once per potential.
     """
-    values = []
-    for k in v.correlation_support():
-        arg = C_SMALL * v.value(k)
-        if arg <= -1.0:
-            raise DomainError(f"1 + c*V(k) <= 0 at k = {k}")
-        values.append(-0.25 * math.log1p(arg))
-    return values
+    return list(v.once(_kernel).xi)
+
+
+class _Kernel(NamedTuple):
+    """The budget's kernel terms, by row of the potential's columns: all of V alone."""
+
+    xi: List[float]  # X(k)
+    x: np.ndarray  # |X(k)|
+    exp: np.ndarray  # e^|X(k)|
+    sinh: np.ndarray  # sinh |X(k)|
+    quad_lin: np.ndarray  # 4 sinh |X(k)| + 2 cosh |X(k)|
+    v_abs: np.ndarray  # |V(k)|
+    c_n: Dict[str, float]  # Gronwall exponent C_n(X) keyed by the order n
+
+
+@_ieee_rows
+def _kernel(v: Potential) -> _Kernel:
+    arg = C_SMALL * v.vs
+    bad = np.flatnonzero(arg <= -1.0)
+    if bad.size:
+        raise DomainError(f"1 + c*V(k) <= 0 at k = {v.ks[int(bad[0])]}")
+    xi = [-0.25 * math.log1p(a) for a in arg.tolist()]
+    x = list(map(abs, xi))
+    cosh = np.array([math.cosh(a) for a in x])
+    sinh = np.array([math.sinh(a) for a in x])
+    return _Kernel(
+        xi=xi,
+        x=np.array(x),
+        exp=np.array([math.exp(a) for a in x]),
+        sinh=sinh,
+        quad_lin=4.0 * sinh + 2.0 * cosh,
+        v_abs=np.abs(v.vs),
+        c_n={str(m): particle_number_constant(xi, m) for m in (1, 2, 3)},
+    )
 
 
 def particle_number_constant(xi: Sequence[float], n_power: int) -> float:
@@ -123,6 +156,7 @@ class ErrorBudget:
     n: int
 
 
+@_ieee_rows
 def assemble_error_budget(
     table: CoefficientTable, continuum: CoefficientTable, v: Potential
 ) -> ErrorBudget:
@@ -143,31 +177,24 @@ def assemble_error_budget(
     table.require_support(v)
     n = table.source.n
     constants = a_constants(v)
-    xi = optimal_kernel_magnitudes(v)
-    c_n = {str(m): particle_number_constant(xi, m) for m in (1, 2, 3)}
-    c2, c3 = c_n["2"], c_n["3"]
-    n_of = np.sqrt(table.nk2).tolist()
+    kernel = v.once(_kernel)
+    c2, c3 = kernel.c_n["2"], kernel.c_n["3"]
     hbar_sq = ModelParams(n).hbar ** 2
     escape = PARTICLE_ESCAPE_CONSTANT * n ** (1.0 / 3.0)
 
     # weighted kernel sums S_k = sum_m |X(m)| / (n_m n_k) = s_base / n_k
-    s_base = math.fsum(abs(x) / n_m for x, n_m in zip(xi, n_of))
-
-    inner_quad_sq, inner_quad_lin = [], []
-    inner_kin_diag, inner_kin_off = [], []
-    for k, x, n_k, kdotf in zip(table.ks, xi, n_of, table.kdotf.tolist()):
-        xk = abs(x)
-        vk = abs(v.coeffs[k])
-        nk2 = n_k ** 2
-        s_k = s_base / n_k
-        e_x = math.exp(xk)
-        inner_quad_sq.append(vk * nk2 * e_x * e_x * s_k ** 2)
-        inner_quad_lin.append(vk * nk2 * (4.0 * math.sinh(xk) + 2.0 * math.cosh(xk)) * e_x * s_k)
-        inner_kin_diag.append(2.0 * xk * abs(kdotf) * math.sinh(xk) * e_x * 2.0 * s_k)
-        # sum_l |X(l)|/(n_k n_l) collapses to S_k
-        inner_kin_off.append(
-            escape * math.sqrt(norm_sq(k)) * s_k * (math.sinh(xk) + e_x * s_k)
-        )
+    n_k = np.sqrt(table.nk2)
+    s_base = math.fsum((kernel.x / n_k).tolist())
+    s_k = s_base / n_k
+    # the squares are Python's ** (libm pow), one row at a time
+    nk2 = np.array([a ** 2 for a in n_k.tolist()])
+    s_k_sq = np.array([a ** 2 for a in s_k.tolist()])
+    x, e_x, sinh, v_abs = kernel.x, kernel.exp, kernel.sinh, kernel.v_abs
+    inner_quad_sq = (v_abs * nk2 * e_x * e_x * s_k_sq).tolist()
+    inner_quad_lin = (v_abs * nk2 * kernel.quad_lin * e_x * s_k).tolist()
+    inner_kin_diag = (2.0 * x * np.abs(table.kdotf) * sinh * e_x * 2.0 * s_k).tolist()
+    # sum_l |X(l)|/(n_k n_l) collapses to S_k
+    inner_kin_off = (escape * v.kn * s_k * (sinh + e_x * s_k)).tolist()
 
     log_eps1 = _logaddexp(
         c3 + _log(32.0 / n * math.fsum(inner_quad_sq)),
@@ -192,7 +219,7 @@ def assemble_error_budget(
     return ErrorBudget(
         a_constants=constants,
         c_small=C_SMALL,
-        c_n=c_n,
+        c_n=dict(kernel.c_n),
         log_eps1_bound=log_eps1,
         log_eps2_bound=log_eps2,
         log_quartic_bound=log_quartic,

@@ -660,8 +660,8 @@ def _apply_quadratic(
     room = np.bitwise_count(keys & ((1 << modes.n_modes) - 1)) <= 2 * (max_pairs - 2)
     low = keys[room], amps[room]  # the input of b*_k b*_{-k}
     pieces = []
-    for k in v.correlation_support():
-        weight = v.value(k) / (2.0 * params.n)
+    for k, value in zip(v.ks, v.vs.tolist()):
+        weight = value / (2.0 * params.n)
         if weight == 0.0 or modes.lune_size(k) == 0:
             continue
         neg_k = negate(k)
@@ -688,6 +688,24 @@ def _matvec(triplets: Triplets, vec: np.ndarray) -> np.ndarray:
         terms = column[cols] * values
         target.real = np.bincount(rows, terms.real, minlength=len(vec))
         target.imag = np.bincount(rows, terms.imag, minlength=len(vec))
+    return out
+
+
+def _matvec_rows(triplets: Triplets, vec: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``_matvec(triplets, vec)`` on the rows ``targets`` of a 1-D vec, zero on every other row.
+
+    A target row adds the same terms in the same order as in ``_matvec``,
+    so it has the same bits; a vector that vanishes off the targets has
+    the same vdot with it.
+    """
+    rows, cols, values = triplets
+    wanted = np.zeros(len(vec), dtype=bool)
+    wanted[targets] = True
+    picked = np.flatnonzero(wanted[rows])
+    terms = vec[cols[picked]] * values[picked]
+    out = np.empty(vec.shape, dtype=complex)
+    out.real = np.bincount(rows[picked], terms.real, minlength=len(vec))
+    out.imag = np.bincount(rows[picked], terms.imag, minlength=len(vec))
     return out
 
 
@@ -723,7 +741,6 @@ def verify_quadratic_interaction(
     rows, cols, values = triplets
     dim = len(basis)
     scale = tolerance_scale(values)
-    support = v.correlation_support()
     violations: List[str] = []
     # Q - Q^dagger, coalesced over row * dim + col
     _, skew = _coalesce(
@@ -748,19 +765,20 @@ def verify_quadratic_interaction(
             violations.append(f"matrix vs direct deviation {dev:.3e} > {1e-13 * scale:.3g}")
 
     one_pair_dev = 0.0
-    for k in support:
+    for k, value in zip(v.ks, v.vs.tolist()):
         nk2 = modes.lune_size(k)
-        if nk2 == 0 or v.value(k) == 0.0:
+        if nk2 == 0 or value == 0.0:
             continue
         phi = apply_pair_create(vacuum(), k, modes, cap=max_pairs, normalized=True)
         vec = _basis_vector(basis, phi)
-        expect = np.vdot(vec, _matvec(triplets, vec))
-        diagonal = v.value(k) * nk2 / params.n
+        expect = np.vdot(vec, _matvec_rows(triplets, vec, _positions(basis, phi[0])))
+        diagonal = value * nk2 / params.n
+        if math.isinf(diagonal):  # V(k) n_k^2 alone overflows; the quotient, n_k^2 <= N, does not
+            diagonal = value * (nk2 / params.n)
         cross = math.fsum(
-            v.value(kp) / params.n
-            * float(state_norm_sq(apply_pair_annihilate(phi, kp, modes)))
-            for kp in support
-            if tuple(kp) != tuple(k) and modes.lune_size(kp) > 0
+            w / params.n * float(state_norm_sq(apply_pair_annihilate(phi, kp, modes)))
+            for kp, w in zip(v.ks, v.vs.tolist())
+            if kp != k and modes.lune_size(kp) > 0
         )
         dev = abs(expect - (diagonal + cross))
         one_pair_dev = max(one_pair_dev, dev)

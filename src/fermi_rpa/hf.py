@@ -26,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericalFailure
 from .lattice import FermiBall, ModelParams
-from .potential import Potential, finite_fsum
+from .potential import ZERO, Potential, finite_fsum
 from .rpa_delocalized import CoefficientTable
 
 
@@ -52,12 +54,14 @@ def hf_energy(table: CoefficientTable, v: Potential, half_prefactor: bool = Fals
     if not isinstance(ball, FermiBall):
         raise DomainError("Hartree-Fock reads the exact coefficient table of a FermiBall")
     table.require_support(v)
-    stay = (ball.n - table.nk2).tolist()
-    if (0, 0, 0) in v.coeffs:  # first in mode order; every mode stays at k = 0
-        stay.insert(0, ball.n)
     kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())
-    direct = ball.n * v.value((0, 0, 0))
-    terms = (v.coeffs[k] * count for k, count in zip(v.support(), stay))
+    direct = ball.n * v.value(ZERO)
+    # the stay counts N - n_k^2 weighted by V(k); an overflow to inf is
+    # silent on Python floats, and finite_fsum reports it
+    with np.errstate(over="ignore"):
+        terms = (v.vs * (ball.n - table.nk2)).tolist()
+    if ZERO in v.coeffs:  # first in mode order; every mode stays at k = 0
+        terms.insert(0, v.coeffs[ZERO] * ball.n)
     exchange = finite_fsum(terms, "Hartree-Fock exchange sum") / ball.n
     if half_prefactor:
         direct *= 0.5

@@ -49,6 +49,9 @@ Momentum = Tuple[int, int, int]
 KINETIC_SHAPE_CONSTANT = (4.0 / (3.0 * math.sqrt(math.pi))) ** (2.0 / 3.0)
 # (3*sqrt(pi)/4)^(2/3): continuum value of n_k^2 / (|k| N hbar)
 LUNE_SHAPE_CONSTANT = (3.0 * math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
+# the largest radius^2 closed_shell_sizes tabulates: about 4.2e9 modes, and
+# column arrays of (2*1000 + 1)^2 entries (32 MB each)
+LEVEL_CAP = 10**6
 
 
 def norm_sq(k: Momentum) -> int:
@@ -138,10 +141,15 @@ def closed_shell_sizes(max_radius_sq: int) -> List[Tuple[int, int]]:
     that is actually realized as |h|^2 of a lattice point; counts are the
     sizes of the closed shells and are strictly increasing.  The levels
     are binned one z-slice of the column table at a time, so memory is
-    O(max_radius_sq), not O(count).
+    O(max_radius_sq), not O(count); a max_radius_sq above ``LEVEL_CAP``
+    raises DomainError before anything is allocated.
     """
     if max_radius_sq < 0:
         raise DomainError("max_radius_sq must be >= 0")
+    if max_radius_sq > LEVEL_CAP:  # refuse before allocating the column table
+        raise DomainError(
+            f"closed-shell levels up to {max_radius_sq} exceed the cap LEVEL_CAP = {LEVEL_CAP}"
+        )
     top = _column_tops(max_radius_sq)
     r = top.shape[0] // 2
     ax = np.arange(-r, r + 1, dtype=np.int64)
@@ -247,14 +255,23 @@ def lune_count(ball: FermiBall, k: Momentum) -> int:
     return ball.n - int(_stay_columns(ball, k).sum())
 
 
+def _lens_message(params: ModelParams, kn: float) -> str:
+    return f"|k| = {kn:.6g} exceeds the lens-formula domain 2*k_F = {2 * params.kf:.6g}"
+
+
 def lens_norm(params: ModelParams, k: Momentum) -> float:
     """|k| on the domain |k| <= 2 k_F of the continuum forms (the lens of two balls)."""
     kn = math.sqrt(norm_sq(k))
     if kn > 2.0 * params.kf:
-        raise DomainError(
-            f"|k| = {kn:.6g} exceeds the lens-formula domain 2*k_F = {2 * params.kf:.6g}"
-        )
+        raise DomainError(_lens_message(params, kn))
     return kn
+
+
+def check_lens(params: ModelParams, kn: np.ndarray) -> None:
+    """``lens_norm`` of a column of |k|: DomainError naming the first |k| beyond 2 k_F."""
+    beyond = np.flatnonzero(kn > 2.0 * params.kf)
+    if beyond.size:
+        raise DomainError(_lens_message(params, float(kn[beyond[0]])))
 
 
 def nk_asymptotic(params: ModelParams, k: Momentum) -> float:

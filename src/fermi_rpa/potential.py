@@ -19,6 +19,16 @@ that fits in a double, is finite and equals its mirror, so explicit
 mirrors that disagree raise ParseError.  The zero mode V(0) is
 allowed (it feeds the Hartree-Fock direct term) but every correlation
 sum runs over the support with k = 0 removed.
+
+The same validation pass lays that support out as columns in the global
+mode order (see ``Potential``), and every per-momentum reader zips them
+by position: no reader looks a momentum up in the dict or recomputes its
+|k|^2.  The sums of V alone are formed once per potential, on first use
+(``Potential.once``): |V|_1 and sum_k V(k)^2 |k| here, A1..A5 and the
+budget kernel in ``error_budget``.  Row arithmetic on the columns is
+IEEE basic operations and sqrt, which round as the same expression on
+Python floats does; ``**`` and transcendentals stay on Python floats,
+and every sum is ``math.fsum`` of a list in mode order.
 """
 
 from __future__ import annotations
@@ -26,53 +36,100 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+
+import numpy as np
 
 from .errors import NumericalFailure, ParseError
-from .lattice import Momentum, mode_sort_key, negate, norm_sq
+from .lattice import Momentum, orbit_representative
+
+ZERO: Momentum = (0, 0, 0)
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class Potential:
+    """V as a dict ``coeffs`` and as columns of its nonzero support in mode order.
+
+    The validation pass of ``__post_init__`` also builds the columns, each
+    aligned with ``ks`` (the support minus k = 0, in the global mode order):
+    ``k2`` holds |k|^2 as Python ints (components may be as large as
+    10**150), ``kn`` |k| and ``vs`` V(k) as read-only float64 arrays, and
+    ``orbit`` the row's position in ``orbits``, the cubic-orbit
+    representatives in the order ``ks`` first meets them.  Readers zip the
+    columns by position and must not mutate them.  ``once`` keeps the
+    quantities of V alone (sums over the support, the kernel), so a
+    potential forms each of them once for every particle count.
+    """
+
     coeffs: Dict[Momentum, float]
     support_radius_sq: int
 
     def __post_init__(self):
+        norms: Dict[Momentum, int] = {}
         for k, v in self.coeffs.items():
-            if norm_sq(k) > self.support_radius_sq:
+            s = k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
+            if s > self.support_radius_sq:
                 raise ParseError(
                     f"coefficient at {k} lies outside support radius^2 "
                     f"{self.support_radius_sq}"
                 )
             try:
-                float(norm_sq(k))
+                float(s)
             except OverflowError:
                 raise ParseError(
                     f"|k|^2 of the coefficient at {k} does not fit in a double"
                 ) from None
             if not math.isfinite(v):
                 raise ParseError(f"non-finite coefficient at {k}: {v}")
-            mirror = self.coeffs.get(negate(k))
+            minus_k = (-k[0], -k[1], -k[2])
+            mirror = self.coeffs.get(minus_k)
             if mirror is None or mirror != v:
                 raise ParseError(
-                    f"evenness violated: V{k} = {v} and V{negate(k)} = {mirror} disagree"
+                    f"evenness violated: V{k} = {v} and V{minus_k} = {mirror} disagree"
                 )
+            norms[k] = s
+        # the global mode order, |k|^2 then lexicographic: a stable sort by
+        # |k|^2 of the lexicographic order.  k = 0 alone has |k|^2 = 0.
+        ks = sorted(sorted(norms), key=norms.__getitem__)
+        if ks and norms[ks[0]] == 0:
+            del ks[0]
+        reps: Dict[Momentum, int] = {}
+        orbit = np.array(
+            [reps.setdefault(orbit_representative(k), len(reps)) for k in ks], dtype=np.intp
+        )
+        k2 = [norms[k] for k in ks]
+        kn = np.sqrt(np.array(k2, dtype=float))
+        vs = np.array([self.coeffs[k] for k in ks], dtype=float)
+        for column in (kn, vs, orbit):
+            column.flags.writeable = False
+        # plain attributes, not dataclass fields: they follow from coeffs
+        columns = {"ks": ks, "k2": k2, "kn": kn, "vs": vs, "orbits": list(reps), "orbit": orbit}
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_derived", {})
 
     def value(self, k: Momentum) -> float:
         return self.coeffs.get(tuple(k), 0.0)
 
-    @cached_property
-    def _ordered(self) -> Tuple[Momentum, ...]:
-        return tuple(sorted(self.coeffs, key=mode_sort_key))
-
     def support(self) -> List[Momentum]:
         """Stored momenta in the global mode order (zeros retained)."""
-        return list(self._ordered)
+        return [ZERO, *self.ks] if ZERO in self.coeffs else list(self.ks)
 
     def correlation_support(self) -> List[Momentum]:
-        """Support minus the zero mode, in the global mode order."""
-        return [k for k in self._ordered if norm_sq(k) > 0]
+        """Support minus the zero mode, in the global mode order: a copy of ``ks``."""
+        return list(self.ks)
+
+    def once(self, quantity: Callable[["Potential"], T]) -> T:
+        """quantity(self), formed on the first call and kept on this potential.
+
+        For quantities of V alone.  A call that raises keeps nothing, so
+        the next call raises the same error.
+        """
+        derived = self._derived
+        if quantity not in derived:
+            derived[quantity] = quantity(self)
+        return derived[quantity]
 
 
 def make_potential(
@@ -81,11 +138,11 @@ def make_potential(
     """Build a potential from {k: value}, completing -k by evenness."""
     coeffs: Dict[Momentum, float] = {}
     for k, v in entries.items():
-        k = tuple(int(c) for c in k)
-        coeffs[k] = float(v)
-        coeffs.setdefault(negate(k), coeffs[k])
+        x, y, z = k = (int(k[0]), int(k[1]), int(k[2]))
+        coeffs[k] = v = float(v)
+        coeffs.setdefault((-x, -y, -z), v)
     if support_radius_sq is None:
-        support_radius_sq = max((norm_sq(k) for k in coeffs), default=0)
+        support_radius_sq = max((x * x + y * y + z * z for x, y, z in coeffs), default=0)
     return Potential(coeffs=coeffs, support_radius_sq=int(support_radius_sq))
 
 
@@ -120,6 +177,16 @@ def _json_number(value, key: str) -> float:
     return number
 
 
+def _json_momentum(i: int, item) -> Momentum:
+    """The k of the entry coeffs[i], an object with 'k' and 'v': three JSON integers."""
+    entry = f"coeffs[{i}]"
+    if not (isinstance(item, dict) and "k" in item and "v" in item):
+        raise ParseError(f"{entry} must be an object with 'k' and 'v', got {json.dumps(item)}")
+    if not (isinstance(item["k"], list) and len(item["k"]) == 3):
+        raise ParseError(f"{entry}.k must have three components, got {json.dumps(item['k'])}")
+    return tuple(_json_integer(c, f"{entry}.k[{j}]") for j, c in enumerate(item["k"]))
+
+
 def load_potential(path) -> Potential:
     """Read the potential document at ``path`` into make_potential."""
     try:
@@ -136,31 +203,38 @@ def load_potential(path) -> Potential:
 
     explicit: Dict[Momentum, float] = {}
     for i, item in enumerate(doc["coeffs"]):
-        entry = f"coeffs[{i}]"
-        if not (isinstance(item, dict) and "k" in item and "v" in item):
-            raise ParseError(
-                f"{entry} must be an object with 'k' and 'v', got {json.dumps(item)}"
-            )
-        if not (isinstance(item["k"], list) and len(item["k"]) == 3):
-            raise ParseError(
-                f"{entry}.k must have three components, got {json.dumps(item['k'])}"
-            )
-        k = tuple(_json_integer(c, f"{entry}.k[{j}]") for j, c in enumerate(item["k"]))
+        # the usual entry, three ints and a finite float, is read without
+        # naming its keys; any other goes through the checks that name them
+        k, value = (item.get("k"), item.get("v")) if type(item) is dict else (None, None)
+        usual = (
+            type(k) is list
+            and len(k) == 3
+            and type(k[0]) is int
+            and type(k[1]) is int
+            and type(k[2]) is int
+            and type(value) is float
+            and math.isfinite(value)
+        )
+        k = tuple(k) if usual else _json_momentum(i, item)
         if k in explicit:
             raise ParseError(f"duplicate coefficient entry for {k}")
-        explicit[k] = _json_number(item["v"], f"{entry}.v")
+        explicit[k] = value if usual else _json_number(item["v"], f"coeffs[{i}].v")
     return make_potential(explicit, radius_sq)
 
 
 def serialize_potential(v: Potential) -> str:
-    """Canonical JSON document; floats keep full round-trip precision."""
-    entries = [
-        {"k": list(k), "v": v.coeffs[k]} for k in v.support()
-    ]
-    return json.dumps(
-        {"support_radius_sq": v.support_radius_sq, "coeffs": entries},
-        separators=(", ", ": "),
+    """Canonical JSON document; floats keep full round-trip precision.
+
+    The bytes are those of ``json.dumps`` with separators ", " and ": ",
+    which writes an int by its decimal and a finite float by its repr.
+    """
+    values = v.vs.tolist()
+    if ZERO in v.coeffs:
+        values.insert(0, v.coeffs[ZERO])
+    entries = ", ".join(
+        f'{{"k": [{x}, {y}, {z}], "v": {value!r}}}' for (x, y, z), value in zip(v.support(), values)
     )
+    return f'{{"support_radius_sq": {v.support_radius_sq}, "coeffs": [{entries}]}}'
 
 
 def finite_fsum(terms: Iterable[float], quantity: str) -> float:
@@ -176,4 +250,39 @@ def finite_fsum(terms: Iterable[float], quantity: str) -> float:
 
 
 def l1_norm(v: Potential) -> float:
-    return finite_fsum((abs(v.coeffs[k]) for k in v.support()), "sum_k |V(k)|")
+    """sum_k |V(k)| over the support (k = 0 included), formed once per potential."""
+    return v.once(_l1_norm)
+
+
+def _l1_norm(v: Potential) -> float:
+    terms = np.abs(v.vs).tolist()
+    if ZERO in v.coeffs:
+        terms.insert(0, abs(v.coeffs[ZERO]))
+    return finite_fsum(terms, "sum_k |V(k)|")
+
+
+def square_sum(v: Potential, check_rows: Callable[[np.ndarray], None] = None) -> float:
+    """sum_k V(k)^2 |k| over the nonzero support, formed once per potential.
+
+    The terms are read in mode order, and a V(k)^2 that overflows ends the
+    read.  ``check_rows``, when given, sees the |k| column of the rows read
+    before that (all of them when none overflows) and may raise first.  A
+    term or sum beyond the double range then raises NumericalFailure.
+    """
+    total, rows = v.once(_square_sum)
+    if check_rows is not None:
+        check_rows(v.kn[:rows])
+    if total is None:
+        raise NumericalFailure("sum_k |k| V(k)^2 overflows a double")
+    return total
+
+
+def _square_sum(v: Potential) -> Tuple[Optional[float], int]:
+    """(the sum, or None beyond the double range; the count of rows read)."""
+    terms = []
+    try:
+        for x, kn in zip(v.vs.tolist(), v.kn.tolist()):
+            terms.append(x ** 2 * kn)  # Python's ** raises OverflowError on overflow
+        return finite_fsum(terms, "sum_k |k| V(k)^2"), len(terms)
+    except (OverflowError, NumericalFailure):
+        return None, len(terms)

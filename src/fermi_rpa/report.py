@@ -8,20 +8,18 @@ coefficient tables of its own N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from . import second_order_ratio
 from .error_budget import assemble_error_budget
 from .hf import hf_energy
-from .lattice import ModelParams, Momentum, build_fermi_ball
+from .lattice import ModelParams, build_fermi_ball
 from .potential import Potential, serialize_potential
-from .quadrature import IntegralResult
 from .rpa_delocalized import (
     coefficient_table,
     correlation_delocalized,
     second_order_delocalized,
 )
-from .rpa_optimal import gmb_correlation, second_order_optimal
+from .rpa_optimal import FrequencyBrackets, gmb_correlation, second_order_optimal
 
 
 def potential_digest(v: Potential) -> str:
@@ -55,7 +53,7 @@ class EnergyReport:
 
 
 def energy_report(
-    n: int, v: Potential, brackets: Dict[Momentum, IntegralResult], digest: str
+    n: int, v: Potential, brackets: FrequencyBrackets, digest: str
 ) -> EnergyReport:
     """Full comparison record at one particle count.
 

@@ -19,8 +19,8 @@ A ``ModelParams`` gives their continuum limits:
 
 with n_k^2 = |k| N hbar (3 sqrt(pi)/4)^(2/3) and k.f(k) the continuum
 kinetic coefficient; like the second-order closed form below, they hold
-only on the lens domain |k| <= 2 k_F (``lens_norm``), and a momentum
-beyond it raises DomainError.  ``coefficient_table`` returns one
+only on the lens domain |k| <= 2 k_F (``check_lens``), and the first
+momentum beyond it raises DomainError.  ``coefficient_table`` returns one
 ``CoefficientTable``: its source, the momenta ``ks`` and the columns
 alpha_k, beta_k, n_k^2 and k.f(k) aligned with them.  Every reader zips
 the columns by position, so one table per source serves the minimum, the
@@ -58,11 +58,10 @@ from .lattice import (
     LUNE_SHAPE_CONSTANT,
     ModelParams,
     Momentum,
+    check_lens,
     kinetic_coefficient,
-    lens_norm,
-    orbit_representative,
 )
-from .potential import Potential, finite_fsum
+from .potential import Potential, square_sum
 
 SECOND_ORDER_PREFACTOR = (math.pi / 2.0) * (9.0 / 32.0)
 
@@ -93,7 +92,7 @@ class CoefficientTable:
 
     def require_support(self, v: Potential) -> None:
         """DomainError unless the rows are the support of ``v`` minus k = 0, in mode order."""
-        if self.ks != v.correlation_support():
+        if self.ks != v.ks:
             raise DomainError("the coefficient table is not over the support of this potential")
 
 
@@ -101,25 +100,25 @@ class CoefficientTable:
 def coefficient_table(source: Source, v: Potential) -> CoefficientTable:
     """The coefficients of every nonzero support momentum of ``v``, in mode order.
 
-    This is the only table builder.  On a FermiBall the lattice counts are
-    made once per cubic orbit, at its representative, in the order the
-    support first meets each orbit; a count of zero raises DomainError.
+    This is the only table builder, and it reads the potential's columns.
+    On a FermiBall the lattice counts are made once per cubic orbit, at
+    its representative, in the order the support first meets each orbit;
+    a count of zero raises DomainError.  On a ModelParams the first |k|
+    beyond the lens domain raises DomainError.
     """
-    ks = v.correlation_support()
-    vs = np.array([v.coeffs[k] for k in ks], dtype=float)
     if isinstance(source, ModelParams):
-        kn = np.array([lens_norm(source, k) for k in ks], dtype=float)
+        kn = v.kn
+        check_lens(source, kn)
         nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
         kdotf = kn * source.n ** (1.0 / 3.0) * KINETIC_SHAPE_CONSTANT
-        beta = source.hbar * LUNE_SHAPE_CONSTANT * vs * kn
+        beta = source.hbar * LUNE_SHAPE_CONSTANT * v.vs * kn
         alpha = source.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
     else:
-        reps = [orbit_representative(k) for k in ks]
-        kinetic = {rep: kinetic_coefficient(source, rep) for rep in dict.fromkeys(reps)}
-        nk2, kdotf = np.array([kinetic[rep] for rep in reps], dtype=float).reshape(-1, 2).T
-        beta = vs * nk2 / source.n
+        kinetic = [kinetic_coefficient(source, rep) for rep in v.orbits]
+        nk2, kdotf = np.array(kinetic, dtype=float).reshape(-1, 2)[v.orbit].T
+        beta = v.vs * nk2 / source.n
         alpha = ModelParams(source.n).hbar ** 2 * kdotf + beta
-    return CoefficientTable(source, ks, alpha, beta, nk2, kdotf)
+    return CoefficientTable(source, v.ks, alpha, beta, nk2, kdotf)
 
 
 def _check_rows(table: CoefficientTable) -> None:
@@ -181,11 +180,9 @@ def second_order_delocalized(
     is the closed form over the support of ``v``.
     """
     if isinstance(source, ModelParams):
-        acc = finite_fsum(
-            (v.value(k) ** 2 * lens_norm(source, k) for k in v.correlation_support()),
-            "sum_k |k| V(k)^2",
-        )
-        return -source.hbar * SECOND_ORDER_PREFACTOR * acc
+        # a row beyond the lens domain fails where the read reaches it
+        total = square_sum(v, lambda kn: check_lens(source, kn))
+        return -source.hbar * SECOND_ORDER_PREFACTOR * total
     _check_rows(source)
     a, b = source.alpha, source.beta
     return -math.fsum((b * b / (4.0 * (a - b))).tolist())

@@ -30,9 +30,11 @@ values of V on the support and hands them to one ``gmb_integral`` call,
 which integrates all of them in one batched quadrature
 (``quadrature.integrate_adaptive``); each value keeps its own panels and
 stopping rule, so its bracket is bit-for-bit what integrating it alone
-gives.  ``gmb_correlation`` takes that table and never builds one: ``corr``
-builds it once per run and ``compare`` once per invocation, for every N.
-The table is never kept beyond the call that asked for it.
+gives.  The table, a ``FrequencyBrackets``, also holds the |k|-weighted
+sums of the brackets, which depend on V alone; ``gmb_correlation`` only
+scales them by hbar kappa and never builds a table: ``corr`` builds it
+once per run and ``compare`` once per invocation, for every N.  The table
+is never kept beyond the call that asked for it.
 
 Every bracket is checked against the rigorous enclosure
 
@@ -50,14 +52,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
 from . import DEFAULT_TOL
 from .errors import DomainError, NumericalFailure
-from .lattice import ModelParams, Momentum, norm_sq
-from .potential import Potential, finite_fsum
+from .lattice import ModelParams, Momentum
+from .potential import Potential, square_sum
 from .quadrature import IntegralResult, integrate_adaptive
 
 KAPPA = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
@@ -168,42 +170,51 @@ class GMBResult:
     error: float
 
 
-def frequency_brackets(
-    v: Potential, tol: float = DEFAULT_TOL
-) -> Dict[Momentum, IntegralResult]:
+class FrequencyBrackets(NamedTuple):
+    """The bracket of every nonzero support momentum of a potential, and their sums.
+
+    ``results[i]`` is the bracket of ``ks[i]``, the potential's rows in mode
+    order.  ``value_sum`` and ``error_sum`` are the fsums of |k| times the
+    bracket's value and error over the rows; they depend on V alone, so
+    ``gmb_correlation`` only scales them by hbar kappa.
+    """
+
+    ks: List[Momentum]
+    results: List[IntegralResult]
+    value_sum: float
+    error_sum: float
+
+
+@np.errstate(over="ignore")  # |k| times a bracket may overflow to inf, as on Python floats
+def frequency_brackets(v: Potential, tol: float = DEFAULT_TOL) -> FrequencyBrackets:
     """Bracket (1/pi) I(2 pi kappa V(k)) - (pi/2) kappa V(k) and its error per momentum.
 
     One ``gmb_integral`` call integrates every distinct V(k) on the support
     minus {0}, taken in support order; momenta sharing a value share its
     result.
     """
-    support = v.correlation_support()
-    distinct = tuple(dict.fromkeys(v.value(k) for k in support))
-    results = gmb_integral(tuple(2.0 * math.pi * KAPPA * value for value in distinct), tol)
-    by_value = dict(zip(distinct, results))
-    return {k: by_value[v.value(k)] for k in support}
+    index: Dict[float, int] = {}
+    rows = np.array([index.setdefault(value, len(index)) for value in v.vs.tolist()], dtype=np.intp)
+    results = gmb_integral(tuple(2.0 * math.pi * KAPPA * value for value in index), tol)
+    values = np.array([r.value for r in results], dtype=float)[rows]
+    errors = np.array([r.error for r in results], dtype=float)[rows]
+    return FrequencyBrackets(
+        ks=v.ks,
+        results=[results[i] for i in rows.tolist()],
+        value_sum=math.fsum((v.kn * values).tolist()),
+        error_sum=math.fsum((v.kn * errors).tolist()),
+    )
 
 
-def gmb_correlation(
-    brackets: Dict[Momentum, IntegralResult], params: ModelParams
-) -> GMBResult:
+def gmb_correlation(brackets: FrequencyBrackets, params: ModelParams) -> GMBResult:
     """Optimal correlation energy from the brackets of ``frequency_brackets(v, tol)``.
 
-    The table depends on V alone, so one serves every particle count.
+    The brackets depend on V alone, so one table serves every particle count.
     """
-    total = params.hbar * KAPPA * math.fsum(
-        math.sqrt(norm_sq(k)) * bracket.value for k, bracket in brackets.items()
-    )
-    error = params.hbar * KAPPA * math.fsum(
-        math.sqrt(norm_sq(k)) * bracket.error for k, bracket in brackets.items()
-    )
-    return GMBResult(total=total, error=error)
+    scale = params.hbar * KAPPA
+    return GMBResult(total=scale * brackets.value_sum, error=scale * brackets.error_sum)
 
 
 def second_order_optimal(v: Potential, params: ModelParams) -> float:
     """-hbar (pi/2)(1 - log 2) sum_{k != 0} |k| V(k)^2."""
-    acc = finite_fsum(
-        (v.value(k) ** 2 * math.sqrt(norm_sq(k)) for k in v.correlation_support()),
-        "sum_k |k| V(k)^2",
-    )
-    return -params.hbar * SECOND_ORDER_PREFACTOR_OPTIMAL * acc
+    return -params.hbar * SECOND_ORDER_PREFACTOR_OPTIMAL * square_sum(v)

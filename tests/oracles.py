@@ -11,15 +11,37 @@ the package's closed-form minimum against it.  The coefficient rows are
 built one momentum at a time on Python floats, with one lattice count per
 momentum, so the columnar table can be checked against them with ``==``.
 The Fock oracle's pair-quadratic interaction is also applied the long
-way: composed on every configuration first, then projected to the sector.
+way: composed on every configuration first, then projected to the sector,
+and its one-pair expectations take a full matrix-vector product each.
+The potential's columns, the sums of V alone (A1..A5, the kernel,
+sum_k V(k)^2 |k|, |V|_1) and the error budget's row loop are rebuilt one
+momentum at a time from the coefficient dict, as the package built them
+before it held columns.
 """
 
 import math
 
 import numpy as np
 
-from fermi_rpa.errors import DomainError
-from fermi_rpa.fock_oracle import _linear_combination, apply_pair_annihilate, apply_pair_create
+from fermi_rpa.error_budget import (
+    C_SMALL,
+    PARTICLE_ESCAPE_CONSTANT,
+    ErrorBudget,
+    _log,
+    _logaddexp,
+    particle_number_constant,
+)
+from fermi_rpa.errors import DomainError, NumericalFailure
+from fermi_rpa.fock_oracle import (
+    _basis_vector,
+    _linear_combination,
+    _matvec,
+    apply_pair_annihilate,
+    apply_pair_create,
+    state_norm_sq,
+    vacuum,
+)
+from fermi_rpa.hf import HFEnergy
 from fermi_rpa.lattice import (
     KINETIC_SHAPE_CONSTANT,
     LUNE_SHAPE_CONSTANT,
@@ -28,10 +50,13 @@ from fermi_rpa.lattice import (
     kinetic_coefficient_asymptotic,
     lens_norm,
     lune_count,
+    mode_sort_key,
     negate,
     norm_sq,
+    orbit_representative,
 )
-from fermi_rpa.rpa_delocalized import CoefficientTable
+from fermi_rpa.potential import finite_fsum
+from fermi_rpa.rpa_delocalized import CoefficientTable, correlation_delocalized
 from conftest import brute_force_ball
 
 
@@ -232,3 +257,166 @@ def quadratic_compose_then_project(state, modes, v, params, max_pairs):
     if not pieces:
         return state[0][:0], state[1][:0]
     return _linear_combination(pieces)
+
+
+def outcome(fn, *args):
+    """repr of fn(*args), or (exception type, message): comparable with == even for NaN."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, NumericalFailure) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def support_columns(v):
+    """(ks, |k|^2, |k|, V(k), orbit representatives, orbit index) of the nonzero support."""
+    ks = [k for k in sorted(v.coeffs, key=mode_sort_key) if norm_sq(k) > 0]
+    reps = list(dict.fromkeys(orbit_representative(k) for k in ks))
+    return (
+        ks,
+        [norm_sq(k) for k in ks],
+        [math.sqrt(norm_sq(k)) for k in ks],
+        [v.value(k) for k in ks],
+        reps,
+        [reps.index(orbit_representative(k)) for k in ks],
+    )
+
+
+def a_constants_loop(v):
+    """A1..A5, one momentum at a time."""
+    logs, a2t, a3t, a4t, a5t = [], [], [], [], []
+    for k in support_columns(v)[0]:
+        val = v.value(k)
+        arg = 1.0 + C_SMALL * val
+        if arg <= 0.0:
+            raise DomainError(f"1 + c*V(k) = {arg:.6g} <= 0 at k = {k}")
+        lg = abs(math.log(arg))
+        root = math.sqrt(arg)
+        kn = math.sqrt(norm_sq(k))
+        logs.append(lg)
+        a2t.append(abs(val) * root)
+        a3t.append(abs(val) * root * math.sqrt(kn))
+        a4t.append(lg * root * math.sqrt(kn))
+        a5t.append(arg ** 0.25 * math.sqrt(kn))
+    return tuple(math.fsum(t) for t in (logs, a2t, a3t, a4t, a5t))
+
+
+def kernel_loop(v):
+    """X(k) = -(1/4) log1p(c V(k)), one momentum at a time."""
+    values = []
+    for k in support_columns(v)[0]:
+        arg = C_SMALL * v.value(k)
+        if arg <= -1.0:
+            raise DomainError(f"1 + c*V(k) <= 0 at k = {k}")
+        values.append(-0.25 * math.log1p(arg))
+    return values
+
+
+def square_sum_loop(v, params=None):
+    """sum_k V(k)^2 |k|; on a ModelParams each |k| is read through lens_norm."""
+    return finite_fsum(
+        (
+            v.value(k) ** 2 * (math.sqrt(norm_sq(k)) if params is None else lens_norm(params, k))
+            for k in support_columns(v)[0]
+        ),
+        "sum_k |k| V(k)^2",
+    )
+
+
+def l1_norm_loop(v):
+    """|V|_1 over the support, k = 0 included, one momentum at a time."""
+    support = sorted(v.coeffs, key=mode_sort_key)
+    return finite_fsum((abs(v.coeffs[k]) for k in support), "sum_k |V(k)|")
+
+
+def error_budget_loop(table, continuum, v):
+    """The error budget with its inner sums formed one row at a time on Python floats."""
+    n = table.source.n
+    constants = a_constants_loop(v)
+    xi = kernel_loop(v)
+    c_n = {str(m): particle_number_constant(xi, m) for m in (1, 2, 3)}
+    c2, c3 = c_n["2"], c_n["3"]
+    n_of = np.sqrt(table.nk2).tolist()
+    hbar_sq = ModelParams(n).hbar ** 2
+    escape = PARTICLE_ESCAPE_CONSTANT * n ** (1.0 / 3.0)
+    s_base = math.fsum(abs(x) / n_m for x, n_m in zip(xi, n_of))
+    quad_sq, quad_lin, kin_diag, kin_off = [], [], [], []
+    for k, x, n_k, kdotf in zip(table.ks, xi, n_of, table.kdotf.tolist()):
+        xk = abs(x)
+        vk = abs(v.coeffs[k])
+        nk2 = n_k ** 2
+        s_k = s_base / n_k
+        e_x = math.exp(xk)
+        quad_sq.append(vk * nk2 * e_x * e_x * s_k ** 2)
+        quad_lin.append(vk * nk2 * (4.0 * math.sinh(xk) + 2.0 * math.cosh(xk)) * e_x * s_k)
+        kin_diag.append(2.0 * xk * abs(kdotf) * math.sinh(xk) * e_x * 2.0 * s_k)
+        kin_off.append(escape * math.sqrt(norm_sq(k)) * s_k * (math.sinh(xk) + e_x * s_k))
+    log_eps1 = _logaddexp(
+        c3 + _log(32.0 / n * math.fsum(quad_sq)),
+        0.5 * c3 + _log(math.sqrt(8.0) / n * math.fsum(quad_lin)),
+    )
+    log_eps2 = 0.5 * c3 + _log(
+        2.0 * hbar_sq * math.sqrt(8.0) * (math.fsum(kin_diag) + math.fsum(kin_off))
+    )
+    log_quartic = c2 + _log(2.0 * l1_norm_loop(v) / n)
+    log_total = _logaddexp(log_eps1, math.log(2.0) + log_eps2, log_quartic)
+    if not log_total < math.inf:
+        raise NumericalFailure("error bound eps1 + 2*eps2 + quartic overflows a double")
+    log_signal = _log(abs(correlation_delocalized(continuum)))
+    log_w = log_signal + math.log(n) / 3.0
+    log_total_times_n = log_total + math.log(n)
+    return ErrorBudget(
+        a_constants=constants,
+        c_small=C_SMALL,
+        c_n=c_n,
+        log_eps1_bound=log_eps1,
+        log_eps2_bound=log_eps2,
+        log_quartic_bound=log_quartic,
+        log_total=log_total,
+        log_total_times_n=log_total_times_n,
+        log_signal=log_signal,
+        log_crossover_n=1.5 * (log_total_times_n - log_w) if math.isfinite(log_w) else math.inf,
+        n=n,
+    )
+
+
+def hf_energy_loop(table, v, half_prefactor=False):
+    """The Hartree-Fock energy with its exchange terms formed one momentum at a time."""
+    ball = table.source
+    stay = (ball.n - table.nk2).tolist()
+    if (0, 0, 0) in v.coeffs:
+        stay.insert(0, ball.n)
+    kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())
+    direct = ball.n * v.value((0, 0, 0))
+    terms = (v.coeffs[k] * count for k, count in zip(sorted(v.coeffs, key=mode_sort_key), stay))
+    exchange = finite_fsum(terms, "Hartree-Fock exchange sum") / ball.n
+    if half_prefactor:
+        direct *= 0.5
+        exchange *= 0.5
+    total = kinetic + direct - exchange
+    if not math.isfinite(total):
+        raise NumericalFailure("Hartree-Fock total energy overflows a double")
+    return HFEnergy(kinetic=kinetic, direct=direct, exchange=exchange, total=total)
+
+
+def one_pair_deviations_loop(basis, triplets, modes, v, params, max_pairs):
+    """|<phi_k, Q phi_k> - (diagonal + cross)| per support momentum, one full Q phi_k each.
+
+    The diagonal V(k) n_k^2 / N is rounded as written, so it is inf where
+    V(k) n_k^2 overflows.
+    """
+    support = support_columns(v)[0]
+    devs = []
+    for k in support:
+        nk2 = modes.lune_size(k)
+        if nk2 == 0 or v.value(k) == 0.0:
+            continue
+        phi = apply_pair_create(vacuum(), k, modes, cap=max_pairs, normalized=True)
+        vec = _basis_vector(basis, phi)
+        expect = np.vdot(vec, _matvec(triplets, vec))
+        cross = math.fsum(
+            v.value(kp) / params.n * float(state_norm_sq(apply_pair_annihilate(phi, kp, modes)))
+            for kp in support
+            if kp != k and modes.lune_size(kp) > 0
+        )
+        devs.append(abs(expect - (v.value(k) * nk2 / params.n + cross)))
+    return devs

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from functools import partial
 
@@ -10,6 +11,7 @@ from oracles import (
     coalesce_reference,
     honest_c_bound_reference,
     matvec_reference,
+    one_pair_deviations_loop,
     quadratic_compose_then_project,
 )
 
@@ -264,8 +266,10 @@ def assert_same_bits(state, reference):
 def test_sums_match_add_at_reference_bit_for_bit(monkeypatch, capsys, argv):
     # every key sum and every row of Q vec the oracle forms in a run,
     # against np.unique + np.add.at on the same inputs
-    coalesce, matvec = fock_oracle._coalesce, fock_oracle._matvec
-    calls = {"coalesce": 0, "matvec": 0}
+    coalesce, matvec, matvec_rows = (
+        fock_oracle._coalesce, fock_oracle._matvec, fock_oracle._matvec_rows
+    )
+    calls = {"coalesce": 0, "matvec": 0, "matvec_rows": 0}
 
     def checked_coalesce(keys, amps):
         expected = coalesce_reference(keys, amps)
@@ -282,11 +286,20 @@ def test_sums_match_add_at_reference_bit_for_bit(monkeypatch, capsys, argv):
         calls["matvec"] += 1
         return result
 
+    def checked_matvec_rows(triplets, vec, targets):
+        expected = matvec_reference(triplets, vec)
+        result = matvec_rows(triplets, vec, targets)
+        assert result.shape == expected.shape
+        assert result[targets].tobytes() == expected[targets].tobytes()
+        calls["matvec_rows"] += 1
+        return result
+
     monkeypatch.setattr(fock_oracle, "_coalesce", checked_coalesce)
     monkeypatch.setattr(fock_oracle, "_matvec", checked_matvec)
+    monkeypatch.setattr(fock_oracle, "_matvec_rows", checked_matvec_rows)
     assert main(argv.split()) == 0
     assert capsys.readouterr().err == ""
-    assert calls["coalesce"] > 100 and calls["matvec"] > 1
+    assert calls["coalesce"] > 100 and calls["matvec"] == 1 and calls["matvec_rows"] > 1
 
 
 def quadratic_inputs(modes, max_pairs, rng):
@@ -565,6 +578,72 @@ def test_quadratic_single_momentum_diagonal(modes_7_2):
     params = ModelParams(7)
     report = verify_quadratic_interaction(modes_7_2, v, params, 2, seed=3)
     assert report.violations == []
+
+
+ONE_PAIR_CASES = [
+    (7, 2, 2, {(1, 0, 0): 0.5, (0, 1, 0): 0.5, (0, 0, 1): 0.5, (1, 1, 0): 0.25}),
+    (7, 3, 3, {(1, 0, 0): 0.5, (0, 1, 0): 0.5, (0, 0, 1): 0.5, (1, 1, 0): 0.25}),
+    (7, 3, 2, {(1, 0, 0): 0.3, (1, 1, 1): -0.2, (2, 0, 0): 0.1, (1, 2, 0): 0.05}),
+    (1, 1, 1, {(1, 0, 0): 0.7}),
+]
+
+
+@pytest.mark.parametrize("holes_n, lambda_sq, max_pairs, entries", ONE_PAIR_CASES)
+def test_one_pair_rows_match_the_full_matvec(holes_n, lambda_sq, max_pairs, entries):
+    # Q phi_k on the rows phi_k occupies has the full product's bits there,
+    # so its vdot with the full-length phi_k has them too
+    modes = build_mode_set(holes_n, lambda_sq)
+    v = make_potential(entries)
+    basis, triplets = assemble_quadratic_interaction(modes, v, ModelParams(holes_n), max_pairs)
+    checked = 0
+    for k in v.correlation_support():
+        if modes.lune_size(k) == 0:
+            continue
+        phi = apply_pair_create(vacuum(), k, modes, cap=max_pairs, normalized=True)
+        vec = fock_oracle._basis_vector(basis, phi)
+        targets = fock_oracle._positions(basis, phi[0])
+        full = fock_oracle._matvec(triplets, vec)
+        rows = fock_oracle._matvec_rows(triplets, vec, targets)
+        assert full[targets].tobytes() == rows[targets].tobytes()
+        assert not np.delete(rows, targets).any()
+        assert np.vdot(vec, rows).tobytes() == np.vdot(vec, full).tobytes()
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("holes_n, lambda_sq, max_pairs, entries", ONE_PAIR_CASES)
+def test_one_pair_deviation_matches_the_full_matvec_loop(holes_n, lambda_sq, max_pairs, entries):
+    modes = build_mode_set(holes_n, lambda_sq)
+    v = make_potential(entries)
+    params = ModelParams(holes_n)
+    report = verify_quadratic_interaction(modes, v, params, max_pairs)
+    basis, triplets = assemble_quadratic_interaction(modes, v, params, max_pairs)
+    devs = one_pair_deviations_loop(basis, triplets, modes, v, params, max_pairs)
+    assert report.details["one_pair_deviation"] == max([0.0, *devs])
+
+
+def test_one_pair_diagonal_that_overflows_before_its_division(tmp_path, capsys):
+    # V(k) n_k^2 = 1e308 * 5 overflows, V(k) n_k^2 / N = 7.1e307 does not:
+    # the check compares the finite diagonal, not inf, and finds no violation
+    path = tmp_path / "v.json"
+    path.write_text('{"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": 1e308}]}')
+    assert main(["oracle", "--trials", "1", "--potential", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    decoder, end, reports = json.JSONDecoder(), 0, []
+    while end < len(captured.out):
+        report, end = decoder.raw_decode(captured.out, end)
+        reports.append(report)
+        end += 1  # each document ends its line
+    assert len(reports) == 5
+    assert report["check"] == "quadratic_interaction"
+    assert report["violations"] == []
+    assert math.isfinite(report["details"]["one_pair_deviation"])
+    # the per-k loop with the diagonal as written sees inf
+    modes = build_mode_set(7, 2)
+    v = make_potential({(1, 0, 0): 1e308}, 1)
+    basis, triplets = assemble_quadratic_interaction(modes, v, ModelParams(7), 2)
+    assert math.inf in one_pair_deviations_loop(basis, triplets, modes, v, ModelParams(7), 2)
 
 
 def test_quadratic_expectation_hand_value(modes_7_2):

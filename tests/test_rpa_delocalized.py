@@ -242,7 +242,7 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     stay_columns = lattice._stay_columns
     table_builder = rpa_delocalized.coefficient_table
     gmb_integral = rpa_optimal.gmb_integral
-    kernel = error_budget.optimal_kernel_magnitudes
+    kernel = error_budget._kernel
 
     def counted_pass(ball, k):
         passes.append(k)
@@ -266,7 +266,7 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     monkeypatch.setattr(rpa_delocalized, "coefficient_table", counted_table)
     monkeypatch.setattr(report, "coefficient_table", counted_table)
     monkeypatch.setattr(rpa_optimal, "gmb_integral", counted_integral)
-    monkeypatch.setattr(error_budget, "optimal_kernel_magnitudes", counted_kernel)
+    monkeypatch.setattr(error_budget, "_kernel", counted_kernel)
     # V(0) feeds the Hartree-Fock direct and exchange terms but needs no pass
     v = make_potential({**demo_potential.coeffs, (0, 0, 0): 0.3})
     path = tmp_path / "v.json"
@@ -298,12 +298,12 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
         assert [ks for is_continuum, ks in tables if not is_continuum] == [support], name
         assert [ks for is_continuum, ks in tables if is_continuum] == continuum, name
 
-    # one bracket table per invocation, one budget kernel per budget
+    # one bracket table per invocation, one budget kernel per potential
     compare = ["compare", "--potential", str(path), "--n-list"]
     table_runs = [
         (["corr", *common, "--method", "optimal"], 1, 0),
         ([*compare, "33"], 1, 1),
-        ([*compare, "33,257,2109", "--format", "json"], 1, 3),
+        ([*compare, "33,257,2109", "--format", "json"], 1, 1),
         (["errors", *common, "--backend", "exact"], 0, 1),
         (["errors", *common], 0, 1),
     ]

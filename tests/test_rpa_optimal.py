@@ -246,7 +246,7 @@ def test_correlation_zero_potential():
 
 def test_correlation_brackets_nonpositive(demo_potential):
     table = frequency_brackets(demo_potential, 1e-12)
-    for bracket in table.values():
+    for bracket in table.results:
         assert bracket.value <= 1e-14
     assert gmb_correlation(table, ModelParams(33)).total < 0.0
 
@@ -257,7 +257,7 @@ def test_linear_order_cancellation(demo_potential):
     mags = []
     for s in scales:
         brackets = frequency_brackets(scaled_potential(demo_potential, s), 1e-15)
-        mags.append(abs(brackets[(1, 0, 0)].value))
+        mags.append(abs(brackets.results[brackets.ks.index((1, 0, 0))].value))
     slope = np.polyfit(np.log(scales), np.log(mags), 1)[0]
     assert slope >= 1.9
 
@@ -526,7 +526,7 @@ def test_brackets_one_integral_per_distinct_value(counted_integrals):
     # one batched call, holding each distinct coupling once
     assert len(counted_integrals) == 1
     assert len(set(counted_integrals[0])) == len(counted_integrals[0]) == 26
-    assert list(table) == v.correlation_support()
+    assert table.ks == v.correlation_support()
     for n in (33, 257):
         params = ModelParams(n)
         shared = gmb_correlation(table, params)

@@ -100,3 +100,21 @@ def test_coupling_scan_zero_second_order_is_one_error_line(capsys, tmp_path):
     assert captured.err == (
         "error: zero second order at s = 0.125: so_delocalized = 0, so_optimal = 0\n"
     )
+
+
+def test_shell_convergence_refuses_levels_above_the_cap(capsys, monkeypatch):
+    # --shells 100000000 would ask for about 4 GB of column arrays: the level
+    # table refuses it before any is allocated
+    from fermi_rpa import lattice
+
+    def no_table(radius_sq):
+        raise AssertionError(f"column table of radius^2 {radius_sq} allocated")
+
+    monkeypatch.setattr(lattice, "_column_tops", no_table)
+    too_big = lattice.LEVEL_CAP + 1
+    assert load_script("shell_convergence").main(["--shells", f"4,{too_big}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: closed-shell levels up to {too_big} exceed the cap LEVEL_CAP = {lattice.LEVEL_CAP}\n"
+    )
