@@ -692,21 +692,17 @@ def _matvec(triplets: Triplets, vec: np.ndarray) -> np.ndarray:
 
 
 def _matvec_rows(triplets: Triplets, vec: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """``_matvec(triplets, vec)`` on the rows ``targets`` of a 1-D vec, zero on every other row.
+    """``_matvec(triplets, vec)`` on the rows ``targets`` of vec, zero on every other row.
 
-    A target row adds the same terms in the same order as in ``_matvec``,
-    so it has the same bits; a vector that vanishes off the targets has
-    the same vdot with it.
+    ``_matvec`` of the triplets on those rows, kept in triplet order, adds
+    a target row's terms in the same order, so it has the same bits; a
+    vector that vanishes off the targets has the same vdot with it.
     """
     rows, cols, values = triplets
     wanted = np.zeros(len(vec), dtype=bool)
     wanted[targets] = True
     picked = np.flatnonzero(wanted[rows])
-    terms = vec[cols[picked]] * values[picked]
-    out = np.empty(vec.shape, dtype=complex)
-    out.real = np.bincount(rows[picked], terms.real, minlength=len(vec))
-    out.imag = np.bincount(rows[picked], terms.imag, minlength=len(vec))
-    return out
+    return _matvec((rows[picked], cols[picked], values[picked]), vec)
 
 
 def _basis_vector(basis: np.ndarray, state: State) -> np.ndarray:

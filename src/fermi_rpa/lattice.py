@@ -69,7 +69,7 @@ def orbit_representative(k: Momentum) -> Momentum:
     closed shell is invariant under every g, so n_{gk}^2 = n_k^2 and k.f(k)
     depend on k only through this representative.
     """
-    return tuple(sorted(abs(c) for c in k))
+    return tuple(sorted(map(abs, k)))
 
 
 def mode_sort_key(k: Momentum) -> Tuple[int, int, int, int]:

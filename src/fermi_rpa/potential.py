@@ -52,14 +52,15 @@ class Potential:
     """V as a dict ``coeffs`` and as columns of its nonzero support in mode order.
 
     The validation pass of ``__post_init__`` also builds the columns, each
-    aligned with ``ks`` (the support minus k = 0, in the global mode order):
-    ``k2`` holds |k|^2 as Python ints (components may be as large as
-    10**150), ``kn`` |k| and ``vs`` V(k) as read-only float64 arrays, and
-    ``orbit`` the row's position in ``orbits``, the cubic-orbit
-    representatives in the order ``ks`` first meets them.  Readers zip the
-    columns by position and must not mutate them.  ``once`` keeps the
-    quantities of V alone (sums over the support, the kernel), so a
-    potential forms each of them once for every particle count.
+    aligned with ``ks``, the tuple of the support minus k = 0 in the global
+    mode order: ``kn`` |k| and ``vs`` V(k) as read-only float64 arrays
+    (|k|^2 is summed as Python ints, since components may be as large as
+    10**150, and rounded once), and ``orbit`` the row's position in the
+    tuple ``orbits``, the cubic-orbit representatives in the order ``ks``
+    first meets them.  Readers zip the columns by position; none of them
+    can be mutated.  ``once`` keeps the quantities of V alone (sums over
+    the support, the kernel), so a potential forms each of them once for
+    every particle count.
     """
 
     coeffs: Dict[Momentum, float]
@@ -98,13 +99,12 @@ class Potential:
         orbit = np.array(
             [reps.setdefault(orbit_representative(k), len(reps)) for k in ks], dtype=np.intp
         )
-        k2 = [norms[k] for k in ks]
-        kn = np.sqrt(np.array(k2, dtype=float))
+        kn = np.sqrt(np.array([norms[k] for k in ks], dtype=float))
         vs = np.array([self.coeffs[k] for k in ks], dtype=float)
         for column in (kn, vs, orbit):
             column.flags.writeable = False
         # plain attributes, not dataclass fields: they follow from coeffs
-        columns = {"ks": ks, "k2": k2, "kn": kn, "vs": vs, "orbits": list(reps), "orbit": orbit}
+        columns = {"ks": tuple(ks), "kn": kn, "vs": vs, "orbits": tuple(reps), "orbit": orbit}
         for name, column in columns.items():
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_derived", {})
@@ -115,10 +115,6 @@ class Potential:
     def support(self) -> List[Momentum]:
         """Stored momenta in the global mode order (zeros retained)."""
         return [ZERO, *self.ks] if ZERO in self.coeffs else list(self.ks)
-
-    def correlation_support(self) -> List[Momentum]:
-        """Support minus the zero mode, in the global mode order: a copy of ``ks``."""
-        return list(self.ks)
 
     def once(self, quantity: Callable[["Potential"], T]) -> T:
         """quantity(self), formed on the first call and kept on this potential.
@@ -157,34 +153,28 @@ def _json_object(raw: bytes) -> dict:
     return doc
 
 
-def _json_integer(value, key: str) -> int:
-    """A JSON integer: not a float (even 2.0), a bool or a string."""
+def _json_integer(value, key: str, *at) -> int:
+    """A JSON integer: not a float (even 2.0), a bool or a string.
+
+    A rejection names the value ``key.format(*at)``; the name is built
+    only then, so a long document's valid entries format none.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{key} must be an integer, got {json.dumps(value)}")
+        raise ParseError(f"{key.format(*at)} must be an integer, got {json.dumps(value)}")
     return value
 
 
-def _json_number(value, key: str) -> float:
-    """A finite JSON number, integer or not: not a bool or a string."""
+def _json_number(value, key: str, *at) -> float:
+    """A finite JSON number, integer or not: not a bool or a string; named as in _json_integer."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{key} must be a number, got {json.dumps(value)}")
+        raise ParseError(f"{key.format(*at)} must be a number, got {json.dumps(value)}")
     try:
         number = float(value)
     except OverflowError as exc:  # an integer literal beyond double range
-        raise ParseError(f"{key} is out of range, got {json.dumps(value)}") from exc
+        raise ParseError(f"{key.format(*at)} is out of range, got {json.dumps(value)}") from exc
     if not math.isfinite(number):  # json reads NaN, Infinity and 1e999 as floats
-        raise ParseError(f"{key} is non-finite, got {json.dumps(value)}")
+        raise ParseError(f"{key.format(*at)} is non-finite, got {json.dumps(value)}")
     return number
-
-
-def _json_momentum(i: int, item) -> Momentum:
-    """The k of the entry coeffs[i], an object with 'k' and 'v': three JSON integers."""
-    entry = f"coeffs[{i}]"
-    if not (isinstance(item, dict) and "k" in item and "v" in item):
-        raise ParseError(f"{entry} must be an object with 'k' and 'v', got {json.dumps(item)}")
-    if not (isinstance(item["k"], list) and len(item["k"]) == 3):
-        raise ParseError(f"{entry}.k must have three components, got {json.dumps(item['k'])}")
-    return tuple(_json_integer(c, f"{entry}.k[{j}]") for j, c in enumerate(item["k"]))
 
 
 def load_potential(path) -> Potential:
@@ -203,22 +193,22 @@ def load_potential(path) -> Potential:
 
     explicit: Dict[Momentum, float] = {}
     for i, item in enumerate(doc["coeffs"]):
-        # the usual entry, three ints and a finite float, is read without
-        # naming its keys; any other goes through the checks that name them
-        k, value = (item.get("k"), item.get("v")) if type(item) is dict else (None, None)
-        usual = (
-            type(k) is list
-            and len(k) == 3
-            and type(k[0]) is int
-            and type(k[1]) is int
-            and type(k[2]) is int
-            and type(value) is float
-            and math.isfinite(value)
+        if not (isinstance(item, dict) and "k" in item and "v" in item):
+            raise ParseError(
+                f"coeffs[{i}] must be an object with 'k' and 'v', got {json.dumps(item)}"
+            )
+        k = item["k"]
+        if not (isinstance(k, list) and len(k) == 3):
+            raise ParseError(f"coeffs[{i}].k must have three components, got {json.dumps(k)}")
+        x, y, z = k
+        k = (
+            _json_integer(x, "coeffs[{}].k[0]", i),
+            _json_integer(y, "coeffs[{}].k[1]", i),
+            _json_integer(z, "coeffs[{}].k[2]", i),
         )
-        k = tuple(k) if usual else _json_momentum(i, item)
         if k in explicit:
             raise ParseError(f"duplicate coefficient entry for {k}")
-        explicit[k] = value if usual else _json_number(item["v"], f"coeffs[{i}].v")
+        explicit[k] = _json_number(item["v"], "coeffs[{}].v", i)
     return make_potential(explicit, radius_sq)
 
 

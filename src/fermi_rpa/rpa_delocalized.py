@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,14 +77,14 @@ _ieee_rows = np.errstate(over="ignore", invalid="ignore")
 class CoefficientTable:
     """Quadratic-form coefficients of every nonzero support momentum, by column.
 
-    Row i is the momentum ``ks[i]``; ``alpha``, ``beta``, ``nk2`` and
+    Row i is the momentum ``ks[i]``, the potential's tuple ``v.ks``; ``alpha``, ``beta``, ``nk2`` and
     ``kdotf`` are float64 columns.  ``nk2`` and ``kdotf`` are the n_k^2 and
     k.f(k) the coefficients were built from: an exact count and a ratio
     rounded once on a FermiBall ``source``, the closed forms on a ModelParams.
     """
 
     source: Source
-    ks: List[Momentum]
+    ks: Tuple[Momentum, ...]
     alpha: np.ndarray
     beta: np.ndarray
     nk2: np.ndarray

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -179,7 +179,7 @@ class FrequencyBrackets(NamedTuple):
     ``gmb_correlation`` only scales them by hbar kappa.
     """
 
-    ks: List[Momentum]
+    ks: Tuple[Momentum, ...]
     results: List[IntegralResult]
     value_sum: float
     error_sum: float

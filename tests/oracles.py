@@ -123,7 +123,7 @@ def coefficient_rows(source, v):
     Python floats and ints, in the order the formulas are written.
     """
     rows = []
-    for k in v.correlation_support():
+    for k in nonzero_support(v):
         if isinstance(source, FermiBall):
             count = lune_count(source, k)
             kdotf = source.n * norm_sq(k) / count
@@ -154,7 +154,7 @@ def hand_table(*rows):
     nan = np.full(len(rows), math.nan)
     alpha = np.array([a for _, a, _ in rows], dtype=float)
     beta = np.array([b for _, _, b in rows], dtype=float)
-    return CoefficientTable(None, [k for k, _, _ in rows], alpha, beta, nan, nan)
+    return CoefficientTable(None, tuple(k for k, _, _ in rows), alpha, beta, nan, nan)
 
 
 def bosonized_functional(table, xi):
@@ -241,7 +241,7 @@ def quadratic_compose_then_project(state, modes, v, params, max_pairs):
     lifted = max_pairs + 2
     mode_mask = (1 << modes.n_modes) - 1
     pieces = []
-    for k in v.correlation_support():
+    for k in nonzero_support(v):
         weight = v.value(k) / (2.0 * params.n)
         if weight == 0.0 or modes.lune_size(k) == 0:
             continue
@@ -267,13 +267,17 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def nonzero_support(v):
+    """The support minus k = 0, sorted from the dict in mode order."""
+    return [k for k in sorted(v.coeffs, key=mode_sort_key) if norm_sq(k) > 0]
+
+
 def support_columns(v):
-    """(ks, |k|^2, |k|, V(k), orbit representatives, orbit index) of the nonzero support."""
-    ks = [k for k in sorted(v.coeffs, key=mode_sort_key) if norm_sq(k) > 0]
+    """(ks, |k|, V(k), orbit representatives, orbit index) of the nonzero support."""
+    ks = nonzero_support(v)
     reps = list(dict.fromkeys(orbit_representative(k) for k in ks))
     return (
         ks,
-        [norm_sq(k) for k in ks],
         [math.sqrt(norm_sq(k)) for k in ks],
         [v.value(k) for k in ks],
         reps,
@@ -284,7 +288,7 @@ def support_columns(v):
 def a_constants_loop(v):
     """A1..A5, one momentum at a time."""
     logs, a2t, a3t, a4t, a5t = [], [], [], [], []
-    for k in support_columns(v)[0]:
+    for k in nonzero_support(v):
         val = v.value(k)
         arg = 1.0 + C_SMALL * val
         if arg <= 0.0:
@@ -303,7 +307,7 @@ def a_constants_loop(v):
 def kernel_loop(v):
     """X(k) = -(1/4) log1p(c V(k)), one momentum at a time."""
     values = []
-    for k in support_columns(v)[0]:
+    for k in nonzero_support(v):
         arg = C_SMALL * v.value(k)
         if arg <= -1.0:
             raise DomainError(f"1 + c*V(k) <= 0 at k = {k}")
@@ -316,7 +320,7 @@ def square_sum_loop(v, params=None):
     return finite_fsum(
         (
             v.value(k) ** 2 * (math.sqrt(norm_sq(k)) if params is None else lens_norm(params, k))
-            for k in support_columns(v)[0]
+            for k in nonzero_support(v)
         ),
         "sum_k |k| V(k)^2",
     )
@@ -404,7 +408,7 @@ def one_pair_deviations_loop(basis, triplets, modes, v, params, max_pairs):
     The diagonal V(k) n_k^2 / N is rounded as written, so it is inf where
     V(k) n_k^2 overflows.
     """
-    support = support_columns(v)[0]
+    support = nonzero_support(v)
     devs = []
     for k in support:
         nk2 = modes.lune_size(k)

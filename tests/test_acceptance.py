@@ -67,7 +67,7 @@ def criterion(num, description):
 
 def support_weight(v):
     return math.fsum(
-        v.value(k) ** 2 * math.sqrt(norm_sq(k)) for k in v.correlation_support()
+        v.value(k) ** 2 * math.sqrt(norm_sq(k)) for k in v.ks
     )
 
 

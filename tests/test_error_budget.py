@@ -59,7 +59,7 @@ def test_kernel_zero_potential():
 
 def test_kernel_exponent_identity(demo_potential):
     xi = optimal_kernel_magnitudes(demo_potential)
-    for k, x in zip(demo_potential.correlation_support(), xi, strict=True):
+    for k, x in zip(demo_potential.ks, xi, strict=True):
         lhs = math.exp(2.0 * abs(x))
         rhs = math.sqrt(1.0 + C_SMALL * demo_potential.value(k))
         assert lhs == pytest.approx(rhs, rel=1e-14)

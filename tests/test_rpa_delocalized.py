@@ -20,6 +20,7 @@ from oracles import (
     coefficient_rows,
     hand_table,
     minimize_pair_energy,
+    nonzero_support,
     table_rows,
 )
 
@@ -63,7 +64,7 @@ def test_table_leaves_out_zero_momentum(ball7):
     # V(0) feeds Hartree-Fock only; no table has a row at k = 0
     v = make_potential({(0, 0, 0): 1.0, (1, 0, 0): 1.0})
     for source in (ball7, ModelParams(7)):
-        assert coefficient_table(source, v).ks == [(-1, 0, 0), (1, 0, 0)]
+        assert coefficient_table(source, v).ks == ((-1, 0, 0), (1, 0, 0))
 
 
 def test_optimal_kernel_zero_beta():
@@ -175,7 +176,7 @@ def test_second_order_asymptotic_prefactor(demo_potential):
     params = ModelParams(2109)
     weight = sum(
         demo_potential.value(k) ** 2 * math.sqrt(sum(c * c for c in k))
-        for k in demo_potential.correlation_support()
+        for k in demo_potential.ks
     )
     value = second_order_delocalized(params, demo_potential)
     assert value / (-params.hbar * weight) == pytest.approx(
@@ -271,7 +272,7 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     v = make_potential({**demo_potential.coeffs, (0, 0, 0): 0.3})
     path = tmp_path / "v.json"
     path.write_text(serialize_potential(v))
-    support = v.correlation_support()
+    support = v.ks
     # the distinct cubic orbits in the order the support first meets them
     orbits = list(dict.fromkeys(tuple(sorted(map(abs, k))) for k in support))
     assert orbits == [(0, 0, 1), (0, 1, 1)]
@@ -333,10 +334,10 @@ def nonradial_potential(radius_sq, seed):
 def test_orbit_table_equals_per_momentum_rows(n):
     ball = build_fermi_ball(n)
     v = nonradial_potential(30, seed=n)
-    support = v.correlation_support()
+    support = nonzero_support(v)
     assert len(support) == 738
     table = coefficient_table(ball, v)
-    assert table.ks == support
+    assert list(table.ks) == support
     # the reference makes one lattice count per momentum; every column bit for bit
     assert table_rows(table) == coefficient_rows(ball, v)
 

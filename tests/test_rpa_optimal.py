@@ -279,7 +279,7 @@ def test_second_order_prefactor(demo_potential):
     params = ModelParams(257)
     weight = sum(
         demo_potential.value(k) ** 2 * math.sqrt(sum(c * c for c in k))
-        for k in demo_potential.correlation_support()
+        for k in demo_potential.ks
     )
     value = second_order_optimal(demo_potential, params)
     assert value / (-params.hbar * weight) == pytest.approx(
@@ -463,7 +463,7 @@ def test_nonradial_brackets_take_few_rounds(monkeypatch, seed):
     # the mapped integrand is smooth on all of [0, 1], so at the default tol
     # every value is done after at most two rounds of bisection
     v = nonradial_potential(seed)
-    assert len({v.value(k) for k in v.correlation_support()}) == 369
+    assert len({v.value(k) for k in v.ks}) == 369
     calls = []
     original = quadrature._gk15_panel
 
@@ -479,7 +479,7 @@ def test_nonradial_brackets_take_few_rounds(monkeypatch, seed):
 
 def per_k_loop(v, params, tol):
     """The optimal correlation energy with one integral per momentum."""
-    support = v.correlation_support()
+    support = v.ks
     values, errors = {}, {}
     for k in support:
         (bracket,) = gmb_integral((2.0 * math.pi * KAPPA * v.value(k),), tol)
@@ -520,13 +520,13 @@ def test_correlation_equals_per_k_loop(demo_potential, n):
 
 def test_brackets_one_integral_per_distinct_value(counted_integrals):
     v = radial_potential()
-    distinct = {v.value(k) for k in v.correlation_support()}
+    distinct = {v.value(k) for k in v.ks}
     assert len(distinct) == 26
     table = frequency_brackets(v, 1e-10)
     # one batched call, holding each distinct coupling once
     assert len(counted_integrals) == 1
     assert len(set(counted_integrals[0])) == len(counted_integrals[0]) == 26
-    assert table.ks == v.correlation_support()
+    assert table.ks == v.ks
     for n in (33, 257):
         params = ModelParams(n)
         shared = gmb_correlation(table, params)
@@ -548,7 +548,7 @@ def test_compare_runs_one_integral_per_distinct_value(
     v = radial_potential()
     path = tmp_path / "radial.json"
     path.write_text(serialize_potential(v))
-    distinct = len({v.value(k) for k in v.correlation_support()})
+    distinct = len({v.value(k) for k in v.ks})
     # |k| <= sqrt(30) lies inside the lens domain 2 k_F from N = 257 on
     argv = ["compare", "--potential", str(path), "--n-list", "257,2109"]
     assert main(argv) == 0

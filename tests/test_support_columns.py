@@ -49,6 +49,7 @@ from oracles import (
     l1_norm_loop,
     outcome,
     square_sum_loop,
+    nonzero_support,
     support_columns,
 )
 
@@ -68,12 +69,11 @@ def benchmark_potentials():
 
 
 def check_columns(v):
-    ks, k2, kn, vs, orbits, orbit = support_columns(v)
-    assert v.ks == ks
-    assert v.k2 == k2 and all(type(s) is int for s in v.k2)
+    ks, kn, vs, orbits, orbit = support_columns(v)
+    assert v.ks == tuple(ks)
     assert v.kn.tolist() == kn
     assert v.vs.tolist() == vs
-    assert v.orbits == orbits
+    assert v.orbits == tuple(orbits)
     assert v.orbit.tolist() == orbit
     assert v.support() == sorted(v.coeffs, key=lambda k: (norm_sq(k), *k))
 
@@ -123,7 +123,7 @@ def test_golden_and_benchmark_potentials_match_the_per_k_reference(n):
 def test_brackets_sums_match_the_per_k_reference():
     for v in [make_potential(DEMO, 2), *benchmark_potentials()]:
         brackets = frequency_brackets(v)
-        assert brackets.ks == v.correlation_support()
+        assert list(brackets.ks) == nonzero_support(v)
         by_value = {}
         for k, result in zip(brackets.ks, brackets.results):
             assert by_value.setdefault(v.value(k), result) is result
@@ -260,6 +260,11 @@ def test_columns_are_read_only():
     for column in (v.kn, v.vs, v.orbit):
         with pytest.raises(ValueError):
             column[0] = 0
+    # tables and bracket sets share ks, so no reader can reorder it under the others
+    for column in (v.ks, v.orbits, coefficient_table(ModelParams(33), v).ks):
+        with pytest.raises(TypeError):
+            column[0] = (0, 0, 0)
+    assert frequency_brackets(v).ks is v.ks
 
 
 def test_one_compare_forms_each_quantity_of_v_once(monkeypatch, tmp_path, capsys):

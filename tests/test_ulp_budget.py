@@ -39,7 +39,7 @@ def exact_minimum(ball, v) -> Decimal:
         big_n = Decimal(ball.n)
         hbar_sq = big_n ** (Decimal(-2) / 3)
         total = Decimal(0)
-        for k in v.correlation_support():
+        for k in v.ks:
             count = Decimal(lune_count(ball, k))
             beta = Decimal(v.value(k)) * count / big_n
             alpha = hbar_sq * big_n * norm_sq(k) / count + beta
