@@ -48,7 +48,7 @@ def scan(args) -> str:
         table = coefficient_table(ball, scaled)
         deloc = correlation_delocalized(table)
         so_deloc = second_order_delocalized(table)
-        gmb = gmb_correlation(frequency_brackets(scaled, args.tol), params).total
+        gmb = gmb_correlation(frequency_brackets(scaled, args.tol), params).value
         so_opt = second_order_optimal(scaled, params)
         orders = (("so_delocalized", so_deloc), ("so_optimal", so_opt))
         zero = [name for name, x in orders if x == 0.0]

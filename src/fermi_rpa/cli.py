@@ -275,7 +275,7 @@ def _cmd_corr(args) -> str:
                 "warning: V(0) != 0 is excluded from the correlation sum\n"
             )
         brackets = rpa_optimal.frequency_brackets(v, args.tol)
-        value = rpa_optimal.gmb_correlation(brackets, params).total
+        value = rpa_optimal.gmb_correlation(brackets, params).value
     elif method == "so-deloc":
         value = rpa_delocalized.second_order_delocalized(params, v)
     else:
@@ -291,7 +291,7 @@ def _cmd_compare(args) -> str:
         ns = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError as exc:
         raise FermiRpaError(f"invalid --n-list: {exc}") from exc
-    # the brackets depend on V(k) alone: one table serves every N
+    # the brackets depend on V(k) alone: one pair of sums serves every N
     brackets = rpa_optimal.frequency_brackets(v, args.tol) if ns else None
     digest = report.potential_digest(v)
     reports = [report.energy_report(n, v, brackets, digest) for n in ns]
@@ -321,13 +321,11 @@ def _cmd_oracle(args) -> str:
     params = lattice.ModelParams(args.holes_n)
     e1, e2 = (1, 0, 0), (0, 1, 0)
     # the four exact checks share one trial block, freed before Q is assembled
-    exact = (args.trials, args.seed, max_pairs)
     xi = fock_oracle.integer_trials(modes, max_pairs, args.trials, args.seed)
     reports = [
-        fock_oracle.verify_almost_ccr(modes, e1, e1, *exact, xi=xi),
-        fock_oracle.verify_almost_ccr(modes, e1, e2, *exact, xi=xi),
-        fock_oracle.verify_c_commutator(modes, e1, e1, *exact, xi=xi),
-        fock_oracle.verify_c_commutator(modes, e1, e2, *exact, xi=xi),
+        check(modes, e1, l, xi, args.seed, max_pairs)
+        for check in (fock_oracle.verify_almost_ccr, fock_oracle.verify_c_commutator)
+        for l in (e1, e2)
     ]
     del xi
     reports.append(fock_oracle.verify_quadratic_interaction(modes, v, params, max_pairs, args.seed))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,18 @@ from .rpa_delocalized import CoefficientTable, _ieee_rows, correlation_delocaliz
 
 C_SMALL = 4.0 * (9.0 * math.pi / 16.0) ** (2.0 / 3.0)
 PARTICLE_ESCAPE_CONSTANT = (6.0 / math.pi) ** (1.0 / 3.0)
+
+
+def _fsum(terms: Iterable[float]) -> float:
+    """``math.fsum`` of nonnegative terms; a sum beyond the double range is inf.
+
+    An inf term already gives inf, and an intermediate overflow of finite
+    terms gives it too, so an overflowing bound ends as one NumericalFailure.
+    """
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
@@ -68,11 +80,11 @@ def _a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
     val = np.abs(v.vs)
     quarter = np.array([a ** 0.25 for a in args])
     return (
-        math.fsum(logs.tolist()),
-        math.fsum((val * root).tolist()),
-        math.fsum((val * root * root_kn).tolist()),
-        math.fsum((logs * root * root_kn).tolist()),
-        math.fsum((quarter * root_kn).tolist()),
+        _fsum(logs.tolist()),
+        _fsum((val * root).tolist()),
+        _fsum((val * root * root_kn).tolist()),
+        _fsum((logs * root * root_kn).tolist()),
+        _fsum((quarter * root_kn).tolist()),
     )
 
 
@@ -128,7 +140,7 @@ def particle_number_constant(xi: Sequence[float], n_power: int) -> float:
     if n_power < 1:
         raise DomainError(f"moment order must be >= 1, got {n_power}")
     # fsum is exactly rounded, so the order of the terms does not matter
-    return 8.0 * n_power * 5.0 ** n_power * math.fsum(map(abs, xi))
+    return 8.0 * n_power * 5.0 ** n_power * _fsum(map(abs, xi))
 
 
 def _log(x: float) -> float:
@@ -184,7 +196,7 @@ def assemble_error_budget(
 
     # weighted kernel sums S_k = sum_m |X(m)| / (n_m n_k) = s_base / n_k
     n_k = np.sqrt(table.nk2)
-    s_base = math.fsum((kernel.x / n_k).tolist())
+    s_base = _fsum((kernel.x / n_k).tolist())
     s_k = s_base / n_k
     # the squares are Python's ** (libm pow), one row at a time
     nk2 = np.array([a ** 2 for a in n_k.tolist()])
@@ -197,14 +209,14 @@ def assemble_error_budget(
     inner_kin_off = (escape * v.kn * s_k * (sinh + e_x * s_k)).tolist()
 
     log_eps1 = _logaddexp(
-        c3 + _log(32.0 / n * math.fsum(inner_quad_sq)),
-        0.5 * c3 + _log(math.sqrt(8.0) / n * math.fsum(inner_quad_lin)),
+        c3 + _log(32.0 / n * _fsum(inner_quad_sq)),
+        0.5 * c3 + _log(math.sqrt(8.0) / n * _fsum(inner_quad_lin)),
     )
     log_eps2 = 0.5 * c3 + _log(
         2.0
         * hbar_sq
         * math.sqrt(8.0)
-        * (math.fsum(inner_kin_diag) + math.fsum(inner_kin_off))
+        * (_fsum(inner_kin_diag) + _fsum(inner_kin_off))
     )
     log_quartic = c2 + _log(2.0 * l1_norm(v) / n)
     log_total = _logaddexp(log_eps1, math.log(2.0) + log_eps2, log_quartic)

@@ -408,9 +408,9 @@ def random_sector_state(
 def integer_trials(modes: ModeSet, max_pairs: int, trials: int, seed: int) -> State:
     """The integer-amplitude trial block of the exact checks, drawn from ``seed``.
 
-    Each exact check draws it first from ``default_rng(seed)`` over the
-    <= max_pairs sector, so a caller running several checks with one
-    seed can form it once and hand it to each as ``xi``.
+    It is drawn from ``default_rng(seed)`` over the <= max_pairs sector,
+    one column per trial; a caller running several checks with one seed
+    forms it once and hands it to each as ``xi``.
     """
     basis = sector_basis(modes, max_pairs)
     return random_sector_state(basis, np.random.default_rng(seed), trials, True)
@@ -445,23 +445,21 @@ def verify_almost_ccr(
     modes: ModeSet,
     k: Momentum,
     l: Momentum,
-    trials: int = 100,
-    seed: int = 42,
-    max_pairs: int = 2,
-    xi: State | None = None,
+    xi: State,
+    seed: int,
+    max_pairs: int,
 ) -> VerificationReport:
     """Check the approximate canonical commutator relations by brute force.
 
     On every trial state xi the residual E(k,l) = [b_k, b*_l] - delta_kl
     must obey ||E xi|| * n_k n_l <= ||N xi|| (computed here with the
     unnormalized operators, so the k = l subtraction is an exact integer),
-    and [b_k, b_l], [b*_k, b*_l] must vanish identically.  ``xi`` is
-    ``integer_trials(modes, max_pairs, trials, seed)``, drawn here unless
-    given.  Each distinct image is formed once: 6 pair applications at
+    and [b_k, b_l], [b*_k, b*_l] must vanish identically.  ``xi`` is the
+    block ``integer_trials(modes, max_pairs, trials, seed)``, one trial per
+    column.  Each distinct image is formed once: 6 pair applications at
     k = l, 10 otherwise.
     """
-    if xi is None:
-        xi = integer_trials(modes, max_pairs, trials, seed)
+    trials = xi[1].shape[1]
     mk = modes.lune_size(k)
     # an operator is (creates, transfer), so b_k and b_l are one at k = l
     b_k, b_l, bs_k, bs_l = ((c, tuple(q)) for c in (False, True) for q in (k, l))
@@ -552,10 +550,9 @@ def verify_c_commutator(
     modes: ModeSet,
     k: Momentum,
     l: Momentum,
-    trials: int = 100,
-    seed: int = 42,
-    max_pairs: int = 2,
-    xi: State | None = None,
+    xi: State,
+    seed: int,
+    max_pairs: int,
 ) -> VerificationReport:
     """Check [c*_k, b_l] = -delta_kl f(k) + residual with its norm bound.
 
@@ -563,12 +560,9 @@ def verify_c_commutator(
     the residual, contracted with m = k, must obey the exact truncated
     operator-norm constant (``honest_c_bound_constant``); and the
     residual must commute with the fermion number operator, checked in
-    exact integer arithmetic on every trial state.  ``xi`` is
-    ``integer_trials(modes, max_pairs, trials, seed)``, drawn here unless
-    given.
+    exact integer arithmetic on every trial state.  ``xi`` is the block
+    ``integer_trials(modes, max_pairs, trials, seed)``, one trial per column.
     """
-    if xi is None:
-        xi = integer_trials(modes, max_pairs, trials, seed)
     fsum_vec = modes.pair_vector_sum(k)
     f = fsum_vec if tuple(k) == tuple(l) else (0, 0, 0)
     mk = modes.lune_size(k)
@@ -606,7 +600,7 @@ def verify_c_commutator(
         check="c_commutator",
         modeset=modes.describe(max_pairs),
         seed=seed,
-        trials=trials,
+        trials=xi[1].shape[1],
         max_ratio=max([0.0, *ratios.tolist()]),
         violations=violations,
         details={
@@ -787,7 +781,7 @@ def verify_quadratic_interaction(
         check="quadratic_interaction",
         modeset=modes.describe(max_pairs),
         seed=seed,
-        trials=5,
+        trials=psi[1].shape[1],
         max_ratio=herm,
         violations=violations,
         details={

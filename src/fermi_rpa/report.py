@@ -1,6 +1,6 @@
 """Assembled per-N energy reports for tables and convergence studies.
 
-A report reads the frequency-bracket table and the potential digest its
+A report reads the frequency-bracket sums and the potential digest its
 caller made, once for every N, and builds the exact and continuum
 coefficient tables of its own N.
 """
@@ -14,12 +14,13 @@ from .error_budget import assemble_error_budget
 from .hf import hf_energy
 from .lattice import ModelParams, build_fermi_ball
 from .potential import Potential, serialize_potential
+from .quadrature import IntegralResult
 from .rpa_delocalized import (
     coefficient_table,
     correlation_delocalized,
     second_order_delocalized,
 )
-from .rpa_optimal import FrequencyBrackets, gmb_correlation, second_order_optimal
+from .rpa_optimal import gmb_correlation, second_order_optimal
 
 
 def potential_digest(v: Potential) -> str:
@@ -53,11 +54,11 @@ class EnergyReport:
 
 
 def energy_report(
-    n: int, v: Potential, brackets: FrequencyBrackets, digest: str
+    n: int, v: Potential, brackets: IntegralResult, digest: str
 ) -> EnergyReport:
     """Full comparison record at one particle count.
 
-    ``brackets`` is the ``frequency_brackets(v, tol)`` table and ``digest``
+    ``brackets`` is the ``frequency_brackets(v, tol)`` sums and ``digest``
     is ``potential_digest(v)``; both depend on V alone and so serve every
     particle count.  One exact and one continuum coefficient table serve
     every other column.
@@ -80,7 +81,7 @@ def energy_report(
         hf_total=hf.total,
         corr_delocalized_exact=correlation_delocalized(exact),
         corr_delocalized_asymptotic=correlation_delocalized(continuum),
-        corr_optimal=gmb_correlation(brackets, params).total,
+        corr_optimal=gmb_correlation(brackets, params).value,
         so_delocalized=so_deloc,
         so_optimal=so_opt,
         so_ratio=(so_deloc / so_opt) if so_opt != 0.0 else second_order_ratio(),

@@ -30,11 +30,11 @@ values of V on the support and hands them to one ``gmb_integral`` call,
 which integrates all of them in one batched quadrature
 (``quadrature.integrate_adaptive``); each value keeps its own panels and
 stopping rule, so its bracket is bit-for-bit what integrating it alone
-gives.  The table, a ``FrequencyBrackets``, also holds the |k|-weighted
-sums of the brackets, which depend on V alone; ``gmb_correlation`` only
-scales them by hbar kappa and never builds a table: ``corr`` builds it
-once per run and ``compare`` once per invocation, for every N.  The table
-is never kept beyond the call that asked for it.
+gives.  It returns only the |k|-weighted sums of the brackets' values and
+errors, which depend on V alone; ``gmb_correlation`` only scales them by
+hbar kappa and never integrates: ``corr`` forms the sums once per run and
+``compare`` once per invocation, for every N.  They are never kept beyond
+the call that asked for them.
 
 Every bracket is checked against the rigorous enclosure
 
@@ -51,14 +51,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from . import DEFAULT_TOL
 from .errors import DomainError, NumericalFailure
-from .lattice import ModelParams, Momentum
+from .lattice import ModelParams
 from .potential import Potential, square_sum
 from .quadrature import IntegralResult, integrate_adaptive
 
@@ -162,57 +161,30 @@ def _check_enclosure(a_of_row: np.ndarray, results: List[IntegralResult]) -> Non
             )
 
 
-@dataclass(frozen=True)
-class GMBResult:
-    """The assembled correlation energy and its Gauss-Kronrod error estimate."""
-
-    total: float
-    error: float
-
-
-class FrequencyBrackets(NamedTuple):
-    """The bracket of every nonzero support momentum of a potential, and their sums.
-
-    ``results[i]`` is the bracket of ``ks[i]``, the potential's rows in mode
-    order.  ``value_sum`` and ``error_sum`` are the fsums of |k| times the
-    bracket's value and error over the rows; they depend on V alone, so
-    ``gmb_correlation`` only scales them by hbar kappa.
-    """
-
-    ks: Tuple[Momentum, ...]
-    results: List[IntegralResult]
-    value_sum: float
-    error_sum: float
-
-
 @np.errstate(over="ignore")  # |k| times a bracket may overflow to inf, as on Python floats
-def frequency_brackets(v: Potential, tol: float = DEFAULT_TOL) -> FrequencyBrackets:
-    """Bracket (1/pi) I(2 pi kappa V(k)) - (pi/2) kappa V(k) and its error per momentum.
+def frequency_brackets(v: Potential, tol: float = DEFAULT_TOL) -> IntegralResult:
+    """The fsums of |k| times the bracket (1/pi) I(a) - a/4, a = 2 pi kappa V(k), and its error.
 
-    One ``gmb_integral`` call integrates every distinct V(k) on the support
-    minus {0}, taken in support order; momenta sharing a value share its
-    result.
+    The sums run over the support minus {0} in mode order.  One
+    ``gmb_integral`` call integrates every distinct V(k), taken in support
+    order; momenta sharing a value share its result.
     """
     index: Dict[float, int] = {}
-    rows = np.array([index.setdefault(value, len(index)) for value in v.vs.tolist()], dtype=np.intp)
+    rows = [index.setdefault(value, len(index)) for value in v.vs.tolist()]
     results = gmb_integral(tuple(2.0 * math.pi * KAPPA * value for value in index), tol)
-    values = np.array([r.value for r in results], dtype=float)[rows]
-    errors = np.array([r.error for r in results], dtype=float)[rows]
-    return FrequencyBrackets(
-        ks=v.ks,
-        results=[results[i] for i in rows.tolist()],
-        value_sum=math.fsum((v.kn * values).tolist()),
-        error_sum=math.fsum((v.kn * errors).tolist()),
-    )
+    # (value, error) of every row; the reshape keeps two columns on an empty support
+    per_row = np.array(results, dtype=float).reshape(-1, 2)[rows]
+    return IntegralResult(*(math.fsum((v.kn * column).tolist()) for column in per_row.T))
 
 
-def gmb_correlation(brackets: FrequencyBrackets, params: ModelParams) -> GMBResult:
-    """Optimal correlation energy from the brackets of ``frequency_brackets(v, tol)``.
+def gmb_correlation(brackets: IntegralResult, params: ModelParams) -> IntegralResult:
+    """Optimal correlation energy and its error from ``frequency_brackets(v, tol)``.
 
-    The brackets depend on V alone, so one table serves every particle count.
+    The brackets depend on V alone, so one pair of sums serves every
+    particle count.
     """
     scale = params.hbar * KAPPA
-    return GMBResult(total=scale * brackets.value_sum, error=scale * brackets.error_sum)
+    return IntegralResult(scale * brackets.value, scale * brackets.error)
 
 
 def second_order_optimal(v: Potential, params: ModelParams) -> float:

@@ -18,6 +18,7 @@ from fermi_rpa.fock_oracle import (
     apply_pair_annihilate,
     apply_pair_create,
     build_mode_set,
+    integer_trials,
     state_norm_sq,
     vacuum,
     verify_almost_ccr,
@@ -121,7 +122,7 @@ def test_criterion_4_small_coupling_consistency(demo_potential, ball2109):
             scaled = scaled_potential(demo_potential, s)
             gmb_dev.append(
                 abs(
-                    gmb_correlation(frequency_brackets(scaled, 1e-15), params).total
+                    gmb_correlation(frequency_brackets(scaled, 1e-15), params).value
                     / second_order_optimal(scaled, params)
                     - 1.0
                 )
@@ -199,7 +200,8 @@ def test_criterion_7_fock_oracle_exactness():
             assert state_norm_sq(state) == float(modes.lune_size(probe))
 
         # (b) commutator-error ratio within the rigorous bound
-        report = verify_almost_ccr(modes, k, k, trials=100, seed=42, max_pairs=2)
+        xi = integer_trials(modes, 2, 100, 42)
+        report = verify_almost_ccr(modes, k, k, xi, seed=42, max_pairs=2)
         assert report.violations == []
         assert report.max_ratio <= 1.0 + 1e-12
 

@@ -507,6 +507,13 @@ HF_TOTAL = {
     "support_radius_sq": 1,
     "coeffs": [{"k": [0, 0, 0], "v": 2.557e307}, {"k": [1, 0, 0], "v": -0.85e308}],
 }
+# every term of the budget's sums is finite, but a partial sum of A2..A4
+# (one momentum) or of the quadratic remainder (three) is not
+V_1P2E205 = {"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": 1.2e205}]}
+V_THREE_1P5E202 = {
+    "support_radius_sq": 2,
+    "coeffs": [{"k": k, "v": 1.5e202} for k in ([1, 0, 0], [0, 1, 0], [1, 1, 0])],
+}
 
 
 @pytest.mark.parametrize(
@@ -517,6 +524,14 @@ HF_TOTAL = {
         (V_1E308, ["errors", "--n", "33", "--backend", "asymptotic"], "sum_k |V(k)|"),
         (V_1E308, ["errors", "--n", "33", "--backend", "exact"], "sum_k |V(k)|"),
         (V0_1E308, ["errors", "--n", "33"], "error bound eps1 + 2*eps2 + quartic"),
+        (V_1P2E205, ["errors", "--n", "257"], "error bound eps1 + 2*eps2 + quartic"),
+        (V_1P2E205, ["errors", "--n", "257", "--backend", "exact"], "error bound eps1 + 2*eps2 + quartic"),
+        (V_THREE_1P5E202, ["errors", "--n", "257"], "error bound eps1 + 2*eps2 + quartic"),
+        (
+            V_THREE_1P5E202,
+            ["errors", "--n", "257", "--backend", "exact"],
+            "error bound eps1 + 2*eps2 + quartic",
+        ),
         (V_1E308, ["hf", "--n", "33"], "Hartree-Fock exchange sum"),
         (V0_1E308, ["hf", "--n", "33"], "Hartree-Fock exchange sum"),
         (HF_TOTAL, ["hf", "--n", "7"], "Hartree-Fock total energy"),
@@ -524,8 +539,9 @@ HF_TOTAL = {
         (V_1E308, ["compare", "--n-list", "33"], "the coupling a = 2 pi kappa V(k)"),
     ],
     ids=[
-        "so-opt", "so-deloc", "errors", "errors-exact", "errors-v0", "hf", "hf-v0", "hf-total",
-        "optimal", "compare",
+        "so-opt", "so-deloc", "errors", "errors-exact", "errors-v0", "errors-a-sums",
+        "errors-a-sums-exact", "errors-remainder-sum", "errors-remainder-sum-exact", "hf", "hf-v0",
+        "hf-total", "optimal", "compare",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning escapes main as an exception

@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from fermi_rpa import fock_oracle
-from fermi_rpa.cli import main
+from fermi_rpa.cli import json_text, main
 from fermi_rpa.errors import DomainError, NumericalFailure
 from fermi_rpa.fock_oracle import (
     apply_c_create,
@@ -28,6 +28,7 @@ from fermi_rpa.fock_oracle import (
     build_mode_set,
     fermion_sign,
     honest_c_bound_constant,
+    integer_trials,
     random_sector_state,
     sector_basis,
     state_norm_sq,
@@ -503,14 +504,16 @@ def test_kinetic_commutator_identity(modes_7_2):
 
 
 def test_ccr_report_clean(modes_7_2):
-    report = verify_almost_ccr(modes_7_2, E1, E1, trials=100, seed=42, max_pairs=2)
+    xi = integer_trials(modes_7_2, 2, 100, 42)
+    report = verify_almost_ccr(modes_7_2, E1, E1, xi, seed=42, max_pairs=2)
     assert report.violations == []
     assert report.max_ratio <= 1.0 + 1e-12
     assert report.details["lune_k"] == 4.0
 
 
 def test_ccr_orthogonal_transfers(modes_7_2):
-    report = verify_almost_ccr(modes_7_2, E1, E2, trials=50, seed=1, max_pairs=2)
+    xi = integer_trials(modes_7_2, 2, 50, 1)
+    report = verify_almost_ccr(modes_7_2, E1, E2, xi, seed=1, max_pairs=2)
     assert report.violations == []
     # vacuum matrix element of [b_k, b*_l] vanishes for k != l
     created = apply_pair_create(vacuum(), E2, modes_7_2, cap=3, normalized=True)
@@ -526,8 +529,9 @@ def test_ccr_vacuum_identity(modes_7_2):
 
 
 def test_c_commutator_report_clean(modes_7_2):
+    xi = integer_trials(modes_7_2, 2, 100, 42)
     for k, l in [(E1, E1), (E1, E2)]:
-        report = verify_c_commutator(modes_7_2, k, l, trials=100, seed=42, max_pairs=2)
+        report = verify_c_commutator(modes_7_2, k, l, xi, seed=42, max_pairs=2)
         assert report.violations == []
         assert report.max_ratio <= 1.0 + 1e-12
 
@@ -671,10 +675,27 @@ def test_ccr_on_single_hole_mode_set():
     modes = build_mode_set(1, 1)
     assert modes.n_holes == 1 and modes.n_modes == 7
     assert modes.lune_size(E1) == 1
-    report = verify_almost_ccr(modes, E1, E2, trials=25, seed=9, max_pairs=1)
+    xi = integer_trials(modes, 1, 25, 9)
+    report = verify_almost_ccr(modes, E1, E2, xi, seed=9, max_pairs=1)
     assert report.violations == []
-    report = verify_c_commutator(modes, E1, E1, trials=25, seed=9, max_pairs=1)
+    report = verify_c_commutator(modes, E1, E1, xi, seed=9, max_pairs=1)
     assert report.violations == []
+
+
+@pytest.mark.parametrize("width", [1, 10])
+def test_exact_checks_count_the_columns_of_their_block(capsys, width):
+    # the trial count is the block's width, and the four reports are the
+    # ones `oracle --trials W` prints first
+    modes = build_mode_set(7, 2)
+    xi = integer_trials(modes, 2, width, 5)
+    reports = [
+        check(modes, E1, l, xi, 5, 2)
+        for check in (verify_almost_ccr, verify_c_commutator)
+        for l in (E1, E2)
+    ]
+    assert [report.trials for report in reports] == [width] * 4
+    assert main(["oracle", "--trials", str(width), "--seed", "5"]) == 0
+    assert capsys.readouterr().out.startswith("".join(map(json_text, reports)))
 
 
 def test_truncation_overflow(modes_7_2):

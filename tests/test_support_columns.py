@@ -35,9 +35,12 @@ from fermi_rpa.rpa_delocalized import (
     coefficient_table,
     second_order_delocalized,
 )
+from fermi_rpa.quadrature import IntegralResult
 from fermi_rpa.rpa_optimal import (
+    KAPPA,
     SECOND_ORDER_PREFACTOR_OPTIMAL,
     frequency_brackets,
+    gmb_integral,
     second_order_optimal,
 )
 from conftest import load_perfbench
@@ -121,18 +124,20 @@ def test_golden_and_benchmark_potentials_match_the_per_k_reference(n):
 
 
 def test_brackets_sums_match_the_per_k_reference():
+    # one integral per support momentum, alone in its batch, and the unscaled
+    # fsums of |k| times its value and error
     for v in [make_potential(DEMO, 2), *benchmark_potentials()]:
+        rows = [
+            (math.sqrt(norm_sq(k)), *gmb_integral((2.0 * math.pi * KAPPA * v.value(k),))[0])
+            for k in nonzero_support(v)
+        ]
+        expected = IntegralResult(
+            math.fsum(kn * value for kn, value, _ in rows),
+            math.fsum(kn * error for kn, _, error in rows),
+        )
         brackets = frequency_brackets(v)
-        assert list(brackets.ks) == nonzero_support(v)
-        by_value = {}
-        for k, result in zip(brackets.ks, brackets.results):
-            assert by_value.setdefault(v.value(k), result) is result
-        assert brackets.value_sum == math.fsum(
-            math.sqrt(norm_sq(k)) * r.value for k, r in zip(brackets.ks, brackets.results)
-        )
-        assert brackets.error_sum == math.fsum(
-            math.sqrt(norm_sq(k)) * r.error for k, r in zip(brackets.ks, brackets.results)
-        )
+        assert type(brackets) is IntegralResult
+        assert [x.hex() for x in brackets] == [x.hex() for x in expected]
 
 
 # components up to 10**150 (|k|^2 still fits a double), values of either
@@ -260,11 +265,10 @@ def test_columns_are_read_only():
     for column in (v.kn, v.vs, v.orbit):
         with pytest.raises(ValueError):
             column[0] = 0
-    # tables and bracket sets share ks, so no reader can reorder it under the others
+    # tables share ks, so no reader can reorder it under the others
     for column in (v.ks, v.orbits, coefficient_table(ModelParams(33), v).ks):
         with pytest.raises(TypeError):
             column[0] = (0, 0, 0)
-    assert frequency_brackets(v).ks is v.ks
 
 
 def test_one_compare_forms_each_quantity_of_v_once(monkeypatch, tmp_path, capsys):
