@@ -88,20 +88,6 @@ def _a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
     )
 
 
-def optimal_kernel_magnitudes(v: Potential) -> List[float]:
-    """Kernel X(k) = -(1/4) log(1 + c V(k)) on the support minus {0}, in mode order.
-
-    c = 4 (9 pi/16)^(2/3) is the constant of A1..A5, so exp(2|X(k)|) =
-    sqrt(1 + c V(k)).  This is the paper's closed form, not the minimizer of
-    the continuum quadratic form: -(1/2) artanh(beta/alpha) with the
-    continuum coefficients equals -(1/4) log1p((c/2) V(k)), half the
-    constant (at V = 0.05 the two read -0.0641 and -0.0341).  The lattice
-    minimizer is ``rpa_delocalized.optimal_kernel(coefficient_table(ball, v))``.
-    The kernel is even because V is.  It is formed once per potential.
-    """
-    return list(v.once(_kernel).xi)
-
-
 class _Kernel(NamedTuple):
     """The budget's kernel terms, by row of the potential's columns: all of V alone."""
 
@@ -116,6 +102,17 @@ class _Kernel(NamedTuple):
 
 @_ieee_rows
 def _kernel(v: Potential) -> _Kernel:
+    """Kernel X(k) = -(1/4) log(1 + c V(k)) on the support minus {0}, in mode order.
+
+    c = 4 (9 pi/16)^(2/3) is the constant of A1..A5, so exp(2|X(k)|) =
+    sqrt(1 + c V(k)).  This is the paper's closed form, not the minimizer of
+    the continuum quadratic form: -(1/2) artanh(beta/alpha) with the
+    continuum coefficients equals -(1/4) log1p((c/2) V(k)), half the
+    constant (at V = 0.05 the two read -0.0641 and -0.0341).  The lattice
+    minimizer is ``rpa_delocalized.optimal_kernel(coefficient_table(ball, v))``.
+    The kernel is even because V is.  It is formed once per potential,
+    through ``v.once(_kernel)``.
+    """
     arg = C_SMALL * v.vs
     bad = np.flatnonzero(arg <= -1.0)
     if bad.size:
@@ -177,7 +174,7 @@ def assemble_error_budget(
     The bounds read ``table = coefficient_table(source, v)`` of an exact or
     continuum source with N = source.n particles (a table over another
     support raises DomainError), and the kernel
-    ``optimal_kernel_magnitudes(v)``.  total = eps1 + 2*eps2 + quartic is
+    ``v.once(_kernel)``.  total = eps1 + 2*eps2 + quartic is
     reported together with total*N (the N-independent certified constant).
     The order-hbar signal |E_corr| is the minimum of ``continuum =
     coefficient_table(ModelParams(N), v)``.  log_crossover_n estimates (in

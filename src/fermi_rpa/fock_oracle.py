@@ -8,14 +8,23 @@ lookup maps a momentum to its position.  Configurations are bitmasks
 over those positions, and a state is two numpy arrays: sorted, unique
 int64 keys and their complex amplitudes, of shape (n,) for one state or
 (n, trials) for a block of trial states that every operator acts on at
-once.  Each pair operator is one array pass over a (terms x keys) mask,
-so only configurations an operator actually reaches are ever stored;
-a pair's fermionic sign is the parity of the occupied modes between its
-hole and its particle.  Equal keys are then summed left to right in
-input order after one stable sort, so every sum has fixed bits.  The
-exact checks share one trial block and form each distinct image of it
-once, and the pair-quadratic interaction is applied already projected
-to the sector, so no configuration above the pair cap is ever formed.
+once.  Each pair operator reads a (terms x keys) mask of where its terms
+act, so only configurations an operator actually reaches are ever
+stored; a pair's fermionic sign is the parity of the occupied modes
+between its hole and its particle.  Equal keys are then summed left to
+right in input order after one stable sort, so every sum has fixed bits.
+The pair-quadratic interaction is applied already projected to the
+sector, so no configuration above the pair cap is ever formed.
+
+Working set: a check's memory follows its largest image, not the trial
+count.  The exact checks share one trial block and read it in column
+groups of at most COLUMN_BUDGET amplitudes; in each group every distinct
+image is formed once and released at its last read, and a commutator
+that must vanish compares its two products instead of summing them.  A
+pair operator forms its terms in groups of at most HIT_BUDGET hits, each
+group's sums resumed from the running ones.  None of this moves a bit:
+a resumed left-to-right sum has the bits of the whole sum, and no
+column's values depend on another column.
 
 Truncated-model semantics: with a finite particle cutoff the pair
 operators differ from their infinite-lattice counterparts, so every
@@ -36,8 +45,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -55,6 +65,14 @@ from .potential import Potential
 
 MODE_CAP = 40
 GATHER_CHUNK = 1 << 14  # amplitudes gathered at once by one repeat pass
+# Working-set budgets.  A kernel pass forms at most HIT_BUDGET pair-term hits
+# (or one term), about 70 bytes each at one trial column; an exact check
+# reads at most COLUMN_BUDGET amplitudes of its trial block (or one column).
+# The default mode set's 1471 x 10 block (perfbench's fock-oracle) is one
+# column group, and each of its kernel calls one pass; so is a --pairs 3
+# block of 10 trials (9171 x 10).
+HIT_BUDGET = 5 << 18
+COLUMN_BUDGET = 3 << 15
 _SIGNS = np.array([1, -1])  # (-1)^parity, looked up by parity
 
 # (sorted unique int64 configuration keys, complex amplitudes (n,) or (n, trials))
@@ -194,36 +212,65 @@ def _coalesce(keys: np.ndarray, amps: np.ndarray) -> State:
     run that each pair term's hits already form, since cfg ^ both is
     monotone in cfg.  The sums start as each key's first amplitude, and
     pass j adds the j-th repeat of every key that has one, gathering at
-    most GATHER_CHUNK amplitudes at a time.
+    most GATHER_CHUNK amplitudes at a time.  Only the keys that repeat
+    are tracked through the passes.
     """
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     fresh = np.ones(len(keys) + 1, dtype=bool)  # a key starts here (and at the end)
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:-1])
     first = np.flatnonzero(fresh[:-1])
+    keys = keys[first]
+    rows = np.flatnonzero(~fresh[first + 1])  # the keys that repeat
+    pos = first[rows] + 1  # and where each one's first repeat sits
     sums = amps.take(order[first], axis=0)
     sums += 0.0
-    rows, pos = np.arange(len(first)), first
     step = max(1, GATHER_CHUNK // math.prod(amps.shape[1:]))
     while len(rows):
+        for lo in range(0, len(rows), step):
+            sums[rows[lo : lo + step]] += amps.take(order[pos[lo : lo + step]], axis=0)
         pos = pos + 1
         repeat = ~fresh[pos]
         rows, pos = rows[repeat], pos[repeat]
-        for lo in range(0, len(rows), step):
-            sums[rows[lo : lo + step]] += amps.take(order[pos[lo : lo + step]], axis=0)
-    return _drop_zeros(keys[first], sums)
+    return _drop_zeros(keys, sums)
 
 
-def _linear_combination(terms: Sequence[Tuple[float, State]]) -> State:
-    """sum_i c_i state_i over (c_i, state_i), all with the same trial axis."""
-    keys = np.concatenate([state[0] for _, state in terms])
-    amps = np.concatenate([state[1] for _, state in terms])
+def _linear_combination(pieces: List[Tuple[float, State]]) -> State:
+    """sum_i c_i state_i over (c_i, state_i), all with the same trial axis.
+
+    Takes ownership of ``pieces``: the list is emptied once its states are
+    concatenated, so a piece no caller holds is released before the sum.
+    """
+    scales = [(c, len(state[0])) for c, state in pieces]
+    keys = np.concatenate([state[0] for _, state in pieces])
+    amps = np.concatenate([state[1] for _, state in pieces])
+    pieces.clear()
     lo = 0
-    for c, (part, _) in terms:  # c * amplitudes, scaled in place
-        hi = lo + len(part)
-        np.multiply(c, amps[lo:hi], out=amps[lo:hi])
-        lo = hi
+    for c, n in scales:  # c * amplitudes, scaled in place
+        np.multiply(c, amps[lo : lo + n], out=amps[lo : lo + n])
+        lo += n
     return _coalesce(keys, amps)
+
+
+def _columns_differ(u: State, w: State) -> np.ndarray:
+    """Per trial column of two coalesced blocks: is u - w nonzero there.
+
+    Coalesced states are canonical (sorted unique keys, no all-zero row, no
+    -0.0), and on finite amplitudes a - b is zero exactly when a == b, so
+    this is ``_nonzero_trials(_linear_combination([(1, u), (-1, w)]))``
+    without forming the sum.  Equal keys compare each column in place;
+    otherwise each column compares its nonzero entries.
+    """
+    (uk, ua), (wk, wa) = u, w
+    if np.array_equal(uk, wk):
+        return np.array([not np.array_equal(a, b) for a, b in zip(ua.T, wa.T)], dtype=bool)
+    differ = []
+    for a, b in zip(ua.T, wa.T):
+        at_u, at_w = a != 0, b != 0
+        differ.append(
+            not (np.array_equal(uk[at_u], wk[at_w]) and np.array_equal(a[at_u], b[at_w]))
+        )
+    return np.array(differ, dtype=bool)
 
 
 def state_norm_sq(state: State) -> np.ndarray:
@@ -244,11 +291,37 @@ def fermion_sign(keys: np.ndarray, idx: int) -> np.ndarray:
     return _SIGNS[np.bitwise_count(keys & ((1 << idx) - 1)) & 1]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending; a stable sort merges the sorted runs they come in."""
+    values = np.sort(values, kind="stable")
+    fresh = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return values[fresh]
+
+
+def _term_groups(hits: np.ndarray) -> List[slice]:
+    """Consecutive term slices, each of one term or at most an even share of the hits.
+
+    The share is the hit count over the fewest groups of at most
+    HIT_BUDGET hits, so a call within the budget is one group and no group
+    of a larger call holds much more than another.
+    """
+    counts = hits.tolist()
+    share = sum(counts) / max(1, math.ceil(sum(counts) / max(1, HIT_BUDGET)))
+    groups, start, total = [], 0, 0
+    for j, count in enumerate(counts):
+        if total + count > share and j > start:
+            groups.append(slice(start, j))
+            start, total = j, 0
+        total += count
+    return groups + [slice(start, len(counts))]
+
+
 def _apply_pair_terms(
     state: State, p_idx: np.ndarray, h_idx: np.ndarray, weights: np.ndarray,
     modes: ModeSet, create: bool, cap: int,
 ) -> State:
-    """Apply sum_j w_j a*_p a*_h (or its adjoint w_j a_h a_p) in one array pass.
+    """Apply sum_j w_j a*_p a*_h (or its adjoint w_j a_h a_p), in term groups.
 
     Term j is (p_idx[j], h_idx[j], integer weights[j]).  One (terms x keys)
     mask holds where each term acts (both modes empty for creation, both
@@ -258,21 +331,60 @@ def _apply_pair_terms(
     modes strictly between h and p).  Creation raises NumericalFailure
     when a new key holds more than cap pairs.  Key bits above the mode set
     ride along untouched.
+
+    The terms are formed in consecutive groups of at most HIT_BUDGET hits
+    or one term (``_term_groups``).  One group is one coalesce.  Otherwise
+    the keys every group reaches are found first, the sums live in one
+    array over them, and each group's coalesce takes the running sums of
+    the keys an earlier group reached as its first piece.  A left-to-right
+    sum resumed from its partial sum has the same bits, so every grouping
+    gives the bits of the single coalesce.
     """
     keys, amps = state
     both = (1 << p_idx) | (1 << h_idx)
-    term, row = np.nonzero((keys & both[:, None]) == (0 if create else both[:, None]))
-    cfg = keys[row]
-    new = cfg ^ both[term]
-    if create and len(new):
-        pairs = int(np.bitwise_count(new & ((1 << modes.n_modes) - 1)).max()) // 2
+    acts = (keys & both[:, None]) == (0 if create else both[:, None])
+    if create and acts.any():  # a creation adds one pair to the key it acts on
+        occupied = np.bitwise_count(keys[acts.any(axis=0)] & ((1 << modes.n_modes) - 1))
+        pairs = int(occupied.max()) // 2 + 1
         if pairs > cap:
             raise NumericalFailure(f"configuration with {pairs} pairs exceeds max_pairs = {cap}")
     between = (1 << p_idx) - (2 << h_idx)  # the modes strictly between h and p
-    factor = (-weights)[term] * fermion_sign(cfg & between[term], modes.n_modes)
-    terms = amps.take(row, axis=0)
-    terms *= _column(factor, amps)
-    return _coalesce(new, terms)
+
+    def formed(terms: slice) -> State:
+        """The new keys and amplitudes of the terms' hits, in hit order."""
+        term, row = np.nonzero(acts[terms])
+        term += terms.start
+        values = amps.take(row, axis=0)
+        cfg = keys[row]
+        del row
+        factor = fermion_sign(cfg & between[term], modes.n_modes)
+        factor *= (-weights)[term]
+        values *= _column(factor, amps)
+        del factor
+        cfg ^= both[term]
+        return cfg, values
+
+    groups = _term_groups(np.count_nonzero(acts, axis=1))
+    if len(groups) == 1:
+        return _coalesce(*formed(groups[0]))
+    reached = _distinct(np.concatenate([keys[hit] ^ b for hit, b in zip(acts, both.tolist())]))
+    sums = np.zeros((len(reached),) + amps.shape[1:], dtype=complex)
+    summed = np.zeros(len(reached), dtype=bool)  # an earlier group reached the key
+    for terms in groups:
+        new, values = formed(terms)
+        at = _distinct(np.searchsorted(reached, new))
+        carried = at[summed[at]]  # the keys whose sums an earlier group began
+        summed[at] = True
+        if len(carried):
+            new = np.concatenate([reached[carried], new])
+            values = np.concatenate([sums[carried], values])
+        new, values = _coalesce(new, values)
+        if len(new) < len(at):  # a sum cancelled: its row leaves the state
+            sums[at] = 0
+            at = at[np.searchsorted(reached[at], new)]
+        sums[at] = values
+        del new, values  # released before the next group is formed
+    return _drop_zeros(reached, sums)
 
 
 def _pair_operator(state, k, modes, create, cap, normalized, component=None) -> State:
@@ -314,13 +426,11 @@ def apply_pair_annihilate(
 
 
 def apply_c_create(
-    state: State, k: Momentum, modes: ModeSet, *, cap: int, normalized: bool = False
-) -> Tuple[State, State, State]:
-    """Vector-weighted pair creation: component i applies (p+h)_i a*_p a*_h."""
-    return tuple(
-        _pair_operator(state, k, modes, True, cap, normalized, component=i)
-        for i in range(3)
-    )
+    state: State, k: Momentum, modes: ModeSet, component: int, *, cap: int,
+    normalized: bool = False,
+) -> State:
+    """One component of vector-weighted pair creation: component i applies (p+h)_i a*_p a*_h."""
+    return _pair_operator(state, k, modes, True, cap, normalized, component=component)
 
 
 def apply_number(state: State) -> State:
@@ -441,6 +551,19 @@ def _norms(state: State) -> np.ndarray:
     return np.sqrt(state_norm_sq(state))
 
 
+def _column_groups(xi: State) -> Iterator[State]:
+    """The trial block as consecutive column groups, in trial order.
+
+    Each group holds at most COLUMN_BUDGET amplitudes, or one column.  A
+    column's values never depend on another column, so a check's reports
+    do not depend on the grouping.
+    """
+    keys, amps = xi
+    width = max(1, COLUMN_BUDGET // max(1, len(keys)))
+    for lo in range(0, amps.shape[1], width):
+        yield keys, np.ascontiguousarray(amps[:, lo : lo + width])
+
+
 def verify_almost_ccr(
     modes: ModeSet,
     k: Momentum,
@@ -456,14 +579,17 @@ def verify_almost_ccr(
     unnormalized operators, so the k = l subtraction is an exact integer),
     and [b_k, b_l], [b*_k, b*_l] must vanish identically.  ``xi`` is the
     block ``integer_trials(modes, max_pairs, trials, seed)``, one trial per
-    column.  Each distinct image is formed once: 6 pair applications at
-    k = l, 10 otherwise.
+    column.  The block is read in column groups (``_column_groups``).  In
+    each, every distinct image is formed once and released at its last
+    read: 10 pair applications, 4 at k = l, where [b_k, b_l] and
+    [b*_k, b*_l] are [a, a] = 0 and form nothing.  The vanishing
+    commutators compare their two products (``_columns_differ``).
     """
-    trials = xi[1].shape[1]
     mk = modes.lune_size(k)
     # an operator is (creates, transfer), so b_k and b_l are one at k = l
     b_k, b_l, bs_k, bs_l = ((c, tuple(q)) for c in (False, True) for q in (k, l))
-    images = {}  # each operator's image of xi, kept while a later commutator reads it
+    delta = -float(mk) if b_k == b_l else 0.0
+    commutators = [(a, b) for a, b in ((b_k, bs_l), (b_k, b_l), (bs_k, bs_l)) if a != b]
 
     def apply(op, state):
         creates, q = op
@@ -471,26 +597,34 @@ def verify_almost_ccr(
             return apply_pair_create(state, q, modes, cap=max_pairs + 2)
         return apply_pair_annihilate(state, q, modes)
 
-    def commutator(a, b, *extra, keep=False):
-        """[a, b] xi plus c * state for each (c, state) in extra."""
-        for op in (a, b):
-            if op not in images:
-                images[op] = apply(op, xi)
-        ab = apply(a, images[b])
-        ba = ab if a == b else apply(b, images[a])
-        if not keep:  # no later commutator reads these images
-            for op in {a, b}:
-                del images[op]
-        return _linear_combination([(1, ab), (-1, ba), *extra])
+    def columns(block: State) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ratio, [b_k, b_l] != 0, [b*_k, b*_l] != 0) per column of the block."""
+        images = {}  # each operator's image of the block, until its last read
+        reads = Counter(op for pair in commutators for op in pair)
 
-    delta = -float(mk) if b_k == b_l else 0.0
-    # b_k xi is read again by [b_k, b_l], b*_l xi by [b*_k, b*_l]
-    resid = _norms(commutator(b_k, bs_l, (delta, xi), keep=True))
-    nn = _norms(apply_number(xi))
-    ratios = np.divide(resid, nn, out=np.full(trials, math.inf), where=nn > 0)
-    # [b_k, b_l] and [b*_k, b*_l] vanish exactly (integer amplitudes)
-    bb = _nonzero_trials(commutator(b_k, b_l))
-    cc = _nonzero_trials(commutator(bs_k, bs_l))
+        def product(a, b):
+            """a b block."""
+            if b not in images:
+                images[b] = apply(b, block)
+            reads[b] -= 1
+            return apply(a, images[b] if reads[b] else images.pop(b))
+
+        def nonvanishing(a, b):
+            if a == b:
+                return np.zeros(block[1].shape[1], dtype=bool)
+            return _columns_differ(product(a, b), product(b, a))
+
+        resid = _norms(
+            _linear_combination(
+                [(1, product(b_k, bs_l)), (-1, product(bs_l, b_k)), (delta, block)]
+            )
+        )
+        nn = _norms(apply_number(block))
+        ratios = np.divide(resid, nn, out=np.full(len(nn), math.inf), where=nn > 0)
+        # [b_k, b_l] and [b*_k, b*_l] vanish exactly (integer amplitudes)
+        return ratios, nonvanishing(b_k, b_l), nonvanishing(bs_k, bs_l)
+
+    ratios, bb, cc = map(np.concatenate, zip(*map(columns, _column_groups(xi))))
     violations: List[str] = []
     for trial, ratio in enumerate(ratios.tolist()):
         if ratio > 1.0 + 1e-12:
@@ -505,7 +639,7 @@ def verify_almost_ccr(
         check="almost_ccr",
         modeset=modes.describe(max_pairs),
         seed=seed,
-        trials=trials,
+        trials=len(ratios),
         max_ratio=max([0.0, *ratios.tolist()]),
         violations=violations,
         details={"lune_k": float(mk), "lune_l": float(modes.lune_size(l))},
@@ -513,20 +647,22 @@ def verify_almost_ccr(
 
 
 def _c_residual(
-    xi: State, k: Momentum, l: Momentum, modes: ModeSet, cap: int, f: Sequence[int]
-) -> List[State]:
+    xi: State, k: Momentum, l: Momentum, modes: ModeSet, cap: int, f: Tuple[int, int, int]
+) -> Iterator[State]:
     """Componentwise [c*_k, b_l] xi + f_i xi with unnormalized operators.
 
-    Each intermediate image is released once it is read, largest first.
+    The components come one at a time: each forms its images when it is
+    asked for, and each image is released once it is read.
     """
-    second = list(apply_c_create(xi, k, modes, cap=cap))
+    lowered = apply_pair_annihilate(xi, l, modes)
     for i in range(3):
-        second[i] = apply_pair_annihilate(second[i], l, modes)
-    first = list(apply_c_create(apply_pair_annihilate(xi, l, modes), k, modes, cap=cap))
-    for i in range(3):
-        first[i] = _linear_combination([(1, first[i]), (-1, second[i]), (f[i], xi)])
-        second[i] = None
-    return first
+        yield _linear_combination(
+            [
+                (1, apply_c_create(lowered, k, modes, i, cap=cap)),
+                (-1, apply_pair_annihilate(apply_c_create(xi, k, modes, i, cap=cap), l, modes)),
+                (f[i], xi),
+            ]
+        )
 
 
 def honest_c_bound_constant(modes: ModeSet, k: Momentum, l: Momentum) -> float:
@@ -561,7 +697,8 @@ def verify_c_commutator(
     operator-norm constant (``honest_c_bound_constant``); and the
     residual must commute with the fermion number operator, checked in
     exact integer arithmetic on every trial state.  ``xi`` is the block
-    ``integer_trials(modes, max_pairs, trials, seed)``, one trial per column.
+    ``integer_trials(modes, max_pairs, trials, seed)``, one trial per column,
+    read in column groups (``_column_groups``).
     """
     fsum_vec = modes.pair_vector_sum(k)
     f = fsum_vec if tuple(k) == tuple(l) else (0, 0, 0)
@@ -569,21 +706,24 @@ def verify_c_commutator(
     const = honest_c_bound_constant(modes, k, l)
     mnorm = math.sqrt(norm_sq(k))
     lifted = max_pairs + 1
-    resid = _c_residual(xi, k, l, modes, lifted, f)
-    # m . residual with m = k (integer contraction keeps exactness)
-    mdot = _linear_combination([(float(k[i]), resid[i]) for i in range(3)])
-    nxi = apply_number(xi)
-    denom = mnorm * const * _norms(nxi)
-    ratios = np.where(_nonzero_trials(mdot), math.inf, 0.0)
-    np.divide(_norms(mdot), denom, out=ratios, where=denom > 0)
-    # [residual, N] = 0, both orders, exact integers
-    resid_n = _c_residual(nxi, k, l, modes, lifted, f)
-    noncommuting = [
-        _nonzero_trials(
-            _linear_combination([(1, resid_n[i]), (-1, apply_number(resid[i]))])
-        )
-        for i in range(3)
-    ]
+
+    def columns(block: State) -> Tuple[np.ndarray, np.ndarray]:
+        """(ratio, residual component i does not commute with N) per column."""
+        nblock = apply_number(block)
+        terms, noncommuting = [], []
+        # [residual, N] = 0, both orders, exact integers
+        residuals = (_c_residual(b, k, l, modes, lifted, f) for b in (block, nblock))
+        for i, (resid, resid_n) in enumerate(zip(*residuals)):
+            noncommuting.append(_columns_differ(resid_n, apply_number(resid)))
+            terms.append((float(k[i]), resid))
+        # m . residual with m = k (integer contraction keeps exactness)
+        mdot = _linear_combination(terms)
+        denom = mnorm * const * _norms(nblock)
+        ratios = np.where(_nonzero_trials(mdot), math.inf, 0.0)
+        np.divide(_norms(mdot), denom, out=ratios, where=denom > 0)
+        return ratios, np.stack(noncommuting, axis=1)
+
+    ratios, noncommuting = map(np.concatenate, zip(*map(columns, _column_groups(xi))))
     violations: List[str] = []
     for trial, ratio in enumerate(ratios.tolist()):
         if ratio > 1.0 + 1e-12:
@@ -592,7 +732,7 @@ def verify_c_commutator(
                 f"(constant {const:.6g})"
             )
         for i in range(3):
-            if noncommuting[i][trial]:
+            if noncommuting[trial, i]:
                 violations.append(
                     f"trial {trial}: residual component {i} does not commute with N"
                 )
@@ -600,7 +740,7 @@ def verify_c_commutator(
         check="c_commutator",
         modeset=modes.describe(max_pairs),
         seed=seed,
-        trials=xi[1].shape[1],
+        trials=len(ratios),
         max_ratio=max([0.0, *ratios.tolist()]),
         violations=violations,
         details={
@@ -660,11 +800,13 @@ def _apply_quadratic(
             continue
         neg_k = negate(k)
         b_k = apply_pair_annihilate(state, k, modes)
-        hop = apply_pair_create(b_k, k, modes, cap=max_pairs)
-        up = apply_pair_create(low, neg_k, modes, cap=max_pairs)
-        up = apply_pair_create(up, k, modes, cap=max_pairs)
-        down = apply_pair_annihilate(b_k, neg_k, modes)
-        pieces += [(2.0 * weight, hop), (weight, up), (weight, down)]
+        pieces += [
+            (2.0 * weight, apply_pair_create(b_k, k, modes, cap=max_pairs)),
+            (weight, apply_pair_create(
+                apply_pair_create(low, neg_k, modes, cap=max_pairs), k, modes, cap=max_pairs
+            )),
+            (weight, apply_pair_annihilate(b_k, neg_k, modes)),
+        ]
     if not pieces:
         return state[0][:0], state[1][:0]
     return _linear_combination(pieces)

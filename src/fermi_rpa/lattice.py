@@ -72,15 +72,6 @@ def orbit_representative(k: Momentum) -> Momentum:
     return tuple(sorted(map(abs, k)))
 
 
-def mode_sort_key(k: Momentum) -> Tuple[int, int, int, int]:
-    """Global total order on modes: (|k|^2, lexicographic).
-
-    Fixed once and used everywhere a deterministic ordering matters
-    (fermionic signs, reproducible reductions).
-    """
-    return (norm_sq(k), k[0], k[1], k[2])
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Particle count, hbar = n^(-1/3) and the continuum Fermi momentum kf = (3n/4pi)^(1/3)."""

@@ -16,7 +16,9 @@ and its one-pair expectations take a full matrix-vector product each.
 The potential's columns, the sums of V alone (A1..A5, the kernel,
 sum_k V(k)^2 |k|, |V|_1) and the error budget's row loop are rebuilt one
 momentum at a time from the coefficient dict, as the package built them
-before it held columns.
+before it held columns.  The mode order key and the error budget's kernel
+list, which only tests read, live here too, and so does the summed form
+of a vanishing commutator that the Fock oracle now compares instead.
 """
 
 import math
@@ -27,6 +29,7 @@ from fermi_rpa.error_budget import (
     C_SMALL,
     PARTICLE_ESCAPE_CONSTANT,
     ErrorBudget,
+    _kernel,
     _log,
     _logaddexp,
     particle_number_constant,
@@ -36,6 +39,7 @@ from fermi_rpa.fock_oracle import (
     _basis_vector,
     _linear_combination,
     _matvec,
+    _nonzero_trials,
     apply_pair_annihilate,
     apply_pair_create,
     state_norm_sq,
@@ -50,7 +54,6 @@ from fermi_rpa.lattice import (
     kinetic_coefficient_asymptotic,
     lens_norm,
     lune_count,
-    mode_sort_key,
     negate,
     norm_sq,
     orbit_representative,
@@ -58,6 +61,16 @@ from fermi_rpa.lattice import (
 from fermi_rpa.potential import finite_fsum
 from fermi_rpa.rpa_delocalized import CoefficientTable, correlation_delocalized
 from conftest import brute_force_ball
+
+
+def mode_sort_key(k):
+    """Global total order on modes: (|k|^2, lexicographic), the package's mode order."""
+    return (norm_sq(k), k[0], k[1], k[2])
+
+
+def optimal_kernel_magnitudes(v):
+    """The error budget's kernel X(k) = -(1/4) log(1 + c V(k)), a list aligned with v.ks."""
+    return list(v.once(_kernel).xi)
 
 
 def golden_section_minimum(fn, lo, hi, tol=1e-12, iters=300):
@@ -220,6 +233,11 @@ def coalesce_reference(keys, amps):
     np.add.at(summed, inverse, amps)
     keep = (summed != 0).any(axis=tuple(range(1, summed.ndim)))
     return uniq[keep], summed[keep]
+
+
+def columns_differ_reference(u, w):
+    """Per trial column: is u - w nonzero, by forming the sum u + (-1) w."""
+    return _nonzero_trials(_linear_combination([(1, u), (-1, w)]))
 
 
 def matvec_reference(triplets, vec):

@@ -208,7 +208,7 @@ def test_criterion_7_fock_oracle_exactness():
         # (c) kinetic commutator on the vacuum, amplitude by amplitude
         created = apply_pair_create(vacuum(), k, modes, cap=2, normalized=True)
         lhs = amplitudes(apply_h0(created, modes, params))
-        comps = apply_c_create(vacuum(), k, modes, cap=2, normalized=True)
+        comps = [apply_c_create(vacuum(), k, modes, i, cap=2, normalized=True) for i in range(3)]
         rhs = {}
         for i in range(3):
             if k[i] == 0:
@@ -222,9 +222,9 @@ def test_criterion_7_fock_oracle_exactness():
         # (d) [c*_k, b_k] vacuum = -f_trunc(k) vacuum
         mk = modes.lune_size(k)
         fvec = modes.pair_vector_sum(k)
-        cstar = apply_c_create(vacuum(), k, modes, cap=3, normalized=True)
         for i in range(3):
-            second = amplitudes(apply_pair_annihilate(cstar[i], k, modes, normalized=True))
+            cstar = apply_c_create(vacuum(), k, modes, i, cap=3, normalized=True)
+            second = amplitudes(apply_pair_annihilate(cstar, k, modes, normalized=True))
             expected = -fvec[i] / mk
             got = -second.get(0, 0j)
             assert abs(got - expected) <= 1e-13

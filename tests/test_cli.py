@@ -647,6 +647,7 @@ GOLDEN_COMMANDS = [
     "oracle --holes-n 1 --lambda-sq 1 --pairs 1 --trials 25 --seed 9",
     "oracle --pairs 3 --trials 2 --seed 3",
     "oracle --trials 10 --seed 5",
+    "oracle --pairs 3 --trials 40 --seed 11",
     "corr --n 257 --method optimal --tol 1e-12",
     "compare --n-list 33,257 --tol 1e-12 --format csv",
     "ball --n 2109",
@@ -680,6 +681,14 @@ def test_golden_oracle_commands_keep_the_unit_tolerance_scale(command):
         modes, cli.read_potential(None), ModelParams(args.holes_n), args.pairs
     )
     assert fock_oracle.tolerance_scale(values) == 1.0
+
+
+@pytest.mark.parametrize("command", [c for c in GOLDEN_COMMANDS if c.startswith("oracle ")])
+def test_golden_oracle_bytes_do_not_depend_on_the_budgets(capsys, monkeypatch, golden, command):
+    # budgets of zero: one pair term per kernel chunk, one trial column per check group
+    monkeypatch.setattr(fock_oracle, "HIT_BUDGET", 0)
+    monkeypatch.setattr(fock_oracle, "COLUMN_BUDGET", 0)
+    assert run_cli(capsys, *command.split()) == (0, golden[command], "")
 
 
 ROOT = Path(__file__).resolve().parent.parent

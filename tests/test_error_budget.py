@@ -8,7 +8,6 @@ from fermi_rpa.error_budget import (
     C_SMALL,
     a_constants,
     assemble_error_budget,
-    optimal_kernel_magnitudes,
     particle_number_constant,
 )
 from fermi_rpa.errors import DomainError
@@ -16,6 +15,7 @@ from fermi_rpa.lattice import ModelParams
 from fermi_rpa.potential import make_potential
 from fermi_rpa.rpa_delocalized import coefficient_table, optimal_kernel
 from conftest import scaled_potential
+from oracles import optimal_kernel_magnitudes
 
 
 def test_c_small_value():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -9,8 +10,10 @@ from oracles import (
     amplitudes,
     brute_force_pairs,
     coalesce_reference,
+    columns_differ_reference,
     honest_c_bound_reference,
     matvec_reference,
+    mode_sort_key,
     one_pair_deviations_loop,
     quadratic_compose_then_project,
 )
@@ -37,13 +40,27 @@ from fermi_rpa.fock_oracle import (
     verify_c_commutator,
     verify_quadratic_interaction,
 )
-from fermi_rpa.lattice import ModelParams, mode_sort_key, norm_sq
+from fermi_rpa.lattice import ModelParams, norm_sq
 from fermi_rpa.potential import make_potential
 
 E1 = (1, 0, 0)
 E2 = (0, 1, 0)
 # (holes, cutoff) of the mode sets the lookup tests run on
 MODE_SETS = [(7, 2), (7, 3), (1, 1), (19, 4)]
+# a check's traced peak over the largest state it forms, the same for every check
+MEMORY_MULTIPLE = 7
+
+# the module's budgets as set, then zero: one pair term per kernel chunk
+# and one trial column per check group
+BUDGETS = [
+    {"HIT_BUDGET": fock_oracle.HIT_BUDGET, "COLUMN_BUDGET": fock_oracle.COLUMN_BUDGET},
+    {"HIT_BUDGET": 0, "COLUMN_BUDGET": 0},
+]
+
+
+def set_budgets(monkeypatch, budgets):
+    for name, value in budgets.items():
+        monkeypatch.setattr(fock_oracle, name, value)
 
 
 def random_state(modes, rng, integer_amplitudes=False):
@@ -215,11 +232,12 @@ def test_adjoint_property(modes_7_2):
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
-def test_kernel_matches_loop_reference():
+def test_kernel_matches_loop_reference(monkeypatch):
     # the vectorized kernel against a one-configuration-at-a-time loop,
     # exactly, on integer amplitudes: unit weights (b*_k, b_k) and the
     # (p+h)_i weights of c*_k, on one state and on a two-column block
-    # whose every column must equal the single-state result
+    # whose every column must equal the single-state result; with the
+    # budgets as set and at zero
     rng = np.random.default_rng(17)
     for n, lambda_sq in MODE_SETS:
         modes = build_mode_set(n, lambda_sq)
@@ -237,11 +255,12 @@ def test_kernel_matches_loop_reference():
                 (partial(apply_pair_create, k=k, modes=modes, cap=3), unit, True),
                 (partial(apply_pair_annihilate, k=k, modes=modes), unit, False),
             ]
-            c_star = partial(apply_c_create, k=k, modes=modes, cap=3)
             for i in range(3):
                 weighted = [(p, h, 2 * hole_vecs[h][i] + k[i]) for p, h in pairs]
-                cases.append((lambda s, c=c_star, i=i: c(s)[i], weighted, True))
-            for op, terms, create in cases:
+                c_star = partial(apply_c_create, k=k, modes=modes, component=i, cap=3)
+                cases.append((c_star, weighted, True))
+            for (op, terms, create), budgets in itertools.product(cases, BUDGETS):
+                set_budgets(monkeypatch, budgets)
                 out_keys, out_block = op((keys, block))
                 for j in range(2):
                     state = (keys, block[:, j])
@@ -266,7 +285,9 @@ def assert_same_bits(state, reference):
 )
 def test_sums_match_add_at_reference_bit_for_bit(monkeypatch, capsys, argv):
     # every key sum and every row of Q vec the oracle forms in a run,
-    # against np.unique + np.add.at on the same inputs
+    # against np.unique + np.add.at on the same inputs; with the budgets as
+    # set and at zero, where each term chunk's coalesce takes the running
+    # sums of the kernel's earlier chunks first
     coalesce, matvec, matvec_rows = (
         fock_oracle._coalesce, fock_oracle._matvec, fock_oracle._matvec_rows
     )
@@ -298,11 +319,14 @@ def test_sums_match_add_at_reference_bit_for_bit(monkeypatch, capsys, argv):
     monkeypatch.setattr(fock_oracle, "_coalesce", checked_coalesce)
     monkeypatch.setattr(fock_oracle, "_matvec", checked_matvec)
     monkeypatch.setattr(fock_oracle, "_matvec_rows", checked_matvec_rows)
-    assert main(argv.split()) == 0
-    assert capsys.readouterr().err == ""
-    # one full product, and one on the picked triplets per one-pair vector
-    assert calls["coalesce"] > 100 and calls["matvec_rows"] > 1
-    assert calls["matvec"] == 1 + calls["matvec_rows"]
+    for budgets in BUDGETS:
+        set_budgets(monkeypatch, budgets)
+        calls.update(coalesce=0, matvec=0, matvec_rows=0)
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
+        # one full product, and one on the picked triplets per one-pair vector
+        assert calls["coalesce"] > 100 and calls["matvec_rows"] > 1
+        assert calls["matvec"] == 1 + calls["matvec_rows"]
 
 
 def quadratic_inputs(modes, max_pairs, rng):
@@ -327,7 +351,9 @@ def random_signed_potential(rng):
 
 @pytest.mark.parametrize("holes_n, lambda_sq", [(1, 1), (1, 2), (7, 2), (7, 3)])
 @pytest.mark.parametrize("max_pairs", [1, 2, 3, 4])
-def test_projected_quadratic_matches_compose_then_project(holes_n, lambda_sq, max_pairs):
+def test_projected_quadratic_matches_compose_then_project(
+    holes_n, lambda_sq, max_pairs, monkeypatch
+):
     # projecting the input of b*_k b*_{-k} to <= max_pairs - 2 pairs forms
     # fewer configurations, and every kept key the same sum, bit for bit
     modes = build_mode_set(holes_n, lambda_sq)
@@ -336,9 +362,12 @@ def test_projected_quadratic_matches_compose_then_project(holes_n, lambda_sq, ma
     for _ in range(2):
         v = random_signed_potential(rng)
         for state in quadratic_inputs(modes, max_pairs, rng):
-            got = fock_oracle._apply_quadratic(state, modes, v, params, max_pairs)
+            set_budgets(monkeypatch, BUDGETS[0])
             expected = quadratic_compose_then_project(state, modes, v, params, max_pairs)
-            assert_same_bits(got, expected)
+            for budgets in BUDGETS:  # the same bits with the budgets as set and at zero
+                set_budgets(monkeypatch, budgets)
+                got = fock_oracle._apply_quadratic(state, modes, v, params, max_pairs)
+                assert_same_bits(got, expected)
 
 
 @pytest.mark.parametrize("max_pairs", [1, 2, 3])
@@ -397,6 +426,32 @@ def test_coalesce_gathers_repeats_in_chunks(monkeypatch):
     monkeypatch.setattr(fock_oracle, "GATHER_CHUNK", 7)
     assert_same_bits(fock_oracle._coalesce(keys, amps), whole)
     assert_same_bits(whole, coalesce_reference(keys, amps))
+
+
+def test_compared_commutator_matches_the_summed_form():
+    # _columns_differ(u, w) against the sum u + (-1) w on coalesced blocks
+    def block(rows):
+        keys = np.array([key for key, _ in rows], dtype=np.int64)
+        amps = np.array([amps for _, amps in rows], dtype=complex).reshape(len(rows), 2)
+        return fock_oracle._coalesce(keys, amps)
+
+    u = block([(3, (1 + 2j, -4)), (8, (5, 6j))])
+    cases = [
+        (u, block([(3, (1 + 2j, -4)), (8, (5, 6j))]), [False, False]),  # equal images
+        (block([]), block([]), [False, False]),  # empty images
+        (u, block([]), [True, True]),
+        (block([]), block([(5, (0, 1))]), [False, True]),
+        # a key in one image only, nonzero in its first column only
+        (u, block([(3, (1 + 2j, -4)), (6, (7, 0)), (8, (5, 6j))]), [True, False]),
+        # a column zero in one image only: same keys, second columns differ
+        (u, block([(3, (1 + 2j, 0)), (8, (5, 6j))]), [False, True]),
+        (block([(3, (1 + 2j, 0)), (8, (5, 6j))]), u, [False, True]),
+        # a key whose row is zero in one column of each image
+        (block([(2, (0, 9))]), block([(2, (0, 9)), (4, (0, 1))]), [False, True]),
+    ]
+    for a, b, expected in cases:
+        assert fock_oracle._columns_differ(a, b).tolist() == expected
+        assert columns_differ_reference(a, b).tolist() == expected
 
 
 def test_positions_names_a_key_missing_from_the_basis():
@@ -491,7 +546,9 @@ def test_kinetic_commutator_identity(modes_7_2):
     for k in (E1, E2, (1, 1, 0)):
         created = apply_pair_create(vacuum(), k, modes_7_2, cap=2, normalized=True)
         lhs = amplitudes(apply_h0(created, modes_7_2, params))  # H0 b*_k O (H0 O = 0)
-        comps = apply_c_create(vacuum(), k, modes_7_2, cap=2, normalized=True)
+        comps = [
+            apply_c_create(vacuum(), k, modes_7_2, i, cap=2, normalized=True) for i in range(3)
+        ]
         rhs_amps = {}
         for i in range(3):
             if k[i] == 0:
@@ -542,9 +599,9 @@ def test_c_commutator_vacuum_is_truncated_f(modes_7_2):
     mk = modes_7_2.lune_size(k)
     fvec = modes_7_2.pair_vector_sum(k)
     assert amplitudes(apply_pair_annihilate(vacuum(), k, modes_7_2)) == {}
-    cstar = apply_c_create(vacuum(), k, modes_7_2, cap=3, normalized=True)
     for i in range(3):
-        second = apply_pair_annihilate(cstar[i], k, modes_7_2, normalized=True)
+        cstar = apply_c_create(vacuum(), k, modes_7_2, i, cap=3, normalized=True)
+        second = apply_pair_annihilate(cstar, k, modes_7_2, normalized=True)
         comm = {cfg: -amp for cfg, amp in amplitudes(second).items()}  # 0 - b_k c*_k O
         expected = -fvec[i] / mk
         got = comm.get(0, 0j)
@@ -682,6 +739,63 @@ def test_ccr_on_single_hole_mode_set():
     assert report.violations == []
 
 
+def traced_peak(run):
+    """Peak bytes that run() allocates, traced from its start (its inputs excluded)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_check_peaks_under_one_multiple_of_its_largest_state(monkeypatch, demo_potential):
+    # dimension 44031 (7 holes, lambda^2 = 3, 3 pairs), one trial; every state
+    # a pair operator, N or a linear combination returns is measured
+    modes = build_mode_set(7, 3)
+    xi = integer_trials(modes, 3, 1, 5)
+    sizes = []
+
+    def measured(fn):
+        def wrapper(*args, **kwargs):
+            keys, amps = state = fn(*args, **kwargs)
+            sizes.append(keys.nbytes + amps.nbytes)
+            return state
+
+        return wrapper
+
+    for name in (
+        "apply_pair_create", "apply_pair_annihilate", "apply_c_create", "apply_number",
+        "_linear_combination",
+    ):
+        monkeypatch.setattr(fock_oracle, name, measured(getattr(fock_oracle, name)))
+    checks = [
+        partial(check, modes, E1, l, xi, 5, 3)
+        for check in (verify_almost_ccr, verify_c_commutator)
+        for l in (E1, E2)
+    ]
+    params = ModelParams(7)
+    checks.append(partial(verify_quadratic_interaction, modes, demo_potential, params, 3, 5))
+    for check in checks:
+        sizes.clear()
+        peak = traced_peak(check)
+        assert peak <= MEMORY_MULTIPLE * max(sizes), (check, peak, max(sizes))
+
+
+def test_exact_checks_peak_does_not_grow_with_the_trial_count():
+    # --pairs 3 on the default mode set: the block is read in column groups
+    modes = build_mode_set(7, 2)
+    peaks = {}
+    for trials in (10, 40):
+        xi = integer_trials(modes, 3, trials, 5)
+        peaks[trials] = max(
+            traced_peak(partial(check, modes, E1, l, xi, 5, 3))
+            for check in (verify_almost_ccr, verify_c_commutator)
+            for l in (E1, E2)
+        )
+    assert peaks[40] <= 1.25 * peaks[10], peaks
+
+
 @pytest.mark.parametrize("width", [1, 10])
 def test_exact_checks_count_the_columns_of_their_block(capsys, width):
     # the trial count is the block's width, and the four reports are the
@@ -725,7 +839,7 @@ def test_pair_structure_preserved(modes_7_2):
     for op in (
         lambda s: apply_pair_create(s, E1, modes_7_2, cap=3),
         lambda s: apply_pair_annihilate(s, E1, modes_7_2),
-        lambda s: apply_c_create(s, (1, 1, 0), modes_7_2, cap=3)[0],
+        lambda s: apply_c_create(s, (1, 1, 0), modes_7_2, 0, cap=3),
     ):
         keys, _ = op(state)
         assert np.all(np.diff(keys) > 0)  # sorted, unique keys

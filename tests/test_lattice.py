@@ -17,7 +17,6 @@ from fermi_rpa.lattice import (
     kinetic_coefficient,
     kinetic_coefficient_asymptotic,
     lune_count,
-    mode_sort_key,
     nk_asymptotic,
     norm_sq,
     orbit_representative,
@@ -26,7 +25,7 @@ from fermi_rpa.potential import make_potential
 from fermi_rpa.rpa_delocalized import coefficient_table
 
 from conftest import brute_force_ball
-from oracles import brute_force_pairs
+from oracles import brute_force_pairs, mode_sort_key
 
 SHELL_GRID = (4, 16, 64, 256, 1024)
 

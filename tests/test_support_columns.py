@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fermi_rpa import error_budget, potential, rpa_optimal
 from fermi_rpa.cli import main
-from fermi_rpa.error_budget import a_constants, assemble_error_budget, optimal_kernel_magnitudes
+from fermi_rpa.error_budget import a_constants, assemble_error_budget
 from fermi_rpa.errors import DomainError, NumericalFailure, ParseError
 from fermi_rpa.hf import hf_energy
 from fermi_rpa.lattice import ModelParams, build_fermi_ball, norm_sq
@@ -50,6 +50,7 @@ from oracles import (
     hf_energy_loop,
     kernel_loop,
     l1_norm_loop,
+    optimal_kernel_magnitudes,
     outcome,
     square_sum_loop,
     nonzero_support,
