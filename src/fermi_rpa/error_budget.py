@@ -109,7 +109,7 @@ def _kernel(v: Potential) -> _Kernel:
     the continuum quadratic form: -(1/2) artanh(beta/alpha) with the
     continuum coefficients equals -(1/4) log1p((c/2) V(k)), half the
     constant (at V = 0.05 the two read -0.0641 and -0.0341).  The lattice
-    minimizer is ``rpa_delocalized.optimal_kernel(coefficient_table(ball, v))``.
+    minimizer is -(1/2) artanh(beta/alpha) on ``coefficient_table(ball, v)``.
     The kernel is even because V is.  It is formed once per potential,
     through ``v.once(_kernel)``.
     """

@@ -47,7 +47,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -439,19 +439,6 @@ def apply_number(state: State) -> State:
     return _drop_zeros(keys, amps * _column(np.bitwise_count(keys), amps))
 
 
-def apply_h0(state: State, modes: ModeSet, params: ModelParams) -> State:
-    """Excitation kinetic energy hbar^2(sum_p |p|^2 - sum_h |h|^2), diagonal.
-
-    Each key's integer excitation is summed exactly in int64, then
-    multiplied by hbar^2 once.
-    """
-    keys, amps = state
-    sq = np.einsum("ij,ij->i", modes.modes, modes.modes)
-    signed = np.where(np.arange(modes.n_modes) < modes.n_holes, -sq, sq)
-    excitation = ((keys[:, None] >> np.arange(modes.n_modes)) & 1) @ signed
-    return _drop_zeros(keys, amps * _column(params.hbar ** 2 * excitation, amps))
-
-
 # --- sector enumeration and random states ----------------------------------
 
 
@@ -564,6 +551,74 @@ def _column_groups(xi: State) -> Iterator[State]:
         yield keys, np.ascontiguousarray(amps[:, lo : lo + width])
 
 
+def _commutators(block: State, pairs: List[tuple], modes: ModeSet, cap: int) -> Iterator:
+    """([a, b] + shift) block for each (a, b, shift) of ``pairs``, in order.
+
+    An operator is (creates, transfer, component): b*_q or b_q, or with a
+    component i the i-th component of c*_q, all unnormalized; creations
+    take the pair cap ``cap``.  Each result is a ``_linear_combination``,
+    but a shift of None marks a commutator that must vanish: for it comes,
+    per column, whether [a, b] block is nonzero, ab block compared with
+    ba block (``_columns_differ``) instead of summed, and [a, a] = 0 forms
+    nothing.  Each distinct image b block is formed once, at its first
+    read, and released at its last, so a caller that reads each result
+    before asking for the next holds only the images still to be read.
+    """
+    images = {}
+    reads = Counter(op for a, b, _ in pairs if a != b for op in (a, b))
+
+    def apply(op, state):
+        creates, q, component = op
+        if component is not None:
+            return apply_c_create(state, q, modes, component, cap=cap)
+        if creates:
+            return apply_pair_create(state, q, modes, cap=cap)
+        return apply_pair_annihilate(state, q, modes)
+
+    def product(a, b):
+        """a b block."""
+        if b not in images:
+            images[b] = apply(b, block)
+        reads[b] -= 1
+        return apply(a, images[b] if reads[b] else images.pop(b))
+
+    for a, b, shift in pairs:
+        if a == b:
+            yield np.zeros(block[1].shape[1], dtype=bool)
+        elif shift is None:
+            yield _columns_differ(product(a, b), product(b, a))
+        else:
+            yield _linear_combination([(1, product(a, b)), (-1, product(b, a)), (shift, block)])
+
+
+def _exact_report(
+    check: str, modes: ModeSet, xi: State, seed: int, max_pairs: int, details: Dict[str, float],
+    columns: Callable[[State], tuple], ratio_line: str, flag_lines: List[str],
+) -> VerificationReport:
+    """The report of an exact check on the trial block ``xi``.
+
+    ``columns(group)`` gives, per column of each ``_column_groups(xi)``
+    group, the ratio the check bounds and then one flag per entry of
+    ``flag_lines``.  A trial's violations are its ratio above 1 + 1e-12
+    (``ratio_line`` formatted with it), then the lines of its set flags.
+    """
+    ratios, *flags = map(np.concatenate, zip(*map(columns, _column_groups(xi))))
+    violations: List[str] = []
+    for trial, ratio in enumerate(ratios.tolist()):
+        lines = [ratio_line.format(ratio)] if ratio > 1.0 + 1e-12 else []
+        lines += [line for line, flag in zip(flag_lines, flags) if flag[trial]]
+        violations += [f"trial {trial}: {line}" for line in lines]
+    return VerificationReport(
+        check=check,
+        modeset=modes.describe(max_pairs),
+        seed=seed,
+        trials=len(ratios),
+        max_ratio=max([0.0, *ratios.tolist()]),
+        violations=violations,
+        details=details,
+    ).raise_if_violated()
+
+
 def verify_almost_ccr(
     modes: ModeSet,
     k: Momentum,
@@ -579,105 +634,42 @@ def verify_almost_ccr(
     unnormalized operators, so the k = l subtraction is an exact integer),
     and [b_k, b_l], [b*_k, b*_l] must vanish identically.  ``xi`` is the
     block ``integer_trials(modes, max_pairs, trials, seed)``, one trial per
-    column.  The block is read in column groups (``_column_groups``).  In
-    each, every distinct image is formed once and released at its last
-    read: 10 pair applications, 4 at k = l, where [b_k, b_l] and
-    [b*_k, b*_l] are [a, a] = 0 and form nothing.  The vanishing
-    commutators compare their two products (``_columns_differ``).
+    column.  Per column group, ``_commutators`` makes 10 pair applications,
+    4 at k = l, where [b_k, b_l] and [b*_k, b*_l] are [a, a] = 0.
     """
     mk = modes.lune_size(k)
-    # an operator is (creates, transfer), so b_k and b_l are one at k = l
-    b_k, b_l, bs_k, bs_l = ((c, tuple(q)) for c in (False, True) for q in (k, l))
+    # (creates, transfer, component), so b_k and b_l are one operator at k = l
+    b_k, b_l, bs_k, bs_l = ((c, tuple(q), None) for c in (False, True) for q in (k, l))
     delta = -float(mk) if b_k == b_l else 0.0
-    commutators = [(a, b) for a, b in ((b_k, bs_l), (b_k, b_l), (bs_k, bs_l)) if a != b]
+    pairs = [(b_k, bs_l, delta), (b_k, b_l, None), (bs_k, bs_l, None)]
 
-    def apply(op, state):
-        creates, q = op
-        if creates:
-            return apply_pair_create(state, q, modes, cap=max_pairs + 2)
-        return apply_pair_annihilate(state, q, modes)
-
-    def columns(block: State) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ratio, [b_k, b_l] != 0, [b*_k, b*_l] != 0) per column of the block."""
-        images = {}  # each operator's image of the block, until its last read
-        reads = Counter(op for pair in commutators for op in pair)
-
-        def product(a, b):
-            """a b block."""
-            if b not in images:
-                images[b] = apply(b, block)
-            reads[b] -= 1
-            return apply(a, images[b] if reads[b] else images.pop(b))
-
-        def nonvanishing(a, b):
-            if a == b:
-                return np.zeros(block[1].shape[1], dtype=bool)
-            return _columns_differ(product(a, b), product(b, a))
-
-        resid = _norms(
-            _linear_combination(
-                [(1, product(b_k, bs_l)), (-1, product(bs_l, b_k)), (delta, block)]
-            )
-        )
+    def columns(block: State) -> tuple:
+        found = _commutators(block, pairs, modes, max_pairs + 2)
+        resid = _norms(next(found))  # released before the vanishing commutators form
         nn = _norms(apply_number(block))
         ratios = np.divide(resid, nn, out=np.full(len(nn), math.inf), where=nn > 0)
-        # [b_k, b_l] and [b*_k, b*_l] vanish exactly (integer amplitudes)
-        return ratios, nonvanishing(b_k, b_l), nonvanishing(bs_k, bs_l)
+        return (ratios, *found)
 
-    ratios, bb, cc = map(np.concatenate, zip(*map(columns, _column_groups(xi))))
-    violations: List[str] = []
-    for trial, ratio in enumerate(ratios.tolist()):
-        if ratio > 1.0 + 1e-12:
-            violations.append(
-                f"trial {trial}: ||E xi|| n_k n_l / ||N xi|| = {ratio:.15g} > 1"
-            )
-        if bb[trial]:
-            violations.append(f"trial {trial}: [b_k, b_l] xi != 0")
-        if cc[trial]:
-            violations.append(f"trial {trial}: [b*_k, b*_l] xi != 0")
-    return VerificationReport(
-        check="almost_ccr",
-        modeset=modes.describe(max_pairs),
-        seed=seed,
-        trials=len(ratios),
-        max_ratio=max([0.0, *ratios.tolist()]),
-        violations=violations,
-        details={"lune_k": float(mk), "lune_l": float(modes.lune_size(l))},
-    ).raise_if_violated()
-
-
-def _c_residual(
-    xi: State, k: Momentum, l: Momentum, modes: ModeSet, cap: int, f: Tuple[int, int, int]
-) -> Iterator[State]:
-    """Componentwise [c*_k, b_l] xi + f_i xi with unnormalized operators.
-
-    The components come one at a time: each forms its images when it is
-    asked for, and each image is released once it is read.
-    """
-    lowered = apply_pair_annihilate(xi, l, modes)
-    for i in range(3):
-        yield _linear_combination(
-            [
-                (1, apply_c_create(lowered, k, modes, i, cap=cap)),
-                (-1, apply_pair_annihilate(apply_c_create(xi, k, modes, i, cap=cap), l, modes)),
-                (f[i], xi),
-            ]
-        )
+    return _exact_report(
+        "almost_ccr", modes, xi, seed, max_pairs,
+        {"lune_k": float(mk), "lune_l": float(modes.lune_size(l))},
+        columns, "||E xi|| n_k n_l / ||N xi|| = {:.15g} > 1",
+        ["[b_k, b_l] xi != 0", "[b*_k, b*_l] xi != 0"],
+    )
 
 
 def honest_c_bound_constant(modes: ModeSet, k: Momentum, l: Momentum) -> float:
     """Exact truncated-model constant bounding the c-commutator residual.
 
     The residual is a sum of two one-body hopping operators whose entries
-    are (2h+k) with admissibility fixed by the mode set; each acts on one
-    species only, so on equal-pair states the bound constant is the mean
-    of the two largest entry norms.
+    are (2h+k) over the truncated lune of k, with admissibility fixed by
+    the mode set; each acts on one species only, so on equal-pair states
+    the bound constant is the mean of the two largest entry norms.
     """
-    n, h = modes.n_holes, modes.modes[: modes.n_holes]
-    p = modes.mode_index(h + k) >= n
-    particle = p & (modes.mode_index(h + l) >= n)
+    h = modes.modes[modes.pairs(k)[1]]
+    particle = modes.mode_index(h + l) >= modes.n_holes
     hole = modes.mode_index(h + k - l)
-    hole = p & (hole >= 0) & (hole < n)
+    hole = (hole >= 0) & (hole < modes.n_holes)
     w = np.sqrt(np.einsum("ij,ij->i", 2 * h + k, 2 * h + k))
     return 0.5 * float(w.max(initial=0.0, where=particle) + w.max(initial=0.0, where=hole))
 
@@ -697,22 +689,23 @@ def verify_c_commutator(
     operator-norm constant (``honest_c_bound_constant``); and the
     residual must commute with the fermion number operator, checked in
     exact integer arithmetic on every trial state.  ``xi`` is the block
-    ``integer_trials(modes, max_pairs, trials, seed)``, one trial per column,
-    read in column groups (``_column_groups``).
+    ``integer_trials(modes, max_pairs, trials, seed)``, one trial per column.
+    Per column group, ``_commutators`` forms the residual one component at
+    a time, on xi and on N xi.
     """
     fsum_vec = modes.pair_vector_sum(k)
     f = fsum_vec if tuple(k) == tuple(l) else (0, 0, 0)
     mk = modes.lune_size(k)
     const = honest_c_bound_constant(modes, k, l)
     mnorm = math.sqrt(norm_sq(k))
-    lifted = max_pairs + 1
+    # componentwise [c*_k, b_l] + f_i
+    pairs = [((True, tuple(k), i), (False, tuple(l), None), f[i]) for i in range(3)]
 
-    def columns(block: State) -> Tuple[np.ndarray, np.ndarray]:
-        """(ratio, residual component i does not commute with N) per column."""
+    def columns(block: State) -> tuple:
         nblock = apply_number(block)
         terms, noncommuting = [], []
         # [residual, N] = 0, both orders, exact integers
-        residuals = (_c_residual(b, k, l, modes, lifted, f) for b in (block, nblock))
+        residuals = (_commutators(b, pairs, modes, max_pairs + 1) for b in (block, nblock))
         for i, (resid, resid_n) in enumerate(zip(*residuals)):
             noncommuting.append(_columns_differ(resid_n, apply_number(resid)))
             terms.append((float(k[i]), resid))
@@ -721,36 +714,18 @@ def verify_c_commutator(
         denom = mnorm * const * _norms(nblock)
         ratios = np.where(_nonzero_trials(mdot), math.inf, 0.0)
         np.divide(_norms(mdot), denom, out=ratios, where=denom > 0)
-        return ratios, np.stack(noncommuting, axis=1)
+        return (ratios, *noncommuting)
 
-    ratios, noncommuting = map(np.concatenate, zip(*map(columns, _column_groups(xi))))
-    violations: List[str] = []
-    for trial, ratio in enumerate(ratios.tolist()):
-        if ratio > 1.0 + 1e-12:
-            violations.append(
-                f"trial {trial}: residual ratio {ratio:.15g} > 1 "
-                f"(constant {const:.6g})"
-            )
-        for i in range(3):
-            if noncommuting[trial, i]:
-                violations.append(
-                    f"trial {trial}: residual component {i} does not commute with N"
-                )
-    return VerificationReport(
-        check="c_commutator",
-        modeset=modes.describe(max_pairs),
-        seed=seed,
-        trials=len(ratios),
-        max_ratio=max([0.0, *ratios.tolist()]),
-        violations=violations,
-        details={
-            "lune_k": float(mk),
-            "bound_constant": const,
-            "f_truncated_dot_k": (
-                sum(k[i] * fsum_vec[i] for i in range(3)) / mk if mk else math.nan
-            ),
-        },
-    ).raise_if_violated()
+    details = {
+        "lune_k": float(mk),
+        "bound_constant": const,
+        "f_truncated_dot_k": sum(k[i] * fsum_vec[i] for i in range(3)) / mk if mk else math.nan,
+    }
+    return _exact_report(
+        "c_commutator", modes, xi, seed, max_pairs, details,
+        columns, f"residual ratio {{:.15g}} > 1 (constant {const:.6g})",
+        [f"residual component {i} does not commute with N" for i in range(3)],
+    )
 
 
 def assemble_quadratic_interaction(

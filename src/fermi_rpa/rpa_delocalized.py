@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -122,8 +122,8 @@ def coefficient_table(source: Source, v: Potential) -> CoefficientTable:
 
 
 def _check_rows(table: CoefficientTable) -> None:
-    """Require |beta| < alpha on every row, which the minimum, its minimizer
-    and the second order need.
+    """Require |beta| < alpha on every row, which the minimum and the second
+    order need.
 
     A row built from a source has alpha = hbar^2 k.f(k) + beta with
     k.f(k) > 0, so for beta > 0 alpha >= beta exactly, and rounding is
@@ -143,16 +143,6 @@ def _check_rows(table: CoefficientTable) -> None:
             f"alpha = beta = {beta}"
         )
     raise DomainError(f"|beta| = {abs(beta)} >= alpha = {alpha} at k = {k}")
-
-
-def optimal_kernel(table: CoefficientTable) -> List[float]:
-    """Closed-form minimizer -(1/2) artanh(beta/alpha) of every row, aligned with ``ks``.
-
-    Evaluated as -(1/4)[log1p(t) - log1p(-t)] with t = beta/alpha for
-    accuracy at small coupling.
-    """
-    _check_rows(table)
-    return [-0.25 * (math.log1p(t) - math.log1p(-t)) for t in (table.beta / table.alpha).tolist()]
 
 
 @_ieee_rows

@@ -16,9 +16,11 @@ and its one-pair expectations take a full matrix-vector product each.
 The potential's columns, the sums of V alone (A1..A5, the kernel,
 sum_k V(k)^2 |k|, |V|_1) and the error budget's row loop are rebuilt one
 momentum at a time from the coefficient dict, as the package built them
-before it held columns.  The mode order key and the error budget's kernel
-list, which only tests read, live here too, and so does the summed form
-of a vanishing commutator that the Fock oracle now compares instead.
+before it held columns.  The mode order key, the error budget's kernel
+list, the closed-form minimizer of the quadratic energy and the Fock
+oracle's kinetic energy H0, which only tests read, live here too, and so
+does the summed form of a vanishing commutator that the Fock oracle now
+compares instead.
 """
 
 import math
@@ -37,6 +39,8 @@ from fermi_rpa.error_budget import (
 from fermi_rpa.errors import DomainError, NumericalFailure
 from fermi_rpa.fock_oracle import (
     _basis_vector,
+    _column,
+    _drop_zeros,
     _linear_combination,
     _matvec,
     _nonzero_trials,
@@ -59,7 +63,7 @@ from fermi_rpa.lattice import (
     orbit_representative,
 )
 from fermi_rpa.potential import finite_fsum
-from fermi_rpa.rpa_delocalized import CoefficientTable, correlation_delocalized
+from fermi_rpa.rpa_delocalized import CoefficientTable, _check_rows, correlation_delocalized
 from conftest import brute_force_ball
 
 
@@ -71,6 +75,17 @@ def mode_sort_key(k):
 def optimal_kernel_magnitudes(v):
     """The error budget's kernel X(k) = -(1/4) log(1 + c V(k)), a list aligned with v.ks."""
     return list(v.once(_kernel).xi)
+
+
+def optimal_kernel(table):
+    """Closed-form minimizer -(1/2) artanh(beta/alpha) of every row, aligned with ``ks``.
+
+    Evaluated as -(1/4)[log1p(t) - log1p(-t)] with t = beta/alpha for
+    accuracy at small coupling; a row without |beta| < alpha fails as it
+    does for the minimum.
+    """
+    _check_rows(table)
+    return [-0.25 * (math.log1p(t) - math.log1p(-t)) for t in (table.beta / table.alpha).tolist()]
 
 
 def golden_section_minimum(fn, lo, hi, tol=1e-12, iters=300):
@@ -213,6 +228,19 @@ def honest_c_bound_reference(modes, k, l):
         if hk in particles and hk_l <= modes.hole_radius_sq:
             best_hole = max(best_hole, w)
     return 0.5 * (best_particle + best_hole)
+
+
+def apply_h0(state, modes, params):
+    """Excitation kinetic energy hbar^2(sum_p |p|^2 - sum_h |h|^2) of a Fock-oracle state, diagonal.
+
+    Each key's integer excitation is summed exactly in int64, then
+    multiplied by hbar^2 once.
+    """
+    keys, amps = state
+    sq = np.einsum("ij,ij->i", modes.modes, modes.modes)
+    signed = np.where(np.arange(modes.n_modes) < modes.n_holes, -sq, sq)
+    excitation = ((keys[:, None] >> np.arange(modes.n_modes)) & 1) @ signed
+    return _drop_zeros(keys, amps * _column(params.hbar ** 2 * excitation, amps))
 
 
 def amplitudes(state):

@@ -14,7 +14,6 @@ from fermi_rpa import second_order_ratio
 from fermi_rpa.error_budget import assemble_error_budget
 from fermi_rpa.fock_oracle import (
     apply_c_create,
-    apply_h0,
     apply_pair_annihilate,
     apply_pair_create,
     build_mode_set,
@@ -49,7 +48,7 @@ from fermi_rpa.rpa_optimal import (
 )
 
 from conftest import scaled_potential
-from oracles import amplitudes, hand_table, minimize_pair_energy
+from oracles import amplitudes, apply_h0, hand_table, minimize_pair_energy
 
 # extended-precision reference for (9/32)/(1 - log 2), frozen from a
 # 40-digit evaluation

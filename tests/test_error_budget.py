@@ -13,9 +13,9 @@ from fermi_rpa.error_budget import (
 from fermi_rpa.errors import DomainError
 from fermi_rpa.lattice import ModelParams
 from fermi_rpa.potential import make_potential
-from fermi_rpa.rpa_delocalized import coefficient_table, optimal_kernel
+from fermi_rpa.rpa_delocalized import coefficient_table
 from conftest import scaled_potential
-from oracles import optimal_kernel_magnitudes
+from oracles import optimal_kernel, optimal_kernel_magnitudes
 
 
 def test_c_small_value():

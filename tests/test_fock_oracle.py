@@ -2,12 +2,14 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
 from oracles import (
     amplitudes,
+    apply_h0,
     brute_force_pairs,
     coalesce_reference,
     columns_differ_reference,
@@ -20,10 +22,9 @@ from oracles import (
 
 from fermi_rpa import fock_oracle
 from fermi_rpa.cli import json_text, main
-from fermi_rpa.errors import DomainError, NumericalFailure
+from fermi_rpa.errors import BoundViolation, DomainError, NumericalFailure
 from fermi_rpa.fock_oracle import (
     apply_c_create,
-    apply_h0,
     apply_number,
     apply_pair_annihilate,
     apply_pair_create,
@@ -810,6 +811,126 @@ def test_exact_checks_count_the_columns_of_their_block(capsys, width):
     assert [report.trials for report in reports] == [width] * 4
     assert main(["oracle", "--trials", str(width), "--seed", "5"]) == 0
     assert capsys.readouterr().out.startswith("".join(map(json_text, reports)))
+
+
+def scaled_number(state):
+    """N state times 2^-20: exact, so N still commutes with every residual."""
+    keys, amps = apply_number(state)
+    return keys, amps * 2.0 ** -20
+
+
+CCR = "||E xi|| n_k n_l / ||N xi|| ="
+C = "does not commute with N"
+# every violation line of the four exact checks at (E1, E1), (E1, E2) on
+# two trials, byte for byte
+VIOLATION_CASES = {
+    "empty N": (
+        {"apply_number": lambda state: (state[0][:0], state[1][:0])},
+        [
+            [f"trial 0: {CCR} inf > 1", f"trial 1: {CCR} inf > 1"],
+            [f"trial 0: {CCR} inf > 1", f"trial 1: {CCR} inf > 1"],
+            [
+                "trial 0: residual ratio inf > 1 (constant 2.23607)",
+                "trial 1: residual ratio inf > 1 (constant 2.23607)",
+            ],
+            [
+                "trial 0: residual ratio inf > 1 (constant 2.23607)",
+                "trial 1: residual ratio inf > 1 (constant 2.23607)",
+            ],
+        ],
+    ),
+    "scaled N, products differ": (
+        {
+            "apply_number": scaled_number,
+            "_columns_differ": lambda u, w: np.ones(u[1].shape[1], dtype=bool),
+        },
+        [
+            [f"trial 0: {CCR} 528573.133641994 > 1", f"trial 1: {CCR} 533734.842387064 > 1"],
+            [
+                f"trial 0: {CCR} 192725.28655366 > 1",
+                "trial 0: [b_k, b_l] xi != 0",
+                "trial 0: [b*_k, b*_l] xi != 0",
+                f"trial 1: {CCR} 199253.311408764 > 1",
+                "trial 1: [b_k, b_l] xi != 0",
+                "trial 1: [b*_k, b*_l] xi != 0",
+            ],
+            [
+                "trial 0: residual ratio 236385.091580716 > 1 (constant 2.23607)",
+                f"trial 0: residual component 0 {C}",
+                f"trial 0: residual component 1 {C}",
+                f"trial 0: residual component 2 {C}",
+                "trial 1: residual ratio 238693.477907522 > 1 (constant 2.23607)",
+                f"trial 1: residual component 0 {C}",
+                f"trial 1: residual component 1 {C}",
+                f"trial 1: residual component 2 {C}",
+            ],
+            [
+                "trial 0: residual ratio 85753.558639522 > 1 (constant 2.23607)",
+                f"trial 0: residual component 0 {C}",
+                f"trial 0: residual component 1 {C}",
+                f"trial 0: residual component 2 {C}",
+                "trial 1: residual ratio 88506.1875810239 > 1 (constant 2.23607)",
+                f"trial 1: residual component 0 {C}",
+                f"trial 1: residual component 1 {C}",
+                f"trial 1: residual component 2 {C}",
+            ],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VIOLATION_CASES)
+def test_exact_checks_violation_lines(monkeypatch, case):
+    # ratio lines forced through N, flag lines through the compared products
+    patches, expected = VIOLATION_CASES[case]
+    for name, fn in patches.items():
+        monkeypatch.setattr(fock_oracle, name, fn)
+    modes = build_mode_set(7, 2)
+    xi = integer_trials(modes, 2, 2, 5)
+    found = []
+    for check in (verify_almost_ccr, verify_c_commutator):
+        for l in (E1, E2):
+            with pytest.raises(BoundViolation) as raised:
+                check(modes, E1, l, xi, 5, 2)
+            report = raised.value.report
+            assert str(raised.value) == f"{report.check}: {report.violations[0]}"
+            found.append(report.violations)
+    assert found == expected
+
+
+# operator applications per column group, each distinct image formed once:
+# [b_k, b*_k] alone at k = l (4 pair applications), all three commutators
+# at k != l (10), and each c-commutator residual on xi and on N xi
+C_APPLICATIONS = {"apply_c_create": 12, "apply_pair_annihilate": 8, "apply_number": 4}
+APPLICATIONS = [
+    (verify_almost_ccr, E1, {"apply_pair_create": 2, "apply_pair_annihilate": 2, "apply_number": 1}),
+    (verify_almost_ccr, E2, {"apply_pair_create": 5, "apply_pair_annihilate": 5, "apply_number": 1}),
+    (verify_c_commutator, E1, C_APPLICATIONS),
+    (verify_c_commutator, E2, C_APPLICATIONS),
+]
+
+
+@pytest.mark.parametrize("budgets", BUDGETS)
+def test_exact_checks_apply_each_distinct_image_once_per_column_group(monkeypatch, budgets):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("apply_pair_create", "apply_pair_annihilate", "apply_c_create", "apply_number"):
+        monkeypatch.setattr(fock_oracle, name, counted(name, getattr(fock_oracle, name)))
+    set_budgets(monkeypatch, budgets)
+    modes = build_mode_set(7, 2)
+    xi = integer_trials(modes, 2, 3, 5)
+    groups = 1 if budgets["COLUMN_BUDGET"] else 3  # three trials, one column each at zero
+    for check, l, expected in APPLICATIONS:
+        calls.clear()
+        check(modes, E1, l, xi, 5, 2)
+        assert calls == {name: groups * count for name, count in expected.items()}
 
 
 def test_truncation_overflow(modes_7_2):

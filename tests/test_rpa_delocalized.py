@@ -11,7 +11,6 @@ from fermi_rpa.potential import load_potential, make_potential
 from fermi_rpa.rpa_delocalized import (
     coefficient_table,
     correlation_delocalized,
-    optimal_kernel,
     second_order_delocalized,
 )
 from conftest import brute_force_ball, load_perfbench, scaled_potential
@@ -21,6 +20,7 @@ from oracles import (
     hand_table,
     minimize_pair_energy,
     nonzero_support,
+    optimal_kernel,
     table_rows,
 )
 
