@@ -387,50 +387,37 @@ def _apply_pair_terms(
     return _drop_zeros(reached, sums)
 
 
-def _pair_operator(state, k, modes, create, cap, normalized, component=None) -> State:
+def _pair_operator(state, k, modes, create, cap, component=None) -> State:
     """Sum over the truncated lune of k, weight 1 or (p+h)_component per pair."""
     p_idx, h_idx = modes.pairs(k)
-    if normalized and not len(h_idx) and norm_sq(k) > 0:
-        raise DomainError(f"normalization undefined: empty truncated lune at {k}")
     if component is None:
         weights = np.ones_like(h_idx)
     else:  # (p + h)_i = 2 h_i + k_i
         weights = 2 * modes.modes[h_idx, component] + k[component]
     keep = weights != 0
-    keys, amps = _apply_pair_terms(
-        state, p_idx[keep], h_idx[keep], weights[keep], modes, create, cap
-    )
-    if normalized and len(h_idx):
-        amps = amps * (1.0 / math.sqrt(len(h_idx)))
-    return keys, amps
+    return _apply_pair_terms(state, p_idx[keep], h_idx[keep], weights[keep], modes, create, cap)
 
 
-def apply_pair_create(
-    state: State, k: Momentum, modes: ModeSet, *, cap: int, normalized: bool = False
-) -> State:
-    """Delocalized pair creation with transfer momentum k.
+def apply_pair_create(state: State, k: Momentum, modes: ModeSet, *, cap: int) -> State:
+    """Delocalized pair creation with transfer momentum k, unnormalized.
 
-    Unnormalized by default; ``normalized`` divides by the truncated lune
-    norm sqrt(n_k^2).  k = 0 gives the zero state (no pair changes the
-    total momentum by zero).  Raises NumericalFailure when a resulting
-    configuration would exceed cap pairs.
+    k = 0 gives the zero state (no pair changes the total momentum by
+    zero).  Raises NumericalFailure when a resulting configuration would
+    exceed cap pairs.
     """
-    return _pair_operator(state, k, modes, True, cap, normalized)
+    return _pair_operator(state, k, modes, True, cap)
 
 
-def apply_pair_annihilate(
-    state: State, k: Momentum, modes: ModeSet, normalized: bool = False
-) -> State:
+def apply_pair_annihilate(state: State, k: Momentum, modes: ModeSet) -> State:
     """Adjoint of apply_pair_create; annihilates the vacuum."""
-    return _pair_operator(state, k, modes, False, 0, normalized)
+    return _pair_operator(state, k, modes, False, 0)
 
 
 def apply_c_create(
-    state: State, k: Momentum, modes: ModeSet, component: int, *, cap: int,
-    normalized: bool = False,
+    state: State, k: Momentum, modes: ModeSet, component: int, *, cap: int
 ) -> State:
     """One component of vector-weighted pair creation: component i applies (p+h)_i a*_p a*_h."""
-    return _pair_operator(state, k, modes, True, cap, normalized, component=component)
+    return _pair_operator(state, k, modes, True, cap, component=component)
 
 
 def apply_number(state: State) -> State:
@@ -876,7 +863,8 @@ def verify_quadratic_interaction(
         nk2 = modes.lune_size(k)
         if nk2 == 0 or value == 0.0:
             continue
-        phi = apply_pair_create(vacuum(), k, modes, cap=max_pairs, normalized=True)
+        keys, amps = apply_pair_create(vacuum(), k, modes, cap=max_pairs)
+        phi = keys, amps * (1.0 / math.sqrt(nk2))  # normalized by the truncated lune norm
         vec = _basis_vector(basis, phi)
         expect = np.vdot(vec, _matvec_rows(triplets, vec, _positions(basis, phi[0])))
         diagonal = value * nk2 / params.n

@@ -12,15 +12,17 @@ JSON tells integers (``2``) from other numbers (``2.9``) and from
 ``true``, while Python's bool is a subclass of int, so the reader checks
 each value's JSON kind itself: nothing is silently truncated or coerced,
 and each rejection is a ParseError naming the key and the offending value.
-``load_potential`` only reads the document.  ``make_potential`` then
-completes missing -k entries by evenness, and ``Potential`` itself
-checks that every coefficient lies inside the support radius at a |k|^2
-that fits in a double, is finite and equals its mirror, so explicit
-mirrors that disagree raise ParseError.  The zero mode V(0) is
-allowed (it feeds the Hartree-Fock direct term) but every correlation
-sum runs over the support with k = 0 removed.
+``load_potential`` reads the whole document first, so a fault of type
+anywhere in it, or a repeated entry, is reported before any check on a
+value.  Then ``make_potential``, the one constructor, walks the entries
+once: each must lie inside the support radius at a |k|^2 that fits in a
+double, be finite and equal its explicit mirror (mirrors that disagree
+raise ParseError), and is stored together with -k, completed by evenness
+where it is missing.  The zero mode V(0) is allowed (it feeds the
+Hartree-Fock direct term) but every correlation sum runs over the
+support with k = 0 removed.
 
-The same validation pass lays that support out as columns in the global
+``make_potential`` then lays that support out as columns in the global
 mode order (see ``Potential``), and every per-momentum reader zips them
 by position: no reader looks a momentum up in the dict or recomputes its
 |k|^2.  The sums of V alone are formed once per potential, on first use
@@ -35,8 +37,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Tuple, TypeVar
 
 import numpy as np
 
@@ -51,63 +53,27 @@ T = TypeVar("T")
 class Potential:
     """V as a dict ``coeffs`` and as columns of its nonzero support in mode order.
 
-    The validation pass of ``__post_init__`` also builds the columns, each
-    aligned with ``ks``, the tuple of the support minus k = 0 in the global
-    mode order: ``kn`` |k| and ``vs`` V(k) as read-only float64 arrays
-    (|k|^2 is summed as Python ints, since components may be as large as
-    10**150, and rounded once), and ``orbit`` the row's position in the
-    tuple ``orbits``, the cubic-orbit representatives in the order ``ks``
-    first meets them.  Readers zip the columns by position; none of them
-    can be mutated.  ``once`` keeps the quantities of V alone (sums over
-    the support, the kernel), so a potential forms each of them once for
-    every particle count.
+    ``make_potential`` builds both.  Each column is aligned with ``ks``,
+    the tuple of the support minus k = 0 in the global mode order: ``kn``
+    |k| and ``vs`` V(k) as read-only float64 arrays (|k|^2 is summed as
+    Python ints, since components may be as large as 10**150, and rounded
+    once), and ``orbit`` the row's position in the tuple ``orbits``, the
+    cubic-orbit representatives in the order ``ks`` first meets them.
+    Readers zip the columns by position; none of them can be mutated.  The
+    columns follow from ``coeffs``, so ``==`` compares only ``coeffs`` and
+    ``support_radius_sq``.  ``once`` keeps the quantities of V alone (sums
+    over the support, the kernel), so a potential forms each of them once
+    for every particle count.
     """
 
     coeffs: Dict[Momentum, float]
     support_radius_sq: int
-
-    def __post_init__(self):
-        norms: Dict[Momentum, int] = {}
-        for k, v in self.coeffs.items():
-            s = k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
-            if s > self.support_radius_sq:
-                raise ParseError(
-                    f"coefficient at {k} lies outside support radius^2 "
-                    f"{self.support_radius_sq}"
-                )
-            try:
-                float(s)
-            except OverflowError:
-                raise ParseError(
-                    f"|k|^2 of the coefficient at {k} does not fit in a double"
-                ) from None
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite coefficient at {k}: {v}")
-            minus_k = (-k[0], -k[1], -k[2])
-            mirror = self.coeffs.get(minus_k)
-            if mirror is None or mirror != v:
-                raise ParseError(
-                    f"evenness violated: V{k} = {v} and V{minus_k} = {mirror} disagree"
-                )
-            norms[k] = s
-        # the global mode order, |k|^2 then lexicographic: a stable sort by
-        # |k|^2 of the lexicographic order.  k = 0 alone has |k|^2 = 0.
-        ks = sorted(sorted(norms), key=norms.__getitem__)
-        if ks and norms[ks[0]] == 0:
-            del ks[0]
-        reps: Dict[Momentum, int] = {}
-        orbit = np.array(
-            [reps.setdefault(orbit_representative(k), len(reps)) for k in ks], dtype=np.intp
-        )
-        kn = np.sqrt(np.array([norms[k] for k in ks], dtype=float))
-        vs = np.array([self.coeffs[k] for k in ks], dtype=float)
-        for column in (kn, vs, orbit):
-            column.flags.writeable = False
-        # plain attributes, not dataclass fields: they follow from coeffs
-        columns = {"ks": tuple(ks), "kn": kn, "vs": vs, "orbits": tuple(reps), "orbit": orbit}
-        for name, column in columns.items():
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "_derived", {})
+    ks: Tuple[Momentum, ...] = field(compare=False, repr=False)
+    kn: np.ndarray = field(compare=False, repr=False)
+    vs: np.ndarray = field(compare=False, repr=False)
+    orbits: Tuple[Momentum, ...] = field(compare=False, repr=False)
+    orbit: np.ndarray = field(compare=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def value(self, k: Momentum) -> float:
         return self.coeffs.get(tuple(k), 0.0)
@@ -131,15 +97,55 @@ class Potential:
 def make_potential(
     entries: Dict[Momentum, float], support_radius_sq: int = None
 ) -> Potential:
-    """Build a potential from {k: value}, completing -k by evenness."""
+    """Build a potential from {k: value}, completing -k by evenness.
+
+    One pass over the entries checks each one and stores it with its
+    mirror -k.  An entry must lie inside the support radius (by default
+    the largest |k|^2, so every entry does) at a |k|^2 that fits in a
+    double, be finite, and equal its explicit mirror, which keeps its own
+    bits: -0.0 == 0.0, but each is stored as given.  The first entry that
+    fails raises ParseError; a mirror stored with an earlier entry was
+    checked with it.
+    """
+    limit = math.inf if support_radius_sq is None else int(support_radius_sq)
     coeffs: Dict[Momentum, float] = {}
+    norms: Dict[Momentum, int] = {}
     for k, v in entries.items():
         x, y, z = k = (int(k[0]), int(k[1]), int(k[2]))
-        coeffs[k] = v = float(v)
-        coeffs.setdefault((-x, -y, -z), v)
+        if k in coeffs:  # an earlier entry's mirror, checked with it
+            continue
+        v = float(v)
+        s = x * x + y * y + z * z
+        if s > limit:
+            raise ParseError(f"coefficient at {k} lies outside support radius^2 {limit}")
+        try:
+            float(s)
+        except OverflowError:
+            raise ParseError(f"|k|^2 of the coefficient at {k} does not fit in a double") from None
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite coefficient at {k}: {v}")
+        minus_k = (-x, -y, -z)
+        mirror = float(entries.get(minus_k, v))
+        if mirror != v:
+            raise ParseError(f"evenness violated: V{k} = {v} and V{minus_k} = {mirror} disagree")
+        coeffs[k], coeffs[minus_k] = v, mirror
+        norms[k] = norms[minus_k] = s
+    # the global mode order, |k|^2 then lexicographic: a stable sort by
+    # |k|^2 of the lexicographic order.  k = 0 alone has |k|^2 = 0.
+    ks = sorted(sorted(norms), key=norms.__getitem__)
+    if ks and norms[ks[0]] == 0:
+        del ks[0]
+    reps: Dict[Momentum, int] = {}
+    orbit = np.array(
+        [reps.setdefault(orbit_representative(k), len(reps)) for k in ks], dtype=np.intp
+    )
+    kn = np.sqrt(np.array([norms[k] for k in ks], dtype=float))
+    vs = np.array([coeffs[k] for k in ks], dtype=float)
+    for column in (kn, vs, orbit):
+        column.flags.writeable = False
     if support_radius_sq is None:
-        support_radius_sq = max((x * x + y * y + z * z for x, y, z in coeffs), default=0)
-    return Potential(coeffs=coeffs, support_radius_sq=int(support_radius_sq))
+        limit = max(norms.values(), default=0)
+    return Potential(coeffs, limit, tuple(ks), kn, vs, tuple(reps), orbit)
 
 
 def _json_object(raw: bytes) -> dict:
@@ -251,28 +257,15 @@ def _l1_norm(v: Potential) -> float:
     return finite_fsum(terms, "sum_k |V(k)|")
 
 
-def square_sum(v: Potential, check_rows: Callable[[np.ndarray], None] = None) -> float:
+def square_sum(v: Potential) -> float:
     """sum_k V(k)^2 |k| over the nonzero support, formed once per potential.
 
-    The terms are read in mode order, and a V(k)^2 that overflows ends the
-    read.  ``check_rows``, when given, sees the |k| column of the rows read
-    before that (all of them when none overflows) and may raise first.  A
-    term or sum beyond the double range then raises NumericalFailure.
+    A term or the sum beyond the double range raises NumericalFailure.
     """
-    total, rows = v.once(_square_sum)
-    if check_rows is not None:
-        check_rows(v.kn[:rows])
-    if total is None:
-        raise NumericalFailure("sum_k |k| V(k)^2 overflows a double")
-    return total
+    return v.once(_square_sum)
 
 
-def _square_sum(v: Potential) -> Tuple[Optional[float], int]:
-    """(the sum, or None beyond the double range; the count of rows read)."""
-    terms = []
-    try:
-        for x, kn in zip(v.vs.tolist(), v.kn.tolist()):
-            terms.append(x ** 2 * kn)  # Python's ** raises OverflowError on overflow
-        return finite_fsum(terms, "sum_k |k| V(k)^2"), len(terms)
-    except (OverflowError, NumericalFailure):
-        return None, len(terms)
+def _square_sum(v: Potential) -> float:
+    # Python's ** raises OverflowError on overflow, which finite_fsum maps
+    terms = (x ** 2 * kn for x, kn in zip(v.vs.tolist(), v.kn.tolist()))
+    return finite_fsum(terms, "sum_k |k| V(k)^2")

@@ -167,12 +167,12 @@ def second_order_delocalized(
     On a coefficient table it is -sum_k beta^2 / (4 (alpha - beta)), since
     alpha - beta = hbar^2 k.f(k) carries no potential; a row without
     |beta| < alpha fails as it does for the minimum.  On a ModelParams it
-    is the closed form over the support of ``v``.
+    is the closed form over the support of ``v``: the first |k| beyond the
+    lens domain raises DomainError before the sum is formed.
     """
     if isinstance(source, ModelParams):
-        # a row beyond the lens domain fails where the read reaches it
-        total = square_sum(v, lambda kn: check_lens(source, kn))
-        return -source.hbar * SECOND_ORDER_PREFACTOR * total
+        check_lens(source, v.kn)
+        return -source.hbar * SECOND_ORDER_PREFACTOR * square_sum(v)
     _check_rows(source)
     a, b = source.alpha, source.beta
     return -math.fsum((b * b / (4.0 * (a - b))).tolist())

@@ -58,7 +58,7 @@ import numpy as np
 from . import DEFAULT_TOL
 from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams
-from .potential import Potential, square_sum
+from .potential import Potential, finite_fsum, square_sum
 from .quadrature import IntegralResult, integrate_adaptive
 
 KAPPA = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
@@ -167,14 +167,18 @@ def frequency_brackets(v: Potential, tol: float = DEFAULT_TOL) -> IntegralResult
 
     The sums run over the support minus {0} in mode order.  One
     ``gmb_integral`` call integrates every distinct V(k), taken in support
-    order; momenta sharing a value share its result.
+    order; momenta sharing a value share its result.  A term or a sum
+    beyond the double range raises NumericalFailure.
     """
     index: Dict[float, int] = {}
     rows = [index.setdefault(value, len(index)) for value in v.vs.tolist()]
     results = gmb_integral(tuple(2.0 * math.pi * KAPPA * value for value in index), tol)
     # (value, error) of every row; the reshape keeps two columns on an empty support
     per_row = np.array(results, dtype=float).reshape(-1, 2)[rows]
-    return IntegralResult(*(math.fsum((v.kn * column).tolist()) for column in per_row.T))
+    names = ("sum_k |k| bracket(k)", "sum_k |k| bracket_error(k)")
+    return IntegralResult(
+        *(finite_fsum((v.kn * column).tolist(), name) for column, name in zip(per_row.T, names))
+    )
 
 
 def gmb_correlation(brackets: IntegralResult, params: ModelParams) -> IntegralResult:

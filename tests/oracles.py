@@ -16,14 +16,18 @@ and its one-pair expectations take a full matrix-vector product each.
 The potential's columns, the sums of V alone (A1..A5, the kernel,
 sum_k V(k)^2 |k|, |V|_1) and the error budget's row loop are rebuilt one
 momentum at a time from the coefficient dict, as the package built them
-before it held columns.  The mode order key, the error budget's kernel
-list, the closed-form minimizer of the quadratic energy and the Fock
-oracle's kinetic energy H0, which only tests read, live here too, and so
-does the summed form of a vanishing commutator that the Fock oracle now
-compares instead.
+before it held columns.  The potential itself is also built in the
+three passes the package once made (complete -k, check every completed
+entry, lay out the columns), so the one-pass ``make_potential`` can be
+compared with it error for error and byte for byte.  The mode order
+key, the error budget's kernel list, the closed-form minimizer of the
+quadratic energy and the Fock oracle's kinetic energy H0, which only
+tests read, live here too, and so does the summed form of a vanishing
+commutator that the Fock oracle now compares instead.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from fermi_rpa.error_budget import (
     _logaddexp,
     particle_number_constant,
 )
-from fermi_rpa.errors import DomainError, NumericalFailure
+from fermi_rpa.errors import DomainError, NumericalFailure, ParseError
 from fermi_rpa.fock_oracle import (
     _basis_vector,
     _column,
@@ -249,6 +253,12 @@ def amplitudes(state):
     return dict(zip(keys.tolist(), amps.tolist()))
 
 
+def normalized(apply, state, k, modes, *args, **kwargs):
+    """apply(state, k, modes, ...) divided by the truncated lune norm sqrt(n_k^2) of k."""
+    keys, amps = apply(state, k, modes, *args, **kwargs)
+    return keys, amps * (1.0 / math.sqrt(modes.lune_size(k)))
+
+
 def coalesce_reference(keys, amps):
     """The Fock oracle's key coalescing through np.unique and np.add.at.
 
@@ -309,7 +319,7 @@ def outcome(fn, *args):
     """repr of fn(*args), or (exception type, message): comparable with == even for NaN."""
     try:
         return repr(fn(*args))
-    except (DomainError, NumericalFailure) as exc:
+    except (DomainError, NumericalFailure, ParseError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -328,6 +338,68 @@ def support_columns(v):
         [v.value(k) for k in ks],
         reps,
         [reps.index(orbit_representative(k)) for k in ks],
+    )
+
+
+def potential_reference(entries, radius_sq=None):
+    """The potential as three passes build it: completion of -k by evenness,
+    then one check per completed entry, then the columns in mode order.
+
+    Returns the attributes of ``Potential`` on a namespace; a fault raises
+    the ParseError ``make_potential`` must raise.
+    """
+    coeffs = {}
+    for k, v in entries.items():
+        x, y, z = k = (int(k[0]), int(k[1]), int(k[2]))
+        coeffs[k] = v = float(v)
+        coeffs.setdefault((-x, -y, -z), v)
+    if radius_sq is None:
+        radius_sq = max((x * x + y * y + z * z for x, y, z in coeffs), default=0)
+    radius_sq = int(radius_sq)
+    norms = {}
+    for k, v in coeffs.items():
+        s = k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
+        if s > radius_sq:
+            raise ParseError(f"coefficient at {k} lies outside support radius^2 {radius_sq}")
+        try:
+            float(s)
+        except OverflowError:
+            raise ParseError(f"|k|^2 of the coefficient at {k} does not fit in a double") from None
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite coefficient at {k}: {v}")
+        minus_k = (-k[0], -k[1], -k[2])
+        mirror = coeffs.get(minus_k)
+        if mirror is None or mirror != v:
+            raise ParseError(f"evenness violated: V{k} = {v} and V{minus_k} = {mirror} disagree")
+        norms[k] = s
+    ks = sorted(sorted(norms), key=norms.__getitem__)
+    if ks and norms[ks[0]] == 0:
+        del ks[0]
+    reps = {}
+    orbit = np.array([reps.setdefault(orbit_representative(k), len(reps)) for k in ks], dtype=np.intp)
+    return SimpleNamespace(
+        coeffs=coeffs,
+        support_radius_sq=radius_sq,
+        ks=tuple(ks),
+        kn=np.sqrt(np.array([norms[k] for k in ks], dtype=float)),
+        vs=np.array([coeffs[k] for k in ks], dtype=float),
+        orbits=tuple(reps),
+        orbit=orbit,
+    )
+
+
+def potential_layout(v):
+    """Everything a potential holds, comparable with ==: each coefficient's
+    key and bits in dict order, the radius, and the bytes of every column."""
+    return (
+        [(k, x.hex()) for k, x in v.coeffs.items()],
+        v.support_radius_sq,
+        v.ks,
+        v.kn.tobytes(),
+        v.vs.tobytes(),
+        v.orbits,
+        v.orbit.dtype.str,
+        v.orbit.tobytes(),
     )
 
 
@@ -362,13 +434,12 @@ def kernel_loop(v):
 
 
 def square_sum_loop(v, params=None):
-    """sum_k V(k)^2 |k|; on a ModelParams each |k| is read through lens_norm."""
+    """sum_k V(k)^2 |k|; on a ModelParams every |k| is read through lens_norm
+    before the first square is formed."""
+    support = nonzero_support(v)
+    kns = [math.sqrt(norm_sq(k)) if params is None else lens_norm(params, k) for k in support]
     return finite_fsum(
-        (
-            v.value(k) ** 2 * (math.sqrt(norm_sq(k)) if params is None else lens_norm(params, k))
-            for k in nonzero_support(v)
-        ),
-        "sum_k |k| V(k)^2",
+        (v.value(k) ** 2 * kn for k, kn in zip(support, kns)), "sum_k |k| V(k)^2"
     )
 
 
@@ -460,7 +531,7 @@ def one_pair_deviations_loop(basis, triplets, modes, v, params, max_pairs):
         nk2 = modes.lune_size(k)
         if nk2 == 0 or v.value(k) == 0.0:
             continue
-        phi = apply_pair_create(vacuum(), k, modes, cap=max_pairs, normalized=True)
+        phi = normalized(apply_pair_create, vacuum(), k, modes, cap=max_pairs)
         vec = _basis_vector(basis, phi)
         expect = np.vdot(vec, _matvec(triplets, vec))
         cross = math.fsum(

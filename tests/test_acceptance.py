@@ -48,7 +48,7 @@ from fermi_rpa.rpa_optimal import (
 )
 
 from conftest import scaled_potential
-from oracles import amplitudes, apply_h0, hand_table, minimize_pair_energy
+from oracles import amplitudes, apply_h0, hand_table, minimize_pair_energy, normalized
 
 # extended-precision reference for (9/32)/(1 - log 2), frozen from a
 # 40-digit evaluation
@@ -205,9 +205,9 @@ def test_criterion_7_fock_oracle_exactness():
         assert report.max_ratio <= 1.0 + 1e-12
 
         # (c) kinetic commutator on the vacuum, amplitude by amplitude
-        created = apply_pair_create(vacuum(), k, modes, cap=2, normalized=True)
+        created = normalized(apply_pair_create, vacuum(), k, modes, cap=2)
         lhs = amplitudes(apply_h0(created, modes, params))
-        comps = [apply_c_create(vacuum(), k, modes, i, cap=2, normalized=True) for i in range(3)]
+        comps = [normalized(apply_c_create, vacuum(), k, modes, i, cap=2) for i in range(3)]
         rhs = {}
         for i in range(3):
             if k[i] == 0:
@@ -222,8 +222,8 @@ def test_criterion_7_fock_oracle_exactness():
         mk = modes.lune_size(k)
         fvec = modes.pair_vector_sum(k)
         for i in range(3):
-            cstar = apply_c_create(vacuum(), k, modes, i, cap=3, normalized=True)
-            second = amplitudes(apply_pair_annihilate(cstar, k, modes, normalized=True))
+            cstar = normalized(apply_c_create, vacuum(), k, modes, i, cap=3)
+            second = amplitudes(normalized(apply_pair_annihilate, cstar, k, modes))
             expected = -fvec[i] / mk
             got = -second.get(0, 0j)
             assert abs(got - expected) <= 1e-13

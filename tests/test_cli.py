@@ -514,6 +514,14 @@ V_THREE_1P5E202 = {
     "support_radius_sq": 2,
     "coeffs": [{"k": k, "v": 1.5e202} for k in ([1, 0, 0], [0, 1, 0], [1, 1, 0])],
 }
+# each frequency bracket is finite, but the sum of |k| times the six brackets
+# of the three unit momenta (and their mirrors) is not
+V_THREE_4E307 = {
+    "support_radius_sq": 1,
+    "coeffs": [{"k": k, "v": 4e307} for k in ([1, 0, 0], [0, 1, 0], [0, 0, 1])],
+}
+# |k| = 1e150 times a bracket of about -4e199 is not
+V_FAR_1E200 = {"support_radius_sq": 10**300, "coeffs": [{"k": [10**150, 0, 0], "v": 1e200}]}
 
 
 @pytest.mark.parametrize(
@@ -537,11 +545,23 @@ V_THREE_1P5E202 = {
         (HF_TOTAL, ["hf", "--n", "7"], "Hartree-Fock total energy"),
         (V_1E308, ["corr", "--n", "33", "--method", "optimal"], "the coupling a = 2 pi kappa V(k)"),
         (V_1E308, ["compare", "--n-list", "33"], "the coupling a = 2 pi kappa V(k)"),
+        (
+            V_THREE_4E307,
+            ["corr", "--n", "33", "--method", "optimal", "--tol", "1e305"],
+            "sum_k |k| bracket(k)",
+        ),
+        (V_THREE_4E307, ["compare", "--n-list", "33", "--tol", "1e305"], "sum_k |k| bracket(k)"),
+        (
+            V_FAR_1E200,
+            ["corr", "--n", "33", "--method", "optimal", "--tol", "1e200"],
+            "sum_k |k| bracket(k)",
+        ),
     ],
     ids=[
         "so-opt", "so-deloc", "errors", "errors-exact", "errors-v0", "errors-a-sums",
         "errors-a-sums-exact", "errors-remainder-sum", "errors-remainder-sum-exact", "hf", "hf-v0",
-        "hf-total", "optimal", "compare",
+        "hf-total", "optimal", "compare", "optimal-bracket-sum", "compare-bracket-sum",
+        "optimal-bracket-term",
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning escapes main as an exception
@@ -553,6 +573,27 @@ def test_a_quantity_beyond_the_double_range_exits_two(capsys, tmp_path, doc, arg
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == f"error: {quantity} overflows a double"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [{"k": [2, 0, 0], "v": 1e200}, {"k": [3, 0, 0], "v": 0.1}],
+        [{"k": [3, 0, 0], "v": 1e200}, {"k": [4, 0, 0], "v": 0.1}],
+    ],
+    ids=["square-inside", "square-beyond"],
+)
+def test_so_deloc_reads_the_lens_domain_before_the_squares(capsys, tmp_path, coeffs):
+    # V(k)^2 = 1e400 overflows, but |k| = 3 lies beyond 2 k_F at N = 7: the
+    # second order fails as the continuum minimum does, with exit 1
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"support_radius_sq": 16, "coeffs": coeffs}))
+    lines = [
+        run_cli(capsys, "corr", "--n", "7", "--method", method, "--potential", str(path))
+        for method in ("so-deloc", "delocalized-asym")
+    ]
+    message = "error: |k| = 3 exceeds the lens-formula domain 2*k_F = 2.37338\n"
+    assert lines == [(1, "", message)] * 2
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from oracles import (
     honest_c_bound_reference,
     matvec_reference,
     mode_sort_key,
+    normalized,
     one_pair_deviations_loop,
     quadratic_compose_then_project,
 )
@@ -217,8 +218,8 @@ def test_annihilate_vacuum(modes_7_2):
 
 
 def test_annihilate_inverts_create_on_vacuum(modes_7_2):
-    created = apply_pair_create(vacuum(), E1, modes_7_2, cap=2, normalized=True)
-    back = amplitudes(apply_pair_annihilate(created, E1, modes_7_2, normalized=True))
+    created = normalized(apply_pair_create, vacuum(), E1, modes_7_2, cap=2)
+    back = amplitudes(normalized(apply_pair_annihilate, created, E1, modes_7_2))
     assert set(back) == {0}
     assert back[0] == pytest.approx(1.0, rel=1e-15)
 
@@ -545,10 +546,10 @@ def test_kinetic_commutator_identity(modes_7_2):
     # [H0, b*_k] O = hbar^2 k . c*_k O, amplitude by amplitude
     params = ModelParams(7)
     for k in (E1, E2, (1, 1, 0)):
-        created = apply_pair_create(vacuum(), k, modes_7_2, cap=2, normalized=True)
+        created = normalized(apply_pair_create, vacuum(), k, modes_7_2, cap=2)
         lhs = amplitudes(apply_h0(created, modes_7_2, params))  # H0 b*_k O (H0 O = 0)
         comps = [
-            apply_c_create(vacuum(), k, modes_7_2, i, cap=2, normalized=True) for i in range(3)
+            normalized(apply_c_create, vacuum(), k, modes_7_2, i, cap=2) for i in range(3)
         ]
         rhs_amps = {}
         for i in range(3):
@@ -574,8 +575,8 @@ def test_ccr_orthogonal_transfers(modes_7_2):
     report = verify_almost_ccr(modes_7_2, E1, E2, xi, seed=1, max_pairs=2)
     assert report.violations == []
     # vacuum matrix element of [b_k, b*_l] vanishes for k != l
-    created = apply_pair_create(vacuum(), E2, modes_7_2, cap=3, normalized=True)
-    annihilated = apply_pair_annihilate(created, E1, modes_7_2, normalized=True)
+    created = normalized(apply_pair_create, vacuum(), E2, modes_7_2, cap=3)
+    annihilated = normalized(apply_pair_annihilate, created, E1, modes_7_2)
     assert amplitudes(annihilated).get(0, 0j) == 0j
 
 
@@ -601,8 +602,8 @@ def test_c_commutator_vacuum_is_truncated_f(modes_7_2):
     fvec = modes_7_2.pair_vector_sum(k)
     assert amplitudes(apply_pair_annihilate(vacuum(), k, modes_7_2)) == {}
     for i in range(3):
-        cstar = apply_c_create(vacuum(), k, modes_7_2, i, cap=3, normalized=True)
-        second = apply_pair_annihilate(cstar, k, modes_7_2, normalized=True)
+        cstar = normalized(apply_c_create, vacuum(), k, modes_7_2, i, cap=3)
+        second = normalized(apply_pair_annihilate, cstar, k, modes_7_2)
         comm = {cfg: -amp for cfg, amp in amplitudes(second).items()}  # 0 - b_k c*_k O
         expected = -fvec[i] / mk
         got = comm.get(0, 0j)
@@ -663,7 +664,7 @@ def test_one_pair_rows_match_the_full_matvec(holes_n, lambda_sq, max_pairs, entr
     for k in v.ks:
         if modes.lune_size(k) == 0:
             continue
-        phi = apply_pair_create(vacuum(), k, modes, cap=max_pairs, normalized=True)
+        phi = normalized(apply_pair_create, vacuum(), k, modes, cap=max_pairs)
         vec = fock_oracle._basis_vector(basis, phi)
         targets = fock_oracle._positions(basis, phi[0])
         full = fock_oracle._matvec(triplets, vec)
@@ -720,7 +721,7 @@ def test_quadratic_expectation_hand_value(modes_7_2):
     basis, (rows, cols, values) = assemble_quadratic_interaction(
         modes_7_2, v, ModelParams(7), 2
     )
-    phi = apply_pair_create(vacuum(), k, modes_7_2, cap=2, normalized=True)
+    phi = normalized(apply_pair_create, vacuum(), k, modes_7_2, cap=2)
     (cfg, amp), = amplitudes(phi).items()
     pos = basis.tolist().index(cfg)
     (entry,) = values[(rows == pos) & (cols == pos)]

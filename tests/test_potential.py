@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fermi_rpa.errors import NumericalFailure, ParseError
 from fermi_rpa.potential import (
@@ -14,6 +14,7 @@ from fermi_rpa.potential import (
 )
 
 from conftest import scaled_potential
+from oracles import outcome, potential_layout, potential_reference
 
 
 @pytest.fixture()
@@ -156,3 +157,49 @@ def test_round_trip_random(tmp_path_factory, v):
     path = tmp_path_factory.mktemp("round_trip") / "v.json"
     path.write_text(serialize_potential(v))
     assert load_potential(str(path)) == v
+
+
+# components near the origin and up to 10**200, where |k|^2 leaves the double
+# range; values of every kind a code-built dict may hold
+COMPONENTS = st.one_of(st.integers(-3, 3), st.integers(-(10**200), 10**200))
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+RADII = st.one_of(st.none(), st.integers(0, 30), st.sampled_from([10**300, 10**401]))
+
+
+@st.composite
+def entry_dicts(draw):
+    """{k: v} with each -k absent, equal, of the opposite sign or drawn apart, in any order."""
+    items = []
+    drawn = draw(st.dictionaries(st.tuples(*[COMPONENTS] * 3), VALUES, max_size=5))
+    for (x, y, z), value in drawn.items():
+        items.append(((x, y, z), value))
+        mirror = draw(st.sampled_from(["absent", "equal", "negated", "drawn"]))
+        if mirror == "equal":
+            items.append(((-x, -y, -z), value))
+        elif mirror == "negated":
+            items.append(((-x, -y, -z), -value))
+        elif mirror == "drawn":
+            items.append(((-x, -y, -z), draw(VALUES)))
+    return dict(draw(st.permutations(items)))
+
+
+@given(entry_dicts(), RADII)
+# an explicit mirror keeps its own sign bit
+@example({(1, 2, 1): -0.0, (-1, -2, -1): 0.0}, None)
+# a disagreeing mirror after a radius fault, and before one
+@example({(3, 0, 0): 0.1, (1, 0, 0): 0.2, (-1, 0, 0): 0.3}, 2)
+@example({(1, 0, 0): 0.2, (-1, 0, 0): 0.3, (3, 0, 0): 0.1}, 2)
+# NaN in an entry and in its mirror
+@example({(1, 0, 0): math.nan}, None)
+@example({(1, 0, 0): 0.5, (-1, 0, 0): math.nan}, None)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_make_potential_matches_the_three_pass_reference(entries, radius_sq):
+    # the same ParseError, or the same coefficients in the same order with the
+    # same bits, and the same bytes in every column
+    def layout(build):
+        return potential_layout(build(entries, radius_sq))
+
+    assert outcome(layout, make_potential) == outcome(layout, potential_reference)

@@ -176,15 +176,18 @@ def test_lens_error_names_the_first_momentum_beyond_it():
 @pytest.mark.parametrize(
     "entries, error",
     [
-        # V(k)^2 overflows inside the lens domain, before |k| = 3 lies beyond it
-        ({(2, 0, 0): 1e200, (3, 0, 0): 0.1}, NumericalFailure),
-        # ... at the first row beyond it: the square is read first
-        ({(3, 0, 0): 1e200, (4, 0, 0): 0.1}, NumericalFailure),
-        # ... past it: the row beyond the lens domain is read first
+        # every |k| is checked against the lens domain before any square is
+        # formed: V(k)^2 overflows inside it, and |k| = 3 lies beyond it
+        ({(2, 0, 0): 1e200, (3, 0, 0): 0.1}, DomainError),
+        # ... at the first row beyond it
+        ({(3, 0, 0): 1e200, (4, 0, 0): 0.1}, DomainError),
+        # ... past it
         ({(3, 0, 0): 0.1, (4, 0, 0): 1e200}, DomainError),
-        # finite squares whose sum overflows: every row is checked first
+        # finite squares whose sum overflows, and |k| = 3 beyond the domain
         ({(1, 0, 0): 1e154, (3, 0, 0): 0.1}, DomainError),
+        # inside the lens domain the sum overflows, or a square does
         ({(1, 0, 0): 1e154, (2, 0, 0): 0.1}, NumericalFailure),
+        ({(1, 0, 0): 1e200, (2, 0, 0): 0.1}, NumericalFailure),
     ],
 )
 def test_second_order_reads_squares_and_the_lens_domain_in_mode_order(entries, error):
@@ -195,6 +198,8 @@ def test_second_order_reads_squares_and_the_lens_domain_in_mode_order(entries, e
     assert outcome(second_order_delocalized, params, v) == outcome(so_deloc_loop, params, v)
     if error is NumericalFailure:
         assert str(raised.value) == "sum_k |k| V(k)^2 overflows a double"
+    else:  # the first |k| beyond 2 k_F = 2.37 in mode order
+        assert str(raised.value).startswith("|k| = 3 exceeds the lens-formula domain")
 
 
 def test_one_plus_c_v_error_names_the_first_momentum_in_mode_order():
