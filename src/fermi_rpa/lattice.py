@@ -49,8 +49,8 @@ Momentum = Tuple[int, int, int]
 KINETIC_SHAPE_CONSTANT = (4.0 / (3.0 * math.sqrt(math.pi))) ** (2.0 / 3.0)
 # (3*sqrt(pi)/4)^(2/3): continuum value of n_k^2 / (|k| N hbar)
 LUNE_SHAPE_CONSTANT = (3.0 * math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
-# the largest radius^2 closed_shell_sizes tabulates: about 4.2e9 modes, and
-# column arrays of (2*1000 + 1)^2 entries (32 MB each)
+# the largest radius^2 closed_shell_sizes tabulates and build_fermi_ball
+# builds: 4188781437 modes, and column arrays of (2*1000 + 1)^2 entries (32 MB each)
 LEVEL_CAP = 10**6
 
 
@@ -189,21 +189,27 @@ def build_fermi_ball(n: int) -> FermiBall:
 
     Raises DomainError when no radius yields exactly n lattice points
     (e.g. n = 2); every formula downstream assumes a completely filled
-    shell.
+    shell.  A shell needs radius^2 <= ``LEVEL_CAP`` (n <= 4188781437); a
+    larger n raises DomainError, before any column table is built when
+    the volume bound below already puts its shell above the cap.
     """
     kf = ModelParams(n).kf
     # The unit cubes around the points of {|h|^2 <= R^2} lie inside radius
     # R + sqrt(3)/2 and cover radius R - sqrt(3)/2, so comparing volumes puts
     # the smallest R^2 whose ball holds at least n points in
-    # [(kf - 1)^2, (kf + 1)^2]; bisect there.
+    # [(kf - 1)^2, (kf + 1)^2]; bisect there, up to LEVEL_CAP + 1 (never built).
     lo = math.floor(max(kf - 1.0, 0.0) ** 2)
-    hi = math.ceil((kf + 1.0) ** 2)
+    hi = min(math.ceil((kf + 1.0) ** 2), LEVEL_CAP + 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if _ball_size(_column_tops(mid)) >= n:
             hi = mid
         else:
             lo = mid + 1
+    if lo > LEVEL_CAP:  # with no bisection step at all when the bracket starts above
+        raise DomainError(
+            f"{n} modes need a closed shell of radius^2 above the cap LEVEL_CAP = {LEVEL_CAP}"
+        )
     top = _column_tops(lo)
     count = _ball_size(top)
     if count != n:

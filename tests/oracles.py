@@ -23,7 +23,9 @@ compared with it error for error and byte for byte.  The mode order
 key, the error budget's kernel list, the closed-form minimizer of the
 quadratic energy and the Fock oracle's kinetic energy H0, which only
 tests read, live here too, and so does the summed form of a vanishing
-commutator that the Fock oracle now compares instead.
+commutator that the Fock oracle now compares instead, and the hermiticity
+residual as Q - Q^dagger coalesced whole, which it now reads entry by
+entry.
 """
 
 import math
@@ -43,6 +45,7 @@ from fermi_rpa.error_budget import (
 from fermi_rpa.errors import DomainError, NumericalFailure, ParseError
 from fermi_rpa.fock_oracle import (
     _basis_vector,
+    _coalesce,
     _column,
     _drop_zeros,
     _linear_combination,
@@ -276,6 +279,16 @@ def coalesce_reference(keys, amps):
 def columns_differ_reference(u, w):
     """Per trial column: is u - w nonzero, by forming the sum u + (-1) w."""
     return _nonzero_trials(_linear_combination([(1, u), (-1, w)]))
+
+
+def hermiticity_residual_reference(triplets, dim):
+    """max |Q - Q^dagger| by coalescing Q and -Q^dagger concatenated over row * dim + col."""
+    rows, cols, values = triplets
+    _, skew = _coalesce(
+        np.concatenate([rows * dim + cols, cols * dim + rows]),
+        np.concatenate([values, -values.conj()]),
+    )
+    return float(np.abs(skew).max()) if len(skew) else 0.0
 
 
 def matvec_reference(triplets, vec):

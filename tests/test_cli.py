@@ -53,6 +53,24 @@ def test_ball_info(capsys):
     assert payload["hbar"] == pytest.approx(33 ** (-1 / 3))
 
 
+@pytest.mark.parametrize("n", [10**10, 10**28])
+def test_ball_beyond_the_level_cap_exits_one_fast(capsys, n):
+    # 10^10 once ran 3.2 s at 309 MB, 10^28 died in numpy's allocator
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ball", "--n", str(n))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    cap = "LEVEL_CAP = 1000000"
+    assert err == f"error: {n} modes need a closed shell of radius^2 above the cap {cap}\n"
+
+
+def test_exact_correlation_below_the_level_cap_still_runs(capsys):
+    # N = 1000003353 has radius^2 384834, inside the cap
+    code, out, err = run_cli(capsys, "corr", "--n", "1000003353", "--method", "delocalized-exact")
+    assert (code, err) == (0, "")
+    assert float(out) < 0.0
+
+
 def test_ball_open_shell_exits_one(capsys):
     code, _, err = run_cli(capsys, "ball", "--n", "2")
     assert code == 1

@@ -11,7 +11,7 @@ code, and any other exception is a bug.  Only ``cli.main`` writes to
 stdout, and no module calls ``print``, so one place owns the printed bytes.
 Each command runs only the modules it calls into: ``ratio`` runs none of
 them and loads neither numpy nor ``dataclasses``, and only ``oracle`` runs
-the Fock oracle.
+the Fock oracle, which draws its trial states without ``numpy.random``.
 """
 
 import ast
@@ -127,6 +127,14 @@ def test_oracle_runs_none_of_the_energy_modules():
     ran, _ = modules_run_by(["oracle", "--trials", "1"])
     assert "fock_oracle" in ran
     assert ran.isdisjoint({"quadrature", "rpa_optimal", "report", "error_budget", "hf"})
+
+
+def test_oracle_loads_no_numpy_random():
+    # the trial states come from the stdlib generator: numpy.random would
+    # pull in its bit generators and, through secrets, OpenSSL's hashlib
+    _, loaded = modules_run_by(["oracle", "--trials", "1"])
+    assert "numpy" in loaded
+    assert loaded.isdisjoint({"numpy.random", "secrets", "hashlib", "_hashlib"})
 
 
 def raised_names(source):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -13,6 +14,7 @@ from oracles import (
     brute_force_pairs,
     coalesce_reference,
     columns_differ_reference,
+    hermiticity_residual_reference,
     honest_c_bound_reference,
     matvec_reference,
     mode_sort_key,
@@ -225,7 +227,7 @@ def test_annihilate_inverts_create_on_vacuum(modes_7_2):
 
 
 def test_adjoint_property(modes_7_2):
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for k in (E1, (1, 1, 0)):
         u = random_state(modes_7_2, rng)
         w = random_state(modes_7_2, rng)
@@ -240,13 +242,14 @@ def test_kernel_matches_loop_reference(monkeypatch):
     # (p+h)_i weights of c*_k, on one state and on a two-column block
     # whose every column must equal the single-state result; with the
     # budgets as set and at zero
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(17)  # picks the sampled basis
+    draws = random.Random(17)
     for n, lambda_sq in MODE_SETS:
         modes = build_mode_set(n, lambda_sq)
         basis = sector_basis(modes, 2)
         if len(basis) > 1500:  # keeps the Python loop short on the larger sets
             basis = rng.choice(basis, 1500, replace=False)
-        keys, block = random_sector_state(basis, rng, 2, integer_amplitudes=True)
+        keys, block = random_sector_state(basis, draws, 2, integer_amplitudes=True)
         hole_vecs = modes.modes.tolist()
         n_terms = 0
         for k in (E1, (1, 1, 0), (0, -1, 1)):
@@ -331,16 +334,17 @@ def test_sums_match_add_at_reference_bit_for_bit(monkeypatch, capsys, argv):
         assert calls["matvec"] == 1 + calls["matvec_rows"]
 
 
-def quadratic_inputs(modes, max_pairs, rng):
+def quadratic_inputs(modes, max_pairs, rng, draws):
     """A plain two-trial sector state and a labelled one, as assembly makes it.
 
-    Sectors above 3000 configurations are sampled down to 3000 of them.
+    The state is drawn from ``draws``; sectors above 3000 configurations
+    are sampled down to 3000 of them by ``rng``.
     """
     basis = sector_basis(modes, max_pairs)
     if len(basis) > 3000:
         basis = np.sort(rng.choice(basis, 3000, replace=False))
     labelled = (np.arange(len(basis), dtype=np.int64) << modes.n_modes) | basis
-    return random_sector_state(basis, rng, 2), (labelled, np.ones(len(basis), dtype=complex))
+    return random_sector_state(basis, draws, 2), (labelled, np.ones(len(basis), dtype=complex))
 
 
 def random_signed_potential(rng):
@@ -360,10 +364,11 @@ def test_projected_quadratic_matches_compose_then_project(
     # fewer configurations, and every kept key the same sum, bit for bit
     modes = build_mode_set(holes_n, lambda_sq)
     params = ModelParams(holes_n)
-    rng = np.random.default_rng(100 * holes_n + 10 * lambda_sq + max_pairs)
+    seed = 100 * holes_n + 10 * lambda_sq + max_pairs
+    rng, draws = np.random.default_rng(seed), random.Random(seed)
     for _ in range(2):
         v = random_signed_potential(rng)
-        for state in quadratic_inputs(modes, max_pairs, rng):
+        for state in quadratic_inputs(modes, max_pairs, rng, draws):
             set_budgets(monkeypatch, BUDGETS[0])
             expected = quadratic_compose_then_project(state, modes, v, params, max_pairs)
             for budgets in BUDGETS:  # the same bits with the budgets as set and at zero
@@ -385,7 +390,7 @@ def test_quadratic_forms_no_configuration_above_the_sector(monkeypatch, demo_pot
         return coalesce(keys, amps)
 
     params = ModelParams(7)
-    psi = random_sector_state(sector_basis(modes, max_pairs), np.random.default_rng(4), 2)
+    psi = random_sector_state(sector_basis(modes, max_pairs), random.Random(4), 2)
     monkeypatch.setattr(fock_oracle, "_coalesce", checked_coalesce)
     assemble_quadratic_interaction(modes, demo_potential, params, max_pairs)
     fock_oracle._apply_quadratic(psi, modes, demo_potential, params, max_pairs)
@@ -481,26 +486,88 @@ def test_pairs_of_a_momentum_beyond_the_cutoff_are_empty(modes_7_2):
 
 
 def test_random_sector_state_draws_trials_in_sequence():
-    # a block of trials is the same RNG stream as one-column calls, one
-    # after another: every golden max_ratio depends on it
+    # a block of trials is the same stream as one-column calls, one after
+    # another: every golden max_ratio depends on it
     basis = sector_basis(build_mode_set(7, 2), 2)
     for integer in (True, False):
-        keys, block = random_sector_state(basis, np.random.default_rng(8), 4, integer)
+        keys, block = random_sector_state(basis, random.Random(8), 4, integer)
         assert block.shape == (len(basis), 4)
         assert np.all(np.diff(keys) > 0)
         assert len({column.tobytes() for column in block.T}) == 4  # distinct draws
-        rng = np.random.default_rng(8)
+        rng = random.Random(8)
         for j in range(4):
             one_keys, one = random_sector_state(basis, rng, 1, integer)
             assert np.array_equal(one_keys, keys)
             assert np.array_equal(one[:, 0], block[:, j])
-        if integer:
-            parts = np.concatenate([block.real, block.imag])
-            assert np.all(parts == np.round(parts))
-            assert np.all((np.abs(parts) >= 1) & (np.abs(parts) <= 999))
-        else:
-            norms = np.sqrt(state_norm_sq((keys, block)))
-            assert np.all(np.abs(norms - 1.0) <= 1e-15)
+
+
+def sector_draw_reference(basis, rng, integer_amplitudes):
+    """One trial of ``random_sector_state`` by its documented mapping, on Python numbers.
+
+    Returns {key: amplitude} and the raw parts: the real parts in
+    ``sector_basis`` order, then the imaginary parts.
+    """
+    n, width = len(basis), 4 if integer_amplitudes else 8
+    data = rng.getrandbits(16 * n * width).to_bytes(2 * n * width, "little")
+    words = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    if integer_amplitudes:
+        parts = [(-1) ** (w & 1) * ((w >> 1) % 999 + 1) for w in words]
+    else:
+        parts = [(w >> 11) * 2.0**-52 - 1.0 for w in words]
+    amps = [complex(re, im) for re, im in zip(parts[:n], parts[n:])]
+    if not integer_amplitudes:
+        squares = (re * re + im * im for re, im in zip(parts[:n], parts[n:]))
+        scale = 1.0 / math.sqrt(math.fsum(squares))
+        amps = [a * scale for a in amps]
+    return dict(zip(basis.tolist(), amps)), parts
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_random_sector_state_follows_its_documented_mapping(integer):
+    # nonzero integer parts in [-999, 999], or float parts in [-1, 1) and
+    # unit column norms, drawn word by word as the docstring says
+    basis = sector_basis(build_mode_set(7, 2), 2)
+    keys, block = random_sector_state(basis, random.Random(3), 4, integer)
+    rng = random.Random(3)
+    drawn = []
+    for j in range(4):
+        expected, parts = sector_draw_reference(basis, rng, integer)
+        assert dict(zip(keys.tolist(), block[:, j].tolist())) == expected
+        drawn += parts
+    if integer:
+        assert all(isinstance(p, int) and p != 0 and -999 <= p <= 999 for p in drawn)
+        assert {-999, -1, 1, 999} <= set(drawn)
+    else:
+        assert all(-1.0 <= p < 1.0 for p in drawn)
+        assert min(drawn) < -0.999 and max(drawn) > 0.999
+        norms = np.sqrt(state_norm_sq((keys, block)))
+        assert np.all(np.abs(norms - 1.0) <= 1e-15)
+
+
+# random.Random(seed) with an int seed gives the same MT19937 stream on every
+# CPython since 3.2, and numpy is not involved: the oracle's trial states are
+# pinned here by their first amplitudes in sorted key order
+STREAM_PINS = {
+    0: (
+        [-316 - 848j, 136 - 882j, 3 - 963j, 955 + 298j],
+        [-0.007321770373542398 - 0.01439048046160756j,
+         0.02489899376028512 - 0.031329383753591566j],
+    ),
+    5: (
+        [-213 + 320j, -110 - 946j, -7 + 70j, 870 + 610j],
+        [-0.015469408233758905 - 0.011737697529301058j,
+         -0.008948384039653146 - 0.008341420446725962j],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", STREAM_PINS)
+def test_trial_stream_is_pinned(modes_7_2, seed):
+    integer_head, float_head = STREAM_PINS[seed]
+    _, xi = integer_trials(modes_7_2, 2, 1, seed)
+    assert xi[:4, 0].tolist() == integer_head
+    _, psi = random_sector_state(sector_basis(modes_7_2, 2), random.Random(seed), 1)
+    assert psi[:2, 0].tolist() == float_head
 
 
 def test_double_pair_vacuum_expectation_wick(modes_7_2):
@@ -635,6 +702,42 @@ def test_quadratic_interaction_zero_potential(modes_7_2):
     v = make_potential({(1, 0, 0): 0.0})
     _, (_, _, values) = assemble_quadratic_interaction(modes_7_2, v, ModelParams(7), 2)
     assert not np.any(values)
+
+
+@pytest.mark.parametrize(
+    "holes_n, lambda_sq, max_pairs", [(1, 1, 1), (1, 2, 2), (7, 2, 2), (7, 2, 3), (7, 3, 2)]
+)
+def test_hermiticity_residual_matches_the_doubled_coalesce(
+    holes_n, lambda_sq, max_pairs, demo_potential
+):
+    # the entry-by-entry residual has the bits of Q - Q^dagger coalesced
+    # whole: on Q as assembled, with noise that breaks hermiticity, with
+    # entries whose transposes are missing, and with signed zero parts
+    modes = build_mode_set(holes_n, lambda_sq)
+    basis, (rows, cols, values) = assemble_quadratic_interaction(
+        modes, demo_potential, ModelParams(holes_n), max_pairs
+    )
+    dim = len(basis)
+    rng = np.random.default_rng(dim)
+    noise = 1.0 + 1e-3 * (rng.uniform(-1, 1, len(values)) + 1j * rng.uniform(-1, 1, len(values)))
+    kept = rows <= cols  # no entry above the diagonal keeps its transpose
+    signed = values.copy()
+    signed.real[rng.random(len(values)) < 0.3] = -0.0
+    cases = [
+        (rows, cols, values),
+        (rows, cols, values * noise),
+        (rows[kept], cols[kept], values[kept]),
+        (rows, cols, signed),
+        (rows[:0], cols[:0], values[:0]),
+    ]
+    residuals = []
+    for triplets in cases:
+        got = fock_oracle.hermiticity_residual(triplets, dim)
+        assert got.hex() == hermiticity_residual_reference(triplets, dim).hex()
+        residuals.append(got)
+    assert residuals[0] <= 1e-13 and residuals[-1] == 0.0
+    assert residuals[1] > 1e-6  # deliberately non-Hermitian
+    assert (residuals[2] > 0) == bool((rows != cols).any())
 
 
 def test_quadratic_single_momentum_diagonal(modes_7_2):
@@ -846,31 +949,31 @@ VIOLATION_CASES = {
             "_columns_differ": lambda u, w: np.ones(u[1].shape[1], dtype=bool),
         },
         [
-            [f"trial 0: {CCR} 528573.133641994 > 1", f"trial 1: {CCR} 533734.842387064 > 1"],
+            [f"trial 0: {CCR} 527862.494657317 > 1", f"trial 1: {CCR} 525567.225794756 > 1"],
             [
-                f"trial 0: {CCR} 192725.28655366 > 1",
+                f"trial 0: {CCR} 193810.585349932 > 1",
                 "trial 0: [b_k, b_l] xi != 0",
                 "trial 0: [b*_k, b*_l] xi != 0",
-                f"trial 1: {CCR} 199253.311408764 > 1",
+                f"trial 1: {CCR} 195478.090594731 > 1",
                 "trial 1: [b_k, b_l] xi != 0",
                 "trial 1: [b*_k, b*_l] xi != 0",
             ],
             [
-                "trial 0: residual ratio 236385.091580716 > 1 (constant 2.23607)",
+                "trial 0: residual ratio 236067.284165276 > 1 (constant 2.23607)",
                 f"trial 0: residual component 0 {C}",
                 f"trial 0: residual component 1 {C}",
                 f"trial 0: residual component 2 {C}",
-                "trial 1: residual ratio 238693.477907522 > 1 (constant 2.23607)",
+                "trial 1: residual ratio 235040.808724611 > 1 (constant 2.23607)",
                 f"trial 1: residual component 0 {C}",
                 f"trial 1: residual component 1 {C}",
                 f"trial 1: residual component 2 {C}",
             ],
             [
-                "trial 0: residual ratio 85753.558639522 > 1 (constant 2.23607)",
+                "trial 0: residual ratio 87564.1035931978 > 1 (constant 2.23607)",
                 f"trial 0: residual component 0 {C}",
                 f"trial 0: residual component 1 {C}",
                 f"trial 0: residual component 2 {C}",
-                "trial 1: residual ratio 88506.1875810239 > 1 (constant 2.23607)",
+                "trial 1: residual ratio 87963.3450449247 > 1 (constant 2.23607)",
                 f"trial 1: residual component 0 {C}",
                 f"trial 1: residual component 1 {C}",
                 f"trial 1: residual component 2 {C}",
@@ -955,7 +1058,7 @@ def test_sector_basis_structure(modes_7_2):
 
 
 def test_pair_structure_preserved(modes_7_2):
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     state = random_state(modes_7_2, rng)
     holes_mask = (1 << 7) - 1
     for op in (

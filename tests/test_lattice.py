@@ -106,6 +106,32 @@ def test_ball_radius_for_every_shell_up_to_radius_sq_1000():
         previous = count
 
 
+def test_ball_shells_stop_at_the_level_cap(monkeypatch):
+    # with the cap at 64 the shell of 2109 modes (radius^2 64) is the last
+    # one built; one mode more, or the next shell, needs a level above it
+    from fermi_rpa import lattice
+
+    (_, last), (_, following) = [pair for pair in closed_shell_sizes(65) if pair[0] >= 64]
+    monkeypatch.setattr(lattice, "LEVEL_CAP", 64)
+    assert build_fermi_ball(last).shell_radius_sq == 64
+    for n in (last + 1, following):
+        message = f"^{n} modes need a closed shell of radius\\^2 above the cap LEVEL_CAP = 64$"
+        with pytest.raises(DomainError, match=message):
+            build_fermi_ball(n)
+
+
+@pytest.mark.parametrize("n", [10**10, 10**28])
+def test_ball_beyond_the_level_cap_builds_no_column_table(monkeypatch, n):
+    from fermi_rpa import lattice
+
+    def refused(radius_sq):
+        raise AssertionError(f"built the column table of radius^2 {radius_sq}")
+
+    monkeypatch.setattr(lattice, "_column_tops", refused)
+    with pytest.raises(DomainError, match=f"^{n} modes need .* LEVEL_CAP = {lattice.LEVEL_CAP}$"):
+        build_fermi_ball(n)
+
+
 def test_ball_bisects_inside_the_bracket(monkeypatch):
     from fermi_rpa import lattice
 
