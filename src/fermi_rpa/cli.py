@@ -10,12 +10,15 @@ compare  full energy report per N (CSV or JSON)
 errors   log-space rigorous error budget as JSON
 oracle   brute-force operator-identity verification reports
 ratio    the delocalized/optimal second-order weight ratio
+scan     CSV of both correlation energies against their second orders by coupling
+shells   CSV of exact lattice counts against their continuum forms by shell
 
 Flags are the only run settings; no file or environment variable is read.
-``--tol`` (``corr``, ``compare``; ``--tol X`` or ``--tol=X``) defaults to
-``fermi_rpa.DEFAULT_TOL`` = 1e-10 and must be finite and > 0 for every
-method; ``oracle --pairs`` defaults to 2, and it and ``--trials`` must be
->= 1; ``--seed`` must be >= 0.
+``--tol`` (``corr``, ``compare``, ``scan``; ``--tol X`` or ``--tol=X``)
+defaults to ``fermi_rpa.DEFAULT_TOL`` = 1e-10 and must be finite and > 0
+for every method; ``oracle --pairs`` defaults to 2, and it and
+``--trials`` must be >= 1; ``--seed`` must be >= 0; every exponent of
+``scan --scales lo:hi`` must lie in ``SCALES``.
 
 Each command runs only the package modules it calls into.  Every module is
 registered lazily at import (in ``sys.modules`` and on the package, run
@@ -223,6 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio", help="second-order delocalized/optimal ratio")
     p.set_defaults(run=_cmd_ratio)
+
+    p = sub.add_parser("scan", help="correlation energies against their second orders (CSV)")
+    p.add_argument("--n", type=int, default=2109)
+    p.add_argument("--potential", default=None)
+    p.add_argument("--scales", default="3:9", help="dyadic exponent range lo:hi")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.set_defaults(run=_cmd_scan)
+
+    p = sub.add_parser("shells", help="exact lattice counts against continuum forms (CSV)")
+    p.add_argument("--shells", default="4,16,64,256,1024")
+    p.add_argument("--k", default="1,0,0", help="transfer momentum kx,ky,kz")
+    p.set_defaults(run=_cmd_shells)
     return parser
 
 
@@ -336,6 +351,95 @@ def _cmd_ratio(args) -> str:
     return format_float(second_order_ratio()) + "\n"
 
 
+# s^2 = 4^-j is a nonzero finite double exactly for these dyadic exponents j
+SCALES = range(-511, 538)
+SCAN_HEADER = "s,min_energy_over_s2,so_delocalized,deloc_dev,gmb_over_s2,so_optimal,gmb_dev"
+
+
+def _cmd_scan(args) -> str:
+    """Both correlation energies over s = 2^-lo .. 2^-(hi-1) of the potential;
+    the deviation columns shrink linearly in s."""
+    try:
+        lo, hi = (int(c) for c in args.scales.split(":"))
+    except ValueError:
+        raise FermiRpaError(f"--scales must be two integers lo:hi, got {args.scales!r}") from None
+    if lo < hi and (lo < SCALES.start or hi > SCALES.stop):
+        raise DomainError(
+            f"--scales exponents must lie in {SCALES.start}:{SCALES.stop}, where s^2 = 4^-j "
+            f"is a nonzero finite double, got {args.scales!r}"
+        )
+    v = read_potential(args.potential)
+    ball = lattice.build_fermi_ball(args.n)
+    params = lattice.ModelParams(args.n)
+    rows = []
+    for j in range(lo, hi):
+        s = 2.0 ** (-j)
+        coeffs = {k: s * x for k, x in v.coeffs.items()}
+        scaled = potential.make_potential(coeffs, v.support_radius_sq)
+        table = rpa_delocalized.coefficient_table(ball, scaled)
+        deloc = rpa_delocalized.correlation_delocalized(table)
+        so_deloc = rpa_delocalized.second_order_delocalized(table)
+        brackets = rpa_optimal.frequency_brackets(scaled, args.tol)
+        gmb = rpa_optimal.gmb_correlation(brackets, params).value
+        so_opt = rpa_optimal.second_order_optimal(scaled, params)
+        orders = (("so_delocalized", so_deloc), ("so_optimal", so_opt))
+        zero = [f"{name} = 0" for name, x in orders if x == 0.0]
+        if zero:  # the deviation columns divide by it
+            raise DomainError(f"zero second order at s = {s!r}: {', '.join(zero)}")
+        s2 = s**2
+        rows.append((
+            s, deloc / s2, so_deloc / s2, abs(deloc / so_deloc - 1.0),
+            gmb / s2, so_opt / s2, abs(gmb / so_opt - 1.0),
+        ))
+    return csv_text(SCAN_HEADER.split(","), rows)
+
+
+def _integers(flag: str, text: str, count=None) -> list:
+    """The comma-separated integers of ``flag``, ``count`` of them when given."""
+    try:
+        values = [int(c) for c in text.split(",")]
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    shape = "comma-separated integers" if count is None else f"{count} comma-separated integers"
+    raise FermiRpaError(f"{flag} must be {shape}, got {text!r}")
+
+
+# the continuum limit of the kinetic energy per particle, hbar^2 sum_h |h|^2 / N
+KIN_DENSITY_LIMIT = (4.0 * math.pi / 5.0) * (3.0 / (4.0 * math.pi)) ** (5.0 / 3.0)
+SHELLS_HEADER = (
+    "shell_radius_sq,n,nk_exact,nk_asym,nk_rel_err,"
+    "kdotf_exact,kdotf_asym,kdotf_rel_err,kinetic_density_rel_err"
+)
+
+
+def _cmd_shells(args) -> str:
+    """Exact lune norm, k.f(k) and kinetic density against their continuum
+    forms, one row per attained shell of ``--shells``."""
+    k = tuple(_integers("--k", args.k, 3))
+    shells = _integers("--shells", args.shells)
+    # one level table up to the largest shell serves every shell
+    levels = dict(lattice.closed_shell_sizes(max(shells)))
+    rows = []
+    for radius_sq in shells:
+        if radius_sq not in levels:
+            sys.stderr.write(f"skipping {radius_sq}: not an attained level\n")
+            continue
+        n = levels[radius_sq]
+        ball = lattice.build_fermi_ball(n)
+        params = lattice.ModelParams(n)
+        count, kf_exact = lattice.kinetic_coefficient(ball, k)  # one column pass
+        nk_exact, nk_asym = math.sqrt(count), lattice.nk_asymptotic(params, k)
+        kf_asym = lattice.kinetic_coefficient_asymptotic(params, k)
+        kin = params.hbar**2 * float(ball.norm_sq_sum()) / n  # as hf_energy's kinetic part
+        rows.append((
+            radius_sq, n, nk_exact, nk_asym, abs(nk_exact / nk_asym - 1.0),
+            kf_exact, kf_asym, abs(kf_exact / kf_asym - 1.0), abs(kin / KIN_DENSITY_LIMIT - 1.0),
+        ))
+    return csv_text(SHELLS_HEADER.split(","), rows)
+
+
 def main(argv=None) -> int:
     # argparse reads a separate -1e-10 or -inf as an option (its negative-number
     # pattern has no exponent and no inf), so join each such value to its --tol
@@ -350,7 +454,11 @@ def main(argv=None) -> int:
         return 1 if exc.code == 2 else exc.code
     error = None
     try:
-        if hasattr(args, "tol"):  # corr (every method) and compare
+        # argparse drops the value of --flag=-- and leaves an empty list in its place
+        for name, value in vars(args).items():
+            if value == []:
+                raise FermiRpaError(f"--{name.replace('_', '-')} needs a value, got '--'")
+        if hasattr(args, "tol"):  # corr (every method), compare and scan
             quadrature.checked_tol(args.tol)
         text = args.run(args)
     except FermiRpaError as exc:  # any other exception is a bug: let it escape

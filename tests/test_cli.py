@@ -350,8 +350,10 @@ def test_mistyped_potential_exits_one(capsys, tmp_path, doc, message):
         (["corr", "--n", "33", "--method", "bogus"], "usage: fermi-rpa", "error:"),
         # the list is split after parsing, so no usage line precedes the error
         (["compare", "--n-list", "33,x"], "error: invalid --n-list: ", "'x'"),
+        (["scan", "--n", "x"], "usage: fermi-rpa scan", "argument --n: invalid int value: 'x'"),
+        (["shells", "--bogus"], "usage: fermi-rpa", "unrecognized arguments: --bogus"),
     ],
-    ids=["n-abc", "ball-no-n", "method-bogus", "n-list-x"],
+    ids=["n-abc", "ball-no-n", "method-bogus", "n-list-x", "scan-n-x", "shells-bogus"],
 )
 def test_usage_error_exits_one(capsys, argv, prefix, message):
     # argparse's own code 2 would read as a numerical failure
@@ -359,6 +361,45 @@ def test_usage_error_exits_one(capsys, argv, prefix, message):
     assert code == 1
     assert out == ""
     assert err.startswith(prefix) and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "--n", "2"], "no closed shell with exactly 2 modes; "),
+        (["scan", "--scales", "3"], "--scales must be two integers lo:hi, got '3'"),
+        (["scan", "--scales", "3:x"], "--scales must be two integers lo:hi, got '3:x'"),
+        (["shells", "--k", "0,0,0"], "no particle-hole pair with transfer momentum (0, 0, 0)"),
+        (["shells", "--k", "1,0"], "--k must be 3 comma-separated integers, got '1,0'"),
+        (["shells", "--shells", "4,a"], "--shells must be comma-separated integers, got '4,a'"),
+    ],
+    ids=["scan-n-2", "scales-3", "scales-3-x", "k-0-0-0", "k-1-0", "shells-4-a"],
+)
+def test_bad_flag_value_is_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hf", "--n=--"],
+        ["compare", "--n-list=--"],
+        ["corr", "--n", "33", "--method=--"],
+        ["corr", "--n", "33", "--method", "optimal", "--tol=--"],
+        ["nk", "--n", "33", "--potential=--"],
+        ["oracle", "--holes-n=--"],
+        ["shells", "--k=--"],
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_a_lone_double_dash_value_exits_one(capsys, argv):
+    # argparse reads --flag=-- as a flag with an empty list for its value; it
+    # once raised a TypeError or AttributeError, or read the demo potential
+    flag = argv[-1].removesuffix("=--")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {flag} needs a value, got '--'\n")
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -682,6 +723,75 @@ def test_any_other_exception_escapes_main(monkeypatch, error):
         main(["ratio"])
 
 
+def test_scan_deviation_falls_at_the_default_tol(capsys):
+    # the optimal energy meets its second order linearly in the coupling
+    # scale, down to s = 2^-11, at the package's default tolerance
+    code, out, _ = run_cli(capsys, "scan", "--n", "33", "--scales", "3:12")
+    assert code == 0
+    lines = out.splitlines()
+    column = lines[0].split(",").index("gmb_dev")
+    deviations = [float(line.split(",")[column]) for line in lines[1:]]
+    assert len(deviations) == 9
+    assert all(later < earlier for earlier, later in zip(deviations, deviations[1:]))
+
+
+def test_scan_zero_second_order_is_one_error_line(capsys, tmp_path):
+    # every deviation divides by the second orders; a potential that is 0
+    # on its whole support makes both 0 at every scale
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": 0.0}]}))
+    argv = ["scan", "--n", "33", "--scales", "3:4", "--potential", str(path)]
+    assert run_cli(capsys, *argv) == (
+        1, "", "error: zero second order at s = 0.125: so_delocalized = 0, so_optimal = 0\n"
+    )
+
+
+SCALES_MESSAGE = (
+    "error: --scales exponents must lie in -511:538, where s^2 = 4^-j is a nonzero finite double"
+)
+
+
+def test_scan_refuses_a_scale_whose_square_underflows(capsys, tmp_path):
+    # s^2 = 2^-1080 is 0 while both second orders of V = 1e10 are not:
+    # this once died in ZeroDivisionError at deloc / s^2
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": 1e10}]}))
+    argv = ["scan", "--n", "33", "--scales", "540:541", "--potential", str(path)]
+    assert run_cli(capsys, *argv) == (1, "", f"{SCALES_MESSAGE}, got '540:541'\n")
+    # the last exponent whose square is a double (2^-1074) still runs
+    code, out, _ = run_cli(capsys, *argv[:3], "--scales", "537:538", *argv[5:])
+    assert code == 0 and len(out.splitlines()) == 2
+
+
+def test_scan_refuses_a_scale_that_overflows(capsys):
+    # 2.0 ** 1100 once died in OverflowError; the range is refused before any table is built
+    assert run_cli(capsys, "scan", "--n", "33", "--scales=-1100:-1099") == (
+        1, "", f"{SCALES_MESSAGE}, got '-1100:-1099'\n"
+    )
+
+
+def test_shells_refuses_levels_above_the_cap(capsys, monkeypatch):
+    # --shells 100000000 would ask for about 4 GB of column arrays: the level
+    # table refuses it before any is allocated
+    from fermi_rpa import lattice
+
+    def no_table(radius_sq):
+        raise AssertionError(f"column table of radius^2 {radius_sq} allocated")
+
+    monkeypatch.setattr(lattice, "_column_tops", no_table)
+    cap = lattice.LEVEL_CAP
+    assert run_cli(capsys, "shells", "--shells", f"4,{cap + 1}") == (
+        1, "", f"error: closed-shell levels up to {cap + 1} exceed the cap LEVEL_CAP = {cap}\n"
+    )
+
+
+def test_shells_skips_a_level_no_lattice_point_attains(capsys):
+    # 7 = x^2 + y^2 + z^2 has no solution: a note on stderr, no row
+    code, out, err = run_cli(capsys, "shells", "--shells", "4,7")
+    assert (code, err) == (0, "skipping 7: not an attained level\n")
+    assert [line.split(",")[0] for line in out.splitlines()] == ["shell_radius_sq", "4"]
+
+
 # stdout of each command recorded once, byte for byte; every listed command
 # that reads a potential must print it both on the built-in demo potential and
 # on the same potential read from a file.  Re-record the file only for a deliberate change of
@@ -711,9 +821,13 @@ GOLDEN_COMMANDS = [
     "compare --n-list 33,257 --tol 1e-12 --format csv",
     "ball --n 2109",
     "ratio",
+    "scan --n 33 --scales 3:12",
+    "scan --n 33 --scales 3:5 --tol 1e-10",
+    "shells",
+    "shells --shells 4,16",
 ]
 # subcommands that read no potential run once, without --potential
-NO_POTENTIAL = ("ball", "ratio")
+NO_POTENTIAL = ("ball", "ratio", "shells")
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,12 @@ signs, at |k|^2 <= 30, and each document goes through every subcommand
 at N = 257 (2 k_F = 7.9, so the whole support lies in the lens domain).
 Besides the checks above, no numpy warning may reach stderr.
 
+``scan`` and ``shells`` are swept only on malformed ``--scales``,
+``--shells`` and ``--k`` values: a token that is no integer (a lone
+``--`` among them, which argparse reads as no value), the wrong number of
+them, or a ``--scales`` exponent whose s^2 is no nonzero finite double.
+Each exits 1 with one ``error:`` line that names the flag.
+
 ``oracle`` is swept on its own, with fewer examples, and ``--pairs`` up
 to 3 on every mode set.  The largest draw, 7 holes at cutoff 3 with 3
 pairs (sector dimension 44031), 3 trials and 8 potential momenta, takes
@@ -92,6 +98,40 @@ def oracle_invocations(draw):
     return argv, draw(potentials()), invalid
 
 
+# tokens int() refuses
+NOT_INTEGERS = st.sampled_from(["", "x", "1.5", "1e3", "nan", "0x10", "1__0", "3 3", "--"])
+INTEGERS = st.integers(-10**6, 10**6).map(str)
+
+
+@st.composite
+def malformed_lists(draw, sep, size=None):
+    """Tokens joined by ``sep``: one that is no integer, or, for a fixed
+    ``size``, the wrong number of integers."""
+    tokens = draw(st.lists(INTEGERS, max_size=4))
+    if size is not None and len(tokens) != size and draw(st.booleans()):
+        return sep.join(tokens)
+    tokens.insert(draw(st.integers(0, len(tokens))), draw(NOT_INTEGERS))
+    return sep.join(tokens)
+
+
+@st.composite
+def malformed_flags(draw):
+    flag = draw(st.sampled_from(["--scales", "--shells", "--k"]))
+    if flag == "--shells":
+        return ["shells", f"--shells={draw(malformed_lists(','))}"]
+    if flag == "--k":
+        return ["shells", f"--k={draw(malformed_lists(',', 3))}"]
+    if draw(st.booleans()):
+        value = draw(malformed_lists(":", 2))
+    else:
+        # well-formed, but some exponent j in lo..hi-1 has s^2 = 4^-j outside the doubles
+        j = draw(st.one_of(st.integers(-10**400, -512), st.integers(538, 10**400)))
+        width = draw(st.integers(1, 3))
+        lo = j - draw(st.integers(0, width - 1))
+        value = f"{lo}:{lo + width}"
+    return ["scan", "--n", "33", f"--scales={value}"]
+
+
 @st.composite
 def potentials(draw):
     coeffs = draw(st.dictionaries(st.sampled_from(MOMENTA), COUPLINGS, min_size=1, max_size=8))
@@ -154,6 +194,15 @@ def test_cli_domain_guards(tmp_path_factory, invocation):
 @settings(max_examples=25, deadline=None)
 def test_oracle_domain_guards(tmp_path_factory, invocation):
     check_invocation(tmp_path_factory, *invocation)
+
+
+@given(malformed_flags())
+@settings(max_examples=100, deadline=None)
+def test_malformed_scan_and_shells_flags_exit_one(argv):
+    flag = argv[-1].split("=")[0]
+    code, out, err = run(argv)
+    assert (code, out) == (1, ""), (argv, err)
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, (argv, err)
 
 
 def check_invocation(tmp_path_factory, argv, v, invalid):

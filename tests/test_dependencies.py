@@ -10,8 +10,9 @@ classes of ``errors.py``, so the exception type alone decides the CLI exit
 code, and any other exception is a bug.  Only ``cli.main`` writes to
 stdout, and no module calls ``print``, so one place owns the printed bytes.
 Each command runs only the modules it calls into: ``ratio`` runs none of
-them and loads neither numpy nor ``dataclasses``, and only ``oracle`` runs
-the Fock oracle, which draws its trial states without ``numpy.random``.
+them and loads neither numpy nor ``dataclasses``, ``shells`` runs only
+``lattice``, and only ``oracle`` runs the Fock oracle, which draws its
+trial states without ``numpy.random``.
 """
 
 import ast
@@ -116,11 +117,20 @@ def test_ratio_loads_neither_dataclasses_nor_inspect():
         "corr --n 33 --method delocalized-exact",
         "errors --n 33 --backend exact",
         "compare --n-list 33",
+        "scan --n 33 --scales 3:4",
+        "shells --shells 4",
     ],
 )
 def test_lattice_commands_run_no_fock_oracle(argv):
     ran, _ = modules_run_by(argv.split())
     assert "lattice" in ran and "fock_oracle" not in ran
+
+
+def test_shells_runs_only_the_lattice():
+    # the kinetic density is the closed-form ball sum: no table, no Hartree-Fock,
+    # no frequency integral
+    ran, _ = modules_run_by(["shells", "--shells", "4"])
+    assert ran == {"fermi_rpa", "cli", "errors", "lattice"}
 
 
 def test_oracle_runs_none_of_the_energy_modules():

@@ -6,13 +6,14 @@ on a ``v.json`` holding the demo potential.  A renamed function, field
 or flag then fails here instead of leaving the README stale.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from fermi_rpa.cli import main, read_potential
+from fermi_rpa.cli import build_parser, main, read_potential
 from fermi_rpa.potential import serialize_potential
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -37,9 +38,11 @@ def test_python_api_block_runs():
 
 
 def test_every_subcommand_has_an_example():
-    assert sorted(shlex.split(line)[1] for line in COMMANDS) == sorted({
-        "ratio", "ball", "nk", "hf", "corr", "compare", "errors", "oracle"
-    })
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(shlex.split(line)[1] for line in COMMANDS) == sorted(subparsers.choices)
 
 
 @pytest.mark.parametrize("line", COMMANDS, ids=[line.split("#")[0].strip() for line in COMMANDS])
