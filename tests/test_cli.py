@@ -12,6 +12,7 @@ import pytest
 
 import fermi_rpa.cli as cli
 import fermi_rpa.fock_oracle as fock_oracle
+import fermi_rpa.lattice as lattice
 from fermi_rpa.cli import main
 from fermi_rpa.errors import BoundViolation, DomainError, FermiRpaError, NumericalFailure, ParseError
 from fermi_rpa.lattice import ModelParams
@@ -723,6 +724,23 @@ def test_any_other_exception_escapes_main(monkeypatch, error):
         main(["ratio"])
 
 
+@pytest.mark.parametrize(
+    "command, header",
+    [
+        ("shells --shells 4,16", "shell_radius_sq,n,nk_exact,nk_asym,nk_rel_err,kdotf_exact,kdotf_asym,"
+         "kdotf_rel_err,kinetic_density_rel_err"),
+        ("scan --n 33 --scales 3:5 --tol 1e-10", "s,min_energy_over_s2,so_delocalized,deloc_dev,"
+         "gmb_over_s2,so_optimal,gmb_dev"),
+    ],
+    ids=["shells", "scan"],
+)
+def test_scan_and_shells_csv_shape(capsys, command, header):
+    code, out, _ = run_cli(capsys, *command.split())
+    lines = out.splitlines()
+    assert (code, lines[0], len(lines)) == (0, header, 3)  # two shells or two scales
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
+
+
 def test_scan_deviation_falls_at_the_default_tol(capsys):
     # the optimal energy meets its second order linearly in the coupling
     # scale, down to s = 2^-11, at the package's default tolerance
@@ -746,9 +764,7 @@ def test_scan_zero_second_order_is_one_error_line(capsys, tmp_path):
     )
 
 
-SCALES_MESSAGE = (
-    "error: --scales exponents must lie in -511:538, where s^2 = 4^-j is a nonzero finite double"
-)
+SCALES_MESSAGE = "error: --scales exponents must lie in -511:538, where s^2 = 4^-j is a nonzero finite double"
 
 
 def test_scan_refuses_a_scale_whose_square_underflows(capsys, tmp_path):
@@ -773,8 +789,6 @@ def test_scan_refuses_a_scale_that_overflows(capsys):
 def test_shells_refuses_levels_above_the_cap(capsys, monkeypatch):
     # --shells 100000000 would ask for about 4 GB of column arrays: the level
     # table refuses it before any is allocated
-    from fermi_rpa import lattice
-
     def no_table(radius_sq):
         raise AssertionError(f"column table of radius^2 {radius_sq} allocated")
 

@@ -108,9 +108,8 @@ def malformed_lists(draw, sep, size=None):
     """Tokens joined by ``sep``: one that is no integer, or, for a fixed
     ``size``, the wrong number of integers."""
     tokens = draw(st.lists(INTEGERS, max_size=4))
-    if size is not None and len(tokens) != size and draw(st.booleans()):
-        return sep.join(tokens)
-    tokens.insert(draw(st.integers(0, len(tokens))), draw(NOT_INTEGERS))
+    if size is None or len(tokens) == size or draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(NOT_INTEGERS))
     return sep.join(tokens)
 
 

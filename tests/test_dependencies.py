@@ -118,7 +118,6 @@ def test_ratio_loads_neither_dataclasses_nor_inspect():
         "errors --n 33 --backend exact",
         "compare --n-list 33",
         "scan --n 33 --scales 3:4",
-        "shells --shells 4",
     ],
 )
 def test_lattice_commands_run_no_fock_oracle(argv):

@@ -38,10 +38,7 @@ def test_python_api_block_runs():
 
 
 def test_every_subcommand_has_an_example():
-    (subparsers,) = [
-        action for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(shlex.split(line)[1] for line in COMMANDS) == sorted(subparsers.choices)
 
 
