@@ -335,7 +335,7 @@ def _cmd_oracle(args) -> str:
     v = read_potential(args.potential)
     params = lattice.ModelParams(args.holes_n)
     e1, e2 = (1, 0, 0), (0, 1, 0)
-    # the four exact checks share one trial block, freed before Q is assembled
+    # the four exact checks share one set of trial states, freed before Q is assembled
     xi = fock_oracle.integer_trials(modes, max_pairs, args.trials, args.seed)
     reports = [
         check(modes, e1, l, xi, args.seed, max_pairs)
@@ -418,6 +418,8 @@ def _cmd_shells(args) -> str:
     """Exact lune norm, k.f(k) and kinetic density against their continuum
     forms, one row per attained shell of ``--shells``."""
     k = tuple(_integers("--k", args.k, 3))
+    if not lattice.fits_double(lattice.norm_sq(k)):  # the check a potential's momenta pass
+        raise DomainError("|k|^2 of --k does not fit in a double")
     shells = _integers("--shells", args.shells)
     # one level table up to the largest shell serves every shell
     levels = dict(lattice.closed_shell_sizes(max(shells)))

@@ -7,7 +7,7 @@ particles (the shell between the Fermi radius and a cutoff); one grid
 lookup maps a momentum to its position.  Configurations are bitmasks
 over those positions, and a state is two numpy arrays: sorted, unique
 int64 keys and their complex amplitudes, of shape (n,) for one state or
-(n, trials) for a block of trial states that every operator acts on at
+(n, trials) for a group of trial states that every operator acts on at
 once.  Each pair operator reads a (terms x keys) mask of where its terms
 act, so only configurations an operator actually reaches are ever
 stored; a pair's fermionic sign is the parity of the occupied modes
@@ -16,15 +16,15 @@ right in input order after one stable sort, so every sum has fixed bits.
 The pair-quadratic interaction is applied already projected to the
 sector, so no configuration above the pair cap is ever formed.
 
-Working set: a check's memory follows its largest image, not the trial
-count.  The exact checks share one trial block and read it in column
-groups of at most COLUMN_BUDGET amplitudes; in each group every distinct
-image is formed once and released at its last read, and a commutator
-that must vanish compares its two products instead of summing them.  A
-pair operator forms its terms in groups of at most HIT_BUDGET hits, each
-group's sums resumed from the running ones.  None of this moves a bit:
-a resumed left-to-right sum has the bits of the whole sum, and no
-column's values depend on another column.
+Total-momentum blocks: every operator a check applies shifts the total
+momentum P = sum p - sum h by a fixed d, and N and Q conserve it, so a
+bound holds on the sector exactly when it holds on every P-block.  The
+sector is split into its blocks (``sector_blocks``), each trial state
+lies in one block, and Q is assembled only on the blocks a check
+reads.  An exact check reads its trials in column groups: one state
+over the union of the group's blocks, each column zero off its own
+block, of at most COLUMN_BUDGET padded amplitudes.  Images of different
+blocks never share a key, so no column's bits depend on another column.
 
 Truncated-model semantics: with a finite particle cutoff the pair
 operators differ from their infinite-lattice counterparts, so every
@@ -72,13 +72,8 @@ from .potential import Potential
 
 MODE_CAP = 40
 GATHER_CHUNK = 1 << 14  # amplitudes gathered at once by one repeat pass
-# Working-set budgets.  A kernel pass forms at most HIT_BUDGET pair-term hits
-# (or one term), about 70 bytes each at one trial column; an exact check
-# reads at most COLUMN_BUDGET amplitudes of its trial block (or one column).
-# The default mode set's 1471 x 10 block (perfbench's fock-oracle) is one
-# column group, and each of its kernel calls one pass; so is a --pairs 3
-# block of 10 trials (9171 x 10).
-HIT_BUDGET = 5 << 18
+# An exact check reads at most COLUMN_BUDGET padded amplitudes of its trials
+# at once (or one column): (rows of the group's blocks) x (its trial count).
 COLUMN_BUDGET = 3 << 15
 _SIGNS = np.array([1, -1])  # (-1)^parity, looked up by parity
 
@@ -298,54 +293,20 @@ def fermion_sign(keys: np.ndarray, idx: int) -> np.ndarray:
     return _SIGNS[np.bitwise_count(keys & ((1 << idx) - 1)) & 1]
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending; a stable sort merges the sorted runs they come in."""
-    values = np.sort(values, kind="stable")
-    fresh = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=fresh[1:])
-    return values[fresh]
-
-
-def _term_groups(hits: np.ndarray) -> List[slice]:
-    """Consecutive term slices, each of one term or at most an even share of the hits.
-
-    The share is the hit count over the fewest groups of at most
-    HIT_BUDGET hits, so a call within the budget is one group and no group
-    of a larger call holds much more than another.
-    """
-    counts = hits.tolist()
-    share = sum(counts) / max(1, math.ceil(sum(counts) / max(1, HIT_BUDGET)))
-    groups, start, total = [], 0, 0
-    for j, count in enumerate(counts):
-        if total + count > share and j > start:
-            groups.append(slice(start, j))
-            start, total = j, 0
-        total += count
-    return groups + [slice(start, len(counts))]
-
-
 def _apply_pair_terms(
     state: State, p_idx: np.ndarray, h_idx: np.ndarray, weights: np.ndarray,
     modes: ModeSet, create: bool, cap: int,
 ) -> State:
-    """Apply sum_j w_j a*_p a*_h (or its adjoint w_j a_h a_p), in term groups.
+    """Apply sum_j w_j a*_p a*_h (or its adjoint w_j a_h a_p) to a state.
 
     Term j is (p_idx[j], h_idx[j], integer weights[j]).  One (terms x keys)
     mask holds where each term acts (both modes empty for creation, both
     occupied for annihilation); its hits come term by term, each term's
-    in key order.  Holes come first, so h < p, and a*_p a*_h (a*_h
-    applied first) and its adjoint carry the same sign, -(-1)^(occupied
-    modes strictly between h and p).  Creation raises NumericalFailure
-    when a new key holds more than cap pairs.  Key bits above the mode set
-    ride along untouched.
-
-    The terms are formed in consecutive groups of at most HIT_BUDGET hits
-    or one term (``_term_groups``).  One group is one coalesce.  Otherwise
-    the keys every group reaches are found first, the sums live in one
-    array over them, and each group's coalesce takes the running sums of
-    the keys an earlier group reached as its first piece.  A left-to-right
-    sum resumed from its partial sum has the same bits, so every grouping
-    gives the bits of the single coalesce.
+    in key order, and one coalesce sums them.  Holes come first, so h < p,
+    and a*_p a*_h (a*_h applied first) and its adjoint carry the same
+    sign, -(-1)^(occupied modes strictly between h and p).  Creation
+    raises NumericalFailure when a new key holds more than cap pairs.  Key
+    bits above the mode set ride along untouched.
     """
     keys, amps = state
     both = (1 << p_idx) | (1 << h_idx)
@@ -355,43 +316,19 @@ def _apply_pair_terms(
         pairs = int(occupied.max()) // 2 + 1
         if pairs > cap:
             raise NumericalFailure(f"configuration with {pairs} pairs exceeds max_pairs = {cap}")
+    term, row = np.nonzero(acts)
+    del acts
+    values = amps.take(row, axis=0)
+    cfg = keys[row]
+    del row
     between = (1 << p_idx) - (2 << h_idx)  # the modes strictly between h and p
-
-    def formed(terms: slice) -> State:
-        """The new keys and amplitudes of the terms' hits, in hit order."""
-        term, row = np.nonzero(acts[terms])
-        term += terms.start
-        values = amps.take(row, axis=0)
-        cfg = keys[row]
-        del row
-        factor = fermion_sign(cfg & between[term], modes.n_modes)
-        factor *= (-weights)[term]
-        values *= _column(factor, amps)
-        del factor
-        cfg ^= both[term]
-        return cfg, values
-
-    groups = _term_groups(np.count_nonzero(acts, axis=1))
-    if len(groups) == 1:
-        return _coalesce(*formed(groups[0]))
-    reached = _distinct(np.concatenate([keys[hit] ^ b for hit, b in zip(acts, both.tolist())]))
-    sums = np.zeros((len(reached),) + amps.shape[1:], dtype=complex)
-    summed = np.zeros(len(reached), dtype=bool)  # an earlier group reached the key
-    for terms in groups:
-        new, values = formed(terms)
-        at = _distinct(np.searchsorted(reached, new))
-        carried = at[summed[at]]  # the keys whose sums an earlier group began
-        summed[at] = True
-        if len(carried):
-            new = np.concatenate([reached[carried], new])
-            values = np.concatenate([sums[carried], values])
-        new, values = _coalesce(new, values)
-        if len(new) < len(at):  # a sum cancelled: its row leaves the state
-            sums[at] = 0
-            at = at[np.searchsorted(reached[at], new)]
-        sums[at] = values
-        del new, values  # released before the next group is formed
-    return _drop_zeros(reached, sums)
+    factor = fermion_sign(cfg & between[term], modes.n_modes)
+    factor *= (-weights)[term]
+    values *= _column(factor, amps)
+    del factor
+    cfg ^= both[term]
+    del term  # released before the sums form
+    return _coalesce(cfg, values)
 
 
 def _pair_operator(state, k, modes, create, cap, component=None) -> State:
@@ -454,6 +391,37 @@ def sector_basis(modes: ModeSet, max_pairs: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def sector_blocks(modes: ModeSet, max_pairs: int) -> Dict[Momentum, np.ndarray]:
+    """``sector_basis`` split by total momentum P = sum p - sum h: {P: configurations}.
+
+    Largest block first, ties by P; each block keeps the basis order
+    (ascending pair count, then ascending bitmask).  A configuration's P
+    is one integer code, a sum over its occupied modes read from one
+    table per byte of its key, so no (dim x 3) momentum table forms.
+    """
+    basis = sector_basis(modes, max_pairs)
+    pairs = min(max_pairs, modes.n_holes, modes.n_modes - modes.n_holes)
+    base = 4 * pairs * math.isqrt(modes.lambda_sq) + 1  # > 2 |P_i|: codes order as P
+    signed = np.where(np.arange(modes.n_modes) < modes.n_holes, -1, 1)[:, None] * modes.modes
+    weight = np.zeros((modes.n_modes + 7) // 8 * 8, dtype=np.int64)  # mode codes, by key byte
+    weight[: modes.n_modes] = signed @ np.array([base * base, base, 1])
+    tables = weight.reshape(-1, 8) @ ((np.arange(256) >> np.arange(8)[:, None]) & 1)
+    octets = basis.astype("<i8", copy=False).view(np.uint8).reshape(len(basis), 8)
+    code = np.full(len(basis), base**3 // 2)  # shifted into [0, base^3)
+    for byte, table in enumerate(tables):
+        code += table[octets[:, byte]]
+    # stable, and a radix sort when the codes fit in 16 bits (base <= 40)
+    order = np.argsort(code.astype(np.min_scalar_type(base**3)), kind="stable")
+    code, basis = code[order], basis[order]
+    starts = np.flatnonzero(np.diff(code, prepend=code[0] - 1))
+    sizes = np.diff(starts, append=len(code))
+    momenta = ((basis[starts, None] >> np.arange(modes.n_modes)) & 1) @ signed
+    return {
+        tuple(momenta[b].tolist()): basis[starts[b] : starts[b] + sizes[b]]
+        for b in np.lexsort((code[starts], -sizes)).tolist()
+    }
+
+
 def _positions(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Position in ``basis`` of each key; a DomainError names the first missing key."""
     order = np.argsort(basis)
@@ -465,27 +433,40 @@ def _positions(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _trial_blocks(blocks: Dict[Momentum, np.ndarray]) -> Dict[Momentum, np.ndarray]:
+    """The blocks a trial state may lie in, in ``sector_blocks`` order.
+
+    The vacuum is never a trial: N annihilates it, so a ratio over N is
+    inf there, and every residual the exact checks bound vanishes on it.
+    So the P = 0 block goes without it, or not at all if it holds nothing
+    else.  The vacuum leads its block, the only configuration without a pair.
+    """
+    return {p: keys[1:] if keys[0] == 0 else keys for p, keys in blocks.items() if keys[-1] != 0}
+
+
 def random_sector_state(
-    basis: np.ndarray,
+    blocks: List[np.ndarray],
     rng: random.Random,
     trials: int,
     integer_amplitudes: bool = False,
-) -> State:
-    """``trials`` random states over ``basis = sector_basis(...)``, as columns.
+) -> List[State]:
+    """``trials`` random states, trial j over ``blocks[j % len(blocks)]``.
 
     The trials are drawn one after another, each by one ``getrandbits``
-    call for 2n little-endian words w: the real parts of the n amplitudes
-    in ``sector_basis`` order, then the imaginary parts.  With
-    integer_amplitudes a part is (-1)^(w & 1) ((w >> 1) % 999 + 1), a
-    nonzero integer in [-999, 999] from a 32-bit word, so every later
-    cancellation is exact in double precision.  Otherwise it is
+    call for 2n little-endian words w over its block of n configurations:
+    the real parts of the n amplitudes in block order, then the imaginary
+    parts.  With integer_amplitudes a part is (-1)^(w & 1) ((w >> 1) %
+    999 + 1), a nonzero integer in [-999, 999] from a 32-bit word, so every
+    later cancellation is exact in double precision.  Otherwise it is
     (w >> 11) 2^-52 - 1, uniform on the multiples of 2^-52 in [-1, 1)
-    from a 64-bit word, and each column is normalized.
+    from a 64-bit word, and each state is normalized.  Each state comes
+    as (sorted keys, amplitudes (n,)).
     """
-    n = len(basis)
-    block = np.empty((n, trials), dtype=complex)
     width = 4 if integer_amplitudes else 8  # bytes per word
+    states = []
     for j in range(trials):
+        block = blocks[j % len(blocks)]
+        n = len(block)
         words = np.frombuffer(
             rng.getrandbits(16 * n * width).to_bytes(2 * n * width, "little"), dtype=f"<u{width}"
         )
@@ -494,26 +475,39 @@ def random_sector_state(
             parts *= 1 - 2 * (words & 1).astype(np.int64)
         else:
             parts = (words >> 11) * 2.0**-52 - 1.0
-        column = block[:, j]
-        column.real, column.imag = parts[:n], parts[n:]
+        amps = np.empty(n, dtype=complex)
+        amps.real, amps.imag = parts[:n], parts[n:]
         if not integer_amplitudes:
-            column *= 1.0 / math.sqrt(state_norm_sq((basis, column)))
-    # one gather of every row at the end: freeing the drawn block lets glibc
-    # serve the checks' later arrays up to its size from the heap, and the
-    # exact checks at --pairs 3 --trials 100 ran 15-25 % slower without it
-    order = np.argsort(basis)
-    return basis[order], block[order]
+            amps *= 1.0 / math.sqrt(state_norm_sq((block, amps)))
+        order = np.argsort(block)
+        states.append((block[order], amps[order]))
+    return states
 
 
-def integer_trials(modes: ModeSet, max_pairs: int, trials: int, seed: int) -> State:
-    """The integer-amplitude trial block of the exact checks, drawn from ``seed``.
+def integer_trials(modes: ModeSet, max_pairs: int, trials: int, seed: int) -> List[State]:
+    """The integer-amplitude trial states of the exact checks, drawn from ``seed``.
 
-    It is drawn from ``random.Random(seed)`` over the <= max_pairs sector,
-    one column per trial; a caller running several checks with one seed
-    forms it once and hands it to each as ``xi``.
+    They are drawn from ``random.Random(seed)`` over the <= max_pairs
+    sector's trial blocks (``_trial_blocks``), one state per trial; a
+    caller running several checks with one seed forms them once and hands
+    them to each as ``xi``.
     """
-    basis = sector_basis(modes, max_pairs)
-    return random_sector_state(basis, random.Random(seed), trials, True)
+    blocks = _trial_blocks(sector_blocks(modes, max_pairs))
+    return random_sector_state(list(blocks.values()), random.Random(seed), trials, True)
+
+
+def _padded(states: List[State]) -> State:
+    """One-column states as the columns of one state over the union of their keys.
+
+    Each column is zero off its own keys.  The states' key sets are
+    disjoint or equal (blocks, or trials wrapped onto one block), so the
+    first key names each set.
+    """
+    union = np.sort(np.concatenate(list({int(keys[0]): keys for keys, _ in states}.values())))
+    amps = np.zeros((len(union), len(states)), dtype=complex)
+    for column, (keys, values) in enumerate(states):
+        amps[np.searchsorted(union, keys), column] = values
+    return union, amps
 
 
 # --- verification reports ---------------------------------------------------
@@ -541,29 +535,35 @@ def _norms(state: State) -> np.ndarray:
     return np.sqrt(state_norm_sq(state))
 
 
-def _column_groups(xi: State) -> Iterator[State]:
-    """The trial block as consecutive column groups, in trial order.
+def _column_groups(xi: List[State]) -> Iterator[State]:
+    """The trial states as consecutive column groups, in trial order.
 
-    Each group holds at most COLUMN_BUDGET amplitudes, or one column.  A
-    column's values never depend on another column, so a check's reports
-    do not depend on the grouping.
+    A group is one state (``_padded``) over the union of its trials'
+    blocks, of at most COLUMN_BUDGET amplitudes (its trials' rows, a
+    block counted once per trial, times its trial count), or of one
+    column.  A column's values never depend on another column, so a
+    check's reports do not depend on the grouping.
     """
-    keys, amps = xi
-    width = max(1, COLUMN_BUDGET // max(1, len(keys)))
-    for lo in range(0, amps.shape[1], width):
-        yield keys, np.ascontiguousarray(amps[:, lo : lo + width])
+    group, rows = [], 0
+    for state in xi:
+        if group and (rows + len(state[0])) * (len(group) + 1) > COLUMN_BUDGET:
+            yield _padded(group)
+            group, rows = [], 0
+        group.append(state)
+        rows += len(state[0])
+    yield _padded(group)
 
 
-def _commutators(block: State, pairs: List[tuple], modes: ModeSet, cap: int) -> Iterator:
-    """([a, b] + shift) block for each (a, b, shift) of ``pairs``, in order.
+def _commutators(group: State, pairs: List[tuple], modes: ModeSet, cap: int) -> Iterator:
+    """([a, b] + shift) group for each (a, b, shift) of ``pairs``, in order.
 
     An operator is (creates, transfer, component): b*_q or b_q, or with a
     component i the i-th component of c*_q, all unnormalized; creations
     take the pair cap ``cap``.  Each result is a ``_linear_combination``,
     but a shift of None marks a commutator that must vanish: for it comes,
-    per column, whether [a, b] block is nonzero, ab block compared with
-    ba block (``_columns_differ``) instead of summed, and [a, a] = 0 forms
-    nothing.  Each distinct image b block is formed once, at its first
+    per column, whether [a, b] group is nonzero, ab group compared with
+    ba group (``_columns_differ``) instead of summed, and [a, a] = 0 forms
+    nothing.  Each distinct image b group is formed once, at its first
     read, and released at its last, so a caller that reads each result
     before asking for the next holds only the images still to be read.
     """
@@ -579,26 +579,27 @@ def _commutators(block: State, pairs: List[tuple], modes: ModeSet, cap: int) -> 
         return apply_pair_annihilate(state, q, modes)
 
     def product(a, b):
-        """a b block."""
+        """a b group."""
         if b not in images:
-            images[b] = apply(b, block)
+            images[b] = apply(b, group)
         reads[b] -= 1
         return apply(a, images[b] if reads[b] else images.pop(b))
 
     for a, b, shift in pairs:
         if a == b:
-            yield np.zeros(block[1].shape[1], dtype=bool)
+            yield np.zeros(group[1].shape[1], dtype=bool)
         elif shift is None:
             yield _columns_differ(product(a, b), product(b, a))
         else:
-            yield _linear_combination([(1, product(a, b)), (-1, product(b, a)), (shift, block)])
+            yield _linear_combination([(1, product(a, b)), (-1, product(b, a)), (shift, group)])
 
 
 def _exact_report(
-    check: str, modes: ModeSet, xi: State, seed: int, max_pairs: int, details: Dict[str, float],
-    columns: Callable[[State], tuple], ratio_line: str, flag_lines: List[str],
+    check: str, modes: ModeSet, xi: List[State], seed: int, max_pairs: int,
+    details: Dict[str, float], columns: Callable[[State], tuple], ratio_line: str,
+    flag_lines: List[str],
 ) -> VerificationReport:
-    """The report of an exact check on the trial block ``xi``.
+    """The report of an exact check on the trial states ``xi``.
 
     ``columns(group)`` gives, per column of each ``_column_groups(xi)``
     group, the ratio the check bounds and then one flag per entry of
@@ -626,7 +627,7 @@ def verify_almost_ccr(
     modes: ModeSet,
     k: Momentum,
     l: Momentum,
-    xi: State,
+    xi: List[State],
     seed: int,
     max_pairs: int,
 ) -> VerificationReport:
@@ -635,9 +636,9 @@ def verify_almost_ccr(
     On every trial state xi the residual E(k,l) = [b_k, b*_l] - delta_kl
     must obey ||E xi|| * n_k n_l <= ||N xi|| (computed here with the
     unnormalized operators, so the k = l subtraction is an exact integer),
-    and [b_k, b_l], [b*_k, b*_l] must vanish identically.  ``xi`` is the
-    block ``integer_trials(modes, max_pairs, trials, seed)``, one trial per
-    column.  Per column group, ``_commutators`` makes 10 pair applications,
+    and [b_k, b_l], [b*_k, b*_l] must vanish identically.  ``xi`` is
+    ``integer_trials(modes, max_pairs, trials, seed)``, one state per
+    trial.  Per column group, ``_commutators`` makes 10 pair applications,
     4 at k = l, where [b_k, b_l] and [b*_k, b*_l] are [a, a] = 0.
     """
     mk = modes.lune_size(k)
@@ -646,10 +647,10 @@ def verify_almost_ccr(
     delta = -float(mk) if b_k == b_l else 0.0
     pairs = [(b_k, bs_l, delta), (b_k, b_l, None), (bs_k, bs_l, None)]
 
-    def columns(block: State) -> tuple:
-        found = _commutators(block, pairs, modes, max_pairs + 2)
+    def columns(group: State) -> tuple:
+        found = _commutators(group, pairs, modes, max_pairs + 2)
         resid = _norms(next(found))  # released before the vanishing commutators form
-        nn = _norms(apply_number(block))
+        nn = _norms(apply_number(group))
         ratios = np.divide(resid, nn, out=np.full(len(nn), math.inf), where=nn > 0)
         return (ratios, *found)
 
@@ -681,7 +682,7 @@ def verify_c_commutator(
     modes: ModeSet,
     k: Momentum,
     l: Momentum,
-    xi: State,
+    xi: List[State],
     seed: int,
     max_pairs: int,
 ) -> VerificationReport:
@@ -691,8 +692,8 @@ def verify_c_commutator(
     the residual, contracted with m = k, must obey the exact truncated
     operator-norm constant (``honest_c_bound_constant``); and the
     residual must commute with the fermion number operator, checked in
-    exact integer arithmetic on every trial state.  ``xi`` is the block
-    ``integer_trials(modes, max_pairs, trials, seed)``, one trial per column.
+    exact integer arithmetic on every trial state.  ``xi`` is
+    ``integer_trials(modes, max_pairs, trials, seed)``, one state per trial.
     Per column group, ``_commutators`` forms the residual one component at
     a time, on xi and on N xi.
     """
@@ -704,17 +705,17 @@ def verify_c_commutator(
     # componentwise [c*_k, b_l] + f_i
     pairs = [((True, tuple(k), i), (False, tuple(l), None), f[i]) for i in range(3)]
 
-    def columns(block: State) -> tuple:
-        nblock = apply_number(block)
+    def columns(group: State) -> tuple:
+        ngroup = apply_number(group)
         terms, noncommuting = [], []
         # [residual, N] = 0, both orders, exact integers
-        residuals = (_commutators(b, pairs, modes, max_pairs + 1) for b in (block, nblock))
+        residuals = (_commutators(b, pairs, modes, max_pairs + 1) for b in (group, ngroup))
         for i, (resid, resid_n) in enumerate(zip(*residuals)):
             noncommuting.append(_columns_differ(resid_n, apply_number(resid)))
             terms.append((float(k[i]), resid))
         # m . residual with m = k (integer contraction keeps exactness)
         mdot = _linear_combination(terms)
-        denom = mnorm * const * _norms(nblock)
+        denom = mnorm * const * _norms(ngroup)
         ratios = np.where(_nonzero_trials(mdot), math.inf, 0.0)
         np.divide(_norms(mdot), denom, out=ratios, where=denom > 0)
         return (ratios, *noncommuting)
@@ -732,30 +733,31 @@ def verify_c_commutator(
 
 
 def assemble_quadratic_interaction(
-    modes: ModeSet, v: Potential, params: ModelParams, max_pairs: int = 2
-) -> Tuple[np.ndarray, Triplets]:
-    """The pair-quadratic interaction on the <= max_pairs sector, as triplets.
+    modes: ModeSet, v: Potential, params: ModelParams, max_pairs: int, basis: np.ndarray
+) -> Triplets:
+    """The pair-quadratic interaction on the configurations ``basis``, as triplets.
 
     Q = (1/2N) sum_k V(k) n_k^2 (2 b*_k b_k + b*_k b*_{-k} + b_{-k} b_k),
     assembled with unnormalized operators (the n_k^2 cancel), compressed
-    to the sector: the pair-creating term acts only on the basis
+    to the <= max_pairs sector: the pair-creating term acts only on the
     configurations with at most max_pairs - 2 pairs, so every kept entry
     is the one the compression of a sector matrix gives, and no
-    configuration above the cap is formed.  Every basis configuration
-    carries its position in the key bits above the mode set, so one
-    application of Q to the labelled basis composes all columns at once;
-    the triplets are coalesced, one per (row, col).
+    configuration above the cap is formed.  ``basis`` is a union of
+    ``sector_blocks``; Q conserves P, so it maps the union into itself.
+    Every configuration carries its position in the key bits above the
+    mode set, so one application of Q to the labelled basis composes all
+    columns at once; the triplets are coalesced, one per (row, col), with
+    rows and cols positions in ``basis``.
     """
-    basis = sector_basis(modes, max_pairs)
     dim = len(basis)
     if modes.n_modes + max(dim - 1, 0).bit_length() > 63:
-        raise DomainError(f"sector dimension {dim} too large to label")
+        raise DomainError(f"{dim} configurations too many to label")
     labelled = (np.arange(dim, dtype=np.int64) << modes.n_modes) | basis
     keys, values = _apply_quadratic(
         (labelled, np.ones(dim, dtype=complex)), modes, v, params, max_pairs
     )
     rows = _positions(basis, keys & ((1 << modes.n_modes) - 1))
-    return basis, (rows, keys >> modes.n_modes, values)
+    return rows, keys >> modes.n_modes, values
 
 
 def _apply_quadratic(
@@ -803,20 +805,6 @@ def _matvec(triplets: Triplets, vec: np.ndarray) -> np.ndarray:
         target.real = np.bincount(rows, terms.real, minlength=len(vec))
         target.imag = np.bincount(rows, terms.imag, minlength=len(vec))
     return out
-
-
-def _matvec_rows(triplets: Triplets, vec: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """``_matvec(triplets, vec)`` on the rows ``targets`` of vec, zero on every other row.
-
-    ``_matvec`` of the triplets on those rows, kept in triplet order, adds
-    a target row's terms in the same order, so it has the same bits; a
-    vector that vanishes off the targets has the same vdot with it.
-    """
-    rows, cols, values = triplets
-    wanted = np.zeros(len(vec), dtype=bool)
-    wanted[targets] = True
-    picked = np.flatnonzero(wanted[rows])
-    return _matvec((rows[picked], cols[picked], values[picked]), vec)
 
 
 def _basis_vector(basis: np.ndarray, state: State) -> np.ndarray:
@@ -869,22 +857,31 @@ def verify_quadratic_interaction(
     Asserts hermiticity of the compression, zero vacuum expectation, the
     normalized one-pair diagonal V(k) n_k^2 / N plus nonnegative cross
     terms, and that Q composed first, then projected, agrees with Q
-    applied term by term, then projected, on random sector states.  The
-    tolerances are 1e-13, 1e-13 and 1e-12 times ``tolerance_scale``.
+    applied term by term, then projected, on 5 random trial states.  The
+    tolerances are 1e-13, 1e-13 and 1e-12 times ``tolerance_scale``.  Q
+    conserves P, so it is assembled only on the blocks these read: the
+    trials' blocks, the vacuum's (P = 0) and each one-pair state's
+    (P = k); the hermiticity residual and the deviations are taken there.
     """
-    basis, triplets = assemble_quadratic_interaction(modes, v, params, max_pairs)
+    blocks = sector_blocks(modes, max_pairs)
+    trial_blocks = _trial_blocks(blocks)
+    psi = _padded(random_sector_state(list(trial_blocks.values()), random.Random(seed), 5))
+    support = [(k, w) for k, w in zip(v.ks, v.vs.tolist()) if modes.lune_size(k) > 0]
+    one_pair = [(k, w) for k, w in support if w != 0.0]  # phi_k = b*_k|0> / n_k, in P = k
+    read = {(0, 0, 0), *list(trial_blocks)[:5], *dict(one_pair)}
+    basis = np.concatenate([keys for p, keys in blocks.items() if p in read])
+    triplets = assemble_quadratic_interaction(modes, v, params, max_pairs, basis)
     rows, cols, values = triplets
-    dim = len(basis)
     scale = tolerance_scale(values)
     violations: List[str] = []
-    herm = hermiticity_residual(triplets, dim)
+    herm = hermiticity_residual(triplets, len(basis))
     if herm > 1e-13 * scale:
         violations.append(f"hermiticity residual {herm:.3e} > {1e-13 * scale:.3g}")
-    vac = abs(values[(rows == 0) & (cols == 0)].sum())
+    (at,) = _positions(basis, vacuum()[0])
+    vac = abs(values[(rows == at) & (cols == at)].sum())
     if vac > 0.0:
         violations.append(f"vacuum expectation {vac:.3e} != 0")
 
-    psi = random_sector_state(basis, random.Random(seed), 5)
     direct = _apply_quadratic(psi, modes, v, params, max_pairs)
     devs = np.abs(
         _matvec(triplets, _basis_vector(basis, psi)) - _basis_vector(basis, direct)
@@ -893,23 +890,24 @@ def verify_quadratic_interaction(
         if dev > 1e-13 * scale:
             violations.append(f"matrix vs direct deviation {dev:.3e} > {1e-13 * scale:.3g}")
 
+    if one_pair:  # the phi_k as the columns of one state: each b_k' is applied once
+        phi = _padded([
+            (keys, amps * (1.0 / math.sqrt(modes.lune_size(k))))  # the truncated lune norm
+            for k, _ in one_pair
+            for keys, amps in [apply_pair_create(vacuum(), k, modes, cap=max_pairs)]
+        ])
+        vecs = _basis_vector(basis, phi)
+        images = _matvec(triplets, vecs)
+        removed = [state_norm_sq(apply_pair_annihilate(phi, kp, modes)) for kp, _ in support]
     one_pair_dev = 0.0
-    for k, value in zip(v.ks, v.vs.tolist()):
+    for column, (k, value) in enumerate(one_pair):
         nk2 = modes.lune_size(k)
-        if nk2 == 0 or value == 0.0:
-            continue
-        keys, amps = apply_pair_create(vacuum(), k, modes, cap=max_pairs)
-        phi = keys, amps * (1.0 / math.sqrt(nk2))  # normalized by the truncated lune norm
-        vec = _basis_vector(basis, phi)
-        expect = np.vdot(vec, _matvec_rows(triplets, vec, _positions(basis, phi[0])))
+        expect = np.vdot(vecs[:, column], images[:, column])
         diagonal = value * nk2 / params.n
         if math.isinf(diagonal):  # V(k) n_k^2 alone overflows; the quotient, n_k^2 <= N, does not
             diagonal = value * (nk2 / params.n)
-        cross = math.fsum(
-            w / params.n * float(state_norm_sq(apply_pair_annihilate(phi, kp, modes)))
-            for kp, w in zip(v.ks, v.vs.tolist())
-            if kp != k and modes.lune_size(kp) > 0
-        )
+        terms = zip(support, removed)
+        cross = math.fsum(w / params.n * float(n[column]) for (kp, w), n in terms if kp != k)
         dev = abs(expect - (diagonal + cross))
         one_pair_dev = max(one_pair_dev, dev)
         if dev > 1e-12 * scale:
@@ -928,6 +926,6 @@ def verify_quadratic_interaction(
             "hermiticity_residual": herm,
             "matrix_vs_direct": max([0.0, *devs.tolist()]),
             "one_pair_deviation": one_pair_dev,
-            "dimension": float(dim),
+            "dimension": float(sum(map(len, blocks.values()))),
         },
     ).raise_if_violated()

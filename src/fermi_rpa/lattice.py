@@ -58,6 +58,15 @@ def norm_sq(k: Momentum) -> int:
     return k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
 
 
+def fits_double(n: int) -> bool:
+    """Whether the integer n converts to a double; beyond the range float(n) raises."""
+    try:
+        float(n)
+    except OverflowError:
+        return False
+    return True
+
+
 def negate(k: Momentum) -> Momentum:
     return (-k[0], -k[1], -k[2])
 

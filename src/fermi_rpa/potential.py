@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Tuple, TypeVar
 import numpy as np
 
 from .errors import NumericalFailure, ParseError
-from .lattice import Momentum, orbit_representative
+from .lattice import Momentum, fits_double, orbit_representative
 
 ZERO: Momentum = (0, 0, 0)
 T = TypeVar("T")
@@ -118,10 +118,8 @@ def make_potential(
         s = x * x + y * y + z * z
         if s > limit:
             raise ParseError(f"coefficient at {k} lies outside support radius^2 {limit}")
-        try:
-            float(s)
-        except OverflowError:
-            raise ParseError(f"|k|^2 of the coefficient at {k} does not fit in a double") from None
+        if not fits_double(s):
+            raise ParseError(f"|k|^2 of the coefficient at {k} does not fit in a double")
         if not math.isfinite(v):
             raise ParseError(f"non-finite coefficient at {k}: {v}")
         minus_k = (-x, -y, -z)

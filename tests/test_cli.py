@@ -373,8 +373,10 @@ def test_usage_error_exits_one(capsys, argv, prefix, message):
         (["shells", "--k", "0,0,0"], "no particle-hole pair with transfer momentum (0, 0, 0)"),
         (["shells", "--k", "1,0"], "--k must be 3 comma-separated integers, got '1,0'"),
         (["shells", "--shells", "4,a"], "--shells must be comma-separated integers, got '4,a'"),
+        # 10^320 overflows a double: the lattice formulas would raise OverflowError
+        (["shells", "--k", f"{10**160},0,0"], "|k|^2 of --k does not fit in a double"),
     ],
-    ids=["scan-n-2", "scales-3", "scales-3-x", "k-0-0-0", "k-1-0", "shells-4-a"],
+    ids=["scan-n-2", "scales-3", "scales-3-x", "k-0-0-0", "k-1-0", "shells-4-a", "k-beyond-double"],
 )
 def test_bad_flag_value_is_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -864,16 +866,16 @@ def test_golden_oracle_commands_keep_the_unit_tolerance_scale(command):
     # a scale of 1 keeps the oracle's tolerances, and so its bytes, unscaled
     args = cli.build_parser().parse_args(command.split())
     modes = fock_oracle.build_mode_set(args.holes_n, args.lambda_sq)
-    _, (_, _, values) = fock_oracle.assemble_quadratic_interaction(
-        modes, cli.read_potential(None), ModelParams(args.holes_n), args.pairs
+    _, _, values = fock_oracle.assemble_quadratic_interaction(
+        modes, cli.read_potential(None), ModelParams(args.holes_n), args.pairs,
+        fock_oracle.sector_basis(modes, args.pairs),
     )
     assert fock_oracle.tolerance_scale(values) == 1.0
 
 
 @pytest.mark.parametrize("command", [c for c in GOLDEN_COMMANDS if c.startswith("oracle ")])
 def test_golden_oracle_bytes_do_not_depend_on_the_budgets(capsys, monkeypatch, golden, command):
-    # budgets of zero: one pair term per kernel chunk, one trial column per check group
-    monkeypatch.setattr(fock_oracle, "HIT_BUDGET", 0)
+    # a column budget of zero: one trial column per check group
     monkeypatch.setattr(fock_oracle, "COLUMN_BUDGET", 0)
     assert run_cli(capsys, *command.split()) == (0, golden[command], "")
 

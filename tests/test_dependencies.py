@@ -12,7 +12,7 @@ stdout, and no module calls ``print``, so one place owns the printed bytes.
 Each command runs only the modules it calls into: ``ratio`` runs none of
 them and loads neither numpy nor ``dataclasses``, ``shells`` runs only
 ``lattice``, and only ``oracle`` runs the Fock oracle, which draws its
-trial states without ``numpy.random``.
+trial states without ``numpy.random`` and never loads ``numpy.ma``.
 """
 
 import ast
@@ -140,10 +140,11 @@ def test_oracle_runs_none_of_the_energy_modules():
 
 def test_oracle_loads_no_numpy_random():
     # the trial states come from the stdlib generator: numpy.random would
-    # pull in its bit generators and, through secrets, OpenSSL's hashlib
+    # pull in its bit generators and, through secrets, OpenSSL's hashlib;
+    # and no np.unique call, whose first call imports numpy.ma
     _, loaded = modules_run_by(["oracle", "--trials", "1"])
     assert "numpy" in loaded
-    assert loaded.isdisjoint({"numpy.random", "secrets", "hashlib", "_hashlib"})
+    assert loaded.isdisjoint({"numpy.random", "secrets", "hashlib", "_hashlib", "numpy.ma"})
 
 
 def raised_names(source):
