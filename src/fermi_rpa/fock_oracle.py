@@ -6,25 +6,24 @@ the global mode order: the holes (the Fermi ball) first, then the
 particles (the shell between the Fermi radius and a cutoff); one grid
 lookup maps a momentum to its position.  Configurations are bitmasks
 over those positions, and a state is two numpy arrays: sorted, unique
-int64 keys and their complex amplitudes, of shape (n,) for one state or
-(n, trials) for a group of trial states that every operator acts on at
-once.  Each pair operator reads a (terms x keys) mask of where its terms
-act, so only configurations an operator actually reaches are ever
-stored; a pair's fermionic sign is the parity of the occupied modes
-between its hole and its particle.  Equal keys are then summed left to
-right in input order after one stable sort, so every sum has fixed bits.
+int64 keys and their complex amplitudes.  Each pair operator reads a
+(terms x keys) mask of where its terms act, so only configurations an
+operator actually reaches are ever stored; a pair's fermionic sign is
+the parity of the occupied modes between its hole and its particle.
+Equal keys are then summed left to right in input order after one
+stable sort, so every sum has fixed bits.
 The pair-quadratic interaction is applied already projected to the
 sector, so no configuration above the pair cap is ever formed.
 
 Total-momentum blocks: every operator a check applies shifts the total
 momentum P = sum p - sum h by a fixed d, and N and Q conserve it, so a
-bound holds on the sector exactly when it holds on every P-block.  The
-sector is split into its blocks (``sector_blocks``), each trial state
-lies in one block, and Q is assembled only on the blocks a check
-reads.  An exact check reads its trials in column groups: one state
-over the union of the group's blocks, each column zero off its own
-block, of at most COLUMN_BUDGET padded amplitudes.  Images of different
-blocks never share a key, so no column's bits depend on another column.
+bound holds on the sector exactly when it holds on every P-block, and
+images of different blocks never share a key.  The exact checks' trials
+share the blocks (``sector_blocks``) out, so every block is checked at
+any trial count, each block projection of a trial on its own; they are
+read in groups of at most COLUMN_BUDGET configurations, one labelled
+state each (``_labelled``).  Q is assembled only on the blocks its check
+reads.
 
 Truncated-model semantics: with a finite particle cutoff the pair
 operators differ from their infinite-lattice counterparts, so every
@@ -72,12 +71,12 @@ from .potential import Potential
 
 MODE_CAP = 40
 GATHER_CHUNK = 1 << 14  # amplitudes gathered at once by one repeat pass
-# An exact check reads at most COLUMN_BUDGET padded amplitudes of its trials
-# at once (or one column): (rows of the group's blocks) x (its trial count).
-COLUMN_BUDGET = 3 << 15
+# An exact check reads at most COLUMN_BUDGET configurations of its trials at
+# once (or one block)
+COLUMN_BUDGET = 3 << 11
 _SIGNS = np.array([1, -1])  # (-1)^parity, looked up by parity
 
-# (sorted unique int64 configuration keys, complex amplitudes (n,) or (n, trials))
+# (sorted unique int64 configuration keys, complex amplitudes)
 State = Tuple[np.ndarray, np.ndarray]
 # (rows, cols, values) of an operator over sector_basis positions
 Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -99,6 +98,9 @@ class ModeSet:
     lambda_sq: int
     _grid: np.ndarray = field(init=False, repr=False)
     _pairs: Dict[Momentum, Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, default_factory=dict
+    )
+    _blocks: Dict[int, Dict[Momentum, np.ndarray]] = field(
         init=False, repr=False, default_factory=dict
     )
 
@@ -189,17 +191,8 @@ def vacuum() -> State:
     return np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
 
 
-def _column(values: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Per-configuration factors shaped to broadcast over the trial axis."""
-    return values.reshape((-1,) + (1,) * (amps.ndim - 1))
-
-
 def _drop_zeros(keys: np.ndarray, amps: np.ndarray) -> State:
-    # one test per float64 part; each amplitude's two results read as one
-    # uint16, reduced over a trial-major copy (numpy reduces a short
-    # contiguous axis an element at a time)
-    nonzero = (amps.view(np.float64) != 0).view(np.uint16)
-    keep = np.ascontiguousarray(np.atleast_2d(nonzero.T)).any(axis=0)
+    keep = amps != 0
     if keep.all():
         return keys, amps
     return keys[keep], amps[keep]
@@ -225,12 +218,12 @@ def _coalesce(keys: np.ndarray, amps: np.ndarray) -> State:
     keys = keys[first]
     rows = np.flatnonzero(~fresh[first + 1])  # the keys that repeat
     pos = first[rows] + 1  # and where each one's first repeat sits
-    sums = amps.take(order[first], axis=0)
+    sums = amps.take(order[first])
     sums += 0.0
-    step = max(1, GATHER_CHUNK // math.prod(amps.shape[1:]))
     while len(rows):
-        for lo in range(0, len(rows), step):
-            sums[rows[lo : lo + step]] += amps.take(order[pos[lo : lo + step]], axis=0)
+        for lo in range(0, len(rows), GATHER_CHUNK):
+            hi = lo + GATHER_CHUNK
+            sums[rows[lo:hi]] += amps.take(order[pos[lo:hi]])
         pos = pos + 1
         repeat = ~fresh[pos]
         rows, pos = rows[repeat], pos[repeat]
@@ -238,7 +231,7 @@ def _coalesce(keys: np.ndarray, amps: np.ndarray) -> State:
 
 
 def _linear_combination(pieces: List[Tuple[float, State]]) -> State:
-    """sum_i c_i state_i over (c_i, state_i), all with the same trial axis.
+    """sum_i c_i state_i over (c_i, state_i).
 
     Takes ownership of ``pieces``: the list is emptied once its states are
     concatenated, so a piece no caller holds is released before the sum.
@@ -254,38 +247,13 @@ def _linear_combination(pieces: List[Tuple[float, State]]) -> State:
     return _coalesce(keys, amps)
 
 
-def _columns_differ(u: State, w: State) -> np.ndarray:
-    """Per trial column of two coalesced blocks: is u - w nonzero there.
-
-    Coalesced states are canonical (sorted unique keys, no all-zero row, no
-    -0.0), and on finite amplitudes a - b is zero exactly when a == b, so
-    this is ``_nonzero_trials(_linear_combination([(1, u), (-1, w)]))``
-    without forming the sum.  Equal keys compare each column in place;
-    otherwise each column compares its nonzero entries.
-    """
-    (uk, ua), (wk, wa) = u, w
-    if np.array_equal(uk, wk):
-        return np.array([not np.array_equal(a, b) for a, b in zip(ua.T, wa.T)], dtype=bool)
-    differ = []
-    for a, b in zip(ua.T, wa.T):
-        at_u, at_w = a != 0, b != 0
-        differ.append(
-            not (np.array_equal(uk[at_u], wk[at_w]) and np.array_equal(a[at_u], b[at_w]))
-        )
-    return np.array(differ, dtype=bool)
+def _squares(amps: np.ndarray) -> np.ndarray:
+    return amps.real * amps.real + amps.imag * amps.imag
 
 
-def state_norm_sq(state: State) -> np.ndarray:
-    """Squared norm of each trial column (a 0-d array for a single state)."""
-    amps = state[1]
-    sq = amps.real * amps.real + amps.imag * amps.imag
-    columns = np.atleast_2d(sq.T).tolist()
-    return np.array([math.fsum(col) for col in columns]).reshape(sq.shape[1:])
-
-
-def _nonzero_trials(state: State) -> np.ndarray:
-    """Per trial column: does the state have any nonzero amplitude."""
-    return (state[1] != 0).any(axis=0)
+def state_norm_sq(state: State) -> float:
+    """Squared norm of a state, one fsum."""
+    return math.fsum(_squares(state[1]).tolist())
 
 
 def fermion_sign(keys: np.ndarray, idx: int) -> np.ndarray:
@@ -318,13 +286,13 @@ def _apply_pair_terms(
             raise NumericalFailure(f"configuration with {pairs} pairs exceeds max_pairs = {cap}")
     term, row = np.nonzero(acts)
     del acts
-    values = amps.take(row, axis=0)
+    values = amps.take(row)
     cfg = keys[row]
     del row
     between = (1 << p_idx) - (2 << h_idx)  # the modes strictly between h and p
     factor = fermion_sign(cfg & between[term], modes.n_modes)
     factor *= (-weights)[term]
-    values *= _column(factor, amps)
+    values *= factor
     del factor
     cfg ^= both[term]
     del term  # released before the sums form
@@ -367,7 +335,8 @@ def apply_c_create(
 def apply_number(state: State) -> State:
     """Fermionic number operator: occupied-mode count, particles plus holes."""
     keys, amps = state
-    return _drop_zeros(keys, amps * _column(np.bitwise_count(keys), amps))
+    occupied = np.bitwise_count(keys & ((1 << MODE_CAP) - 1))  # labels sit above MODE_CAP
+    return _drop_zeros(keys, amps * occupied)
 
 
 # --- sector enumeration and random states ----------------------------------
@@ -396,30 +365,31 @@ def sector_blocks(modes: ModeSet, max_pairs: int) -> Dict[Momentum, np.ndarray]:
 
     Largest block first, ties by P; each block keeps the basis order
     (ascending pair count, then ascending bitmask).  A configuration's P
-    is one integer code, a sum over its occupied modes read from one
-    table per byte of its key, so no (dim x 3) momentum table forms.
+    is one integer code, summed over its occupied modes, so no (dim x 3)
+    momentum table forms.  The read-only blocks are built once per mode
+    set and pair cap.
     """
+    if max_pairs in modes._blocks:
+        return modes._blocks[max_pairs]
     basis = sector_basis(modes, max_pairs)
     pairs = min(max_pairs, modes.n_holes, modes.n_modes - modes.n_holes)
     base = 4 * pairs * math.isqrt(modes.lambda_sq) + 1  # > 2 |P_i|: codes order as P
     signed = np.where(np.arange(modes.n_modes) < modes.n_holes, -1, 1)[:, None] * modes.modes
-    weight = np.zeros((modes.n_modes + 7) // 8 * 8, dtype=np.int64)  # mode codes, by key byte
-    weight[: modes.n_modes] = signed @ np.array([base * base, base, 1])
-    tables = weight.reshape(-1, 8) @ ((np.arange(256) >> np.arange(8)[:, None]) & 1)
-    octets = basis.astype("<i8", copy=False).view(np.uint8).reshape(len(basis), 8)
-    code = np.full(len(basis), base**3 // 2)  # shifted into [0, base^3)
-    for byte, table in enumerate(tables):
-        code += table[octets[:, byte]]
-    # stable, and a radix sort when the codes fit in 16 bits (base <= 40)
-    order = np.argsort(code.astype(np.min_scalar_type(base**3)), kind="stable")
-    code, basis = code[order], basis[order]
+    code, term = np.zeros(len(basis), dtype=np.int64), np.empty(len(basis), dtype=np.int64)
+    for i, weight in enumerate((signed @ np.array([base * base, base, 1])).tolist()):
+        np.bitwise_and(np.right_shift(basis, i, out=term), 1, out=term)
+        code += np.multiply(term, weight, out=term)
+    order = np.argsort(code, kind="stable")
+    code, basis = code.take(order, out=term), basis[order]
     starts = np.flatnonzero(np.diff(code, prepend=code[0] - 1))
     sizes = np.diff(starts, append=len(code))
     momenta = ((basis[starts, None] >> np.arange(modes.n_modes)) & 1) @ signed
-    return {
+    basis.flags.writeable = False
+    blocks = modes._blocks[max_pairs] = {
         tuple(momenta[b].tolist()): basis[starts[b] : starts[b] + sizes[b]]
         for b in np.lexsort((code[starts], -sizes)).tolist()
     }
+    return blocks
 
 
 def _positions(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -438,76 +408,97 @@ def _trial_blocks(blocks: Dict[Momentum, np.ndarray]) -> Dict[Momentum, np.ndarr
 
     The vacuum is never a trial: N annihilates it, so a ratio over N is
     inf there, and every residual the exact checks bound vanishes on it.
-    So the P = 0 block goes without it, or not at all if it holds nothing
-    else.  The vacuum leads its block, the only configuration without a pair.
+    It leads the P = 0 block, which drops it, and drops out if it held nothing else.
     """
     return {p: keys[1:] if keys[0] == 0 else keys for p, keys in blocks.items() if keys[-1] != 0}
 
 
 def random_sector_state(
-    blocks: List[np.ndarray],
-    rng: random.Random,
-    trials: int,
-    integer_amplitudes: bool = False,
-) -> List[State]:
-    """``trials`` random states, trial j over ``blocks[j % len(blocks)]``.
+    blocks: List[np.ndarray], rng: random.Random, trials: int, integer_amplitudes: bool = False
+) -> List[List[State]]:
+    """``trials`` random states, trial j over blocks j, j + trials, j + 2 trials, ...
 
-    The trials are drawn one after another, each by one ``getrandbits``
-    call for 2n little-endian words w over its block of n configurations:
-    the real parts of the n amplitudes in block order, then the imaginary
-    parts.  With integer_amplitudes a part is (-1)^(w & 1) ((w >> 1) %
-    999 + 1), a nonzero integer in [-999, 999] from a 32-bit word, so every
-    later cancellation is exact in double precision.  Otherwise it is
-    (w >> 11) 2^-52 - 1, uniform on the multiples of 2^-52 in [-1, 1)
-    from a 64-bit word, and each state is normalized.  Each state comes
-    as (sorted keys, amplitudes (n,)).
+    or over block j mod len(blocks) alone once the trials outnumber the
+    blocks.  The trials are drawn one after another, each by one
+    ``getrandbits`` call for 2n little-endian words w over its n
+    configurations, its blocks in order: the real parts, then the
+    imaginary parts.  With integer_amplitudes a part is (-1)^(w & 1) ((w >>
+    1) % 999 + 1), a nonzero integer in [-999, 999] from a 32-bit word, so
+    every later cancellation is exact in double precision.  Otherwise it
+    is (w >> 11) 2^-52 - 1, uniform on the multiples of 2^-52 in [-1, 1)
+    from a 64-bit word, and each trial is normalized.  A trial comes as its
+    block states (sorted keys, amplitudes), in block order.
     """
     width = 4 if integer_amplitudes else 8  # bytes per word
     states = []
     for j in range(trials):
-        block = blocks[j % len(blocks)]
-        n = len(block)
+        own = blocks[j % len(blocks) :: trials]
+        n = sum(map(len, own))
         words = np.frombuffer(
             rng.getrandbits(16 * n * width).to_bytes(2 * n * width, "little"), dtype=f"<u{width}"
         )
-        if integer_amplitudes:
-            parts = ((words >> 1) % 999 + 1).astype(np.int64)
-            parts *= 1 - 2 * (words & 1).astype(np.int64)
+        if integer_amplitudes:  # in int16, so a large trial's temporaries stay small
+            parts = ((words >> 1) % 999 + 1).astype(np.int16)
+            np.negative(parts, out=parts, where=(words & 1).astype(bool))
         else:
             parts = (words >> 11) * 2.0**-52 - 1.0
         amps = np.empty(n, dtype=complex)
         amps.real, amps.imag = parts[:n], parts[n:]
         if not integer_amplitudes:
-            amps *= 1.0 / math.sqrt(state_norm_sq((block, amps)))
-        order = np.argsort(block)
-        states.append((block[order], amps[order]))
+            amps *= 1.0 / math.sqrt(math.fsum(_squares(amps).tolist()))
+        orders = [np.argsort(block) for block in own]
+        values = np.split(amps, np.cumsum([len(block) for block in own[:-1]]))
+        states.append([(b[o], a[o]) for b, a, o in zip(own, values, orders)])
     return states
 
 
-def integer_trials(modes: ModeSet, max_pairs: int, trials: int, seed: int) -> List[State]:
+def integer_trials(modes: ModeSet, max_pairs: int, trials: int, seed: int) -> List[List[State]]:
     """The integer-amplitude trial states of the exact checks, drawn from ``seed``.
 
     They are drawn from ``random.Random(seed)`` over the <= max_pairs
-    sector's trial blocks (``_trial_blocks``), one state per trial; a
-    caller running several checks with one seed forms them once and hands
-    them to each as ``xi``.
+    sector's trial blocks (``_trial_blocks``); a caller running several
+    checks with one seed forms them once and hands them to each as ``xi``.
     """
     blocks = _trial_blocks(sector_blocks(modes, max_pairs))
     return random_sector_state(list(blocks.values()), random.Random(seed), trials, True)
 
 
-def _padded(states: List[State]) -> State:
-    """One-column states as the columns of one state over the union of their keys.
+def _labelled(states: List[State]) -> State:
+    """States as one state, state j labelled j in the key bits above MODE_CAP.
 
-    Each column is zero off its own keys.  The states' key sets are
-    disjoint or equal (blocks, or trials wrapped onto one block), so the
-    first key names each set.
+    No operator reads or writes those bits, so two labels' amplitudes
+    never sum, and the keys sort by label.
     """
-    union = np.sort(np.concatenate(list({int(keys[0]): keys for keys, _ in states}.values())))
-    amps = np.zeros((len(union), len(states)), dtype=complex)
-    for column, (keys, values) in enumerate(states):
-        amps[np.searchsorted(union, keys), column] = values
-    return union, amps
+    labels = np.repeat(np.arange(len(states)), [len(keys) for keys, _ in states])
+    keys = np.concatenate([keys for keys, _ in states]) | (labels << MODE_CAP)
+    order = np.argsort(keys)
+    return keys[order], np.concatenate([amps for _, amps in states])[order]
+
+
+def _bounds(keys: np.ndarray, count: int) -> List[int]:
+    """Where each of the ``count`` labels of sorted labelled keys starts, then the end."""
+    return np.searchsorted(keys >> MODE_CAP, np.arange(count + 1)).tolist()
+
+
+def _label_norm_sq(state: State, count: int) -> List[float]:
+    """Squared norm of each of a labelled state's ``count`` labels, one fsum each."""
+    squares, bounds = _squares(state[1]).tolist(), _bounds(state[0], count)
+    return [math.fsum(squares[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _labels_differ(u: State, w: State, count: int) -> List[bool]:
+    """Per label of two coalesced labelled states: is u - w nonzero there.
+
+    Coalesced states are canonical (sorted unique keys, no zero amplitude,
+    no -0.0), and on finite amplitudes a - b is zero exactly when a == b.
+    """
+    if np.array_equal(u[0], w[0]) and np.array_equal(u[1], w[1]):
+        return [False] * count
+    (uk, ua), (wk, wa), ub, wb = u, w, _bounds(u[0], count), _bounds(w[0], count)
+    return [
+        not (np.array_equal(uk[a:b], wk[c:d]) and np.array_equal(ua[a:b], wa[c:d]))
+        for a, b, c, d in zip(ub, ub[1:], wb, wb[1:])
+    ]
 
 
 # --- verification reports ---------------------------------------------------
@@ -525,47 +516,42 @@ class VerificationReport:
 
     def raise_if_violated(self) -> "VerificationReport":
         if self.violations:
-            raise BoundViolation(
-                f"{self.check}: {self.violations[0]}", report=self
-            )
+            raise BoundViolation(f"{self.check}: {self.violations[0]}", report=self)
         return self
 
 
-def _norms(state: State) -> np.ndarray:
-    return np.sqrt(state_norm_sq(state))
+def _column_groups(xi: List[List[State]]) -> Iterator[Tuple[List[int], State]]:
+    """The trials' block states in consecutive groups: (each label's trial, the state).
 
-
-def _column_groups(xi: List[State]) -> Iterator[State]:
-    """The trial states as consecutive column groups, in trial order.
-
-    A group is one state (``_padded``) over the union of its trials'
-    blocks, of at most COLUMN_BUDGET amplitudes (its trials' rows, a
-    block counted once per trial, times its trial count), or of one
-    column.  A column's values never depend on another column, so a
-    check's reports do not depend on the grouping.
+    A group is one ``_labelled`` state, one label per block, of at most
+    COLUMN_BUDGET configurations or of one block; a trial's blocks may
+    span groups.
     """
-    group, rows = [], 0
-    for state in xi:
-        if group and (rows + len(state[0])) * (len(group) + 1) > COLUMN_BUDGET:
-            yield _padded(group)
-            group, rows = [], 0
-        group.append(state)
-        rows += len(state[0])
-    yield _padded(group)
+    owners, group, rows = [], [], 0
+    for trial, states in enumerate(xi):
+        for state in states:
+            if group and rows + len(state[0]) > COLUMN_BUDGET:
+                yield owners, _labelled(group)
+                owners, group, rows = [], [], 0
+            owners.append(trial)
+            group.append(state)
+            rows += len(state[0])
+    yield owners, _labelled(group)
 
 
-def _commutators(group: State, pairs: List[tuple], modes: ModeSet, cap: int) -> Iterator:
+def _commutators(group: State, pairs: list, modes: ModeSet, cap: int, count: int) -> Iterator:
     """([a, b] + shift) group for each (a, b, shift) of ``pairs``, in order.
 
     An operator is (creates, transfer, component): b*_q or b_q, or with a
     component i the i-th component of c*_q, all unnormalized; creations
     take the pair cap ``cap``.  Each result is a ``_linear_combination``,
-    but a shift of None marks a commutator that must vanish: for it comes,
-    per column, whether [a, b] group is nonzero, ab group compared with
-    ba group (``_columns_differ``) instead of summed, and [a, a] = 0 forms
-    nothing.  Each distinct image b group is formed once, at its first
-    read, and released at its last, so a caller that reads each result
-    before asking for the next holds only the images still to be read.
+    but a shift of None marks a commutator that must vanish: for it comes
+    whether [a, b] group is nonzero on each of the group's ``count``
+    labels, ab group compared with ba group (``_labels_differ``), and
+    [a, a] = 0 forms nothing.  Each distinct image b group is formed once,
+    at its first read, and released at its last, so a caller that reads
+    each result before asking for the next holds only the images still to
+    be read.
     """
     images = {}
     reads = Counter(op for a, b, _ in pairs if a != b for op in (a, b))
@@ -587,49 +573,54 @@ def _commutators(group: State, pairs: List[tuple], modes: ModeSet, cap: int) -> 
 
     for a, b, shift in pairs:
         if a == b:
-            yield np.zeros(group[1].shape[1], dtype=bool)
+            yield [False] * count
         elif shift is None:
-            yield _columns_differ(product(a, b), product(b, a))
+            yield _labels_differ(product(a, b), product(b, a), count)
         else:
             yield _linear_combination([(1, product(a, b)), (-1, product(b, a)), (shift, group)])
 
 
 def _exact_report(
-    check: str, modes: ModeSet, xi: List[State], seed: int, max_pairs: int,
-    details: Dict[str, float], columns: Callable[[State], tuple], ratio_line: str,
-    flag_lines: List[str],
+    check: str, modes: ModeSet, xi: List[List[State]], seed: int, max_pairs: int,
+    details: Dict[str, float], columns: Callable[[State, int], Iterator],
+    ratio: Callable[[float, float], float], ratio_line: str, flag_lines: List[str],
 ) -> VerificationReport:
     """The report of an exact check on the trial states ``xi``.
 
-    ``columns(group)`` gives, per column of each ``_column_groups(xi)``
-    group, the ratio the check bounds and then one flag per entry of
-    ``flag_lines``.  A trial's violations are its ratio above 1 + 1e-12
-    (``ratio_line`` formatted with it), then the lines of its set flags.
+    ``columns(group, count)`` gives, per label (block) of each
+    ``_column_groups(xi)`` group, the squared norms of the residual the
+    check bounds and of the state it bounds it by, then one flag per entry
+    of ``flag_lines``.  Every block projection of a trial is checked: its
+    ratio is the largest ``ratio(residual norm, bounding norm)`` of its
+    blocks, and its violations are that ratio above 1 + 1e-12
+    (``ratio_line`` formatted with it), then the lines of the flags set on
+    any of its blocks.
     """
-    ratios, *flags = map(np.concatenate, zip(*map(columns, _column_groups(xi))))
+    block_ratios: List[List[float]] = [[] for _ in xi]
+    flags = [[False] * len(flag_lines) for _ in xi]
+    for owners, group in _column_groups(xi):
+        for trial, (r, b, *found) in zip(owners, columns(group, len(owners))):
+            block_ratios[trial].append(ratio(math.sqrt(r), math.sqrt(b)))
+            flags[trial] = [a or f for a, f in zip(flags[trial], found)]
+    ratios = [max(r) for r in block_ratios]
     violations: List[str] = []
-    for trial, ratio in enumerate(ratios.tolist()):
-        lines = [ratio_line.format(ratio)] if ratio > 1.0 + 1e-12 else []
-        lines += [line for line, flag in zip(flag_lines, flags) if flag[trial]]
+    for trial, value in enumerate(ratios):
+        lines = [ratio_line.format(value)] if value > 1.0 + 1e-12 else []
+        lines += [line for line, flag in zip(flag_lines, flags[trial]) if flag]
         violations += [f"trial {trial}: {line}" for line in lines]
     return VerificationReport(
         check=check,
         modeset=modes.describe(max_pairs),
         seed=seed,
         trials=len(ratios),
-        max_ratio=max([0.0, *ratios.tolist()]),
+        max_ratio=max([0.0, *ratios]),
         violations=violations,
         details=details,
     ).raise_if_violated()
 
 
 def verify_almost_ccr(
-    modes: ModeSet,
-    k: Momentum,
-    l: Momentum,
-    xi: List[State],
-    seed: int,
-    max_pairs: int,
+    modes: ModeSet, k: Momentum, l: Momentum, xi: List[List[State]], seed: int, max_pairs: int
 ) -> VerificationReport:
     """Check the approximate canonical commutator relations by brute force.
 
@@ -637,8 +628,8 @@ def verify_almost_ccr(
     must obey ||E xi|| * n_k n_l <= ||N xi|| (computed here with the
     unnormalized operators, so the k = l subtraction is an exact integer),
     and [b_k, b_l], [b*_k, b*_l] must vanish identically.  ``xi`` is
-    ``integer_trials(modes, max_pairs, trials, seed)``, one state per
-    trial.  Per column group, ``_commutators`` makes 10 pair applications,
+    ``integer_trials(modes, max_pairs, trials, seed)``, each trial's block
+    states.  Per column group, ``_commutators`` makes 10 pair applications,
     4 at k = l, where [b_k, b_l] and [b*_k, b*_l] are [a, a] = 0.
     """
     mk = modes.lune_size(k)
@@ -647,17 +638,16 @@ def verify_almost_ccr(
     delta = -float(mk) if b_k == b_l else 0.0
     pairs = [(b_k, bs_l, delta), (b_k, b_l, None), (bs_k, bs_l, None)]
 
-    def columns(group: State) -> tuple:
-        found = _commutators(group, pairs, modes, max_pairs + 2)
-        resid = _norms(next(found))  # released before the vanishing commutators form
-        nn = _norms(apply_number(group))
-        ratios = np.divide(resid, nn, out=np.full(len(nn), math.inf), where=nn > 0)
-        return (ratios, *found)
+    def columns(group: State, count: int) -> Iterator:
+        found = _commutators(group, pairs, modes, max_pairs + 2, count)
+        resid = _label_norm_sq(next(found), count)  # freed before the vanishing commutators form
+        return zip(resid, _label_norm_sq(apply_number(group), count), *found)
 
     return _exact_report(
         "almost_ccr", modes, xi, seed, max_pairs,
         {"lune_k": float(mk), "lune_l": float(modes.lune_size(l))},
-        columns, "||E xi|| n_k n_l / ||N xi|| = {:.15g} > 1",
+        columns, lambda resid, nn: resid / nn if nn > 0 else math.inf,
+        "||E xi|| n_k n_l / ||N xi|| = {:.15g} > 1",
         ["[b_k, b_l] xi != 0", "[b*_k, b*_l] xi != 0"],
     )
 
@@ -679,12 +669,7 @@ def honest_c_bound_constant(modes: ModeSet, k: Momentum, l: Momentum) -> float:
 
 
 def verify_c_commutator(
-    modes: ModeSet,
-    k: Momentum,
-    l: Momentum,
-    xi: List[State],
-    seed: int,
-    max_pairs: int,
+    modes: ModeSet, k: Momentum, l: Momentum, xi: List[List[State]], seed: int, max_pairs: int
 ) -> VerificationReport:
     """Check [c*_k, b_l] = -delta_kl f(k) + residual with its norm bound.
 
@@ -693,7 +678,7 @@ def verify_c_commutator(
     operator-norm constant (``honest_c_bound_constant``); and the
     residual must commute with the fermion number operator, checked in
     exact integer arithmetic on every trial state.  ``xi`` is
-    ``integer_trials(modes, max_pairs, trials, seed)``, one state per trial.
+    ``integer_trials(modes, max_pairs, trials, seed)``, each trial's block states.
     Per column group, ``_commutators`` forms the residual one component at
     a time, on xi and on N xi.
     """
@@ -705,20 +690,21 @@ def verify_c_commutator(
     # componentwise [c*_k, b_l] + f_i
     pairs = [((True, tuple(k), i), (False, tuple(l), None), f[i]) for i in range(3)]
 
-    def columns(group: State) -> tuple:
+    def columns(group: State, count: int) -> Iterator:
         ngroup = apply_number(group)
         terms, noncommuting = [], []
         # [residual, N] = 0, both orders, exact integers
-        residuals = (_commutators(b, pairs, modes, max_pairs + 1) for b in (group, ngroup))
+        residuals = (_commutators(b, pairs, modes, max_pairs + 1, count) for b in (group, ngroup))
         for i, (resid, resid_n) in enumerate(zip(*residuals)):
-            noncommuting.append(_columns_differ(resid_n, apply_number(resid)))
+            noncommuting.append(_labels_differ(resid_n, apply_number(resid), count))
             terms.append((float(k[i]), resid))
         # m . residual with m = k (integer contraction keeps exactness)
         mdot = _linear_combination(terms)
-        denom = mnorm * const * _norms(ngroup)
-        ratios = np.where(_nonzero_trials(mdot), math.inf, 0.0)
-        np.divide(_norms(mdot), denom, out=ratios, where=denom > 0)
-        return (ratios, *noncommuting)
+        return zip(_label_norm_sq(mdot, count), _label_norm_sq(ngroup, count), *noncommuting)
+
+    def ratio(mdot: float, nn: float) -> float:
+        denom = mnorm * const * nn
+        return mdot / denom if denom > 0 else (math.inf if mdot > 0 else 0.0)
 
     details = {
         "lune_k": float(mk),
@@ -726,8 +712,8 @@ def verify_c_commutator(
         "f_truncated_dot_k": sum(k[i] * fsum_vec[i] for i in range(3)) / mk if mk else math.nan,
     }
     return _exact_report(
-        "c_commutator", modes, xi, seed, max_pairs, details,
-        columns, f"residual ratio {{:.15g}} > 1 (constant {const:.6g})",
+        "c_commutator", modes, xi, seed, max_pairs, details, columns, ratio,
+        f"residual ratio {{:.15g}} > 1 (constant {const:.6g})",
         [f"residual component {i} does not commute with N" for i in range(3)],
     )
 
@@ -807,11 +793,11 @@ def _matvec(triplets: Triplets, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_vector(basis: np.ndarray, state: State) -> np.ndarray:
-    """Amplitudes of a sector state laid out in ``sector_basis`` order."""
+def _basis_vector(basis: np.ndarray, state: State, count: int = 1) -> np.ndarray:
+    """A sector state's amplitudes in ``basis`` order, one column per label (``count``)."""
     keys, amps = state
-    vec = np.zeros((len(basis),) + amps.shape[1:], dtype=complex)
-    vec[_positions(basis, keys)] = amps
+    vec = np.zeros((len(basis), count), dtype=complex)
+    vec[_positions(basis, keys & ((1 << MODE_CAP) - 1)), keys >> MODE_CAP] = amps
     return vec
 
 
@@ -865,7 +851,9 @@ def verify_quadratic_interaction(
     """
     blocks = sector_blocks(modes, max_pairs)
     trial_blocks = _trial_blocks(blocks)
-    psi = _padded(random_sector_state(list(trial_blocks.values()), random.Random(seed), 5))
+    heads = list(trial_blocks.values())[:5]  # trial j in block j
+    trials = random_sector_state(heads, random.Random(seed), 5)
+    psi = _labelled([block for trial in trials for block in trial])
     support = [(k, w) for k, w in zip(v.ks, v.vs.tolist()) if modes.lune_size(k) > 0]
     one_pair = [(k, w) for k, w in support if w != 0.0]  # phi_k = b*_k|0> / n_k, in P = k
     read = {(0, 0, 0), *list(trial_blocks)[:5], *dict(one_pair)}
@@ -884,21 +872,22 @@ def verify_quadratic_interaction(
 
     direct = _apply_quadratic(psi, modes, v, params, max_pairs)
     devs = np.abs(
-        _matvec(triplets, _basis_vector(basis, psi)) - _basis_vector(basis, direct)
+        _matvec(triplets, _basis_vector(basis, psi, 5)) - _basis_vector(basis, direct, 5)
     ).max(axis=0)
     for dev in devs.tolist():
         if dev > 1e-13 * scale:
             violations.append(f"matrix vs direct deviation {dev:.3e} > {1e-13 * scale:.3g}")
 
-    if one_pair:  # the phi_k as the columns of one state: each b_k' is applied once
-        phi = _padded([
+    if one_pair:  # the phi_k as the labels of one state: each b_k' is applied once
+        phi = _labelled([
             (keys, amps * (1.0 / math.sqrt(modes.lune_size(k))))  # the truncated lune norm
             for k, _ in one_pair
             for keys, amps in [apply_pair_create(vacuum(), k, modes, cap=max_pairs)]
         ])
-        vecs = _basis_vector(basis, phi)
+        vecs = _basis_vector(basis, phi, len(one_pair))
         images = _matvec(triplets, vecs)
-        removed = [state_norm_sq(apply_pair_annihilate(phi, kp, modes)) for kp, _ in support]
+        removed = [_label_norm_sq(apply_pair_annihilate(phi, kp, modes), len(one_pair))
+                   for kp, _ in support]
     one_pair_dev = 0.0
     for column, (k, value) in enumerate(one_pair):
         nk2 = modes.lune_size(k)
@@ -907,7 +896,7 @@ def verify_quadratic_interaction(
         if math.isinf(diagonal):  # V(k) n_k^2 alone overflows; the quotient, n_k^2 <= N, does not
             diagonal = value * (nk2 / params.n)
         terms = zip(support, removed)
-        cross = math.fsum(w / params.n * float(n[column]) for (kp, w), n in terms if kp != k)
+        cross = math.fsum(w / params.n * n[column] for (kp, w), n in terms if kp != k)
         dev = abs(expect - (diagonal + cross))
         one_pair_dev = max(one_pair_dev, dev)
         if dev > 1e-12 * scale:
@@ -919,7 +908,7 @@ def verify_quadratic_interaction(
         check="quadratic_interaction",
         modeset=modes.describe(max_pairs),
         seed=seed,
-        trials=psi[1].shape[1],
+        trials=len(trials),
         max_ratio=herm,
         violations=violations,
         details={

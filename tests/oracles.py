@@ -45,12 +45,11 @@ from fermi_rpa.error_budget import (
 from fermi_rpa.errors import DomainError, NumericalFailure, ParseError
 from fermi_rpa.fock_oracle import (
     _basis_vector,
+    MODE_CAP,
     _coalesce,
-    _column,
     _drop_zeros,
     _linear_combination,
     _matvec,
-    _nonzero_trials,
     apply_pair_annihilate,
     apply_pair_create,
     state_norm_sq,
@@ -247,7 +246,7 @@ def apply_h0(state, modes, params):
     sq = np.einsum("ij,ij->i", modes.modes, modes.modes)
     signed = np.where(np.arange(modes.n_modes) < modes.n_holes, -sq, sq)
     excitation = ((keys[:, None] >> np.arange(modes.n_modes)) & 1) @ signed
-    return _drop_zeros(keys, amps * _column(params.hbar ** 2 * excitation, amps))
+    return _drop_zeros(keys, amps * (params.hbar ** 2 * excitation))
 
 
 def amplitudes(state):
@@ -270,15 +269,15 @@ def coalesce_reference(keys, amps):
     are exactly zero.  Returns (sorted unique keys, sums).
     """
     uniq, inverse = np.unique(keys, return_inverse=True)
-    summed = np.zeros((len(uniq),) + amps.shape[1:], dtype=complex)
+    summed = np.zeros(len(uniq), dtype=complex)
     np.add.at(summed, inverse, amps)
-    keep = (summed != 0).any(axis=tuple(range(1, summed.ndim)))
-    return uniq[keep], summed[keep]
+    return uniq[summed != 0], summed[summed != 0]
 
 
-def columns_differ_reference(u, w):
-    """Per trial column: is u - w nonzero, by forming the sum u + (-1) w."""
-    return _nonzero_trials(_linear_combination([(1, u), (-1, w)]))
+def labels_differ_reference(u, w, count):
+    """Per label of two labelled states: is u - w nonzero, by forming the sum u + (-1) w."""
+    labels = _linear_combination([(1, u), (-1, w)])[0] >> MODE_CAP
+    return [bool((labels == label).any()) for label in range(count)]
 
 
 def hermiticity_residual_reference(triplets, dim):

@@ -875,7 +875,7 @@ def test_golden_oracle_commands_keep_the_unit_tolerance_scale(command):
 
 @pytest.mark.parametrize("command", [c for c in GOLDEN_COMMANDS if c.startswith("oracle ")])
 def test_golden_oracle_bytes_do_not_depend_on_the_budgets(capsys, monkeypatch, golden, command):
-    # a column budget of zero: one trial column per check group
+    # a column budget of zero: one block per check group
     monkeypatch.setattr(fock_oracle, "COLUMN_BUDGET", 0)
     assert run_cli(capsys, *command.split()) == (0, golden[command], "")
 

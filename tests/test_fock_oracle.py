@@ -13,9 +13,9 @@ from oracles import (
     apply_h0,
     brute_force_pairs,
     coalesce_reference,
-    columns_differ_reference,
     hermiticity_residual_reference,
     honest_c_bound_reference,
+    labels_differ_reference,
     matvec_reference,
     mode_sort_key,
     normalized,
@@ -55,7 +55,7 @@ MODE_SETS = [(7, 2), (7, 3), (1, 1), (19, 4)]
 # a check's traced peak over the largest state it forms, the same for every check
 MEMORY_MULTIPLE = 7
 
-# the column budget as set, then zero: one trial column per check group
+# the column budget as set, then zero: one block per check group
 BUDGETS = [{"COLUMN_BUDGET": fock_oracle.COLUMN_BUDGET}, {"COLUMN_BUDGET": 0}]
 
 
@@ -66,7 +66,13 @@ def set_budgets(monkeypatch, budgets):
 
 def random_state(modes, rng, integer_amplitudes=False):
     """One random state over the whole <= 2 pair sector."""
-    return random_sector_state([sector_basis(modes, 2)], rng, 1, integer_amplitudes)[0]
+    return random_sector_state([sector_basis(modes, 2)], rng, 1, integer_amplitudes)[0][0]
+
+
+def two_trials(basis, rng, integer_amplitudes=False):
+    """Two random states over ``basis``, labelled 0 and 1 in one state."""
+    trials = random_sector_state([basis], rng, 2, integer_amplitudes)
+    return fock_oracle._labelled([trial[0] for trial in trials])
 
 
 def trial_blocks(modes, max_pairs):
@@ -246,8 +252,8 @@ def test_adjoint_property(modes_7_2):
 def test_kernel_matches_loop_reference():
     # the vectorized kernel against a one-configuration-at-a-time loop,
     # exactly, on integer amplitudes: unit weights (b*_k, b_k) and the
-    # (p+h)_i weights of c*_k, on one state and on a two-column state
-    # whose every column must equal the single-state result
+    # (p+h)_i weights of c*_k, on one state and on a two-trial labelled
+    # state whose every label must equal the single-state result
     rng = np.random.default_rng(17)  # picks the sampled basis
     draws = random.Random(17)
     for n, lambda_sq in MODE_SETS:
@@ -255,7 +261,8 @@ def test_kernel_matches_loop_reference():
         basis = sector_basis(modes, 2)
         if len(basis) > 1500:  # keeps the Python loop short on the larger sets
             basis = rng.choice(basis, 1500, replace=False)
-        keys, block = fock_oracle._padded(random_sector_state([basis], draws, 2, True))
+        labelled = two_trials(basis, draws, True)
+        mode_bits = (1 << fock_oracle.MODE_CAP) - 1
         hole_vecs = modes.modes.tolist()
         n_terms = 0
         for k in (E1, (1, 1, 0), (0, -1, 1)):
@@ -271,13 +278,14 @@ def test_kernel_matches_loop_reference():
                 c_star = partial(apply_c_create, k=k, modes=modes, component=i, cap=3)
                 cases.append((c_star, weighted, True))
             for op, terms, create in cases:
-                out_keys, out_block = op((keys, block))
+                out_keys, out_amps = op(labelled)
                 for j in range(2):
-                    state = (keys, block[:, j])
+                    state = (labelled[0][labelled[0] >> fock_oracle.MODE_CAP == j] & mode_bits,
+                             labelled[1][labelled[0] >> fock_oracle.MODE_CAP == j])
                     single = amplitudes(op(state))
                     assert single == loop_pair_operator(state, terms, create)
-                    column = zip(out_keys.tolist(), out_block[:, j].tolist())
-                    assert {c: a for c, a in column if a != 0} == single
+                    at = out_keys >> fock_oracle.MODE_CAP == j
+                    assert amplitudes((out_keys[at] & mode_bits, out_amps[at])) == single
         assert n_terms
 
 
@@ -327,7 +335,7 @@ def test_sums_match_add_at_reference_bit_for_bit(monkeypatch, capsys, argv):
 
 
 def quadratic_inputs(modes, max_pairs, rng, draws):
-    """A plain two-trial sector state and a labelled one, as assembly makes it.
+    """A two-trial sector state (``two_trials``) and one labelled as assembly labels it.
 
     The state is drawn from ``draws``; sectors above 3000 configurations
     are sampled down to 3000 of them by ``rng``.
@@ -336,8 +344,7 @@ def quadratic_inputs(modes, max_pairs, rng, draws):
     if len(basis) > 3000:
         basis = np.sort(rng.choice(basis, 3000, replace=False))
     labelled = (np.arange(len(basis), dtype=np.int64) << modes.n_modes) | basis
-    plain = fock_oracle._padded(random_sector_state([basis], draws, 2))
-    return plain, (labelled, np.ones(len(basis), dtype=complex))
+    return two_trials(basis, draws), (labelled, np.ones(len(basis), dtype=complex))
 
 
 def random_signed_potential(rng):
@@ -379,7 +386,7 @@ def test_quadratic_forms_no_configuration_above_the_sector(monkeypatch, demo_pot
 
     params = ModelParams(7)
     basis = sector_basis(modes, max_pairs)
-    psi = fock_oracle._padded(random_sector_state([basis], random.Random(4), 2))
+    psi = two_trials(basis, random.Random(4))
     monkeypatch.setattr(fock_oracle, "_coalesce", checked_coalesce)
     assemble_quadratic_interaction(modes, demo_potential, params, max_pairs, basis)
     fock_oracle._apply_quadratic(psi, modes, demo_potential, params, max_pairs)
@@ -388,9 +395,8 @@ def test_quadratic_forms_no_configuration_above_the_sector(monkeypatch, demo_pot
 
 def test_coalesce_hand_cases():
     coalesce = fock_oracle._coalesce
-    for shape in ((0,), (0, 3)):
-        keys, amps = coalesce(np.zeros(0, dtype=np.int64), np.zeros(shape, dtype=complex))
-        assert keys.shape == (0,) and amps.shape == shape
+    keys, amps = coalesce(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+    assert keys.shape == (0,) and amps.shape == (0,)
     # one key is (1e16 + 1) - 1e16 = 0, the other (1e16 - 1e16) + 1 = 1:
     # input order decides the bits; 2 holds a lone -0.0 real part, 3 cancels
     keys = np.array([7, 9, 7, 9, 7, 9, 2, 3, 3], dtype=np.int64)
@@ -401,13 +407,6 @@ def test_coalesce_hand_cases():
     for state in (coalesce(keys, amps), coalesce_reference(keys, amps)):
         assert_same_bits(state, expected)
         assert math.copysign(1.0, state[1][0].real) == 1.0  # 0.0 + -0.0 is 0.0
-    # as the first column of a block whose second column cancels on 7 and 9
-    # and not on 3: 3 is kept, with its first column exactly zero
-    block = np.stack([amps, np.array([1, -1, -1, 1, 0, 0, 0, 5, 0])], axis=1)
-    result = coalesce(keys, block)
-    assert_same_bits(result, coalesce_reference(keys, block))
-    assert result[0].tolist() == [2, 3, 7, 9]
-    assert result[1].tolist() == [[2j, 0j], [0j, 5 + 0j], [1j, 0j], [1 + 1j, 0j]]
     # a full cancellation is dropped, and -0.0 alone is a zero
     keys, amps = coalesce(np.array([4, 4, 6]), np.array([1 - 1j, -1 + 1j, complex(-0.0, -0.0)]))
     assert keys.shape == (0,) and amps.shape == (0,)
@@ -417,7 +416,7 @@ def test_coalesce_gathers_repeats_in_chunks(monkeypatch):
     # a chunk smaller than one pass must not change a bit
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 50, 400)
-    amps = rng.normal(size=(400, 3)) + 1j * rng.normal(size=(400, 3))
+    amps = rng.normal(size=400) + 1j * rng.normal(size=400)
     whole = fock_oracle._coalesce(keys, amps)
     monkeypatch.setattr(fock_oracle, "GATHER_CHUNK", 7)
     assert_same_bits(fock_oracle._coalesce(keys, amps), whole)
@@ -425,11 +424,12 @@ def test_coalesce_gathers_repeats_in_chunks(monkeypatch):
 
 
 def test_compared_commutator_matches_the_summed_form():
-    # _columns_differ(u, w) against the sum u + (-1) w on coalesced blocks
+    # _labels_differ(u, w) against the sum u + (-1) w on coalesced states
     def block(rows):
+        """Labels 0 and 1 of one coalesced state, a row (key, (amplitude 0, amplitude 1))."""
         keys = np.array([key for key, _ in rows], dtype=np.int64)
-        amps = np.array([amps for _, amps in rows], dtype=complex).reshape(len(rows), 2)
-        return fock_oracle._coalesce(keys, amps)
+        pieces = [(keys, np.array([a[j] for _, a in rows], dtype=complex)) for j in (0, 1)]
+        return fock_oracle._coalesce(*fock_oracle._labelled(pieces))
 
     u = block([(3, (1 + 2j, -4)), (8, (5, 6j))])
     cases = [
@@ -437,17 +437,17 @@ def test_compared_commutator_matches_the_summed_form():
         (block([]), block([]), [False, False]),  # empty images
         (u, block([]), [True, True]),
         (block([]), block([(5, (0, 1))]), [False, True]),
-        # a key in one image only, nonzero in its first column only
+        # a key in one image only, nonzero in its first label only
         (u, block([(3, (1 + 2j, -4)), (6, (7, 0)), (8, (5, 6j))]), [True, False]),
-        # a column zero in one image only: same keys, second columns differ
+        # a label zero in one image only: second labels differ
         (u, block([(3, (1 + 2j, 0)), (8, (5, 6j))]), [False, True]),
         (block([(3, (1 + 2j, 0)), (8, (5, 6j))]), u, [False, True]),
-        # a key whose row is zero in one column of each image
+        # a key whose row is zero in one label of each image
         (block([(2, (0, 9))]), block([(2, (0, 9)), (4, (0, 1))]), [False, True]),
     ]
     for a, b, expected in cases:
-        assert fock_oracle._columns_differ(a, b).tolist() == expected
-        assert columns_differ_reference(a, b).tolist() == expected
+        assert fock_oracle._labels_differ(a, b, 2) == expected
+        assert labels_differ_reference(a, b, 2) == expected
 
 
 def test_positions_names_a_key_missing_from_the_basis():
@@ -475,18 +475,24 @@ def test_pairs_of_a_momentum_beyond_the_cutoff_are_empty(modes_7_2):
 
 
 def test_random_sector_state_draws_trials_in_sequence():
-    # trial j lies in block j, wrapping after the last block, and the trials
-    # are the same stream as one-trial calls, one after another: every
-    # golden max_ratio depends on it
-    blocks = trial_blocks(build_mode_set(7, 2), 2)[:3]
-    for integer in (True, False):
-        states = random_sector_state(blocks, random.Random(8), 7, integer)
-        assert len({amps.tobytes() for _, amps in states}) == 7  # distinct draws
+    # trial j lies in blocks j, j + trials, ..., or in block j mod 5 alone
+    # once the trials outnumber the 5 blocks, and the trials are the same
+    # stream as one-trial calls over their blocks, one after another:
+    # every golden max_ratio depends on it
+    blocks = trial_blocks(build_mode_set(7, 2), 2)[:5]
+    owned = {2: [[0, 2, 4], [1, 3]], 7: [[0], [1], [2], [3], [4], [0], [1]]}
+    for integer, trials in itertools.product((True, False), owned):
+        states = random_sector_state(blocks, random.Random(8), trials, integer)
+        assert len({amps.tobytes() for trial in states for _, amps in trial}) == len(
+            [b for own in owned[trials] for b in own]
+        )  # distinct draws
         rng = random.Random(8)
-        for j, (keys, amps) in enumerate(states):
-            assert keys.tolist() == sorted(blocks[j % 3].tolist())
-            one_keys, one = random_sector_state([blocks[j % 3]], rng, 1, integer)[0]
-            assert np.array_equal(one_keys, keys) and np.array_equal(one, amps)
+        for trial, own in zip(states, owned[trials], strict=True):
+            assert [keys.tolist() for keys, _ in trial] == [sorted(blocks[b]) for b in own]
+            one = random_sector_state([blocks[b] for b in own], rng, 1, integer)[0]
+            assert len(one) == len(trial)
+            for (one_keys, one_amps), (keys, amps) in zip(one, trial):
+                assert np.array_equal(one_keys, keys) and np.array_equal(one_amps, amps)
 
 
 def sector_draw_reference(basis, rng, integer_amplitudes):
@@ -513,39 +519,43 @@ def sector_draw_reference(basis, rng, integer_amplitudes):
 @pytest.mark.parametrize("integer", [True, False])
 def test_random_sector_state_follows_its_documented_mapping(integer):
     # nonzero integer parts in [-999, 999], or float parts in [-1, 1) and
-    # unit norms, drawn word by word over each block in block order
+    # unit norms, drawn word by word over each trial's blocks in block
+    # order: five trials share the blocks out, then 4 x 227 wrap over them
     blocks = trial_blocks(build_mode_set(7, 2), 2)
-    states = random_sector_state(blocks, random.Random(3), 4 * len(blocks), integer)
-    rng = random.Random(3)
-    drawn = []
-    for block, (keys, amps) in zip(itertools.cycle(blocks), states):
-        expected, parts = sector_draw_reference(block, rng, integer)
-        assert dict(zip(keys.tolist(), amps.tolist())) == expected
-        drawn += parts
+    rng, reference = random.Random(3), random.Random(3)
+    drawn, norms = [], []
+    for trials in (5, 4 * len(blocks)):
+        states = random_sector_state(blocks, rng, trials, integer)
+        for j, trial in enumerate(states):
+            own = np.concatenate(blocks[j % len(blocks) :: trials])
+            expected, parts = sector_draw_reference(own, reference, integer)
+            got = {k: a for keys, amps in trial for k, a in zip(keys.tolist(), amps.tolist())}
+            assert got == expected
+            drawn += parts
+            norms.append(math.sqrt(math.fsum(map(state_norm_sq, trial))))
     if integer:
         assert all(isinstance(p, int) and p != 0 and -999 <= p <= 999 for p in drawn)
         assert {-999, -1, 1, 999} <= set(drawn)
     else:
         assert all(-1.0 <= p < 1.0 for p in drawn)
         assert min(drawn) < -0.999 and max(drawn) > 0.999
-        norms = [math.sqrt(state_norm_sq(state)) for state in states]
         assert all(abs(norm - 1.0) <= 1e-15 for norm in norms)
 
 
 # random.Random(seed) with an int seed gives the same MT19937 stream on every
-# CPython since 3.2, and numpy is not involved: the oracle's first trial
-# state, over the P = 0 block without the vacuum, is pinned here by its
-# first amplitudes in sorted key order
+# CPython since 3.2, and numpy is not involved: the oracle's one trial spans
+# every block, and is pinned here by the first amplitudes of its first block,
+# P = 0 without the vacuum, in sorted key order
 STREAM_PINS = {
     0: (
-        [-316 - 628j, 136 + 185j, 3 + 699j, 955 + 841j],
-        [-0.03936978270522585 - 0.057247623756871126j,
-         0.13388400945534282 + 0.07900345947277188j],
+        [-316 + 374j, 136 - 848j, 3 - 882j, 955 - 963j],
+        [-0.007321966726605471 + 0.030897003871513368j,
+         0.02489966149410397 - 0.014390866381238137j],
     ),
     5: (
-        [-213 + 530j, -110 + 256j, -7 - 713j, 870 + 855j],
-        [-0.09379795466745262 - 0.03263714377115078j,
-         -0.054258062610737075 + 0.1671462980620837j],
+        [-213 - 385j, -110 + 320j, -7 - 946j, 870 + 70j],
+        [-0.015472717697063121 - 0.010748870098949473j,
+         -0.008950298421131982 - 0.011740208645347788j],
     ),
 }
 
@@ -553,9 +563,9 @@ STREAM_PINS = {
 @pytest.mark.parametrize("seed", STREAM_PINS)
 def test_trial_stream_is_pinned(modes_7_2, seed):
     integer_head, float_head = STREAM_PINS[seed]
-    ((_, xi),) = integer_trials(modes_7_2, 2, 1, seed)
+    ((_, xi), *_), = integer_trials(modes_7_2, 2, 1, seed)
     assert xi[:4].tolist() == integer_head
-    ((_, psi),) = random_sector_state(trial_blocks(modes_7_2, 2), random.Random(seed), 1)
+    ((_, psi), *_), = random_sector_state(trial_blocks(modes_7_2, 2), random.Random(seed), 1)
     assert psi[:2].tolist() == float_head
 
 
@@ -848,12 +858,10 @@ def traced_peak(run):
 
 
 def test_each_check_peaks_under_one_multiple_of_its_largest_state(monkeypatch, demo_potential):
-    # dimension 44031 (7 holes, lambda^2 = 3, 3 pairs), ten trials in one
-    # column group; every state a pair operator, N or a linear combination
-    # returns is measured.  (One trial's states are a few KB, below the
-    # fixed buffers numpy allocates for a broadcast operation.)
+    # dimension 44031 (7 holes, lambda^2 = 3, 3 pairs), one trial; every state
+    # a pair operator, N or a linear combination returns is measured
     modes = build_mode_set(7, 3)
-    xi = integer_trials(modes, 3, 10, 5)
+    xi = integer_trials(modes, 3, 1, 5)
     sizes = []
 
     def measured(fn):
@@ -883,7 +891,8 @@ def test_each_check_peaks_under_one_multiple_of_its_largest_state(monkeypatch, d
 
 
 def test_exact_checks_peak_does_not_grow_with_the_trial_count():
-    # --pairs 3 on the default mode set: the block is read in column groups
+    # --pairs 3 on the default mode set: at either count the trials share
+    # out its 9170 trial configurations, read in two column groups
     modes = build_mode_set(7, 2)
     peaks = {}
     for trials in (40, 160):
@@ -941,34 +950,34 @@ VIOLATION_CASES = {
     "scaled N, products differ": (
         {
             "apply_number": scaled_number,
-            "_columns_differ": lambda u, w: np.ones(u[1].shape[1], dtype=bool),
+            "_labels_differ": lambda u, w, count: [True] * count,
         },
         [
-            [f"trial 0: {CCR} 602473.590389821 > 1", f"trial 1: {CCR} 483889.725222469 > 1"],
+            [f"trial 0: {CCR} 906478.380297969 > 1", f"trial 1: {CCR} 819606.587492749 > 1"],
             [
-                f"trial 0: {CCR} 217549.498597576 > 1",
+                f"trial 0: {CCR} 370727.600094733 > 1",
                 "trial 0: [b_k, b_l] xi != 0",
                 "trial 0: [b*_k, b*_l] xi != 0",
-                f"trial 1: {CCR} 170927.760923971 > 1",
+                f"trial 1: {CCR} 370727.600094733 > 1",
                 "trial 1: [b_k, b_l] xi != 0",
                 "trial 1: [b*_k, b*_l] xi != 0",
             ],
             [
-                "trial 0: residual ratio 269434.380552001 > 1 (constant 2.23607)",
+                "trial 0: residual ratio 405389.455696033 > 1 (constant 2.23607)",
                 f"trial 0: residual component 0 {C}",
                 f"trial 0: residual component 1 {C}",
                 f"trial 0: residual component 2 {C}",
-                "trial 1: residual ratio 216402.063842227 > 1 (constant 2.23607)",
+                "trial 1: residual ratio 366539.208888083 > 1 (constant 2.23607)",
                 f"trial 1: residual component 0 {C}",
                 f"trial 1: residual component 1 {C}",
                 f"trial 1: residual component 2 {C}",
             ],
             [
-                "trial 0: residual ratio 93916.0394508269 > 1 (constant 2.23607)",
+                "trial 0: residual ratio 165794.422989436 > 1 (constant 2.23607)",
                 f"trial 0: residual component 0 {C}",
                 f"trial 0: residual component 1 {C}",
                 f"trial 0: residual component 2 {C}",
-                "trial 1: residual ratio 77827.1300805084 > 1 (constant 2.23607)",
+                "trial 1: residual ratio 165794.422989436 > 1 (constant 2.23607)",
                 f"trial 1: residual component 0 {C}",
                 f"trial 1: residual component 1 {C}",
                 f"trial 1: residual component 2 {C}",
@@ -1025,7 +1034,8 @@ def test_exact_checks_apply_each_distinct_image_once_per_column_group(monkeypatc
     set_budgets(monkeypatch, budgets)
     modes = build_mode_set(7, 2)
     xi = integer_trials(modes, 2, 3, 5)
-    groups = 1 if budgets["COLUMN_BUDGET"] else 3  # three trials, one column each at zero
+    # three trials share the 227 blocks out, one block per group at zero
+    groups = 1 if budgets["COLUMN_BUDGET"] else len(trial_blocks(modes, 2))
     for check, l, expected in APPLICATIONS:
         calls.clear()
         check(modes, E1, l, xi, 5, 2)
@@ -1085,6 +1095,21 @@ def test_sector_blocks_partition_the_sector_basis(holes_n, lambda_sq, max_pairs)
     assert order == sorted(order)
 
 
+def test_oracle_enumerates_its_sector_once(monkeypatch, capsys):
+    # the blocks are built once per mode set and pair cap: the exact checks'
+    # trials and the interaction check read the same ones
+    calls = Counter()
+    basis = fock_oracle.sector_basis
+
+    def counted(modes, max_pairs):
+        calls[max_pairs] += 1
+        return basis(modes, max_pairs)
+
+    monkeypatch.setattr(fock_oracle, "sector_basis", counted)
+    assert main(["oracle", "--trials", "2"]) == 0
+    assert calls == {2: 1}
+
+
 def test_checked_operators_shift_every_block_by_a_fixed_momentum(modes_7_2, demo_potential):
     # b*_q, b_q and c*_q shift P by q, -q and q; N and Q keep it
     params = ModelParams(7)
@@ -1101,7 +1126,7 @@ def test_checked_operators_shift_every_block_by_a_fixed_momentum(modes_7_2, demo
     rng = random.Random(6)
     reached = Counter()
     for p, keys in blocks.items():
-        state = random_sector_state([keys], rng, 1, True)[0]
+        state = random_sector_state([keys], rng, 1, True)[0][0]
         for j, (op, d) in enumerate(shifts):
             out = op(state)[0].tolist()
             assert {total_momentum(modes_7_2, key) for key in out} <= {tuple(np.add(p, d))}
@@ -1111,7 +1136,8 @@ def test_checked_operators_shift_every_block_by_a_fixed_momentum(modes_7_2, demo
 
 def test_a_full_sector_trial_ratio_is_at_most_its_largest_block_ratio(modes_7_2):
     # ||A xi||^2 / ||N xi||^2 = sum_P ||A xi_P||^2 / sum_P ||N xi_P||^2 when
-    # A maps each block into its own image block: the blocks lose nothing
+    # A maps each block into its own image block: the blocks lose nothing,
+    # and a trial over several blocks reports its largest block ratio
     keys, amps = random_state(modes_7_2, random.Random(12), integer_amplitudes=True)
     projections = []
     for block in trial_blocks(modes_7_2, 2):  # every block, the vacuum left out
@@ -1119,8 +1145,9 @@ def test_a_full_sector_trial_ratio_is_at_most_its_largest_block_ratio(modes_7_2)
         projections.append((block, amps[np.searchsorted(keys, block)]))
     for check in (verify_almost_ccr, verify_c_commutator):
         for l in (E1, E2):
-            whole = check(modes_7_2, E1, l, [(keys, amps)], 5, 2).max_ratio
-            parts = check(modes_7_2, E1, l, projections, 5, 2).max_ratio
+            whole = check(modes_7_2, E1, l, [[(keys[1:], amps[1:])]], 5, 2).max_ratio
+            parts = check(modes_7_2, E1, l, [[p] for p in projections], 5, 2).max_ratio
+            assert check(modes_7_2, E1, l, [projections], 5, 2).max_ratio == parts
             assert 0.0 < whole <= parts * (1.0 + 1e-12), (check, l)
 
 
