@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams
-from .potential import Potential, l1_norm
-from .rpa_delocalized import CoefficientTable, _ieee_rows, correlation_delocalized
+from .potential import Potential, ieee_rows, l1_norm
+from .rpa_delocalized import CoefficientTable, correlation_delocalized
 
 C_SMALL = 4.0 * (9.0 * math.pi / 16.0) ** (2.0 / 3.0)
 PARTICLE_ESCAPE_CONSTANT = (6.0 / math.pi) ** (1.0 / 3.0)
@@ -66,7 +66,7 @@ def a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
     return v.once(_a_constants)
 
 
-@_ieee_rows
+@ieee_rows
 def _a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
     arg = 1.0 + C_SMALL * v.vs
     bad = np.flatnonzero(arg <= 0.0)
@@ -100,7 +100,7 @@ class _Kernel(NamedTuple):
     c_n: Dict[str, float]  # Gronwall exponent C_n(X) keyed by the order n
 
 
-@_ieee_rows
+@ieee_rows
 def _kernel(v: Potential) -> _Kernel:
     """Kernel X(k) = -(1/4) log(1 + c V(k)) on the support minus {0}, in mode order.
 
@@ -165,7 +165,7 @@ class ErrorBudget:
     n: int
 
 
-@_ieee_rows
+@ieee_rows
 def assemble_error_budget(
     table: CoefficientTable, continuum: CoefficientTable, v: Potential
 ) -> ErrorBudget:

@@ -10,8 +10,8 @@ int64 keys and their complex amplitudes.  Each pair operator reads a
 (terms x keys) mask of where its terms act, so only configurations an
 operator actually reaches are ever stored; a pair's fermionic sign is
 the parity of the occupied modes between its hole and its particle.
-Equal keys are then summed left to right in input order after one
-stable sort, so every sum has fixed bits.
+Every sum, of equal keys and of each row of Q vec, is one ``_sum_into``:
+0.0 + a_0 + a_1 + ... left to right in input order, so its bits are fixed.
 The pair-quadratic interaction is applied already projected to the
 sector, so no configuration above the pair cap is ever formed.
 
@@ -70,7 +70,6 @@ from .lattice import (
 from .potential import Potential
 
 MODE_CAP = 40
-GATHER_CHUNK = 1 << 14  # amplitudes gathered at once by one repeat pass
 # An exact check reads at most COLUMN_BUDGET configurations of its trials at
 # once (or one block)
 COLUMN_BUDGET = 3 << 11
@@ -198,36 +197,37 @@ def _drop_zeros(keys: np.ndarray, amps: np.ndarray) -> State:
     return keys[keep], amps[keep]
 
 
+def _sum_into(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``size`` complex sums, sum i = 0.0 + each values[j] with index[j] == i.
+
+    np.bincount adds its weights into zeros in input order, one call for
+    the real and one for the imaginary parts, so every sum has the bits
+    of 0.0 + a_0 + a_1 + ... left to right (and -0.0 becomes 0.0).
+    """
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(index, values.real, minlength=size)
+    out.imag = np.bincount(index, values.imag, minlength=size)
+    return out
+
+
 def _coalesce(keys: np.ndarray, amps: np.ndarray) -> State:
     """Sum the amplitudes of equal keys, in input order; drop exact zeros.
 
-    Every sum is 0.0 + a_0 + a_1 + ... added left to right in input
-    order, as a sequential add into zeros would (so -0.0 becomes 0.0).  A
-    stable argsort groups equal keys in input order; it merges the sorted
-    run that each pair term's hits already form, since cfg ^ both is
-    monotone in cfg.  The sums start as each key's first amplitude, and
-    pass j adds the j-th repeat of every key that has one, gathering at
-    most GATHER_CHUNK amplitudes at a time.  Only the keys that repeat
-    are tracked through the passes.
+    A stable argsort ranks the keys; it merges the sorted run that each
+    pair term's hits already form, since cfg ^ both is monotone in cfg.
+    ``_sum_into`` then sums each input position's amplitude into its
+    key's rank, in input order.  The sort's arrays are released first.
     """
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    fresh = np.ones(len(keys) + 1, dtype=bool)  # a key starts here (and at the end)
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:-1])
-    first = np.flatnonzero(fresh[:-1])
-    keys = keys[first]
-    rows = np.flatnonzero(~fresh[first + 1])  # the keys that repeat
-    pos = first[rows] + 1  # and where each one's first repeat sits
-    sums = amps.take(order[first])
-    sums += 0.0
-    while len(rows):
-        for lo in range(0, len(rows), GATHER_CHUNK):
-            hi = lo + GATHER_CHUNK
-            sums[rows[lo:hi]] += amps.take(order[pos[lo:hi]])
-        pos = pos + 1
-        repeat = ~fresh[pos]
-        rows, pos = rows[repeat], pos[repeat]
-    return _drop_zeros(keys, sums)
+    ranked = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)  # a new key starts here
+    np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+    unique = ranked[fresh]
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(fresh, out=ranked)
+    rank -= 1
+    del order, ranked, fresh
+    return _drop_zeros(unique, _sum_into(rank, amps, len(unique)))
 
 
 def _linear_combination(pieces: List[Tuple[float, State]]) -> State:
@@ -249,11 +249,6 @@ def _linear_combination(pieces: List[Tuple[float, State]]) -> State:
 
 def _squares(amps: np.ndarray) -> np.ndarray:
     return amps.real * amps.real + amps.imag * amps.imag
-
-
-def state_norm_sq(state: State) -> float:
-    """Squared norm of a state, one fsum."""
-    return math.fsum(_squares(state[1]).tolist())
 
 
 def fermion_sign(keys: np.ndarray, idx: int) -> np.ndarray:
@@ -392,13 +387,18 @@ def sector_blocks(modes: ModeSet, max_pairs: int) -> Dict[Momentum, np.ndarray]:
     return blocks
 
 
+def _lookup(table: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(pos, found): table[pos] == queries exactly where found, for unique table entries."""
+    order = np.argsort(table)
+    pos = order.take(np.searchsorted(table[order], queries), mode="clip")
+    return pos, table[pos] == queries
+
+
 def _positions(basis: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Position in ``basis`` of each key; a DomainError names the first missing key."""
-    order = np.argsort(basis)
-    pos = order.take(np.searchsorted(basis[order], keys), mode="clip")
-    missing = basis[pos] != keys
-    if missing.any():
-        key = int(keys[missing.argmax()])
+    pos, found = _lookup(basis, keys)
+    if not found.all():
+        key = int(keys[found.argmin()])
         raise DomainError(f"configuration {key} (0b{key:b}) is not in the sector basis")
     return pos
 
@@ -466,13 +466,14 @@ def integer_trials(modes: ModeSet, max_pairs: int, trials: int, seed: int) -> Li
 def _labelled(states: List[State]) -> State:
     """States as one state, state j labelled j in the key bits above MODE_CAP.
 
-    No operator reads or writes those bits, so two labels' amplitudes
-    never sum, and the keys sort by label.
+    Each state's keys must be sorted and below 2^MODE_CAP, so the labelled
+    keys come out sorted, by label and then by key, with no sort.  No
+    operator reads or writes the label bits, so two labels' amplitudes
+    never sum.
     """
     labels = np.repeat(np.arange(len(states)), [len(keys) for keys, _ in states])
     keys = np.concatenate([keys for keys, _ in states]) | (labels << MODE_CAP)
-    order = np.argsort(keys)
-    return keys[order], np.concatenate([amps for _, amps in states])[order]
+    return keys, np.concatenate([amps for _, amps in states])
 
 
 def _bounds(keys: np.ndarray, count: int) -> List[int]:
@@ -779,17 +780,11 @@ def _apply_quadratic(
 
 
 def _matvec(triplets: Triplets, vec: np.ndarray) -> np.ndarray:
-    """Q vec; each row is 0.0 + its terms left to right in triplet order.
-
-    np.bincount adds its weights into zeros in input order, one call for
-    the real and one for the imaginary part of each column of vec.
-    """
+    """Q vec; each row is 0.0 + its terms left to right in triplet order (``_sum_into``)."""
     rows, cols, values = triplets
     out = np.empty(vec.shape, dtype=complex)
     for column, target in zip(vec.reshape(len(vec), -1).T, out.reshape(len(vec), -1).T):
-        terms = column[cols] * values
-        target.real = np.bincount(rows, terms.real, minlength=len(vec))
-        target.imag = np.bincount(rows, terms.imag, minlength=len(vec))
+        target[:] = _sum_into(rows, column[cols] * values, len(vec))
     return out
 
 
@@ -814,7 +809,7 @@ def hermiticity_residual(triplets: Triplets, dim: int) -> float:
     """max |Q_ij - conj(Q_ji)| over the entries of Q, Q_ji = 0 where it is absent.
 
     The triplets hold one entry per (row, col), so each entry's transpose
-    is found by one ``searchsorted`` in the sorted keys row * dim + col.
+    is found by one ``_lookup`` in the keys row * dim + col.
     The result has the bits of max |Q - Q^dagger| coalesced over those
     keys: the coalesce forms (0.0 + Q_ij) + (-conj Q_ji), the same value
     up to the sign of a zero, and swapping i and j only flips the sign of
@@ -822,15 +817,9 @@ def hermiticity_residual(triplets: Triplets, dim: int) -> float:
     that entry's |.|.
     """
     rows, cols, values = triplets
-    keys = rows * dim + cols
-    order = np.argsort(keys)
-    keys = keys[order]
-    transposed = cols * dim + rows
-    at = np.searchsorted(keys, transposed).clip(max=len(keys) - 1)
-    found = keys[at] == transposed
-    del keys, transposed
-    mirror = np.where(found, values[order[at]], 0)
-    del order, at, found
+    at, found = _lookup(rows * dim + cols, cols * dim + rows)
+    mirror = np.where(found, values[at], 0)
+    del at, found
     np.subtract(values, np.conjugate(mirror, out=mirror), out=mirror)
     return float(np.abs(mirror).max(initial=0.0))
 

@@ -26,11 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NumericalFailure
 from .lattice import FermiBall, ModelParams
-from .potential import ZERO, Potential, finite_fsum
+from .potential import ZERO, Potential, finite_fsum, ieee_rows
 from .rpa_delocalized import CoefficientTable
 
 
@@ -42,6 +40,7 @@ class HFEnergy:
     total: float
 
 
+@ieee_rows
 def hf_energy(table: CoefficientTable, v: Potential, half_prefactor: bool = False) -> HFEnergy:
     """Evaluate the plane-wave Hartree-Fock energy, total = kin + dir - exch.
 
@@ -56,10 +55,8 @@ def hf_energy(table: CoefficientTable, v: Potential, half_prefactor: bool = Fals
     table.require_support(v)
     kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())
     direct = ball.n * v.value(ZERO)
-    # the stay counts N - n_k^2 weighted by V(k); an overflow to inf is
-    # silent on Python floats, and finite_fsum reports it
-    with np.errstate(over="ignore"):
-        terms = (v.vs * (ball.n - table.nk2)).tolist()
+    # the stay counts N - n_k^2 weighted by V(k)
+    terms = (v.vs * (ball.n - table.nk2)).tolist()
     if ZERO in v.coeffs:  # first in mode order; every mode stays at k = 0
         terms.insert(0, v.coeffs[ZERO] * ball.n)
     exchange = finite_fsum(terms, "Hartree-Fock exchange sum") / ball.n

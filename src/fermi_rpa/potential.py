@@ -231,6 +231,12 @@ def serialize_potential(v: Potential) -> str:
     return f'{{"support_radius_sq": {v.support_radius_sq}, "coeffs": [{entries}]}}'
 
 
+# the overflow policy of every module's column arithmetic: an overflow to
+# inf, or an inf - inf, is silent on Python floats, so it is on the columns
+# too, and the caller reports a non-finite result (finite_fsum, say)
+ieee_rows = np.errstate(over="ignore", invalid="ignore")
+
+
 def finite_fsum(terms: Iterable[float], quantity: str) -> float:
     """math.fsum of the terms, or a NumericalFailure naming ``quantity`` when a
     term or the sum leaves the double range: never an OverflowError or an inf."""

@@ -61,16 +61,12 @@ from .lattice import (
     check_lens,
     kinetic_coefficient,
 )
-from .potential import Potential, square_sum
+from .potential import Potential, ieee_rows, square_sum
 
 SECOND_ORDER_PREFACTOR = (math.pi / 2.0) * (9.0 / 32.0)
 
 # the backend: exact lattice counts on a FermiBall, closed forms on a ModelParams
 Source = Union[FermiBall, ModelParams]
-
-# an overflow to inf, or an inf - inf, is silent on Python floats; so it is
-# in the row arithmetic
-_ieee_rows = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ class CoefficientTable:
             raise DomainError("the coefficient table is not over the support of this potential")
 
 
-@_ieee_rows
+@ieee_rows
 def coefficient_table(source: Source, v: Potential) -> CoefficientTable:
     """The coefficients of every nonzero support momentum of ``v``, in mode order.
 
@@ -145,7 +141,7 @@ def _check_rows(table: CoefficientTable) -> None:
     raise DomainError(f"|beta| = {abs(beta)} >= alpha = {alpha} at k = {k}")
 
 
-@_ieee_rows
+@ieee_rows
 def correlation_delocalized(table: CoefficientTable) -> float:
     """Optimal delocalized-pair correlation energy of a coefficient table.
 
@@ -158,7 +154,7 @@ def correlation_delocalized(table: CoefficientTable) -> float:
     return math.fsum((-b * b / (2.0 * (np.sqrt((a - b) * (a + b)) + a))).tolist())
 
 
-@_ieee_rows
+@ieee_rows
 def second_order_delocalized(
     source: Union[ModelParams, CoefficientTable], v: Optional[Potential] = None
 ) -> float:

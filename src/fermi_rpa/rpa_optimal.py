@@ -58,7 +58,7 @@ import numpy as np
 from . import DEFAULT_TOL
 from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams
-from .potential import Potential, finite_fsum, square_sum
+from .potential import Potential, finite_fsum, ieee_rows, square_sum
 from .quadrature import IntegralResult, integrate_adaptive
 
 KAPPA = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
@@ -161,7 +161,7 @@ def _check_enclosure(a_of_row: np.ndarray, results: List[IntegralResult]) -> Non
             )
 
 
-@np.errstate(over="ignore")  # |k| times a bracket may overflow to inf, as on Python floats
+@ieee_rows  # |k| times a bracket may overflow to inf, as on Python floats
 def frequency_brackets(v: Potential, tol: float = DEFAULT_TOL) -> IntegralResult:
     """The fsums of |k| times the bracket (1/pi) I(a) - a/4, a = 2 pi kappa V(k), and its error.
 

@@ -21,11 +21,11 @@ three passes the package once made (complete -k, check every completed
 entry, lay out the columns), so the one-pass ``make_potential`` can be
 compared with it error for error and byte for byte.  The mode order
 key, the error budget's kernel list, the closed-form minimizer of the
-quadratic energy and the Fock oracle's kinetic energy H0, which only
-tests read, live here too, and so does the summed form of a vanishing
-commutator that the Fock oracle now compares instead, and the hermiticity
-residual as Q - Q^dagger coalesced whole, which it now reads entry by
-entry.
+quadratic energy, the Fock oracle's kinetic energy H0 and a state's
+squared norm, which only tests read, live here too, and so does the
+summed form of a vanishing commutator that the Fock oracle now compares
+instead, and the hermiticity residual as Q - Q^dagger coalesced whole,
+which it now reads entry by entry.
 """
 
 import math
@@ -50,9 +50,9 @@ from fermi_rpa.fock_oracle import (
     _drop_zeros,
     _linear_combination,
     _matvec,
+    _squares,
     apply_pair_annihilate,
     apply_pair_create,
-    state_norm_sq,
     vacuum,
 )
 from fermi_rpa.hf import HFEnergy
@@ -253,6 +253,11 @@ def amplitudes(state):
     """A Fock-oracle (keys, amplitudes) state as {configuration: amplitude}."""
     keys, amps = state
     return dict(zip(keys.tolist(), amps.tolist()))
+
+
+def state_norm_sq(state):
+    """Squared norm of a Fock-oracle state, one fsum."""
+    return math.fsum(_squares(state[1]).tolist())
 
 
 def normalized(apply, state, k, modes, *args, **kwargs):

@@ -18,7 +18,6 @@ from fermi_rpa.fock_oracle import (
     apply_pair_create,
     build_mode_set,
     integer_trials,
-    state_norm_sq,
     vacuum,
     verify_almost_ccr,
 )
@@ -48,7 +47,14 @@ from fermi_rpa.rpa_optimal import (
 )
 
 from conftest import scaled_potential
-from oracles import amplitudes, apply_h0, hand_table, minimize_pair_energy, normalized
+from oracles import (
+    amplitudes,
+    apply_h0,
+    hand_table,
+    minimize_pair_energy,
+    normalized,
+    state_norm_sq,
+)
 
 # extended-precision reference for (9/32)/(1 - log 2), frozen from a
 # 40-digit evaluation

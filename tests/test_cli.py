@@ -833,6 +833,7 @@ GOLDEN_COMMANDS = [
     "oracle --pairs 3 --trials 2 --seed 3",
     "oracle --trials 10 --seed 5",
     "oracle --pairs 3 --trials 40 --seed 11",
+    "oracle --holes-n 7 --lambda-sq 3 --pairs 3 --trials 1 --seed 5",
     "corr --n 257 --method optimal --tol 1e-12",
     "compare --n-list 33,257 --tol 1e-12 --format csv",
     "ball --n 2109",

@@ -21,6 +21,7 @@ from oracles import (
     normalized,
     one_pair_deviations_loop,
     quadratic_compose_then_project,
+    state_norm_sq,
 )
 
 from fermi_rpa import fock_oracle
@@ -39,7 +40,6 @@ from fermi_rpa.fock_oracle import (
     random_sector_state,
     sector_basis,
     sector_blocks,
-    state_norm_sq,
     vacuum,
     verify_almost_ccr,
     verify_c_commutator,
@@ -412,15 +412,32 @@ def test_coalesce_hand_cases():
     assert keys.shape == (0,) and amps.shape == (0,)
 
 
-def test_coalesce_gathers_repeats_in_chunks(monkeypatch):
-    # a chunk smaller than one pass must not change a bit
+def test_coalesce_matches_the_reference_on_repeated_keys():
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 50, 400)
     amps = rng.normal(size=400) + 1j * rng.normal(size=400)
-    whole = fock_oracle._coalesce(keys, amps)
-    monkeypatch.setattr(fock_oracle, "GATHER_CHUNK", 7)
-    assert_same_bits(fock_oracle._coalesce(keys, amps), whole)
-    assert_same_bits(whole, coalesce_reference(keys, amps))
+    assert_same_bits(fock_oracle._coalesce(keys, amps), coalesce_reference(keys, amps))
+    # key 5 repeats 1200 times among other keys: its real parts are
+    # integers and signed zeros that cancel exactly, its imaginary parts
+    # normals and signed zeros; key 6 holds only -0.0
+    real = rng.integers(-3, 4, 1200).astype(float)
+    real[-1] -= real.sum()
+    imag = rng.normal(size=1200)
+    imag[rng.random(1200) < 0.3] = 0.0
+    real[real == 0.0] *= rng.choice([-1.0, 1.0], int((real == 0.0).sum()))
+    imag[imag == 0.0] *= rng.choice([-1.0, 1.0], int((imag == 0.0).sum()))
+    assert np.signbit(real[real == 0.0]).any() and np.signbit(imag[imag == 0.0]).any()
+    keys = np.concatenate([np.full(1200, 5), np.full(20, 6), rng.integers(10, 60, 400)])
+    amps = np.concatenate([
+        real + 1j * imag,
+        np.full(20, complex(-0.0, -0.0)),
+        rng.normal(size=400) + 1j * rng.normal(size=400),
+    ])
+    shuffle = rng.permutation(len(keys))
+    keys, amps = keys[shuffle], amps[shuffle]
+    got = fock_oracle._coalesce(keys, amps)
+    assert_same_bits(got, coalesce_reference(keys, amps))
+    assert got[0][0] == 5 and got[1][0].real == 0.0 and not np.signbit(got[1][0].real)
 
 
 def test_compared_commutator_matches_the_summed_form():
@@ -1040,6 +1057,18 @@ def test_exact_checks_apply_each_distinct_image_once_per_column_group(monkeypatc
         calls.clear()
         check(modes, E1, l, xi, 5, 2)
         assert calls == {name: groups * count for name, count in expected.items()}
+
+
+@pytest.mark.parametrize("budgets", BUDGETS)
+def test_column_groups_are_labelled_in_key_order(monkeypatch, budgets):
+    # _labelled sorts nothing: every block state's keys ascend, and so do
+    # the labels, so each group's labelled keys strictly ascend
+    set_budgets(monkeypatch, budgets)
+    xi = integer_trials(build_mode_set(7, 2), 3, 3, 5)
+    groups = list(fock_oracle._column_groups(xi))
+    assert len(groups) > 1
+    for owners, (keys, _) in groups:
+        assert (np.diff(keys) > 0).all() and (keys[-1] >> fock_oracle.MODE_CAP) == len(owners) - 1
 
 
 def test_truncation_overflow(modes_7_2):
