@@ -123,12 +123,10 @@ def csv_text(header, rows) -> str:
 
 
 def _json_safe(obj):
-    """obj with dataclasses as dicts and every non-finite float as None (JSON null)."""
-    # imported where used: dataclasses loads inspect, which `ratio` never needs
-    from dataclasses import asdict, is_dataclass
-
-    if is_dataclass(obj):
-        obj = asdict(obj)
+    """obj with records as dicts and every non-finite float as None (JSON null)."""
+    # a record is a NamedTuple: asked first, or it would print as an array
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
@@ -299,8 +297,6 @@ def _cmd_corr(args) -> str:
 
 
 def _cmd_compare(args) -> str:
-    from dataclasses import astuple, fields
-
     v = read_potential(args.potential)
     try:
         ns = [int(x) for x in args.n_list.split(",") if x.strip()]
@@ -312,7 +308,7 @@ def _cmd_compare(args) -> str:
     reports = [report.energy_report(n, v, brackets, digest) for n in ns]
     if args.format == "csv":
         # the field order is the column order
-        return csv_text([f.name for f in fields(report.EnergyReport)], map(astuple, reports))
+        return csv_text(report.EnergyReport._fields, reports)
     return json_text(reports)
 
 
@@ -421,8 +417,9 @@ def _cmd_shells(args) -> str:
     if not lattice.fits_double(lattice.norm_sq(k)):  # the check a potential's momenta pass
         raise DomainError("|k|^2 of --k does not fit in a double")
     shells = _integers("--shells", args.shells)
-    # one level table up to the largest shell serves every shell
-    levels = dict(lattice.closed_shell_sizes(max(shells)))
+    # one level table up to the largest shell serves every shell; no point
+    # attains a negative level, so it is skipped as an unattained one is
+    levels = dict(lattice.closed_shell_sizes(max(0, *shells)))
     rows = []
     for radius_sq in shells:
         if radius_sq not in levels:

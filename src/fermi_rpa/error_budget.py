@@ -32,7 +32,6 @@ formed once per potential; a budget adds only the rows that read N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -148,8 +147,7 @@ def _logaddexp(*vals: float) -> float:
     return float(np.logaddexp.reduce(np.array(vals, dtype=float)))
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(NamedTuple):
     """Full audit record; the fields are the keys of the ``errors`` document."""
 
     a_constants: Tuple[float, float, float, float, float]

@@ -52,8 +52,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -81,37 +80,31 @@ State = Tuple[np.ndarray, np.ndarray]
 Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
 class ModeSet:
     """The truncated mode set as one (n_modes, 3) int64 array, holes first.
 
     Rows are in the global mode order: the first n_holes are the closed
     shell |h|^2 <= hole_radius_sq, the rest the particles up to
     lambda_sq.  ``mode_index`` answers every membership question (is
-    h + k a particle, is h + k - l a hole) with one grid lookup.
+    h + k a particle, is h + k - l a hole) with one grid lookup.  A mode
+    set compares by identity: it caches each k's pairs and each pair
+    cap's blocks as they are first asked for.
     """
 
-    modes: np.ndarray
-    n_holes: int
-    hole_radius_sq: int
-    lambda_sq: int
-    _grid: np.ndarray = field(init=False, repr=False)
-    _pairs: Dict[Momentum, Tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, default_factory=dict
-    )
-    _blocks: Dict[int, Dict[Momentum, np.ndarray]] = field(
-        init=False, repr=False, default_factory=dict
-    )
+    __slots__ = ("modes", "n_holes", "hole_radius_sq", "lambda_sq", "_grid", "_pairs", "_blocks")
 
-    def __post_init__(self):
-        n, m = self.n_holes, self.n_modes
+    def __init__(self, modes: np.ndarray, n_holes: int, hole_radius_sq: int, lambda_sq: int):
+        self.modes, self.n_holes = modes, n_holes
+        self.hole_radius_sq, self.lambda_sq = hole_radius_sq, lambda_sq
+        n, m = n_holes, self.n_modes
         if m > MODE_CAP:
             raise DomainError(f"mode set too large: {n}+{m - n} > {MODE_CAP}")
         # the cutoff ball plus a -1 border for clipped queries: side 2r + 1 <= 15
-        r = math.isqrt(self.lambda_sq) + 1
-        grid = np.full((2 * r + 1,) * 3, -1, dtype=np.int64)
-        grid[tuple((self.modes + r).T)] = np.arange(self.n_modes)
-        object.__setattr__(self, "_grid", grid)
+        r = math.isqrt(lambda_sq) + 1
+        self._grid = np.full((2 * r + 1,) * 3, -1, dtype=np.int64)
+        self._grid[tuple((modes + r).T)] = np.arange(m)
+        self._pairs: Dict[Momentum, Tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: Dict[int, Dict[Momentum, np.ndarray]] = {}
 
     @property
     def n_modes(self) -> int:
@@ -505,15 +498,14 @@ def _labels_differ(u: State, w: State, count: int) -> List[bool]:
 # --- verification reports ---------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check: str
     modeset: str
     seed: int
     trials: int
     max_ratio: float
-    violations: List[str] = field(default_factory=list)
-    details: Dict[str, float] = field(default_factory=dict)
+    violations: List[str]
+    details: Dict[str, float]
 
     def raise_if_violated(self) -> "VerificationReport":
         if self.violations:

@@ -24,7 +24,7 @@ reduction is a deterministic compensated sum of exact products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NumericalFailure
 from .lattice import FermiBall, ModelParams
@@ -32,8 +32,7 @@ from .potential import ZERO, Potential, finite_fsum, ieee_rows
 from .rpa_delocalized import CoefficientTable
 
 
-@dataclass(frozen=True)
-class HFEnergy:
+class HFEnergy(NamedTuple):
     kinetic: float
     direct: float
     exchange: float

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -81,23 +80,25 @@ def orbit_representative(k: Momentum) -> Momentum:
     return tuple(sorted(map(abs, k)))
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Particle count, hbar = n^(-1/3) and the continuum Fermi momentum kf = (3n/4pi)^(1/3)."""
+class ModelParams(NamedTuple("ModelParams", [("n", int), ("hbar", float), ("kf", float)])):
+    """Particle count, hbar = n^(-1/3) and the continuum Fermi momentum kf = (3n/4pi)^(1/3).
 
-    n: int
-    hbar: float = field(init=False)
-    kf: float = field(init=False)
+    An immutable value built from n alone, so equal n compare and hash alike.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"particle count must be positive, got {self.n}")
+    __slots__ = ()
+
+    def __new__(cls, n: int):
+        if n < 1:
+            raise DomainError(f"particle count must be positive, got {n}")
         # an n beyond double range reads as the largest double, whose k_F is inf too
-        kf = (3.0 * min(self.n, sys.float_info.max) / (4.0 * math.pi)) ** (1.0 / 3.0)
+        kf = (3.0 * min(n, sys.float_info.max) / (4.0 * math.pi)) ** (1.0 / 3.0)
         if not math.isfinite(kf):
             raise DomainError("particle count n is too large: k_F = (3n/4pi)^(1/3) is not finite")
-        object.__setattr__(self, "hbar", float(self.n) ** (-1.0 / 3.0))
-        object.__setattr__(self, "kf", kf)
+        return super().__new__(cls, n, float(n) ** (-1.0 / 3.0), kf)
+
+    def __getnewargs__(self):  # copy and pickle rebuild from n
+        return (self.n,)
 
 
 def _column_tops(radius_sq: int) -> np.ndarray:
@@ -168,8 +169,7 @@ def _ball_size(top: np.ndarray) -> int:
     return int(np.maximum(2 * top + 1, 0).sum())
 
 
-@dataclass(frozen=True)
-class FermiBall:
+class FermiBall(NamedTuple):
     """The closed-shell set B_F of the n lowest lattice modes.
 
     B_F is exactly {h : |h|^2 <= shell_radius_sq}, held as its column table
@@ -180,7 +180,7 @@ class FermiBall:
 
     n: int
     shell_radius_sq: int
-    column_tops: np.ndarray = field(repr=False, compare=False)
+    column_tops: np.ndarray
 
     def norm_sq_sum(self) -> int:
         """Exact sum of |h|^2 over B_F: (x^2+y^2)(2Z+1) + Z(Z+1)(2Z+1)/3 per column."""

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, TypeVar
 
 import numpy as np
 
@@ -49,7 +48,6 @@ ZERO: Momentum = (0, 0, 0)
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
 class Potential:
     """V as a dict ``coeffs`` and as columns of its nonzero support in mode order.
 
@@ -61,19 +59,22 @@ class Potential:
     cubic-orbit representatives in the order ``ks`` first meets them.
     Readers zip the columns by position; none of them can be mutated.  The
     columns follow from ``coeffs``, so ``==`` compares only ``coeffs`` and
-    ``support_radius_sq``.  ``once`` keeps the quantities of V alone (sums
-    over the support, the kernel), so a potential forms each of them once
-    for every particle count.
+    ``support_radius_sq``, and a potential, holding a dict, has no hash.
+    ``once`` keeps the quantities of V alone (sums over the support, the
+    kernel), so a potential forms each of them once for every particle count.
     """
 
-    coeffs: Dict[Momentum, float]
-    support_radius_sq: int
-    ks: Tuple[Momentum, ...] = field(compare=False, repr=False)
-    kn: np.ndarray = field(compare=False, repr=False)
-    vs: np.ndarray = field(compare=False, repr=False)
-    orbits: Tuple[Momentum, ...] = field(compare=False, repr=False)
-    orbit: np.ndarray = field(compare=False, repr=False)
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("coeffs", "support_radius_sq", "ks", "kn", "vs", "orbits", "orbit", "_derived")
+
+    def __init__(self, coeffs, support_radius_sq, ks, kn, vs, orbits, orbit):
+        self.coeffs, self.support_radius_sq = coeffs, support_radius_sq
+        self.ks, self.kn, self.vs, self.orbits, self.orbit = ks, kn, vs, orbits, orbit
+        self._derived = {}
+
+    def __eq__(self, other):  # defining __eq__ leaves __hash__ None
+        if type(other) is not Potential:
+            return NotImplemented
+        return (self.coeffs, self.support_radius_sq) == (other.coeffs, other.support_radius_sq)
 
     def value(self, k: Momentum) -> float:
         return self.coeffs.get(tuple(k), 0.0)

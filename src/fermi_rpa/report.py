@@ -7,7 +7,7 @@ coefficient tables of its own N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import second_order_ratio
 from .error_budget import assemble_error_budget
@@ -32,8 +32,7 @@ def potential_digest(v: Potential) -> str:
     return hashlib.sha256(serialize_potential(v).encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """One row of the comparison table; the field order is the CSV column order."""
 
     n: int

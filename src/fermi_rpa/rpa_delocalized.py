@@ -46,8 +46,7 @@ on the exact table the first is -(1/(2 hbar^2 N^2)) sum_k V(k)^2 n_k^4 / (2 k.f(
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,8 +68,7 @@ SECOND_ORDER_PREFACTOR = (math.pi / 2.0) * (9.0 / 32.0)
 Source = Union[FermiBall, ModelParams]
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Quadratic-form coefficients of every nonzero support momentum, by column.
 
     Row i is the momentum ``ks[i]``, the potential's tuple ``v.ks``; ``alpha``, ``beta``, ``nk2`` and

@@ -14,9 +14,13 @@ import fermi_rpa.cli as cli
 import fermi_rpa.fock_oracle as fock_oracle
 import fermi_rpa.lattice as lattice
 from fermi_rpa.cli import main
+from fermi_rpa.error_budget import ErrorBudget
 from fermi_rpa.errors import BoundViolation, DomainError, FermiRpaError, NumericalFailure, ParseError
+from fermi_rpa.fock_oracle import VerificationReport
+from fermi_rpa.hf import HFEnergy
 from fermi_rpa.lattice import ModelParams
 from fermi_rpa.potential import make_potential, serialize_potential
+from fermi_rpa.report import EnergyReport
 
 CORR_METHODS = ("delocalized-exact", "delocalized-asym", "optimal", "so-deloc", "so-opt")
 
@@ -92,6 +96,7 @@ def test_hf_json(capsys, potential_file):
     code, out, _ = run_cli(capsys, "hf", "--n", "33", "--potential", potential_file)
     assert code == 0
     payload = json.loads(out)
+    assert sorted(payload) == sorted(HFEnergy._fields)
     assert payload["total"] == pytest.approx(
         payload["kinetic"] + payload["direct"] - payload["exchange"]
     )
@@ -154,6 +159,7 @@ def test_compare_json(capsys, potential_file):
     )
     assert code == 0
     payload = json.loads(out)
+    assert [sorted(row) for row in payload] == [sorted(EnergyReport._fields)]
     assert payload[0]["n"] == 33
     assert payload[0]["so_ratio"] == pytest.approx(0.9165631931074489, abs=1e-12)
 
@@ -170,6 +176,8 @@ def test_errors_budget_json(capsys, potential_file):
     code, out, _ = run_cli(capsys, "errors", "--n", "33", "--potential", potential_file)
     assert code == 0
     payload = json.loads(out)
+    assert sorted(payload) == sorted(ErrorBudget._fields)
+    assert isinstance(payload["a_constants"], list) and len(payload["a_constants"]) == 5
     assert payload["n"] == 33
     assert payload["log_total_times_n"] == pytest.approx(
         payload["log_total"] + math.log(33)
@@ -242,6 +250,7 @@ def test_oracle_reports(capsys):
     # stream of JSON objects, one per check
     chunks = out.replace("}\n{", "}\n\x00{").split("\x00")
     reports = [json.loads(c) for c in chunks]
+    assert all(sorted(r) == sorted(VerificationReport._fields) for r in reports)
     assert [r["check"] for r in reports] == [
         "almost_ccr",
         "almost_ccr",
@@ -806,6 +815,15 @@ def test_shells_skips_a_level_no_lattice_point_attains(capsys):
     code, out, err = run_cli(capsys, "shells", "--shells", "4,7")
     assert (code, err) == (0, "skipping 7: not an attained level\n")
     assert [line.split(",")[0] for line in out.splitlines()] == ["shell_radius_sq", "4"]
+
+
+@pytest.mark.parametrize("shells, rows", [("-4", []), ("-4,4", ["4"])])
+def test_shells_skips_a_negative_level(capsys, shells, rows):
+    # no lattice point has a negative |h|^2: skipped as level 7 is, even when alone
+    # (joined with =, or argparse reads -4,4 as an option)
+    code, out, err = run_cli(capsys, "shells", f"--shells={shells}")
+    assert (code, err) == (0, "skipping -4: not an attained level\n")
+    assert [line.split(",")[0] for line in out.splitlines()] == ["shell_radius_sq", *rows]
 
 
 # stdout of each command recorded once, byte for byte; every listed command

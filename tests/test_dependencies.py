@@ -10,9 +10,11 @@ classes of ``errors.py``, so the exception type alone decides the CLI exit
 code, and any other exception is a bug.  Only ``cli.main`` writes to
 stdout, and no module calls ``print``, so one place owns the printed bytes.
 Each command runs only the modules it calls into: ``ratio`` runs none of
-them and loads neither numpy nor ``dataclasses``, ``shells`` runs only
+them and loads neither numpy nor ``inspect``, ``shells`` runs only
 ``lattice``, and only ``oracle`` runs the Fock oracle, which draws its
-trial states without ``numpy.random`` and never loads ``numpy.ma``.
+trial states without ``numpy.random`` and never loads ``numpy.ma``.  The
+package's records are NamedTuples and plain classes, so no command loads
+``dataclasses`` or ``copy``.
 """
 
 import ast
@@ -103,23 +105,28 @@ def test_ratio_runs_no_module_and_loads_no_numpy():
 
 
 def test_ratio_loads_neither_dataclasses_nor_inspect():
-    # dataclasses imports inspect; numpy loads inspect too, so only ratio could skip both
+    # numpy loads inspect, so only ratio can skip it
     _, loaded = modules_run_by(["ratio"])
     assert loaded.isdisjoint({"dataclasses", "inspect"})
-    _, loaded = modules_run_by(["compare", "--n-list", "33"])
-    assert {"dataclasses", "inspect"} <= loaded
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "hf --n 33",
-        "corr --n 33 --method delocalized-exact",
-        "errors --n 33 --backend exact",
-        "compare --n-list 33",
-        "scan --n 33 --scales 3:4",
-    ],
-)
+LATTICE_COMMANDS = [
+    "hf --n 33",
+    "corr --n 33 --method delocalized-exact",
+    "errors --n 33 --backend exact",
+    "compare --n-list 33",
+    "scan --n 33 --scales 3:4",
+]
+
+
+@pytest.mark.parametrize("argv", [*LATTICE_COMMANDS, "shells --shells 4", "oracle --trials 1"])
+def test_no_command_loads_dataclasses(argv):
+    # every record is a NamedTuple or a plain class, and JSON reads records through _asdict
+    _, loaded = modules_run_by(argv.split())
+    assert loaded.isdisjoint({"dataclasses", "copy"})
+
+
+@pytest.mark.parametrize("argv", LATTICE_COMMANDS)
 def test_lattice_commands_run_no_fock_oracle(argv):
     ran, _ = modules_run_by(argv.split())
     assert "lattice" in ran and "fock_oracle" not in ran

@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -163,7 +162,7 @@ def test_budget_reports_crossover(demo_potential):
     assert budget.log_crossover_n > math.log(1e12)
     # at desk scale the bound exceeds the signal
     assert budget.log_total > budget.log_signal
-    payload = asdict(budget)
+    payload = budget._asdict()
     assert set(payload) == {
         "a_constants",
         "c_small",

@@ -152,6 +152,12 @@ def test_mode_set_seven_two(modes_7_2):
     assert len(set(map(tuple, particles))) == 12
 
 
+def test_mode_sets_compare_by_identity(modes_7_2):
+    # each holds its own caches: two builds of one set are two mode sets
+    assert build_mode_set(7, 2) != build_mode_set(7, 2)
+    assert modes_7_2 == modes_7_2
+
+
 def test_mode_index_inverts_the_mode_array():
     for n, lambda_sq in MODE_SETS:
         modes = build_mode_set(n, lambda_sq)

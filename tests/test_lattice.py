@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -225,6 +226,15 @@ def test_lune_count_along_an_axis_is_the_circle_count():
         r = math.isqrt(radius_sq)
         circle = sum(2 * math.isqrt(radius_sq - y * y) + 1 for y in range(-r, r + 1))
         assert lune_count(build_fermi_ball(n), (1, 0, 0)) == circle
+
+
+def test_model_params_is_an_immutable_value():
+    params = ModelParams(7)
+    assert params == ModelParams(7) and hash(params) == hash(ModelParams(7))
+    assert params != ModelParams(33)
+    assert copy.copy(params) == params  # rebuilt from n
+    with pytest.raises(AttributeError):
+        params.hbar = 1.0
 
 
 def test_nk_asymptotic_zero():

@@ -105,6 +105,14 @@ def test_round_trip(load, demo_potential):
     assert load(serialize_potential(demo_potential)) == demo_potential
 
 
+def test_potential_compares_coefficients_and_radius_and_has_no_hash(demo_potential):
+    coeffs, radius_sq = dict(demo_potential.coeffs), demo_potential.support_radius_sq
+    assert make_potential(coeffs, radius_sq) == demo_potential
+    assert make_potential(coeffs, radius_sq + 1) != demo_potential
+    with pytest.raises(TypeError):
+        hash(demo_potential)
+
+
 @pytest.mark.parametrize(
     "terms",
     [

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict, astuple, fields
 
 import pytest
 
@@ -28,11 +27,12 @@ def test_report_invariants(demo_potential):
 
 def test_report_serialization(demo_potential):
     rep = report_at(33, demo_potential)
-    columns = [f.name for f in fields(EnergyReport)]
-    payload = asdict(rep)
+    columns = list(EnergyReport._fields)
+    payload = rep._asdict()
     assert list(payload) == columns
+    assert tuple(payload.values()) == rep
     json.dumps(payload)  # JSON-safe
-    lines = csv_text(columns, [astuple(rep)]).strip().splitlines()
+    lines = csv_text(columns, [rep]).strip().splitlines()
     assert lines[0] == ",".join(columns)
     assert len(lines) == 2
 
