@@ -14,18 +14,22 @@ scan     CSV of both correlation energies against their second orders by couplin
 shells   CSV of exact lattice counts against their continuum forms by shell
 
 Flags are the only run settings; no file or environment variable is read.
-``--tol`` (``corr``, ``compare``, ``scan``; ``--tol X`` or ``--tol=X``)
-defaults to ``fermi_rpa.DEFAULT_TOL`` = 1e-10 and must be finite and > 0
-for every method; ``oracle --pairs`` defaults to 2, and it and
-``--trials`` must be >= 1; ``--seed`` must be >= 0; every exponent of
-``scan --scales lo:hi`` must lie in ``SCALES``.
+``--tol`` (``corr``, ``compare``, ``scan``) defaults to
+``fermi_rpa.DEFAULT_TOL`` = 1e-10 and must be finite and > 0 for every
+method; ``oracle --pairs`` defaults to 2, and it and ``--trials`` must be
+>= 1; ``--seed`` must be >= 0; every exponent of ``scan --scales lo:hi``
+must lie in ``SCALES``.  A value of one of ``VALUE_FLAGS`` may start with
+"-", given joined or as the next token (``--k=-1,0,0`` or ``--k -1,0,0``).
 
 Each command runs only the package modules it calls into.  Every module is
 registered lazily at import (in ``sys.modules`` and on the package, run
 when its first attribute is read), and each ``_cmd_*`` calls through the
-module, as in ``lattice.build_fermi_ball``.  The ``--tol`` default and the
-``ratio`` value live beside ``__version__``, so building the parser runs
-none of them and ``ratio`` loads no numpy.
+module, as in ``lattice.build_fermi_ball``.  The ``--tol`` default and
+check and the ``ratio`` value live beside ``__version__``, so building
+the parser runs none of them.  Only ``quadrature``, ``rpa_optimal`` and
+``fock_oracle`` import numpy, so ``ratio`` and the lattice commands
+(``ball``, ``nk``, ``hf``, ``errors``, ``shells`` and ``corr`` but for
+``optimal`` and ``so-opt``) load none.
 
 Exit codes: 0 success, 1 usage or validation error (message names the
 violated invariant), 2 numerical failure (quadrature convergence,
@@ -54,7 +58,7 @@ import json
 import math
 import sys
 
-from . import DEFAULT_TOL, __version__, second_order_ratio
+from . import DEFAULT_TOL, __version__, checked_tol, second_order_ratio
 from .errors import DomainError, FermiRpaError
 
 
@@ -240,12 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ball(args) -> str:
-    ball = lattice.build_fermi_ball(args.n)
+    # the shell alone: the ball's rows are never read here
+    radius_sq = lattice.closed_shell_radius_sq(args.n)
     params = lattice.ModelParams(args.n)
     return json_text(
         {
-            "n": ball.n,
-            "shell_radius_sq": ball.shell_radius_sq,
+            "n": args.n,
+            "shell_radius_sq": radius_sq,
             "kf_continuum": params.kf,
             "hbar": params.hbar,
         }
@@ -258,7 +263,7 @@ def _cmd_nk(args) -> str:
     v = read_potential(args.potential)
     table = rpa_delocalized.coefficient_table(ball, v)
     rows = []
-    for k, nk2 in zip(table.ks, table.nk2.tolist()):
+    for k, nk2 in zip(table.ks, table.nk2):
         exact = math.sqrt(nk2)
         asym = lattice.nk_asymptotic(params, k)  # > 0 on the lens domain
         rows.append((f"({k[0]} {k[1]} {k[2]})", exact, asym, abs(exact / asym - 1.0)))
@@ -428,7 +433,7 @@ def _cmd_shells(args) -> str:
         n = levels[radius_sq]
         ball = lattice.build_fermi_ball(n)
         params = lattice.ModelParams(n)
-        count, kf_exact = lattice.kinetic_coefficient(ball, k)  # one column pass
+        count, kf_exact = lattice.kinetic_coefficient(ball, k)  # one row pass
         nk_exact, nk_asym = math.sqrt(count), lattice.nk_asymptotic(params, k)
         kf_asym = lattice.kinetic_coefficient_asymptotic(params, k)
         kin = params.hbar**2 * float(ball.norm_sq_sum()) / n  # as hf_energy's kinetic part
@@ -439,13 +444,23 @@ def _cmd_shells(args) -> str:
     return csv_text(SHELLS_HEADER.split(","), rows)
 
 
+# the flags whose value may start with "-": a number or a list of numbers
+VALUE_FLAGS = ("--k", "--shells", "--scales", "--n-list", "--tol")
+
+
+def _is_value(token: str) -> bool:
+    """Whether a token reads as a number or a list of them, split at "," or ":"."""
+    return all(map(_is_float, token.replace(":", ",").split(",")))
+
+
 def main(argv=None) -> int:
-    # argparse reads a separate -1e-10 or -inf as an option (its negative-number
-    # pattern has no exponent and no inf), so join each such value to its --tol
+    # argparse reads a separate -1,0,0, -3:-1, -1e-10 or -inf as an option (its
+    # negative-number pattern has no list, exponent or inf), so join each
+    # value flag to a following token that reads as a value
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--tol" and _is_float(argv[i + 1]):
-            argv[i : i + 2] = [f"--tol={argv[i + 1]}"]
+        if argv[i] in VALUE_FLAGS and _is_value(argv[i + 1]):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -458,7 +473,7 @@ def main(argv=None) -> int:
             if value == []:
                 raise FermiRpaError(f"--{name.replace('_', '-')} needs a value, got '--'")
         if hasattr(args, "tol"):  # corr (every method), compare and scan
-            quadrature.checked_tol(args.tol)
+            checked_tol(args.tol)
         text = args.run(args)
     except FermiRpaError as exc:  # any other exception is a bug: let it escape
         # a failed command prints nothing but a bound violation's report

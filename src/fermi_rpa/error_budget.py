@@ -31,18 +31,18 @@ formed once per potential; a budget adds only the rows that read N.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams
-from .potential import Potential, ieee_rows, l1_norm
+from .potential import Potential, l1_norm
 from .rpa_delocalized import CoefficientTable, correlation_delocalized
 
 C_SMALL = 4.0 * (9.0 * math.pi / 16.0) ** (2.0 / 3.0)
 PARTICLE_ESCAPE_CONSTANT = (6.0 / math.pi) ** (1.0 / 3.0)
+_LOG_2 = math.log(2.0)
 
 
 def _fsum(terms: Iterable[float]) -> float:
@@ -65,25 +65,22 @@ def a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
     return v.once(_a_constants)
 
 
-@ieee_rows
 def _a_constants(v: Potential) -> Tuple[float, float, float, float, float]:
-    arg = 1.0 + C_SMALL * v.vs
-    bad = np.flatnonzero(arg <= 0.0)
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(f"1 + c*V(k) = {float(arg[i]):.6g} <= 0 at k = {v.ks[i]}")
-    args = arg.tolist()
-    logs = np.array([abs(math.log(a)) for a in args])
-    root = np.sqrt(arg)
-    root_kn = np.sqrt(v.kn)
-    val = np.abs(v.vs)
-    quarter = np.array([a ** 0.25 for a in args])
+    args = [1.0 + C_SMALL * x for x in v.vs]
+    for k, arg in zip(v.ks, args):
+        if arg <= 0.0:
+            raise DomainError(f"1 + c*V(k) = {arg:.6g} <= 0 at k = {k}")
+    logs = [abs(math.log(a)) for a in args]
+    root = list(map(math.sqrt, args))
+    root_kn = list(map(math.sqrt, v.kn))
+    val = list(map(abs, v.vs))
+    quarter = [a ** 0.25 for a in args]
     return (
-        _fsum(logs.tolist()),
-        _fsum((val * root).tolist()),
-        _fsum((val * root * root_kn).tolist()),
-        _fsum((logs * root * root_kn).tolist()),
-        _fsum((quarter * root_kn).tolist()),
+        _fsum(logs),
+        _fsum([x * r for x, r in zip(val, root)]),
+        _fsum([x * r * q for x, r, q in zip(val, root, root_kn)]),
+        _fsum([x * r * q for x, r, q in zip(logs, root, root_kn)]),
+        _fsum([x * q for x, q in zip(quarter, root_kn)]),
     )
 
 
@@ -91,15 +88,14 @@ class _Kernel(NamedTuple):
     """The budget's kernel terms, by row of the potential's columns: all of V alone."""
 
     xi: List[float]  # X(k)
-    x: np.ndarray  # |X(k)|
-    exp: np.ndarray  # e^|X(k)|
-    sinh: np.ndarray  # sinh |X(k)|
-    quad_lin: np.ndarray  # 4 sinh |X(k)| + 2 cosh |X(k)|
-    v_abs: np.ndarray  # |V(k)|
+    x: List[float]  # |X(k)|
+    exp: List[float]  # e^|X(k)|
+    sinh: List[float]  # sinh |X(k)|
+    quad_lin: List[float]  # 4 sinh |X(k)| + 2 cosh |X(k)|
+    v_abs: List[float]  # |V(k)|
     c_n: Dict[str, float]  # Gronwall exponent C_n(X) keyed by the order n
 
 
-@ieee_rows
 def _kernel(v: Potential) -> _Kernel:
     """Kernel X(k) = -(1/4) log(1 + c V(k)) on the support minus {0}, in mode order.
 
@@ -112,21 +108,20 @@ def _kernel(v: Potential) -> _Kernel:
     The kernel is even because V is.  It is formed once per potential,
     through ``v.once(_kernel)``.
     """
-    arg = C_SMALL * v.vs
-    bad = np.flatnonzero(arg <= -1.0)
-    if bad.size:
-        raise DomainError(f"1 + c*V(k) <= 0 at k = {v.ks[int(bad[0])]}")
-    xi = [-0.25 * math.log1p(a) for a in arg.tolist()]
+    arg = [C_SMALL * x for x in v.vs]
+    for k, a in zip(v.ks, arg):
+        if a <= -1.0:
+            raise DomainError(f"1 + c*V(k) <= 0 at k = {k}")
+    xi = [-0.25 * math.log1p(a) for a in arg]
     x = list(map(abs, xi))
-    cosh = np.array([math.cosh(a) for a in x])
-    sinh = np.array([math.sinh(a) for a in x])
+    sinh = list(map(math.sinh, x))
     return _Kernel(
         xi=xi,
-        x=np.array(x),
-        exp=np.array([math.exp(a) for a in x]),
+        x=x,
+        exp=list(map(math.exp, x)),
         sinh=sinh,
-        quad_lin=4.0 * sinh + 2.0 * cosh,
-        v_abs=np.abs(v.vs),
+        quad_lin=[4.0 * s + 2.0 * math.cosh(a) for s, a in zip(sinh, x)],
+        v_abs=list(map(abs, v.vs)),
         c_n={str(m): particle_number_constant(xi, m) for m in (1, 2, 3)},
     )
 
@@ -143,8 +138,21 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _logaddexp2(x: float, y: float) -> float:
+    """log(e^x + e^y) as numpy's logaddexp forms it, on libm's exp and log1p."""
+    if x == y:  # equal infinities too
+        return x + _LOG_2
+    gap = x - y
+    if gap > 0.0:
+        return x + math.log1p(math.exp(-gap))
+    if gap <= 0.0:
+        return y + math.log1p(math.exp(gap))
+    return gap  # a nan
+
+
 def _logaddexp(*vals: float) -> float:
-    return float(np.logaddexp.reduce(np.array(vals, dtype=float)))
+    """log(sum_i e^(vals[i])), a left fold of ``_logaddexp2`` as ``np.logaddexp.reduce`` makes it."""
+    return functools.reduce(_logaddexp2, vals)
 
 
 class ErrorBudget(NamedTuple):
@@ -163,7 +171,6 @@ class ErrorBudget(NamedTuple):
     n: int
 
 
-@ieee_rows
 def assemble_error_budget(
     table: CoefficientTable, continuum: CoefficientTable, v: Potential
 ) -> ErrorBudget:
@@ -190,18 +197,20 @@ def assemble_error_budget(
     escape = PARTICLE_ESCAPE_CONSTANT * n ** (1.0 / 3.0)
 
     # weighted kernel sums S_k = sum_m |X(m)| / (n_m n_k) = s_base / n_k
-    n_k = np.sqrt(table.nk2)
-    s_base = _fsum((kernel.x / n_k).tolist())
-    s_k = s_base / n_k
+    n_k = list(map(math.sqrt, table.nk2))
+    s_base = _fsum([x / root for x, root in zip(kernel.x, n_k)])
+    s_k = [s_base / root for root in n_k]
     # the squares are Python's ** (libm pow), one row at a time
-    nk2 = np.array([a ** 2 for a in n_k.tolist()])
-    s_k_sq = np.array([a ** 2 for a in s_k.tolist()])
+    nk2 = [root ** 2 for root in n_k]
+    s_k_sq = [s ** 2 for s in s_k]
     x, e_x, sinh, v_abs = kernel.x, kernel.exp, kernel.sinh, kernel.v_abs
-    inner_quad_sq = (v_abs * nk2 * e_x * e_x * s_k_sq).tolist()
-    inner_quad_lin = (v_abs * nk2 * kernel.quad_lin * e_x * s_k).tolist()
-    inner_kin_diag = (2.0 * x * np.abs(table.kdotf) * sinh * e_x * 2.0 * s_k).tolist()
+    inner_quad_sq = [a * b * e * e * s for a, b, e, s in zip(v_abs, nk2, e_x, s_k_sq)]
+    inner_quad_lin = [a * b * c * e * s for a, b, c, e, s in zip(v_abs, nk2, kernel.quad_lin, e_x, s_k)]
+    inner_kin_diag = [
+        2.0 * a * abs(f) * b * e * 2.0 * s for a, f, b, e, s in zip(x, table.kdotf, sinh, e_x, s_k)
+    ]
     # sum_l |X(l)|/(n_k n_l) collapses to S_k
-    inner_kin_off = (escape * v.kn * s_k * (sinh + e_x * s_k)).tolist()
+    inner_kin_off = [escape * kn * s * (b + e * s) for kn, s, b, e in zip(v.kn, s_k, sinh, e_x)]
 
     log_eps1 = _logaddexp(
         c3 + _log(32.0 / n * _fsum(inner_quad_sq)),

@@ -57,15 +57,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import BoundViolation, DomainError, NumericalFailure
-from .lattice import (
-    ModelParams,
-    Momentum,
-    _column_tops,
-    _expand_columns,
-    build_fermi_ball,
-    negate,
-    norm_sq,
-)
+from .lattice import ModelParams, Momentum, build_fermi_ball, negate, norm_sq
 from .potential import Potential
 
 MODE_CAP = 40
@@ -153,6 +145,15 @@ class ModeSet:
         )
 
 
+def _cutoff_modes(lambda_sq: int) -> np.ndarray:
+    """The points of {|h|^2 <= lambda_sq} as an (m, 3) array in the global mode
+    order: |h|^2, then lexicographic (a stable sort of the lexicographic scan)."""
+    span = range(-math.isqrt(lambda_sq), math.isqrt(lambda_sq) + 1)
+    points = [(x, y, z) for x in span for y in span for z in span if x * x + y * y + z * z <= lambda_sq]
+    points.sort(key=norm_sq)
+    return np.array(points, dtype=np.int64)
+
+
 def build_mode_set(n: int, lambda_sq: int) -> ModeSet:
     """Fermi ball of n holes plus all particle modes up to the cutoff.
 
@@ -169,7 +170,7 @@ def build_mode_set(n: int, lambda_sq: int) -> ModeSet:
     if 1 + 6 * math.isqrt(lambda_sq) > MODE_CAP:
         raise DomainError(f"cutoff {lambda_sq} gives more than {MODE_CAP} modes")
     return ModeSet(
-        modes=_expand_columns(_column_tops(lambda_sq)),
+        modes=_cutoff_modes(lambda_sq),
         n_holes=n,
         hole_radius_sq=shell,
         lambda_sq=lambda_sq,
@@ -753,7 +754,7 @@ def _apply_quadratic(
     room = np.bitwise_count(keys & ((1 << modes.n_modes) - 1)) <= 2 * (max_pairs - 2)
     low = keys[room], amps[room]  # the input of b*_k b*_{-k}
     pieces = []
-    for k, value in zip(v.ks, v.vs.tolist()):
+    for k, value in zip(v.ks, v.vs):
         weight = value / (2.0 * params.n)
         if weight == 0.0 or modes.lune_size(k) == 0:
             continue
@@ -835,7 +836,7 @@ def verify_quadratic_interaction(
     heads = list(trial_blocks.values())[:5]  # trial j in block j
     trials = random_sector_state(heads, random.Random(seed), 5)
     psi = _labelled([block for trial in trials for block in trial])
-    support = [(k, w) for k, w in zip(v.ks, v.vs.tolist()) if modes.lune_size(k) > 0]
+    support = [(k, w) for k, w in zip(v.ks, v.vs) if modes.lune_size(k) > 0]
     one_pair = [(k, w) for k, w in support if w != 0.0]  # phi_k = b*_k|0> / n_k, in P = k
     read = {(0, 0, 0), *list(trial_blocks)[:5], *dict(one_pair)}
     basis = np.concatenate([keys for p, keys in blocks.items() if p in read])

@@ -17,8 +17,9 @@ the pair-summed convention.  The exchange double sum reduces to one
 count per transfer momentum, the modes that stay inside the ball,
 N - n_k^2, read from the n_k^2 column of the exact coefficient table (N
 at k = 0), so Hartree-Fock adds no lattice pass of its own; the kinetic
-sum is closed form per column.  Both counts are exact integers, so the final
-reduction is a deterministic compensated sum of exact products.
+sum reads the point count of each x-row of the ball.  Both counts are
+exact integers, so the final reduction is a deterministic compensated
+sum of exact products.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, NumericalFailure
 from .lattice import FermiBall, ModelParams
-from .potential import ZERO, Potential, finite_fsum, ieee_rows
+from .potential import ZERO, Potential, finite_fsum
 from .rpa_delocalized import CoefficientTable
 
 
@@ -39,7 +40,6 @@ class HFEnergy(NamedTuple):
     total: float
 
 
-@ieee_rows
 def hf_energy(table: CoefficientTable, v: Potential, half_prefactor: bool = False) -> HFEnergy:
     """Evaluate the plane-wave Hartree-Fock energy, total = kin + dir - exch.
 
@@ -55,7 +55,7 @@ def hf_energy(table: CoefficientTable, v: Potential, half_prefactor: bool = Fals
     kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())
     direct = ball.n * v.value(ZERO)
     # the stay counts N - n_k^2 weighted by V(k)
-    terms = (v.vs * (ball.n - table.nk2)).tolist()
+    terms = [x * (ball.n - nk2) for x, nk2 in zip(v.vs, table.nk2)]
     if ZERO in v.coeffs:  # first in mode order; every mode stays at k = 0
         terms.insert(0, v.coeffs[ZERO] * ball.n)
     exchange = finite_fsum(terms, "Hartree-Fock exchange sum") / ball.n

@@ -16,29 +16,44 @@ volumes (overlap of two balls of Fermi radius displaced by k):
     k.f(k) ~ |k| * N^(1/3) * (4/(3*sqrt(pi)))^(2/3).
 
 A closed shell |h|^2 <= R^2 is exactly one z-interval [-Z, Z] per (x, y)
-column, Z(x, y) = isqrt(R^2 - x^2 - y^2).  The ball therefore stores its
-column table (about pi*R^2 ~ 2.1*N^(2/3) columns) instead of N points, and
-a shift by k is one interval intersection per column: the stay count
-#{h : h+k in B_F} is the summed overlap length and n_k^2 = N - stay.  That
-one pass is the only lattice count, because the ball is centrally
-symmetric and so n_k^2 * k.f(k) = N|k|^2 exactly (see
+column, Z(x, y) = isqrt(R^2 - x^2 - y^2), r = isqrt(R^2).  The ball holds
+one Python int per x-row: a bitset over the (y, z) cells of the row, in
+which column y owns a slot of W >= 2r + 1 bits (whole bytes) and z sets
+bit r + z of that slot.  Each row is one join of the cached slot patterns
+of its columns, and rows x and -x are one int, so the ball costs about
+N/8 bytes and no N x 3 array.  Shifting a row right by k_y W + k_z moves
+every cell (y + k_y, z + k_z) onto (y, z), so the stay count
+#{h : h+k in B_F} is
+
+    sum_x bit_count(row[x] & mask & (row[x + k_x] >> (k_y W + k_z)))
+
+and n_k^2 = N - stay; the mask keeps the low W - k_z bits of each slot,
+the cells whose z + k_z stays in their own column.  The pass runs at a
+member of the cubic orbit of k with k_x >= k_y >= k_z >= 0, so every
+shift is to the right, and every |k_i| >= 2r + 1 leaves no row.
+B_F = -B_F makes the stay set S satisfy S + k = -S, and h -> -h - k maps
+row x onto row -x - k_x, so the two rows of each pair have one count: a
+pass ANDs about r rows of O(N^(2/3)) bits each, O(N) bits in machine
+words.  That one pass is the only lattice count, because the ball is
+centrally symmetric and so n_k^2 * k.f(k) = N|k|^2 exactly (see
 ``kinetic_coefficient``).  A closed shell is also invariant under the 48
 signed permutations of the axes, so n_k^2 depends on k only through its
-cubic orbit (``orbit_representative``): a table needs one column pass per
-orbit, not per momentum (33 passes for the 738 momenta with |k|^2 <= 30).
-Each pass costs O(N^(2/3)); the N x 3 mode array is expanded from the
-column table only on demand (tiny N).
+cubic orbit (``orbit_representative``): a table needs one pass per orbit,
+not per momentum (33 passes for the 738 momenta with |k|^2 <= 30).  The
+shell radius is found by bisection on ball sizes, each a sum of isqrt
+over a quadrant of columns.
 
-All lattice sums are integer-exact; floats appear only on output.
+All lattice sums are integer-exact Python ints; floats appear only on
+output.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import List, NamedTuple, Tuple
-
-import numpy as np
+from array import array
+from itertools import accumulate
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError
 
@@ -49,7 +64,7 @@ KINETIC_SHAPE_CONSTANT = (4.0 / (3.0 * math.sqrt(math.pi))) ** (2.0 / 3.0)
 # (3*sqrt(pi)/4)^(2/3): continuum value of n_k^2 / (|k| N hbar)
 LUNE_SHAPE_CONSTANT = (3.0 * math.sqrt(math.pi) / 4.0) ** (2.0 / 3.0)
 # the largest radius^2 closed_shell_sizes tabulates and build_fermi_ball
-# builds: 4188781437 modes, and column arrays of (2*1000 + 1)^2 entries (32 MB each)
+# builds: 4188781437 modes, in rows of about 500 MB together
 LEVEL_CAP = 10**6
 
 
@@ -101,38 +116,48 @@ class ModelParams(NamedTuple("ModelParams", [("n", int), ("hbar", float), ("kf",
         return (self.n,)
 
 
-def _column_tops(radius_sq: int) -> np.ndarray:
-    """Z(x, y) = isqrt(radius_sq - x^2 - y^2) on the grid [-r, r]^2, -1 off the ball.
+def _ball_size(radius_sq: int) -> int:
+    """#{h : |h|^2 <= radius_sq}, counted by how many coordinates are zero.
 
-    Entry [x + r, y + r] is the top of the z-interval [-Z, Z] of column
-    (x, y), r = isqrt(radius_sq); -1 marks a column outside the ball, whose
-    interval [1, -1] is empty.
+    With Z(x, y) = isqrt(radius_sq - x^2 - y^2) summed over the quadrant
+    x, y >= 1 as Q (by the x <-> y symmetry) and A = sum_{x >= 1} Z(x, 0),
+    the points with no zero coordinate number 8Q, those with one 12A,
+    those on the axes 6r, and the origin 1.
     """
-    r = math.isqrt(radius_sq)
-    ax = np.arange(-r, r + 1, dtype=np.int64)
-    rest = radius_sq - (ax[:, None] ** 2 + ax[None, :] ** 2)
-    top = np.sqrt(np.maximum(rest, 0)).astype(np.int64)
-    # exact integer square root: undo a float rounding either way; rest < 0 gives -1
-    top -= top * top > rest
-    top += (top + 1) * (top + 1) <= rest
-    return top
+    isqrt = math.isqrt
+    r = isqrt(radius_sq)
+    quadrant = axis = 0
+    for x in range(1, r + 1):
+        m = radius_sq - x * x
+        top = isqrt(m)
+        axis += top
+        # y < x counts for (x, y) and (y, x); y = x once
+        quadrant += 2 * sum(isqrt(m - y * y) for y in range(1, min(top, x - 1) + 1))
+        if top >= x:
+            quadrant += isqrt(m - x * x)
+    return 8 * quadrant + 12 * axis + 6 * r + 1
 
 
-def _expand_columns(top: np.ndarray) -> np.ndarray:
-    """The points of a column table as an (m, 3) array in the global mode order.
+def _level_counts(max_radius_sq: int) -> array:
+    """#{h : |h|^2 = s} for every s <= max_radius_sq, as 32-bit counts.
 
-    Column (x, y) contributes z = -Z..Z; the columns come out in
-    lexicographic order, so a stable sort by |h|^2 gives the mode order.
+    Each level is one 32-bit slot of a Python int: starting from the
+    origin, each axis adds the squares z^2 (z and -z) as shifted copies.
+    No count reaches 2^32 up to ``LEVEL_CAP``, whose whole ball has fewer
+    points.
     """
-    r = top.shape[0] // 2
-    length = np.maximum(2 * top + 1, 0).ravel()
-    ax = np.arange(-r, r + 1, dtype=np.int64)
-    x, y = (np.repeat(c.ravel(), length) for c in np.meshgrid(ax, ax, indexing="ij"))
-    # z runs from -Z at the first point of its column
-    first = np.repeat(np.cumsum(length) - length, length)
-    z = np.arange(length.sum(), dtype=np.int64) - first - np.repeat(top.ravel(), length)
-    pts = np.stack([x, y, z], axis=1)
-    return pts[np.argsort(np.einsum("ij,ij->i", pts, pts), kind="stable")]
+    slots = max_radius_sq + 1
+    shifts = [32 * z * z + 1 for z in range(1, math.isqrt(max_radius_sq) + 1)]  # 2 q^(z^2)
+    counts, mask = 1, (1 << 32 * slots) - 1
+    for _axis in range(3):
+        base = counts
+        for shift in shifts:
+            counts += base << shift
+        counts &= mask
+    per_level = array("I", counts.to_bytes(4 * slots, "little"))
+    if sys.byteorder == "big":
+        per_level.byteswap()
+    return per_level
 
 
 def closed_shell_sizes(max_radius_sq: int) -> List[Tuple[int, int]]:
@@ -141,66 +166,71 @@ def closed_shell_sizes(max_radius_sq: int) -> List[Tuple[int, int]]:
     Returns (radius_sq, count) pairs for each integer s <= max_radius_sq
     that is actually realized as |h|^2 of a lattice point; counts are the
     sizes of the closed shells and are strictly increasing.  The levels
-    are binned one z-slice of the column table at a time, so memory is
-    O(max_radius_sq), not O(count); a max_radius_sq above ``LEVEL_CAP``
-    raises DomainError before anything is allocated.
+    are counted in O(max_radius_sq) memory, not O(count); a max_radius_sq
+    above ``LEVEL_CAP`` raises DomainError before anything is allocated.
     """
     if max_radius_sq < 0:
         raise DomainError("max_radius_sq must be >= 0")
-    if max_radius_sq > LEVEL_CAP:  # refuse before allocating the column table
+    if max_radius_sq > LEVEL_CAP:  # refuse before allocating the level table
         raise DomainError(
             f"closed-shell levels up to {max_radius_sq} exceed the cap LEVEL_CAP = {LEVEL_CAP}"
         )
-    top = _column_tops(max_radius_sq)
-    r = top.shape[0] // 2
-    ax = np.arange(-r, r + 1, dtype=np.int64)
-    rho_sq = ax[:, None] ** 2 + ax[None, :] ** 2
-    per_level = np.zeros(max_radius_sq + 1, dtype=np.int64)
-    for z in range(r + 1):
-        # the slices at z and -z hold the same levels
-        weight = 1 if z == 0 else 2
-        per_level += weight * np.bincount(rho_sq[top >= z] + z * z, minlength=max_radius_sq + 1)
-    cumulative = np.cumsum(per_level)
-    return [(int(s), int(cumulative[s])) for s in np.flatnonzero(per_level)]
-
-
-def _ball_size(top: np.ndarray) -> int:
-    """The number of points of a column table: its summed interval lengths 2Z + 1."""
-    return int(np.maximum(2 * top + 1, 0).sum())
+    per_level = _level_counts(max_radius_sq)
+    return [(s, total) for s, (c, total) in enumerate(zip(per_level, accumulate(per_level))) if c]
 
 
 class FermiBall(NamedTuple):
     """The closed-shell set B_F of the n lowest lattice modes.
 
-    B_F is exactly {h : |h|^2 <= shell_radius_sq}, held as its column table
-    (see ``_column_tops``).  Being a closed shell, membership is the norm
-    test; ``_expand_columns(column_tops)`` lists the n points in the global
-    mode order at O(n) memory, for tiny n only.
+    B_F is exactly {h : |h|^2 <= shell_radius_sq}, held as one bitset int
+    per x-row, ``rows[x + r]`` for x = -r .. r (see ``_ball_rows``).
+    Being a closed shell, membership is the norm test.
     """
 
     n: int
     shell_radius_sq: int
-    column_tops: np.ndarray
+    rows: Tuple[int, ...]
 
     def norm_sq_sum(self) -> int:
-        """Exact sum of |h|^2 over B_F: (x^2+y^2)(2Z+1) + Z(Z+1)(2Z+1)/3 per column."""
-        top = self.column_tops
-        r = top.shape[0] // 2
-        ax = np.arange(-r, r + 1, dtype=np.int64)
-        inside = top >= 0
-        z = top[inside]
-        rho_sq = (ax[:, None] ** 2 + ax[None, :] ** 2)[inside]
-        return int((rho_sq * (2 * z + 1) + z * (z + 1) * (2 * z + 1) // 3).sum())
+        """Exact sum of |h|^2 over B_F: 3 sum_x x^2 #row(x), as the three axes are alike."""
+        r = len(self.rows) // 2
+        return 3 * sum((i - r) ** 2 * row.bit_count() for i, row in enumerate(self.rows))
 
 
-def build_fermi_ball(n: int) -> FermiBall:
-    """Construct the Fermi ball with exactly n modes.
+def _slot_bits(r: int) -> int:
+    """The slot width W of a column: 2r + 1 bits rounded up to whole bytes."""
+    return 8 * (r // 4 + 1)
+
+
+def _ball_rows(radius_sq: int) -> Tuple[int, ...]:
+    """The x-rows of {|h|^2 <= radius_sq}: cell (y, z) is bit (y + r) W + z + r.
+
+    A column of top Z sets bits r - Z .. r + Z of its slot; each row is
+    one join of these r + 1 cached patterns, little-endian, with y = -r
+    in the lowest slot.  Rows x and -x are one int.
+    """
+    r = math.isqrt(radius_sq)
+    width = _slot_bits(r) // 8
+    empty = bytes(width)
+    patterns = [(((1 << (2 * z + 1)) - 1) << (r - z)).to_bytes(width, "little") for z in range(r + 1)]
+    isqrt = math.isqrt
+    half = []
+    for x in range(r + 1):
+        m = radius_sq - x * x
+        top = isqrt(m)
+        columns = [patterns[isqrt(m - y * y)] for y in range(top + 1)]
+        half.append(int.from_bytes(b"".join([empty] * (r - top) + columns[:0:-1] + columns), "little"))
+    return tuple(half[:0:-1] + half)
+
+
+def closed_shell_radius_sq(n: int) -> int:
+    """The radius^2 of the closed shell of exactly n modes, found from ball sizes alone.
 
     Raises DomainError when no radius yields exactly n lattice points
     (e.g. n = 2); every formula downstream assumes a completely filled
     shell.  A shell needs radius^2 <= ``LEVEL_CAP`` (n <= 4188781437); a
-    larger n raises DomainError, before any column table is built when
-    the volume bound below already puts its shell above the cap.
+    larger n raises DomainError, before any count is made when the
+    volume bound below already puts its shell above the cap.
     """
     kf = ModelParams(n).kf
     # The unit cubes around the points of {|h|^2 <= R^2} lie inside radius
@@ -211,7 +241,7 @@ def build_fermi_ball(n: int) -> FermiBall:
     hi = min(math.ceil((kf + 1.0) ** 2), LEVEL_CAP + 1)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _ball_size(_column_tops(mid)) >= n:
+        if _ball_size(mid) >= n:
             hi = mid
         else:
             lo = mid + 1
@@ -219,36 +249,54 @@ def build_fermi_ball(n: int) -> FermiBall:
         raise DomainError(
             f"{n} modes need a closed shell of radius^2 above the cap LEVEL_CAP = {LEVEL_CAP}"
         )
-    top = _column_tops(lo)
-    count = _ball_size(top)
+    count = _ball_size(lo)
     if count != n:
         raise DomainError(
             f"no closed shell with exactly {n} modes; "
-            f"nearest shells have {_ball_size(_column_tops(lo - 1))} and {count}"
+            f"nearest shells have {_ball_size(lo - 1)} and {count}"
         )
-    return FermiBall(n, lo, top)
+    return lo
 
 
-def _stay_columns(ball: FermiBall, k: Momentum) -> np.ndarray:
-    """Per-column overlap lengths of B_F with B_F - k: {h in B_F : h+k in B_F}.
+def build_fermi_ball(n: int) -> FermiBall:
+    """The Fermi ball with exactly n modes: its closed shell and the shell's rows.
 
-    One entry per column whose shifted column still lies on the grid: the
-    number of z with both z and z + k_z inside their columns' intervals.
-    A shift as long as the grid side leaves no column; it is caught before
-    any int64 arithmetic with k, which could overflow.
+    Raises DomainError as ``closed_shell_radius_sq`` does, before any row is built.
     """
-    kx, ky, kz = (int(c) for c in k)
-    top = ball.column_tops
-    m = top.shape[0]
-    if max(abs(kx), abs(ky), abs(kz)) >= m:
-        return np.zeros(0, dtype=np.int64)
-    nx, ny = max(m - abs(kx), 0), max(m - abs(ky), 0)
-    sx, sy = max(0, -kx), max(0, -ky)
-    source = top[sx : sx + nx, sy : sy + ny]
-    target = top[sx + kx : sx + kx + nx, sy + ky : sy + ky + ny]
-    lo = np.maximum(-source, -target - kz)
-    hi = np.minimum(source, target - kz)
-    return np.maximum(hi - lo + 1, 0)
+    radius_sq = closed_shell_radius_sq(n)
+    return FermiBall(n, radius_sq, _ball_rows(radius_sq))
+
+
+def _stay_count(ball: FermiBall, k: Momentum) -> int:
+    """#{h in B_F : h + k in B_F}, the stay count of one row pass.
+
+    The ball is invariant under the signed axis permutations, so the pass
+    runs at k = (c, b, a), the orbit representative (a, b, c) reversed:
+    every shift is to the right, and row x meets row x + c.  A shift
+    longer than the ball's diameter 2r leaves no row; it is caught before
+    any shift by k.  Shifting right by bW + a also moves the top a bits
+    of each slot onto the slot below, so a mask keeps only the low W - a
+    bits of every source slot.  Row x pairs with row -x - c, which holds
+    as many stayers, so each pair is counted once and doubled, and the
+    row x = -c/2 of an even c counts once.
+    """
+    a, b, c = (int(x) for x in orbit_representative(k))
+    rows = ball.rows
+    r = len(rows) // 2
+    if c > 2 * r:
+        return 0
+    width = _slot_bits(r)
+    shift = b * width + a
+    keep = ((1 << (width - a)) - 1).to_bytes(width // 8, "little")
+    mask = int.from_bytes(keep * (2 * r + 1), "little")
+    # the rows i = x + r with x < -x - c, whose partner lies above them
+    stay = 2 * sum(
+        (rows[i] & mask & (rows[i + c] >> shift)).bit_count() for i in range((2 * r - c + 1) // 2)
+    )
+    if c % 2 == 0:
+        i = r - c // 2
+        stay += (rows[i] & mask & (rows[i + c] >> shift)).bit_count()
+    return stay
 
 
 def lune_count(ball: FermiBall, k: Momentum) -> int:
@@ -256,9 +304,9 @@ def lune_count(ball: FermiBall, k: Momentum) -> int:
 
     The count equals the squared vacuum norm of the delocalized pair
     creation operator with transfer momentum k; it is even in k and
-    vanishes only at k = 0.  It is N minus the column-overlap stay count.
+    vanishes only at k = 0.  It is N minus the row-pass stay count.
     """
-    return ball.n - int(_stay_columns(ball, k).sum())
+    return ball.n - _stay_count(ball, k)
 
 
 def _lens_message(params: ModelParams, kn: float) -> str:
@@ -273,11 +321,12 @@ def lens_norm(params: ModelParams, k: Momentum) -> float:
     return kn
 
 
-def check_lens(params: ModelParams, kn: np.ndarray) -> None:
+def check_lens(params: ModelParams, kn: Sequence[float]) -> None:
     """``lens_norm`` of a column of |k|: DomainError naming the first |k| beyond 2 k_F."""
-    beyond = np.flatnonzero(kn > 2.0 * params.kf)
-    if beyond.size:
-        raise DomainError(_lens_message(params, float(kn[beyond[0]])))
+    limit = 2.0 * params.kf
+    for value in kn:
+        if value > limit:
+            raise DomainError(_lens_message(params, value))
 
 
 def nk_asymptotic(params: ModelParams, k: Momentum) -> float:

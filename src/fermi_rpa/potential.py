@@ -27,10 +27,11 @@ mode order (see ``Potential``), and every per-momentum reader zips them
 by position: no reader looks a momentum up in the dict or recomputes its
 |k|^2.  The sums of V alone are formed once per potential, on first use
 (``Potential.once``): |V|_1 and sum_k V(k)^2 |k| here, A1..A5 and the
-budget kernel in ``error_budget``.  Row arithmetic on the columns is
-IEEE basic operations and sqrt, which round as the same expression on
-Python floats does; ``**`` and transcendentals stay on Python floats,
-and every sum is ``math.fsum`` of a list in mode order.
+budget kernel in ``error_budget``.  The columns are tuples of Python
+floats and ints, so row arithmetic is Python float arithmetic: an
+overflow to inf, or an inf - inf, is silent, and the caller reports a
+non-finite result (``finite_fsum``, say).  Every sum is ``math.fsum`` of
+a list in mode order.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from __future__ import annotations
 import json
 import math
 from typing import Callable, Dict, Iterable, List, TypeVar
-
-import numpy as np
 
 from .errors import NumericalFailure, ParseError
 from .lattice import Momentum, fits_double, orbit_representative
@@ -53,9 +52,9 @@ class Potential:
 
     ``make_potential`` builds both.  Each column is aligned with ``ks``,
     the tuple of the support minus k = 0 in the global mode order: ``kn``
-    |k| and ``vs`` V(k) as read-only float64 arrays (|k|^2 is summed as
-    Python ints, since components may be as large as 10**150, and rounded
-    once), and ``orbit`` the row's position in the tuple ``orbits``, the
+    |k| and ``vs`` V(k) as tuples of floats (|k|^2 is summed as Python
+    ints, since components may be as large as 10**150, and rounded once),
+    and ``orbit`` the row's position in the tuple ``orbits``, the
     cubic-orbit representatives in the order ``ks`` first meets them.
     Readers zip the columns by position; none of them can be mutated.  The
     columns follow from ``coeffs``, so ``==`` compares only ``coeffs`` and
@@ -135,13 +134,9 @@ def make_potential(
     if ks and norms[ks[0]] == 0:
         del ks[0]
     reps: Dict[Momentum, int] = {}
-    orbit = np.array(
-        [reps.setdefault(orbit_representative(k), len(reps)) for k in ks], dtype=np.intp
-    )
-    kn = np.sqrt(np.array([norms[k] for k in ks], dtype=float))
-    vs = np.array([coeffs[k] for k in ks], dtype=float)
-    for column in (kn, vs, orbit):
-        column.flags.writeable = False
+    orbit = tuple(reps.setdefault(orbit_representative(k), len(reps)) for k in ks)
+    kn = tuple(math.sqrt(norms[k]) for k in ks)
+    vs = tuple(coeffs[k] for k in ks)
     if support_radius_sq is None:
         limit = max(norms.values(), default=0)
     return Potential(coeffs, limit, tuple(ks), kn, vs, tuple(reps), orbit)
@@ -223,19 +218,13 @@ def serialize_potential(v: Potential) -> str:
     The bytes are those of ``json.dumps`` with separators ", " and ": ",
     which writes an int by its decimal and a finite float by its repr.
     """
-    values = v.vs.tolist()
+    values = list(v.vs)
     if ZERO in v.coeffs:
         values.insert(0, v.coeffs[ZERO])
     entries = ", ".join(
         f'{{"k": [{x}, {y}, {z}], "v": {value!r}}}' for (x, y, z), value in zip(v.support(), values)
     )
     return f'{{"support_radius_sq": {v.support_radius_sq}, "coeffs": [{entries}]}}'
-
-
-# the overflow policy of every module's column arithmetic: an overflow to
-# inf, or an inf - inf, is silent on Python floats, so it is on the columns
-# too, and the caller reports a non-finite result (finite_fsum, say)
-ieee_rows = np.errstate(over="ignore", invalid="ignore")
 
 
 def finite_fsum(terms: Iterable[float], quantity: str) -> float:
@@ -256,7 +245,7 @@ def l1_norm(v: Potential) -> float:
 
 
 def _l1_norm(v: Potential) -> float:
-    terms = np.abs(v.vs).tolist()
+    terms = list(map(abs, v.vs))
     if ZERO in v.coeffs:
         terms.insert(0, abs(v.coeffs[ZERO]))
     return finite_fsum(terms, "sum_k |V(k)|")
@@ -272,5 +261,5 @@ def square_sum(v: Potential) -> float:
 
 def _square_sum(v: Potential) -> float:
     # Python's ** raises OverflowError on overflow, which finite_fsum maps
-    terms = (x ** 2 * kn for x, kn in zip(v.vs.tolist(), v.kn.tolist()))
+    terms = (x ** 2 * kn for x, kn in zip(v.vs, v.kn))
     return finite_fsum(terms, "sum_k |k| V(k)^2")

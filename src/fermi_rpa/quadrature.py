@@ -30,7 +30,8 @@ from typing import Callable, List, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
+from . import checked_tol
+from .errors import NumericalFailure
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (QUADPACK dqk15)
 _XGK = (
@@ -78,13 +79,6 @@ class Nodes(NamedTuple):
 
     rows: np.ndarray
     x: np.ndarray
-
-
-def checked_tol(tol: float) -> float:
-    """A quadrature tolerance (the CLI's --tol): finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be finite and > 0, got {tol!r}")
-    return tol
 
 
 def _gk15_panel(f, rows, lo, hi):

@@ -4,7 +4,7 @@ Treating the delocalized particle-hole pair operators as exact bosons
 turns the Hamiltonian into a sum of independent quadratic forms, one per
 transfer momentum k, with coefficients built from n_k^2 and k.f(k).  The
 type of the source is the backend, and this module is the only place that
-looks at it.  A ``FermiBall`` gives the exact lattice counts, one column
+looks at it.  A ``FermiBall`` gives the exact lattice counts, one row
 pass per cubic orbit of the support (n_k^2 is invariant under the 48
 signed axis permutations, and k.f(k) = N|k|^2 / n_k^2 needs no count of
 its own):
@@ -24,10 +24,9 @@ momentum beyond it raises DomainError.  ``coefficient_table`` returns one
 ``CoefficientTable``: its source, the momenta ``ks`` and the columns
 alpha_k, beta_k, n_k^2 and k.f(k) aligned with them.  Every reader zips
 the columns by position, so one table per source serves the minimum, the
-Hartree-Fock exchange and the error budget.  The row arithmetic is
-IEEE basic operations and sqrt on float64 columns, which give the bits of
-the same expression on Python floats; sums are ``math.fsum`` and the
-logarithms stay on Python floats.
+Hartree-Fock exchange and the error budget.  The columns are tuples of
+Python floats, each row the expression written out once; sums are
+``math.fsum``.
 
 For a real even kernel X the quadratic energy is
 
@@ -46,9 +45,8 @@ on the exact table the first is -(1/(2 hbar^2 N^2)) sum_k V(k)^2 n_k^4 / (2 k.f(
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Optional, Tuple, Union
-
-import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .lattice import (
@@ -60,7 +58,7 @@ from .lattice import (
     check_lens,
     kinetic_coefficient,
 )
-from .potential import Potential, ieee_rows, square_sum
+from .potential import Potential, square_sum
 
 SECOND_ORDER_PREFACTOR = (math.pi / 2.0) * (9.0 / 32.0)
 
@@ -71,18 +69,19 @@ Source = Union[FermiBall, ModelParams]
 class CoefficientTable(NamedTuple):
     """Quadratic-form coefficients of every nonzero support momentum, by column.
 
-    Row i is the momentum ``ks[i]``, the potential's tuple ``v.ks``; ``alpha``, ``beta``, ``nk2`` and
-    ``kdotf`` are float64 columns.  ``nk2`` and ``kdotf`` are the n_k^2 and
-    k.f(k) the coefficients were built from: an exact count and a ratio
-    rounded once on a FermiBall ``source``, the closed forms on a ModelParams.
+    Row i is the momentum ``ks[i]``, the potential's tuple ``v.ks``;
+    ``alpha``, ``beta``, ``nk2`` and ``kdotf`` are tuples of floats.
+    ``nk2`` and ``kdotf`` are the n_k^2 and k.f(k) the coefficients were
+    built from: an exact count and a ratio rounded once on a FermiBall
+    ``source``, the closed forms on a ModelParams.
     """
 
     source: Source
     ks: Tuple[Momentum, ...]
-    alpha: np.ndarray
-    beta: np.ndarray
-    nk2: np.ndarray
-    kdotf: np.ndarray
+    alpha: Tuple[float, ...]
+    beta: Tuple[float, ...]
+    nk2: Tuple[float, ...]
+    kdotf: Tuple[float, ...]
 
     def require_support(self, v: Potential) -> None:
         """DomainError unless the rows are the support of ``v`` minus k = 0, in mode order."""
@@ -90,7 +89,6 @@ class CoefficientTable(NamedTuple):
             raise DomainError("the coefficient table is not over the support of this potential")
 
 
-@ieee_rows
 def coefficient_table(source: Source, v: Potential) -> CoefficientTable:
     """The coefficients of every nonzero support momentum of ``v``, in mode order.
 
@@ -100,19 +98,24 @@ def coefficient_table(source: Source, v: Potential) -> CoefficientTable:
     a count of zero raises DomainError.  On a ModelParams the first |k|
     beyond the lens domain raises DomainError.
     """
+    # float(n) is the double a float * n or float / n rounds n to
+    n = float(source.n)
     if isinstance(source, ModelParams):
-        kn = v.kn
-        check_lens(source, kn)
-        nk2 = kn * source.n * source.hbar * LUNE_SHAPE_CONSTANT
-        kdotf = kn * source.n ** (1.0 / 3.0) * KINETIC_SHAPE_CONSTANT
-        beta = source.hbar * LUNE_SHAPE_CONSTANT * v.vs * kn
-        alpha = source.hbar * kn * KINETIC_SHAPE_CONSTANT + beta
+        hbar = source.hbar
+        check_lens(source, v.kn)
+        nk2 = [kn * n * hbar * LUNE_SHAPE_CONSTANT for kn in v.kn]
+        cube_root = source.n ** (1.0 / 3.0)
+        kdotf = [kn * cube_root * KINETIC_SHAPE_CONSTANT for kn in v.kn]
+        beta = [hbar * LUNE_SHAPE_CONSTANT * x * kn for x, kn in zip(v.vs, v.kn)]
+        alpha = [hbar * kn * KINETIC_SHAPE_CONSTANT + b for kn, b in zip(v.kn, beta)]
     else:
-        kinetic = [kinetic_coefficient(source, rep) for rep in v.orbits]
-        nk2, kdotf = np.array(kinetic, dtype=float).reshape(-1, 2)[v.orbit].T
-        beta = v.vs * nk2 / source.n
-        alpha = ModelParams(source.n).hbar ** 2 * kdotf + beta
-    return CoefficientTable(source, v.ks, alpha, beta, nk2, kdotf)
+        per_orbit = [kinetic_coefficient(source, rep) for rep in v.orbits]
+        nk2 = [float(per_orbit[i][0]) for i in v.orbit]
+        kdotf = [per_orbit[i][1] for i in v.orbit]
+        beta = [x * count / n for x, count in zip(v.vs, nk2)]
+        hbar_sq = ModelParams(source.n).hbar ** 2
+        alpha = [hbar_sq * f + b for f, b in zip(kdotf, beta)]
+    return CoefficientTable(source, v.ks, tuple(alpha), tuple(beta), tuple(nk2), tuple(kdotf))
 
 
 def _check_rows(table: CoefficientTable) -> None:
@@ -126,12 +129,14 @@ def _check_rows(table: CoefficientTable) -> None:
     a strongly attractive potential, or a hand-built form) is a DomainError.
     The first such row in mode order is reported.
     """
-    bad = np.flatnonzero(np.abs(table.beta) >= table.alpha)
-    if bad.size == 0:
+    if all(map(operator.lt, map(abs, table.beta), table.alpha)):
         return
-    i = int(bad[0])
-    k, alpha, beta = table.ks[i], float(table.alpha[i]), float(table.beta[i])
-    if beta > 0.0 and table.kdotf[i] > 0.0:
+    for k, alpha, beta, kdotf in zip(table.ks, table.alpha, table.beta, table.kdotf):
+        if abs(beta) >= alpha:
+            break
+    else:
+        return  # a NaN row compares false both ways
+    if beta > 0.0 and kdotf > 0.0:
         raise NumericalFailure(
             f"alpha - beta = hbar^2 k.f(k) > 0 is lost to rounding at k = {k}: "
             f"alpha = beta = {beta}"
@@ -139,20 +144,19 @@ def _check_rows(table: CoefficientTable) -> None:
     raise DomainError(f"|beta| = {abs(beta)} >= alpha = {alpha} at k = {k}")
 
 
-@ieee_rows
 def correlation_delocalized(table: CoefficientTable) -> float:
     """Optimal delocalized-pair correlation energy of a coefficient table.
 
     The minimum of the quadratic energy, sum_k (1/2)(sqrt(a^2-b^2) - a).
     """
     _check_rows(table)
-    a, b = table.alpha, table.beta
     # (1/2)(sqrt(a^2-b^2) - a) rewritten as -b^2 / (2(sqrt(a^2-b^2) + a)),
     # stable for |b| << a
-    return math.fsum((-b * b / (2.0 * (np.sqrt((a - b) * (a + b)) + a))).tolist())
+    return math.fsum(
+        [-b * b / (2.0 * (math.sqrt((a - b) * (a + b)) + a)) for a, b in zip(table.alpha, table.beta)]
+    )
 
 
-@ieee_rows
 def second_order_delocalized(
     source: Union[ModelParams, CoefficientTable], v: Optional[Potential] = None
 ) -> float:
@@ -168,5 +172,4 @@ def second_order_delocalized(
         check_lens(source, v.kn)
         return -source.hbar * SECOND_ORDER_PREFACTOR * square_sum(v)
     _check_rows(source)
-    a, b = source.alpha, source.beta
-    return -math.fsum((b * b / (4.0 * (a - b))).tolist())
+    return -math.fsum([b * b / (4.0 * (a - b)) for a, b in zip(source.alpha, source.beta)])

@@ -58,7 +58,7 @@ import numpy as np
 from . import DEFAULT_TOL
 from .errors import DomainError, NumericalFailure
 from .lattice import ModelParams
-from .potential import Potential, finite_fsum, ieee_rows, square_sum
+from .potential import Potential, finite_fsum, square_sum
 from .quadrature import IntegralResult, integrate_adaptive
 
 KAPPA = (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
@@ -69,6 +69,9 @@ SECOND_ORDER_PREFACTOR_OPTIMAL = (math.pi / 2.0) * (1.0 - math.log(2.0))
 _INNER_SERIES = tuple(1.0 / (2 * j + 3) for j in range(30))
 # h(x) = -x^2 sum_n (-x)^n / (n + 2) for |x| < 1/8: 20 terms, same accuracy
 _LOG1P_SERIES = tuple(1.0 / (n + 2) for n in range(20))
+# a panel sum that overflows to inf, or an inf - inf, is silent, as on
+# Python floats: the caller reports the non-finite result
+_ieee = np.errstate(over="ignore", invalid="ignore")
 
 
 def _horner(coeffs, y):
@@ -161,7 +164,7 @@ def _check_enclosure(a_of_row: np.ndarray, results: List[IntegralResult]) -> Non
             )
 
 
-@ieee_rows  # |k| times a bracket may overflow to inf, as on Python floats
+@_ieee
 def frequency_brackets(v: Potential, tol: float = DEFAULT_TOL) -> IntegralResult:
     """The fsums of |k| times the bracket (1/pi) I(a) - a/4, a = 2 pi kappa V(k), and its error.
 
@@ -171,13 +174,12 @@ def frequency_brackets(v: Potential, tol: float = DEFAULT_TOL) -> IntegralResult
     beyond the double range raises NumericalFailure.
     """
     index: Dict[float, int] = {}
-    rows = [index.setdefault(value, len(index)) for value in v.vs.tolist()]
+    rows = [index.setdefault(value, len(index)) for value in v.vs]
     results = gmb_integral(tuple(2.0 * math.pi * KAPPA * value for value in index), tol)
-    # (value, error) of every row; the reshape keeps two columns on an empty support
-    per_row = np.array(results, dtype=float).reshape(-1, 2)[rows]
-    names = ("sum_k |k| bracket(k)", "sum_k |k| bracket_error(k)")
+    per_row = [results[i] for i in rows]
     return IntegralResult(
-        *(finite_fsum((v.kn * column).tolist(), name) for column, name in zip(per_row.T, names))
+        finite_fsum((kn * r.value for kn, r in zip(v.kn, per_row)), "sum_k |k| bracket(k)"),
+        finite_fsum((kn * r.error for kn, r in zip(v.kn, per_row)), "sum_k |k| bracket_error(k)"),
     )
 
 

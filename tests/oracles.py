@@ -91,7 +91,7 @@ def optimal_kernel(table):
     does for the minimum.
     """
     _check_rows(table)
-    return [-0.25 * (math.log1p(t) - math.log1p(-t)) for t in (table.beta / table.alpha).tolist()]
+    return [-0.25 * (math.log1p(t) - math.log1p(-t)) for t in [b / a for a, b in zip(table.alpha, table.beta)]]
 
 
 def golden_section_minimum(fn, lo, hi, tol=1e-12, iters=300):
@@ -177,7 +177,7 @@ def coefficient_rows(source, v):
 def table_rows(table):
     """The rows of a coefficient table, in the layout of ``coefficient_rows``."""
     columns = (table.alpha, table.beta, table.nk2, table.kdotf)
-    return list(zip(table.ks, *(c.tolist() for c in columns)))
+    return list(zip(table.ks, *columns))
 
 
 def hand_table(*rows):
@@ -185,9 +185,9 @@ def hand_table(*rows):
 
     It has no source, and no count behind it: n_k^2 and k.f(k) are NaN.
     """
-    nan = np.full(len(rows), math.nan)
-    alpha = np.array([a for _, a, _ in rows], dtype=float)
-    beta = np.array([b for _, _, b in rows], dtype=float)
+    nan = (math.nan,) * len(rows)
+    alpha = tuple(float(a) for _, a, _ in rows)
+    beta = tuple(float(b) for _, _, b in rows)
     return CoefficientTable(None, tuple(k for k, _, _ in rows), alpha, beta, nan, nan)
 
 
@@ -199,7 +199,7 @@ def bosonized_functional(table, xi):
     if len(xi) != len(table.ks):
         raise DomainError(f"{len(xi)} kernel values for {len(table.ks)} coefficient rows")
     terms = []
-    for alpha, beta, x in zip(table.alpha.tolist(), table.beta.tolist(), xi):
+    for alpha, beta, x in zip(table.alpha, table.beta, xi):
         sh, ch = math.sinh(x), math.cosh(x)
         terms.append(alpha * sh * sh + beta * sh * ch)
     return math.fsum(terms)
@@ -393,13 +393,13 @@ def potential_reference(entries, radius_sq=None):
     if ks and norms[ks[0]] == 0:
         del ks[0]
     reps = {}
-    orbit = np.array([reps.setdefault(orbit_representative(k), len(reps)) for k in ks], dtype=np.intp)
+    orbit = tuple(reps.setdefault(orbit_representative(k), len(reps)) for k in ks)
     return SimpleNamespace(
         coeffs=coeffs,
         support_radius_sq=radius_sq,
         ks=tuple(ks),
-        kn=np.sqrt(np.array([norms[k] for k in ks], dtype=float)),
-        vs=np.array([coeffs[k] for k in ks], dtype=float),
+        kn=tuple(math.sqrt(norms[k]) for k in ks),
+        vs=tuple(coeffs[k] for k in ks),
         orbits=tuple(reps),
         orbit=orbit,
     )
@@ -412,11 +412,11 @@ def potential_layout(v):
         [(k, x.hex()) for k, x in v.coeffs.items()],
         v.support_radius_sq,
         v.ks,
-        v.kn.tobytes(),
-        v.vs.tobytes(),
+        [x.hex() for x in v.kn],
+        [x.hex() for x in v.vs],
         v.orbits,
-        v.orbit.dtype.str,
-        v.orbit.tobytes(),
+        [type(i).__name__ for i in v.orbit],
+        v.orbit,
     )
 
 
@@ -473,12 +473,12 @@ def error_budget_loop(table, continuum, v):
     xi = kernel_loop(v)
     c_n = {str(m): particle_number_constant(xi, m) for m in (1, 2, 3)}
     c2, c3 = c_n["2"], c_n["3"]
-    n_of = np.sqrt(table.nk2).tolist()
+    n_of = list(map(math.sqrt, table.nk2))
     hbar_sq = ModelParams(n).hbar ** 2
     escape = PARTICLE_ESCAPE_CONSTANT * n ** (1.0 / 3.0)
     s_base = math.fsum(abs(x) / n_m for x, n_m in zip(xi, n_of))
     quad_sq, quad_lin, kin_diag, kin_off = [], [], [], []
-    for k, x, n_k, kdotf in zip(table.ks, xi, n_of, table.kdotf.tolist()):
+    for k, x, n_k, kdotf in zip(table.ks, xi, n_of, table.kdotf):
         xk = abs(x)
         vk = abs(v.coeffs[k])
         nk2 = n_k ** 2
@@ -520,7 +520,7 @@ def error_budget_loop(table, continuum, v):
 def hf_energy_loop(table, v, half_prefactor=False):
     """The Hartree-Fock energy with its exchange terms formed one momentum at a time."""
     ball = table.source
-    stay = (ball.n - table.nk2).tolist()
+    stay = [ball.n - nk2 for nk2 in table.nk2]
     if (0, 0, 0) in v.coeffs:
         stay.insert(0, ball.n)
     kinetic = ModelParams(ball.n).hbar ** 2 * float(ball.norm_sq_sum())

@@ -646,6 +646,39 @@ def test_a_quantity_beyond_the_double_range_exits_two(capsys, tmp_path, doc, arg
     assert "Traceback" not in err
 
 
+V_MINUS_1E308 = {"support_radius_sq": 1, "coeffs": [{"k": [1, 0, 0], "v": -1e308}]}
+LOST = "alpha - beta = hbar^2 k.f(k) > 0 is lost to rounding at k = (-1, 0, 0): alpha = beta = "
+
+
+@pytest.mark.parametrize(
+    "doc, argv, code, message",
+    [
+        # V(k) n_k^2 / N overflows to inf on the exact rows, so alpha = beta = inf
+        (V_1E308, ["corr", "--method", "delocalized-exact"], 2, LOST + "inf"),
+        (V_1E308, ["corr", "--method", "delocalized-asym"], 2, LOST + "3.769231568953856e+307"),
+        (V_MINUS_1E308, ["corr", "--method", "delocalized-exact"], 1, "|beta| = inf >= alpha = -inf at k = (-1, 0, 0)"),
+        (
+            V_MINUS_1E308,
+            ["corr", "--method", "delocalized-asym"],
+            1,
+            "|beta| = 3.769231568953856e+307 >= alpha = -3.769231568953856e+307 at k = (-1, 0, 0)",
+        ),
+        # 1 + c V(k) is -inf: the first A-constant row refuses it
+        (V_MINUS_1E308, ["errors", "--backend", "exact"], 1, "1 + c*V(k) = -inf <= 0 at k = (-1, 0, 0)"),
+        (V_MINUS_1E308, ["errors"], 1, "1 + c*V(k) = -inf <= 0 at k = (-1, 0, 0)"),
+        (V_MINUS_1E308, ["hf"], 2, "Hartree-Fock exchange sum overflows a double"),
+    ],
+    ids=["exact-beta", "asym-beta", "exact-minus", "asym-minus", "errors-exact-arg", "errors-arg", "hf-minus"],
+)
+@pytest.mark.filterwarnings("error")
+def test_a_row_beyond_the_double_range_keeps_its_exit_and_message(capsys, tmp_path, doc, argv, code, message):
+    # the rows are Python floats: an overflow to inf stays silent, as it was on
+    # float64 columns, and the first row outside a formula's domain is named
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, *argv, "--n", "33", "--potential", str(path)) == (code, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [
@@ -798,12 +831,12 @@ def test_scan_refuses_a_scale_that_overflows(capsys):
 
 
 def test_shells_refuses_levels_above_the_cap(capsys, monkeypatch):
-    # --shells 100000000 would ask for about 4 GB of column arrays: the level
-    # table refuses it before any is allocated
+    # --shells 100000000 would ask for a level table of 400 MB: it is
+    # refused before any is allocated
     def no_table(radius_sq):
-        raise AssertionError(f"column table of radius^2 {radius_sq} allocated")
+        raise AssertionError(f"level table of radius^2 {radius_sq} allocated")
 
-    monkeypatch.setattr(lattice, "_column_tops", no_table)
+    monkeypatch.setattr(lattice, "_level_counts", no_table)
     cap = lattice.LEVEL_CAP
     assert run_cli(capsys, "shells", "--shells", f"4,{cap + 1}") == (
         1, "", f"error: closed-shell levels up to {cap + 1} exceed the cap LEVEL_CAP = {cap}\n"
@@ -820,10 +853,31 @@ def test_shells_skips_a_level_no_lattice_point_attains(capsys):
 @pytest.mark.parametrize("shells, rows", [("-4", []), ("-4,4", ["4"])])
 def test_shells_skips_a_negative_level(capsys, shells, rows):
     # no lattice point has a negative |h|^2: skipped as level 7 is, even when alone
-    # (joined with =, or argparse reads -4,4 as an option)
     code, out, err = run_cli(capsys, "shells", f"--shells={shells}")
     assert (code, err) == (0, "skipping -4: not an attained level\n")
     assert [line.split(",")[0] for line in out.splitlines()] == ["shell_radius_sq", *rows]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["shells", "--k", "-1,0,0"], 0),
+        (["shells", "--shells", "-4,16", "--k", "-2,1,-1"], 0),
+        (["scan", "--n", "33", "--scales", "-1:1"], 0),
+        (["compare", "--n-list", "-33,257"], 1),
+        (["corr", "--n", "33", "--method", "optimal", "--tol", "-1e-10"], 1),
+    ],
+    ids=["k", "shells-and-k", "scales", "n-list", "tol"],
+)
+def test_a_negative_value_reads_alike_joined_or_as_the_next_token(capsys, argv, code):
+    # argparse alone reads a separate -1,0,0 as an option ("expected one argument")
+    joined = list(argv)
+    for i in reversed(range(len(joined) - 1)):
+        if joined[i] in ("--k", "--shells", "--scales", "--n-list", "--tol"):
+            joined[i : i + 2] = [f"{joined[i]}={joined[i + 1]}"]
+    separate = run_cli(capsys, *argv)
+    assert separate[0] == code
+    assert separate == run_cli(capsys, *joined)
 
 
 # stdout of each command recorded once, byte for byte; every listed command

@@ -12,9 +12,13 @@ stdout, and no module calls ``print``, so one place owns the printed bytes.
 Each command runs only the modules it calls into: ``ratio`` runs none of
 them and loads neither numpy nor ``inspect``, ``shells`` runs only
 ``lattice``, and only ``oracle`` runs the Fock oracle, which draws its
-trial states without ``numpy.random`` and never loads ``numpy.ma``.  The
-package's records are NamedTuples and plain classes, so no command loads
-``dataclasses`` or ``copy``.
+trial states without ``numpy.random`` and never loads ``numpy.ma``.  Only
+``quadrature``, ``rpa_optimal`` and ``fock_oracle`` import numpy, so the
+lattice commands (``ball``, ``nk``, ``hf``, ``errors``, ``shells`` and
+``corr`` by a delocalized method or ``so-deloc``) never load it;
+``compare``, ``scan``, ``oracle`` and ``corr`` by ``optimal`` or
+``so-opt`` may.  The package's records are NamedTuples and plain classes,
+so no command loads ``dataclasses`` or ``copy``.
 """
 
 import ast
@@ -55,6 +59,13 @@ def test_package_imports_only_stdlib_and_numpy():
     assert "numpy" in found
     undeclared = {name: where for name, where in found.items() if name not in ALLOWED}
     assert undeclared == {}
+
+
+def test_only_the_quadrature_modules_and_the_oracle_import_numpy():
+    importers = {
+        path.name for path in PACKAGE.glob("*.py") if "numpy" in imported_modules(path.read_text())
+    }
+    assert importers == {"quadrature.py", "rpa_optimal.py", "fock_oracle.py"}
 
 
 def test_importing_a_module_loads_only_its_own_imports():
@@ -117,6 +128,24 @@ LATTICE_COMMANDS = [
     "compare --n-list 33",
     "scan --n 33 --scales 3:4",
 ]
+
+
+NUMPY_FREE_COMMANDS = [
+    "ball --n 33",
+    "nk --n 33",
+    "hf --n 33",
+    "errors --n 33",
+    "errors --n 33 --backend exact",
+    "shells --shells 4",
+    *(f"corr --n 33 --method {method}" for method in ("delocalized-exact", "delocalized-asym", "so-deloc")),
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS)
+def test_lattice_commands_load_no_numpy(argv):
+    # the ball is row bitsets of Python ints and every table column a tuple of floats
+    _, loaded = modules_run_by(argv.split())
+    assert "numpy" not in loaded
 
 
 @pytest.mark.parametrize("argv", [*LATTICE_COMMANDS, "shells --shells 4", "oracle --trials 1"])

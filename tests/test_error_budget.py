@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fermi_rpa.error_budget import (
     C_SMALL,
+    _logaddexp,
     a_constants,
     assemble_error_budget,
     particle_number_constant,
@@ -69,7 +71,7 @@ def test_kernel_exact_backend_shares_minimizer_path(ball7):
     # the row's -(1/4)(log1p(t) - log1p(-t)), t = beta/alpha, on Python floats
     v = make_potential({(1, 0, 0): 1.0})
     table = coefficient_table(ball7, v)
-    rows = zip(table.alpha.tolist(), table.beta.tolist())
+    rows = zip(table.alpha, table.beta)
     by_row = [-0.25 * (math.log1p(b / a) - math.log1p(-b / a)) for a, b in rows]
     assert optimal_kernel(table) == by_row
 
@@ -117,6 +119,34 @@ def test_total_is_sum_of_parts(weak_potential):
         [bounds.log_eps1_bound, math.log(2.0) + bounds.log_eps2_bound, bounds.log_quartic_bound]
     )
     assert bounds.log_total == pytest.approx(recombined, abs=1e-13)
+
+
+LOG_TERMS = st.one_of(
+    st.floats(allow_nan=False),  # finite values and both infinities
+    st.floats(-800.0, 800.0),  # gaps where exp(-gap) neither underflows nor is 1
+    st.just(-math.inf),  # the log of a zero bound
+    st.just(math.nan),
+)
+
+
+def bits(x):
+    return "nan" if math.isnan(x) else x.hex()
+
+
+@given(st.lists(LOG_TERMS, min_size=2, max_size=4), st.data())
+@example([1.0, 1.0], None)  # an equal pair: x + log 2
+@example([-math.inf, -math.inf, -math.inf], None)
+@example([-math.inf, 3.5], None)
+@example([1e308, -1e308], None)  # a gap beyond the double range
+@example([0.0, -745.2, -745.1], None)  # exp(-gap) underflows
+@example([-0.6931471805599453, -0.6931471805599453], None)  # a sum of exactly 0
+@settings(max_examples=500, deadline=None)
+def test_logaddexp_is_the_numpy_fold_bit_for_bit(terms, data):
+    if data is not None and len(terms) > 2 and data.draw(st.booleans()):
+        terms[1] = terms[0]  # an equal pair inside the fold
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.logaddexp.reduce(np.array(terms, dtype=float)))
+    assert bits(_logaddexp(*terms)) == bits(expected)
 
 
 def test_total_times_n_stable_across_shells(weak_potential):

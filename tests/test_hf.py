@@ -6,7 +6,6 @@ from fermi_rpa.errors import DomainError
 from fermi_rpa.hf import hf_energy
 from fermi_rpa.lattice import (
     ModelParams,
-    _expand_columns,
     build_fermi_ball,
     closed_shell_sizes,
     norm_sq,
@@ -116,7 +115,7 @@ def test_exchange_is_lower_order(demo_potential):
 def test_kinetic_is_hbar2_times_shell_sum(ball33):
     v = make_potential({(0, 0, 0): 0.0})
     params = ModelParams(33)
-    shell_sum = sum(norm_sq(h) for h in _expand_columns(ball33.column_tops).tolist())
+    shell_sum = sum(norm_sq(h) for h in brute_force_ball(ball33.shell_radius_sq))
     energy = hf_energy(coefficient_table(ball33, v), v)
     assert energy.kinetic == pytest.approx(params.hbar ** 2 * shell_sum, rel=1e-15)
     assert energy.kinetic >= 0.0

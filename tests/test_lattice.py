@@ -11,8 +11,8 @@ from fermi_rpa.hf import hf_energy
 from fermi_rpa.lattice import (
     ModelParams,
     _ball_size,
-    _column_tops,
-    _expand_columns,
+    _slot_bits,
+    _stay_count,
     build_fermi_ball,
     closed_shell_sizes,
     kinetic_coefficient,
@@ -32,7 +32,16 @@ SHELL_GRID = (4, 16, 64, 256, 1024)
 
 
 def modes(ball):
-    return [tuple(m) for m in _expand_columns(ball.column_tops).tolist()]
+    """The points set in the ball's row bitsets, in the global mode order."""
+    r = len(ball.rows) // 2
+    width = _slot_bits(r)
+    points = [
+        (i - r, bit // width - r, bit % width - r)
+        for i, row in enumerate(ball.rows)
+        for bit in range(row.bit_length())
+        if row >> bit & 1
+    ]
+    return sorted(points, key=mode_sort_key)
 
 
 def test_closed_shell_sizes_origin():
@@ -58,7 +67,7 @@ def test_closed_shell_sizes_against_brute_force():
 
 def test_closed_shell_sizes_are_the_ball_sizes_of_every_level():
     # every s up to 4096: a level is attained exactly where the ball grows
-    sizes = [_ball_size(_column_tops(s)) for s in range(4097)]
+    sizes = [_ball_size(s) for s in range(4097)]
     attained = [(s, size) for s, size in enumerate(sizes) if s == 0 or size > sizes[s - 1]]
     assert closed_shell_sizes(4096) == attained
 
@@ -126,9 +135,10 @@ def test_ball_beyond_the_level_cap_builds_no_column_table(monkeypatch, n):
     from fermi_rpa import lattice
 
     def refused(radius_sq):
-        raise AssertionError(f"built the column table of radius^2 {radius_sq}")
+        raise AssertionError(f"counted or built the ball of radius^2 {radius_sq}")
 
-    monkeypatch.setattr(lattice, "_column_tops", refused)
+    monkeypatch.setattr(lattice, "_ball_size", refused)
+    monkeypatch.setattr(lattice, "_ball_rows", refused)
     with pytest.raises(DomainError, match=f"^{n} modes need .* LEVEL_CAP = {lattice.LEVEL_CAP}$"):
         build_fermi_ball(n)
 
@@ -136,19 +146,25 @@ def test_ball_beyond_the_level_cap_builds_no_column_table(monkeypatch, n):
 def test_ball_bisects_inside_the_bracket(monkeypatch):
     from fermi_rpa import lattice
 
-    calls = []
-    column_tops = lattice._column_tops
+    calls, built = [], []
+    ball_size, ball_rows = lattice._ball_size, lattice._ball_rows
 
     def counted(radius_sq):
         calls.append(radius_sq)
-        return column_tops(radius_sq)
+        return ball_size(radius_sq)
 
-    monkeypatch.setattr(lattice, "_column_tops", counted)
+    def rows(radius_sq):
+        built.append(radius_sq)
+        return ball_rows(radius_sq)
+
+    monkeypatch.setattr(lattice, "_ball_size", counted)
+    monkeypatch.setattr(lattice, "_ball_rows", rows)
     ball = build_fermi_ball(9947927)
     assert ball.shell_radius_sq == 17800
-    # nine bisection steps over a bracket of width 535, then one grid at the
-    # answer, which both counts the ball and becomes its table
+    # nine bisection steps over a bracket of width 535, then one count at the
+    # answer, and only the answer's rows are built
     assert len(calls) == 10 and calls[-1] == 17800
+    assert built == [17800]
 
 
 def test_mode_order_is_deterministic(ball33):
@@ -438,21 +454,31 @@ def test_lune_count_is_invariant_under_the_cubic_group(shell, k):
 
 def test_integer_arithmetic_exact_near_a_billion():
     ball = build_fermi_ball(1000003353)
-    top = ball.column_tops
-    r = top.shape[0] // 2
-    ax = np.arange(-r, r + 1, dtype=np.int64)
-    rest = ball.shell_radius_sq - (ax[:, None] ** 2 + ax[None, :] ** 2)
-    inside = rest >= 0
-    # every column top is the exact integer square root, -1 off the ball
-    assert np.all(top[~inside] == -1)
-    assert np.all((top * top <= rest)[inside]) and np.all(((top + 1) ** 2 > rest)[inside])
-    z = top[inside]
-    rho_sq = (ax[:, None] ** 2 + ax[None, :] ** 2)[inside]
-    # each column term is below 2^31; the totals are summed as Python ints
-    per_column = rho_sq * (2 * z + 1) + z * (z + 1) * (2 * z + 1) // 3
-    assert int(per_column.max()) < 2**31
-    assert sum((2 * z + 1).tolist()) == ball.n
-    total = sum(per_column.tolist())
+    radius_sq, rows = ball.shell_radius_sq, ball.rows
+    r = len(rows) // 2
+    width = _slot_bits(r)
+    isqrt = math.isqrt
+
+    def top(x, y):
+        rest = radius_sq - x * x - y * y
+        return isqrt(rest) if rest >= 0 else -1
+
+    # every column of a few rows is the exact integer square root, empty off the ball
+    for x in (0, 1, r // 2, r - 1, r):
+        for y in range(-r, r + 1):
+            z = top(x, y)
+            column = rows[x + r] >> (y + r) * width & (1 << width) - 1
+            assert column == ((1 << 2 * z + 1) - 1 << r - z if z >= 0 else 0)
+            assert z < 0 or z * z <= radius_sq - x * x - y * y < (z + 1) ** 2
+    # the quadrant x, y >= 0 of the columns, each weighted by its mirror images
+    count = total = 0
+    for x in range(r + 1):
+        for y in range(isqrt(radius_sq - x * x) + 1):
+            z = top(x, y)
+            weight = (1 if x == 0 else 2) * (1 if y == 0 else 2)
+            count += weight * (2 * z + 1)
+            total += weight * ((x * x + y * y) * (2 * z + 1) + z * (z + 1) * (2 * z + 1) // 3)
+    assert count == ball.n == sum(row.bit_count() for row in rows)
     assert 2 * 10**14 < total < 3 * 10**14
     assert ball.norm_sq_sum() == total
     # one row: the stay count as a Python-int sum of column overlaps
@@ -461,17 +487,63 @@ def test_integer_arithmetic_exact_near_a_billion():
     table = coefficient_table(ball, v)
     nk2, kdotf = table.nk2[table.ks.index(k)], table.kdotf[table.ks.index(k)]
     stay = 0
-    m = top.shape[0]
-    for i in range(max(0, -k[0]), min(m, m - k[0])):
-        source, target = top[i], np.full(m, -1, dtype=np.int64)
-        lo_y, hi_y = max(0, -k[1]), min(m, m - k[1])
-        target[lo_y:hi_y] = top[i + k[0], lo_y + k[1] : hi_y + k[1]]
-        lo = np.maximum(-source, -target - k[2])
-        hi = np.minimum(source, target - k[2])
-        stay += sum(np.maximum(hi - lo + 1, 0).tolist())
-    # the count is exact in its float64 column: it is below 2^53
+    for x in range(-r, r + 1):
+        for y in range(-isqrt(radius_sq - x * x), isqrt(radius_sq - x * x) + 1):
+            source, target = top(x, y), top(x + k[0], y + k[1])
+            if target >= 0:
+                stay += max(min(source, target - k[2]) - max(-source, -target - k[2]) + 1, 0)
+    # the count is exact in its float column: it is below 2^53
     assert nk2 == ball.n - stay < 2**53
     numerator = ball.n * norm_sq(k)
     assert numerator == 30_000_100_590
     assert kinetic_coefficient(ball, k) == (ball.n - stay, numerator / (ball.n - stay))
     assert kdotf == numerator / (ball.n - stay)
+
+
+def row_stays(ball, k):
+    """{x: bit_count(row[x] & mask & (row[x + k_x] >> (k_y W + k_z)))} for every x
+    whose partner row exists, for any signs of k: a negative shift moves left,
+    and the mask keeps the source offsets o with o + k_z inside the slot."""
+    rows = ball.rows
+    r = len(rows) // 2
+    width = _slot_bits(r)
+    kx, ky, kz = k
+    keep = sum(1 << o for o in range(width) if 0 <= o + kz < width)
+    mask = sum(keep << width * y for y in range(2 * r + 1))
+    shift = ky * width + kz
+    stays = {}
+    for x in range(max(-r, -r - kx), min(r, r - kx) + 1):
+        target = rows[x + kx + r]
+        target = target >> shift if shift >= 0 else target << -shift
+        stays[x] = (rows[x + r] & mask & target).bit_count()
+    return stays
+
+
+@given(
+    st.integers(0, 60),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
+)
+@example(0, (0, 0, 0))
+@example(4, (0, 0, -4))
+@example(30, (-3, 2, -5))
+@example(60, (15, 0, 0))
+@example(60, (-7, 7, -7))
+@settings(max_examples=200, deadline=None)
+def test_row_kernel_matches_brute_force(radius_sq, k):
+    pts = brute_force_ball(radius_sq)
+    members = set(pts)
+    ball = build_fermi_ball(len(pts))
+    stay = sum((h[0] + k[0], h[1] + k[1], h[2] + k[2]) in members for h in pts)
+    assert sum(row.bit_count() for row in ball.rows) == ball.n
+    assert _stay_count(ball, k) == stay
+    # the pass runs at one member of the orbit; every member gives its count
+    assert {_stay_count(ball, act(g, k)) for g in CUBIC_GROUP} == {stay}
+    r = math.isqrt(ball.shell_radius_sq)
+    if max(map(abs, k)) >= 2 * r + 1:
+        assert stay == 0 and lune_count(ball, k) == ball.n
+        return
+    # the row layout read at k itself, negative shifts included, without the pairing
+    stays = row_stays(ball, k)
+    assert sum(stays.values()) == stay
+    # h -> -h - k maps the stayers of row x onto those of row -x - k_x
+    assert all(stays[-x - k[0]] == count for x, count in stays.items())

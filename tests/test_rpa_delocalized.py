@@ -240,14 +240,14 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
     from fermi_rpa.rpa_optimal import frequency_brackets
 
     passes, tables, integrals, kernels = [], [], [], []
-    stay_columns = lattice._stay_columns
+    stay_count = lattice._stay_count
     table_builder = rpa_delocalized.coefficient_table
     gmb_integral = rpa_optimal.gmb_integral
     kernel = error_budget._kernel
 
     def counted_pass(ball, k):
         passes.append(k)
-        return stay_columns(ball, k)
+        return stay_count(ball, k)
 
     def counted_table(source, v):
         table = table_builder(source, v)
@@ -262,7 +262,7 @@ def test_one_column_pass_per_orbit(monkeypatch, tmp_path, ball33, demo_potential
         kernels.append(v)
         return kernel(v)
 
-    monkeypatch.setattr(lattice, "_stay_columns", counted_pass)
+    monkeypatch.setattr(lattice, "_stay_count", counted_pass)
     # cli calls the builder through its module; report binds its own name
     monkeypatch.setattr(rpa_delocalized, "coefficient_table", counted_table)
     monkeypatch.setattr(report, "coefficient_table", counted_table)

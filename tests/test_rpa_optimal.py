@@ -244,7 +244,7 @@ def test_correlation_zero_potential():
 
 
 def test_correlation_brackets_nonpositive(demo_potential):
-    couplings = tuple(2.0 * math.pi * KAPPA * value for value in demo_potential.vs.tolist())
+    couplings = tuple(2.0 * math.pi * KAPPA * value for value in demo_potential.vs)
     for bracket in gmb_integral(couplings, 1e-12):
         assert bracket.value <= 1e-14
     brackets = frequency_brackets(demo_potential, 1e-12)
